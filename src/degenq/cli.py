@@ -10,9 +10,9 @@ Subcommands:
 
 Machine-readable mode (``--json``) emits deterministic JSON: keys sorted, no
 timestamps, scalars in canonical text form.  Exit codes: 0 success, 1 check
-failure, 2 unsupported request (m = n for invariants), 3 resource limit.
-The dimension cap defaults to 20000 and can be set by ``--max-dim`` or the
-``DEGENQ_MAX_DIM`` environment variable (flag wins).
+failure or bad input, 2 unsupported request (m = n for invariants), 3 resource
+limit.  The dimension cap defaults to 20000 and can be set by ``--max-dim`` or
+the ``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import (
     DegenqError,
     EqualMNUnsupported,
     ExprSyntaxError,
+    InvalidInput,
     ResourceLimit,
-    StrandMismatch,
 )
 from .expr import eval_in_rep, parse_expr
 from .invariants import BraidWord, link_invariant, random_word, verify_markov, verify_skein
@@ -183,10 +183,18 @@ def _add_mn(parser: argparse.ArgumentParser):
 
 
 def _max_dim_from(args) -> int:
-    if args.max_dim is not None:
-        return args.max_dim
-    env = os.environ.get("DEGENQ_MAX_DIM")
-    return int(env) if env else DEFAULT_MAX_DIM
+    cap = args.max_dim
+    if cap is None:
+        env = os.environ.get("DEGENQ_MAX_DIM")
+        if not env:
+            return DEFAULT_MAX_DIM
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InvalidInput(f"DEGENQ_MAX_DIM must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise InvalidInput(f"the dimension cap must be positive, got {cap}")
+    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,10 +362,15 @@ def _build_rep(name: str, params: GLParams, max_dim: int):
         return rep
     if name == "dual":
         return dual_rep(rep)
+    r = 0
     if name.startswith("tensor"):
-        r = int(name[len("tensor") :] or "2")
-        return iterated_tensor(rep, r, "Delta", max_dim)
-    raise ExprSyntaxError(f"unknown representation {name!r}")
+        try:
+            r = int(name[len("tensor") :] or "2")
+        except ValueError:
+            pass
+    if r < 1:
+        raise InvalidInput(f"unknown representation {name!r}; use natural, dual or tensor<k> with k >= 1")
+    return iterated_tensor(rep, r, "Delta", max_dim)
 
 
 def _cmd_eval(args) -> int:
@@ -398,9 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ExprSyntaxError, StrandMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except DegenqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

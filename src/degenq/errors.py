@@ -25,6 +25,10 @@ class ParamsMismatch(DegenqError):
     """Two objects built over different (m, n) parameters were combined."""
 
 
+class InvalidInput(DegenqError, ValueError):
+    """A parameter or option value outside its valid range."""
+
+
 class ResourceLimit(DegenqError):
     """A requested construction exceeds the configured dimension cap."""
 

@@ -5,16 +5,24 @@ for K<a>*K<a+1>^-1.  Nodes are sums, products, integer powers, and scalar
 leaves from Q(q).  Expressions are immutable; structural equality decides
 equality of trees (not of algebra elements).
 
-Grammar accepted by :func:`parse_expr`::
+One grammar serves expression text (:func:`parse_expr`) and scalar text
+(:func:`degenq.scalars.parse_scalar`)::
 
     expr   := term (('+'|'-') term)*
-    term   := ['-'] factor ('*' factor)*
-    factor := atom ('^' int)? | '(' expr ')' ('^' posint)? | scalar
+    term   := sign factor ('*' factor)*
+    factor := atom ('^' int)? | 'q' ('^' int)? | digits ('^' int)?
+            | '(' expr ')' ('/' '(' expr ')')? ('^' int)?
     atom   := e<digits> | f<digits> | K<digits> | k<digits>
+    int    := sign digits
+    sign   := ('+'|'-')*
 
-Scalars follow the polynomial grammar of :mod:`degenq.scalars`; negative
-exponents are allowed on K/k atoms and on q only.  A parenthesized subtree
-containing no generators collapses to a scalar leaf.
+The '*' may be omitted between an integer and a following q (``2q^3``).  A
+parenthesized subtree containing no generators collapses to a scalar leaf,
+and '/' divides two such leaves.  Negative exponents are allowed on K/k atoms
+and on scalars only.  Scalar text is the generator-free subset of this
+grammar: any atom is a syntax error there, and the parsed tree folds to one
+element of Q(q).  So scalar text may also carry a sign before '(' (as in
+``-(q+1)/(q-2)``) and integer powers such as ``2^3``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import re
 
 from .errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
 from .linalg import SparseMat
-from .scalars import GLParams, LaurentPoly, RatFn
+from .scalars import GLParams, LaurentPoly, RatFn, scalar_to_text
 
 _RF_ONE = RatFn.one()
 _RF_MINUS_ONE = RatFn.integer(-1)
@@ -411,8 +419,6 @@ def eval_in_rep(x: Expr, rep) -> SparseMat:
 
 def _scalar_factor_text(v: RatFn) -> str:
     """Scalar as a product factor, parenthesized unless an unambiguous monomial."""
-    from .scalars import scalar_to_text
-
     text = scalar_to_text(v)
     if v.is_polynomial() and len(v.num.terms) == 1:
         coeff = v.num.leading_coeff()
@@ -461,8 +467,6 @@ def _term_text(x: Expr) -> tuple[str, str]:
 def _term_scalar_body(v: RatFn) -> str:
     # Multi-term polynomials need parentheses so the term re-parses as one leaf;
     # a rational function already prints in parseable (num)/(den) form.
-    from .scalars import scalar_to_text
-
     if v.is_polynomial() and len(v.num.terms) > 1:
         return f"({scalar_to_text(v)})"
     return scalar_to_text(v)
@@ -537,7 +541,9 @@ def _as_scalar(x: Expr) -> RatFn | None:
 
 
 class _ExprParser:
-    def __init__(self, tokens, params: GLParams):
+    """Recursive descent over the module grammar; params None parses scalar text."""
+
+    def __init__(self, tokens, params: GLParams | None):
         self.tokens = tokens
         self.params = params
         self.i = 0
@@ -568,13 +574,19 @@ class _ExprParser:
             terms.append(negate(term) if t[1] == "-" else term)
         return make_sum(terms)
 
-    def parse_term(self) -> Expr:
-        negated = False
+    def parse_sign(self) -> int:
+        """Consume a run of '+' and '-' signs; return their product."""
+        sign = 1
         t = self.peek()
-        while t is not None and t[0] == "op" and t[1] == "-":
+        while t is not None and t[0] == "op" and t[1] in "+-":
             self.next()
-            negated = not negated
+            if t[1] == "-":
+                sign = -sign
             t = self.peek()
+        return sign
+
+    def parse_term(self) -> Expr:
+        negated = self.parse_sign() < 0
         factors = [self.parse_factor()]
         while True:
             t = self.peek()
@@ -598,22 +610,21 @@ class _ExprParser:
 
     def parse_optional_exponent(self) -> int | None:
         t = self.peek()
-        if t is not None and t[0] == "op" and t[1] == "^":
-            self.next()
-            sign = 1
-            t = self.next()
-            if t[0] == "op" and t[1] == "-":
-                sign = -1
-                t = self.next()
-            if t[0] != "int":
-                raise ExprSyntaxError("expected an integer exponent", t[2])
-            return sign * t[1]
-        return None
+        if t is None or t[0] != "op" or t[1] != "^":
+            return None
+        self.next()
+        sign = self.parse_sign()
+        t = self.next()
+        if t[0] != "int":
+            raise ExprSyntaxError("expected an integer exponent", t[2])
+        return sign * t[1]
 
     def parse_factor(self) -> Expr:
         t = self.next()
         if t[0] == "atom":
             letter, idx = t[1]
+            if self.params is None:
+                raise ExprSyntaxError(f"generator {letter}{idx} in scalar text", t[2])
             exp = self.parse_optional_exponent()
             base: Expr
             if letter == "e":
@@ -668,6 +679,11 @@ class _ExprParser:
 
 def parse_expr(text: str, params: GLParams) -> Expr:
     """Parse expression text, validating generator indices against params."""
+    return _parse(text, params)
+
+
+def _parse(text: str, params: GLParams | None) -> Expr:
+    """Parse a whole text; params None admits only generator-free (scalar) text."""
     parser = _ExprParser(_tokenize_expr(text), params)
     x = parser.parse_expr()
     t = parser.peek()

@@ -37,7 +37,7 @@ from .expr import eval_in_rep
 from .homfly_oracle import HomflyOracle
 from .linalg import SparseMat
 from .relations import k2rho_expr
-from .reports import Report
+from .reports import UNSUPPORTED, VACUOUS, Report
 from .reps import DEFAULT_MAX_DIM, Representation, natural_rep
 from .rmatrix import build_bundle, leg_operator
 from .scalars import GLParams, RatFn, quantum_int
@@ -132,8 +132,9 @@ def partial_qtrace(gamma: SparseMat, params: GLParams) -> SparseMat:
     return SparseMat(d, d, out)
 
 
-def _qtrace_power(mat: SparseMat, params: GLParams, r: int) -> RatFn:
-    """tr(nu(K_2rho)^(x)r M) accumulated entry by entry off the diagonal of M."""
+def _normalized_trace(mat: SparseMat, params: GLParams, r: int) -> RatFn:
+    """phi_r: tr(nu(K_2rho)^(x)r M) / dim_q(V)^r, the quantum trace accumulated
+    entry by entry off the diagonal of M."""
     d = params.size
     kd = k2rho_matrix(natural_rep(params)).diagonal_values()
     total = RatFn.zero()
@@ -146,7 +147,7 @@ def _qtrace_power(mat: SparseMat, params: GLParams, r: int) -> RatFn:
             factor = factor * kd[rem % d]
             rem //= d
         total = total + factor
-    return total
+    return total * (quantum_dimension(params).inv() ** r)
 
 
 class BraidEvaluator:
@@ -188,9 +189,7 @@ def markov_trace(
     """The normalized quantum trace of the braid image; needs m != n."""
     if params.m == params.n:
         raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-    mat = braid_rep(word, params, max_dim)
-    dimq = quantum_dimension(params)
-    return _qtrace_power(mat, params, word.strands) * (dimq.inv() ** word.strands)
+    return _normalized_trace(braid_rep(word, params, max_dim), params, word.strands)
 
 
 def link_invariant(
@@ -234,16 +233,13 @@ def verify_markov(
     normalized invariant, on random words, plus a failing negative control."""
     report = Report()
     if params.m == params.n:
-        report.note("markov", "all", "unsupported", "m = n has vanishing quantum dimension")
+        report.note("markov", "all", UNSUPPORTED, "m = n has vanishing quantum dimension")
         return report
     rng = random.Random(seed)
     evaluators = {r: BraidEvaluator(params, r, max_dim) for r in range(2, max_strands + 1)}
 
-    dimq = quantum_dimension(params)
-
     def phi(word: BraidWord) -> RatFn:
-        mat = evaluators[word.strands].matrix(word)
-        return _qtrace_power(mat, params, word.strands) * (dimq.inv() ** word.strands)
+        return _normalized_trace(evaluators[word.strands].matrix(word), params, word.strands)
 
     conj_ok = 0
     for _ in range(samples):
@@ -251,12 +247,11 @@ def verify_markov(
         c = random_word(rng, max_strands)
         if phi(b * c) == phi(c * b):
             conj_ok += 1
-    report.add(
-        "markov",
-        f"conjugation invariance on {samples} random pairs in B_{max_strands}",
-        conj_ok == samples,
-        detail=f"{conj_ok}/{samples} exact",
-    )
+    conj_name = f"conjugation invariance on {samples} random pairs in B_{max_strands}"
+    if samples > 0:
+        report.add("markov", conj_name, conj_ok == samples, detail=f"{conj_ok}/{samples} exact")
+    else:
+        report.note("markov", conj_name, VACUOUS, "no pairs sampled")
 
     stab_ok = 0
     stab_total = 0
@@ -309,7 +304,7 @@ def verify_skein(
     """q^(m-n) I(L+) - q^-(m-n) I(L-) = (q - q^-1) I(L0) at one crossing site."""
     report = Report()
     if params.m == params.n:
-        report.note("skein", "all", "unsupported", "m = n has vanishing quantum dimension")
+        report.note("skein", "all", UNSUPPORTED, "m = n has vanishing quantum dimension")
         return report
     if not 0 <= pos < len(word.letters):
         raise IndexError(f"position {pos} outside the word")

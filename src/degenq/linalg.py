@@ -10,9 +10,11 @@ limit coefficient growth.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .scalars import LaurentPoly, RatFn, _poly_gcd_dict
+from .scalars import LaurentPoly, RatFn, _poly_divexact_dict, _poly_gcd_dict, _power
 
 _ONE = RatFn.one()
+_ZERO = RatFn.zero()
+_LP_ZERO = LaurentPoly.zero()
 
 
 class SparseMat:
@@ -139,14 +141,7 @@ class SparseMat:
             raise DimensionMismatch("power of a non-square matrix")
         if n < 0:
             raise ValueError("negative matrix power")
-        result = SparseMat.identity(self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, SparseMat.identity(self.nrows))
 
     def transpose(self) -> SparseMat:
         return SparseMat(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
@@ -202,10 +197,6 @@ class SparseMat:
 
 def kron(a: SparseMat, b: SparseMat) -> SparseMat:
     return a.kron(b)
-
-
-def mat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
-    return a * b
 
 
 class Vec:
@@ -272,8 +263,6 @@ class Vec:
 
 def _clear_row(row: dict[int, RatFn]) -> dict[int, LaurentPoly]:
     """Scale a row by the lcm of its denominators, then strip content."""
-    from .scalars import _poly_divexact_dict
-
     den = LaurentPoly.one()
     for v in row.values():
         if not v.den.is_one():
@@ -286,8 +275,6 @@ def _clear_row(row: dict[int, RatFn]) -> dict[int, LaurentPoly]:
 
 def _strip_content(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
     """Divide a Z[q] row by its common content (integer and polynomial) and q-shift."""
-    from .scalars import _poly_divexact_dict
-
     row = {j: p for j, p in row.items() if p}
     if not row:
         return row
@@ -301,6 +288,30 @@ def _strip_content(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
             return row
     assert g is not None
     return {j: LaurentPoly(_poly_divexact_dict(p.terms, g)) for j, p in row.items()}
+
+
+def _ff_update(
+    r: dict[int, LaurentPoly], pv: LaurentPoly, c: LaurentPoly, pivot_row: dict[int, LaurentPoly]
+) -> dict[int, LaurentPoly]:
+    """r <- pv*r - c*pivot_row, which stays in Z[q], with its content stripped."""
+    out = {j: p * pv for j, p in r.items()}
+    for j, p in pivot_row.items():
+        s = out.get(j, _LP_ZERO) - p * c
+        if s:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return _strip_content(out)
+
+
+def _sub_scaled(row: dict[int, RatFn], c: RatFn, other: dict[int, RatFn]) -> None:
+    """row <- row - c*other over the field, in place."""
+    for j, x in other.items():
+        s = row.get(j, _ZERO) - c * x
+        if s:
+            row[j] = s
+        else:
+            row.pop(j, None)
 
 
 def echelon_rows(
@@ -328,17 +339,7 @@ def echelon_rows(
             if c is None:
                 new_work.append(r)
                 continue
-            # r <- pv*r - c*pivot_row  (stays in Z[q])
-            out: dict[int, LaurentPoly] = {}
-            for j, p in r.items():
-                out[j] = p * pv
-            for j, p in pivot_row.items():
-                s = out.get(j, LaurentPoly.zero()) - p * c
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
-            out = _strip_content(out)
+            out = _ff_update(r, pv, c, pivot_row)
             if out:
                 new_work.append(out)
         work = new_work
@@ -352,16 +353,8 @@ def echelon_rows(
         for upper in range(idx):
             r = done[upper]
             c = r.get(col)
-            if c is None:
-                continue
-            out = {j: p * pv for j, p in r.items()}
-            for j, p in prow.items():
-                s = out.get(j, LaurentPoly.zero()) - p * c
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
-            done[upper] = _strip_content(out)
+            if c is not None:
+                done[upper] = _ff_update(r, pv, c, prow)
     # Normalize pivots to 1 over the field.
     result = []
     for prow, col in zip(done, pivots):
@@ -415,14 +408,8 @@ class Subspace:
         entries = dict(v.entries)
         for row, p in zip(self._rows, self._pivots):
             c = entries.get(p)
-            if c is None:
-                continue
-            for j, x in row.items():
-                s = entries.get(j, RatFn.zero()) - c * x
-                if s:
-                    entries[j] = s
-                else:
-                    entries.pop(j, None)
+            if c is not None:
+                _sub_scaled(entries, c, row)
         return Vec(self.dim, entries)
 
     def contains(self, v: Vec) -> bool:
@@ -439,14 +426,8 @@ class Subspace:
         # Clear the new pivot column from existing rows.
         for row in self._rows:
             c = row.get(lead)
-            if c is None:
-                continue
-            for j, x in new_row.items():
-                s = row.get(j, RatFn.zero()) - c * x
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
+            if c is not None:
+                _sub_scaled(row, c, new_row)
         at = 0
         while at < len(self._pivots) and self._pivots[at] < lead:
             at += 1

@@ -167,30 +167,31 @@ def antisymmetric_type_dim(params: GLParams) -> int:
     return m * (m - 1) // 2 + m * n + n * (n + 1) // 2
 
 
+def _braids(mat: SparseMat, d: int) -> bool:
+    """R_12 R_13 R_23 = R_23 R_13 R_12 on V^(x)3 for R = mat."""
+    r12, r13, r23 = (leg_operator(mat, i, j, 3, d) for i, j in ((1, 2), (1, 3), (2, 3)))
+    return r12 * r13 * r23 == r23 * r13 * r12
+
+
 def verify_ybe(bundle: RMatrixBundle) -> Report:
-    """R_12 R_13 R_23 = R_23 R_13 R_12 on V^(x)3, for R and the reference T,
-    plus the failing negative control."""
+    """The braid relation on V^(x)3 for R and the reference T, plus the failing
+    negative control."""
     report = Report()
     d = bundle.params.size
     for name, mat in (("R", bundle.R), ("T", bundle.T)):
-        legs = {
-            (1, 2): leg_operator(mat, 1, 2, 3, d),
-            (1, 3): leg_operator(mat, 1, 3, 3, d),
-            (2, 3): leg_operator(mat, 2, 3, 3, d),
-        }
-        lhs = legs[(1, 2)] * legs[(1, 3)] * legs[(2, 3)]
-        rhs = legs[(2, 3)] * legs[(1, 3)] * legs[(1, 2)]
-        report.add("ybe", f"{name} braids exactly", lhs == rhs)
+        report.add("ybe", f"{name} braids exactly", _braids(mat, d))
     report.add("ybe", "R invertible", bundle.R * bundle.Rinv == SparseMat.identity(d * d))
-    bad = perturbed_r(bundle.params)
-    legs = {
-        (1, 2): leg_operator(bad, 1, 2, 3, d),
-        (1, 3): leg_operator(bad, 1, 3, 3, d),
-        (2, 3): leg_operator(bad, 2, 3, 3, d),
-    }
-    fails = legs[(1, 2)] * legs[(1, 3)] * legs[(2, 3)] != legs[(2, 3)] * legs[(1, 3)] * legs[(1, 2)]
+    fails = not _braids(perturbed_r(bundle.params), d)
     report.add("ybe", "negative control (degenerate diagonal spoiled) fails", fails)
     return report
+
+
+def _projectors(rc: SparseMat) -> tuple[SparseMat, SparseMat]:
+    """The projectors of Rcheck onto its q- and (-q^-1)-eigenspaces."""
+    ident = SparseMat.identity(rc.nrows)
+    q = RatFn.q(1)
+    denom = (q + q.inv()).inv()
+    return (rc + ident.scale(q.inv())).scale(denom), (ident.scale(q) - rc).scale(denom)
 
 
 def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
@@ -204,9 +205,7 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
     hecke = (rc - ident.scale(q)) * (rc + ident.scale(q.inv()))
     report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero())
 
-    denom = (q + q.inv()).inv()
-    proj_s = (rc + ident.scale(q.inv())).scale(denom)
-    proj_a = (ident.scale(q) - rc).scale(denom)
+    proj_s, proj_a = _projectors(rc)
     report.add("hecke", "P_s idempotent", proj_s * proj_s == proj_s)
     report.add("hecke", "P_a idempotent", proj_a * proj_a == proj_a)
     report.add("hecke", "P_s P_a = 0", (proj_s * proj_a).is_zero())
@@ -276,24 +275,23 @@ def tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Spar
     """
     if r < 2:
         raise ValueError("tensor_iso needs r >= 2")
-    d = params.size
-    if d**r > max_dim:
-        raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
-    bundle = build_bundle(params)
-    out = SparseMat.identity(d**r)
-    for i, j in _halftwist_pairs(r):
-        out = out * leg_operator(bundle.R, i, j, r, d)
-    return out
+    return _leg_product(params, r, max_dim, "R", _halftwist_pairs(r))
 
 
 def tensor_iso_inverse(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
+    return _leg_product(params, r, max_dim, "Rinv", reversed(_halftwist_pairs(r)))
+
+
+def _leg_product(params: GLParams, r: int, max_dim: int, which: str, pairs) -> SparseMat:
+    """The product over pairs (i, j) of the bundle operator ``which`` placed on
+    legs i, j of V^(x)r; refuses a space above the dimension cap."""
     d = params.size
     if d**r > max_dim:
         raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
-    bundle = build_bundle(params)
+    op = getattr(build_bundle(params), which)
     out = SparseMat.identity(d**r)
-    for i, j in reversed(_halftwist_pairs(r)):
-        out = out * leg_operator(bundle.Rinv, i, j, r, d)
+    for i, j in pairs:
+        out = out * leg_operator(op, i, j, r, d)
     return out
 
 
@@ -321,11 +319,8 @@ def eigenspace_closures_match(params: GLParams) -> Report:
     rep = natural_rep(params)
     vv = tensor_rep(rep, rep, "Delta")
     d = params.size
-    ident = SparseMat.identity(d * d)
     q = RatFn.q(1)
-    denom = (q + q.inv()).inv()
-    proj_s = (bundle.Rcheck + ident.scale(q.inv())).scale(denom)
-    proj_a = (ident.scale(q) - bundle.Rcheck).scale(denom)
+    proj_s, proj_a = _projectors(bundle.Rcheck)
 
     sym_closure = submodule_closure(vv, [Vec.unit(d * d, 0)])
     w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})

@@ -14,16 +14,17 @@ Conventions used throughout the package:
 Text form (used by the CLI and tests): a polynomial prints as terms ``c*q^e``
 joined by ``+``/``-`` in decreasing exponent order, e.g. ``q^2 - 2 + 3*q^-1``;
 a rational function with nontrivial denominator prints as ``(num)/(den)``.
-The parser accepts whitespace and an omitted ``*`` between coefficient and q.
+:func:`parse_scalar` reads the generator-free subset of the expression grammar
+of :mod:`degenq.expr`, so it also accepts whitespace, an omitted ``*`` between
+coefficient and q, and any sum, product or power of such scalars.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, ExprSyntaxError, IndexOutOfRange
+from .errors import DivisionByZero, ExprSyntaxError, IndexOutOfRange, InvalidInput
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
@@ -131,14 +132,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial; use RatFn")
-        result = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _LP_ONE)
 
     def scale(self, c: int) -> LaurentPoly:
         if c == 0:
@@ -152,15 +146,6 @@ class LaurentPoly:
         if k == 0:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self.terms.items()})
-
-    def int_divexact(self, c: int) -> LaurentPoly:
-        out = {}
-        for e, v in self.terms.items():
-            d, r = divmod(v, c)
-            if r:
-                raise ValueError(f"coefficient {v} not divisible by {c}")
-            out[e] = d
-        return LaurentPoly._raw(out)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -191,15 +176,16 @@ _LP_ZERO = LaurentPoly._raw({})
 _LP_ONE = LaurentPoly._raw({0: 1})
 
 
-def poly_arith(op: str, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Dispatch form of +, -, * used by the CLI."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+def _power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring; one is the identity of base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def quantum_int(k: int) -> LaurentPoly:
@@ -391,15 +377,8 @@ class RatFn:
 
     def __pow__(self, n: int) -> RatFn:
         if n < 0:
-            return self.inv() ** (-n)
-        result = _RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return _power(self.inv(), -n, _RF_ONE)
+        return _power(self, n, _RF_ONE)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -456,26 +435,6 @@ _RF_ZERO = RatFn._raw(_LP_ZERO, _LP_ONE)
 _RF_ONE = RatFn._raw(_LP_ONE, _LP_ONE)
 
 
-def ratfn_arith(op: str, a: RatFn, b: RatFn | None = None) -> RatFn:
-    """Dispatch form of the field operations used by the CLI."""
-    if op == "inv":
-        return a.inv()
-    assert b is not None
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def quantum_int_rf(k: int) -> RatFn:
-    return RatFn._raw(quantum_int(k), _LP_ONE) if k else _RF_ZERO
-
-
 Q = RatFn.q(1)
 QINV = RatFn.q(-1)
 P_SIGNED = RatFn.q(-1, -1)  # p = -q^-1
@@ -496,7 +455,7 @@ class GLParams:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive integers")
+            raise InvalidInput(f"m and n must be positive integers, got m={self.m}, n={self.n}")
 
     @property
     def size(self) -> int:
@@ -551,147 +510,17 @@ def scalar_to_text(x: RatFn) -> str:
     return f"({poly_to_text(x.num)})/({poly_to_text(x.den)})"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<q>q)|(?P<op>[\^*+\-/()]))")
+def parse_scalar(text: str) -> RatFn:
+    """Parse scalar text: the generator-free subset of the expression grammar
+    of :mod:`degenq.expr`, e.g. ``q^2 - 2*q + 3*q^-1`` or ``(num)/(den)``."""
+    from .expr import _as_scalar, _parse  # expr imports this module, so not at the top
 
-
-def _tokenize_scalar(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("q"):
-            tokens.append(("q", "q", m.start("q")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _PolyParser:
-    """Recursive-descent parser for polynomial text (terms c*q^e joined by +/-)."""
-
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ExprSyntaxError("unexpected end of input", -1)
-        self.i += 1
-        return t
-
-    def parse_int(self) -> int:
-        sign = 1
-        t = self.next()
-        while t[0] == "op" and t[1] in "+-":
-            if t[1] == "-":
-                sign = -sign
-            t = self.next()
-        if t[0] != "int":
-            raise ExprSyntaxError("expected an integer", t[2])
-        return sign * int(t[1])
-
-    def parse_poly(self, stop_at_paren: bool = False) -> LaurentPoly:
-        total = _LP_ZERO
-        sign = 1
-        expect_term = True
-        while True:
-            t = self.peek()
-            if t is None or (stop_at_paren and t[1] == ")" and t[0] == "op"):
-                if expect_term:
-                    raise ExprSyntaxError("expected a term", t[2] if t else -1)
-                return total
-            if t[0] == "op" and t[1] in "+-":
-                self.next()
-                if t[1] == "-":
-                    sign = -sign
-                expect_term = True
-                continue
-            if not expect_term:
-                raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
-            total = total + self.parse_term().scale(sign)
-            sign = 1
-            expect_term = False
-
-    def parse_term(self) -> LaurentPoly:
-        # term := int ['*'|nothing] [qpart] | qpart
-        t = self.peek()
-        if t is None:
-            raise ExprSyntaxError("expected a term", -1)
-        coeff = 1
-        have_coeff = False
-        if t[0] == "int":
-            self.next()
-            coeff = int(t[1])
-            have_coeff = True
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-                self.next()
-                nxt = self.peek()
-            if nxt is None or nxt[0] != "q":
-                return LaurentPoly.integer(coeff)
-            t = nxt
-        if t[0] != "q":
-            if have_coeff:
-                return LaurentPoly.integer(coeff)
-            raise ExprSyntaxError(f"expected a term, got {t[1]!r}", t[2])
-        self.next()
-        exp = 1
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-            self.next()
-            exp = self.parse_int()
-        return LaurentPoly.q(exp, coeff)
+    return _as_scalar(_parse(text, None))
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse polynomial text like ``q^2 - 2*q + 3*q^-1``."""
-    parser = _PolyParser(_tokenize_scalar(text))
-    p = parser.parse_poly()
-    if parser.peek() is not None:
-        raise ExprSyntaxError("trailing input", parser.peek()[2])
-    return p
-
-
-def parse_scalar(text: str) -> RatFn:
-    """Parse scalar text: a polynomial, or ``(num)/(den)``."""
-    tokens = _tokenize_scalar(text)
-    parser = _PolyParser(tokens)
-    t = parser.peek()
-    if t is not None and t[0] == "op" and t[1] == "(":
-        # Could be "(poly)" or "(num)/(den)".
-        parser.next()
-        num = parser.parse_poly(stop_at_paren=True)
-        closing = parser.next()
-        if closing[1] != ")":
-            raise ExprSyntaxError("expected ')'", closing[2])
-        nxt = parser.peek()
-        if nxt is None:
-            return RatFn(num)
-        if nxt[0] == "op" and nxt[1] == "/":
-            parser.next()
-            opening = parser.next()
-            if opening[1] != "(":
-                raise ExprSyntaxError("expected '(' after '/'", opening[2])
-            den = parser.parse_poly(stop_at_paren=True)
-            closing = parser.next()
-            if closing[1] != ")":
-                raise ExprSyntaxError("expected ')'", closing[2])
-            if parser.peek() is not None:
-                raise ExprSyntaxError("trailing input", parser.peek()[2])
-            return RatFn(num, den)
-        raise ExprSyntaxError(f"unexpected token {nxt[1]!r}", nxt[2])
-    p = parser.parse_poly()
-    if parser.peek() is not None:
-        raise ExprSyntaxError("trailing input", parser.peek()[2])
-    return RatFn(p)
+    """Parse scalar text whose value is a Laurent polynomial, like ``q^2 - 2*q + 3*q^-1``."""
+    x = parse_scalar(text)
+    if not x.is_polynomial():
+        raise ExprSyntaxError(f"not a Laurent polynomial: {text!r}")
+    return x.num

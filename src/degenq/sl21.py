@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import InvalidInput
 from .linalg import SparseMat, Vec
 from .reps import (
     Representation,
@@ -63,11 +64,11 @@ class HighestWeightSL21:
 
     def __post_init__(self):
         if self.ell < 0:
-            raise ValueError("ell must be a nonnegative integer")
+            raise InvalidInput(f"ell must be a nonnegative integer, got {self.ell}")
         if self.sign1 not in (1, -1):
-            raise ValueError("sign1 must be +1 or -1")
+            raise InvalidInput(f"sign1 must be +1 or -1, got {self.sign1}")
         if not self.lambda2:
-            raise ValueError("lambda2 must be nonzero")
+            raise InvalidInput("lambda2 must be nonzero")
 
     @property
     def lambda1(self) -> RatFn:

@@ -239,6 +239,47 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv, env_cap",
+    [
+        (["invariant", "--m", "0", "--n", "1", "--braid", "1"], None),
+        (["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensorx"], None),
+        (["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor0"], None),
+        (["invariant", "--m", "2", "--n", "1", "--braid", "1"], "abc"),
+        (["simple-module", "--ell", "-1", "--lambda2", "q"], None),
+        (["simple-module", "--ell", "0", "--lambda2", "0"], None),
+        (["--max-dim", "0", "invariant", "--m", "2", "--n", "1", "--braid", "1"], None),
+        (["--max-dim", "-5", "invariant", "--m", "2", "--n", "1", "--braid", "1"], None),
+    ],
+    ids=["m0", "rep-tensorx", "rep-tensor0", "env-cap-abc", "ell-negative", "lambda2-zero",
+         "max-dim-0", "max-dim-negative"],
+)
+def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
+    if env_cap is None:
+        monkeypatch.delenv("DEGENQ_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("DEGENQ_MAX_DIM", env_cap)
+    assert main(argv) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_samples_0_conjugation_is_vacuous(capsys):
+    code = main(["verify", "--m", "2", "--n", "1", "--suite", "invariant", "--samples", "0", "--json"])
+    assert code == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    conj = [c for c in checks if c["name"].startswith("conjugation invariance")]
+    assert [c["status"] for c in conj] == ["vacuous"]
+    assert all(c["status"] == "pass" for c in checks if c not in conj)
+
+
+def test_simple_module_signed_parenthesized_lambda2(capsys):
+    code = main(["simple-module", "--ell", "0", "--lambda2=-(q+1)/(q-2)", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["lambda2"] == "(-q - 1)/(q - 2)"
+
+
 def test_verify_full_22_passes_with_unsupported_markov(capsys):
     code = main(
         ["verify", "--m", "2", "--n", "2", "--tensor-depth", "2", "--samples", "2", "--json"]

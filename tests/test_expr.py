@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenq.errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
 from degenq.expr import (
@@ -18,13 +20,15 @@ from degenq.expr import (
     Kinv,
     make_pow,
     make_prod,
+    make_sum,
+    negate,
     one,
     parse_expr,
 )
 from degenq.linalg import SparseMat
 from degenq.relations import gamma_monomials, root_vector
 from degenq.reps import natural_rep
-from degenq.scalars import GLParams, RatFn
+from degenq.scalars import GLParams, LaurentPoly, RatFn
 
 P21 = GLParams(2, 1)
 P32 = GLParams(3, 2)
@@ -117,6 +121,35 @@ def test_round_trip_catalog_and_root_vectors():
     for params in (P21, GLParams(2, 2)):
         for entry in relation_catalog(params):
             assert parse_expr(expr_to_text(entry.expr), params) == entry.expr, entry.name
+
+
+_ATOMS = [e(1), e(2), f(1), f(2), K(1), K(3), Kinv(2), cartan(1), cartan_inv(2)]
+_DENOMINATORS = [LaurentPoly.one(), LaurentPoly({1: 1, 0: 1}), LaurentPoly({2: 1, 0: -2})]
+
+
+@st.composite
+def _scalar_leaves(draw):
+    num = LaurentPoly({draw(st.integers(-2, 2)): draw(st.integers(-3, 3))})
+    return Scalar(RatFn(num, draw(st.sampled_from(_DENOMINATORS))))
+
+
+def _compound(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(make_sum),
+        st.lists(children, min_size=2, max_size=3).map(make_prod),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: make_pow(*t)),
+        children.map(negate),
+    )
+
+
+_EXPRS = st.recursive(st.one_of(st.sampled_from(_ATOMS), _scalar_leaves()), _compound, max_leaves=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_EXPRS)
+def test_printed_text_evaluates_like_the_tree(x):
+    rep = natural_rep(P21)
+    assert eval_in_rep(parse_expr(expr_to_text(x), P21), rep) == eval_in_rep(x, rep)
 
 
 # -- structural helpers ---------------------------------------------------------------

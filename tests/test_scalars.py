@@ -12,7 +12,6 @@ from degenq.scalars import (
     parse_scalar,
     poly_to_text,
     quantum_int,
-    ratfn_arith,
     scalar_to_text,
 )
 
@@ -185,9 +184,9 @@ def test_params_validation():
 
 def test_ratfn_arith_dispatch():
     a, b = rf({1: 1}), rf({0: 2})
-    assert ratfn_arith("add", a, b) == rf({1: 1, 0: 2})
-    assert ratfn_arith("div", a, b) == RatFn(lp({1: 1}), lp({0: 2}))
-    assert ratfn_arith("inv", b) == RatFn(lp({0: 1}), lp({0: 2}))
+    assert a + b == rf({1: 1, 0: 2})
+    assert a / b == RatFn(lp({1: 1}), lp({0: 2}))
+    assert b.inv() == RatFn(lp({0: 1}), lp({0: 2}))
 
 
 # -- text form --------------------------------------------------------------------
@@ -230,15 +229,31 @@ def test_parse_scalar_rejects_garbage():
             parse_scalar(bad)
 
 
+def test_parse_scalar_rejects_generators():
+    for text in ["e1", "K1", "q + f2", "(k1)/(q)"]:
+        with pytest.raises(ExprSyntaxError):
+            parse_scalar(text)
+
+
+def test_parse_scalar_accepts_expression_forms():
+    assert parse_scalar("-(q+1)/(q-2)") == RatFn(lp({1: -1, 0: -1}), lp({1: 1, 0: -2}))
+    assert parse_scalar("2^3") == RatFn.integer(8)
+    assert parse_scalar("+q^+2") == RatFn.q(2)
+
+
+def test_parse_poly_rejects_proper_fraction():
+    assert parse_poly("(q^2 - 1)/(q - 1)") == lp({1: 1, 0: 1})
+    with pytest.raises(ExprSyntaxError):
+        parse_poly("(q)/(q + 1)")
+
+
 def test_parse_poly_round_trip_simple():
     for text in ["q^2 - 2 + 3*q^-1", "5", "-q + 1", "0"]:
         assert poly_to_text(parse_poly(text)) == text
 
 
 def test_poly_arith_dispatch():
-    from degenq.scalars import poly_arith
-
     a, b = lp({1: 1}), lp({0: 1, -1: 2})
-    assert poly_arith("add", a, b) == lp({1: 1, 0: 1, -1: 2})
-    assert poly_arith("sub", a, a) == LaurentPoly.zero()
-    assert poly_arith("mul", a, b) == lp({1: 1, 0: 2})
+    assert a + b == lp({1: 1, 0: 1, -1: 2})
+    assert a - a == LaurentPoly.zero()
+    assert a * b == lp({1: 1, 0: 2})
