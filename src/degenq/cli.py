@@ -131,6 +131,10 @@ def run_verify(
     max_dim: int = DEFAULT_MAX_DIM,
     samples: int = 10,
 ) -> Report:
+    if tensor_depth < 1:
+        raise InvalidInput(f"the tensor depth must be at least 1, got {tensor_depth}")
+    if samples < 0:
+        raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
     report = Report()
     rep = natural_rep(params)
     if "relations" in suites:

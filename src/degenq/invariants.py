@@ -20,6 +20,11 @@ satisfies the skein relation
 It therefore equals the HOMFLY polynomial of the braid closure at
 a = q^{m-n}, z = q - q^-1 (positive letters are positive crossings).
 Everything requires m != n so the quantum dimension is invertible.
+
+Every entry of Rcheck, Rcheckinv and nu(K_2rho) lies in Z[q, q^-1], so braid
+images are evaluated there: :class:`BraidEvaluator` propagates the columns of
+the image one letter at a time, the Markov trace reads only the diagonal of the
+result, and the one rational step is the final division by dim_q(V)^r.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    DegenqError,
     DimensionMismatch,
     EqualMNUnsupported,
     ResourceLimit,
@@ -39,8 +45,8 @@ from .linalg import SparseMat
 from .relations import k2rho_expr
 from .reports import UNSUPPORTED, VACUOUS, Report
 from .reps import DEFAULT_MAX_DIM, Representation, natural_rep
-from .rmatrix import build_bundle, leg_operator
-from .scalars import GLParams, RatFn, quantum_int
+from .rmatrix import build_bundle
+from .scalars import _LP_ONE, GLParams, LaurentPoly, RatFn, quantum_int
 
 
 @dataclass(frozen=True)
@@ -132,26 +138,48 @@ def partial_qtrace(gamma: SparseMat, params: GLParams) -> SparseMat:
     return SparseMat(d, d, out)
 
 
-def _normalized_trace(mat: SparseMat, params: GLParams, r: int) -> RatFn:
-    """phi_r: tr(nu(K_2rho)^(x)r M) / dim_q(V)^r, the quantum trace accumulated
-    entry by entry off the diagonal of M."""
-    d = params.size
-    kd = k2rho_matrix(natural_rep(params)).diagonal_values()
-    total = RatFn.zero()
-    for (i, j), v in mat.entries.items():
-        if i != j:
-            continue
-        factor = v
-        rem = i
-        for _ in range(r):
-            factor = factor * kd[rem % d]
-            rem //= d
-        total = total + factor
-    return total * (quantum_dimension(params).inv() ** r)
+def _laurent(x: RatFn, what: str) -> LaurentPoly:
+    """x as an element of Z[q, q^-1]; raises if x has a nontrivial denominator."""
+    if not x.is_polynomial():
+        raise DegenqError(f"{what} entry {x} is not a Laurent polynomial")
+    return x.num
+
+
+def _letter_columns(
+    op: SparseMat, i: int, r: int, d: int, what: str
+) -> list[list[tuple[int, LaurentPoly]]]:
+    """The columns of the two-site operator op placed on legs (i, i+1) of
+    V^(x)r: for each column c, the (source column s, coefficient) pairs of its
+    nonzero entries, a coefficient 1 stored as _LP_ONE.
+
+    Legs i and i+1 are adjacent, so their digits (a, b) form one base-d^2 digit
+    a*d + b at place value d^(r-1-i) of the basis index."""
+    pair_cols: list[list[tuple[int, LaurentPoly]]] = [[] for _ in range(d * d)]
+    for (y, x), v in op.entries.items():
+        coeff = _laurent(v, what)
+        pair_cols[x].append((y, _LP_ONE if coeff.is_one() else coeff))
+    place = d ** (r - 1 - i)
+    cols = []
+    for c in range(d**r):
+        x = (c // place) % (d * d)
+        base = c - x * place
+        cols.append([(base + y * place, coeff) for y, coeff in pair_cols[x]])
+    return cols
 
 
 class BraidEvaluator:
-    """Caches the leg-placed braid generator matrices for one (params, strands)."""
+    """The braid image on V^(x)strands for one (params, strands), propagated
+    column by column over Z[q, q^-1].
+
+    Every entry of Rcheck, Rcheckinv and nu(K_2rho) is a Laurent polynomial, and
+    Rcheck maps v_a (x) v_b into span{v_a (x) v_b, v_b (x) v_a}, so each column
+    of a leg-placed generator has at most two entries.  The image of a word is
+    kept as columns {row: LaurentPoly}; appending a letter sets column c to the
+    sum of coefficient * (column s) over the letter's pairs (s, coefficient) for
+    c.  A coefficient-1 column reuses its source dict with no arithmetic.
+    ``trace`` reads only the diagonal entries; ``matrix`` wraps the columns into
+    a SparseMat.
+    """
 
     def __init__(self, params: GLParams, strands: int, max_dim: int = DEFAULT_MAX_DIM):
         dim = params.size**strands
@@ -164,18 +192,66 @@ class BraidEvaluator:
         self.dim = dim
         bundle = build_bundle(params)
         d = params.size
-        self._gen: dict[int, SparseMat] = {}
+        self._gen: dict[int, list[list[tuple[int, LaurentPoly]]]] = {}
         for i in range(1, strands):
-            self._gen[i] = leg_operator(bundle.Rcheck, i, i + 1, strands, d)
-            self._gen[-i] = leg_operator(bundle.Rcheckinv, i, i + 1, strands, d)
+            self._gen[i] = _letter_columns(bundle.Rcheck, i, strands, d, "Rcheck")
+            self._gen[-i] = _letter_columns(bundle.Rcheckinv, i, strands, d, "Rcheckinv")
+        # nu(K_2rho)^(x)strands is diagonal: entry c is the product of the
+        # K_2rho monomials at the digits of c.
+        kd = [_laurent(v, "K_2rho") for v in k2rho_matrix(natural_rep(params)).diagonal_values()]
+        self._weights = [_LP_ONE]
+        for _ in range(strands):
+            self._weights = [w * k for w in self._weights for k in kd]
 
-    def matrix(self, word: BraidWord) -> SparseMat:
+    def _columns(self, word: BraidWord) -> list[dict[int, LaurentPoly]]:
         if word.strands != self.strands:
             raise StrandMismatch(f"word has {word.strands} strands, evaluator {self.strands}")
-        out = SparseMat.identity(self.dim)
+        cols = [{c: _LP_ONE} for c in range(self.dim)]
         for letter in word.letters:
-            out = out * self._gen[letter]
-        return out
+            new = []
+            for (s, a), *rest in self._gen[letter]:
+                src = cols[s]
+                if a is _LP_ONE:
+                    out = dict(src) if rest else src
+                else:
+                    out = {row: a * v for row, v in src.items()}
+                for t, b in rest:
+                    for row, v in cols[t].items():
+                        if b is not _LP_ONE:
+                            v = b * v
+                        acc = out.get(row)
+                        if acc is not None:
+                            v = acc + v
+                            if not v:
+                                del out[row]
+                                continue
+                        out[row] = v
+                new.append(out)
+            cols = new
+        return cols
+
+    def matrix(self, word: BraidWord) -> SparseMat:
+        """The braid image as a SparseMat over Q(q)."""
+        entries = {
+            (row, c): RatFn._raw(v, _LP_ONE)  # denominator 1 is canonical
+            for c, col in enumerate(self._columns(word))
+            for row, v in col.items()
+        }
+        return SparseMat(self.dim, self.dim, entries)
+
+    def trace(self, word: BraidWord) -> RatFn:
+        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: the diagonal of M
+        weighted by the K_2rho monomials, then one division."""
+        params = self.params
+        if params.m == params.n:
+            raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
+        total = LaurentPoly.zero()
+        for c, col in enumerate(self._columns(word)):
+            v = col.get(c)
+            if v is not None:
+                total = total + self._weights[c] * v
+        dimq = _laurent(quantum_dimension(params), "dim_q(V)")
+        return RatFn(total, dimq**self.strands)
 
 
 def braid_rep(word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
@@ -189,7 +265,7 @@ def markov_trace(
     """The normalized quantum trace of the braid image; needs m != n."""
     if params.m == params.n:
         raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-    return _normalized_trace(braid_rep(word, params, max_dim), params, word.strands)
+    return BraidEvaluator(params, word.strands, max_dim).trace(word)
 
 
 def link_invariant(
@@ -239,7 +315,7 @@ def verify_markov(
     evaluators = {r: BraidEvaluator(params, r, max_dim) for r in range(2, max_strands + 1)}
 
     def phi(word: BraidWord) -> RatFn:
-        return _normalized_trace(evaluators[word.strands].matrix(word), params, word.strands)
+        return evaluators[word.strands].trace(word)
 
     conj_ok = 0
     for _ in range(samples):

@@ -342,6 +342,8 @@ class RatFn:
             return self
         if not self.num:
             return other
+        if self.den.is_one() and other.den.is_one():
+            return RatFn._raw(self.num + other.num, _LP_ONE)
         if self.den is other.den or self.den == other.den:
             return RatFn(self.num + other.num, self.den)
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)

@@ -250,9 +250,13 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
         (["simple-module", "--ell", "0", "--lambda2", "0"], None),
         (["--max-dim", "0", "invariant", "--m", "2", "--n", "1", "--braid", "1"], None),
         (["--max-dim", "-5", "invariant", "--m", "2", "--n", "1", "--braid", "1"], None),
+        (["verify", "--m", "2", "--n", "1", "--suite", "invariant", "--samples", "-1"], None),
+        (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "0"], None),
+        (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "-3"], None),
     ],
     ids=["m0", "rep-tensorx", "rep-tensor0", "env-cap-abc", "ell-negative", "lambda2-zero",
-         "max-dim-0", "max-dim-negative"],
+         "max-dim-0", "max-dim-negative", "samples-negative", "tensor-depth-0",
+         "tensor-depth-negative"],
 )
 def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     if env_cap is None:

@@ -1,9 +1,14 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenq.errors import EqualMNUnsupported, ResourceLimit, StrandMismatch
+from degenq import scalars
+from degenq.errors import DegenqError, EqualMNUnsupported, ResourceLimit, StrandMismatch
 from degenq.invariants import (
+    BraidEvaluator,
     BraidWord,
     braid_rep,
     k2rho_matrix,
@@ -18,8 +23,8 @@ from degenq.invariants import (
     verify_skein,
 )
 from degenq.linalg import SparseMat
-from degenq.reps import natural_rep, tensor_rep
-from degenq.rmatrix import build_bundle
+from degenq.reps import iterated_tensor, natural_rep, tensor_rep
+from degenq.rmatrix import build_bundle, leg_operator
 from degenq.scalars import GLParams, RatFn, quantum_int
 
 P21 = GLParams(2, 1)
@@ -247,11 +252,18 @@ def test_trefoil_and_friends_match_oracle():
 
 
 def test_invariant_depends_only_on_mn_difference():
-    for word in (BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2)), BraidWord(2, (1, 1))):
-        assert (
-            link_invariant(word, P21).invariant
-            == link_invariant(word, GLParams(3, 2)).invariant
-        )
+    words = (BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2)), BraidWord(2, (1, 1)))
+    pairs = (((2, 1), (3, 2)), ((3, 1), (4, 2)), ((1, 3), (2, 4)))
+    for small, big in pairs:
+        for word in words:
+            assert (
+                link_invariant(word, GLParams(*small)).invariant
+                == link_invariant(word, GLParams(*big)).invariant
+            ), (small, big, word)
+    # At m - n = +-1 these words all give +-1; at +-2 they do not, so the
+    # comparison above can fail.
+    for word in words:
+        assert link_invariant(word, P31).invariant != link_invariant(word, P21).invariant
 
 
 def test_invariant_31_trefoil_nontrivial():
@@ -266,6 +278,99 @@ def test_random_words_match_oracle():
         word = random_word(rng, 3, 2, 5)
         for params in (P21, P31):
             assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+# -- column propagation against the replaced paths -----------------------------------------------
+
+
+@st.composite
+def params_and_words(draw, params_choices, min_strands, max_strands, max_len):
+    params = draw(st.sampled_from(params_choices))
+    strands = draw(st.integers(min_strands, max_strands))
+    letter = st.integers(1, max(1, strands - 1)).flatmap(lambda i: st.sampled_from((i, -i)))
+    letters = draw(st.lists(letter, max_size=max_len)) if strands > 1 else []
+    return params, BraidWord(strands, tuple(letters))
+
+
+def _generator_product(word, params):
+    """The braid image as a product of leg-placed Rcheck/Rcheckinv SparseMats."""
+    bundle = build_bundle(params)
+    d = params.size
+    out = SparseMat.identity(d**word.strands)
+    for letter in word.letters:
+        i = abs(letter)
+        gen = bundle.Rcheck if letter > 0 else bundle.Rcheckinv
+        out = out * leg_operator(gen, i, i + 1, word.strands, d)
+    return out
+
+
+_SMALL_PARAMS = (P21, GLParams(1, 2), P31, GLParams(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(params_and_words(_SMALL_PARAMS, 1, 4, 8))
+def test_braid_rep_equals_generator_product(case):
+    params, word = case
+    assert braid_rep(word, params) == _generator_product(word, params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(params_and_words(_SMALL_PARAMS + (GLParams(3, 2),), 2, 3, 8))
+def test_markov_trace_equals_quantum_trace_of_generator_product(case):
+    params, word = case
+    tensor = iterated_tensor(natural_rep(params), word.strands, "Delta")
+    expected = quantum_trace(_generator_product(word, params), tensor) / (
+        quantum_dimension(params) ** word.strands
+    )
+    assert markov_trace(word, params) == expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(params_and_words((P31, GLParams(1, 3)), 4, 5, 9))
+def test_four_and_five_strand_words_match_oracle(case):
+    params, word = case
+    assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+def test_markov_trace_does_no_full_size_products(monkeypatch):
+    # The trace must not multiply d^r x d^r matrices, and its canonicalizing
+    # (gcd) work must not grow with the word.
+    dims = []
+    mul = SparseMat.__mul__
+
+    def counting_mul(a, b):
+        dims.extend((a.nrows, a.ncols, b.nrows, b.ncols))
+        return mul(a, b)
+
+    canonical_calls = [0]
+    canonical = scalars._canonical_pair
+
+    def counting_canonical(num, den):
+        canonical_calls[0] += 1
+        return canonical(num, den)
+
+    monkeypatch.setattr(SparseMat, "__mul__", counting_mul)
+    monkeypatch.setattr(scalars, "_canonical_pair", counting_canonical)
+    short = BraidWord(4, (1, -2, 3, 2))
+    long = BraidWord(4, (1, -2, 3, 2, -1, -3, 2, 1, 3, -2, -1, 3))
+    counts = []
+    for word in (short, long):
+        canonical_calls[0] = 0
+        markov_trace(word, P31)
+        counts.append(canonical_calls[0])
+    assert P31.size**4 not in dims
+    assert counts[0] == counts[1]
+
+
+def test_braid_evaluator_rejects_rational_entries(monkeypatch):
+    import degenq.invariants as invariants
+
+    bundle = build_bundle(P21)
+    half = RatFn.one() / RatFn.integer(2)
+    bad = dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(half))
+    monkeypatch.setattr(invariants, "build_bundle", lambda params: bad)
+    with pytest.raises(DegenqError, match="not a Laurent polynomial"):
+        BraidEvaluator(P21, 2)
 
 
 # -- verification suites ----------------------------------------------------------------------

@@ -146,6 +146,18 @@ def test_equality_agrees_with_cross_multiplication(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(laurent_polys(), laurent_polys())
+def test_add_of_polynomials_is_canonical(p, r):
+    # The denominator-1 fast path of RatFn.__add__ against the canonicalizing
+    # constructor it skips.
+    a, b = RatFn(p), RatFn(r)
+    total = a + b
+    assert total == RatFn(a.num + b.num, a.den)
+    assert hash(total) == hash(RatFn(p + r))
+    assert bool(total) == bool(p + r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polys(), laurent_polys())
 def test_poly_commutativity(a, b):
     assert a + b == b + a
     assert a * b == b * a
