@@ -28,10 +28,20 @@ element of Q(q).  So scalar text may also carry a sign before '(' (as in
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
 from .linalg import SparseMat
-from .scalars import GLParams, LaurentPoly, RatFn, scalar_to_text
+from .scalars import (
+    _LP_ONE,
+    GLParams,
+    LaurentPoly,
+    RatFn,
+    _lcm,
+    _power,
+    _quo,
+    scalar_to_text,
+)
 
 _RF_ONE = RatFn.one()
 _RF_MINUS_ONE = RatFn.integer(-1)
@@ -359,59 +369,147 @@ def coproduct_terms(g: Gen, side: str = "Delta") -> list[tuple[Expr, Expr]]:
 
 
 # -- evaluation ---------------------------------------------------------------------
+#
+# A node evaluates to a pair (N, D): N is a SparseMat whose entries lie in
+# Z[q, q^-1] (LaurentPoly) and D is one ordinary polynomial, the node's matrix
+# being N / D.  A generator is split once per evaluator, with D the lcm of the
+# denominators of its entries.  A product multiplies the N's and the D's with
+# no gcd; a sum brings its terms to the lcm of their D's; a scalar c = n/d is
+# (n * identity, d).  So no gcd runs per matrix entry until the end, where each
+# nonzero output entry is made canonical once, as RatFn(N_ij, D); a zero
+# result is an N with no entries and costs no gcd at all.
+#
+# One evaluator serves a whole batch of expressions in one representation.
+# Its memo is keyed by structural equality of nodes, so a subexpression shared
+# across the batch (a root vector in many catalog entries) is evaluated once.
+# A pre-pass counts how often each node will be asked for, and a value leaves
+# the memo with its last use.
+
+
+def _requests(node: Expr):
+    """The subexpressions whose values the evaluation of node asks for;
+    scalar factors of a product are folded in directly."""
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Prod):
+        return [t for t in node.factors if not isinstance(t, Scalar)]
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
+def _use_counts(exprs: list[Expr]) -> dict[Expr, int]:
+    """How often evaluating exprs in order asks for each node, each distinct
+    node being computed once."""
+    uses: dict[Expr, int] = {}
+    for x in exprs:
+        uses[x] = uses.get(x, 0) + 1
+    seen: set[Expr] = set()
+    todo = list(exprs)
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        for child in _requests(node):
+            uses[child] = uses.get(child, 0) + 1
+            todo.append(child)
+    return uses
+
+
+def eval_batch(exprs, rep) -> Iterator[SparseMat]:
+    """Evaluate each expression of exprs in rep, in order, with one evaluator.
+
+    Yields one canonical SparseMat over Q(q) per expression.  Values of nodes
+    shared across the batch are computed once and dropped after their last use.
+    """
+    exprs = list(exprs)
+    dim = rep.dim
+    uses = _use_counts(exprs)
+    memo: dict[Expr, tuple[SparseMat, LaurentPoly]] = {}
+    split: dict[Gen, tuple[SparseMat, LaurentPoly]] = {}
+
+    def diagonal(c: LaurentPoly) -> SparseMat:
+        return SparseMat(dim, dim, {(i, i): c for i in range(dim)})
+
+    def generator(node: Gen) -> tuple[SparseMat, LaurentPoly]:
+        got = split.get(node)
+        if got is None:
+            mat = rep.gens.get((node.kind, node.index))
+            if mat is None:
+                raise MissingGenerator(f"representation lacks {node.kind}{node.index}")
+            den = _LP_ONE
+            for v in mat.entries.values():
+                den = _lcm(den, v.den)
+            num = {
+                k: v.num if v.den == den else v.num * _quo(den, v.den)
+                for k, v in mat.entries.items()
+            }
+            got = split[node] = (SparseMat(dim, dim, num), den)
+        return got
+
+    def value(node: Expr) -> tuple[SparseMat, LaurentPoly]:
+        if isinstance(node, Gen):
+            return generator(node)
+        got = memo.pop(node, None)
+        if got is None:
+            got = compute(node)
+        uses[node] -= 1
+        if uses[node]:
+            memo[node] = got
+        return got
+
+    def compute(node: Expr) -> tuple[SparseMat, LaurentPoly]:
+        if isinstance(node, Scalar):
+            return diagonal(node.value.num), node.value.den
+        if isinstance(node, Sum):
+            terms = [t for t in map(value, node.terms) if t[0].entries]
+            den = _LP_ONE
+            for _, d in terms:
+                den = _lcm(den, d)
+            total = SparseMat(dim, dim)
+            for n, d in terms:
+                total = total + (n if d == den else n.scale(_quo(den, d)))
+            return total, den if total.entries else _LP_ONE
+        if isinstance(node, Prod):
+            coeff, den = _LP_ONE, _LP_ONE
+            mat = None
+            for t in node.factors:
+                if isinstance(t, Scalar):
+                    coeff = coeff * t.value.num
+                    den = den * t.value.den
+                else:
+                    n, d = value(t)
+                    mat = n if mat is None else mat * n
+                    den = den * d
+            if mat is None:
+                mat = diagonal(_LP_ONE)
+            return (mat if coeff.is_one() else mat.scale(coeff)), den
+        if isinstance(node, Pow):
+            if node.exp < 0:
+                raise ValueError("negative matrix power")
+            n, d = value(node.base)
+            return _power(n, node.exp, diagonal(_LP_ONE)), d**node.exp
+        raise TypeError(f"not an expression: {node!r}")
+
+    for x in exprs:
+        n, d = value(x)
+        if d.is_one():  # a Laurent polynomial over 1 is already canonical
+            yield SparseMat(dim, dim, {k: RatFn._raw(v, _LP_ONE) for k, v in n.entries.items()})
+        else:
+            yield SparseMat(dim, dim, {k: RatFn(v, d) for k, v in n.entries.items()})
 
 
 def eval_in_rep(x: Expr, rep) -> SparseMat:
-    """Evaluate homomorphically in a representation.
+    """Evaluate homomorphically in a representation, as a canonical SparseMat
+    over Q(q).
 
     Sums map to matrix sums, products to matrix products, scalars to scalar
-    multiples of the identity.  Shared subtrees are evaluated once per call.
+    multiples of the identity.  The work runs over Z[q, q^-1] with one
+    denominator per node (see :func:`eval_batch`, the evaluator for many
+    expressions in one representation).
     """
-    dim = rep.dim
-    gens = rep.gens
-    cache: dict[int, SparseMat] = {}
-    keep = []  # hold references so id() keys stay valid
-
-    def go(node: Expr) -> SparseMat:
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Gen):
-            mat = gens.get((node.kind, node.index))
-            if mat is None:
-                raise MissingGenerator(f"representation lacks {node.kind}{node.index}")
-            result = mat
-        elif isinstance(node, Scalar):
-            result = SparseMat.identity(dim).scale(node.value)
-        elif isinstance(node, Sum):
-            result = go(node.terms[0])
-            for t in node.terms[1:]:
-                result = result + go(t)
-        elif isinstance(node, Prod):
-            coeff = _RF_ONE
-            mats = []
-            for t in node.factors:
-                if isinstance(t, Scalar):
-                    coeff = coeff * t.value
-                else:
-                    mats.append(go(t))
-            if not mats:
-                result = SparseMat.identity(dim).scale(coeff)
-            else:
-                result = mats[0]
-                for m in mats[1:]:
-                    result = result * m
-                if not coeff.is_one():
-                    result = result.scale(coeff)
-        elif isinstance(node, Pow):
-            result = go(node.base) ** node.exp
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-        cache[id(node)] = result
-        keep.append(node)
-        return result
-
-    return go(x)
+    return next(eval_batch([x], rep))
 
 
 # -- printer ------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .errors import (
     DegenqError,
     DimensionMismatch,
     EqualMNUnsupported,
+    InvalidInput,
     ResourceLimit,
     StrandMismatch,
 )
@@ -275,10 +276,33 @@ def link_invariant(
     if params.m == params.n:
         raise EqualMNUnsupported("the link invariant needs m != n")
     phi = markov_trace(word, params, max_dim)
+    return InvariantResult(params, word, phi, _normalize(phi, word, params), word.writhe)
+
+
+def _normalize(phi: RatFn, word: BraidWord, params: GLParams) -> RatFn:
+    """I(b) = q^{-(m-n) e(b)} [m-n]_q^{r-1} phi_r(b), from the Markov trace phi_r(b)."""
     mn = params.m - params.n
-    bracket = RatFn(quantum_int(mn))
-    value = RatFn.q(-mn * word.writhe) * bracket ** (word.strands - 1) * phi
-    return InvariantResult(params, word, phi, value, word.writhe)
+    return RatFn.q(-mn * word.writhe) * RatFn(quantum_int(mn)) ** (word.strands - 1) * phi
+
+
+class _Invariants:
+    """phi and I of words of any strand count, with one BraidEvaluator per
+    strand count for the life of a verification suite."""
+
+    def __init__(self, params: GLParams, max_dim: int):
+        self.params = params
+        self.max_dim = max_dim
+        self._evaluators: dict[int, BraidEvaluator] = {}
+
+    def phi(self, word: BraidWord) -> RatFn:
+        ev = self._evaluators.get(word.strands)
+        if ev is None:
+            ev = BraidEvaluator(self.params, word.strands, self.max_dim)
+            self._evaluators[word.strands] = ev
+        return ev.trace(word)
+
+    def invariant(self, word: BraidWord) -> RatFn:
+        return _normalize(self.phi(word), word, self.params)
 
 
 def oracle_invariant(word: BraidWord, params: GLParams) -> RatFn:
@@ -307,15 +331,15 @@ def verify_markov(
 ) -> Report:
     """Conjugation invariance of the trace and stabilization invariance of the
     normalized invariant, on random words, plus a failing negative control."""
+    if samples < 0:
+        raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
     report = Report()
     if params.m == params.n:
         report.note("markov", "all", UNSUPPORTED, "m = n has vanishing quantum dimension")
         return report
     rng = random.Random(seed)
-    evaluators = {r: BraidEvaluator(params, r, max_dim) for r in range(2, max_strands + 1)}
-
-    def phi(word: BraidWord) -> RatFn:
-        return evaluators[word.strands].trace(word)
+    invariants = _Invariants(params, max_dim)
+    phi = invariants.phi
 
     conj_ok = 0
     for _ in range(samples):
@@ -334,11 +358,10 @@ def verify_markov(
     for r in range(2, max_strands):
         for _ in range(max(1, samples // 2)):
             b = random_word(rng, r)
+            base = invariants.invariant(b)
             for sign in (1, -1):
                 stab_total += 1
-                base = link_invariant(b, params, max_dim)
-                stabbed = link_invariant(b.stabilized(sign), params, max_dim)
-                if base.invariant == stabbed.invariant:
+                if base == invariants.invariant(b.stabilized(sign)):
                     stab_ok += 1
     report.add(
         "markov",
@@ -393,17 +416,18 @@ def verify_skein(
     mn = params.m - params.n
     a = RatFn.q(mn)
     z = RatFn.q(1) - RatFn.q(-1)
-    i_plus = link_invariant(BraidWord(word.strands, tuple(plus)), params, max_dim).invariant
-    i_minus = link_invariant(BraidWord(word.strands, tuple(minus)), params, max_dim).invariant
-    i_zero = link_invariant(BraidWord(word.strands, tuple(zero)), params, max_dim).invariant
+    invariant = _Invariants(params, max_dim).invariant
+    i_plus = invariant(BraidWord(word.strands, tuple(plus)))
+    i_minus = invariant(BraidWord(word.strands, tuple(minus)))
+    i_zero = invariant(BraidWord(word.strands, tuple(zero)))
     lhs = a * i_plus - a.inv() * i_minus
     report.add("skein", f"skein at position {pos}", lhs == z * i_zero)
     # Deterministic negative control on the trefoil site: swapping the
     # prefactors must break the identity (trefoil and unknot values never
     # cancel at these specializations).
-    t_plus = link_invariant(BraidWord(2, (1, 1, 1)), params, max_dim).invariant
-    t_minus = link_invariant(BraidWord(2, (-1, 1, 1)), params, max_dim).invariant
-    t_zero = link_invariant(BraidWord(2, (1, 1)), params, max_dim).invariant
+    t_plus = invariant(BraidWord(2, (1, 1, 1)))
+    t_minus = invariant(BraidWord(2, (-1, 1, 1)))
+    t_zero = invariant(BraidWord(2, (1, 1)))
     report.add(
         "skein",
         "negative control: swapped prefactors fail",

@@ -10,7 +10,7 @@ limit coefficient growth.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .scalars import LaurentPoly, RatFn, _poly_divexact_dict, _poly_gcd_dict, _power
+from .scalars import LaurentPoly, RatFn, _lcm, _poly_divexact_dict, _poly_gcd_dict, _power
 
 _ONE = RatFn.one()
 _ZERO = RatFn.zero()
@@ -18,7 +18,12 @@ _LP_ZERO = LaurentPoly.zero()
 
 
 class SparseMat:
-    """A sparse matrix over Q(q): {(row, col): nonzero RatFn}."""
+    """A sparse matrix over Q(q): {(row, col): nonzero RatFn}.
+
+    Products, sums, negation and ``scale`` use only the ring operations of the
+    entries, so they work as well for entries in Z[q, q^-1] (LaurentPoly with a
+    LaurentPoly scale factor); :mod:`degenq.expr` evaluates over that ring.
+    """
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -265,9 +270,7 @@ def _clear_row(row: dict[int, RatFn]) -> dict[int, LaurentPoly]:
     """Scale a row by the lcm of its denominators, then strip content."""
     den = LaurentPoly.one()
     for v in row.values():
-        if not v.den.is_one():
-            g = _poly_gcd_dict(den.terms, v.den.terms)
-            den = den * LaurentPoly(_poly_divexact_dict(v.den.terms, g))
+        den = _lcm(den, v.den)
     scale = RatFn(den)
     out = {j: (v * scale).num for j, v in row.items()}
     return _strip_content(out)

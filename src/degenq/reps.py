@@ -22,7 +22,18 @@ from .errors import (
     ParamsMismatch,
     ResourceLimit,
 )
-from .expr import Gen, antipode, cartan, cartan_inv, coproduct_terms, counit, eval_in_rep
+from .expr import (
+    Expr,
+    Gen,
+    Prod,
+    antipode,
+    cartan,
+    cartan_inv,
+    coproduct_terms,
+    counit,
+    eval_batch,
+    make_sum,
+)
 from .linalg import SparseMat, Subspace, Vec, kron, nullspace
 from .relations import RelationEntry, k2rho_expr, relation_catalog
 from .reports import Report
@@ -102,10 +113,9 @@ def natural_rep(params: GLParams) -> Representation:
 
 def dual_rep(rep: Representation) -> Representation:
     """The dual module: x acts by the transpose of the antipode image."""
-    gens: dict[tuple[str, int], SparseMat] = {}
-    for kind, index in rep.atoms():
-        mat = eval_in_rep(antipode(Gen(kind, index)), rep)
-        gens[(kind, index)] = mat.transpose()
+    atoms = rep.atoms()
+    images = eval_batch([antipode(Gen(kind, index)) for kind, index in atoms], rep)
+    gens = {atom: mat.transpose() for atom, mat in zip(atoms, images)}
     return Representation(rep.params, rep.dim, gens, label=f"({rep.label})*")
 
 
@@ -116,20 +126,25 @@ def tensor_rep(r1: Representation, r2: Representation, side: str = "Delta") -> R
     params = r1.params
     d1, d2 = r1.dim, r2.dim
     id1, id2 = SparseMat.identity(d1), SparseMat.identity(d2)
+    # The Cartan legs of the coproduct: k_a^-1 on r1 and k_a on r2 for Delta,
+    # k_a on r1 and k_a^-1 on r2 for DeltaPrime.
+    if side == "Delta":
+        left, right = cartan_inv, cartan
+    elif side == "DeltaPrime":
+        left, right = cartan, cartan_inv
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    iprime = list(params.iprime)
+    k1s = eval_batch([left(a) for a in iprime], r1)
+    k2s = eval_batch([right(a) for a in iprime], r2)
     gens: dict[tuple[str, int], SparseMat] = {}
-    for a in params.iprime:
-        k1 = eval_in_rep(cartan(a), r1)
-        k2 = eval_in_rep(cartan(a), r2)
-        k1inv = eval_in_rep(cartan_inv(a), r1)
-        k2inv = eval_in_rep(cartan_inv(a), r2)
+    for a, k1, k2 in zip(iprime, k1s, k2s):
         if side == "Delta":
             gens[("e", a)] = kron(r1.gen("e", a), k2) + kron(id1, r2.gen("e", a))
-            gens[("f", a)] = kron(r1.gen("f", a), id2) + kron(k1inv, r2.gen("f", a))
-        elif side == "DeltaPrime":
-            gens[("e", a)] = kron(r1.gen("e", a), id2) + kron(k1, r2.gen("e", a))
-            gens[("f", a)] = kron(r1.gen("f", a), k2inv) + kron(id1, r2.gen("f", a))
+            gens[("f", a)] = kron(r1.gen("f", a), id2) + kron(k1, r2.gen("f", a))
         else:
-            raise ValueError(f"unknown side {side!r}")
+            gens[("e", a)] = kron(r1.gen("e", a), id2) + kron(k1, r2.gen("e", a))
+            gens[("f", a)] = kron(r1.gen("f", a), k2) + kron(id1, r2.gen("f", a))
     for b in params.index_set:
         gens[("K", b)] = kron(r1.gen("K", b), r2.gen("K", b))
         gens[("Kinv", b)] = kron(r1.gen("Kinv", b), r2.gen("Kinv", b))
@@ -238,8 +253,8 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
 def verify_relations(rep: Representation, entries: list[RelationEntry] | None = None) -> Report:
     """Evaluate every catalog entry in rep; all must be exactly zero."""
     report = Report()
-    for entry in entries if entries is not None else rep.catalog():
-        value = eval_in_rep(entry.expr, rep)
+    entries = entries if entries is not None else rep.catalog()
+    for entry, value in zip(entries, eval_batch([entry.expr for entry in entries], rep)):
         if value.is_zero():
             report.add("relations", entry.name, True)
         else:
@@ -274,32 +289,28 @@ def check_hopf_axioms(rep: Representation, max_dim: int = DEFAULT_MAX_DIM) -> Re
             left_nested.gen(g.kind, g.index) == right_nested.gen(g.kind, g.index),
         )
 
-    identity = SparseMat.identity(rep.dim)
+    # The other three axioms as expressions that must vanish, in one batch.
+    checks: list[tuple[str, str, Expr]] = []
     for g in rep.generator_atoms():
         name = f"{g.kind}{g.index}"
         legs = coproduct_terms(g)
-        right_counit = SparseMat.zero(rep.dim, rep.dim)
-        left_counit = SparseMat.zero(rep.dim, rep.dim)
-        antipode_left = SparseMat.zero(rep.dim, rep.dim)
-        antipode_right = SparseMat.zero(rep.dim, rep.dim)
-        for lhs, rhs in legs:
-            right_counit = right_counit + eval_in_rep(lhs, rep).scale(counit(rhs))
-            left_counit = left_counit + eval_in_rep(rhs, rep).scale(counit(lhs))
-            antipode_left = antipode_left + eval_in_rep(antipode(lhs), rep) * eval_in_rep(rhs, rep)
-            antipode_right = antipode_right + eval_in_rep(lhs, rep) * eval_in_rep(antipode(rhs), rep)
-        target = rep.gen(g.kind, g.index)
-        report.add("hopf-counit", f"(id x eps) on {name}", right_counit == target)
-        report.add("hopf-counit", f"(eps x id) on {name}", left_counit == target)
-        eps_target = identity.scale(counit(g))
-        report.add("hopf-antipode", f"mu(S x id)Delta on {name}", antipode_left == eps_target)
-        report.add("hopf-antipode", f"mu(id x S)Delta on {name}", antipode_right == eps_target)
-
-    k2rho = eval_in_rep(k2rho_expr(params), rep)
-    k2rho_inv = eval_in_rep(antipode(k2rho_expr(params)), rep)
-    report.add("hopf-s2", "K2rho invertible", k2rho * k2rho_inv == identity)
+        eps = counit(g)
+        right_counit = make_sum([counit(rhs) * lhs for lhs, rhs in legs])
+        left_counit = make_sum([counit(lhs) * rhs for lhs, rhs in legs])
+        antipode_left = make_sum([antipode(lhs) * rhs for lhs, rhs in legs])
+        antipode_right = make_sum([lhs * antipode(rhs) for lhs, rhs in legs])
+        checks.append(("hopf-counit", f"(id x eps) on {name}", right_counit - g))
+        checks.append(("hopf-counit", f"(eps x id) on {name}", left_counit - g))
+        checks.append(("hopf-antipode", f"mu(S x id)Delta on {name}", antipode_left - eps))
+        checks.append(("hopf-antipode", f"mu(id x S)Delta on {name}", antipode_right - eps))
+    # Unflattened products, so that K2rho and its inverse are one node each.
+    k2rho = k2rho_expr(params)
+    k2rho_inv = antipode(k2rho)
+    checks.append(("hopf-s2", "K2rho invertible", Prod((k2rho, k2rho_inv)) - 1))
     for g in rep.generator_atoms():
-        name = f"{g.kind}{g.index}"
-        s2 = eval_in_rep(antipode(antipode(Gen(g.kind, g.index))), rep)
-        conj = k2rho * rep.gen(g.kind, g.index) * k2rho_inv
-        report.add("hopf-s2", f"S^2 = Ad(K2rho) on {name}", s2 == conj)
+        s2_minus_conj = antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv))
+        checks.append(("hopf-s2", f"S^2 = Ad(K2rho) on {g.kind}{g.index}", s2_minus_conj))
+    values = eval_batch([x for _, _, x in checks], rep)
+    for (suite, name, _), value in zip(checks, values):
+        report.add(suite, name, value.is_zero())
     return report

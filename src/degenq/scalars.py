@@ -279,6 +279,22 @@ def _poly_divexact_dict(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     return h
 
 
+def _quo(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a / b for ordinary polynomials with b dividing a."""
+    if a == b:
+        return _LP_ONE
+    return LaurentPoly._raw(_poly_divexact_dict(a.terms, b.terms))
+
+
+def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """An lcm of two ordinary polynomials with positive leading coefficients."""
+    if a == b or b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * _quo(b, LaurentPoly._raw(_poly_gcd_dict(a.terms, b.terms)))
+
+
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------

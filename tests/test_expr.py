@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from degenq.expr import (
     cartan_inv,
     counit,
     e,
+    eval_batch,
     eval_in_rep,
     expr_to_text,
     f,
@@ -27,8 +30,9 @@ from degenq.expr import (
 )
 from degenq.linalg import SparseMat
 from degenq.relations import gamma_monomials, root_vector
-from degenq.reps import natural_rep
+from degenq.reps import dual_rep, natural_rep, tensor_rep
 from degenq.scalars import GLParams, LaurentPoly, RatFn
+from degenq.sl21 import HighestWeightSL21, simple_module
 
 P21 = GLParams(2, 1)
 P32 = GLParams(3, 2)
@@ -150,6 +154,64 @@ _EXPRS = st.recursive(st.one_of(st.sampled_from(_ATOMS), _scalar_leaves()), _com
 def test_printed_text_evaluates_like_the_tree(x):
     rep = natural_rep(P21)
     assert eval_in_rep(parse_expr(expr_to_text(x), P21), rep) == eval_in_rep(x, rep)
+
+
+@functools.cache
+def _test_reps():
+    """natural_rep(2,1), its dual, its tensor square, and a typical module with
+    a rational lambda2, whose generators have nontrivial denominators."""
+    nat = natural_rep(P21)
+    lambda2 = RatFn.of(LaurentPoly({1: 1, 0: 2}), LaurentPoly({1: 1, 0: -3}))  # (q+2)/(q-3)
+    typical = simple_module(HighestWeightSL21(1, 1, lambda2))
+    return (nat, dual_rep(nat), tensor_rep(nat, nat), typical.rep)
+
+
+def _reference_eval(x, rep):
+    """The fold over RatFn SparseMat operations, node by node, with no sharing."""
+    dim = rep.dim
+    if isinstance(x, Gen):
+        return rep.gen(x.kind, x.index)
+    if isinstance(x, Scalar):
+        return SparseMat.identity(dim).scale(x.value)
+    if isinstance(x, Sum):
+        out = SparseMat.zero(dim, dim)
+        for t in x.terms:
+            out = out + _reference_eval(t, rep)
+        return out
+    if isinstance(x, Prod):
+        out = SparseMat.identity(dim)
+        for t in x.factors:
+            out = out * _reference_eval(t, rep)
+        return out
+    return _reference_eval(x.base, rep) ** x.exp
+
+
+_REP_INDEX = st.integers(0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXPRS, _REP_INDEX)
+def test_eval_matches_ratfn_reference(x, which):
+    rep = _test_reps()[which]
+    assert eval_in_rep(x, rep) == _reference_eval(x, rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXPRS, _EXPRS, _REP_INDEX)
+def test_eval_is_a_homomorphism(x, y, which):
+    rep = _test_reps()[which]
+    ex, ey = eval_in_rep(x, rep), eval_in_rep(y, rep)
+    assert eval_in_rep(x * y, rep) == ex * ey
+    assert eval_in_rep(x + y, rep) == ex + ey
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_EXPRS, min_size=1, max_size=3), _REP_INDEX)
+def test_batch_with_shared_subexpressions_matches_single_evaluations(xs, which):
+    # Repeats and products of earlier entries make nodes recur across the batch.
+    rep = _test_reps()[which]
+    batch = xs + [xs[0]] + [a * b for a, b in zip(xs, xs[1:])] + [xs[-1] - xs[0]]
+    assert list(eval_batch(batch, rep)) == [eval_in_rep(x, rep) for x in batch]
 
 
 # -- structural helpers ---------------------------------------------------------------

@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenq import scalars
-from degenq.errors import DegenqError, EqualMNUnsupported, ResourceLimit, StrandMismatch
+from degenq.errors import (
+    DegenqError,
+    EqualMNUnsupported,
+    InvalidInput,
+    ResourceLimit,
+    StrandMismatch,
+)
 from degenq.invariants import (
     BraidEvaluator,
     BraidWord,
+    _Invariants,
     braid_rep,
     k2rho_matrix,
     link_invariant,
@@ -384,6 +391,38 @@ def test_verify_markov_21():
 def test_verify_markov_31():
     report = verify_markov(P31, samples=6, max_strands=3)
     assert report.all_passed, [c.name for c in report.failures]
+
+
+def test_verify_markov_rejects_a_negative_sample_count():
+    # Called as a library function, not only through the CLI.
+    for params in (P21, GLParams(2, 2)):
+        with pytest.raises(InvalidInput, match="nonnegative"):
+            verify_markov(params, samples=-1)
+
+
+def test_invariant_suites_build_one_evaluator_per_strand_count(monkeypatch):
+    strands = []
+    init = BraidEvaluator.__init__
+
+    def counting_init(self, params, r, max_dim=20000):
+        strands.append(r)
+        init(self, params, r, max_dim)
+
+    monkeypatch.setattr(BraidEvaluator, "__init__", counting_init)
+    assert verify_markov(P21, samples=4, max_strands=3).all_passed
+    assert sorted(strands) == [2, 3]
+    strands.clear()
+    assert verify_skein(P21, BraidWord(3, (1, -2, 1)), 1).all_passed
+    assert sorted(strands) == [2, 3]
+
+
+def test_suite_invariant_matches_link_invariant():
+    rng = random.Random(5)
+    for params in (P21, GLParams(1, 2), P31):
+        for r in (2, 3):
+            word = random_word(rng, r)
+            expected = link_invariant(word, params).invariant
+            assert _Invariants(params, 20000).invariant(word) == expected
 
 
 def test_verify_markov_equal_mn_unsupported():

@@ -1,5 +1,6 @@
 import pytest
 
+from degenq import scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
 from degenq.expr import Gen, cartan, cartan_inv, eval_in_rep, parse_expr
 from degenq.linalg import SparseMat, Subspace, Vec
@@ -16,7 +17,8 @@ from degenq.reps import (
     verify_relations,
     weight_decomposition,
 )
-from degenq.scalars import GLParams, RatFn
+from degenq.scalars import GLParams, RatFn, parse_scalar
+from degenq.sl21 import HighestWeightSL21, simple_module
 
 P21 = GLParams(2, 1)
 P11 = GLParams(1, 1)
@@ -65,6 +67,49 @@ def test_corrupted_rep_fails_conjugation_relation():
     report = verify_relations(rep)
     assert not report.all_passed
     assert any("cartan-conj-e" in c.name for c in report.failures)
+
+
+def test_failure_detail_pins_witness_entry():
+    # e1 scaled by the rational c = (q+2)/(q-3): each failing identity reports
+    # the nnz of its value and its first nonzero entry, in canonical text.
+    rep = natural_rep(P21)
+    rep.gens[("e", 1)] = rep.gen("e", 1).scale(parse_scalar("(q+2)/(q-3)"))
+    report = verify_relations(rep)
+    assert [(c.name, c.detail) for c in report.failures] == [
+        (
+            "ef-commutator: (q - q^-1)*[e1, f1] - (k1 - k1^-1)",
+            "2 nonzero entries; entry (0, 0) = (5*q - 5*q^-1)/(q - 3)",
+        ),
+        ("odd-pair: [e1, F] - f2*k1^-1", "1 nonzero entries; entry (2, 1) = (5*q)/(q - 3)"),
+        (
+            "cross-commutator: [f1, E[13]] - e2*k1^-1",
+            "1 nonzero entries; entry (1, 2) = (5)/(q - 3)",
+        ),
+    ]
+
+
+def test_verify_relations_does_no_field_arithmetic_on_a_passing_module(monkeypatch):
+    # With one denominator per node, a catalog that vanishes costs no RatFn
+    # product and no canonical form (gcd), even on a module with a rational weight.
+    module = simple_module(HighestWeightSL21(2, 1, parse_scalar("(q+2)/(q-3)")))
+    assert any(not v.is_polynomial() for v in module.rep.gen("e", 2).entries.values())
+    module.rep.catalog()  # building the expressions is not evaluation
+    calls = {"mul": 0, "canonical": 0}
+    mul, canonical = RatFn.__mul__, scalars._canonical_pair
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counting_canonical(num, den):
+        calls["canonical"] += 1
+        return canonical(num, den)
+
+    monkeypatch.setattr(RatFn, "__mul__", counting_mul)
+    monkeypatch.setattr(scalars, "_canonical_pair", counting_canonical)
+    report = verify_relations(module.rep)
+    assert report.all_passed and len(report.checks) == len(module.rep.catalog())
+    assert calls == {"mul": 0, "canonical": 0}
 
 
 # -- dual -----------------------------------------------------------------------------
@@ -254,6 +299,18 @@ def test_hopf_axioms_21():
 def test_hopf_axioms_11_and_12():
     assert check_hopf_axioms(natural_rep(P11)).all_passed
     assert check_hopf_axioms(natural_rep(GLParams(1, 2))).all_passed
+
+
+def test_hopf_s2_fails_where_k1_acts_as_k2():
+    # K1 replaced by K2 keeps K1*K1^-1 = 1, and the counit and antipode
+    # identities hold for any generator matrices; S^2 on e2 and f2 then
+    # differs from conjugation by K2rho.
+    rep = natural_rep(P21)
+    rep.gens[("K", 1)] = rep.gen("K", 2)
+    rep.gens[("Kinv", 1)] = rep.gen("Kinv", 2)
+    report = check_hopf_axioms(rep)
+    assert len(report.checks) == 43
+    assert [c.name for c in report.failures] == ["S^2 = Ad(K2rho) on e2", "S^2 = Ad(K2rho) on f2"]
 
 
 def test_antipode_identity_e2_explicit():
