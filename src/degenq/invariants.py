@@ -22,9 +22,16 @@ a = q^{m-n}, z = q - q^-1 (positive letters are positive crossings).
 Everything requires m != n so the quantum dimension is invertible.
 
 Every entry of Rcheck, Rcheckinv and nu(K_2rho) lies in Z[q, q^-1], so braid
-images are evaluated there: :class:`BraidEvaluator` propagates the columns of
-the image one letter at a time, the Markov trace reads only the diagonal of the
-result, and the one rational step is the final division by dim_q(V)^r.
+images are evaluated there, by Kronecker substitution: :class:`BraidEvaluator`
+propagates the columns of the image one letter at a time as plain integers,
+the values of the entries at q = 2^B.  Evaluation at 2^B is a ring
+homomorphism, so the integers are exact.  Each entry is carried times an x-adic
+offset q^(L*v) (L letters, v the largest power of q^-1 in a letter), which
+makes every multiplication by a power of q^-1 an exact right shift.  B comes
+from the bound g^L on the 1-norm of a column (g the largest column 1-norm of a
+letter table; proof in :class:`BraidEvaluator`), so the result decodes exactly,
+once, from balanced base-2^B digits.  The Markov trace reads only the diagonal
+of the result, and the one rational step is the final division by dim_q(V)^r.
 """
 
 from __future__ import annotations
@@ -146,40 +153,78 @@ def _laurent(x: RatFn, what: str) -> LaurentPoly:
     return x.num
 
 
-def _letter_columns(
-    op: SparseMat, i: int, r: int, d: int, what: str
-) -> list[list[tuple[int, LaurentPoly]]]:
-    """The columns of the two-site operator op placed on legs (i, i+1) of
-    V^(x)r: for each column c, the (source column s, coefficient) pairs of its
-    nonzero entries, a coefficient 1 stored as _LP_ONE.
+def _signed_monomial(x: RatFn, what: str) -> tuple[int, int]:
+    """x = sign * q^e as (sign, e); raises for anything else."""
+    terms = _laurent(x, what).terms
+    if len(terms) != 1 or next(iter(terms.values())) not in (1, -1):
+        raise DegenqError(f"{what} entry {x} is not a signed monomial")
+    ((e, sign),) = terms.items()
+    return sign, e
 
-    Legs i and i+1 are adjacent, so their digits (a, b) form one base-d^2 digit
-    a*d + b at place value d^(r-1-i) of the basis index."""
-    pair_cols: list[list[tuple[int, LaurentPoly]]] = [[] for _ in range(d * d)]
-    for (y, x), v in op.entries.items():
-        coeff = _laurent(v, what)
-        pair_cols[x].append((y, _LP_ONE if coeff.is_one() else coeff))
-    place = d ** (r - 1 - i)
-    cols = []
-    for c in range(d**r):
-        x = (c // place) % (d * d)
-        base = c - x * place
-        cols.append([(base + y * place, coeff) for y, coeff in pair_cols[x]])
-    return cols
+
+def _decode(n: int, bits: int, low: int) -> LaurentPoly:
+    """The Laurent polynomial sum_i c_i q^(low+i) whose c_i are the balanced
+    base-2^bits digits of n, |c_i| <= 2^(bits-1): its value at q = 2^bits is
+    n * 2^(bits*low)."""
+    terms = {}
+    if n:
+        skip = ((n & -n).bit_length() - 1) // bits
+        n >>= skip * bits
+        low += skip
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            terms[low] = c
+        n = (n - c) >> bits
+        low += 1
+    return LaurentPoly._raw(terms)
 
 
 class BraidEvaluator:
     """The braid image on V^(x)strands for one (params, strands), propagated
-    column by column over Z[q, q^-1].
+    column by column over the integers at q = 2^B.
 
     Every entry of Rcheck, Rcheckinv and nu(K_2rho) is a Laurent polynomial, and
     Rcheck maps v_a (x) v_b into span{v_a (x) v_b, v_b (x) v_a}, so each column
-    of a leg-placed generator has at most two entries.  The image of a word is
-    kept as columns {row: LaurentPoly}; appending a letter sets column c to the
-    sum of coefficient * (column s) over the letter's pairs (s, coefficient) for
-    c.  A coefficient-1 column reuses its source dict with no arithmetic.
-    ``trace`` reads only the diagonal entries; ``matrix`` wraps the columns into
-    a SparseMat.
+    of a leg-placed generator has at most two entries.  The table of a letter
+    holds, per column c, the (source column s, coefficient) pairs of c;
+    appending the letter sets column c to the sum of coefficient * (column s).
+    A coefficient-1 column reuses its source dict with no arithmetic.
+
+    The image of a word of L letters is kept as columns {row: int}.  Each int
+    is the value at q = x = 2^B of the true entry times q^(L*v), where -v is
+    the lowest exponent of any letter coefficient (v = 1 for Rcheck and
+    Rcheckinv, whose coefficients are 1, q^+-1, -q^+-1 and +-(q - q^-1)):
+
+    * Evaluation at x is a ring homomorphism Z[q] -> Z, so sums and products
+      of the ints are exactly the values of the sums and products of the
+      entries.
+    * After k letters every entry has q-valuation >= -k*v, so its int is
+      divisible by x^((L-k)*v).  Multiplying by a coefficient a(q) is therefore
+      one product with the integer x^v a(x) followed by an exact right shift
+      by v*B bits.
+    * The result is decoded once, as balanced base-2^B digits.  Every integer
+      has exactly one expansion with digits in [-2^(B-1), 2^(B-1)), and a
+      polynomial whose coefficients lie in that range, evaluated at 2^B, is
+      one; so the decode is exact when every coefficient is below 2^(B-1) in
+      absolute value.
+    * The bound.  Let g be the largest sum, over one column of a letter table,
+      of the 1-norms (sums of absolute coefficients) of its coefficients; g = 3
+      for Rcheck and Rcheckinv (1 and q - q^-1).  Write |col| for the sum of
+      the 1-norms of a column's entries.  The 1-norm is subadditive and
+      submultiplicative, so a new column, a sum of coefficient times old
+      column, has |col| at most g times the largest old one.  The identity has
+      |col| = 1, so every column after L letters has |col| <= g^L.  Each
+      K_2rho weight is a signed monomial, so the weighted diagonal sum has
+      1-norm at most dim * g^L, and B = bitlen(dim * g^L) + 1 bounds every
+      coefficient that ``trace`` or ``matrix`` decodes.  Intermediate ints
+      need no bound: they are exact.
+
+    Letter tables are built on first use.  ``trace`` reads only the diagonal
+    entries; ``matrix`` decodes every entry into a SparseMat.
     """
 
     def __init__(self, params: GLParams, strands: int, max_dim: int = DEFAULT_MAX_DIM):
@@ -193,66 +238,123 @@ class BraidEvaluator:
         self.dim = dim
         bundle = build_bundle(params)
         d = params.size
-        self._gen: dict[int, list[list[tuple[int, LaurentPoly]]]] = {}
-        for i in range(1, strands):
-            self._gen[i] = _letter_columns(bundle.Rcheck, i, strands, d, "Rcheck")
-            self._gen[-i] = _letter_columns(bundle.Rcheckinv, i, strands, d, "Rcheckinv")
-        # nu(K_2rho)^(x)strands is diagonal: entry c is the product of the
-        # K_2rho monomials at the digits of c.
-        kd = [_laurent(v, "K_2rho") for v in k2rho_matrix(natural_rep(params)).diagonal_values()]
-        self._weights = [_LP_ONE]
+        # A coefficient is stored as its index into self._coeffs; index 0 is 1.
+        codes = {_LP_ONE: 0}
+        # For sign +1 (Rcheck) and -1 (Rcheckinv): for each column x of the
+        # two-site operator, the (row y, coefficient index) pairs of x.
+        self._pairs: dict[int, list[list[tuple[int, int]]]] = {}
+        for sign, op, what in ((1, bundle.Rcheck, "Rcheck"), (-1, bundle.Rcheckinv, "Rcheckinv")):
+            pair_cols: list[list[tuple[int, int]]] = [[] for _ in range(d * d)]
+            for (y, x), v in op.entries.items():
+                pair_cols[x].append((y, codes.setdefault(_laurent(v, what), len(codes))))
+            self._pairs[sign] = pair_cols
+        self._coeffs = list(codes)
+        norms = [sum(abs(c) for c in p.terms.values()) for p in self._coeffs]
+        self._growth = max(
+            sum(norms[code] for _, code in col)
+            for pair_cols in self._pairs.values()
+            for col in pair_cols
+        )
+        self._lag = max(0, -min(p.valuation for p in self._coeffs))
+        self._tables: dict[int, list[list[tuple[int, int]]]] = {}
+        # nu(K_2rho)^(x)strands is diagonal: entry c is the signed monomial
+        # whose sign and exponent are the product and sum over the digits of c.
+        # Exponents are stored raised by self._k, so that none is negative.
+        kd = [
+            _signed_monomial(v, "K_2rho")
+            for v in k2rho_matrix(natural_rep(params)).diagonal_values()
+        ]
+        weights = [(1, 0)]
         for _ in range(strands):
-            self._weights = [w * k for w in self._weights for k in kd]
+            weights = [(s * t, e + f) for s, e in weights for t, f in kd]
+        self._k = max(0, -min(e for _, e in weights))
+        self._weights = [(s, e + self._k) for s, e in weights]
 
-    def _columns(self, word: BraidWord) -> list[dict[int, LaurentPoly]]:
+    def _table(self, letter: int) -> list[list[tuple[int, int]]]:
+        """The (source column, coefficient index) pairs of each column of the
+        letter's leg-placed generator."""
+        table = self._tables.get(letter)
+        if table is None:
+            # Legs i and i+1 are adjacent, so their digits (a, b) form one
+            # base-d^2 digit x = a*d + b at place value d^(r-1-i) of the index.
+            d2 = self.params.size ** 2
+            place = self.params.size ** (self.strands - 1 - abs(letter))
+            pair_cols = self._pairs[1 if letter > 0 else -1]
+            moves = [[(y * place, code) for y, code in col] for col in pair_cols]
+            table = []
+            for high in range(0, self.dim, d2 * place):
+                for pairs in moves:
+                    for base in range(high, high + place):
+                        table.append([(base + y, code) for y, code in pairs])
+            self._tables[letter] = table
+        return table
+
+    def _columns(self, word: BraidWord) -> tuple[list[dict[int, int]], int, int]:
+        """(columns, B, offset): each int is the value at q = 2^B of the entry
+        times q^offset."""
         if word.strands != self.strands:
             raise StrandMismatch(f"word has {word.strands} strands, evaluator {self.strands}")
-        cols = [{c: _LP_ONE} for c in range(self.dim)]
+        length = len(word.letters)
+        bits = (self.dim * self._growth**length).bit_length() + 1
+        offset = length * self._lag
+        lag = self._lag * bits
+        mults = [
+            sum(c << (e + self._lag) * bits for e, c in p.terms.items()) for p in self._coeffs
+        ]
+        one = 1 << (offset * bits)
+        cols = [{c: one} for c in range(self.dim)]
         for letter in word.letters:
             new = []
-            for (s, a), *rest in self._gen[letter]:
+            for (s, a), *rest in self._table(letter):
                 src = cols[s]
-                if a is _LP_ONE:
+                if not a:
                     out = dict(src) if rest else src
                 else:
-                    out = {row: a * v for row, v in src.items()}
+                    m = mults[a]
+                    out = {row: v * m >> lag for row, v in src.items()}
                 for t, b in rest:
+                    m = mults[b]
                     for row, v in cols[t].items():
-                        if b is not _LP_ONE:
-                            v = b * v
+                        if b:
+                            v = v * m >> lag
                         acc = out.get(row)
                         if acc is not None:
-                            v = acc + v
+                            v += acc
                             if not v:
                                 del out[row]
                                 continue
                         out[row] = v
                 new.append(out)
             cols = new
-        return cols
+        return cols, bits, offset
 
     def matrix(self, word: BraidWord) -> SparseMat:
         """The braid image as a SparseMat over Q(q)."""
+        cols, bits, offset = self._columns(word)
         entries = {
-            (row, c): RatFn._raw(v, _LP_ONE)  # denominator 1 is canonical
-            for c, col in enumerate(self._columns(word))
+            (row, c): RatFn._raw(_decode(v, bits, -offset), _LP_ONE)  # den 1 is canonical
+            for c, col in enumerate(cols)
             for row, v in col.items()
         }
         return SparseMat(self.dim, self.dim, entries)
 
     def trace(self, word: BraidWord) -> RatFn:
         """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: the diagonal of M
-        weighted by the K_2rho monomials, then one division."""
+        weighted by the K_2rho monomials (shifts, raised by q^k so that none
+        is a right shift), decoded once, then one division."""
         params = self.params
         if params.m == params.n:
             raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-        total = LaurentPoly.zero()
-        for c, col in enumerate(self._columns(word)):
+        cols, bits, offset = self._columns(word)
+        total = 0
+        for c, col in enumerate(cols):
             v = col.get(c)
             if v is not None:
-                total = total + self._weights[c] * v
+                sign, e = self._weights[c]
+                v <<= e * bits
+                total += v if sign > 0 else -v
         dimq = _laurent(quantum_dimension(params), "dim_q(V)")
-        return RatFn(total, dimq**self.strands)
+        return RatFn(_decode(total, bits, -offset - self._k), dimq**self.strands)
 
 
 def braid_rep(word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:

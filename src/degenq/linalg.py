@@ -325,7 +325,7 @@ def echelon_rows(
     Returns (rows, pivot_columns); each returned row has pivot value 1 and
     zeros above and below its pivot.  Row order follows pivot columns.
     """
-    work = [_clear_row(r) for r in rows]
+    work = [_clear_row(r) for r in rows if r]
     work = [r for r in work if r]
     done: list[dict[int, LaurentPoly]] = []
     pivots: list[int] = []

@@ -205,6 +205,14 @@ def test_eval_is_a_homomorphism(x, y, which):
     assert eval_in_rep(x + y, rep) == ex + ey
 
 
+@settings(max_examples=60, deadline=None)
+@given(_EXPRS, _EXPRS)
+def test_antipode_is_an_anti_homomorphism(x, y):
+    rep = natural_rep(P21)
+    s_x, s_y = eval_in_rep(antipode(x), rep), eval_in_rep(antipode(y), rep)
+    assert eval_in_rep(antipode(x * y), rep) == s_y * s_x
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_EXPRS, min_size=1, max_size=3), _REP_INDEX)
 def test_batch_with_shared_subexpressions_matches_single_evaluations(xs, which):

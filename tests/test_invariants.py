@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenq import scalars
@@ -32,7 +32,7 @@ from degenq.invariants import (
 from degenq.linalg import SparseMat
 from degenq.reps import iterated_tensor, natural_rep, tensor_rep
 from degenq.rmatrix import build_bundle, leg_operator
-from degenq.scalars import GLParams, RatFn, quantum_int
+from degenq.scalars import GLParams, LaurentPoly, RatFn, quantum_int
 
 P21 = GLParams(2, 1)
 P31 = GLParams(3, 1)
@@ -291,12 +291,17 @@ def test_random_words_match_oracle():
 
 
 @st.composite
-def params_and_words(draw, params_choices, min_strands, max_strands, max_len):
-    params = draw(st.sampled_from(params_choices))
+def braid_words(draw, min_strands, max_strands, max_len):
     strands = draw(st.integers(min_strands, max_strands))
     letter = st.integers(1, max(1, strands - 1)).flatmap(lambda i: st.sampled_from((i, -i)))
     letters = draw(st.lists(letter, max_size=max_len)) if strands > 1 else []
-    return params, BraidWord(strands, tuple(letters))
+    return BraidWord(strands, tuple(letters))
+
+
+def params_and_words(params_choices, min_strands, max_strands, max_len):
+    return st.tuples(
+        st.sampled_from(params_choices), braid_words(min_strands, max_strands, max_len)
+    )
 
 
 def _generator_product(word, params):
@@ -337,6 +342,127 @@ def test_markov_trace_equals_quantum_trace_of_generator_product(case):
 def test_four_and_five_strand_words_match_oracle(case):
     params, word = case
     assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+# -- integer columns against the Laurent-polynomial reference ------------------------------------
+
+
+def _reference_columns(word, params):
+    """The braid image as columns {row: LaurentPoly}, propagated one letter at
+    a time with a Laurent multiply for every entry."""
+    bundle = build_bundle(params)
+    d = params.size
+    r = word.strands
+    cols = [{c: LaurentPoly.one()} for c in range(d**r)]
+    for letter in word.letters:
+        op = bundle.Rcheck if letter > 0 else bundle.Rcheckinv
+        pair_cols = [[] for _ in range(d * d)]
+        for (y, x), v in op.entries.items():
+            assert v.is_polynomial()
+            pair_cols[x].append((y, v.num))
+        # Legs i, i+1 hold the base-d^2 digit of place value d^(r-1-i).
+        place = d ** (r - 1 - abs(letter))
+        new = []
+        for c in range(d**r):
+            x = (c // place) % (d * d)
+            base = c - x * place
+            out = {}
+            for y, coeff in pair_cols[x]:
+                for row, v in cols[base + y * place].items():
+                    acc = out.get(row, LaurentPoly.zero()) + coeff * v
+                    if acc:
+                        out[row] = acc
+                    else:
+                        out.pop(row, None)
+            new.append(out)
+        cols = new
+    return cols
+
+
+def _reference_matrix(word, params):
+    d = params.size**word.strands
+    cols = _reference_columns(word, params)
+    entries = {(row, c): RatFn(v) for c, col in enumerate(cols) for row, v in col.items()}
+    return SparseMat(d, d, entries)
+
+
+def _reference_trace(word, params):
+    """The diagonal weighted by products of the K_2rho entries, then one division."""
+    kd = [v.num for v in k2rho_matrix(natural_rep(params)).diagonal_values()]
+    weights = [LaurentPoly.one()]
+    for _ in range(word.strands):
+        weights = [w * k for w in weights for k in kd]
+    total = LaurentPoly.zero()
+    for c, col in enumerate(_reference_columns(word, params)):
+        if c in col:
+            total = total + weights[c] * col[c]
+    return RatFn(total, quantum_dimension(params).num ** word.strands)
+
+
+_ALL_PARAMS = _SMALL_PARAMS + (GLParams(3, 2),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_and_words(_ALL_PARAMS, 1, 5, 8))
+@example((P21, BraidWord(1, ())))
+@example((GLParams(1, 3), BraidWord(3, ())))
+@example((GLParams(3, 2), BraidWord(5, (1, -4))))
+def test_markov_trace_equals_laurent_reference(case):
+    params, word = case
+    assert markov_trace(word, params) == _reference_trace(word, params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params_and_words(_ALL_PARAMS, 1, 5, 6))
+@example((GLParams(1, 2), BraidWord(1, ())))
+@example((P31, BraidWord(4, ())))
+def test_braid_rep_equals_laurent_reference(case):
+    params, word = case
+    assert braid_rep(word, params) == _reference_matrix(word, params)
+
+
+# Long words.  sigma1^+-40 runs 40 letters of q^+-1 shifts through the
+# offset, though by the Hecke relation its entries stay in {0, +-1}.
+# Alternating letters on 3 strands grow the coefficients: at (3, 1) an entry
+# of the image of (sigma1 sigma2^-1)^15 reaches 387,573 and its trace
+# numerator 197,574, so a digit width too narrow for the decode gives a wrong
+# value.
+_LONG_WORDS = {
+    "sigma1^40": BraidWord(2, (1,) * 40),
+    "sigma1^-40": BraidWord(2, (-1,) * 40),
+    "(sigma1 sigma2^-1)^15": BraidWord(3, (1, -2) * 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_WORDS))
+def test_long_words_match_oracle_and_reference(name):
+    word = _LONG_WORDS[name]
+    for params in (P31, GLParams(1, 3)):
+        assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+        assert markov_trace(word, params) == _reference_trace(word, params)
+        assert braid_rep(word, params) == _reference_matrix(word, params)
+
+
+# -- properties over the (m, n) grid --------------------------------------------------------------
+
+_UNEQUAL_MN = [(m, n) for m in range(1, 5) for n in range(1, 6 - m) if m != n]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_UNEQUAL_MN), braid_words(1, 4, 7))
+def test_invariant_equals_oracle_over_unequal_mn(mn, word):
+    params = GLParams(*mn)
+    assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([((2, 1), (3, 2)), ((1, 2), (2, 3)), ((3, 1), (4, 2)), ((1, 3), (2, 4))]),
+    braid_words(1, 4, 7),
+)
+def test_invariant_depends_only_on_m_minus_n(pair, word):
+    small, big = (GLParams(*mn) for mn in pair)
+    assert link_invariant(word, small).invariant == link_invariant(word, big).invariant
 
 
 def test_markov_trace_does_no_full_size_products(monkeypatch):

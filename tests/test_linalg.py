@@ -173,3 +173,25 @@ def test_elimination_handles_denominators():
     basis = nullspace(a)
     assert len(basis) == 1
     assert not a.apply(basis[0])
+
+
+def test_echelon_rows_does_no_field_arithmetic_for_empty_rows(monkeypatch):
+    from degenq import linalg, scalars
+
+    calls = [0]
+    canonical = scalars._canonical_pair
+
+    def counting_canonical(num, den):
+        calls[0] += 1
+        return canonical(num, den)
+
+    monkeypatch.setattr(scalars, "_canonical_pair", counting_canonical)
+    rng = random.Random(11)
+    rows = random_mat(rng, 4, 5).rows() + [{0: RatFn.of(1, 2), 3: rfq(-1)}]
+    counts, results = [], []
+    for padded in (rows, [{}] + rows[:2] + [{}, {}] + rows[2:] + [{}]):
+        calls[0] = 0
+        results.append(linalg.echelon_rows(padded, 5))
+        counts.append(calls[0])
+    assert results[0] == results[1]
+    assert counts[0] == counts[1] > 0
