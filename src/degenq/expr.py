@@ -37,6 +37,10 @@ from .scalars import (
     GLParams,
     LaurentPoly,
     RatFn,
+    _decode,
+    _digit_bits,
+    _encode,
+    _lag,
     _lcm,
     _power,
     _quo,
@@ -370,51 +374,40 @@ def coproduct_terms(g: Gen, side: str = "Delta") -> list[tuple[Expr, Expr]]:
 
 # -- evaluation ---------------------------------------------------------------------
 #
-# A node evaluates to a pair (N, D): N is a SparseMat whose entries lie in
-# Z[q, q^-1] (LaurentPoly) and D is one ordinary polynomial, the node's matrix
-# being N / D.  A generator is split once per evaluator, with D the lcm of the
-# denominators of its entries.  A product multiplies the N's and the D's with
-# no gcd; a sum brings its terms to the lcm of their D's; a scalar c = n/d is
-# (n * identity, d).  So no gcd runs per matrix entry until the end, where each
-# nonzero output entry is made canonical once, as RatFn(N_ij, D); a zero
-# result is an N with no entries and costs no gcd at all.
+# A node evaluates to a matrix N / D over Q(q): D is one ordinary polynomial
+# and N's entries lie in Z[q, q^-1].  Each entry of N is carried as one Python
+# int, the value at q = x = 2^B of the entry times q^v, where the node's shift
+# v >= 0 makes N * q^v a polynomial matrix.  Evaluation at x is a ring
+# homomorphism (Kronecker substitution, see degenq.scalars), so matrix sums and
+# products of the ints are exact.
+#
+# A pre-pass over the batch, before any matrix is formed, gives every node its
+# D, its v and a bound b on the 1-norm (sum of absolute coefficients) of each
+# entry of N * q^v.  The 1-norm is subadditive and submultiplicative, and an
+# entry of a product of two dim x dim matrices is a sum of dim products:
+#
+# * generator: D is the lcm of the entry denominators, v the largest power of
+#   q^-1 in a numerator and b the largest numerator 1-norm;
+# * scalar n/d: D = d, v from n, b = |n|;
+# * product of k matrix factors with scalar factor n/d: the D's (and d)
+#   multiply and the v's add; b = dim^(k-1) b_1 ... b_k |n|;
+# * power k: D^k and k v; b = dim^(k-1) b^k;
+# * sum: D is the lcm of the terms' D's, taken once per node.  Term i is
+#   multiplied by its quotient Q_i = D / D_i and aligned by q^(vmax - v_i), a
+#   left shift by (vmax - v_i) B bits, so b = sum of b_i |Q_i|.
+#
+# B = _digit_bits(largest b) puts every coefficient of every node strictly
+# inside the balanced digit range (-2^(B-1), 2^(B-1)), where a polynomial is
+# zero exactly when its value at 2^B is.  So a node is the zero matrix exactly
+# when its int matrix is empty, and a passing check costs no decode and no
+# gcd.  A nonzero output is decoded once per entry and made canonical once, as
+# RatFn(N_ij, D).
 #
 # One evaluator serves a whole batch of expressions in one representation.
 # Its memo is keyed by structural equality of nodes, so a subexpression shared
 # across the batch (a root vector in many catalog entries) is evaluated once.
-# A pre-pass counts how often each node will be asked for, and a value leaves
-# the memo with its last use.
-
-
-def _requests(node: Expr):
-    """The subexpressions whose values the evaluation of node asks for;
-    scalar factors of a product are folded in directly."""
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Prod):
-        return [t for t in node.factors if not isinstance(t, Scalar)]
-    if isinstance(node, Pow):
-        return (node.base,)
-    return ()
-
-
-def _use_counts(exprs: list[Expr]) -> dict[Expr, int]:
-    """How often evaluating exprs in order asks for each node, each distinct
-    node being computed once."""
-    uses: dict[Expr, int] = {}
-    for x in exprs:
-        uses[x] = uses.get(x, 0) + 1
-    seen: set[Expr] = set()
-    todo = list(exprs)
-    while todo:
-        node = todo.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        for child in _requests(node):
-            uses[child] = uses.get(child, 0) + 1
-            todo.append(child)
-    return uses
+# The pre-pass also counts how often each node will be asked for, and a value
+# leaves the memo with its last use.
 
 
 def eval_batch(exprs, rep) -> Iterator[SparseMat]:
@@ -425,16 +418,22 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
     """
     exprs = list(exprs)
     dim = rep.dim
-    uses = _use_counts(exprs)
-    memo: dict[Expr, tuple[SparseMat, LaurentPoly]] = {}
-    split: dict[Gen, tuple[SparseMat, LaurentPoly]] = {}
+    # How often evaluating exprs in order asks for each node, each distinct node
+    # being computed once; and per node (D, v, bound, how), where how is what
+    # ``compute`` needs: a generator's numerators, a scalar's numerator, a
+    # product's scalar factor with its shift, or a sum's (Q_i, vmax - v_i).
+    uses: dict[Expr, int] = {}
+    plan: dict[Expr, tuple] = {}
 
-    def diagonal(c: LaurentPoly) -> SparseMat:
-        return SparseMat(dim, dim, {(i, i): c for i in range(dim)})
-
-    def generator(node: Gen) -> tuple[SparseMat, LaurentPoly]:
-        got = split.get(node)
+    def request(node: Expr) -> tuple:
+        uses[node] = uses.get(node, 0) + 1
+        got = plan.get(node)
         if got is None:
+            got = plan[node] = shape(node)
+        return got
+
+    def shape(node: Expr) -> tuple:
+        if isinstance(node, Gen):
             mat = rep.gens.get((node.kind, node.index))
             if mat is None:
                 raise MissingGenerator(f"representation lacks {node.kind}{node.index}")
@@ -445,12 +444,46 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
                 k: v.num if v.den == den else v.num * _quo(den, v.den)
                 for k, v in mat.entries.items()
             }
-            got = split[node] = (SparseMat(dim, dim, num), den)
-        return got
+            bound = max(map(LaurentPoly.norm1, num.values()), default=0)
+            return den, _lag(num.values()), bound, num
+        if isinstance(node, Scalar):
+            n = node.value.num
+            return node.value.den, _lag([n]), n.norm1(), n
+        if isinstance(node, Sum):
+            terms = [request(t) for t in node.terms]
+            den = _LP_ONE
+            for d, _, _, _ in terms:
+                den = _lcm(den, d)
+            lag = max(v for _, v, _, _ in terms)
+            quos = [_quo(den, d) for d, _, _, _ in terms]
+            bound = sum(b * quo.norm1() for (_, _, b, _), quo in zip(terms, quos))
+            return den, lag, bound, [(quo, lag - v) for quo, (_, v, _, _) in zip(quos, terms)]
+        if isinstance(node, Prod):
+            coeff, den, lag, bound, k = _LP_ONE, _LP_ONE, 0, 1, 0
+            for t in node.factors:
+                if isinstance(t, Scalar):
+                    coeff = coeff * t.value.num
+                    den = den * t.value.den
+                else:
+                    d, v, b, _ = request(t)
+                    den, lag, bound, k = den * d, lag + v, bound * b, k + 1
+            shift = _lag([coeff])
+            return den, lag + shift, dim ** max(k - 1, 0) * bound * coeff.norm1(), (coeff, shift)
+        if isinstance(node, Pow):
+            if node.exp < 0:
+                raise ValueError("negative matrix power")
+            d, v, b, _ = request(node.base)
+            k = node.exp
+            return d**k, k * v, dim ** (k - 1) * b**k if k else 1, None
+        raise TypeError(f"not an expression: {node!r}")
 
-    def value(node: Expr) -> tuple[SparseMat, LaurentPoly]:
-        if isinstance(node, Gen):
-            return generator(node)
+    for x in exprs:
+        request(x)
+    bits = _digit_bits(max((b for _, _, b, _ in plan.values()), default=0))
+    identity = SparseMat(dim, dim, {(i, i): 1 for i in range(dim)})
+    memo: dict[Expr, SparseMat] = {}
+
+    def value(node: Expr) -> SparseMat:
         got = memo.pop(node, None)
         if got is None:
             got = compute(node)
@@ -459,45 +492,42 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
             memo[node] = got
         return got
 
-    def compute(node: Expr) -> tuple[SparseMat, LaurentPoly]:
+    def compute(node: Expr) -> SparseMat:
+        _, lag, _, how = plan[node]
+        if isinstance(node, Gen):
+            return SparseMat(dim, dim, {k: _encode(p, bits, lag) for k, p in how.items()})
         if isinstance(node, Scalar):
-            return diagonal(node.value.num), node.value.den
+            c = _encode(how, bits, lag)
+            return SparseMat(dim, dim, {(i, i): c for i in range(dim)})
         if isinstance(node, Sum):
-            terms = [t for t in map(value, node.terms) if t[0].entries]
-            den = _LP_ONE
-            for _, d in terms:
-                den = _lcm(den, d)
             total = SparseMat(dim, dim)
-            for n, d in terms:
-                total = total + (n if d == den else n.scale(_quo(den, d)))
-            return total, den if total.entries else _LP_ONE
+            for t, (quo, shift) in zip(node.terms, how):
+                n = value(t)
+                if n.entries:
+                    m = _encode(quo, bits, shift)
+                    total = total + (n if m == 1 else n.scale(m))
+            return total
         if isinstance(node, Prod):
-            coeff, den = _LP_ONE, _LP_ONE
             mat = None
             for t in node.factors:
-                if isinstance(t, Scalar):
-                    coeff = coeff * t.value.num
-                    den = den * t.value.den
-                else:
-                    n, d = value(t)
+                if not isinstance(t, Scalar):
+                    n = value(t)
                     mat = n if mat is None else mat * n
-                    den = den * d
             if mat is None:
-                mat = diagonal(_LP_ONE)
-            return (mat if coeff.is_one() else mat.scale(coeff)), den
-        if isinstance(node, Pow):
-            if node.exp < 0:
-                raise ValueError("negative matrix power")
-            n, d = value(node.base)
-            return _power(n, node.exp, diagonal(_LP_ONE)), d**node.exp
-        raise TypeError(f"not an expression: {node!r}")
+                mat = identity
+            coeff, shift = how
+            c = _encode(coeff, bits, shift)
+            return mat if c == 1 else mat.scale(c)
+        return _power(value(node.base), node.exp, identity)
 
     for x in exprs:
-        n, d = value(x)
-        if d.is_one():  # a Laurent polynomial over 1 is already canonical
-            yield SparseMat(dim, dim, {k: RatFn._raw(v, _LP_ONE) for k, v in n.entries.items()})
+        n = value(x)
+        den, lag, _, _ = plan[x]
+        nums = {k: _decode(v, bits, -lag) for k, v in n.entries.items()}
+        if den.is_one():  # a Laurent polynomial over 1 is already canonical
+            yield SparseMat(dim, dim, {k: RatFn._raw(p, _LP_ONE) for k, p in nums.items()})
         else:
-            yield SparseMat(dim, dim, {k: RatFn(v, d) for k, v in n.entries.items()})
+            yield SparseMat(dim, dim, {k: RatFn(p, den) for k, p in nums.items()})
 
 
 def eval_in_rep(x: Expr, rep) -> SparseMat:
@@ -505,9 +535,9 @@ def eval_in_rep(x: Expr, rep) -> SparseMat:
     over Q(q).
 
     Sums map to matrix sums, products to matrix products, scalars to scalar
-    multiples of the identity.  The work runs over Z[q, q^-1] with one
-    denominator per node (see :func:`eval_batch`, the evaluator for many
-    expressions in one representation).
+    multiples of the identity.  The work runs over the integers at q = 2^B
+    with one denominator per node (see :func:`eval_batch`, the evaluator for
+    many expressions in one representation).
     """
     return next(eval_batch([x], rep))
 

@@ -32,6 +32,10 @@ from the bound g^L on the 1-norm of a column (g the largest column 1-norm of a
 letter table; proof in :class:`BraidEvaluator`), so the result decodes exactly,
 once, from balanced base-2^B digits.  The Markov trace reads only the diagonal
 of the result, and the one rational step is the final division by dim_q(V)^r.
+The substitution helpers live in :mod:`degenq.scalars`: the offset v that
+makes a Laurent polynomial a polynomial (``_lag``), the value at 2^B
+(``_encode``), the balanced-digit decode (``_decode``) and the width rule
+(``_digit_bits``).  :func:`degenq.expr.eval_batch` uses the same four.
 """
 
 from __future__ import annotations
@@ -54,7 +58,17 @@ from .relations import k2rho_expr
 from .reports import UNSUPPORTED, VACUOUS, Report
 from .reps import DEFAULT_MAX_DIM, Representation, natural_rep
 from .rmatrix import build_bundle
-from .scalars import _LP_ONE, GLParams, LaurentPoly, RatFn, quantum_int
+from .scalars import (
+    _LP_ONE,
+    GLParams,
+    LaurentPoly,
+    RatFn,
+    _decode,
+    _digit_bits,
+    _encode,
+    _lag,
+    quantum_int,
+)
 
 
 @dataclass(frozen=True)
@@ -162,27 +176,6 @@ def _signed_monomial(x: RatFn, what: str) -> tuple[int, int]:
     return sign, e
 
 
-def _decode(n: int, bits: int, low: int) -> LaurentPoly:
-    """The Laurent polynomial sum_i c_i q^(low+i) whose c_i are the balanced
-    base-2^bits digits of n, |c_i| <= 2^(bits-1): its value at q = 2^bits is
-    n * 2^(bits*low)."""
-    terms = {}
-    if n:
-        skip = ((n & -n).bit_length() - 1) // bits
-        n >>= skip * bits
-        low += skip
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    while n:
-        c = n & mask
-        if c >= half:
-            c -= mask + 1
-        if c:
-            terms[low] = c
-        n = (n - c) >> bits
-        low += 1
-    return LaurentPoly._raw(terms)
-
-
 class BraidEvaluator:
     """The braid image on V^(x)strands for one (params, strands), propagated
     column by column over the integers at q = 2^B.
@@ -249,13 +242,13 @@ class BraidEvaluator:
                 pair_cols[x].append((y, codes.setdefault(_laurent(v, what), len(codes))))
             self._pairs[sign] = pair_cols
         self._coeffs = list(codes)
-        norms = [sum(abs(c) for c in p.terms.values()) for p in self._coeffs]
+        norms = [p.norm1() for p in self._coeffs]
         self._growth = max(
             sum(norms[code] for _, code in col)
             for pair_cols in self._pairs.values()
             for col in pair_cols
         )
-        self._lag = max(0, -min(p.valuation for p in self._coeffs))
+        self._lag = _lag(self._coeffs)
         self._tables: dict[int, list[list[tuple[int, int]]]] = {}
         # nu(K_2rho)^(x)strands is diagonal: entry c is the signed monomial
         # whose sign and exponent are the product and sum over the digits of c.
@@ -295,12 +288,10 @@ class BraidEvaluator:
         if word.strands != self.strands:
             raise StrandMismatch(f"word has {word.strands} strands, evaluator {self.strands}")
         length = len(word.letters)
-        bits = (self.dim * self._growth**length).bit_length() + 1
+        bits = _digit_bits(self.dim * self._growth**length)
         offset = length * self._lag
         lag = self._lag * bits
-        mults = [
-            sum(c << (e + self._lag) * bits for e, c in p.terms.items()) for p in self._coeffs
-        ]
+        mults = [_encode(p, bits, self._lag) for p in self._coeffs]
         one = 1 << (offset * bits)
         cols = [{c: one} for c in range(self.dim)]
         for letter in word.letters:

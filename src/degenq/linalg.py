@@ -21,8 +21,9 @@ class SparseMat:
     """A sparse matrix over Q(q): {(row, col): nonzero RatFn}.
 
     Products, sums, negation and ``scale`` use only the ring operations of the
-    entries, so they work as well for entries in Z[q, q^-1] (LaurentPoly with a
-    LaurentPoly scale factor); :mod:`degenq.expr` evaluates over that ring.
+    entries, so they work as well for Python int entries with an int scale
+    factor; :func:`degenq.expr.eval_batch` evaluates over the integers that way,
+    at q = 2^B.
     """
 
     __slots__ = ("nrows", "ncols", "entries")
@@ -59,9 +60,6 @@ class SparseMat:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def is_identity(self) -> bool:
-        return self == SparseMat.identity(self.nrows) if self.nrows == self.ncols else False
 
     def nnz(self) -> int:
         return len(self.entries)

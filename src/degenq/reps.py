@@ -255,18 +255,17 @@ def verify_relations(rep: Representation, entries: list[RelationEntry] | None = 
     report = Report()
     entries = entries if entries is not None else rep.catalog()
     for entry, value in zip(entries, eval_batch([entry.expr for entry in entries], rep)):
-        if value.is_zero():
-            report.add("relations", entry.name, True)
-        else:
-            witness_key = min(value.entries)
-            witness = value.entries[witness_key]
-            report.add(
-                "relations",
-                entry.name,
-                False,
-                f"{value.nnz()} nonzero entries; entry {witness_key} = {witness}",
-            )
+        report.add("relations", entry.name, value.is_zero(), _witness(value))
     return report
+
+
+def _witness(diff: SparseMat) -> str:
+    """The detail of a matrix identity whose two sides differ by diff: its nnz
+    and its first nonzero entry; empty when diff is zero."""
+    if diff.is_zero():
+        return ""
+    key = min(diff.entries)
+    return f"{diff.nnz()} nonzero entries; entry {key} = {diff.entries[key]}"
 
 
 def check_hopf_axioms(rep: Representation, max_dim: int = DEFAULT_MAX_DIM) -> Report:
@@ -282,12 +281,10 @@ def check_hopf_axioms(rep: Representation, max_dim: int = DEFAULT_MAX_DIM) -> Re
     left_nested = tensor_rep(tensor_rep(rep, rep), rep)
     right_nested = tensor_rep(rep, tensor_rep(rep, rep))
     for g in rep.generator_atoms():
-        name = f"{g.kind}{g.index}"
-        report.add(
-            "hopf-coassoc",
-            name,
-            left_nested.gen(g.kind, g.index) == right_nested.gen(g.kind, g.index),
-        )
+        left = left_nested.gen(g.kind, g.index)
+        right = right_nested.gen(g.kind, g.index)
+        same = left == right
+        report.add("hopf-coassoc", f"{g.kind}{g.index}", same, "" if same else _witness(left - right))
 
     # The other three axioms as expressions that must vanish, in one batch.
     checks: list[tuple[str, str, Expr]] = []
@@ -312,5 +309,5 @@ def check_hopf_axioms(rep: Representation, max_dim: int = DEFAULT_MAX_DIM) -> Re
         checks.append(("hopf-s2", f"S^2 = Ad(K2rho) on {g.kind}{g.index}", s2_minus_conj))
     values = eval_batch([x for _, _, x in checks], rep)
     for (suite, name, _), value in zip(checks, values):
-        report.add(suite, name, value.is_zero())
+        report.add(suite, name, value.is_zero(), _witness(value))
     return report

@@ -80,6 +80,10 @@ class LaurentPoly:
     def leading_coeff(self) -> int:
         return self.terms[max(self.terms)] if self.terms else 0
 
+    def norm1(self) -> int:
+        """The 1-norm: the sum of the absolute values of the coefficients."""
+        return sum(map(abs, self.terms.values()))
+
     def content(self) -> int:
         """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
         return math.gcd(*self.terms.values()) if self.terms else 0
@@ -186,6 +190,72 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return result
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: a polynomial as one integer, its value at q = 2^bits
+# ---------------------------------------------------------------------------
+#
+# Evaluation at q = x = 2^bits is a ring homomorphism Z[q] -> Z, so sums and
+# products of the integers are exactly the values of the sums and products of
+# the polynomials.  Every integer has exactly one expansion in balanced
+# base-2^bits digits, each in [-2^(bits-1), 2^(bits-1)).  So a polynomial whose
+# coefficients all lie in that range is recovered from its value by _decode,
+# and is zero exactly when its value is 0.
+
+
+def _digit_bits(bound: int) -> int:
+    """The least digit width B with bound < 2^(B-1): coefficients of absolute
+    value at most bound then decode exactly from their value at q = 2^B."""
+    return bound.bit_length() + 1
+
+
+def _lag(polys) -> int:
+    """The least v >= 0 such that p * q^v is a polynomial for every p in polys."""
+    return max([0] + [-min(p.terms) for p in polys if p.terms])
+
+
+def _encode(p: LaurentPoly, bits: int, shift: int = 0) -> int:
+    """The value of p * q^shift at q = 2^bits; p * q^shift must be a polynomial."""
+    # Adjacent terms are merged pairwise, (e, v) and (f, w) into
+    # (e, v + w * 2^((f - e) bits)), so that no sum grows one term at a time.
+    parts = sorted(p.terms.items())
+    while len(parts) > 1:
+        merged = [(e, v + (w << (f - e) * bits)) for (e, v), (f, w) in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[2 * len(merged) :]
+    return parts[0][1] << (parts[0][0] + shift) * bits if parts else 0
+
+
+def _decode(n: int, bits: int, low: int) -> LaurentPoly:
+    """The Laurent polynomial sum_i c_i q^(low+i) whose c_i are the balanced
+    base-2^bits digits of n, -2^(bits-1) <= c_i < 2^(bits-1), for bits >= 2:
+    its value at q = 2^bits is n * 2^(bits*low)."""
+    terms = {}
+    if n:
+        skip = ((n & -n).bit_length() - 1) // bits
+        n >>= skip * bits
+        low += skip
+    count = n.bit_length() // bits + 2  # n has at most this many digits
+    if count > 64:
+        # Split off the low k digits, so that no digit loop walks a long int.
+        # They form the representative of n mod 2^(k bits) in [-m, 2^(k bits) - m),
+        # where m = 2^(bits-1) (1 + 2^bits + ... + 2^((k-1) bits)) is every digit at its floor.
+        k = count // 2
+        m = int(("1" + "0" * (bits - 1)) * k, 2)
+        lo = ((n + m) & ((1 << k * bits) - 1)) - m
+        terms = _decode(lo, bits, low).terms
+        terms.update(_decode((n - lo) >> k * bits, bits, low + k).terms)
+        return LaurentPoly._raw(terms)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            terms[low] = c
+        n = (n - c) >> bits
+        low += 1
+    return LaurentPoly._raw(terms)
 
 
 def quantum_int(k: int) -> LaurentPoly:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenq import expr as expr_module
 from degenq.errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
 from degenq.expr import (
     Gen,
@@ -220,6 +221,64 @@ def test_batch_with_shared_subexpressions_matches_single_evaluations(xs, which):
     rep = _test_reps()[which]
     batch = xs + [xs[0]] + [a * b for a, b in zip(xs, xs[1:])] + [xs[-1] - xs[0]]
     assert list(eval_batch(batch, rep)) == [eval_in_rep(x, rep) for x in batch]
+
+
+def _spy_digit_bits(monkeypatch):
+    """Record every digit width B that eval_batch picks."""
+    widths = []
+    digit_bits = expr_module._digit_bits
+
+    def spy(bound):
+        widths.append(digit_bits(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(expr_module, "_digit_bits", spy)
+    return widths
+
+
+def test_eval_matches_reference_on_a_rational_dual_with_wide_digits(monkeypatch):
+    # The dual of a typical module with lambda2 = (q+2)/(q-3) has Laurent
+    # entries (K^-1, q^-1 factors) and rational ones; powers up to 6 drive the
+    # bound past 2^63, so the ints are wider than a machine word.
+    rep = dual_rep(_test_reps()[3])
+    assert any(not v.is_polynomial() for g in rep.gens.values() for v in g.entries.values())
+    assert any(min(v.num.terms) < 0 for g in rep.gens.values() for v in g.entries.values())
+    e1, e2, f1, f2 = e(1), e(2), f(1), f(2)
+    coeff = RatFn.of(LaurentPoly({1: 1, -1: -1}), LaurentPoly({0: 1, 1: 1}))  # (q - q^-1)/(1 + q)
+    exprs = []
+    for k in range(1, 7):
+        exprs += [
+            make_pow(e1 * f1 + coeff * (f2 * e2), k),
+            make_pow(e2 + f2, k) - make_pow(f2 + e2, k),  # zero, over a nontrivial denominator
+            make_pow(K(1) * e2 + coeff * Kinv(3) * f2, k) * e1,
+            make_pow(cartan(1) - RatFn.q(-2) * cartan_inv(2), k) + coeff * e2 * f2,
+        ]
+    widths = _spy_digit_bits(monkeypatch)
+    got = list(eval_batch(exprs, rep))
+    assert len(widths) == 1 and widths[0] > 64
+    assert got == [_reference_eval(x, rep) for x in exprs]
+    assert got[1].is_zero()
+
+
+def test_eval_is_exact_with_coefficients_at_the_bound(monkeypatch):
+    # e1 acting by q on every entry of a 3 x 3 matrix: a product of k copies has
+    # every entry 3^(k-1) q^k, whose one coefficient equals the bound, and a sum
+    # with a scalar over 4 has quotients 4 and 1.  So each factor of the bound
+    # (the inner dimension, the quotients' 1-norms, the q^v alignment of terms)
+    # is needed for an exact result.
+    rep = natural_rep(P21)
+    rep.gens[("e", 1)] = SparseMat(3, 3, {(i, j): RatFn.q(1) for i in range(3) for j in range(3)})
+    quarter = RatFn.of(1, 4)
+    exprs = []
+    for k in range(1, 7):
+        power, product = make_pow(e(1), k), make_prod([e(1)] * k)
+        exprs += [power, product, power + quarter * product, product - K(3) * power]
+    widths = _spy_digit_bits(monkeypatch)
+    got = list(eval_batch(exprs, rep))
+    assert len(widths) == 1
+    assert got == [_reference_eval(x, rep) for x in exprs]
+    top = RatFn.q(6, 3**5)  # every entry of e1^6 has this one coefficient
+    assert got[20][0, 0] == top and got[21][0, 0] == top
 
 
 # -- structural helpers ---------------------------------------------------------------

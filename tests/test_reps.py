@@ -313,6 +313,19 @@ def test_hopf_s2_fails_where_k1_acts_as_k2():
     assert [c.name for c in report.failures] == ["S^2 = Ad(K2rho) on e2", "S^2 = Ad(K2rho) on f2"]
 
 
+def test_hopf_failure_detail_pins_witness_entry():
+    # The K1 -> K2 module of the test above: a failing Hopf identity reports
+    # the nnz of its difference and its first nonzero entry; passing ones none.
+    rep = natural_rep(P21)
+    rep.gens[("K", 1)] = rep.gen("K", 2)
+    rep.gens[("Kinv", 1)] = rep.gen("Kinv", 2)
+    report = check_hopf_axioms(rep)
+    details = {c.name: c.detail for c in report.failures}
+    assert details["S^2 = Ad(K2rho) on e2"] == "1 nonzero entries; entry (1, 2) = q - 1"
+    assert details["S^2 = Ad(K2rho) on f2"] == "1 nonzero entries; entry (2, 1) = -1 + q^-1"
+    assert all(c.detail == "" for c in report.checks if c.ok)
+
+
 def test_antipode_identity_e2_explicit():
     # nu(S(e_2)) nu(k_2) + nu(e_2) = 0 in the natural rep at (2, 1)
     rep = natural_rep(P21)

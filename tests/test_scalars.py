@@ -8,6 +8,9 @@ from degenq.scalars import (
     LaurentPoly,
     Q_MINUS_QINV,
     RatFn,
+    _decode,
+    _digit_bits,
+    _encode,
     parse_poly,
     parse_scalar,
     poly_to_text,
@@ -269,3 +272,38 @@ def test_poly_arith_dispatch():
     assert a + b == lp({1: 1, 0: 1, -1: 2})
     assert a - a == LaurentPoly.zero()
     assert a * b == lp({1: 1, 0: 2})
+
+
+# -- Kronecker substitution ----------------------------------------------------
+
+
+@st.composite
+def _polys_within_digits(draw):
+    """(p, B, shift): p's coefficients up to +-(2^(B-1) - 1), both extremes
+    included, and shift the least v >= 0 with p * q^v a polynomial.  Up to 150
+    terms, so that long values take the split in _decode."""
+    bits = draw(st.integers(2, 80))
+    top = (1 << (bits - 1)) - 1
+    coeffs = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top))
+    terms = draw(st.dictionaries(st.integers(-20, 300), coeffs, max_size=150))
+    p = lp(terms)
+    return p, bits, max([0] + [-e for e in p.terms])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys_within_digits())
+def test_encode_decode_round_trip(case):
+    p, bits, shift = case
+    n = _encode(p, bits, shift)
+    assert n == sum(c * 2 ** ((e + shift) * bits) for e, c in p.terms.items())
+    assert _decode(n, bits, -shift) == p
+    assert (n == 0) == (not p)  # a zero test needs no decode
+    # Extra powers of q, as from an over-sized shift, come back out exactly.
+    assert _decode(_encode(p, bits, shift + 3), bits, -shift - 3) == p
+
+
+@given(st.integers(0, 2**200))
+def test_digit_bits_is_the_least_width_that_holds_the_bound(bound):
+    bits = _digit_bits(bound)
+    assert bound < 2 ** (bits - 1)
+    assert bound == 0 if bits == 1 else bound >= 2 ** (bits - 2)
