@@ -52,7 +52,7 @@ from .rmatrix import (
     verify_ybe,
 )
 from .scalars import GLParams, RatFn, parse_scalar, scalar_to_text
-from .sl21 import HighestWeightSL21, atypicality_type, module_report
+from .sl21 import HighestWeightSL21, module_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,7 +155,7 @@ def run_verify(
             for c in sub.checks:
                 report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
     if "hopf" in suites:
-        report.extend(check_hopf_axioms(rep, max_dim))
+        report.extend(check_hopf_axioms(rep))
     bundle = build_bundle(params) if {"ybe", "hecke", "intertwiner"} & set(suites) else None
     if "ybe" in suites:
         report.extend(verify_ybe(bundle))
@@ -163,9 +163,9 @@ def run_verify(
         report.extend(verify_hecke_and_spectrum(bundle))
     if "intertwiner" in suites:
         report.extend(verify_intertwiner(bundle, rep))
-        for r in (2, 3):
-            if params.size**r <= max_dim:
-                report.extend(verify_tensor_iso(params, r, max_dim))
+        # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
+        if params.size**3 <= max_dim:
+            report.extend(verify_tensor_iso(params, 3, max_dim))
     if "invariant" in suites:
         if params.m == params.n:
             report.note(

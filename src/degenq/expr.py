@@ -28,7 +28,7 @@ element of Q(q).  So scalar text may also carry a sign before '(' (as in
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
 from .linalg import SparseMat
@@ -306,27 +306,33 @@ def validate_indices(x: Expr, params: GLParams) -> None:
 # -- Hopf structure on expressions -------------------------------------------------
 
 
-def counit(x: Expr) -> RatFn:
-    """The counit: kills e and f, sends K to 1; an algebra homomorphism."""
-    if isinstance(x, Gen):
-        return RatFn.zero() if x.kind in ("e", "f") else _RF_ONE
+def _fold_scalar(x: Expr, gen_value: Callable[[Gen], RatFn | None]) -> RatFn | None:
+    """x read as a scalar, each generator g as gen_value(g); None as soon as
+    one generator reads None."""
     if isinstance(x, Scalar):
         return x.value
-    if isinstance(x, Sum):
-        total = RatFn.zero()
-        for t in x.terms:
-            total = total + counit(t)
-        return total
-    if isinstance(x, Prod):
-        total = _RF_ONE
-        for t in x.factors:
-            total = total * counit(t)
-            if not total:
-                return total
-        return total
+    if isinstance(x, Gen):
+        return gen_value(x)
     if isinstance(x, Pow):
-        return counit(x.base) ** x.exp
-    raise TypeError(f"not an expression: {x!r}")
+        v = _fold_scalar(x.base, gen_value)
+        return None if v is None else v**x.exp
+    if isinstance(x, Sum):
+        total, parts, combine = RatFn.zero(), x.terms, RatFn.__add__
+    elif isinstance(x, Prod):
+        total, parts, combine = _RF_ONE, x.factors, RatFn.__mul__
+    else:
+        raise TypeError(f"not an expression: {x!r}")
+    for t in parts:
+        v = _fold_scalar(t, gen_value)
+        if v is None:
+            return None
+        total = combine(total, v)
+    return total
+
+
+def counit(x: Expr) -> RatFn:
+    """The counit: kills e and f, sends K to 1; an algebra homomorphism."""
+    return _fold_scalar(x, lambda g: RatFn.zero() if g.kind in ("e", "f") else _RF_ONE)
 
 
 def antipode(x: Expr) -> Expr:
@@ -642,30 +648,7 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
 
 def _as_scalar(x: Expr) -> RatFn | None:
     """The value of a generator-free expression, else None."""
-    if isinstance(x, Scalar):
-        return x.value
-    if isinstance(x, Gen):
-        return None
-    if isinstance(x, Sum):
-        total = RatFn.zero()
-        for t in x.terms:
-            v = _as_scalar(t)
-            if v is None:
-                return None
-            total = total + v
-        return total
-    if isinstance(x, Prod):
-        total = _RF_ONE
-        for t in x.factors:
-            v = _as_scalar(t)
-            if v is None:
-                return None
-            total = total * v
-        return total
-    if isinstance(x, Pow):
-        v = _as_scalar(x.base)
-        return None if v is None else v**x.exp
-    return None
+    return _fold_scalar(x, lambda g: None)
 
 
 class _ExprParser:

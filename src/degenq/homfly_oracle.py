@@ -116,7 +116,3 @@ class HomflyOracle:
                 ) * self._eval(smoothed, strands)
         self._memo[key] = result
         return result
-
-
-def homfly_of_braid_closure(letters, strands: int, a: RatFn, z: RatFn) -> RatFn:
-    return HomflyOracle(a, z).evaluate(letters, strands)

@@ -436,11 +436,6 @@ class Subspace:
         self._pivots.insert(at, lead)
         return True
 
-    def union(self, other: Subspace) -> Subspace:
-        if self.dim != other.dim:
-            raise DimensionMismatch("subspaces of different ambient dimension")
-        return Subspace(self.dim, self.basis() + other.basis())
-
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection, via the kernel of the stacked coefficient matrix."""
         if self.dim != other.dim:

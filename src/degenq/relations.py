@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .expr import Expr, Gen, K, Kinv, cartan, cartan_inv, e, f, make_pow, make_prod, one
+from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, make_pow, make_prod, one
 from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
 
 
@@ -305,11 +305,3 @@ def _tuples4(size: int):
             for k in range(j + 1, size + 1):
                 for l in range(k + 1, size + 1):
                     yield (i, j, k, l)
-
-
-def catalog_families(entries: list[RelationEntry]) -> list[str]:
-    seen = []
-    for entry in entries:
-        if entry.family not in seen:
-            seen.append(entry.family)
-    return seen

@@ -5,9 +5,10 @@ Index conventions, fixed once for the whole package:
 * The natural module V has basis v_1, ..., v_{m+n} (stored 0-based).
 * Tensor product bases are ordered lexicographically with the LEFT factor most
   significant, matching :meth:`SparseMat.kron`.
-* Iterated tensor powers are left-nested: V^{(x)r} = ((V (x) V) (x) V) ...;
-  the coassociativity check in :func:`check_hopf_axioms` justifies ignoring
-  the nesting order elsewhere.
+* Iterated tensor powers are left-nested: V^{(x)r} = ((V (x) V) (x) V) ....
+  The nesting order does not matter: every K is group-like and kron is
+  associative, so both nestings give the same generator images
+  (``test_coassociativity_matches_explicit_expansion`` pins one of them).
 
 A representation stores one matrix per generator atom, including K inverses.
 """
@@ -29,10 +30,8 @@ from .expr import (
     antipode,
     cartan,
     cartan_inv,
-    coproduct_terms,
     counit,
     eval_batch,
-    make_sum,
 )
 from .linalg import SparseMat, Subspace, Vec, kron, nullspace
 from .relations import RelationEntry, k2rho_expr, relation_catalog
@@ -268,46 +267,32 @@ def _witness(diff: SparseMat) -> str:
     return f"{diff.nnz()} nonzero entries; entry {key} = {diff.entries[key]}"
 
 
-def check_hopf_axioms(rep: Representation, max_dim: int = DEFAULT_MAX_DIM) -> Report:
-    """Coassociativity, counit, antipode, and the inner form of the antipode squared.
+def check_hopf_axioms(rep: Representation) -> Report:
+    """The counit and the antipode against every defining relation, and the
+    inner form of the antipode squared.
 
-    All four are verified as exact matrix identities on the generators.
+    * hopf-counit: eps(rel) = 0 as a scalar, one check per catalog entry;
+    * hopf-antipode: rho(S(rel)) = 0, that is, the dual module satisfies the
+      catalog;
+    * hopf-s2: S^2 = Ad(K_2rho) on the generators, as matrix identities.
+
+    The coproduct is checked by the relation suite on tensor powers.
     """
     report = Report()
-    params = rep.params
+    catalog = rep.catalog()
+    for entry in catalog:
+        eps = counit(entry.expr)
+        report.add("hopf-counit", entry.name, not eps, str(eps) if eps else "")
+    for c in verify_relations(dual_rep(rep), catalog).checks:
+        report.add("hopf-antipode", c.name, c.ok, c.detail)
 
-    if rep.dim**3 > max_dim:
-        raise ResourceLimit(f"coassociativity needs dim^3 = {rep.dim ** 3} > cap {max_dim}")
-    left_nested = tensor_rep(tensor_rep(rep, rep), rep)
-    right_nested = tensor_rep(rep, tensor_rep(rep, rep))
-    for g in rep.generator_atoms():
-        left = left_nested.gen(g.kind, g.index)
-        right = right_nested.gen(g.kind, g.index)
-        same = left == right
-        report.add("hopf-coassoc", f"{g.kind}{g.index}", same, "" if same else _witness(left - right))
-
-    # The other three axioms as expressions that must vanish, in one batch.
-    checks: list[tuple[str, str, Expr]] = []
-    for g in rep.generator_atoms():
-        name = f"{g.kind}{g.index}"
-        legs = coproduct_terms(g)
-        eps = counit(g)
-        right_counit = make_sum([counit(rhs) * lhs for lhs, rhs in legs])
-        left_counit = make_sum([counit(lhs) * rhs for lhs, rhs in legs])
-        antipode_left = make_sum([antipode(lhs) * rhs for lhs, rhs in legs])
-        antipode_right = make_sum([lhs * antipode(rhs) for lhs, rhs in legs])
-        checks.append(("hopf-counit", f"(id x eps) on {name}", right_counit - g))
-        checks.append(("hopf-counit", f"(eps x id) on {name}", left_counit - g))
-        checks.append(("hopf-antipode", f"mu(S x id)Delta on {name}", antipode_left - eps))
-        checks.append(("hopf-antipode", f"mu(id x S)Delta on {name}", antipode_right - eps))
     # Unflattened products, so that K2rho and its inverse are one node each.
-    k2rho = k2rho_expr(params)
+    k2rho = k2rho_expr(rep.params)
     k2rho_inv = antipode(k2rho)
-    checks.append(("hopf-s2", "K2rho invertible", Prod((k2rho, k2rho_inv)) - 1))
+    checks: list[tuple[str, Expr]] = [("K2rho invertible", Prod((k2rho, k2rho_inv)) - 1)]
     for g in rep.generator_atoms():
         s2_minus_conj = antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv))
-        checks.append(("hopf-s2", f"S^2 = Ad(K2rho) on {g.kind}{g.index}", s2_minus_conj))
-    values = eval_batch([x for _, _, x in checks], rep)
-    for (suite, name, _), value in zip(checks, values):
-        report.add(suite, name, value.is_zero(), _witness(value))
+        checks.append((f"S^2 = Ad(K2rho) on {g.kind}{g.index}", s2_minus_conj))
+    for (name, _), value in zip(checks, eval_batch([x for _, x in checks], rep)):
+        report.add("hopf-s2", name, value.is_zero(), _witness(value))
     return report

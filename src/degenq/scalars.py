@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, ExprSyntaxError, IndexOutOfRange, InvalidInput
+from .errors import DivisionByZero, IndexOutOfRange, InvalidInput
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
@@ -604,11 +604,3 @@ def parse_scalar(text: str) -> RatFn:
     from .expr import _as_scalar, _parse  # expr imports this module, so not at the top
 
     return _as_scalar(_parse(text, None))
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse scalar text whose value is a Laurent polynomial, like ``q^2 - 2*q + 3*q^-1``."""
-    x = parse_scalar(text)
-    if not x.is_polynomial():
-        raise ExprSyntaxError(f"not a Laurent polynomial: {text!r}")
-    return x.num

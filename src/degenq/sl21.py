@@ -41,7 +41,6 @@ from .reps import (
     quotient_rep,
     submodule_closure,
     verify_relations,
-    weight_decomposition,
 )
 from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
 

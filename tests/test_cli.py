@@ -128,6 +128,23 @@ def test_verify_single_suite_ybe(capsys):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
+def test_verify_hopf_suites_and_no_cube(capsys):
+    argv = ["verify", "--m", "2", "--n", "1", "--suite", "hopf", "--json"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert {c["suite"] for c in payload["checks"]} == {"hopf-counit", "hopf-antipode", "hopf-s2"}
+    # The suite builds no V^(x)3, so a cap below 27 does not refuse it.
+    assert main(["--max-dim", "8"] + argv) == EXIT_OK
+
+
+def test_verify_intertwiner_runs_tensor_iso_at_r3_only(capsys):
+    code = main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner", "--json"])
+    assert code == EXIT_OK
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert any(name.startswith("r=3:") for name in names)
+    assert not any(name.startswith("r=2:") for name in names)
+
+
 def test_simple_module_json(capsys):
     code = main(
         ["simple-module", "--ell", "1", "--sign1", "-1", "--lambda2", "q^3", "--json"]

@@ -139,13 +139,13 @@ def test_complementary_coordinate_subspaces_intersect_trivially():
     a = Subspace(4, [Vec.unit(4, 0), Vec.unit(4, 1)])
     b = Subspace(4, [Vec.unit(4, 2), Vec.unit(4, 3)])
     assert a.intersect(b).rank == 0
-    assert a.union(b).rank == 4
+    assert Subspace(4, a.basis() + b.basis()).rank == 4
 
 
 def test_sum_of_independent_rank_one_spans():
     a = Subspace(3, [Vec(3, {0: rfi(1), 1: rfq(1)})])
     b = Subspace(3, [Vec(3, {1: rfi(1), 2: rfq(-1)})])
-    u = a.union(b)
+    u = Subspace(3, a.basis() + b.basis())
     assert u.rank == 2
     assert u.contains(Vec(3, {0: rfi(1), 1: rfq(1)}))
 

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from degenq import scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
-from degenq.expr import Gen, cartan, cartan_inv, eval_in_rep, parse_expr
+from degenq.expr import Gen, cartan, cartan_inv, coproduct_terms, eval_in_rep, parse_expr
 from degenq.linalg import SparseMat, Subspace, Vec
 from degenq.relations import k2rho_expr
 from degenq.reps import (
@@ -302,15 +304,62 @@ def test_hopf_axioms_11_and_12():
 
 
 def test_hopf_s2_fails_where_k1_acts_as_k2():
-    # K1 replaced by K2 keeps K1*K1^-1 = 1, and the counit and antipode
-    # identities hold for any generator matrices; S^2 on e2 and f2 then
-    # differs from conjugation by K2rho.
+    # K1 replaced by K2 keeps K1*K1^-1 = 1; the dual module then breaks six
+    # catalog entries, and S^2 on e2 and f2 differs from conjugation by K2rho.
     rep = natural_rep(P21)
     rep.gens[("K", 1)] = rep.gen("K", 2)
     rep.gens[("Kinv", 1)] = rep.gen("Kinv", 2)
     report = check_hopf_axioms(rep)
-    assert len(report.checks) == 43
-    assert [c.name for c in report.failures] == ["S^2 = Ad(K2rho) on e2", "S^2 = Ad(K2rho) on f2"]
+    # 49 catalog entries for the counit, 49 for the antipode, 8 for S^2.
+    assert len(report.checks) == 106
+    assert any(c.suite == "hopf-antipode" for c in report.failures)
+    s2_failures = [c.name for c in report.failures if c.suite == "hopf-s2"]
+    assert s2_failures == ["S^2 = Ad(K2rho) on e2", "S^2 = Ad(K2rho) on f2"]
+
+
+def test_hopf_fails_on_random_signed_monomial_module():
+    # Dense signed monomials for e and f satisfy no relation, so the dual
+    # module fails the catalog and S^2 fails off the Cartan part; the counit
+    # does not read the module.
+    rng = random.Random(7)
+    rep = natural_rep(P21)
+    for a in P21.iprime:
+        for kind in ("e", "f"):
+            rep.gens[(kind, a)] = SparseMat(
+                3,
+                3,
+                {
+                    (i, j): RatFn.integer(rng.choice((1, -1))) * rfq(rng.randint(-2, 2))
+                    for i in range(3)
+                    for j in range(3)
+                },
+            )
+    failed = {c.suite for c in check_hopf_axioms(rep).failures}
+    assert failed == {"hopf-antipode", "hopf-s2"}
+
+
+def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch):
+    from degenq.expr import antipode
+
+    def flipped(x):
+        image = antipode(x)
+        return -image if isinstance(x, Gen) and x.kind == "e" else image
+
+    monkeypatch.setattr("degenq.reps.antipode", flipped)
+    report = check_hopf_axioms(natural_rep(P21))
+    assert any(c.suite == "hopf-antipode" for c in report.failures)
+
+
+def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch):
+    from degenq.expr import _fold_scalar, counit
+
+    def k_to_q(x):
+        return _fold_scalar(x, lambda g: rfq(1) if g.kind == "K" else counit(g))
+
+    monkeypatch.setattr("degenq.reps.counit", k_to_q)
+    report = check_hopf_axioms(natural_rep(P21))
+    assert {c.suite for c in report.failures} == {"hopf-counit"}
+    assert report.failures[0].detail == str(rfq(1) - one)
 
 
 def test_hopf_failure_detail_pins_witness_entry():
@@ -349,6 +398,21 @@ def test_coassociativity_matches_explicit_expansion():
         + k1inv.kron(k1inv).kron(f1)
     )
     assert cube_left.gen("f", 1) == expect
+
+
+@pytest.mark.parametrize("params", [P21, GLParams(1, 2), GLParams(2, 2)], ids=lambda p: f"{p.m}{p.n}")
+def test_tensor_rep_matches_coproduct_terms(params):
+    # The hand-written legs of tensor_rep agree with the expression-level
+    # Delta and Delta' on every atom.
+    rep = natural_rep(params)
+    d = rep.dim
+    for side in ("Delta", "DeltaPrime"):
+        vv = tensor_rep(rep, rep, side)
+        for kind, index in rep.atoms():
+            expect = SparseMat.zero(d * d, d * d)
+            for lhs, rhs in coproduct_terms(Gen(kind, index), side):
+                expect = expect + eval_in_rep(lhs, rep).kron(eval_in_rep(rhs, rep))
+            assert vv.gen(kind, index) == expect, (side, kind, index)
 
 
 def test_k2rho_images():
