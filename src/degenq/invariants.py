@@ -30,16 +30,26 @@ offset q^(L*v) (L letters, v the largest power of q^-1 in a letter), which
 makes every multiplication by a power of q^-1 an exact right shift.  B comes
 from the bound g^L on the 1-norm of a column (g the largest column 1-norm of a
 letter table; proof in :class:`BraidEvaluator`), so the result decodes exactly,
-once, from balanced base-2^B digits.  The Markov trace reads only the diagonal
-of the result, and the one rational step is the final division by dim_q(V)^r.
-The substitution helpers live in :mod:`degenq.scalars`: the offset v that
-makes a Laurent polynomial a polynomial (``_lag``), the value at 2^B
-(``_encode``), the balanced-digit decode (``_decode``) and the width rule
+once, from balanced base-2^B digits.
+
+The braid image keeps every K-weight space of V^(x)r invariant, so it is
+propagated one weight block at a time.  A block is a q-permutation module of
+the Hecke algebra, and rearranging its composition gives an isomorphic module
+(Dipper and James, Proc. LMS 1986; Mitsuhashi, Algebr. Represent. Theory 2006,
+for the super case), so a block's plain trace depends only on its class: the
+sorted multiplicities of its even indices and of its odd ones.  nu(K_2rho) is
+a scalar on each block, so the Markov trace propagates one block per class
+and weights its plain trace by the sum of those scalars over the class.  It
+reads only the diagonal, and the one rational step is the final division by
+dim_q(V)^r.  The substitution helpers live in :mod:`degenq.scalars`: the
+offset v that makes a Laurent polynomial a polynomial (``_lag``), the value at
+2^B (``_encode``), the balanced-digit decode (``_decode``) and the width rule
 (``_digit_bits``).  :func:`degenq.expr.eval_batch` uses the same four.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -54,9 +64,9 @@ from .errors import (
 from .expr import eval_in_rep
 from .homfly_oracle import HomflyOracle
 from .linalg import SparseMat
-from .relations import k2rho_expr
+from .relations import k2rho_expr, k2rho_weights
 from .reports import UNSUPPORTED, VACUOUS, Report
-from .reps import DEFAULT_MAX_DIM, Representation, natural_rep
+from .reps import DEFAULT_MAX_DIM, Representation
 from .rmatrix import build_bundle
 from .scalars import (
     _LP_ONE,
@@ -142,7 +152,7 @@ def partial_qtrace(gamma: SparseMat, params: GLParams) -> SparseMat:
     d = params.size
     if gamma.nrows != d * d or gamma.ncols != d * d:
         raise DimensionMismatch(f"operator is not {d * d}x{d * d}")
-    kd = k2rho_matrix(natural_rep(params))
+    kd = [RatFn.q(e, sign) for sign, e in k2rho_weights(params)]
     out: dict[tuple[int, int], RatFn] = {}
     for (row, col), v in gamma.entries.items():
         i, s = divmod(row, d)
@@ -150,7 +160,7 @@ def partial_qtrace(gamma: SparseMat, params: GLParams) -> SparseMat:
         if s != t:
             continue
         key = (i, j)
-        add = kd[s, s] * v
+        add = kd[s] * v
         acc = out.get(key)
         acc = add if acc is None else acc + add
         if acc:
@@ -167,29 +177,68 @@ def _laurent(x: RatFn, what: str) -> LaurentPoly:
     return x.num
 
 
-def _signed_monomial(x: RatFn, what: str) -> tuple[int, int]:
-    """x = sign * q^e as (sign, e); raises for anything else."""
-    terms = _laurent(x, what).terms
-    if len(terms) != 1 or next(iter(terms.values())) not in (1, -1):
-        raise DegenqError(f"{what} entry {x} is not a signed monomial")
-    ((e, sign),) = terms.items()
-    return sign, e
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of parts nonnegative integers that sum to total."""
+    if parts == 1:
+        return [(total,)]
+    return [(k,) + rest for k in range(total + 1) for rest in _compositions(total - k, parts - 1)]
+
+
+def _weight_class(counts: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The representative of a weight block's class: the multiplicities of the
+    even indices 1..m in decreasing order, then those of the odd ones."""
+    return tuple(sorted(counts[:m], reverse=True)) + tuple(sorted(counts[m:], reverse=True))
+
+
+def _block_members(counts: tuple[int, ...], d: int) -> list[int]:
+    """The indices of V^(x)r, ascending, whose digits (leg 1 the most
+    significant) take each value a exactly counts[a] times."""
+    level = [(0, counts)]
+    for _ in range(sum(counts)):
+        level = [
+            (c * d + a, left[:a] + (left[a] - 1,) + left[a + 1 :])
+            for c, left in level
+            for a in range(d)
+            if left[a]
+        ]
+    return [c for c, _ in level]
 
 
 class BraidEvaluator:
     """The braid image on V^(x)strands for one (params, strands), propagated
-    column by column over the integers at q = 2^B.
+    one weight block at a time, column by column, over the integers at
+    q = 2^B.
 
-    Every entry of Rcheck, Rcheckinv and nu(K_2rho) is a Laurent polynomial, and
-    Rcheck maps v_a (x) v_b into span{v_a (x) v_b, v_b (x) v_a}, so each column
-    of a leg-placed generator has at most two entries.  The table of a letter
-    holds, per column c, the (source column s, coefficient) pairs of c;
-    appending the letter sets column c to the sum of coefficient * (column s).
-    A coefficient-1 column reuses its source dict with no arithmetic.
+    Weight blocks.  Rcheck maps v_a (x) v_b into span{v_a (x) v_b, v_b (x) v_a},
+    so the braid image keeps invariant every K-weight space of V^(x)r: the span
+    of the basis vectors whose indices take each value a a fixed number of
+    times, counts[a], a composition of r over the d indices.  Each block is
+    propagated on its own, and at most one block's columns live at a time.
 
-    The image of a word of L letters is kept as columns {row: int}.  Each int
-    is the value at q = x = 2^B of the true entry times q^(L*v), where -v is
-    the lowest exponent of any letter coefficient (v = 1 for Rcheck and
+    Classes.  A weight block is a q-permutation module of the Hecke algebra,
+    and rearranging the composition gives an isomorphic module (Dipper and
+    James, Proc. LMS 1986; for the super case Mitsuhashi, Algebr. Represent.
+    Theory 2006), as long as even and odd indices keep their parity.  So the
+    plain trace of a word on a block depends only on the sorted
+    multiplicities of the even indices and of the odd ones: its class
+    (``_weight_class``).  nu(K_2rho)^(x)r is the scalar prod_a w_a^counts[a]
+    on a block, w_a = q_a^(ex_a) the signed monomial of index a
+    (``k2rho_weights``), so
+
+        tr(nu(K_2rho)^(x)r M) = sum over classes of (plain trace of M on the
+        representative's block) * (sum of the K_2rho scalars of the members).
+
+    ``trace`` propagates one block per class; ``matrix`` propagates every
+    block, one at a time.
+
+    Columns.  Each column of a leg-placed generator has at most two entries.
+    The table of a letter on a block holds, per column c, the (source column
+    s, coefficient) pairs of c; appending the letter sets column c to the sum
+    of coefficient * (column s).  A coefficient-1 column reuses its source
+    dict with no arithmetic.  Columns are {row: int}, rows and columns
+    numbered by their position in the block.  Each int is the value at
+    q = x = 2^B of the true entry times q^(L*v), L the word length and -v the
+    lowest exponent of any letter coefficient (v = 1 for Rcheck and
     Rcheckinv, whose coefficients are 1, q^+-1, -q^+-1 and +-(q - q^-1)):
 
     * Evaluation at x is a ring homomorphism Z[q] -> Z, so sums and products
@@ -213,11 +262,12 @@ class BraidEvaluator:
       |col| = 1, so every column after L letters has |col| <= g^L.  Each
       K_2rho weight is a signed monomial, so the weighted diagonal sum has
       1-norm at most dim * g^L, and B = bitlen(dim * g^L) + 1 bounds every
-      coefficient that ``trace`` or ``matrix`` decodes.  Intermediate ints
-      need no bound: they are exact.
+      coefficient that ``trace`` or ``matrix`` decodes.  The class-weighted
+      sum is the same Laurent polynomial as the weighted diagonal sum, so the
+      bound covers it too.  Intermediate ints need no bound: they are exact.
 
-    Letter tables are built on first use.  ``trace`` reads only the diagonal
-    entries; ``matrix`` decodes every entry into a SparseMat.
+    ``trace`` reads only the diagonal entries; ``matrix`` decodes every entry
+    into a SparseMat.
     """
 
     def __init__(self, params: GLParams, strands: int, max_dim: int = DEFAULT_MAX_DIM):
@@ -249,54 +299,69 @@ class BraidEvaluator:
             for col in pair_cols
         )
         self._lag = _lag(self._coeffs)
-        self._tables: dict[int, list[list[tuple[int, int]]]] = {}
-        # nu(K_2rho)^(x)strands is diagonal: entry c is the signed monomial
-        # whose sign and exponent are the product and sum over the digits of c.
-        # Exponents are stored raised by self._k, so that none is negative.
-        kd = [
-            _signed_monomial(v, "K_2rho")
-            for v in k2rho_matrix(natural_rep(params)).diagonal_values()
-        ]
-        weights = [(1, 0)]
-        for _ in range(strands):
-            weights = [(s * t, e + f) for s, e in weights for t, f in kd]
-        self._k = max(0, -min(e for _, e in weights))
-        self._weights = [(s, e + self._k) for s, e in weights]
+        # Per letter, the (row offset, coefficient index) pairs of each column
+        # of its two-site operator placed on the letter's legs.
+        self._moves: dict[int, list[list[tuple[int, int]]]] = {}
+        # Per class representative, the sum over the class's weight blocks of
+        # the K_2rho scalar on the block.
+        kd = k2rho_weights(params)
+        terms: dict[tuple[int, ...], dict[int, int]] = {}
+        for counts in _compositions(strands, d):
+            e = sum(f * k for (_, f), k in zip(kd, counts))
+            weight = terms.setdefault(_weight_class(counts, params.m), {})
+            weight[e] = weight.get(e, 0) + math.prod(sign**k for (sign, _), k in zip(kd, counts))
+        self._class_weights = {rep: LaurentPoly(weight) for rep, weight in terms.items()}
+        # Encoded times q^k, so that no weight has a negative exponent.
+        self._k = _lag(self._class_weights.values())
 
-    def _table(self, letter: int) -> list[list[tuple[int, int]]]:
-        """The (source column, coefficient index) pairs of each column of the
-        letter's leg-placed generator."""
-        table = self._tables.get(letter)
-        if table is None:
-            # Legs i and i+1 are adjacent, so their digits (a, b) form one
-            # base-d^2 digit x = a*d + b at place value d^(r-1-i) of the index.
-            d2 = self.params.size ** 2
-            place = self.params.size ** (self.strands - 1 - abs(letter))
-            pair_cols = self._pairs[1 if letter > 0 else -1]
-            moves = [[(y * place, code) for y, code in col] for col in pair_cols]
-            table = []
-            for high in range(0, self.dim, d2 * place):
-                for pairs in moves:
-                    for base in range(high, high + place):
-                        table.append([(base + y, code) for y, code in pairs])
-            self._tables[letter] = table
-        return table
-
-    def _columns(self, word: BraidWord) -> tuple[list[dict[int, int]], int, int]:
-        """(columns, B, offset): each int is the value at q = 2^B of the entry
-        times q^offset."""
+    def _scale(self, word: BraidWord) -> tuple[int, int, list[int]]:
+        """(B, offset, mults) for the word: ints are values at q = 2^B times
+        q^offset, and mults[i] encodes coefficient i times q^v."""
         if word.strands != self.strands:
             raise StrandMismatch(f"word has {word.strands} strands, evaluator {self.strands}")
         length = len(word.letters)
         bits = _digit_bits(self.dim * self._growth**length)
-        offset = length * self._lag
+        return bits, length * self._lag, [_encode(p, bits, self._lag) for p in self._coeffs]
+
+    def _table(
+        self, letter: int, members: list[int], pos: dict[int, int]
+    ) -> list[list[tuple[int, int]]]:
+        """The (source position, coefficient index) pairs of each column of the
+        letter's leg-placed generator on one block."""
+        # Legs i and i+1 are adjacent, so their digits (a, b) form one
+        # base-d^2 digit x = a*d + b at place value d^(r-1-i) of the index.
+        d = self.params.size
+        place = d ** (self.strands - 1 - abs(letter))
+        moves = self._moves.get(letter)
+        if moves is None:
+            pair_cols = self._pairs[1 if letter > 0 else -1]
+            moves = self._moves[letter] = [[(y * place, code) for y, code in col] for col in pair_cols]
+        table = []
+        for c in members:
+            x = c // place % (d * d)
+            base = c - x * place
+            table.append([(pos[base + dy], code) for dy, code in moves[x]])
+        return table
+
+    def _block(
+        self, word: BraidWord, counts: tuple[int, ...], scale: tuple[int, int, list[int]]
+    ) -> tuple[list[int], list[dict[int, int]]]:
+        """(members, columns) of the braid image on the weight block counts:
+        the block's indices in V^(x)r, ascending, and for each its column
+        {row position: int}, in the scale of ``_scale``."""
+        bits, offset, mults = scale
+        members = _block_members(counts, self.params.size)
+        pos = {c: j for j, c in enumerate(members)}
         lag = self._lag * bits
-        mults = [_encode(p, bits, self._lag) for p in self._coeffs]
         one = 1 << (offset * bits)
-        cols = [{c: one} for c in range(self.dim)]
+        cols = [{j: one} for j in range(len(members))]
+        tables: dict[int, list[list[tuple[int, int]]]] = {}
         for letter in word.letters:
+            table = tables.get(letter)
+            if table is None:
+                table = tables[letter] = self._table(letter, members, pos)
             new = []
-            for (s, a), *rest in self._table(letter):
+            for (s, a), *rest in table:
                 src = cols[s]
                 if not a:
                     out = dict(src) if rest else src
@@ -317,33 +382,36 @@ class BraidEvaluator:
                         out[row] = v
                 new.append(out)
             cols = new
-        return cols, bits, offset
+        return members, cols
 
     def matrix(self, word: BraidWord) -> SparseMat:
-        """The braid image as a SparseMat over Q(q)."""
-        cols, bits, offset = self._columns(word)
-        entries = {
-            (row, c): RatFn._raw(_decode(v, bits, -offset), _LP_ONE)  # den 1 is canonical
-            for c, col in enumerate(cols)
-            for row, v in col.items()
-        }
+        """The braid image as a SparseMat over Q(q), assembled block by block."""
+        scale = self._scale(word)
+        bits, offset, _ = scale
+        entries = {}
+        for counts in _compositions(self.strands, self.params.size):
+            members, cols = self._block(word, counts, scale)
+            for c, col in zip(members, cols):
+                for row, v in col.items():
+                    # den 1 is canonical
+                    entries[(members[row], c)] = RatFn._raw(_decode(v, bits, -offset), _LP_ONE)
         return SparseMat(self.dim, self.dim, entries)
 
     def trace(self, word: BraidWord) -> RatFn:
-        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: the diagonal of M
-        weighted by the K_2rho monomials (shifts, raised by q^k so that none
-        is a right shift), decoded once, then one division."""
+        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: per class, the
+        plain trace of the representative's block times the class's K_2rho
+        weight (raised by q^k so that no exponent is negative), summed,
+        decoded once, then one division."""
         params = self.params
         if params.m == params.n:
             raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-        cols, bits, offset = self._columns(word)
+        scale = self._scale(word)
+        bits, offset, _ = scale
         total = 0
-        for c, col in enumerate(cols):
-            v = col.get(c)
-            if v is not None:
-                sign, e = self._weights[c]
-                v <<= e * bits
-                total += v if sign > 0 else -v
+        for rep, weight in self._class_weights.items():
+            _, cols = self._block(word, rep, scale)
+            plain = sum(col.get(j, 0) for j, col in enumerate(cols))
+            total += plain * _encode(weight, bits, self._k)
         dimq = _laurent(quantum_dimension(params), "dim_q(V)")
         return RatFn(_decode(total, bits, -offset - self._k), dimq**self.strands)
 
@@ -456,35 +524,37 @@ def verify_markov(
                 stab_total += 1
                 if base == invariants.invariant(b.stabilized(sign)):
                     stab_ok += 1
-    report.add(
-        "markov",
-        "stabilization invariance of the normalized invariant",
-        stab_ok == stab_total,
-        detail=f"{stab_ok}/{stab_total} exact",
-    )
+    stab_name = "stabilization invariance of the normalized invariant"
+    if stab_total:
+        report.add("markov", stab_name, stab_ok == stab_total, detail=f"{stab_ok}/{stab_total} exact")
+    else:
+        detail = f"max_strands {max_strands} leaves no words to stabilize"
+        report.note("markov", stab_name, VACUOUS, detail)
 
     # Negative control: the raw trace is NOT stabilization invariant.
     control = BraidWord(2, (1, 1))
-    raw_differs = phi(control) != phi(control.stabilized(1))
-    report.add("markov", "negative control: unnormalized trace moves under stabilization", raw_differs)
+    raw, raw_stab = phi(control), phi(control.stabilized(1))
+    name = "negative control: unnormalized trace moves under stabilization"
+    _check(report, "markov", name, raw != raw_stab, ("phi_2(1 1)", raw), ("phi_3(1 1 2)", raw_stab))
 
     # The stated one-letter stabilization factors.
     q = RatFn.q(1)
     mn = params.m - params.n
-    factor_plus = (q**mn) / RatFn(quantum_int(mn))
-    empty2 = BraidWord(2, ())
-    report.add(
-        "markov",
-        "positive stabilization factor q^(m-n)/[m-n]_q",
-        phi(BraidWord(2, (1,))) == factor_plus,
-    )
-    report.add(
-        "markov",
-        "negative stabilization factor q^(n-m)/[m-n]_q",
-        phi(BraidWord(2, (-1,))) == (q ** (-mn)) / RatFn(quantum_int(mn)),
-    )
-    report.add("markov", "empty braid traces to 1", phi(empty2) == RatFn.one())
+    for sign, text in ((1, "q^(m-n)/[m-n]_q"), (-1, "q^(n-m)/[m-n]_q")):
+        got, want = phi(BraidWord(2, (sign,))), q ** (sign * mn) / RatFn(quantum_int(mn))
+        name = f"{'positive' if sign > 0 else 'negative'} stabilization factor {text}"
+        _check(report, "markov", name, got == want, (f"phi_2({sign})", got), (text, want))
+    empty, one = phi(BraidWord(2, ())), RatFn.one()
+    name = "empty braid traces to 1"
+    _check(report, "markov", name, empty == one, ("phi_2()", empty), ("expected", one))
     return report
+
+
+def _check(report: Report, suite: str, name: str, passed: bool, *sides: tuple[str, RatFn]) -> None:
+    """Add an invariant check whose detail, when it fails, is the value of
+    each named side."""
+    detail = "" if passed else "; ".join(f"{side} = {value}" for side, value in sides)
+    report.add(suite, name, passed, detail)
 
 
 def verify_skein(
@@ -513,17 +583,16 @@ def verify_skein(
     i_plus = invariant(BraidWord(word.strands, tuple(plus)))
     i_minus = invariant(BraidWord(word.strands, tuple(minus)))
     i_zero = invariant(BraidWord(word.strands, tuple(zero)))
-    lhs = a * i_plus - a.inv() * i_minus
-    report.add("skein", f"skein at position {pos}", lhs == z * i_zero)
+    lhs, rhs = a * i_plus - a.inv() * i_minus, z * i_zero
+    sides = ("q^(m-n) I(L+) - q^(n-m) I(L-)", lhs), ("(q - q^-1) I(L0)", rhs)
+    _check(report, "skein", f"skein at position {pos}", lhs == rhs, *sides)
     # Deterministic negative control on the trefoil site: swapping the
     # prefactors must break the identity (trefoil and unknot values never
     # cancel at these specializations).
     t_plus = invariant(BraidWord(2, (1, 1, 1)))
     t_minus = invariant(BraidWord(2, (-1, 1, 1)))
     t_zero = invariant(BraidWord(2, (1, 1)))
-    report.add(
-        "skein",
-        "negative control: swapped prefactors fail",
-        a.inv() * t_plus - a * t_minus != z * t_zero,
-    )
+    lhs, rhs = a.inv() * t_plus - a * t_minus, z * t_zero
+    sides = ("q^(n-m) I(1 1 1) - q^(m-n) I(-1 1 1)", lhs), ("(q - q^-1) I(1 1)", rhs)
+    _check(report, "skein", "negative control: swapped prefactors fail", lhs != rhs, *sides)
     return report

@@ -73,29 +73,35 @@ def gamma_monomials(params: GLParams) -> list[Expr]:
     return monomials
 
 
-def k2rho_expr(params: GLParams) -> Expr:
-    """The group-like element implementing the antipode squared by conjugation.
+def _k2rho_exponents(params: GLParams) -> dict[int, int]:
+    """The exponent of K_a in K_2rho, for each index a.
 
-    Exponent of K_a is m-n+1-2a for a <= m and m+n+1-2(a-m) beyond, with an
-    extra factor prod K_a prod K_{m+mu}^-1 when m+n is odd.
+    It is m-n+1-2a for a <= m and m+n+1-2(a-m) beyond, with an extra factor
+    prod K_a prod K_{m+mu}^-1 when m+n is odd.
     """
     m, n = params.m, params.n
-    exps = {}
-    for a in range(1, m + 1):
-        exps[a] = m - n + 1 - 2 * a
+    odd = (m + n) % 2
+    exps = {a: m - n + 1 - 2 * a + odd for a in range(1, m + 1)}
     for mu in range(1, n + 1):
-        exps[m + mu] = m + n + 1 - 2 * mu
-    if (m + n) % 2 == 1:
-        for a in range(1, m + 1):
-            exps[a] += 1
-        for mu in range(1, n + 1):
-            exps[m + mu] -= 1
-    factors = []
-    for b in sorted(exps):
-        ex = exps[b]
-        if ex:
-            factors.append(make_pow(K(b), ex))
+        exps[m + mu] = m + n + 1 - 2 * mu - odd
+    return exps
+
+
+def k2rho_expr(params: GLParams) -> Expr:
+    """The group-like element implementing the antipode squared by conjugation."""
+    exps = _k2rho_exponents(params)
+    factors = [make_pow(K(b), ex) for b, ex in sorted(exps.items()) if ex]
     return make_prod(factors) if factors else one()
+
+
+def k2rho_weights(params: GLParams) -> list[tuple[int, int]]:
+    """K_2rho acts on the basis vector v_a of the natural module by the signed
+    monomial q_a^(ex_a) = sign * q^e; the (sign, e) of each index a in order.
+    q_a is q for a <= m and -q^-1 beyond."""
+    out = []
+    for a, ex in sorted(_k2rho_exponents(params).items()):
+        out.append((1, ex) if a <= params.m else (-1 if ex % 2 else 1, -ex))
+    return out
 
 
 def _commutator(x: Expr, y: Expr) -> Expr:

@@ -17,6 +17,7 @@ from degenq.invariants import (
     BraidEvaluator,
     BraidWord,
     _Invariants,
+    _weight_class,
     braid_rep,
     k2rho_matrix,
     link_invariant,
@@ -30,6 +31,7 @@ from degenq.invariants import (
     verify_skein,
 )
 from degenq.linalg import SparseMat
+from degenq.relations import k2rho_weights
 from degenq.reps import iterated_tensor, natural_rep, tensor_rep
 from degenq.rmatrix import build_bundle, leg_operator
 from degenq.scalars import GLParams, LaurentPoly, RatFn, quantum_int
@@ -67,6 +69,14 @@ def test_braid_word_validation():
 def test_k2rho_image_21():
     rep = natural_rep(P21)
     assert k2rho_matrix(rep) == SparseMat.diagonal([rfq(1), rfq(-1), rfq(-1, -1)])
+
+
+def test_k2rho_weights_are_the_diagonal_of_k2rho_on_the_natural_module():
+    for m in range(1, 6):
+        for n in range(1, 7 - m):
+            params = GLParams(m, n)
+            diagonal = k2rho_matrix(natural_rep(params)).diagonal_values()
+            assert [rfq(e, sign) for sign, e in k2rho_weights(params)] == diagonal, (m, n)
 
 
 def test_quantum_dimension_values():
@@ -337,9 +347,22 @@ def test_markov_trace_equals_quantum_trace_of_generator_product(case):
     assert markov_trace(word, params) == expected
 
 
+_P41, _P14 = GLParams(4, 1), GLParams(1, 4)
+
+# Short words on 6 and 7 strands, where (2, 1) has dimension 729 and 2187.
+_LONG_STRAND_WORDS = params_and_words((P21,), 6, 7, 5)
+
+
 @settings(max_examples=12, deadline=None)
-@given(params_and_words((P31, GLParams(1, 3)), 4, 5, 9))
+@given(params_and_words((P31, GLParams(1, 3), _P41, _P14), 4, 5, 9))
 def test_four_and_five_strand_words_match_oracle(case):
+    params, word = case
+    assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_LONG_STRAND_WORDS)
+def test_six_and_seven_strand_words_match_oracle(case):
     params, word = case
     assert link_invariant(word, params).invariant == oracle_invariant(word, params)
 
@@ -403,13 +426,41 @@ _ALL_PARAMS = _SMALL_PARAMS + (GLParams(3, 2),)
 
 
 @settings(max_examples=40, deadline=None)
-@given(params_and_words(_ALL_PARAMS, 1, 5, 8))
+@given(st.one_of(params_and_words(_ALL_PARAMS + (_P41, _P14), 1, 5, 8), _LONG_STRAND_WORDS))
 @example((P21, BraidWord(1, ())))
 @example((GLParams(1, 3), BraidWord(3, ())))
 @example((GLParams(3, 2), BraidWord(5, (1, -4))))
 def test_markov_trace_equals_laurent_reference(case):
     params, word = case
     assert markov_trace(word, params) == _reference_trace(word, params)
+
+
+def _block_traces(word, params):
+    """The plain trace of the braid image on each weight block, read from the
+    Laurent reference fold: {composition: LaurentPoly}."""
+    d, r = params.size, word.strands
+    out = {}
+    for c, col in enumerate(_reference_columns(word, params)):
+        digits = [c // d ** (r - 1 - i) % d for i in range(r)]
+        counts = tuple(digits.count(a) for a in range(d))
+        out[counts] = out.get(counts, LaurentPoly.zero()) + col.get(c, LaurentPoly.zero())
+    return out
+
+
+# The class lemma on its own: rearranging a weight block's composition within
+# the even and within the odd indices keeps its plain trace.  sigma_1 on
+# 2 strands separates the classes (2,0,0) and (0,0,2) at (2, 1), with traces
+# q and -q^-1, so a key that merges even and odd multiplicities fails here.
+@settings(max_examples=30, deadline=None)
+@given(params_and_words((P21, GLParams(1, 2), P31, GLParams(3, 2), GLParams(2, 3), _P41), 1, 5, 6))
+@example((P21, BraidWord(2, (1,))))
+@example((GLParams(3, 2), BraidWord(4, (1, -2, 3, 2))))
+def test_block_traces_are_equal_within_a_weight_class(case):
+    params, word = case
+    by_class = {}
+    for counts, value in _block_traces(word, params).items():
+        by_class.setdefault(_weight_class(counts, params.m), set()).add(value)
+    assert all(len(values) == 1 for values in by_class.values()), by_class
 
 
 @settings(max_examples=25, deadline=None)
@@ -495,6 +546,27 @@ def test_markov_trace_does_no_full_size_products(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_trace_propagates_one_block_per_class_and_matrix_every_block(monkeypatch):
+    sizes = []
+    block = BraidEvaluator._block
+
+    def counting_block(self, word, counts, scale):
+        members, cols = block(self, word, counts, scale)
+        sizes.append(len(members))
+        return members, cols
+
+    monkeypatch.setattr(BraidEvaluator, "_block", counting_block)
+    params = GLParams(3, 2)
+    word = BraidWord(5, (1, -2, 3, -4, 2))
+    assert markov_trace(word, params) == _reference_trace(word, params)
+    # 25 classes of weight blocks on (3, 2, 5), 672 of the 3,125 columns.
+    assert (len(sizes), sum(sizes)) == (25, 672)
+    sizes.clear()
+    braid_rep(word, params)
+    # All 126 blocks, one at a time; the largest, (1,1,1,1,1), has 5! columns.
+    assert (len(sizes), sum(sizes), max(sizes)) == (126, 3125, 120)
+
+
 def test_braid_evaluator_rejects_rational_entries(monkeypatch):
     import degenq.invariants as invariants
 
@@ -517,6 +589,13 @@ def test_verify_markov_21():
 def test_verify_markov_31():
     report = verify_markov(P31, samples=6, max_strands=3)
     assert report.all_passed, [c.name for c in report.failures]
+
+
+def test_verify_markov_on_two_strands_has_no_stabilization_to_check():
+    # Stabilization goes from r to r + 1 strands with r >= 2, so B_2 gives no pairs.
+    checks = {c.name: c for c in verify_markov(P21, samples=3, max_strands=2).checks}
+    stab = checks["stabilization invariance of the normalized invariant"]
+    assert (stab.status, stab.detail) == ("vacuous", "max_strands 2 leaves no words to stabilize")
 
 
 def test_verify_markov_rejects_a_negative_sample_count():
@@ -549,6 +628,44 @@ def test_suite_invariant_matches_link_invariant():
             word = random_word(rng, r)
             expected = link_invariant(word, params).invariant
             assert _Invariants(params, 20000).invariant(word) == expected
+
+
+def test_invariant_checks_print_both_values_when_they_fail(monkeypatch):
+    q = rfq(1)
+    monkeypatch.setattr(_Invariants, "phi", lambda self, word: q)
+    details = {c.name: (c.status, c.detail) for c in verify_markov(P31, samples=1).checks}
+    assert details == {
+        "conjugation invariance on 1 random pairs in B_3": ("pass", "1/1 exact"),
+        "stabilization invariance of the normalized invariant": ("fail", "0/2 exact"),
+        "negative control: unnormalized trace moves under stabilization": (
+            "fail",
+            "phi_2(1 1) = q; phi_3(1 1 2) = q",
+        ),
+        "positive stabilization factor q^(m-n)/[m-n]_q": (
+            "fail",
+            "phi_2(1) = q; q^(m-n)/[m-n]_q = (q^3)/(q^2 + 1)",
+        ),
+        "negative stabilization factor q^(n-m)/[m-n]_q": (
+            "fail",
+            "phi_2(-1) = q; q^(n-m)/[m-n]_q = (q^-1)/(q^2 + 1)",
+        ),
+        "empty braid traces to 1": ("fail", "phi_2() = q; expected = 1"),
+    }
+    trefoil = BraidWord(2, (1, 1, 1))
+    for value, skein, control in (
+        (RatFn.one(), "q^(m-n) I(L+) - q^(n-m) I(L-) = q^2 - q^-2; (q - q^-1) I(L0) = q - q^-1", ""),
+        (RatFn.zero(), "", "q^(n-m) I(1 1 1) - q^(m-n) I(-1 1 1) = 0; (q - q^-1) I(1 1) = 0"),
+    ):
+        monkeypatch.setattr(_Invariants, "invariant", lambda self, word: value)
+        report = verify_skein(P31, trefoil, 0)
+        assert [c.detail for c in report.checks] == [skein, control]
+
+
+def test_passing_invariant_checks_have_no_value_detail():
+    report = verify_markov(P21, samples=2)
+    report.extend(verify_skein(P31, BraidWord(3, (1, -2, 1)), 1))
+    assert report.all_passed
+    assert all(c.detail == "" or c.detail.endswith(" exact") for c in report.checks)
 
 
 def test_verify_markov_equal_mn_unsupported():
