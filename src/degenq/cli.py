@@ -18,6 +18,7 @@ the ``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -167,12 +168,9 @@ def run_verify(
         if params.size**3 <= max_dim:
             report.extend(verify_tensor_iso(params, 3, max_dim))
     if "invariant" in suites:
-        if params.m == params.n:
-            report.note(
-                "markov", "all", UNSUPPORTED, "m = n has vanishing quantum dimension"
-            )
-        else:
-            report.extend(verify_markov(params, samples=samples, max_dim=max_dim))
+        # At m = n verify_markov reports the suite unsupported; no skein site is drawn.
+        report.extend(verify_markov(params, samples=samples, max_dim=max_dim))
+        if params.m != params.n:
             rng = random.Random(424)
             for _ in range(max(1, samples // 2)):
                 word = random_word(rng, 3, 2, 4)
@@ -214,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--braid", required=True, help="whitespace-separated nonzero integers")
     p_inv.add_argument("--strands", type=int, default=None)
     p_inv.add_argument("--json", action="store_true")
+    p_inv.set_defaults(handler=_cmd_invariant)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     _add_mn(p_ver)
@@ -221,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_ver.add_argument("--samples", type=int, default=10)
     p_ver.add_argument("--json", action="store_true")
+    p_ver.set_defaults(handler=_cmd_verify)
 
     p_mod = sub.add_parser("simple-module", help="build a rank-(2,1) simple module")
     p_mod.add_argument("--ell", type=int, required=True)
@@ -228,10 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--lambda2", required=True, help="scalar text, e.g. 'q^3' or '-1'")
     p_mod.add_argument("--matrices", action="store_true", help="include action matrices")
     p_mod.add_argument("--json", action="store_true")
+    p_mod.set_defaults(handler=_cmd_simple_module)
 
     p_dec = sub.add_parser("decompose", help="braid-form spectral report on V (x) V")
     _add_mn(p_dec)
     p_dec.add_argument("--json", action="store_true")
+    p_dec.set_defaults(handler=_cmd_decompose)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression in a representation")
     _add_mn(p_eval)
@@ -242,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="natural, dual, or tensor<k> (e.g. tensor2, tensor3)",
     )
     p_eval.add_argument("--json", action="store_true")
+    p_eval.set_defaults(handler=_cmd_eval)
     return parser
 
 
@@ -397,18 +400,16 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "invariant": _cmd_invariant,
-        "verify": _cmd_verify,
-        "simple-module": _cmd_simple_module,
-        "decompose": _cmd_decompose,
-        "eval": _cmd_eval,
-    }
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except EqualMNUnsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

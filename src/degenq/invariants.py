@@ -49,6 +49,7 @@ offset v that makes a Laurent polynomial a polynomial (``_lag``), the value at
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -268,17 +269,18 @@ class BraidEvaluator:
 
     ``trace`` reads only the diagonal entries; ``matrix`` decodes every entry
     into a SparseMat.
+
+    Memo.  The set-up depends only on (params, strands), so ``markov_trace``,
+    ``braid_rep`` and the Markov and skein suites share one evaluator per
+    (params, strands) for the process's life: an ``lru_cache`` of fixed size,
+    with no option.  They check the dimension cap on every call, before the
+    lookup; the class checks none.  A one-shot CLI process gains nothing.
     """
 
-    def __init__(self, params: GLParams, strands: int, max_dim: int = DEFAULT_MAX_DIM):
-        dim = params.size**strands
-        if dim > max_dim:
-            raise ResourceLimit(
-                f"dimension {params.size}^{strands} = {dim} exceeds cap {max_dim}"
-            )
+    def __init__(self, params: GLParams, strands: int):
         self.params = params
         self.strands = strands
-        self.dim = dim
+        self.dim = params.size**strands
         bundle = build_bundle(params)
         d = params.size
         # A coefficient is stored as its index into self._coeffs; index 0 is 1.
@@ -416,18 +418,31 @@ class BraidEvaluator:
         return RatFn(_decode(total, bits, -offset - self._k), dimq**self.strands)
 
 
+EVALUATOR_MEMO_SIZE = 32  # every (m, n, strands) of the benchmark ladder and verify grid
+_evaluators = functools.lru_cache(maxsize=EVALUATOR_MEMO_SIZE)(BraidEvaluator)
+
+
+def _evaluator(params: GLParams, strands: int, max_dim: int) -> BraidEvaluator:
+    """The memo's evaluator for (params, strands), once the space passes the cap."""
+    dim = params.size**strands
+    if dim > max_dim:
+        raise ResourceLimit(f"dimension {params.size}^{strands} = {dim} exceeds cap {max_dim}")
+    return _evaluators(params, strands)
+
+
 def braid_rep(word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
     """The image of a braid word on V^(x)strands."""
-    return BraidEvaluator(params, word.strands, max_dim).matrix(word)
+    return _evaluator(params, word.strands, max_dim).matrix(word)
 
 
 def markov_trace(
     word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM
 ) -> RatFn:
-    """The normalized quantum trace of the braid image; needs m != n."""
+    """The normalized quantum trace of the braid image; needs m != n.  The
+    evaluator comes from the per-process memo, which has no option."""
     if params.m == params.n:
         raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-    return BraidEvaluator(params, word.strands, max_dim).trace(word)
+    return _evaluator(params, word.strands, max_dim).trace(word)
 
 
 def link_invariant(
@@ -444,26 +459,6 @@ def _normalize(phi: RatFn, word: BraidWord, params: GLParams) -> RatFn:
     """I(b) = q^{-(m-n) e(b)} [m-n]_q^{r-1} phi_r(b), from the Markov trace phi_r(b)."""
     mn = params.m - params.n
     return RatFn.q(-mn * word.writhe) * RatFn(quantum_int(mn)) ** (word.strands - 1) * phi
-
-
-class _Invariants:
-    """phi and I of words of any strand count, with one BraidEvaluator per
-    strand count for the life of a verification suite."""
-
-    def __init__(self, params: GLParams, max_dim: int):
-        self.params = params
-        self.max_dim = max_dim
-        self._evaluators: dict[int, BraidEvaluator] = {}
-
-    def phi(self, word: BraidWord) -> RatFn:
-        ev = self._evaluators.get(word.strands)
-        if ev is None:
-            ev = BraidEvaluator(self.params, word.strands, self.max_dim)
-            self._evaluators[word.strands] = ev
-        return ev.trace(word)
-
-    def invariant(self, word: BraidWord) -> RatFn:
-        return _normalize(self.phi(word), word, self.params)
 
 
 def oracle_invariant(word: BraidWord, params: GLParams) -> RatFn:
@@ -499,8 +494,8 @@ def verify_markov(
         report.note("markov", "all", UNSUPPORTED, "m = n has vanishing quantum dimension")
         return report
     rng = random.Random(seed)
-    invariants = _Invariants(params, max_dim)
-    phi = invariants.phi
+    phi = functools.partial(markov_trace, params=params, max_dim=max_dim)
+    link = functools.partial(link_invariant, params=params, max_dim=max_dim)
 
     conj_ok = 0
     for _ in range(samples):
@@ -519,10 +514,10 @@ def verify_markov(
     for r in range(2, max_strands):
         for _ in range(max(1, samples // 2)):
             b = random_word(rng, r)
-            base = invariants.invariant(b)
+            base = link(b).invariant
             for sign in (1, -1):
                 stab_total += 1
-                if base == invariants.invariant(b.stabilized(sign)):
+                if base == link(b.stabilized(sign)).invariant:
                     stab_ok += 1
     stab_name = "stabilization invariance of the normalized invariant"
     if stab_total:
@@ -579,19 +574,19 @@ def verify_skein(
     mn = params.m - params.n
     a = RatFn.q(mn)
     z = RatFn.q(1) - RatFn.q(-1)
-    invariant = _Invariants(params, max_dim).invariant
-    i_plus = invariant(BraidWord(word.strands, tuple(plus)))
-    i_minus = invariant(BraidWord(word.strands, tuple(minus)))
-    i_zero = invariant(BraidWord(word.strands, tuple(zero)))
+    link = functools.partial(link_invariant, params=params, max_dim=max_dim)
+    i_plus = link(BraidWord(word.strands, tuple(plus))).invariant
+    i_minus = link(BraidWord(word.strands, tuple(minus))).invariant
+    i_zero = link(BraidWord(word.strands, tuple(zero))).invariant
     lhs, rhs = a * i_plus - a.inv() * i_minus, z * i_zero
     sides = ("q^(m-n) I(L+) - q^(n-m) I(L-)", lhs), ("(q - q^-1) I(L0)", rhs)
     _check(report, "skein", f"skein at position {pos}", lhs == rhs, *sides)
     # Deterministic negative control on the trefoil site: swapping the
     # prefactors must break the identity (trefoil and unknot values never
     # cancel at these specializations).
-    t_plus = invariant(BraidWord(2, (1, 1, 1)))
-    t_minus = invariant(BraidWord(2, (-1, 1, 1)))
-    t_zero = invariant(BraidWord(2, (1, 1)))
+    t_plus = link(BraidWord(2, (1, 1, 1))).invariant
+    t_minus = link(BraidWord(2, (-1, 1, 1))).invariant
+    t_zero = link(BraidWord(2, (1, 1))).invariant
     lhs, rhs = a.inv() * t_plus - a * t_minus, z * t_zero
     sides = ("q^(n-m) I(1 1 1) - q^(m-n) I(-1 1 1)", lhs), ("(q - q^-1) I(1 1)", rhs)
     _check(report, "skein", "negative control: swapped prefactors fail", lhs != rhs, *sides)

@@ -271,9 +271,9 @@ def check_hopf_axioms(rep: Representation) -> Report:
     """The counit and the antipode against every defining relation, and the
     inner form of the antipode squared.
 
-    * hopf-counit: eps(rel) = 0 as a scalar, one check per catalog entry;
-    * hopf-antipode: rho(S(rel)) = 0, that is, the dual module satisfies the
-      catalog;
+    * hopf-counit: eps(rel) = 0 per catalog entry, ``expr.counit`` against the
+      catalog alone: it reads no matrix of the module;
+    * hopf-antipode: rho(S(rel)) = 0: the dual module satisfies the catalog;
     * hopf-s2: S^2 = Ad(K_2rho) on the generators, as matrix identities.
 
     The coproduct is checked by the relation suite on tensor powers.

@@ -27,6 +27,7 @@ from .reports import Report
 from .reps import (
     DEFAULT_MAX_DIM,
     Representation,
+    _witness,
     iterated_tensor,
     natural_rep,
     submodule_closure,
@@ -167,10 +168,16 @@ def antisymmetric_type_dim(params: GLParams) -> int:
     return m * (m - 1) // 2 + m * n + n * (n + 1) // 2
 
 
-def _braids(mat: SparseMat, d: int) -> bool:
-    """R_12 R_13 R_23 = R_23 R_13 R_12 on V^(x)3 for R = mat."""
+def _add_identity(report: Report, suite: str, name: str, lhs: SparseMat, rhs: SparseMat) -> None:
+    """Add the check lhs == rhs, with the witness of lhs - rhs as detail when it fails."""
+    ok = lhs == rhs
+    report.add(suite, name, ok, "" if ok else _witness(lhs - rhs))
+
+
+def _braid_sides(mat: SparseMat, d: int) -> tuple[SparseMat, SparseMat]:
+    """R_12 R_13 R_23 and R_23 R_13 R_12 on V^(x)3 for R = mat."""
     r12, r13, r23 = (leg_operator(mat, i, j, 3, d) for i, j in ((1, 2), (1, 3), (2, 3)))
-    return r12 * r13 * r23 == r23 * r13 * r12
+    return r12 * r13 * r23, r23 * r13 * r12
 
 
 def verify_ybe(bundle: RMatrixBundle) -> Report:
@@ -179,10 +186,10 @@ def verify_ybe(bundle: RMatrixBundle) -> Report:
     report = Report()
     d = bundle.params.size
     for name, mat in (("R", bundle.R), ("T", bundle.T)):
-        report.add("ybe", f"{name} braids exactly", _braids(mat, d))
-    report.add("ybe", "R invertible", bundle.R * bundle.Rinv == SparseMat.identity(d * d))
-    fails = not _braids(perturbed_r(bundle.params), d)
-    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", fails)
+        _add_identity(report, "ybe", f"{name} braids exactly", *_braid_sides(mat, d))
+    _add_identity(report, "ybe", "R invertible", bundle.R * bundle.Rinv, SparseMat.identity(d * d))
+    lhs, rhs = _braid_sides(perturbed_r(bundle.params), d)
+    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", lhs != rhs)
     return report
 
 
@@ -203,13 +210,13 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
     ident = SparseMat.identity(d * d)
     q = RatFn.q(1)
     hecke = (rc - ident.scale(q)) * (rc + ident.scale(q.inv()))
-    report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero())
+    report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero(), _witness(hecke))
 
     proj_s, proj_a = _projectors(rc)
-    report.add("hecke", "P_s idempotent", proj_s * proj_s == proj_s)
-    report.add("hecke", "P_a idempotent", proj_a * proj_a == proj_a)
-    report.add("hecke", "P_s P_a = 0", (proj_s * proj_a).is_zero())
-    report.add("hecke", "P_s + P_a = 1", proj_s + proj_a == ident)
+    _add_identity(report, "hecke", "P_s idempotent", proj_s * proj_s, proj_s)
+    _add_identity(report, "hecke", "P_a idempotent", proj_a * proj_a, proj_a)
+    _add_identity(report, "hecke", "P_s P_a = 0", proj_s * proj_a, SparseMat(d * d, d * d))
+    _add_identity(report, "hecke", "P_s + P_a = 1", proj_s + proj_a, ident)
 
     dim_s, dim_a = symmetric_type_dim(params), antisymmetric_type_dim(params)
     report.add(
@@ -250,12 +257,10 @@ def verify_intertwiner(bundle: RMatrixBundle, rep: Representation | None = None)
         name = f"{g.kind}{g.index}"
         delta_mat = vv_delta.gen(g.kind, g.index)
         prime_mat = vv_prime.gen(g.kind, g.index)
-        report.add("intertwiner", f"R Delta({name}) = Delta'({name}) R", bundle.R * delta_mat == prime_mat * bundle.R)
-        report.add(
-            "intertwiner",
-            f"[Rcheck, Delta({name})] = 0",
-            bundle.Rcheck * delta_mat == delta_mat * bundle.Rcheck,
-        )
+        lhs, rhs = bundle.R * delta_mat, prime_mat * bundle.R
+        _add_identity(report, "intertwiner", f"R Delta({name}) = Delta'({name}) R", lhs, rhs)
+        lhs, rhs = bundle.Rcheck * delta_mat, delta_mat * bundle.Rcheck
+        _add_identity(report, "intertwiner", f"[Rcheck, Delta({name})] = 0", lhs, rhs)
     return report
 
 
@@ -300,15 +305,14 @@ def verify_tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) 
     rep = natural_rep(params)
     iso = tensor_iso(params, r, max_dim)
     iso_inv = tensor_iso_inverse(params, r, max_dim)
-    d = params.size
-    report.add("tensor-iso", f"r={r}: invertible", iso * iso_inv == SparseMat.identity(d**r))
+    _add_identity(report, "tensor-iso", f"r={r}: invertible", iso * iso_inv, SparseMat.identity(iso.nrows))
     power_delta = iterated_tensor(rep, r, "Delta", max_dim)
     power_prime = iterated_tensor(rep, r, "DeltaPrime", max_dim)
     for g in rep.generator_atoms():
         name = f"{g.kind}{g.index}"
         lhs = iso * power_delta.gen(g.kind, g.index)
         rhs = power_prime.gen(g.kind, g.index) * iso
-        report.add("tensor-iso", f"r={r}: intertwines {name}", lhs == rhs)
+        _add_identity(report, "tensor-iso", f"r={r}: intertwines {name}", lhs, rhs)
     return report
 
 

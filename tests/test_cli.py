@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from degenq import cli
 from degenq.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -96,6 +97,64 @@ def test_invariant_resource_exit_3(capsys):
         ["--max-dim", "10", "invariant", "--m", "2", "--n", "1", "--braid", "1 2 1"]
     )
     assert code == EXIT_RESOURCE
+
+
+def test_invariant_cap_is_checked_on_a_memo_hit(capsys):
+    # The first run leaves (2, 1, 5) in the evaluator memo; the capped run
+    # must still be refused.
+    argv = ["invariant", "--m", "2", "--n", "1", "--braid", "1 2 3 4", "--json"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(["--max-dim", "100"] + argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: dimension 3^5 = 243 exceeds cap 100\n"
+
+
+def test_repeated_main_builds_the_parser_once(monkeypatch, capsys):
+    # Good jobs, an argparse error, bad input and a resource refusal, twice in
+    # one process: the second pass prints and returns exactly what the first did.
+    monkeypatch.delenv("DEGENQ_MAX_DIM", raising=False)
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    argvs = [
+        ["invariant", "--m", "2", "--n", "1", "--braid", "1 -2 1 2", "--json"],
+        ["invariant", "--m", "1", "--n", "2", "--braid", "1 1 1"],
+        ["verify", "--m", "2", "--n", "1", "--suite", "invariant", "--samples", "2", "--json"],
+        ["verify", "--m", "1", "--n", "2", "--suite", "hecke"],
+        ["simple-module", "--ell", "1", "--lambda2", "q^2", "--json"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1*f1 - f1*e1", "--json"],
+        ["invariant", "--m", "2", "--n", "1"],
+        ["verify", "--m", "2", "--n", "1", "--suite", "nope"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1 +", "--json"],
+        ["--max-dim", "100", "invariant", "--m", "2", "--n", "1", "--braid", "1 2 3 4"],
+        ["invariant", "--m", "2", "--n", "2", "--braid", "1"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    first = run_all()
+    assert run_all() == first
+    assert len(builds) == 1
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 0, 0, 0, 0, ("exit", 2), ("exit", 2), 1, 3, 2]
+    assert first[8][2].startswith("error: ") and first[9][2].startswith("resource limit: ")
 
 
 def test_invariant_determinism(capsys):

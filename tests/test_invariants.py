@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenq import scalars
+from degenq import invariants, scalars
 from degenq.errors import (
     DegenqError,
     EqualMNUnsupported,
@@ -16,7 +16,6 @@ from degenq.errors import (
 from degenq.invariants import (
     BraidEvaluator,
     BraidWord,
-    _Invariants,
     _weight_class,
     braid_rep,
     k2rho_matrix,
@@ -539,6 +538,8 @@ def test_markov_trace_does_no_full_size_products(monkeypatch):
     long = BraidWord(4, (1, -2, 3, 2, -1, -3, 2, 1, 3, -2, -1, 3))
     counts = []
     for word in (short, long):
+        # Both traces pay the evaluator set-up, as neither finds it in the memo.
+        invariants._evaluators.cache_clear()
         canonical_calls[0] = 0
         markov_trace(word, P31)
         counts.append(canonical_calls[0])
@@ -568,8 +569,6 @@ def test_trace_propagates_one_block_per_class_and_matrix_every_block(monkeypatch
 
 
 def test_braid_evaluator_rejects_rational_entries(monkeypatch):
-    import degenq.invariants as invariants
-
     bundle = build_bundle(P21)
     half = RatFn.one() / RatFn.integer(2)
     bad = dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(half))
@@ -609,30 +608,52 @@ def test_invariant_suites_build_one_evaluator_per_strand_count(monkeypatch):
     strands = []
     init = BraidEvaluator.__init__
 
-    def counting_init(self, params, r, max_dim=20000):
+    def counting_init(self, params, r):
         strands.append(r)
-        init(self, params, r, max_dim)
+        init(self, params, r)
 
     monkeypatch.setattr(BraidEvaluator, "__init__", counting_init)
+    invariants._evaluators.cache_clear()
     assert verify_markov(P21, samples=4, max_strands=3).all_passed
-    assert sorted(strands) == [2, 3]
-    strands.clear()
     assert verify_skein(P21, BraidWord(3, (1, -2, 1)), 1).all_passed
+    # The skein suite reuses both of the Markov suite's evaluators.
     assert sorted(strands) == [2, 3]
+
+
+def test_evaluator_memo_is_keyed_on_params_and_strands():
+    invariants._evaluators.cache_clear()
+    for params in (P21, GLParams(1, 2), P31):
+        for r in (2, 3, 2):
+            assert invariants._evaluator(params, r, 20000) is invariants._evaluators(params, r)
+    info = invariants._evaluators.cache_info()
+    assert (info.misses, info.currsize) == (6, 6)
+
+
+def test_memo_hit_still_checks_the_dimension_cap():
+    word = BraidWord(5, (1, 2, 3, 4))
+    markov_trace(word, P21)
+    with pytest.raises(ResourceLimit, match="exceeds cap 100"):
+        markov_trace(word, P21, max_dim=100)
+    with pytest.raises(ResourceLimit, match="exceeds cap 100"):
+        braid_rep(word, P21, max_dim=100)
 
 
 def test_suite_invariant_matches_link_invariant():
+    # The suites compute phi and I through the memo; the memo's values agree
+    # with a fresh evaluator's.
     rng = random.Random(5)
     for params in (P21, GLParams(1, 2), P31):
         for r in (2, 3):
             word = random_word(rng, r)
-            expected = link_invariant(word, params).invariant
-            assert _Invariants(params, 20000).invariant(word) == expected
+            fresh = BraidEvaluator(params, r).trace(word)
+            assert markov_trace(word, params) == fresh
+            expected = invariants._normalize(fresh, word, params)
+            assert link_invariant(word, params).invariant == expected
 
 
 def test_invariant_checks_print_both_values_when_they_fail(monkeypatch):
     q = rfq(1)
-    monkeypatch.setattr(_Invariants, "phi", lambda self, word: q)
+    monkeypatch.setattr(invariants, "markov_trace", lambda word, params, max_dim=None: q)
     details = {c.name: (c.status, c.detail) for c in verify_markov(P31, samples=1).checks}
     assert details == {
         "conjugation invariance on 1 random pairs in B_3": ("pass", "1/1 exact"),
@@ -656,7 +677,7 @@ def test_invariant_checks_print_both_values_when_they_fail(monkeypatch):
         (RatFn.one(), "q^(m-n) I(L+) - q^(n-m) I(L-) = q^2 - q^-2; (q - q^-1) I(L0) = q - q^-1", ""),
         (RatFn.zero(), "", "q^(n-m) I(1 1 1) - q^(m-n) I(-1 1 1) = 0; (q - q^-1) I(1 1) = 0"),
     ):
-        monkeypatch.setattr(_Invariants, "invariant", lambda self, word: value)
+        monkeypatch.setattr(invariants, "_normalize", lambda phi, word, params: value)
         report = verify_skein(P31, trefoil, 0)
         assert [c.detail for c in report.checks] == [skein, control]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from degenq.errors import ResourceLimit
@@ -8,6 +10,7 @@ from degenq.rmatrix import (
     eigenspace_closures_match,
     leg_operator,
     leg_operator_by_conjugation,
+    perturbed_r,
     symmetric_type_dim,
     tensor_iso,
     tensor_iso_inverse,
@@ -62,6 +65,27 @@ def test_leg_operator_matches_conjugation_construction():
 def test_ybe_suite(params):
     report = verify_ybe(build_bundle(params))
     assert report.all_passed, [c.name for c in report.failures]
+
+
+def test_failed_identities_print_a_witness():
+    # R with its degenerate diagonal spoiled: each failed identity names the
+    # nnz of lhs - rhs and its first nonzero entry; passing checks stay bare.
+    bundle = build_bundle(P21)
+    spoiled = dataclasses.replace(bundle, R=perturbed_r(P21))
+    report = verify_ybe(spoiled)
+    report.extend(verify_intertwiner(spoiled))
+    failed = {c.name: c.detail for c in report.failures}
+    assert failed == {
+        "R braids exactly": "2 nonzero entries; entry (8, 24) = 2*q - 4*q^-1 + 2*q^-3",
+        "R invertible": "1 nonzero entries; entry (8, 8) = -2",
+        "R Delta(e2) = Delta'(e2) R": "2 nonzero entries; entry (5, 8) = -2*q^-1",
+        "R Delta(f2) = Delta'(f2) R": "2 nonzero entries; entry (8, 5) = 2*q^-1",
+    }
+    assert all(c.detail == "" for c in report.checks if c.ok)
+    hecke = verify_hecke_and_spectrum(dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(rfq(1))))
+    failed = {c.name: c.detail for c in hecke.failures}
+    assert failed["(Rcheck - q)(Rcheck + q^-1) = 0"] == "15 nonzero entries; entry (0, 0) = q^4 - q^3 + q - 1"
+    assert failed["P_s P_a = 0"].startswith("15 nonzero entries; entry (0, 0) = ")
 
 
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
