@@ -407,7 +407,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage and "error:" line and exits 2 on bad
+        # input; 2 is reserved for unsupported requests.  --help exits 0.
+        if exc.code == 2:
+            return EXIT_FAIL
+        raise
     try:
         return args.handler(args)
     except EqualMNUnsupported as exc:

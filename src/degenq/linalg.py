@@ -61,9 +61,6 @@ class SparseMat:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def nnz(self) -> int:
-        return len(self.entries)
-
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j) in self.entries)
 
@@ -190,8 +187,12 @@ class SparseMat:
             out[i][j] = v
         return out
 
-    def column(self, j: int) -> Vec:
-        return Vec(self.nrows, {i: v for (i, jj), v in self.entries.items() if jj == j})
+    def columns(self) -> list[dict[int, RatFn]]:
+        """Column j as {row: value}, for every j: the image of the j-th unit vector."""
+        out: list[dict[int, RatFn]] = [dict() for _ in range(self.ncols)]
+        for (i, j), v in self.entries.items():
+            out[j][i] = v
+        return out
 
     def rank(self) -> int:
         ech, pivots = echelon_rows(self.rows(), self.ncols)

@@ -165,8 +165,9 @@ def iterated_tensor(
     return out
 
 
-def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[Vec]]]:
-    """Simultaneous K eigenspaces; requires diagonal K matrices in the working basis."""
+def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
+    """The coordinates spanning each simultaneous K eigenspace, in order of their
+    first coordinate; requires diagonal K matrices in the working basis."""
     diags = []
     for b in rep.params.index_set:
         mat = rep.gen("K", b)
@@ -175,49 +176,70 @@ def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[Vec]]]:
         diags.append(mat.diagonal_values())
     buckets: dict[tuple[RatFn, ...], list[int]] = {}
     for i in range(rep.dim):
-        key = tuple(d[i] for d in diags)
-        buckets.setdefault(key, []).append(i)
-    out = []
-    for key in sorted(buckets, key=lambda k: buckets[k][0]):
-        out.append((Weight(key), [Vec.unit(rep.dim, i) for i in buckets[key]]))
-    return out
+        buckets.setdefault(tuple(d[i] for d in diags), []).append(i)
+    return [(Weight(key), indices) for key, indices in buckets.items()]
+
+
+def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[Vec]]]:
+    """Simultaneous K eigenspaces; requires diagonal K matrices in the working basis."""
+    return [
+        (weight, [Vec.unit(rep.dim, i) for i in indices])
+        for weight, indices in _weight_spaces(rep)
+    ]
 
 
 def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, Vec]]:
-    """A weight basis of the joint kernel of all raising generators."""
-    raising = [rep.gen("e", a) for a in rep.params.iprime]
+    """A weight basis of the joint kernel of all raising generators, found one
+    K-weight space at a time; requires diagonal K matrices.
+
+    The e_a images of a weight space's basis are columns of the e_a matrices.
+    A one-dimensional weight space is singular exactly when all of its columns
+    are empty; a larger one contributes the null space of its stacked columns.
+    """
+    raising = [rep.gen("e", a).columns() for a in rep.params.iprime]
     found: list[tuple[Weight, Vec]] = []
-    for weight, basis in weight_decomposition(rep):
-        cols = {t: v for t, v in enumerate(basis)}
-        # Stack the images of the weight basis under every e_a.
+    for weight, indices in _weight_spaces(rep):
+        if len(indices) == 1:
+            if not any(cols[indices[0]] for cols in raising):
+                found.append((weight, Vec.unit(rep.dim, indices[0])))
+            continue
         entries: dict[tuple[int, int], RatFn] = {}
-        row_block = 0
-        for mat in raising:
-            for t, v in cols.items():
-                image = mat.apply(v)
-                for i, val in image.entries.items():
-                    entries[(row_block + i, t)] = val
-            row_block += rep.dim
-        stacked = SparseMat(row_block, len(basis), entries)
+        for block, cols in enumerate(raising):
+            for t, j in enumerate(indices):
+                for i, val in cols[j].items():
+                    entries[(block * rep.dim + i, t)] = val
+        stacked = SparseMat(len(raising) * rep.dim, len(indices), entries)
         for combo in nullspace(stacked):
-            v = Vec(rep.dim)
-            for t, c in combo.entries.items():
-                v = v + basis[t].scale(c)
+            v = Vec(rep.dim, {indices[t]: c for t, c in combo.entries.items()})
             found.append((weight, v))
     return found
 
 
 def submodule_closure(rep: Representation, seeds: list[Vec]) -> Subspace:
-    """Smallest subspace containing the seeds and closed under every generator."""
+    """Smallest subspace containing the seeds and closed under every generator;
+    requires diagonal K matrices.
+
+    The search runs on weight vectors.  A submodule holds the K-weight
+    components of each of its vectors, so the seeds are split into theirs.
+    The K_b^{+-1} scale a weight vector, so a span of weight vectors needs
+    closing under e_a and f_a only.  The result is the reduced echelon basis
+    of the span, which depends on the span alone.
+    """
     for s in seeds:
         if s.dim != rep.dim:
             raise DimensionMismatch(f"seed dim {s.dim} in module of dim {rep.dim}")
+    space_of = {i: t for t, (_, indices) in enumerate(_weight_spaces(rep)) for i in indices}
     space = Subspace(rep.dim, [])
     frontier = []
     for s in seeds:
-        if space.add_vector(s):
-            frontier.append(s)
-    mats = [rep.gens[key] for key in rep.atoms()]
+        parts: dict[int, dict[int, RatFn]] = {}
+        for i, x in s.entries.items():
+            parts.setdefault(space_of[i], {})[i] = x
+        for part in parts.values():
+            v = Vec(rep.dim, part)
+            if space.add_vector(v):
+                frontier.append(v)
+    mats = [rep.gen(kind, a) for a in rep.params.iprime for kind in ("e", "f")]
     while frontier:
         next_frontier = []
         for v in frontier:
@@ -235,14 +257,15 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     The quotient basis is the set of non-pivot coordinates of the subspace's
     echelon basis; classes are computed by eliminating pivot coordinates.
     """
-    pivots = sub.pivot_columns()
-    keep = [j for j in range(rep.dim) if j not in set(pivots)]
+    pivots = set(sub.pivot_columns())
+    keep = [j for j in range(rep.dim) if j not in pivots]
     pos = {j: t for t, j in enumerate(keep)}
     gens: dict[tuple[str, int], SparseMat] = {}
     for key, mat in rep.gens.items():
+        cols = mat.columns()
         entries: dict[tuple[int, int], RatFn] = {}
         for t, j in enumerate(keep):
-            image = sub.reduce(mat.apply(Vec.unit(rep.dim, j)))
+            image = sub.reduce(Vec(rep.dim, cols[j]))
             for i, val in image.entries.items():
                 entries[(pos[i], t)] = val
         gens[key] = SparseMat(len(keep), len(keep), entries)
@@ -258,13 +281,13 @@ def verify_relations(rep: Representation, entries: list[RelationEntry] | None = 
     return report
 
 
-def _witness(diff: SparseMat) -> str:
-    """The detail of a matrix identity whose two sides differ by diff: its nnz
-    and its first nonzero entry; empty when diff is zero."""
-    if diff.is_zero():
+def _witness(diff: SparseMat | Vec) -> str:
+    """The detail of a matrix or vector identity whose two sides differ by diff:
+    its nnz and its first nonzero entry; empty when diff is zero."""
+    if not diff.entries:
         return ""
     key = min(diff.entries)
-    return f"{diff.nnz()} nonzero entries; entry {key} = {diff.entries[key]}"
+    return f"{len(diff.entries)} nonzero entries; entry {key} = {diff.entries[key]}"
 
 
 def check_hopf_axioms(rep: Representation) -> Report:

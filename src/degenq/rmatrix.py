@@ -168,7 +168,9 @@ def antisymmetric_type_dim(params: GLParams) -> int:
     return m * (m - 1) // 2 + m * n + n * (n + 1) // 2
 
 
-def _add_identity(report: Report, suite: str, name: str, lhs: SparseMat, rhs: SparseMat) -> None:
+def _add_identity(
+    report: Report, suite: str, name: str, lhs: SparseMat | Vec, rhs: SparseMat | Vec
+) -> None:
     """Add the check lhs == rhs, with the witness of lhs - rhs as detail when it fails."""
     ok = lhs == rhs
     report.add(suite, name, ok, "" if ok else _witness(lhs - rhs))
@@ -233,14 +235,11 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
     )
 
     v11 = Vec.unit(d * d, 0)
-    report.add("hecke", "Rcheck(v1 x v1) = q v1 x v1", rc.apply(v11) == v11.scale(q))
+    _add_identity(report, "hecke", "Rcheck(v1 x v1) = q v1 x v1", rc.apply(v11), v11.scale(q))
     if d >= 2:
         w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
-        report.add(
-            "hecke",
-            "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)",
-            rc.apply(w) == w.scale(-q.inv()),
-        )
+        name = "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)"
+        _add_identity(report, "hecke", name, rc.apply(w), w.scale(-q.inv()))
     return report
 
 
@@ -330,8 +329,8 @@ def eigenspace_closures_match(params: GLParams) -> Report:
     w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
     asym_closure = submodule_closure(vv, [w])
 
-    image_s = Subspace(d * d, [proj_s.column(j) for j in range(d * d)])
-    image_a = Subspace(d * d, [proj_a.column(j) for j in range(d * d)])
+    image_s = Subspace(d * d, [Vec(d * d, col) for col in proj_s.columns()])
+    image_a = Subspace(d * d, [Vec(d * d, col) for col in proj_a.columns()])
     report.add("spectrum", "P_s image = closure(v1 x v1)", image_s == sym_closure)
     report.add("spectrum", "P_a image = closure(v1 x v2 - q^-1 v2 x v1)", image_a == asym_closure)
     report.add(

@@ -449,6 +449,12 @@ class RatFn:
             return _RF_ZERO
         if self.den.is_one() and other.den.is_one():
             return RatFn._raw(self.num * other.num, _LP_ONE)
+        # A unit +-q^k times a canonical pair is canonical: the shift and the
+        # sign move only num, so the other factor's den stands and needs no gcd.
+        if self.den.is_one() and _is_unit(self.num):
+            return RatFn._raw(self.num * other.num, other.den)
+        if other.den.is_one() and _is_unit(other.num):
+            return RatFn._raw(self.num * other.num, self.den)
         return RatFn(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -459,9 +465,15 @@ class RatFn:
         return RatFn(self.num * other.den, self.den * other.num)
 
     def inv(self) -> RatFn:
+        """den/num, with no gcd: a canonical pair is coprime, so only the
+        shift of num and the sign of its leading coefficient move."""
         if not self.num:
             raise DivisionByZero("inverse of the zero rational function")
-        return RatFn(self.den, self.num)
+        vn = self.num.valuation
+        num, den = self.den.shift(-vn), self.num.shift(-vn)
+        if den.leading_coeff() < 0:
+            num, den = -num, -den
+        return RatFn._raw(num, den)
 
     def __pow__(self, n: int) -> RatFn:
         if n < 0:
@@ -496,6 +508,11 @@ class RatFn:
         x.den = den
         x._hash = None
         return x
+
+
+def _is_unit(p: LaurentPoly) -> bool:
+    """Whether p is +-q^k, a unit of Z[q, q^-1]."""
+    return len(p.terms) == 1 and abs(next(iter(p.terms.values()))) == 1
 
 
 def _canonical_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

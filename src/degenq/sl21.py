@@ -17,11 +17,17 @@ assembled from the closed commutation rules
 
 The module is realized as a full gl(2,1) representation: K_3 acts by 1 on the
 highest vector and the K_b weights follow the generator bookkeeping, which
-makes the whole relation-verification stack directly applicable.
+makes the whole relation-verification stack directly applicable.  Every basis
+vector is a weight vector, so the K's are diagonal, and each K-weight space
+has dimension at most 2 (F f_1^k v and f_2 f_1^{k+1} v share a weight).
 
-The simple quotient is computed linear-algebraically: repeatedly find weight
-vectors killed by both raising operators away from the top weight, close them
-under the action, and take the quotient.  The trichotomy:
+The simple quotient is computed linear-algebraically, one weight space at a
+time: find the weight vectors below the top weight that both raising
+operators kill (a one-dimensional weight space needs no elimination: it is
+singular when both of its e_a columns are empty), close them under e_a and
+f_a, take the quotient, and repeat until no such vector is left.  Quotients
+keep a weight basis, so every round can split by weight again.  The
+trichotomy:
 
     typical      (q l1 l2 - q^-1 l1^-1 l2^-1)(l2 - l2^-1) != 0  -> dim 4(ell+1)
     atypical A   l2 = +-1                                       -> dim 2 ell + 1
@@ -104,6 +110,12 @@ def _label_index(labels: list[tuple[int, int, int]]) -> dict[tuple[int, int, int
     return {lab: t for t, lab in enumerate(labels)}
 
 
+def _inverses(values: list[RatFn]) -> list[RatFn]:
+    """The inverse of each value, each distinct value inverted once."""
+    inverse = {v: v.inv() for v in dict.fromkeys(values)}
+    return [inverse[v] for v in values]
+
+
 def verma_module(hw: HighestWeightSL21) -> ModuleData:
     """The induced module on the basis F^eF f_2^e2 f_1^k v, dimension 4(ell+1)."""
     ell = hw.ell
@@ -113,20 +125,15 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
     pos = _label_index(labels)
     dim = len(labels)
 
-    def c_raise(k: int) -> RatFn:
-        # [e_1, f_1^k] applied to the highest vector: [k]_q (l1 q^{1-k} - l1^-1 q^{k-1})/(q-q^-1)
-        if k == 0:
-            return RatFn.zero()
-        return (
-            RatFn(quantum_int(k))
-            * (l1 * RatFn.q(1 - k) - l1.inv() * RatFn.q(k - 1))
-            / Q_MINUS_QINV
-        )
-
-    def d_weight(k: int) -> RatFn:
-        # (k_2 - k_2^-1)/(q - q^-1) on f_1^k v, where k_2 acts there by l2 q^k
-        mu = l2 * RatFn.q(k)
-        return (mu - mu.inv()) / Q_MINUS_QINV
+    # [e_1, f_1^k] applied to the highest vector: [k]_q (l1 q^{1-k} - l1^-1 q^{k-1})/(q-q^-1)
+    c_raise = [RatFn.zero()] + [
+        RatFn(quantum_int(k)) * (l1 * RatFn.q(1 - k) - l1.inv() * RatFn.q(k - 1)) / Q_MINUS_QINV
+        for k in range(1, ell + 1)
+    ]
+    # (k_2 - k_2^-1)/(q - q^-1) on f_1^k v, where k_2 acts there by mu = l2 q^k
+    d_weight = [
+        (mu - mu.inv()) / Q_MINUS_QINV for mu in (l2 * RatFn.q(k) for k in range(ell + 1))
+    ]
 
     f1 = {}
     f2 = {}
@@ -153,7 +160,7 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
         elif ee2 == 0 and eF == 1:
             f2[(pos[(1, 1, k)], col)] = -q.inv()
         # e_1
-        ck = c_raise(k)
+        ck = c_raise[k]
         if ck:
             e1[(pos[(eF, ee2, k - 1)], col)] = ck
         if eF == 1 and ee2 == 0:
@@ -162,12 +169,12 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
             )
         # e_2
         if eF == 0 and ee2 == 1:
-            e2[(pos[(0, 0, k)], col)] = d_weight(k)
+            e2[(pos[(0, 0, k)], col)] = d_weight[k]
         elif eF == 1 and ee2 == 0:
             if k < ell:
                 e2[(pos[(0, 0, k + 1)], col)] = -l2 * RatFn.q(k + 1)
         elif eF == 1 and ee2 == 1:
-            e2[(pos[(1, 0, k)], col)] = d_weight(k) + l2 * RatFn.q(k + 1)
+            e2[(pos[(1, 0, k)], col)] = d_weight[k] + l2 * RatFn.q(k + 1)
             if k < ell:
                 e2[(pos[(0, 1, k + 1)], col)] = l2 * RatFn.q(k + 2)
 
@@ -190,9 +197,9 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
         ("K", 1): SparseMat.diagonal(k1d),
         ("K", 2): SparseMat.diagonal(k2d),
         ("K", 3): SparseMat.diagonal(k3d),
-        ("Kinv", 1): SparseMat.diagonal([v.inv() for v in k1d]),
-        ("Kinv", 2): SparseMat.diagonal([v.inv() for v in k2d]),
-        ("Kinv", 3): SparseMat.diagonal([v.inv() for v in k3d]),
+        ("Kinv", 1): SparseMat.diagonal(_inverses(k1d)),
+        ("Kinv", 2): SparseMat.diagonal(_inverses(k2d)),
+        ("Kinv", 3): SparseMat.diagonal(_inverses(k3d)),
     }
     rep = Representation(
         P21, dim, gens, label=f"V(ell={hw.ell}, sign={hw.sign1:+d}, l2={hw.lambda2})"
@@ -245,33 +252,28 @@ def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
     """The closed-form identities tying F f_1^k v to f_2 f_1^{k+1} v in quotients."""
     hw = mod.hw
     kind, _ = atypicality_type(hw)
+    if kind is ModuleType.TYPICAL:
+        return []
     rep = mod.rep
-    v = Vec.unit(rep.dim, mod.highest_index)
     F = operator_f_cap(rep)
     f1, f2 = rep.gen("f", 1), rep.gen("f", 2)
+    f1_powers = [Vec.unit(rep.dim, mod.highest_index)]  # f_1^k v for k = 0..ell
+    for _ in range(hw.ell):
+        f1_powers.append(f1.apply(f1_powers[-1]))
     checks: list[tuple[str, bool]] = []
-
-    def f1_power(k: int, vec: Vec) -> Vec:
-        out = vec
-        for _ in range(k):
-            out = f1.apply(out)
-        return out
-
     if kind is ModuleType.ATYPICAL_A:
         for k in range(hw.ell):
-            lhs = F.apply(f1_power(k, v))
+            lhs = F.apply(f1_powers[k])
             coeff = -RatFn.q(k + 1) / RatFn(quantum_int(k + 1))
-            rhs = f2.apply(f1_power(k + 1, v)).scale(coeff)
+            rhs = f2.apply(f1_powers[k + 1]).scale(coeff)
             checks.append((f"F f1^{k} v = -(q^{k + 1}/[{k + 1}]q) f2 f1^{k + 1} v", lhs == rhs))
     if kind is ModuleType.ATYPICAL_B:
         for k in range(hw.ell):
-            lhs = F.apply(f1_power(k, v)).scale(RatFn(quantum_int(hw.ell - k)))
-            rhs = f2.apply(f1_power(k + 1, v)).scale(RatFn.q(k - hw.ell))
+            lhs = F.apply(f1_powers[k]).scale(RatFn(quantum_int(hw.ell - k)))
+            rhs = f2.apply(f1_powers[k + 1]).scale(RatFn.q(k - hw.ell))
             checks.append((f"[{hw.ell - k}]q F f1^{k} v = q^{k - hw.ell} f2 f1^{k + 1} v", lhs == rhs))
-    if kind is not ModuleType.TYPICAL:
-        ff = F * f2
-        zero = all(not ff.apply(f1_power(k, v)) for k in range(hw.ell + 1))
-        checks.append(("F f2 f1^k v = 0 for all k", zero))
+    ff = F * f2
+    checks.append(("F f2 f1^k v = 0 for all k", all(not ff.apply(w) for w in f1_powers)))
     return checks
 
 

@@ -92,6 +92,29 @@ def test_invariant_equal_mn_exit_2(capsys):
     assert code == EXIT_UNSUPPORTED
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simple-module", "--ell", "2", "--lambda2", "-q^-1"], "argument --lambda2: expected one argument"),
+        (["verify", "--m", "2", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exits_1(argv, message, capsys):
+    # Exit 2 is reserved for unsupported requests; a malformed command line is bad input.
+    assert main(argv) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "simple-module" in capsys.readouterr().out
+
+
 def test_invariant_resource_exit_3(capsys):
     code = main(
         ["--max-dim", "10", "invariant", "--m", "2", "--n", "1", "--braid", "1 2 1"]
@@ -153,7 +176,9 @@ def test_repeated_main_builds_the_parser_once(monkeypatch, capsys):
     assert run_all() == first
     assert len(builds) == 1
     codes = [code for code, _, _ in first]
-    assert codes == [0, 0, 0, 0, 0, 0, ("exit", 2), ("exit", 2), 1, 3, 2]
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 1, 1, 3, 2]
+    assert "error: the following arguments are required: --braid" in first[6][2]
+    assert "error: argument --suite: invalid choice" in first[7][2]
     assert first[8][2].startswith("error: ") and first[9][2].startswith("resource limit: ")
 
 

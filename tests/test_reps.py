@@ -5,22 +5,24 @@ import pytest
 from degenq import scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
 from degenq.expr import Gen, cartan, cartan_inv, coproduct_terms, eval_in_rep, parse_expr
-from degenq.linalg import SparseMat, Subspace, Vec
+from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.relations import k2rho_expr
 from degenq.reps import (
+    Representation,
     Weight,
     check_hopf_axioms,
     dual_rep,
     highest_weight_vectors,
     iterated_tensor,
     natural_rep,
+    quotient_rep,
     submodule_closure,
     tensor_rep,
     verify_relations,
     weight_decomposition,
 )
 from degenq.scalars import GLParams, RatFn, parse_scalar
-from degenq.sl21 import HighestWeightSL21, simple_module
+from degenq.sl21 import HighestWeightSL21, simple_module, verma_module
 
 P21 = GLParams(2, 1)
 P11 = GLParams(1, 1)
@@ -288,6 +290,127 @@ def test_closure_trivial_cases():
     assert submodule_closure(rep, [Vec(3)]).rank == 0
     full = submodule_closure(rep, [Vec.unit(3, i) for i in range(3)])
     assert full.rank == 3
+
+
+def test_closure_requires_diagonal():
+    rep = natural_rep(P21)
+    bad = tensor_rep(rep, rep)
+    bad.gens[("K", 1)] = bad.gen("K", 1) + SparseMat.unit(9, 9, 0, 1)
+    with pytest.raises(NotSimultaneouslyDiagonal):
+        submodule_closure(bad, [Vec.unit(9, 0)])
+
+
+# -- the per-weight paths against the global paths they replace -----------------------------
+
+
+def _closure_reference(rep, seeds):
+    """The closure under every atom, K's included, over one global Subspace."""
+    space = Subspace(rep.dim, [])
+    frontier = [s for s in seeds if space.add_vector(s)]
+    mats = [rep.gens[key] for key in rep.atoms()]
+    while frontier:
+        next_frontier = []
+        for v in frontier:
+            for mat in mats:
+                w = mat.apply(v)
+                if w and space.add_vector(w):
+                    next_frontier.append(w)
+        frontier = next_frontier
+    return space
+
+
+def _singular_reference(rep):
+    """The null space of the stacked e_a images of every weight space, by apply."""
+    raising = [rep.gen("e", a) for a in rep.params.iprime]
+    found = []
+    for weight, basis in weight_decomposition(rep):
+        entries = {}
+        for block, mat in enumerate(raising):
+            for t, v in enumerate(basis):
+                for i, val in mat.apply(v).entries.items():
+                    entries[(block * rep.dim + i, t)] = val
+        stacked = SparseMat(len(raising) * rep.dim, len(basis), entries)
+        for combo in nullspace(stacked):
+            v = Vec(rep.dim)
+            for t, c in combo.entries.items():
+                v = v + basis[t].scale(c)
+            found.append((weight, v))
+    return found
+
+
+def _mixed_vector(dim):
+    """A vector with components in two weight spaces (the global reference
+    path grows fast with more)."""
+    return Vec(dim, {1: one, dim - 1: RatFn.integer(2)})
+
+
+def _assert_closures_agree(rep, seeds):
+    fast, ref = submodule_closure(rep, seeds), _closure_reference(rep, seeds)
+    assert fast.pivot_columns() == ref.pivot_columns()
+    assert fast.basis() == ref.basis()
+    return fast
+
+
+def _induced_weights(ell):
+    """One highest weight per sign and family: typical polynomial and rational,
+    atypical A, and atypical B with either sign of lambda2."""
+    for sign1 in (1, -1):
+        for lam2 in (
+            rfq(2, -1),
+            parse_scalar("(q+2)/(q-3)"),
+            one,
+            rfq(-1 - ell, sign1),
+            rfq(-1 - ell, -sign1),
+        ):
+            yield HighestWeightSL21(ell, sign1, lam2)
+
+
+@pytest.mark.parametrize("ell", range(6))
+def test_per_weight_paths_match_reference_on_induced_modules(ell):
+    for weight in _induced_weights(ell):
+        rep = verma_module(weight).rep
+        top = tuple(rep.gen("K", b)[0, 0] for b in rep.params.index_set)
+        _assert_closures_agree(rep, [_mixed_vector(rep.dim)])
+        # Every round of the simple quotient, down to the simple module.
+        while True:
+            found = highest_weight_vectors(rep)
+            assert found == _singular_reference(rep)
+            seeds = [v for w, v in found if w.values != top]
+            if not seeds:
+                break
+            rep = quotient_rep(rep, _assert_closures_agree(rep, seeds))
+
+
+@pytest.mark.parametrize("params", [P21, GLParams(1, 2), GLParams(2, 2)])
+def test_per_weight_paths_match_reference_on_tensor_squares(params):
+    rep = natural_rep(params)
+    vv = tensor_rep(rep, rep)
+    assert highest_weight_vectors(vv) == _singular_reference(vv)
+    for j in range(vv.dim):
+        _assert_closures_agree(vv, [Vec.unit(vv.dim, j)])
+    _assert_closures_agree(vv, [_mixed_vector(vv.dim)])
+    _assert_closures_agree(vv, [v for _, v in highest_weight_vectors(vv)])
+
+
+def _twisted_double(rep, c):
+    """rep (+) rep with every K_b scaled by c on the second copy: e_a and f_a
+    act alike on both copies, so only the K's tell their weights apart."""
+    d = rep.dim
+    gens = {}
+    for (kind, index), mat in rep.gens.items():
+        scale = {"K": c, "Kinv": c.inv()}.get(kind, one)
+        entries = dict(mat.entries)
+        entries.update({(i + d, j + d): scale * v for (i, j), v in mat.entries.items()})
+        gens[(kind, index)] = SparseMat(2 * d, 2 * d, entries)
+    return Representation(rep.params, 2 * d, gens)
+
+
+def test_closure_splits_seeds_that_only_the_ks_separate():
+    double = _twisted_double(natural_rep(P21), rfq(2))
+    assert verify_relations(double).all_passed
+    seed = Vec(6, {0: one, 3: one})
+    closure = _assert_closures_agree(double, [seed])
+    assert closure.rank == 6
 
 
 # -- Hopf axioms -----------------------------------------------------------------------------

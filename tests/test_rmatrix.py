@@ -88,6 +88,24 @@ def test_failed_identities_print_a_witness():
     assert failed["P_s P_a = 0"].startswith("15 nonzero entries; entry (0, 0) = ")
 
 
+def test_failed_eigenvector_checks_print_a_witness():
+    # One mutated entry of Rcheck: each eigenvector check it spoils names the
+    # nnz of Rcheck w - c w and its first nonzero entry.
+    bundle = build_bundle(P21)
+    top = "Rcheck(v1 x v1) = q v1 x v1"
+    mixed = "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)"
+    for (i, j), want in (((0, 0), {top: "1 nonzero entries; entry 0 = 1"}),
+                         ((4, 1), {mixed: "1 nonzero entries; entry 4 = 1"})):
+        entries = dict(bundle.Rcheck.entries)
+        entries[(i, j)] = entries.get((i, j), RatFn.zero()) + one
+        rc = SparseMat(9, 9, entries)
+        report = verify_hecke_and_spectrum(dataclasses.replace(bundle, Rcheck=rc))
+        failed = {c.name: c.detail for c in report.failures if c.name in (top, mixed)}
+        assert failed == want
+    passed = verify_hecke_and_spectrum(bundle)
+    assert all(c.detail == "" for c in passed.checks if c.name in (top, mixed))
+
+
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
 def test_hecke_suite(params):
     report = verify_hecke_and_spectrum(build_bundle(params))

@@ -158,6 +158,25 @@ def test_add_of_polynomials_is_canonical(p, r):
     assert bool(total) == bool(p + r)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ratfns())
+def test_inv_matches_the_canonicalizing_constructor(x):
+    # inv swaps the canonical pair with no gcd; RatFn(den, num) runs one.
+    if x:
+        assert x.inv() == RatFn(x.den, x.num)
+        assert x.inv().inv() == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-6, max_value=6), st.sampled_from([1, -1]), ratfns())
+def test_unit_product_matches_the_canonicalizing_constructor(k, sign, x):
+    # A product with a unit +-q^k keeps the other factor's den and runs no gcd.
+    u = RatFn.q(k, sign)
+    expected = RatFn(u.num * x.num, u.den * x.den)
+    assert u * x == expected
+    assert x * u == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(laurent_polys(), laurent_polys())
 def test_poly_commutativity(a, b):
