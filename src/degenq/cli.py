@@ -41,6 +41,7 @@ from .reps import (
     dual_rep,
     iterated_tensor,
     natural_rep,
+    shared_power,
     verify_relations,
 )
 from .rmatrix import (
@@ -150,7 +151,7 @@ def run_verify(
         spaces = [("V", rep)]
         for r in range(2, tensor_depth + 1):
             for side in ("Delta", "DeltaPrime"):
-                spaces.append((f"V^(x){r} [{side}]", iterated_tensor(rep, r, side, max_dim)))
+                spaces.append((f"V^(x){r} [{side}]", shared_power(params, r, side, max_dim)))
         for label, space in spaces:
             sub = verify_relations(space, catalog)
             for c in sub.checks:
@@ -163,7 +164,7 @@ def run_verify(
     if "hecke" in suites:
         report.extend(verify_hecke_and_spectrum(bundle))
     if "intertwiner" in suites:
-        report.extend(verify_intertwiner(bundle, rep))
+        report.extend(verify_intertwiner(bundle))
         # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
         if params.size**3 <= max_dim:
             report.extend(verify_tensor_iso(params, 3, max_dim))
@@ -406,9 +407,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Options whose value may begin with "-", as "-q^-1", "-e1" or "-1 2" do.
+# argparse reads such a value as an option of its own, so main joins it to
+# the option first, as "--lambda2=-q^-1".
+_DASH_VALUE_OPTIONS = ("--lambda2", "--expr", "--braid")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        dash_value = token.startswith("-") and not token.startswith("--")
+        if dash_value and out and out[-1] in _DASH_VALUE_OPTIONS:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has printed its usage and "error:" line and exits 2 on bad
         # input; 2 is reserved for unsupported requests.  --help exits 0.

@@ -428,6 +428,8 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
     # being computed once; and per node (D, v, bound, how), where how is what
     # ``compute`` needs: a generator's numerators, a scalar's numerator, a
     # product's scalar factor with its shift, or a sum's (Q_i, vmax - v_i).
+    # A denominator equal to 1 is always the object _LP_ONE, so that the
+    # pre-pass can skip the lcm, quotient and product work for it by identity.
     uses: dict[Expr, int] = {}
     plan: dict[Expr, tuple] = {}
 
@@ -445,34 +447,43 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
                 raise MissingGenerator(f"representation lacks {node.kind}{node.index}")
             den = _LP_ONE
             for v in mat.entries.values():
-                den = _lcm(den, v.den)
-            num = {
-                k: v.num if v.den == den else v.num * _quo(den, v.den)
-                for k, v in mat.entries.items()
-            }
+                if not v.den.is_one():
+                    den = _lcm(den, v.den)
+            if den is _LP_ONE:
+                num = {k: v.num for k, v in mat.entries.items()}
+            else:
+                num = {
+                    k: v.num if v.den == den else v.num * _quo(den, v.den)
+                    for k, v in mat.entries.items()
+                }
             bound = max(map(LaurentPoly.norm1, num.values()), default=0)
             return den, _lag(num.values()), bound, num
         if isinstance(node, Scalar):
             n = node.value.num
-            return node.value.den, _lag([n]), n.norm1(), n
+            return _den(node.value), _lag([n]), n.norm1(), n
         if isinstance(node, Sum):
             terms = [request(t) for t in node.terms]
             den = _LP_ONE
             for d, _, _, _ in terms:
-                den = _lcm(den, d)
+                if d is not _LP_ONE:
+                    den = _lcm(den, d)
             lag = max(v for _, v, _, _ in terms)
-            quos = [_quo(den, d) for d, _, _, _ in terms]
-            bound = sum(b * quo.norm1() for (_, _, b, _), quo in zip(terms, quos))
+            quos = [_LP_ONE if d is den else _quo(den, d) for d, _, _, _ in terms]
+            bound = sum(
+                b if quo is _LP_ONE else b * quo.norm1() for (_, _, b, _), quo in zip(terms, quos)
+            )
             return den, lag, bound, [(quo, lag - v) for quo, (_, v, _, _) in zip(quos, terms)]
         if isinstance(node, Prod):
             coeff, den, lag, bound, k = _LP_ONE, _LP_ONE, 0, 1, 0
             for t in node.factors:
                 if isinstance(t, Scalar):
                     coeff = coeff * t.value.num
-                    den = den * t.value.den
+                    d = _den(t.value)
                 else:
                     d, v, b, _ = request(t)
-                    den, lag, bound, k = den * d, lag + v, bound * b, k + 1
+                    lag, bound, k = lag + v, bound * b, k + 1
+                if d is not _LP_ONE:
+                    den = d if den is _LP_ONE else den * d
             shift = _lag([coeff])
             return den, lag + shift, dim ** max(k - 1, 0) * bound * coeff.norm1(), (coeff, shift)
         if isinstance(node, Pow):
@@ -480,7 +491,7 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
                 raise ValueError("negative matrix power")
             d, v, b, _ = request(node.base)
             k = node.exp
-            return d**k, k * v, dim ** (k - 1) * b**k if k else 1, None
+            return _LP_ONE if d is _LP_ONE else d**k, k * v, dim ** (k - 1) * b**k if k else 1, None
         raise TypeError(f"not an expression: {node!r}")
 
     for x in exprs:
@@ -534,6 +545,11 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
             yield SparseMat(dim, dim, {k: RatFn._raw(p, _LP_ONE) for k, p in nums.items()})
         else:
             yield SparseMat(dim, dim, {k: RatFn(p, den) for k, p in nums.items()})
+
+
+def _den(value: RatFn) -> LaurentPoly:
+    """The denominator of a scalar, as the object _LP_ONE when it is 1."""
+    return _LP_ONE if value.den.is_one() else value.den
 
 
 def eval_in_rep(x: Expr, rep) -> SparseMat:

@@ -36,6 +36,15 @@ class SparseMat:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _raw(nrows: int, ncols: int, entries: dict[tuple[int, int], RatFn]) -> SparseMat:
+        # Trusted constructor: entries must already be zero-free.
+        mat = SparseMat.__new__(SparseMat)
+        mat.nrows = nrows
+        mat.ncols = ncols
+        mat.entries = entries
+        return mat
+
+    @staticmethod
     def identity(n: int) -> SparseMat:
         return SparseMat(n, n, {(i, i): _ONE for i in range(n)})
 
@@ -101,10 +110,10 @@ class SparseMat:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return SparseMat(self.nrows, self.ncols, out)
+        return SparseMat._raw(self.nrows, self.ncols, out)
 
     def __neg__(self) -> SparseMat:
-        return SparseMat(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
+        return SparseMat._raw(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: SparseMat) -> SparseMat:
         return self + (-other)
@@ -112,7 +121,7 @@ class SparseMat:
     def scale(self, c: RatFn) -> SparseMat:
         if not c:
             return SparseMat(self.nrows, self.ncols)
-        return SparseMat(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
+        return SparseMat._raw(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
 
     def __mul__(self, other: SparseMat) -> SparseMat:
         if self.ncols != other.nrows:
@@ -134,7 +143,7 @@ class SparseMat:
                     out[key] = s
                 else:
                     del out[key]
-        return SparseMat(self.nrows, other.ncols, out)
+        return SparseMat._raw(self.nrows, other.ncols, out)
 
     def __pow__(self, n: int) -> SparseMat:
         if self.nrows != self.ncols:
@@ -144,7 +153,7 @@ class SparseMat:
         return _power(self, n, SparseMat.identity(self.nrows))
 
     def transpose(self) -> SparseMat:
-        return SparseMat(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseMat._raw(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def trace(self) -> RatFn:
         if self.nrows != self.ncols:
@@ -156,13 +165,23 @@ class SparseMat:
         return t
 
     def kron(self, other: SparseMat) -> SparseMat:
-        """Kronecker product; left factor most significant in the index order."""
+        """Kronecker product; left factor most significant in the index order.
+
+        Where one factor's entry is exactly 1 the product is the other entry
+        itself, shared rather than multiplied: scalars are immutable.
+        """
         out: dict[tuple[int, int], RatFn] = {}
         nr, nc = other.nrows, other.ncols
+        right = [(k, l, b, b == _ONE) for (k, l), b in other.entries.items()]
         for (i, j), a in self.entries.items():
-            for (k, l), b in other.entries.items():
-                out[(i * nr + k, j * nc + l)] = a * b
-        return SparseMat(self.nrows * nr, self.ncols * nc, out)
+            r0, c0 = i * nr, j * nc
+            if a == _ONE:
+                for k, l, b, _ in right:
+                    out[(r0 + k, c0 + l)] = b
+            else:
+                for k, l, b, b_one in right:
+                    out[(r0 + k, c0 + l)] = a if b_one else a * b
+        return SparseMat._raw(self.nrows * nr, self.ncols * nc, out)
 
     def apply(self, v: Vec) -> Vec:
         if self.ncols != v.dim:

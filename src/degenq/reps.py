@@ -15,7 +15,9 @@ A representation stores one matrix per generator atom, including K inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -59,7 +61,6 @@ class Representation:
     dim: int
     gens: dict[tuple[str, int], SparseMat]
     label: str = ""
-    _catalog: list[RelationEntry] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for key, mat in self.gens.items():
@@ -67,8 +68,7 @@ class Representation:
                 raise DimensionMismatch(f"generator {key} is not {self.dim}x{self.dim}")
         # Cheap sanity on the Cartan part: K Kinv = 1.
         for b in self.params.index_set:
-            prod = self.gens[("K", b)] * self.gens[("Kinv", b)]
-            if prod != SparseMat.identity(self.dim):
+            if not _inverse_pair(self.gens[("K", b)], self.gens[("Kinv", b)]):
                 raise ValueError(f"K{b} * K{b}^-1 is not the identity in {self.label!r}")
 
     def gen(self, kind: str, index: int) -> SparseMat:
@@ -89,10 +89,23 @@ class Representation:
         out += [Gen("K", b) for b in self.params.index_set]
         return out
 
-    def catalog(self) -> list[RelationEntry]:
-        if self._catalog is None:
-            self._catalog = relation_catalog(self.params)
-        return self._catalog
+    def catalog(self) -> tuple[RelationEntry, ...]:
+        """The relation catalog of the module's (m, n), shared for the process."""
+        return _catalog(self.params)
+
+
+def _inverse_pair(k: SparseMat, kinv: SparseMat) -> bool:
+    """Whether k kinv = 1.  Two diagonals with every diagonal entry nonzero are
+    compared entrywise, x y = 1 as num(x) num(y) = den(x) den(y), with no
+    matrix product and no gcd; any other pair by the product."""
+    dim = k.nrows
+    if len(k.entries) == len(kinv.entries) == dim and k.is_diagonal() and kinv.is_diagonal():
+        for i in range(dim):
+            x, y = k.entries[(i, i)], kinv.entries[(i, i)]
+            if x.num * y.num != x.den * y.den:
+                return False
+        return True
+    return k * kinv == SparseMat.identity(dim)
 
 
 def natural_rep(params: GLParams) -> Representation:
@@ -163,6 +176,36 @@ def iterated_tensor(
     for _ in range(r - 1):
         out = tensor_rep(out, rep, side)
     return out
+
+
+# Set-up that ``degenq verify`` repeats for every job, kept for the process's
+# life: an ``lru_cache`` of fixed size per kind, with no option.  A one-shot CLI
+# process gains only the sharing inside one ``verify --suite all``.
+MODULE_MEMO_SIZE = 32  # every (m, n, r >= 2, side) of the verify grid at tensor depth 3
+
+
+@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
+def _catalog(params: GLParams) -> tuple[RelationEntry, ...]:
+    return tuple(relation_catalog(params))
+
+
+@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
+def _power(params: GLParams, r: int, side: str) -> Representation:
+    rep = natural_rep(params)
+    return tensor_rep(rep if r == 2 else _power(params, r - 1, side), rep, side)
+
+
+def shared_power(
+    params: GLParams, r: int, side: str = "Delta", max_dim: int = DEFAULT_MAX_DIM
+) -> Representation:
+    """The natural module's left-nested r-th tensor power, r >= 2, from the
+    per-process memo; each power extends the memo's (r-1)-th by one factor.
+    Callers must not mutate it.  The cap is checked before the lookup."""
+    if r < 2:
+        raise ValueError("a shared tensor power needs r >= 2")
+    if params.size**r > max_dim:
+        raise ResourceLimit(f"dimension {params.size}^{r} exceeds cap {max_dim}")
+    return _power(params, r, side)
 
 
 def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
@@ -272,7 +315,7 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")
 
 
-def verify_relations(rep: Representation, entries: list[RelationEntry] | None = None) -> Report:
+def verify_relations(rep: Representation, entries: Sequence[RelationEntry] | None = None) -> Report:
     """Evaluate every catalog entry in rep; all must be exactly zero."""
     report = Report()
     entries = entries if entries is not None else rep.catalog()

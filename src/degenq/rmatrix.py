@@ -26,10 +26,9 @@ from .linalg import SparseMat, Subspace, Vec, kron
 from .reports import Report
 from .reps import (
     DEFAULT_MAX_DIM,
-    Representation,
     _witness,
-    iterated_tensor,
     natural_rep,
+    shared_power,
     submodule_closure,
     tensor_rep,
 )
@@ -243,16 +242,14 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
     return report
 
 
-def verify_intertwiner(bundle: RMatrixBundle, rep: Representation | None = None) -> Report:
+def verify_intertwiner(bundle: RMatrixBundle) -> Report:
     """R (nu x nu)Delta(x) = (nu x nu)Delta'(x) R on every generator, and
-    Rcheck commutes with the Delta-action."""
+    Rcheck commutes with the Delta-action, for nu the natural module."""
     report = Report()
     params = bundle.params
-    if rep is None:
-        rep = natural_rep(params)
-    vv_delta = tensor_rep(rep, rep, "Delta")
-    vv_prime = tensor_rep(rep, rep, "DeltaPrime")
-    for g in rep.generator_atoms():
+    vv_delta = shared_power(params, 2, "Delta")
+    vv_prime = shared_power(params, 2, "DeltaPrime")
+    for g in vv_delta.generator_atoms():
         name = f"{g.kind}{g.index}"
         delta_mat = vv_delta.gen(g.kind, g.index)
         prime_mat = vv_prime.gen(g.kind, g.index)
@@ -301,13 +298,12 @@ def _leg_product(params: GLParams, r: int, max_dim: int, which: str, pairs) -> S
 
 def verify_tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     report = Report()
-    rep = natural_rep(params)
     iso = tensor_iso(params, r, max_dim)
     iso_inv = tensor_iso_inverse(params, r, max_dim)
     _add_identity(report, "tensor-iso", f"r={r}: invertible", iso * iso_inv, SparseMat.identity(iso.nrows))
-    power_delta = iterated_tensor(rep, r, "Delta", max_dim)
-    power_prime = iterated_tensor(rep, r, "DeltaPrime", max_dim)
-    for g in rep.generator_atoms():
+    power_delta = shared_power(params, r, "Delta", max_dim)
+    power_prime = shared_power(params, r, "DeltaPrime", max_dim)
+    for g in power_delta.generator_atoms():
         name = f"{g.kind}{g.index}"
         lhs = iso * power_delta.gen(g.kind, g.index)
         rhs = power_prime.gen(g.kind, g.index) * iso

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from degenq import cli
+from degenq import cli, reps
 from degenq.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -16,7 +16,9 @@ from degenq.cli import (
     serialize_report,
 )
 from degenq.errors import ExprSyntaxError
+from degenq.relations import relation_catalog
 from degenq.reports import Report
+from degenq.reps import natural_rep, tensor_rep
 from degenq.scalars import GLParams
 
 
@@ -95,7 +97,7 @@ def test_invariant_equal_mn_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simple-module", "--ell", "2", "--lambda2", "-q^-1"], "argument --lambda2: expected one argument"),
+        (["simple-module", "--ell", "2", "--lambda2"], "argument --lambda2: expected one argument"),
         (["verify", "--m", "2", "--n", "x"], "argument --n: invalid int value: 'x'"),
         ([], "the following arguments are required: command"),
     ],
@@ -106,6 +108,27 @@ def test_usage_error_exits_1(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "head, option, value, tail",
+    [
+        (["simple-module", "--ell", "2"], "--lambda2", "-q^-1", ["--json"]),
+        (["simple-module", "--ell", "1"], "--lambda2", "-(q+1)/(q-2)", []),
+        (["eval", "--m", "2", "--n", "1"], "--expr", "-e1", ["--json"]),
+        (["eval", "--m", "2", "--n", "1"], "--expr", "-q*f1*e1", []),
+        (["invariant", "--m", "2", "--n", "1"], "--braid", "-1\t-2", ["--json"]),
+    ],
+    ids=["lambda2-monomial", "lambda2-rational", "expr-generator", "expr-product", "braid-tab"],
+)
+def test_option_value_may_start_with_a_dash(head, option, value, tail, capsys):
+    # The separate-token form prints exactly what the --option=value form does.
+    outputs = []
+    for argv in (head + [option, value] + tail, head + [f"{option}={value}"] + tail):
+        code = main(argv)
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == EXIT_OK and outputs[0][1].err == ""
 
 
 def test_help_exits_0(capsys):
@@ -227,6 +250,57 @@ def test_verify_intertwiner_runs_tensor_iso_at_r3_only(capsys):
     names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert any(name.startswith("r=3:") for name in names)
     assert not any(name.startswith("r=2:") for name in names)
+
+
+# -- the per-process module memo -----------------------------------------------------
+
+
+def _verify_output(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_mutated_public_results_leave_verify_unchanged(capsys):
+    # natural_rep, tensor_rep and relation_catalog return fresh objects; the
+    # memo builds its own, so mutating theirs, before or after the memo is
+    # filled, changes no later verify.
+    argv = ["verify", "--m", "2", "--n", "1", "--suite", "all", "--samples", "2", "--json"]
+    params = GLParams(2, 1)
+    expected = _verify_output(argv, capsys)
+    assert expected[0] == EXIT_OK
+    for clear in (True, False):
+        if clear:
+            reps._power.cache_clear()
+            reps._catalog.cache_clear()
+        rep = natural_rep(params)
+        rep.gens[("e", 1)] = rep.gen("e", 2)
+        square = tensor_rep(rep, natural_rep(params), "DeltaPrime")
+        square.gens[("f", 2)] = square.gen("f", 1)
+        relation_catalog(params).clear()
+        assert _verify_output(argv, capsys) == expected
+
+
+def test_warm_memo_still_refuses_a_power_above_the_cap(capsys):
+    argv = ["verify", "--m", "2", "--n", "1", "--suite", "relations", "--json"]
+    reps._power.cache_clear()
+    cold = _verify_output(["--max-dim", "26"] + argv, capsys)
+    assert _verify_output(argv, capsys)[0] == EXIT_OK  # V^(x)3 is now in the memo
+    warm = _verify_output(["--max-dim", "26"] + argv, capsys)
+    assert cold == warm == (EXIT_RESOURCE, "", "resource limit: dimension 3^3 exceeds cap 26\n")
+
+
+def test_verify_all_builds_each_tensor_power_once(monkeypatch, capsys):
+    builds = []
+
+    def counting_tensor_rep(r1, r2, side="Delta"):
+        builds.append((r1.dim * r2.dim, side))
+        return tensor_rep(r1, r2, side)
+
+    monkeypatch.setattr(reps, "tensor_rep", counting_tensor_rep)
+    reps._power.cache_clear()
+    assert main(["verify", "--m", "2", "--n", "1", "--samples", "2", "--json"]) == EXIT_OK
+    assert sorted(builds) == [(9, "Delta"), (9, "DeltaPrime"), (27, "Delta"), (27, "DeltaPrime")]
 
 
 def test_simple_module_json(capsys):

@@ -281,6 +281,25 @@ def test_eval_is_exact_with_coefficients_at_the_bound(monkeypatch):
     assert got[20][0, 0] == top and got[21][0, 0] == top
 
 
+def test_eval_is_exact_on_sums_mixing_denominator_one_and_rational_nodes():
+    # The pre-pass skips lcm and quotient work for denominator-1 nodes; a Sum
+    # of such nodes with rational ones (a rational scalar factor, generators
+    # of a module with a rational weight, a power of a rational node) and a
+    # scalar whose 1 denominator is a separate object must still be exact.
+    rational = RatFn.of(LaurentPoly({1: 1, -1: -1}), LaurentPoly({0: 1, 1: 1}))  # (q - q^-1)/(1 + q)
+    one_over_one = Scalar(RatFn(LaurentPoly({2: 3}), LaurentPoly({0: 1})))
+    assert one_over_one.value.den is not LaurentPoly.one()
+    rat = rational * (e(2) * f(2))
+    exprs = [
+        make_sum([e(1) * f(1), rat, K(1)]),
+        make_sum([make_pow(rat, 2), e(1), one_over_one * f(1)]),
+        make_prod([make_sum([e(1), rat]), make_sum([f(2), one_over_one])]),
+        make_sum([rat, -rat, e(2) * f(2) - f(2) * e(2)]),
+    ]
+    for rep in _test_reps():
+        assert list(eval_batch(exprs, rep)) == [_reference_eval(x, rep) for x in exprs]
+
+
 # -- structural helpers ---------------------------------------------------------------
 
 

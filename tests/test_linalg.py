@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenq.errors import DimensionMismatch
 from degenq.linalg import SparseMat, Subspace, Vec, kron, nullspace
@@ -82,6 +84,46 @@ def test_kron_index_convention_left_most_significant():
     k = kron(a, b)
     v = Vec.unit(4, 1 * 2 + 0)  # v_1 (x) v_0
     assert k.apply(v) == Vec.unit(4, 0 * 2 + 0)
+
+
+# Entries of kron's factors: the one singleton, a second object equal to 1,
+# signed monomials and a rational function.
+_KRON_ENTRIES = st.sampled_from(
+    [
+        RatFn.one(),
+        RatFn.integer(1),
+        rfq(1),
+        rfq(-1, -1),
+        rfi(3),
+        RatFn.of(LaurentPoly({1: 1, 0: 2}), LaurentPoly({1: 1, 0: -3})),
+    ]
+)
+
+
+@st.composite
+def _kron_factor(draw):
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    keys = draw(st.sets(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))))
+    return SparseMat(nrows, ncols, {key: draw(_KRON_ENTRIES) for key in sorted(keys)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kron_factor(), _kron_factor())
+def test_kron_matches_entrywise_products(a, b):
+    # The reference multiplies every pair; kron shares the other entry where
+    # one factor's entry is 1.
+    reference = {
+        (i * b.nrows + k, j * b.ncols + l): x * y
+        for (i, j), x in a.entries.items()
+        for (k, l), y in b.entries.items()
+    }
+    got = kron(a, b)
+    assert (got.nrows, got.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
+    assert got.entries == reference
+    for (i, j), x in a.entries.items():
+        for (k, l), y in b.entries.items():
+            if x.is_one():
+                assert got.entries[(i * b.nrows + k, j * b.ncols + l)] is y
 
 
 # -- nullspace --------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenq import scalars
+from degenq import reps, scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
 from degenq.expr import Gen, cartan, cartan_inv, coproduct_terms, eval_in_rep, parse_expr
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
@@ -63,6 +65,51 @@ def test_natural_rep_passes_all_relations():
     for params in (P11, P21, GLParams(1, 2), GLParams(2, 2)):
         report = verify_relations(natural_rep(params))
         assert report.all_passed, [c.name for c in report.failures]
+
+
+_K_ENTRIES = st.sampled_from(
+    [
+        one,
+        RatFn.integer(2),
+        RatFn.of(1, 2),
+        rfq(1),
+        rfq(-1, -1),
+        rfq(3, 2),
+        parse_scalar("(q+2)/(q-3)"),
+    ]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_K_ENTRIES, min_size=1, max_size=4), st.data())
+def test_entrywise_cartan_check_matches_the_product(diag, data):
+    # Kinv is the inverse diagonal with, at random, one entry replaced by a
+    # drawn one (which may be the right inverse again).
+    inverse = [x.inv() for x in diag]
+    if data.draw(st.booleans()):
+        inverse[data.draw(st.integers(0, len(diag) - 1))] = data.draw(_K_ENTRIES)
+    k, kinv = SparseMat.diagonal(diag), SparseMat.diagonal(inverse)
+    assert reps._inverse_pair(k, kinv) == (k * kinv == SparseMat.identity(len(diag)))
+
+
+def _with_cartan(k1, k1inv):
+    gens = dict(natural_rep(P21).gens)
+    gens[("K", 1)], gens[("Kinv", 1)] = k1, k1inv
+    return Representation(P21, 3, gens, label="test")
+
+
+def test_representation_rejects_a_wrong_cartan_inverse():
+    q, qinv = rfq(1), rfq(-1)
+    with pytest.raises(ValueError, match="K1"):  # wrong diagonal inverse
+        _with_cartan(SparseMat.diagonal([q, one, one]), SparseMat.diagonal([q, one, one]))
+    with pytest.raises(ValueError, match="K1"):  # a zero on K's diagonal
+        _with_cartan(SparseMat.diagonal([q, RatFn.zero(), one]), SparseMat.diagonal([qinv, one, one]))
+    # A non-diagonal K is checked by the product: its inverse passes, a wrong one does not.
+    k = SparseMat(3, 3, {(0, 0): one, (0, 1): q, (1, 1): one, (2, 2): one})
+    k_inv = SparseMat(3, 3, {(0, 0): one, (0, 1): -q, (1, 1): one, (2, 2): one})
+    assert _with_cartan(k, k_inv).dim == 3
+    with pytest.raises(ValueError, match="K1"):
+        _with_cartan(k, SparseMat.identity(3))
 
 
 def test_corrupted_rep_fails_conjugation_relation():
