@@ -166,8 +166,7 @@ def run_verify(
     if "intertwiner" in suites:
         report.extend(verify_intertwiner(bundle))
         # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
-        if params.size**3 <= max_dim:
-            report.extend(verify_tensor_iso(params, 3, max_dim))
+        report.extend(verify_tensor_iso(params, 3, max_dim, bundle))
     if "invariant" in suites:
         # At m = n verify_markov reports the suite unsupported; no skein site is drawn.
         report.extend(verify_markov(params, samples=samples, max_dim=max_dim))

@@ -94,12 +94,13 @@ def _coerce(x) -> Expr:
 
 
 class Gen(Expr):
-    """A generator atom: kinds 'e', 'f', 'K', 'Kinv'."""
+    """An atom read from a representation's generators: the kinds 'e', 'f',
+    'K', 'Kinv' with an int index.  Code may name other fixed matrices of one
+    space by other kinds (``degenq.rmatrix`` does); the parser builds none."""
 
     __slots__ = ("kind", "index", "_hash")
 
-    def __init__(self, kind: str, index: int):
-        assert kind in ("e", "f", "K", "Kinv")
+    def __init__(self, kind: str, index):
         self.kind = kind
         self.index = index
         self._hash = hash((kind, index))
@@ -357,27 +358,6 @@ def antipode(x: Expr) -> Expr:
     raise TypeError(f"not an expression: {x!r}")
 
 
-def coproduct_terms(g: Gen, side: str = "Delta") -> list[tuple[Expr, Expr]]:
-    """The coproduct of a generator as a list of (left, right) tensor legs.
-
-    side 'Delta':      e_a -> e_a (x) k_a + 1 (x) e_a,   f_a -> f_a (x) 1 + k_a^-1 (x) f_a
-    side 'DeltaPrime': e_a -> e_a (x) 1 + k_a (x) e_a,   f_a -> f_a (x) k_a^-1 + 1 (x) f_a
-    K_b -> K_b (x) K_b on both sides.
-    """
-    a = g.index
-    if g.kind in ("K", "Kinv"):
-        return [(g, g)]
-    if side == "Delta":
-        if g.kind == "e":
-            return [(g, cartan(a)), (one(), g)]
-        return [(g, one()), (cartan_inv(a), g)]
-    if side == "DeltaPrime":
-        if g.kind == "e":
-            return [(g, one()), (cartan(a), g)]
-        return [(g, cartan_inv(a)), (one(), g)]
-    raise ValueError(f"unknown coproduct side {side!r}")
-
-
 # -- evaluation ---------------------------------------------------------------------
 #
 # A node evaluates to a matrix N / D over Q(q): D is one ordinary polynomial
@@ -411,16 +391,19 @@ def coproduct_terms(g: Gen, side: str = "Delta") -> list[tuple[Expr, Expr]]:
 #
 # One evaluator serves a whole batch of expressions in one representation.
 # Its memo is keyed by structural equality of nodes, so a subexpression shared
-# across the batch (a root vector in many catalog entries) is evaluated once.
-# The pre-pass also counts how often each node will be asked for, and a value
+# across the batch (a root vector in many catalog entries) is evaluated once;
+# in a batch built by :func:`hash_cons` every lookup hits by identity.  The
+# pre-pass also counts how often each node will be asked for, and a value
 # leaves the memo with its last use.
 
 
 def eval_batch(exprs, rep) -> Iterator[SparseMat]:
     """Evaluate each expression of exprs in rep, in order, with one evaluator.
 
-    Yields one canonical SparseMat over Q(q) per expression.  Values of nodes
-    shared across the batch are computed once and dropped after their last use.
+    rep needs only a ``dim`` and a ``gens`` dict from (kind, index) to a
+    dim x dim SparseMat.  Yields one canonical SparseMat over Q(q) per
+    expression.  Values of nodes shared across the batch are computed once
+    and dropped after their last use.
     """
     exprs = list(exprs)
     dim = rep.dim
@@ -545,6 +528,28 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
             yield SparseMat(dim, dim, {k: RatFn._raw(p, _LP_ONE) for k, p in nums.items()})
         else:
             yield SparseMat(dim, dim, {k: RatFn(p, den) for k, p in nums.items()})
+
+
+def hash_cons(exprs) -> list[Expr]:
+    """The expressions rebuilt so that structurally equal nodes are one object."""
+    table: dict[Expr, Expr] = {}
+    done: dict[int, Expr] = {}  # by id: every input node stays alive meanwhile
+
+    def share(x: Expr) -> Expr:
+        got = done.get(id(x))
+        if got is None:
+            if isinstance(x, Sum):
+                x_new = Sum(tuple(map(share, x.terms)))
+            elif isinstance(x, Prod):
+                x_new = Prod(tuple(map(share, x.factors)))
+            elif isinstance(x, Pow):
+                x_new = Pow(share(x.base), x.exp)
+            else:
+                x_new = x
+            got = done[id(x)] = table.setdefault(x_new, x_new)
+        return got
+
+    return [share(x) for x in exprs]
 
 
 def _den(value: RatFn) -> LaurentPoly:

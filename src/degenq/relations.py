@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, make_pow, make_prod, one
+from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, hash_cons, make_pow, make_prod, one
 from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
 
 
@@ -124,16 +124,18 @@ def odd_pair_element(params: GLParams) -> Expr:
 
 def relation_catalog(params: GLParams) -> list[RelationEntry]:
     """Every relation of the algebra at (m, n), plus derived identities that
-    must vanish in all representations."""
+    must vanish in all representations.  Structurally equal subexpressions
+    of the whole catalog are one object (one root vector per (i, j)), so an
+    evaluator's memo finds them by identity."""
     m, n = params.m, params.n
     size = params.size
     iset = list(params.index_set)
     iprime = list(params.iprime)
     q = RatFn.q(1)
-    entries: list[RelationEntry] = []
+    entries: list[tuple[str, str, Expr]] = []
 
     def add(family: str, label: str, expr: Expr):
-        entries.append(RelationEntry(family, label, expr))
+        entries.append((family, label, expr))
 
     # Cartan units and commutativity
     for b in iset:
@@ -302,7 +304,8 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
                 _commutator(f(m + 1), e_far) + qm1inv * (e_near * cartan(m + 1)),
             )
 
-    return entries
+    shared = hash_cons([x for _, _, x in entries])
+    return [RelationEntry(family, label, x) for (family, label, _), x in zip(entries, shared)]
 
 
 def _tuples4(size: int):

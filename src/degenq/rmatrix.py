@@ -15,6 +15,20 @@ Conventions:
   binom(m+n, 2) + m and binom(m+n, 2) + n.
 * Leg placement on V^(x)r keeps the package-wide convention: left factor most
   significant.
+
+Checking.  Every identity of the ybe, hecke, intertwiner and tensor-iso
+suites is one expression lhs - rhs, and a suite evaluates its expressions
+in one batch per space with :func:`degenq.expr.eval_batch`, over the
+integers at q = 2^B, like the relation catalog.  The atoms are fixed
+matrices of one space: ``Gen(name, (i, j))`` is the bundle operator ``name``
+(R, Rinv, Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j of
+V^(x)r, and the Delta- and Delta'-actions of a tensor power are the kinds e,
+f, K, Kinv and the same kinds primed; the Hecke suite's eigenvectors are
+one-column atoms.  The parser builds no such atom.  A passing check
+costs no decode; a failing one's witness is read from the decoded
+difference, canonical over Q(q).  The projectors are scalar multiples of
+Rcheck + q^-1 and Rcheck - q.  ``tensor_iso`` and ``tensor_iso_inverse``
+evaluate their leg products the same way.
 """
 
 from __future__ import annotations
@@ -22,17 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResourceLimit
-from .linalg import SparseMat, Subspace, Vec, kron
+from .expr import Expr, Gen, Prod, Scalar, eval_batch, make_prod
+from .linalg import SparseMat, Vec
 from .reports import Report
-from .reps import (
-    DEFAULT_MAX_DIM,
-    _witness,
-    natural_rep,
-    shared_power,
-    submodule_closure,
-    tensor_rep,
-)
+from .reps import DEFAULT_MAX_DIM, Representation, _witness, shared_power
 from .scalars import GLParams, Q_MINUS_QINV, RatFn
+
+_ONE = RatFn.one()
 
 
 @dataclass
@@ -46,21 +56,15 @@ class RMatrixBundle:
     T: SparseMat
 
 
-def _r_zero_part(params: GLParams, diag_values) -> SparseMat:
-    d = params.size
-    entries = {}
-    for a in range(d):
-        for b in range(d):
-            i = a * d + b
-            entries[(i, i)] = diag_values(a + 1) if a == b else RatFn.one()
-    return SparseMat(d * d, d * d, entries)
-
-
-def _theta(params: GLParams, sign: int = 1) -> SparseMat:
+def _braid_matrix(params: GLParams, diag_values, sign: int = 1) -> SparseMat:
+    """R0 Theta with diagonal values diag_values(a) on v_a (x) v_a; sign -1
+    negates Theta's off-diagonal part, which with the inverse diagonal gives
+    Theta^-1 R0^-1 = R^-1.  The diagonal is listed first, so that every column
+    of the flipped forms P R and R^-1 P lists its flip entry first, as
+    ``BraidEvaluator`` expects (it starts a column from its first entry)."""
     d = params.size
     coeff = Q_MINUS_QINV if sign > 0 else -Q_MINUS_QINV
-    mat = SparseMat.identity(d * d)
-    entries = dict(mat.entries)
+    entries = {(i, i): diag_values(i // d + 1) if i // d == i % d else _ONE for i in range(d * d)}
     for a in range(d):
         for b in range(a + 1, d):
             # e_ab (x) e_ba sends v_b (x) v_a to v_a (x) v_b
@@ -68,28 +72,29 @@ def _theta(params: GLParams, sign: int = 1) -> SparseMat:
     return SparseMat(d * d, d * d, entries)
 
 
+def _flipped(i: int, d: int) -> int:
+    """The index of v_b (x) v_a for i the index of v_a (x) v_b."""
+    return i % d * d + i // d
+
+
 def flip_matrix(d: int) -> SparseMat:
-    return SparseMat(d * d, d * d, {(a * d + b, b * d + a): RatFn.one() for a in range(d) for b in range(d)})
+    return SparseMat(d * d, d * d, {(i, _flipped(i, d)): _ONE for i in range(d * d)})
 
 
 def build_bundle(params: GLParams) -> RMatrixBundle:
-    """All six operators; inverses are exact closed forms."""
-    r0 = _r_zero_part(params, lambda a: params.q_sub(a))
-    r0inv = _r_zero_part(params, lambda a: params.q_sub(a).inv())
-    theta = _theta(params, +1)
-    theta_inv = _theta(params, -1)
-    t0 = _r_zero_part(params, lambda a: RatFn.q(1))
-    P = flip_matrix(params.size)
-    R = r0 * theta
-    Rinv = theta_inv * r0inv
+    """All six operators; inverses are exact closed forms, flips permute
+    rows or columns."""
+    d = params.size
+    R = _braid_matrix(params, params.q_sub)
+    Rinv = _braid_matrix(params, lambda a: params.q_sub(a).inv(), -1)
     return RMatrixBundle(
         params=params,
         R=R,
         Rinv=Rinv,
-        Rcheck=P * R,
-        Rcheckinv=Rinv * P,
-        P=P,
-        T=t0 * theta,
+        Rcheck=SparseMat(d * d, d * d, {(_flipped(i, d), j): v for (i, j), v in R.entries.items()}),
+        Rcheckinv=SparseMat(d * d, d * d, {(i, _flipped(j, d)): v for (i, j), v in Rinv.entries.items()}),
+        P=flip_matrix(d),
+        T=_braid_matrix(params, lambda a: RatFn.q(1)),
     )
 
 
@@ -100,10 +105,7 @@ def perturbed_r(params: GLParams) -> SparseMat:
     fail.  (Replacing p by q instead would reproduce the reference matrix T,
     which satisfies it.)
     """
-    bad = _r_zero_part(
-        params, lambda a: RatFn.q(1) if a <= params.m else RatFn.q(-1)
-    )
-    return bad * _theta(params, +1)
+    return _braid_matrix(params, lambda a: RatFn.q(1) if a <= params.m else RatFn.q(-1))
 
 
 def leg_operator(op: SparseMat, i: int, j: int, r: int, d: int) -> SparseMat:
@@ -131,32 +133,6 @@ def leg_operator(op: SparseMat, i: int, j: int, r: int, d: int) -> SparseMat:
     return SparseMat(d**r, d**r, entries)
 
 
-def leg_operator_by_conjugation(op: SparseMat, i: int, j: int, r: int, d: int) -> SparseMat:
-    """Same operator via permutation conjugation of op (x) id^(r-2); cross-check path."""
-    full = op
-    for _ in range(r - 2):
-        full = kron(full, SparseMat.identity(d))
-    # Build the permutation sending slot 1 -> i, slot 2 -> j, rest in order.
-    target = [i - 1, j - 1] + [t for t in range(r) if t not in (i - 1, j - 1)]
-    perm_entries = {}
-    for idx in range(d**r):
-        digits = []
-        rem = idx
-        for _ in range(r):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        new_digits = [0] * r
-        for slot, pos in enumerate(target):
-            new_digits[pos] = digits[slot]
-        new_idx = 0
-        for t in range(r):
-            new_idx = new_idx * d + new_digits[t]
-        perm_entries[(new_idx, idx)] = RatFn.one()
-    perm = SparseMat(d**r, d**r, perm_entries)
-    return perm * full * perm.transpose()
-
-
 def symmetric_type_dim(params: GLParams) -> int:
     m, n = params.m, params.n
     return m * (m + 1) // 2 + m * n + n * (n - 1) // 2
@@ -167,39 +143,62 @@ def antisymmetric_type_dim(params: GLParams) -> int:
     return m * (m - 1) // 2 + m * n + n * (n + 1) // 2
 
 
-def _add_identity(
-    report: Report, suite: str, name: str, lhs: SparseMat | Vec, rhs: SparseMat | Vec
-) -> None:
-    """Add the check lhs == rhs, with the witness of lhs - rhs as detail when it fails."""
-    ok = lhs == rhs
-    report.add(suite, name, ok, "" if ok else _witness(lhs - rhs))
+# -- the checks as expressions over fixed matrices --------------------------------
 
 
-def _braid_sides(mat: SparseMat, d: int) -> tuple[SparseMat, SparseMat]:
-    """R_12 R_13 R_23 and R_23 R_13 R_12 on V^(x)3 for R = mat."""
-    r12, r13, r23 = (leg_operator(mat, i, j, 3, d) for i, j in ((1, 2), (1, 3), (2, 3)))
-    return r12 * r13 * r23, r23 * r13 * r12
+@dataclass
+class _Space:
+    """Fixed matrices on one space, read by eval_batch as a representation's
+    generators: the atom Gen(kind, index) is gens[(kind, index)]."""
+
+    dim: int
+    gens: dict
+
+
+def _space(r: int, d: int, ops: dict[str, SparseMat], *powers: Representation) -> _Space:
+    """V^(x)r with each operator of ops on every pair of legs, and the actions
+    of the given Delta and Delta' powers of V, the second one's kinds primed."""
+    gens = {
+        (name, (i, j)): leg_operator(op, i, j, r, d)
+        for name, op in ops.items()
+        for i, j in _halftwist_pairs(r)
+    }
+    for tag, power in zip(("", "'"), powers):
+        gens.update({(kind + tag, index): mat for (kind, index), mat in power.gens.items()})
+    return _Space(d**r, gens)
+
+
+def _differences(space: _Space, checks: list[tuple[str, Expr]]) -> dict[str, SparseMat]:
+    """Each check's expression evaluated in space, by name, in one batch."""
+    return dict(zip((name for name, _ in checks), eval_batch([x for _, x in checks], space)))
+
+
+def _add_checks(report: Report, suite: str, values: dict[str, SparseMat]) -> None:
+    """One check per difference, passing when it is zero, with its witness."""
+    for name, value in values.items():
+        report.add(suite, name, value.is_zero(), _witness(value))
+
+
+def _braid_difference(name: str) -> Expr:
+    """R_12 R_13 R_23 - R_23 R_13 R_12 for R the operator ``name``."""
+    r12, r13, r23 = (Gen(name, pair) for pair in ((1, 2), (1, 3), (2, 3)))
+    return make_prod([r12, r13, r23]) - make_prod([r23, r13, r12])
 
 
 def verify_ybe(bundle: RMatrixBundle) -> Report:
     """The braid relation on V^(x)3 for R and the reference T, plus the failing
     negative control."""
     report = Report()
-    d = bundle.params.size
-    for name, mat in (("R", bundle.R), ("T", bundle.T)):
-        _add_identity(report, "ybe", f"{name} braids exactly", *_braid_sides(mat, d))
-    _add_identity(report, "ybe", "R invertible", bundle.R * bundle.Rinv, SparseMat.identity(d * d))
-    lhs, rhs = _braid_sides(perturbed_r(bundle.params), d)
-    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", lhs != rhs)
+    params = bundle.params
+    d = params.size
+    ops = {"R": bundle.R, "T": bundle.T, "Rbad": perturbed_r(params)}
+    cube = _differences(_space(3, d, ops), [(name, _braid_difference(name)) for name in ops])
+    square = _space(2, d, {"R": bundle.R, "Rinv": bundle.Rinv})
+    _add_checks(report, "ybe", {f"{name} braids exactly": cube[name] for name in ("R", "T")})
+    inverse = Gen("R", (1, 2)) * Gen("Rinv", (1, 2)) - 1
+    _add_checks(report, "ybe", _differences(square, [("R invertible", inverse)]))
+    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", not cube["Rbad"].is_zero())
     return report
-
-
-def _projectors(rc: SparseMat) -> tuple[SparseMat, SparseMat]:
-    """The projectors of Rcheck onto its q- and (-q^-1)-eigenspaces."""
-    ident = SparseMat.identity(rc.nrows)
-    q = RatFn.q(1)
-    denom = (q + q.inv()).inv()
-    return (rc + ident.scale(q.inv())).scale(denom), (ident.scale(q) - rc).scale(denom)
 
 
 def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
@@ -207,38 +206,38 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
     report = Report()
     params = bundle.params
     d = params.size
-    rc = bundle.Rcheck
-    ident = SparseMat.identity(d * d)
     q = RatFn.q(1)
-    hecke = (rc - ident.scale(q)) * (rc + ident.scale(q.inv()))
-    report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero(), _witness(hecke))
-
-    proj_s, proj_a = _projectors(rc)
-    _add_identity(report, "hecke", "P_s idempotent", proj_s * proj_s, proj_s)
-    _add_identity(report, "hecke", "P_a idempotent", proj_a * proj_a, proj_a)
-    _add_identity(report, "hecke", "P_s P_a = 0", proj_s * proj_a, SparseMat(d * d, d * d))
-    _add_identity(report, "hecke", "P_s + P_a = 1", proj_s + proj_a, ident)
-
+    # The eigenvector checks read v1 x v1 and v1 x v2 - q^-1 v2 x v1 as the
+    # first column of a matrix atom.
+    space = _space(2, d, {"Rcheck": bundle.Rcheck})
+    space.gens[("top", 0)] = SparseMat.unit(d * d, d * d, 0, 0)
+    space.gens[("mixed", 0)] = SparseMat(d * d, d * d, {(1, 0): _ONE, (d, 0): -q.inv()})
+    rc = Gen("Rcheck", (1, 2))
+    plus, minus = rc + Scalar(q.inv()), rc - Scalar(q)
+    denom = (q + q.inv()).inv()
+    # The projectors onto the q- and (-q^-1)-eigenspaces.
+    proj_s, proj_a = Scalar(denom) * plus, Scalar(-denom) * minus
+    identities = [
+        ("(Rcheck - q)(Rcheck + q^-1) = 0", Prod((minus, plus))),
+        ("P_s idempotent", Prod((proj_s, proj_s)) - proj_s),
+        ("P_a idempotent", Prod((proj_a, proj_a)) - proj_a),
+        ("P_s P_a = 0", Prod((proj_s, proj_a))),
+        ("P_s + P_a = 1", proj_s + proj_a - 1),
+    ]
+    vectors = [
+        ("Rcheck(v1 x v1) = q v1 x v1", Gen("top", 0), q),
+        ("Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)", Gen("mixed", 0), -q.inv()),
+    ]
+    eigen = [(name, rc * w - Scalar(c) * w) for name, w, c in vectors]
+    values = _differences(space, identities + [("P_s", proj_s), ("P_a", proj_a)] + eigen)
+    _add_checks(report, "hecke", {name: values[name] for name, _ in identities})
     dim_s, dim_a = symmetric_type_dim(params), antisymmetric_type_dim(params)
-    report.add(
-        "hecke",
-        f"q-eigenspace dimension = {dim_s}",
-        proj_s.rank() == dim_s,
-        detail=f"rank {proj_s.rank()}",
-    )
-    report.add(
-        "hecke",
-        f"(-q^-1)-eigenspace dimension = {dim_a}",
-        proj_a.rank() == dim_a,
-        detail=f"rank {proj_a.rank()}",
-    )
-
-    v11 = Vec.unit(d * d, 0)
-    _add_identity(report, "hecke", "Rcheck(v1 x v1) = q v1 x v1", rc.apply(v11), v11.scale(q))
-    if d >= 2:
-        w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
-        name = "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)"
-        _add_identity(report, "hecke", name, rc.apply(w), w.scale(-q.inv()))
+    rank_s, rank_a = values["P_s"].rank(), values["P_a"].rank()
+    report.add("hecke", f"q-eigenspace dimension = {dim_s}", rank_s == dim_s, f"rank {rank_s}")
+    report.add("hecke", f"(-q^-1)-eigenspace dimension = {dim_a}", rank_a == dim_a, f"rank {rank_a}")
+    for name, _ in eigen:
+        column = Vec(d * d, {i: v for (i, _), v in values[name].entries.items()})
+        report.add("hecke", name, not column, _witness(column))
     return report
 
 
@@ -248,21 +247,29 @@ def verify_intertwiner(bundle: RMatrixBundle) -> Report:
     report = Report()
     params = bundle.params
     vv_delta = shared_power(params, 2, "Delta")
-    vv_prime = shared_power(params, 2, "DeltaPrime")
+    ops = {"R": bundle.R, "Rcheck": bundle.Rcheck}
+    space = _space(2, params.size, ops, vv_delta, shared_power(params, 2, "DeltaPrime"))
+    R, rc = Gen("R", (1, 2)), Gen("Rcheck", (1, 2))
+    checks = []
     for g in vv_delta.generator_atoms():
         name = f"{g.kind}{g.index}"
-        delta_mat = vv_delta.gen(g.kind, g.index)
-        prime_mat = vv_prime.gen(g.kind, g.index)
-        lhs, rhs = bundle.R * delta_mat, prime_mat * bundle.R
-        _add_identity(report, "intertwiner", f"R Delta({name}) = Delta'({name}) R", lhs, rhs)
-        lhs, rhs = bundle.Rcheck * delta_mat, delta_mat * bundle.Rcheck
-        _add_identity(report, "intertwiner", f"[Rcheck, Delta({name})] = 0", lhs, rhs)
+        prime = Gen(g.kind + "'", g.index)
+        checks.append((f"R Delta({name}) = Delta'({name}) R", R * g - prime * R))
+        checks.append((f"[Rcheck, Delta({name})] = 0", rc * g - g * rc))
+    _add_checks(report, "intertwiner", _differences(space, checks))
     return report
 
 
 def _halftwist_pairs(r: int) -> list[tuple[int, int]]:
     # (1,2), (1,3), (2,3), (1,4), (2,4), (3,4), ...: block j collects R_{ij}, i < j.
     return [(i, j) for j in range(2, r + 1) for i in range(1, j)]
+
+
+def _iso_exprs(r: int) -> tuple[Expr, Expr]:
+    """The half-twist product of the R legs on V^(x)r and the reversed
+    product of the Rinv legs."""
+    pairs = _halftwist_pairs(r)
+    return make_prod([Gen("R", p) for p in pairs]), make_prod([Gen("Rinv", p) for p in reversed(pairs)])
 
 
 def tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
@@ -276,63 +283,43 @@ def tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Spar
     """
     if r < 2:
         raise ValueError("tensor_iso needs r >= 2")
-    return _leg_product(params, r, max_dim, "R", _halftwist_pairs(r))
+    return _leg_product(params, r, max_dim, "R")
 
 
 def tensor_iso_inverse(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
-    return _leg_product(params, r, max_dim, "Rinv", reversed(_halftwist_pairs(r)))
+    return _leg_product(params, r, max_dim, "Rinv")
 
 
-def _leg_product(params: GLParams, r: int, max_dim: int, which: str, pairs) -> SparseMat:
-    """The product over pairs (i, j) of the bundle operator ``which`` placed on
-    legs i, j of V^(x)r; refuses a space above the dimension cap."""
+def _leg_product(params: GLParams, r: int, max_dim: int, which: str) -> SparseMat:
+    """The isomorphism (which = "R") or its inverse ("Rinv") on V^(x)r;
+    refuses a space above the dimension cap."""
     d = params.size
     if d**r > max_dim:
         raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
-    op = getattr(build_bundle(params), which)
-    out = SparseMat.identity(d**r)
-    for i, j in pairs:
-        out = out * leg_operator(op, i, j, r, d)
-    return out
+    space = _space(r, d, {which: getattr(build_bundle(params), which)})
+    return next(eval_batch([_iso_exprs(r)[which == "Rinv"]], space))
 
 
-def verify_tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Report:
+def verify_tensor_iso(
+    params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM, bundle: RMatrixBundle | None = None
+) -> Report:
+    """The tensor-iso pair is mutually inverse and intertwines the Delta- and
+    Delta'-actions on V^(x)r; ``bundle`` defaults to ``build_bundle(params)``."""
+    if r < 2:
+        raise ValueError("tensor_iso needs r >= 2")
     report = Report()
-    iso = tensor_iso(params, r, max_dim)
-    iso_inv = tensor_iso_inverse(params, r, max_dim)
-    _add_identity(report, "tensor-iso", f"r={r}: invertible", iso * iso_inv, SparseMat.identity(iso.nrows))
-    power_delta = shared_power(params, r, "Delta", max_dim)
+    power_delta = shared_power(params, r, "Delta", max_dim)  # refuses above the cap
     power_prime = shared_power(params, r, "DeltaPrime", max_dim)
+    if bundle is None:
+        bundle = build_bundle(params)
+    ops = {"R": bundle.R, "Rinv": bundle.Rinv}
+    space = _space(r, params.size, ops, power_delta, power_prime)
+    iso, iso_inv = _iso_exprs(r)
+    checks = [(f"r={r}: invertible", Prod((iso, iso_inv)) - 1)]
     for g in power_delta.generator_atoms():
         name = f"{g.kind}{g.index}"
-        lhs = iso * power_delta.gen(g.kind, g.index)
-        rhs = power_prime.gen(g.kind, g.index) * iso
-        _add_identity(report, "tensor-iso", f"r={r}: intertwines {name}", lhs, rhs)
-    return report
-
-
-def eigenspace_closures_match(params: GLParams) -> Report:
-    """The projector images are exactly the closures of the two top vectors."""
-    report = Report()
-    bundle = build_bundle(params)
-    rep = natural_rep(params)
-    vv = tensor_rep(rep, rep, "Delta")
-    d = params.size
-    q = RatFn.q(1)
-    proj_s, proj_a = _projectors(bundle.Rcheck)
-
-    sym_closure = submodule_closure(vv, [Vec.unit(d * d, 0)])
-    w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
-    asym_closure = submodule_closure(vv, [w])
-
-    image_s = Subspace(d * d, [Vec(d * d, col) for col in proj_s.columns()])
-    image_a = Subspace(d * d, [Vec(d * d, col) for col in proj_a.columns()])
-    report.add("spectrum", "P_s image = closure(v1 x v1)", image_s == sym_closure)
-    report.add("spectrum", "P_a image = closure(v1 x v2 - q^-1 v2 x v1)", image_a == asym_closure)
-    report.add(
-        "spectrum",
-        "closures intersect trivially and fill the space",
-        sym_closure.intersect(asym_closure).rank == 0
-        and sym_closure.rank + asym_closure.rank == d * d,
-    )
+        # Unflattened products, so that the isomorphism is one node.
+        lhs, rhs = Prod((iso, g)), Prod((Gen(g.kind + "'", g.index), iso))
+        checks.append((f"r={r}: intertwines {name}", lhs - rhs))
+    _add_checks(report, "tensor-iso", _differences(space, checks))
     return report

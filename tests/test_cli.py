@@ -252,6 +252,15 @@ def test_verify_intertwiner_runs_tensor_iso_at_r3_only(capsys):
     assert not any(name.startswith("r=2:") for name in names)
 
 
+def test_verify_intertwiner_refuses_tensor_iso_above_the_cap(capsys):
+    # The r = 3 checks need V^(x)3 (27 dims at (2, 1)); under a cap of 20 the
+    # suite is refused, as the relation suite is, rather than cut short.
+    code = main(["--max-dim", "20", "verify", "--m", "2", "--n", "1", "--suite", "intertwiner"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_RESOURCE, "")
+    assert captured.err == "resource limit: dimension 3^3 exceeds cap 20\n"
+
+
 # -- the per-process module memo -----------------------------------------------------
 
 

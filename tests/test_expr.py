@@ -81,6 +81,14 @@ def test_parse_errors_carry_position():
         parse_expr("k3", P21)  # k3 expands to K3*K4^-1, out of range
 
 
+@pytest.mark.parametrize("text", ["R12", "Rcheck", "e1'", "top0"])
+def test_parser_builds_no_matrix_atom_of_the_rmatrix_suites(text):
+    # degenq.rmatrix names its fixed matrices by Gen kinds such as "R" and
+    # "e'"; the grammar has no token for them.
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(text, P21)
+
+
 def test_parse_scalar_folding():
     x = parse_expr("(q + q^-1)", P21)
     assert x == Scalar(RatFn.q(1) + RatFn.q(-1))

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from degenq import reps, scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
-from degenq.expr import Gen, cartan, cartan_inv, coproduct_terms, eval_in_rep, parse_expr
+from degenq.expr import Expr, Gen, cartan, cartan_inv, eval_in_rep, parse_expr
+from degenq.expr import one as one_expr
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.relations import k2rho_expr
 from degenq.reps import (
@@ -568,6 +569,27 @@ def test_coassociativity_matches_explicit_expansion():
         + k1inv.kron(k1inv).kron(f1)
     )
     assert cube_left.gen("f", 1) == expect
+
+
+def coproduct_terms(g: Gen, side: str = "Delta") -> list[tuple[Expr, Expr]]:
+    """The coproduct of a generator as a list of (left, right) tensor legs.
+
+    side 'Delta':      e_a -> e_a (x) k_a + 1 (x) e_a,   f_a -> f_a (x) 1 + k_a^-1 (x) f_a
+    side 'DeltaPrime': e_a -> e_a (x) 1 + k_a (x) e_a,   f_a -> f_a (x) k_a^-1 + 1 (x) f_a
+    K_b -> K_b (x) K_b on both sides.
+    """
+    a = g.index
+    if g.kind in ("K", "Kinv"):
+        return [(g, g)]
+    if side == "Delta":
+        if g.kind == "e":
+            return [(g, cartan(a)), (one_expr(), g)]
+        return [(g, one_expr()), (cartan_inv(a), g)]
+    if side == "DeltaPrime":
+        if g.kind == "e":
+            return [(g, one_expr()), (cartan(a), g)]
+        return [(g, cartan_inv(a)), (one_expr(), g)]
+    raise ValueError(f"unknown coproduct side {side!r}")
 
 
 @pytest.mark.parametrize("params", [P21, GLParams(1, 2), GLParams(2, 2)], ids=lambda p: f"{p.m}{p.n}")

@@ -2,14 +2,15 @@ import dataclasses
 
 import pytest
 
+from degenq import cli, linalg, rmatrix
 from degenq.errors import ResourceLimit
-from degenq.linalg import SparseMat, Vec
+from degenq.linalg import SparseMat, Subspace, Vec, kron
+from degenq.reports import Report
+from degenq.reps import _witness, natural_rep, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
     antisymmetric_type_dim,
     build_bundle,
-    eigenspace_closures_match,
     leg_operator,
-    leg_operator_by_conjugation,
     perturbed_r,
     symmetric_type_dim,
     tensor_iso,
@@ -19,7 +20,7 @@ from degenq.rmatrix import (
     verify_tensor_iso,
     verify_ybe,
 )
-from degenq.scalars import GLParams, RatFn
+from degenq.scalars import GLParams, Q_MINUS_QINV, RatFn
 
 P21 = GLParams(2, 1)
 P11 = GLParams(1, 1)
@@ -156,3 +157,307 @@ def test_projector_images_match_closures():
     for params in (P21, GLParams(1, 2)):
         report = eigenspace_closures_match(params)
         assert report.all_passed, [c.name for c in report.failures]
+
+
+# -- cross-check constructions ---------------------------------------------------------
+
+
+def leg_operator_by_conjugation(op: SparseMat, i: int, j: int, r: int, d: int) -> SparseMat:
+    """Same operator via permutation conjugation of op (x) id^(r-2); cross-check path."""
+    full = op
+    for _ in range(r - 2):
+        full = kron(full, SparseMat.identity(d))
+    # Build the permutation sending slot 1 -> i, slot 2 -> j, rest in order.
+    target = [i - 1, j - 1] + [t for t in range(r) if t not in (i - 1, j - 1)]
+    perm_entries = {}
+    for idx in range(d**r):
+        digits = []
+        rem = idx
+        for _ in range(r):
+            digits.append(rem % d)
+            rem //= d
+        digits.reverse()
+        new_digits = [0] * r
+        for slot, pos in enumerate(target):
+            new_digits[pos] = digits[slot]
+        new_idx = 0
+        for t in range(r):
+            new_idx = new_idx * d + new_digits[t]
+        perm_entries[(new_idx, idx)] = RatFn.one()
+    perm = SparseMat(d**r, d**r, perm_entries)
+    return perm * full * perm.transpose()
+
+
+def eigenspace_closures_match(params: GLParams) -> Report:
+    """The projector images are exactly the closures of the two top vectors."""
+    report = Report()
+    bundle = build_bundle(params)
+    rep = natural_rep(params)
+    vv = tensor_rep(rep, rep, "Delta")
+    d = params.size
+    q = RatFn.q(1)
+    proj_s, proj_a = ref_projectors(bundle.Rcheck)
+
+    sym_closure = submodule_closure(vv, [Vec.unit(d * d, 0)])
+    w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
+    asym_closure = submodule_closure(vv, [w])
+
+    image_s = Subspace(d * d, [Vec(d * d, col) for col in proj_s.columns()])
+    image_a = Subspace(d * d, [Vec(d * d, col) for col in proj_a.columns()])
+    report.add("spectrum", "P_s image = closure(v1 x v1)", image_s == sym_closure)
+    report.add("spectrum", "P_a image = closure(v1 x v2 - q^-1 v2 x v1)", image_a == asym_closure)
+    report.add(
+        "spectrum",
+        "closures intersect trivially and fill the space",
+        sym_closure.intersect(asym_closure).rank == 0
+        and sym_closure.rank + asym_closure.rank == d * d,
+    )
+    return report
+
+
+# -- the RatFn matrix-product reference of the four suites ------------------------------
+#
+# The suites evaluate each identity as one expression over the integers at
+# q = 2^B (degenq.expr.eval_batch).  The reference below forms both sides as
+# SparseMat products over Q(q) and compares them; both must report the same
+# statuses and the same witness text.
+
+
+def _ref_zero_part(params: GLParams, diag_values) -> SparseMat:
+    d = params.size
+    entries = {}
+    for a in range(d):
+        for b in range(d):
+            i = a * d + b
+            entries[(i, i)] = diag_values(a + 1) if a == b else RatFn.one()
+    return SparseMat(d * d, d * d, entries)
+
+
+def _ref_theta(params: GLParams, sign: int = 1) -> SparseMat:
+    d = params.size
+    coeff = Q_MINUS_QINV if sign > 0 else -Q_MINUS_QINV
+    entries = dict(SparseMat.identity(d * d).entries)
+    for a in range(d):
+        for b in range(a + 1, d):
+            entries[(a * d + b, b * d + a)] = coeff
+    return SparseMat(d * d, d * d, entries)
+
+
+def ref_bundle(params: GLParams) -> rmatrix.RMatrixBundle:
+    """R = R0 Theta and the other operators as matrix products."""
+    d = params.size
+    r0inv = _ref_zero_part(params, lambda a: params.q_sub(a).inv())
+    P = SparseMat(d * d, d * d, {(a * d + b, b * d + a): RatFn.one() for a in range(d) for b in range(d)})
+    R = _ref_zero_part(params, params.q_sub) * _ref_theta(params, +1)
+    Rinv = _ref_theta(params, -1) * r0inv
+    T = _ref_zero_part(params, lambda a: RatFn.q(1)) * _ref_theta(params, +1)
+    return rmatrix.RMatrixBundle(params, R, Rinv, P * R, Rinv * P, P, T)
+
+
+def ref_perturbed_r(params: GLParams) -> SparseMat:
+    bad = _ref_zero_part(params, lambda a: RatFn.q(1) if a <= params.m else RatFn.q(-1))
+    return bad * _ref_theta(params, +1)
+
+
+def _ref_identity(report, suite, name, lhs, rhs):
+    ok = lhs == rhs
+    report.add(suite, name, ok, "" if ok else _witness(lhs - rhs))
+
+
+def _ref_braid_sides(mat: SparseMat, d: int):
+    r12, r13, r23 = (leg_operator(mat, i, j, 3, d) for i, j in ((1, 2), (1, 3), (2, 3)))
+    return r12 * r13 * r23, r23 * r13 * r12
+
+
+def ref_ybe(bundle) -> Report:
+    report = Report()
+    d = bundle.params.size
+    for name, mat in (("R", bundle.R), ("T", bundle.T)):
+        _ref_identity(report, "ybe", f"{name} braids exactly", *_ref_braid_sides(mat, d))
+    _ref_identity(report, "ybe", "R invertible", bundle.R * bundle.Rinv, SparseMat.identity(d * d))
+    lhs, rhs = _ref_braid_sides(ref_perturbed_r(bundle.params), d)
+    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", lhs != rhs)
+    return report
+
+
+def ref_projectors(rc: SparseMat):
+    ident = SparseMat.identity(rc.nrows)
+    q = RatFn.q(1)
+    denom = (q + q.inv()).inv()
+    return (rc + ident.scale(q.inv())).scale(denom), (ident.scale(q) - rc).scale(denom)
+
+
+def ref_hecke(bundle) -> Report:
+    report = Report()
+    params = bundle.params
+    d = params.size
+    rc = bundle.Rcheck
+    ident = SparseMat.identity(d * d)
+    q = RatFn.q(1)
+    hecke = (rc - ident.scale(q)) * (rc + ident.scale(q.inv()))
+    report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero(), _witness(hecke))
+    proj_s, proj_a = ref_projectors(rc)
+    _ref_identity(report, "hecke", "P_s idempotent", proj_s * proj_s, proj_s)
+    _ref_identity(report, "hecke", "P_a idempotent", proj_a * proj_a, proj_a)
+    _ref_identity(report, "hecke", "P_s P_a = 0", proj_s * proj_a, SparseMat(d * d, d * d))
+    _ref_identity(report, "hecke", "P_s + P_a = 1", proj_s + proj_a, ident)
+    dim_s, dim_a = symmetric_type_dim(params), antisymmetric_type_dim(params)
+    report.add("hecke", f"q-eigenspace dimension = {dim_s}", proj_s.rank() == dim_s, f"rank {proj_s.rank()}")
+    report.add(
+        "hecke", f"(-q^-1)-eigenspace dimension = {dim_a}", proj_a.rank() == dim_a, f"rank {proj_a.rank()}"
+    )
+    v11 = Vec.unit(d * d, 0)
+    _ref_identity(report, "hecke", "Rcheck(v1 x v1) = q v1 x v1", rc.apply(v11), v11.scale(q))
+    if d >= 2:
+        w = Vec(d * d, {1: RatFn.one(), d: -q.inv()})
+        name = "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)"
+        _ref_identity(report, "hecke", name, rc.apply(w), w.scale(-q.inv()))
+    return report
+
+
+def ref_intertwiner(bundle) -> Report:
+    report = Report()
+    rep = natural_rep(bundle.params)
+    vv_delta, vv_prime = tensor_rep(rep, rep, "Delta"), tensor_rep(rep, rep, "DeltaPrime")
+    for g in vv_delta.generator_atoms():
+        name = f"{g.kind}{g.index}"
+        delta_mat = vv_delta.gen(g.kind, g.index)
+        prime_mat = vv_prime.gen(g.kind, g.index)
+        _ref_identity(report, "intertwiner", f"R Delta({name}) = Delta'({name}) R",
+                      bundle.R * delta_mat, prime_mat * bundle.R)
+        _ref_identity(report, "intertwiner", f"[Rcheck, Delta({name})] = 0",
+                      bundle.Rcheck * delta_mat, delta_mat * bundle.Rcheck)
+    return report
+
+
+def ref_leg_product(bundle, r: int, which: str) -> SparseMat:
+    d = bundle.params.size
+    pairs = rmatrix._halftwist_pairs(r)
+    out = SparseMat.identity(d**r)
+    for i, j in pairs if which == "R" else reversed(pairs):
+        out = out * leg_operator(getattr(bundle, which), i, j, r, d)
+    return out
+
+
+def ref_tensor_iso(bundle, r: int) -> Report:
+    report = Report()
+    params = bundle.params
+    iso, iso_inv = ref_leg_product(bundle, r, "R"), ref_leg_product(bundle, r, "Rinv")
+    _ref_identity(report, "tensor-iso", f"r={r}: invertible", iso * iso_inv, SparseMat.identity(iso.nrows))
+    power_delta = shared_power(params, r, "Delta")
+    power_prime = shared_power(params, r, "DeltaPrime")
+    for g in power_delta.generator_atoms():
+        name = f"{g.kind}{g.index}"
+        lhs = iso * power_delta.gen(g.kind, g.index)
+        rhs = power_prime.gen(g.kind, g.index) * iso
+        _ref_identity(report, "tensor-iso", f"r={r}: intertwines {name}", lhs, rhs)
+    return report
+
+
+def _rows(report: Report):
+    return [(c.suite, c.name, c.status, c.detail) for c in report.checks]
+
+
+def _mutated(mat: SparseMat, key) -> SparseMat:
+    entries = dict(mat.entries)
+    entries[key] = entries.get(key, RatFn.zero()) + one
+    return SparseMat(mat.nrows, mat.ncols, entries)
+
+
+def _spoiled(params: GLParams) -> dict[str, rmatrix.RMatrixBundle]:
+    """The bundle itself and four spoiled copies, each failing some checks."""
+    bundle = build_bundle(params)
+    d = params.size
+    return {
+        "exact": bundle,
+        "perturbed R": dataclasses.replace(bundle, R=perturbed_r(params)),
+        "Rcheck scaled by q": dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(rfq(1))),
+        "Rcheck entry": dataclasses.replace(bundle, Rcheck=_mutated(bundle.Rcheck, (d, 1))),
+        "Rinv entry": dataclasses.replace(bundle, Rinv=_mutated(bundle.Rinv, (d * d - 1, 0))),
+    }
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
+def test_bundle_matches_the_product_construction(params):
+    bundle, ref = build_bundle(params), ref_bundle(params)
+    assert bundle == ref
+    assert perturbed_r(params) == ref_perturbed_r(params)
+    # BraidEvaluator starts each column from its first entry, so the braid
+    # forms keep the products' order within every column.
+    for name in ("Rcheck", "Rcheckinv"):
+        orders = [{}, {}]
+        for order, mat in zip(orders, (getattr(bundle, name), getattr(ref, name))):
+            for i, j in mat.entries:
+                order.setdefault(j, []).append(i)
+        assert orders[0] == orders[1], name
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
+def test_suites_match_the_product_reference(params):
+    # Same statuses and witness text, and every spoiled bundle fails a check.
+    for label, bundle in _spoiled(params).items():
+        pairs = [
+            (verify_ybe(bundle), ref_ybe(bundle)),
+            (verify_hecke_and_spectrum(bundle), ref_hecke(bundle)),
+            (verify_intertwiner(bundle), ref_intertwiner(bundle)),
+            (verify_tensor_iso(params, 3, bundle=bundle), ref_tensor_iso(bundle, 3)),
+        ]
+        for got, want in pairs:
+            assert _rows(got) == _rows(want), label
+        assert all(got.all_passed for got, _ in pairs) == (label == "exact"), label
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
+@pytest.mark.parametrize("r", [2, 3])
+def test_tensor_iso_matches_the_product_reference(params, r):
+    bundle = build_bundle(params)
+    assert tensor_iso(params, r) == ref_leg_product(bundle, r, "R")
+    assert tensor_iso_inverse(params, r) == ref_leg_product(bundle, r, "Rinv")
+
+
+def test_suites_form_no_rational_matrix_product(monkeypatch):
+    bundles = [build_bundle(params) for params in (P21, GLParams(2, 2))]
+    rational = []
+    mul = SparseMat.__mul__
+
+    def watched(a, b):
+        if any(isinstance(v, RatFn) for m in (a, b) for v in m.entries.values()):
+            rational.append((a.nrows, b.ncols))
+        return mul(a, b)
+
+    monkeypatch.setattr(SparseMat, "__mul__", watched)
+    for bundle in bundles:
+        verify_ybe(bundle)
+        verify_hecke_and_spectrum(bundle)
+        verify_intertwiner(bundle)
+        verify_tensor_iso(bundle.params, 3, bundle=bundle)
+    assert rational == []
+
+
+def test_hecke_ranks_each_projector_once(monkeypatch):
+    calls = []
+    echelon = linalg.echelon_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon_rows", counting)
+    report = verify_hecke_and_spectrum(build_bundle(P21))
+    assert report.all_passed
+    assert len(calls) == 2
+
+
+def test_intertwiner_suite_builds_one_bundle(monkeypatch, capsys):
+    calls = []
+    build = rmatrix.build_bundle
+
+    def counting(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(rmatrix, "build_bundle", counting)
+    monkeypatch.setattr(cli, "build_bundle", counting)
+    assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"]) == cli.EXIT_OK
+    assert "r=3: invertible" in capsys.readouterr().out
+    assert calls == [P21]
