@@ -160,11 +160,11 @@ def run_verify(
         report.extend(check_hopf_axioms(rep))
     bundle = build_bundle(params) if {"ybe", "hecke", "intertwiner"} & set(suites) else None
     if "ybe" in suites:
-        report.extend(verify_ybe(bundle))
+        report.extend(verify_ybe(bundle, max_dim))
     if "hecke" in suites:
-        report.extend(verify_hecke_and_spectrum(bundle))
+        report.extend(verify_hecke_and_spectrum(bundle, max_dim))
     if "intertwiner" in suites:
-        report.extend(verify_intertwiner(bundle))
+        report.extend(verify_intertwiner(bundle, max_dim))
         # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
         report.extend(verify_tensor_iso(params, 3, max_dim, bundle))
     if "invariant" in suites:
@@ -341,7 +341,7 @@ def _cmd_simple_module(args) -> int:
 def _cmd_decompose(args) -> int:
     params = GLParams(args.m, args.n)
     bundle = build_bundle(params)
-    report = verify_hecke_and_spectrum(bundle)
+    report = verify_hecke_and_spectrum(bundle, _max_dim_from(args))
     payload = {
         "m": params.m,
         "n": params.n,

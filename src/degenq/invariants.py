@@ -38,13 +38,17 @@ the Hecke algebra, and rearranging its composition gives an isomorphic module
 (Dipper and James, Proc. LMS 1986; Mitsuhashi, Algebr. Represent. Theory 2006,
 for the super case), so a block's plain trace depends only on its class: the
 sorted multiplicities of its even indices and of its odd ones.  nu(K_2rho) is
-a scalar on each block, so the Markov trace propagates one block per class
-and weights its plain trace by the sum of those scalars over the class.  It
-reads only the diagonal, and the one rational step is the final division by
-dim_q(V)^r.  The substitution helpers live in :mod:`degenq.scalars`: the
-offset v that makes a Laurent polynomial a polynomial (``_lag``), the value at
-2^B (``_encode``), the balanced-digit decode (``_decode``) and the width rule
-(``_digit_bits``).  :func:`degenq.expr.eval_batch` uses the same four.
+a scalar on each block, so the Markov trace takes one block per class and
+weights its plain trace by the sum of those scalars over the class: it
+propagates the block through each half of the word, P then Q, and contracts
+tr(PQ) = sum of P[j, i] Q[i, j]; columns fill in with every letter, so two
+half-words cost less than one word.  The halves' offsets add up to q^(L*v), so
+the contracted integer is the diagonal's.  The one rational step is the
+division by dim_q(V)^r.  The substitution helpers live in
+:mod:`degenq.scalars`: the offset v that makes a Laurent polynomial a
+polynomial (``_lag``), the value at 2^B (``_encode``), the balanced-digit
+decode (``_decode``) and the width rule (``_digit_bits``).
+:func:`degenq.expr.eval_batch` uses the same four.
 """
 
 from __future__ import annotations
@@ -191,20 +195,6 @@ def _weight_class(counts: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(sorted(counts[:m], reverse=True)) + tuple(sorted(counts[m:], reverse=True))
 
 
-def _block_members(counts: tuple[int, ...], d: int) -> list[int]:
-    """The indices of V^(x)r, ascending, whose digits (leg 1 the most
-    significant) take each value a exactly counts[a] times."""
-    level = [(0, counts)]
-    for _ in range(sum(counts)):
-        level = [
-            (c * d + a, left[:a] + (left[a] - 1,) + left[a + 1 :])
-            for c, left in level
-            for a in range(d)
-            if left[a]
-        ]
-    return [c for c, _ in level]
-
-
 class BraidEvaluator:
     """The braid image on V^(x)strands for one (params, strands), propagated
     one weight block at a time, column by column, over the integers at
@@ -229,18 +219,26 @@ class BraidEvaluator:
         tr(nu(K_2rho)^(x)r M) = sum over classes of (plain trace of M on the
         representative's block) * (sum of the K_2rho scalars of the members).
 
-    ``trace`` propagates one block per class; ``matrix`` propagates every
-    block, one at a time.
+    ``trace`` takes one block per class; ``matrix`` propagates every block,
+    one at a time.
+
+    Half-words.  ``trace`` propagates a block's identity through P, the first
+    h = L // 2 letters, and through Q, the rest (M = PQ), sharing the block's
+    ``_layout``, and contracts tr(M) = sum over j, and i in column j of P, of
+    P[i, j] Q[j, i]: one dict lookup per nonzero of P.  Both halves start from
+    unit columns, which fill in letter by letter, so they stay sparse longer.
 
     Columns.  Each column of a leg-placed generator has at most two entries.
-    The table of a letter on a block holds, per column c, the (source column
-    s, coefficient) pairs of c; appending the letter sets column c to the sum
-    of coefficient * (column s).  A coefficient-1 column reuses its source
-    dict with no arithmetic.  Columns are {row: int}, rows and columns
-    numbered by their position in the block.  Each int is the value at
-    q = x = 2^B of the true entry times q^(L*v), L the word length and -v the
-    lowest exponent of any letter coefficient (v = 1 for Rcheck and
-    Rcheckinv, whose coefficients are 1, q^+-1, -q^+-1 and +-(q - q^-1)):
+    The table of a letter on a block holds, per column c, one flat record
+    (s, a, t, b): the source column and coefficient of c's first entry, then
+    of its second (t = -1 if none); appending the letter sets column c to
+    a * (column s) + b * (column t).  A one-entry coefficient-1 column reuses
+    its source dict with no arithmetic.  Columns are {row: int}, rows and
+    columns numbered by their position in the block.  Each int is the value at
+    q = x = 2^B of the true entry times q^(L*v), L the number of letters
+    propagated and -v the lowest exponent of any letter coefficient (v = 1 for
+    Rcheck and Rcheckinv, whose coefficients are 1, q^+-1, -q^+-1 and
+    +-(q - q^-1)):
 
     * Evaluation at x is a ring homomorphism Z[q] -> Z, so sums and products
       of the ints are exactly the values of the sums and products of the
@@ -266,9 +264,13 @@ class BraidEvaluator:
       coefficient that ``trace`` or ``matrix`` decodes.  The class-weighted
       sum is the same Laurent polynomial as the weighted diagonal sum, so the
       bound covers it too.  Intermediate ints need no bound: they are exact.
+    * The halves.  P is carried times q^(h*v) and Q times q^((L-h)*v), so a
+      product of a P entry and a Q entry is carried times q^(L*v), as an
+      entry of M is: the contracted int is the diagonal sum's, and B, the
+      decode and the bound are those of the whole word.
 
-    ``trace`` reads only the diagonal entries; ``matrix`` decodes every entry
-    into a SparseMat.
+    ``trace`` reads only the plain trace of each class's block; ``matrix``
+    decodes every entry into a SparseMat.
 
     Memo.  The set-up depends only on (params, strands), so ``markov_trace``,
     ``braid_rep`` and the Markov and skein suites share one evaluator per
@@ -292,6 +294,8 @@ class BraidEvaluator:
             pair_cols: list[list[tuple[int, int]]] = [[] for _ in range(d * d)]
             for (y, x), v in op.entries.items():
                 pair_cols[x].append((y, codes.setdefault(_laurent(v, what), len(codes))))
+            if max(map(len, pair_cols)) > 2:
+                raise DegenqError(f"{what} has a column with more than two entries")
             self._pairs[sign] = pair_cols
         self._coeffs = list(codes)
         norms = [p.norm1() for p in self._coeffs]
@@ -301,9 +305,9 @@ class BraidEvaluator:
             for col in pair_cols
         )
         self._lag = _lag(self._coeffs)
-        # Per letter, the (row offset, coefficient index) pairs of each column
-        # of its two-site operator placed on the letter's legs.
-        self._moves: dict[int, list[list[tuple[int, int]]]] = {}
+        # Per letter and two-site column x, (dy, a, dz, b): the index offsets to
+        # the sources of the two entries and their coefficients (dz None if one).
+        self._moves: dict[int, list[tuple]] = {}
         # Per class representative, the sum over the class's weight blocks of
         # the K_2rho scalar on the block.
         kd = k2rho_weights(params)
@@ -316,61 +320,75 @@ class BraidEvaluator:
         # Encoded times q^k, so that no weight has a negative exponent.
         self._k = _lag(self._class_weights.values())
 
-    def _scale(self, word: BraidWord) -> tuple[int, int, list[int]]:
-        """(B, offset, mults) for the word: ints are values at q = 2^B times
-        q^offset, and mults[i] encodes coefficient i times q^v."""
+    def _scale(self, word: BraidWord) -> tuple[int, list[int]]:
+        """(B, mults) for the word: ints are values at q = 2^B, and mults[i]
+        encodes coefficient i times q^v."""
         if word.strands != self.strands:
             raise StrandMismatch(f"word has {word.strands} strands, evaluator {self.strands}")
-        length = len(word.letters)
-        bits = _digit_bits(self.dim * self._growth**length)
-        return bits, length * self._lag, [_encode(p, bits, self._lag) for p in self._coeffs]
+        bits = _digit_bits(self.dim * self._growth ** len(word.letters))
+        return bits, [_encode(p, bits, self._lag) for p in self._coeffs]
 
-    def _table(
-        self, letter: int, members: list[int], pos: dict[int, int]
-    ) -> list[list[tuple[int, int]]]:
-        """The (source position, coefficient index) pairs of each column of the
-        letter's leg-placed generator on one block."""
+    def _layout(self, counts: tuple[int, ...]) -> tuple[list[int], dict[int, int], dict]:
+        """(members, positions, tables) of the block counts: the indices whose
+        digits (leg 1 the most significant) take each value a exactly counts[a]
+        times, ascending, the position of each, and a dict for letter tables."""
+        d = self.params.size
+        level = [(0, counts)]
+        for _ in range(self.strands):
+            level = [
+                (c * d + a, left[:a] + (left[a] - 1,) + left[a + 1 :])
+                for c, left in level
+                for a in range(d)
+                if left[a]
+            ]
+        members = [c for c, _ in level]
+        return members, {c: j for j, c in enumerate(members)}, {}
+
+    def _table(self, letter: int, members: list[int], pos: dict[int, int]) -> list[tuple]:
+        """The letter's leg-placed generator on one block: per column, the source
+        position and coefficient of its first entry, then of its second (or -1)."""
         # Legs i and i+1 are adjacent, so their digits (a, b) form one
         # base-d^2 digit x = a*d + b at place value d^(r-1-i) of the index.
         d = self.params.size
         place = d ** (self.strands - 1 - abs(letter))
         moves = self._moves.get(letter)
         if moves is None:
-            pair_cols = self._pairs[1 if letter > 0 else -1]
-            moves = self._moves[letter] = [[(y * place, code) for y, code in col] for col in pair_cols]
-        table = []
-        for c in members:
-            x = c // place % (d * d)
-            base = c - x * place
-            table.append([(pos[base + dy], code) for dy, code in moves[x]])
-        return table
+            moves = self._moves[letter] = []
+            for x, col in enumerate(self._pairs[1 if letter > 0 else -1]):
+                (y, a), (z, b) = col + [(None, 0)] * (2 - len(col))
+                moves.append(((y - x) * place, a, None if z is None else (z - x) * place, b))
+        return [
+            (pos[c + dy], a, -1 if dz is None else pos[c + dz], b)
+            for c in members
+            for dy, a, dz, b in (moves[c // place % (d * d)],)
+        ]
 
     def _block(
-        self, word: BraidWord, counts: tuple[int, ...], scale: tuple[int, int, list[int]]
+        self, letters: tuple[int, ...], layout: tuple, scale: tuple[int, list[int]]
     ) -> tuple[list[int], list[dict[int, int]]]:
-        """(members, columns) of the braid image on the weight block counts:
-        the block's indices in V^(x)r, ascending, and for each its column
-        {row position: int}, in the scale of ``_scale``."""
-        bits, offset, mults = scale
-        members = _block_members(counts, self.params.size)
-        pos = {c: j for j, c in enumerate(members)}
+        """(members, columns) of the image of letters on the ``_layout`` block:
+        per member its column {row position: int}, times q^(len(letters)*v)."""
+        bits, mults = scale
+        members, pos, tables = layout
         lag = self._lag * bits
-        one = 1 << (offset * bits)
+        one = 1 << (len(letters) * lag)
         cols = [{j: one} for j in range(len(members))]
-        tables: dict[int, list[list[tuple[int, int]]]] = {}
-        for letter in word.letters:
+        for letter in letters:
             table = tables.get(letter)
             if table is None:
                 table = tables[letter] = self._table(letter, members, pos)
             new = []
-            for (s, a), *rest in table:
+            for s, a, t, b in table:
                 src = cols[s]
-                if not a:
-                    out = dict(src) if rest else src
-                else:
+                if a:
                     m = mults[a]
                     out = {row: v * m >> lag for row, v in src.items()}
-                for t, b in rest:
+                elif t < 0:
+                    new.append(src)
+                    continue
+                else:
+                    out = dict(src)
+                if t >= 0:
                     m = mults[b]
                     for row, v in cols[t].items():
                         if b:
@@ -388,11 +406,11 @@ class BraidEvaluator:
 
     def matrix(self, word: BraidWord) -> SparseMat:
         """The braid image as a SparseMat over Q(q), assembled block by block."""
-        scale = self._scale(word)
-        bits, offset, _ = scale
+        bits, _ = scale = self._scale(word)
+        offset = len(word.letters) * self._lag
         entries = {}
         for counts in _compositions(self.strands, self.params.size):
-            members, cols = self._block(word, counts, scale)
+            members, cols = self._block(word.letters, self._layout(counts), scale)
             for c, col in zip(members, cols):
                 for row, v in col.items():
                     # den 1 is canonical
@@ -400,22 +418,24 @@ class BraidEvaluator:
         return SparseMat(self.dim, self.dim, entries)
 
     def trace(self, word: BraidWord) -> RatFn:
-        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: per class, the
-        plain trace of the representative's block times the class's K_2rho
-        weight (raised by q^k so that no exponent is negative), summed,
-        decoded once, then one division."""
+        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: per class, the plain
+        trace of PQ on the representative's block times the class's K_2rho
+        weight (times q^k, so no exponent is negative), summed, decoded, divided."""
         params = self.params
         if params.m == params.n:
             raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-        scale = self._scale(word)
-        bits, offset, _ = scale
+        bits, _ = scale = self._scale(word)
+        half = len(word.letters) // 2
         total = 0
         for rep, weight in self._class_weights.items():
-            _, cols = self._block(word, rep, scale)
-            plain = sum(col.get(j, 0) for j, col in enumerate(cols))
+            layout = self._layout(rep)
+            _, p = self._block(word.letters[:half], layout, scale)
+            _, q = self._block(word.letters[half:], layout, scale)
+            plain = sum(v * q[i].get(j, 0) for j, col in enumerate(p) for i, v in col.items())
             total += plain * _encode(weight, bits, self._k)
         dimq = _laurent(quantum_dimension(params), "dim_q(V)")
-        return RatFn(_decode(total, bits, -offset - self._k), dimq**self.strands)
+        value = _decode(total, bits, -len(word.letters) * self._lag - self._k)
+        return RatFn(value, dimq**self.strands)
 
 
 EVALUATOR_MEMO_SIZE = 32  # every (m, n, strands) of the benchmark ladder and verify grid

@@ -456,32 +456,6 @@ class Subspace:
         self._pivots.insert(at, lead)
         return True
 
-    def intersect(self, other: Subspace) -> Subspace:
-        """Intersection, via the kernel of the stacked coefficient matrix."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("subspaces of different ambient dimension")
-        a, b = self.basis(), other.basis()
-        if not a or not b:
-            return Subspace(self.dim)
-        # Columns: coefficients u (on a) then w (on b); rows: ambient coordinates.
-        entries: dict[tuple[int, int], RatFn] = {}
-        for t, v in enumerate(a):
-            for i, x in v.entries.items():
-                entries[(i, t)] = x
-        for t, v in enumerate(b):
-            for i, x in v.entries.items():
-                entries[(i, len(a) + t)] = -x
-        kernel = nullspace(SparseMat(self.dim, len(a) + len(b), entries))
-        vectors = []
-        for combo in kernel:
-            v = Vec(self.dim)
-            for t, u in enumerate(a):
-                c = combo[t]
-                if c:
-                    v = v + u.scale(c)
-            vectors.append(v)
-        return Subspace(self.dim, vectors)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace) or self.dim != other.dim:
             return False

@@ -164,14 +164,19 @@ def tensor_rep(r1: Representation, r2: Representation, side: str = "Delta") -> R
     return Representation(params, d1 * d2, gens, label=f"{r1.label}(x){tag}{r2.label}")
 
 
+def check_cap(d: int, r: int, max_dim: int) -> None:
+    """Refuse the r-th tensor power of a d-dimensional space above the cap."""
+    if d**r > max_dim:
+        raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
+
+
 def iterated_tensor(
     rep: Representation, r: int, side: str = "Delta", max_dim: int = DEFAULT_MAX_DIM
 ) -> Representation:
     """Left-nested r-th tensor power of rep."""
     if r < 1:
         raise ValueError("tensor power needs r >= 1")
-    if rep.dim**r > max_dim:
-        raise ResourceLimit(f"dimension {rep.dim}^{r} exceeds cap {max_dim}")
+    check_cap(rep.dim, r, max_dim)
     out = rep
     for _ in range(r - 1):
         out = tensor_rep(out, rep, side)
@@ -203,8 +208,7 @@ def shared_power(
     Callers must not mutate it.  The cap is checked before the lookup."""
     if r < 2:
         raise ValueError("a shared tensor power needs r >= 2")
-    if params.size**r > max_dim:
-        raise ResourceLimit(f"dimension {params.size}^{r} exceeds cap {max_dim}")
+    check_cap(params.size, r, max_dim)
     return _power(params, r, side)
 
 

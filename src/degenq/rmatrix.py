@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
 from .expr import Expr, Gen, Prod, Scalar, eval_batch, make_prod
 from .linalg import SparseMat, Vec
 from .reports import Report
-from .reps import DEFAULT_MAX_DIM, Representation, _witness, shared_power
+from .reps import DEFAULT_MAX_DIM, Representation, _witness, check_cap, shared_power
 from .scalars import GLParams, Q_MINUS_QINV, RatFn
 
 _ONE = RatFn.one()
@@ -185,12 +184,13 @@ def _braid_difference(name: str) -> Expr:
     return make_prod([r12, r13, r23]) - make_prod([r23, r13, r12])
 
 
-def verify_ybe(bundle: RMatrixBundle) -> Report:
+def verify_ybe(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """The braid relation on V^(x)3 for R and the reference T, plus the failing
-    negative control."""
-    report = Report()
+    negative control; refuses V^(x)3 above the dimension cap."""
     params = bundle.params
     d = params.size
+    check_cap(d, 3, max_dim)
+    report = Report()
     ops = {"R": bundle.R, "T": bundle.T, "Rbad": perturbed_r(params)}
     cube = _differences(_space(3, d, ops), [(name, _braid_difference(name)) for name in ops])
     square = _space(2, d, {"R": bundle.R, "Rinv": bundle.Rinv})
@@ -201,11 +201,13 @@ def verify_ybe(bundle: RMatrixBundle) -> Report:
     return report
 
 
-def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
-    """(Rcheck - q)(Rcheck + q^-1) = 0 plus the full spectral decomposition."""
-    report = Report()
+def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
+    """(Rcheck - q)(Rcheck + q^-1) = 0 plus the full spectral decomposition;
+    refuses V^(x)2 above the dimension cap."""
     params = bundle.params
     d = params.size
+    check_cap(d, 2, max_dim)
+    report = Report()
     q = RatFn.q(1)
     # The eigenvector checks read v1 x v1 and v1 x v2 - q^-1 v2 x v1 as the
     # first column of a matrix atom.
@@ -241,14 +243,15 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle) -> Report:
     return report
 
 
-def verify_intertwiner(bundle: RMatrixBundle) -> Report:
+def verify_intertwiner(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """R (nu x nu)Delta(x) = (nu x nu)Delta'(x) R on every generator, and
-    Rcheck commutes with the Delta-action, for nu the natural module."""
-    report = Report()
+    Rcheck commutes with the Delta-action, for nu the natural module; refuses
+    V^(x)2 above the dimension cap."""
     params = bundle.params
-    vv_delta = shared_power(params, 2, "Delta")
+    report = Report()
+    vv_delta = shared_power(params, 2, "Delta", max_dim)  # refuses above the cap
     ops = {"R": bundle.R, "Rcheck": bundle.Rcheck}
-    space = _space(2, params.size, ops, vv_delta, shared_power(params, 2, "DeltaPrime"))
+    space = _space(2, params.size, ops, vv_delta, shared_power(params, 2, "DeltaPrime", max_dim))
     R, rc = Gen("R", (1, 2)), Gen("Rcheck", (1, 2))
     checks = []
     for g in vv_delta.generator_atoms():
@@ -294,8 +297,7 @@ def _leg_product(params: GLParams, r: int, max_dim: int, which: str) -> SparseMa
     """The isomorphism (which = "R") or its inverse ("Rinv") on V^(x)r;
     refuses a space above the dimension cap."""
     d = params.size
-    if d**r > max_dim:
-        raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
+    check_cap(d, r, max_dim)
     space = _space(r, d, {which: getattr(build_bundle(params), which)})
     return next(eval_batch([_iso_exprs(r)[which == "Rinv"]], space))
 

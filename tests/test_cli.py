@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from degenq import cli, reps
+from degenq import cli, reps, rmatrix
 from degenq.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -15,10 +15,11 @@ from degenq.cli import (
     run_verify,
     serialize_report,
 )
-from degenq.errors import ExprSyntaxError
+from degenq.errors import ExprSyntaxError, ResourceLimit
 from degenq.relations import relation_catalog
 from degenq.reports import Report
 from degenq.reps import natural_rep, tensor_rep
+from degenq.rmatrix import build_bundle
 from degenq.scalars import GLParams
 
 
@@ -259,6 +260,41 @@ def test_verify_intertwiner_refuses_tensor_iso_above_the_cap(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_RESOURCE, "")
     assert captured.err == "resource limit: dimension 3^3 exceeds cap 20\n"
+
+
+# Under a cap of 8 at (2, 1) every R-matrix suite is refused before any work:
+# ybe needs V^(x)3 (27 dims), hecke, the r = 2 intertwiner checks and
+# decompose need V^(x)2 (9 dims).  The hopf suite works on V alone and passes.
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "--m", "2", "--n", "1", "--suite", "ybe"], "dimension 3^3 exceeds cap 8"),
+        (["verify", "--m", "2", "--n", "1", "--suite", "hecke"], "dimension 3^2 exceeds cap 8"),
+        (["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"], "dimension 3^2 exceeds cap 8"),
+        (["verify", "--m", "2", "--n", "1", "--suite", "relations"], "dimension 3^2 exceeds cap 8"),
+        (["decompose", "--m", "2", "--n", "1", "--json"], "dimension 3^2 exceeds cap 8"),
+    ],
+    ids=["ybe", "hecke", "intertwiner", "relations", "decompose"],
+)
+def test_r_matrix_suites_refuse_spaces_above_the_cap(argv, err, capsys):
+    code = main(["--max-dim", "8"] + argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", f"resource limit: {err}\n")
+
+
+def test_r_matrix_suites_refuse_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a space above the cap")
+
+    monkeypatch.setattr(rmatrix, "_space", no_work)
+    bundle = build_bundle(GLParams(2, 1))
+    for check, cap in (
+        (rmatrix.verify_ybe, 26),
+        (rmatrix.verify_hecke_and_spectrum, 8),
+        (rmatrix.verify_intertwiner, 8),
+    ):
+        with pytest.raises(ResourceLimit):
+            check(bundle, max_dim=cap)
 
 
 # -- the per-process module memo -----------------------------------------------------

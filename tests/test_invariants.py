@@ -430,9 +430,22 @@ _ALL_PARAMS = _SMALL_PARAMS + (GLParams(3, 2),)
 @example((P21, BraidWord(1, ())))
 @example((GLParams(1, 3), BraidWord(3, ())))
 @example((GLParams(3, 2), BraidWord(5, (1, -4))))
+@example((P31, BraidWord(2, (-1,))))
+@example((GLParams(1, 2), BraidWord(4, (1, -2, 3, 2, -1))))
+@example((P21, BraidWord(4, (1, -2, 3, -1, 2, 2, -3, 1, 3, -2, -1, 3, 2, -1, -3, 2, 1, -2, 3, 1, -1))))
 def test_markov_trace_equals_laurent_reference(case):
+    # trace contracts the images of the word's two halves; the examples give
+    # an empty first half, an odd length, and a 21-letter word.
     params, word = case
     assert markov_trace(word, params) == _reference_trace(word, params)
+
+
+def test_seeded_long_six_strand_word_matches_oracle():
+    # An 18-letter word on 6 strands at (2, 1): two 9-letter halves on blocks
+    # of up to 90 columns.
+    word = random_word(random.Random(1306), 6, 18, 18)
+    assert len(word.letters) == 18
+    assert link_invariant(word, P21).invariant == oracle_invariant(word, P21)
 
 
 def _block_traces(word, params):
@@ -561,8 +574,9 @@ def test_trace_propagates_one_block_per_class_and_matrix_every_block(monkeypatch
     params = GLParams(3, 2)
     word = BraidWord(5, (1, -2, 3, -4, 2))
     assert markov_trace(word, params) == _reference_trace(word, params)
-    # 25 classes of weight blocks on (3, 2, 5), 672 of the 3,125 columns.
-    assert (len(sizes), sum(sizes)) == (25, 672)
+    # 25 classes of weight blocks on (3, 2, 5), 672 of the 3,125 columns,
+    # each propagated twice: through the first half of the word and the second.
+    assert (len(sizes), sum(sizes)) == (50, 1344)
     sizes.clear()
     braid_rep(word, params)
     # All 126 blocks, one at a time; the largest, (1,1,1,1,1), has 5! columns.

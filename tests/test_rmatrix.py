@@ -4,7 +4,7 @@ import pytest
 
 from degenq import cli, linalg, rmatrix
 from degenq.errors import ResourceLimit
-from degenq.linalg import SparseMat, Subspace, Vec, kron
+from degenq.linalg import SparseMat, Subspace, Vec, kron, nullspace
 from degenq.reports import Report
 from degenq.reps import _witness, natural_rep, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
@@ -188,6 +188,24 @@ def leg_operator_by_conjugation(op: SparseMat, i: int, j: int, r: int, d: int) -
     return perm * full * perm.transpose()
 
 
+def intersect(a, b):
+    """The intersection of two subspaces: the a-parts of the kernel of the
+    matrix whose columns are the basis of a, then minus the basis of b."""
+    basis_a, basis_b = a.basis(), b.basis()
+    if not basis_a or not basis_b:
+        return Subspace(a.dim)
+    cols = basis_a + [v.scale(-RatFn.one()) for v in basis_b]
+    entries = {(i, t): x for t, v in enumerate(cols) for i, x in v.entries.items()}
+    vectors = []
+    for combo in nullspace(SparseMat(a.dim, len(cols), entries)):
+        v = Vec(a.dim)
+        for t, u in enumerate(basis_a):
+            if combo[t]:
+                v = v + u.scale(combo[t])
+        vectors.append(v)
+    return Subspace(a.dim, vectors)
+
+
 def eigenspace_closures_match(params: GLParams) -> Report:
     """The projector images are exactly the closures of the two top vectors."""
     report = Report()
@@ -209,7 +227,7 @@ def eigenspace_closures_match(params: GLParams) -> Report:
     report.add(
         "spectrum",
         "closures intersect trivially and fill the space",
-        sym_closure.intersect(asym_closure).rank == 0
+        intersect(sym_closure, asym_closure).rank == 0
         and sym_closure.rank + asym_closure.rank == d * d,
     )
     return report
