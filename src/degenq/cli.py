@@ -66,14 +66,10 @@ SUITES = ("relations", "hopf", "ybe", "hecke", "intertwiner", "invariant")
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Whitespace-separated nonzero integers; strands default to max|i| + 1."""
-    tokens = text.split()
-    if not tokens:
-        letters: tuple[int, ...] = ()
-    else:
-        try:
-            letters = tuple(int(t) for t in tokens)
-        except ValueError as exc:
-            raise ExprSyntaxError(f"braid letters must be integers: {exc}") from exc
+    try:
+        letters = tuple(int(t) for t in text.split())
+    except ValueError as exc:
+        raise ExprSyntaxError(f"braid letters must be integers: {exc}") from exc
     if any(letter == 0 for letter in letters):
         raise ExprSyntaxError("braid letters must be nonzero")
     if strands is None:
@@ -81,30 +77,37 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, letters)
 
 
-def serialize_report(report: Report, fmt: str = "text") -> str:
-    if fmt == "json":
-        payload = {
-            "checks": [
-                {"suite": c.suite, "name": c.name, "status": c.status, "detail": c.detail}
-                for c in report.checks
-            ],
-            "summary": report.counts(),
-            "ok": report.all_passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-    if not report.checks:
+def _report_payload(report: Report) -> dict:
+    return {
+        "checks": [
+            {"suite": c.suite, "name": c.name, "status": c.status, "detail": c.detail}
+            for c in report.checks
+        ],
+        "summary": report.counts(),
+        "ok": report.all_passed,
+    }
+
+
+def _report_text(payload: dict) -> str:
+    """One line per check of a ``_report_payload`` result, then the counts."""
+    checks = payload["checks"]
+    if not checks:
         return "OK (0 checks)"
-    width = max(len(c.suite) for c in report.checks)
+    width = max(len(c["suite"]) for c in checks)
     lines = []
-    for c in report.checks:
-        marker = {PASS: "ok", FAIL: "FAIL", VACUOUS: "vac.", UNSUPPORTED: "n/a"}[c.status]
-        detail = f"  [{c.detail}]" if c.detail else ""
-        lines.append(f"{marker:5s} {c.suite:<{width}s}  {c.name}{detail}")
-    counts = report.counts()
-    total = sum(counts.values())
+    for c in checks:
+        marker = {PASS: "ok", FAIL: "FAIL", VACUOUS: "vac.", UNSUPPORTED: "n/a"}[c["status"]]
+        detail = f"  [{c['detail']}]" if c["detail"] else ""
+        lines.append(f"{marker:5s} {c['suite']:<{width}s}  {c['name']}{detail}")
+    counts = payload["summary"]
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    lines.append(f"{total} checks ({summary})")
+    lines.append(f"{sum(counts.values())} checks ({summary})")
     return "\n".join(lines)
+
+
+def serialize_report(report: Report, fmt: str = "text") -> str:
+    payload = _report_payload(report)
+    return json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else _report_text(payload)
 
 
 def _matrix_payload(mat: SparseMat) -> dict:
@@ -118,12 +121,13 @@ def _matrix_payload(mat: SparseMat) -> dict:
     }
 
 
-def _matrix_text(mat: SparseMat) -> str:
-    rows = []
-    for i in range(mat.nrows):
-        row = [scalar_to_text(mat[i, j]) for j in range(mat.ncols)]
-        rows.append("[" + ", ".join(row) + "]")
-    return "\n".join(rows)
+def _matrix_text(payload: dict) -> str:
+    """The rows of a ``_matrix_payload`` result, with "0" where an entry is missing."""
+    entries = payload["entries"]
+    return "\n".join(
+        "[" + ", ".join(entries.get(f"{i},{j}", "0") for j in range(payload["ncols"])) + "]"
+        for i in range(payload["nrows"])
+    )
 
 
 def run_verify(
@@ -153,8 +157,7 @@ def run_verify(
             for side in ("Delta", "DeltaPrime"):
                 spaces.append((f"V^(x){r} [{side}]", shared_power(params, r, side, max_dim)))
         for label, space in spaces:
-            sub = verify_relations(space, catalog)
-            for c in sub.checks:
+            for c in verify_relations(space, catalog).checks:
                 report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
     if "hopf" in suites:
         report.extend(check_hopf_axioms(rep))
@@ -248,119 +251,112 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_invariant(args) -> int:
+# Each command returns (payload, text, exit code): main prints the payload as
+# JSON under --json and calls text, which reads the payload's strings, otherwise.
+
+
+def _cmd_invariant(args):
     params = GLParams(args.m, args.n)
     word = parse_braid(args.braid, args.strands)
     result = link_invariant(word, params, _max_dim_from(args))
-    mn = params.m - params.n
-    if args.json:
-        payload = {
-            "m": params.m,
-            "n": params.n,
-            "strands": word.strands,
-            "writhe": result.writhe,
-            "markov_trace": scalar_to_text(result.markov_trace),
-            "invariant": scalar_to_text(result.invariant),
-            "a": scalar_to_text(RatFn.q(mn)),
-            "z": scalar_to_text(RatFn.q(1) - RatFn.q(-1)),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"braid: {' '.join(map(str, word.letters)) or '(empty)'} on {word.strands} strands")
-        print(f"writhe: {result.writhe}")
-        print(f"markov trace: {scalar_to_text(result.markov_trace)}")
-        print(f"invariant: {scalar_to_text(result.invariant)}")
-        print(f"variables: a = {scalar_to_text(RatFn.q(mn))}, z = {scalar_to_text(RatFn.q(1) - RatFn.q(-1))}")
-    return EXIT_OK
+    payload = {
+        "m": params.m,
+        "n": params.n,
+        "strands": word.strands,
+        "writhe": result.writhe,
+        "markov_trace": scalar_to_text(result.markov_trace),
+        "invariant": scalar_to_text(result.invariant),
+        "a": scalar_to_text(RatFn.q(params.m - params.n)),
+        "z": scalar_to_text(RatFn.q(1) - RatFn.q(-1)),
+    }
+    return payload, lambda: "\n".join([
+        f"braid: {' '.join(map(str, word.letters)) or '(empty)'} on {payload['strands']} strands",
+        f"writhe: {payload['writhe']}",
+        f"markov trace: {payload['markov_trace']}",
+        f"invariant: {payload['invariant']}",
+        f"variables: a = {payload['a']}, z = {payload['z']}",
+    ]), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     params = GLParams(args.m, args.n)
-    suites = SUITES if args.suite == "all" else (args.suite,)
     report = run_verify(
         params,
         tensor_depth=args.tensor_depth,
-        suites=suites,
+        suites=SUITES if args.suite == "all" else (args.suite,),
         max_dim=_max_dim_from(args),
         samples=args.samples,
     )
-    print(serialize_report(report, "json" if args.json else "text"))
-    if not report.all_passed:
-        return EXIT_FAIL
-    if report.unsupported and args.suite == "invariant":
-        return EXIT_UNSUPPORTED
-    return EXIT_OK
+    payload = _report_payload(report)
+    code = EXIT_OK if report.all_passed else EXIT_FAIL
+    if code == EXIT_OK and report.unsupported and args.suite == "invariant":
+        code = EXIT_UNSUPPORTED
+    return payload, lambda: _report_text(payload), code
 
 
-def _cmd_simple_module(args) -> int:
+def _cmd_simple_module(args):
     sign1 = 1 if args.sign1 in ("+1", "1") else -1
     lambda2 = parse_scalar(args.lambda2)
     hw = HighestWeightSL21(args.ell, sign1, lambda2)
+    cap = _max_dim_from(args)
+    if 4 * (hw.ell + 1) > cap:
+        raise ResourceLimit(f"induced dimension {4 * (hw.ell + 1)} exceeds cap {cap}")
     info = module_report(hw)
-    kind, expected = info["type"], info["expected_dim"]
     module = info["module"]
-    labels = [
-        f"F^{eF} f2^{e2} f1^{k} v" for (eF, e2, k) in module.basis_labels
-    ]
-    if args.json:
-        payload = {
-            "ell": args.ell,
-            "sign1": sign1,
-            "lambda1": scalar_to_text(hw.lambda1),
-            "lambda2": scalar_to_text(lambda2),
-            "type": kind.value,
-            "expected_dim": expected,
-            "verma_dim": info["verma_dim"],
-            "dim": module.dim,
-            "basis": labels,
-            "relations_ok": info["relations_ok"],
-            "identities": [{"name": n, "ok": ok} for n, ok in info["identities"]],
+    payload = {
+        "ell": args.ell,
+        "sign1": sign1,
+        "lambda1": scalar_to_text(hw.lambda1),
+        "lambda2": scalar_to_text(lambda2),
+        "type": info["type"].value,
+        "expected_dim": info["expected_dim"],
+        "verma_dim": info["verma_dim"],
+        "dim": module.dim,
+        "basis": [f"F^{eF} f2^{e2} f1^{k} v" for (eF, e2, k) in module.basis_labels],
+        "relations_ok": info["relations_ok"],
+        "identities": [{"name": n, "ok": ok} for n, ok in info["identities"]],
+    }
+    if args.matrices:
+        payload["action"] = {
+            f"{kind}{idx}": _matrix_payload(mat)
+            for (kind, idx), mat in sorted(module.rep.gens.items())
         }
-        if args.matrices:
-            payload["action"] = {
-                f"{kind_}{idx}": _matrix_payload(mat)
-                for (kind_, idx), mat in sorted(module.rep.gens.items())
-            }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"highest weight: lambda1 = {scalar_to_text(hw.lambda1)}, lambda2 = {scalar_to_text(lambda2)}")
-        print(f"type: {kind.value} (expected dimension {expected})")
-        print(f"induced dimension: {info['verma_dim']}; simple dimension: {module.dim}")
-        print(f"relation catalog: {'all pass' if info['relations_ok'] else 'FAILURES'}")
-        for name, ok in info["identities"]:
-            print(f"identity {'ok ' if ok else 'FAIL'}: {name}")
-        print("basis: " + ", ".join(labels))
-        if args.matrices:
-            for (kind_, idx), mat in sorted(module.rep.gens.items()):
-                print(f"-- {kind_}{idx} --")
-                print(_matrix_text(mat))
-    ok = info["relations_ok"] and module.dim == expected and all(x for _, x in info["identities"])
-    return EXIT_OK if ok else EXIT_FAIL
+
+    def text() -> str:
+        lines = [
+            f"highest weight: lambda1 = {payload['lambda1']}, lambda2 = {payload['lambda2']}",
+            f"type: {payload['type']} (expected dimension {payload['expected_dim']})",
+            f"induced dimension: {payload['verma_dim']}; simple dimension: {payload['dim']}",
+            f"relation catalog: {'all pass' if payload['relations_ok'] else 'FAILURES'}",
+        ]
+        for x in payload["identities"]:
+            lines.append(f"identity {'ok ' if x['ok'] else 'FAIL'}: {x['name']}")
+        lines.append("basis: " + ", ".join(payload["basis"]))
+        for name, mat in payload.get("action", {}).items():
+            lines += [f"-- {name} --", _matrix_text(mat)]
+        return "\n".join(lines)
+
+    identities_ok = all(x for _, x in info["identities"])
+    ok = info["relations_ok"] and module.dim == info["expected_dim"] and identities_ok
+    return payload, text, EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     params = GLParams(args.m, args.n)
-    bundle = build_bundle(params)
-    report = verify_hecke_and_spectrum(bundle, _max_dim_from(args))
+    full = _report_payload(verify_hecke_and_spectrum(build_bundle(params), _max_dim_from(args)))
     payload = {
         "m": params.m,
         "n": params.n,
         "q_eigenspace_dim": symmetric_type_dim(params),
         "neg_qinv_eigenspace_dim": antisymmetric_type_dim(params),
+        # The report's checks without their detail, and no summary.
+        "checks": [{key: c[key] for key in ("suite", "name", "status")} for c in full["checks"]],
+        "ok": full["ok"],
     }
-    if args.json:
-        payload["checks"] = [
-            {"suite": c.suite, "name": c.name, "status": c.status} for c in report.checks
-        ]
-        payload["ok"] = report.all_passed
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(
-            f"braid-form eigenvalues: q (dim {payload['q_eigenspace_dim']}), "
-            f"-q^-1 (dim {payload['neg_qinv_eigenspace_dim']})"
-        )
-        print(serialize_report(report))
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    return payload, lambda: (
+        f"braid-form eigenvalues: q (dim {payload['q_eigenspace_dim']}), "
+        f"-q^-1 (dim {payload['neg_qinv_eigenspace_dim']})\n" + _report_text(full)
+    ), EXIT_OK if payload["ok"] else EXIT_FAIL
 
 
 def _build_rep(name: str, params: GLParams, max_dim: int):
@@ -369,35 +365,25 @@ def _build_rep(name: str, params: GLParams, max_dim: int):
         return rep
     if name == "dual":
         return dual_rep(rep)
-    r = 0
-    if name.startswith("tensor"):
-        try:
-            r = int(name[len("tensor") :] or "2")
-        except ValueError:
-            pass
-    if r < 1:
-        raise InvalidInput(f"unknown representation {name!r}; use natural, dual or tensor<k> with k >= 1")
-    return iterated_tensor(rep, r, "Delta", max_dim)
+    digits = name.removeprefix("tensor")
+    if digits != name and digits.isascii() and digits.isdigit() and int(digits) >= 1:
+        return iterated_tensor(rep, int(digits), "Delta", max_dim)
+    raise InvalidInput(f"unknown representation {name!r}; use natural, dual or tensor<k> with k >= 1")
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     params = GLParams(args.m, args.n)
     rep = _build_rep(args.rep, params, _max_dim_from(args))
-    expr = parse_expr(args.expr, params)
-    mat = eval_in_rep(expr, rep)
-    if args.json:
-        payload = {
-            "m": params.m,
-            "n": params.n,
-            "rep": args.rep,
-            "expr": args.expr,
-            "matrix": _matrix_payload(mat),
-            "is_zero": mat.is_zero(),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(_matrix_text(mat))
-    return EXIT_OK
+    mat = eval_in_rep(parse_expr(args.expr, params), rep)
+    payload = {
+        "m": params.m,
+        "n": params.n,
+        "rep": args.rep,
+        "expr": args.expr,
+        "matrix": _matrix_payload(mat),
+        "is_zero": mat.is_zero(),
+    }
+    return payload, lambda: _matrix_text(payload["matrix"]), EXIT_OK
 
 
 @functools.cache
@@ -433,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_FAIL
         raise
     try:
-        return args.handler(args)
+        payload, text, code = args.handler(args)
     except EqualMNUnsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -443,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     except DegenqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text())
+    return code
 
 
 if __name__ == "__main__":

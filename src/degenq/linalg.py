@@ -155,15 +155,6 @@ class SparseMat:
     def transpose(self) -> SparseMat:
         return SparseMat._raw(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def trace(self) -> RatFn:
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        t = RatFn.zero()
-        for (i, j), v in self.entries.items():
-            if i == j:
-                t = t + v
-        return t
-
     def kron(self, other: SparseMat) -> SparseMat:
         """Kronecker product; left factor most significant in the index order.
 

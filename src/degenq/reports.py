@@ -10,6 +10,16 @@ VACUOUS = "vacuous"
 UNSUPPORTED = "unsupported"
 
 
+def witness(diff) -> str:
+    """The detail of a matrix or vector identity whose two sides differ by diff
+    (a ``SparseMat`` or a ``Vec``): its nnz and its first nonzero entry; empty
+    when diff is zero."""
+    if not diff.entries:
+        return ""
+    key = min(diff.entries)
+    return f"{len(diff.entries)} nonzero entries; entry {key} = {diff.entries[key]}"
+
+
 @dataclass
 class CheckResult:
     suite: str
@@ -27,9 +37,12 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
-        r = CheckResult(suite, name, PASS if passed else FAIL, detail)
-        self.checks.append(r)
-        return r
+        return self.note(suite, name, PASS if passed else FAIL, detail)
+
+    def add_zero(self, suite: str, name: str, diff) -> CheckResult:
+        """A matrix or vector identity whose two sides differ by diff: it passes
+        when diff has no entries, with the witness as its detail."""
+        return self.add(suite, name, not diff.entries, witness(diff))
 
     def note(self, suite: str, name: str, status: str, detail: str = "") -> CheckResult:
         r = CheckResult(suite, name, status, detail)

@@ -42,8 +42,6 @@ from .scalars import GLParams, RatFn
 
 DEFAULT_MAX_DIM = 20000
 
-_ATOMS = ("e", "f", "K", "Kinv")
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -324,17 +322,8 @@ def verify_relations(rep: Representation, entries: Sequence[RelationEntry] | Non
     report = Report()
     entries = entries if entries is not None else rep.catalog()
     for entry, value in zip(entries, eval_batch([entry.expr for entry in entries], rep)):
-        report.add("relations", entry.name, value.is_zero(), _witness(value))
+        report.add_zero("relations", entry.name, value)
     return report
-
-
-def _witness(diff: SparseMat | Vec) -> str:
-    """The detail of a matrix or vector identity whose two sides differ by diff:
-    its nnz and its first nonzero entry; empty when diff is zero."""
-    if not diff.entries:
-        return ""
-    key = min(diff.entries)
-    return f"{len(diff.entries)} nonzero entries; entry {key} = {diff.entries[key]}"
 
 
 def check_hopf_axioms(rep: Representation) -> Report:
@@ -364,5 +353,5 @@ def check_hopf_axioms(rep: Representation) -> Report:
         s2_minus_conj = antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv))
         checks.append((f"S^2 = Ad(K2rho) on {g.kind}{g.index}", s2_minus_conj))
     for (name, _), value in zip(checks, eval_batch([x for _, x in checks], rep)):
-        report.add("hopf-s2", name, value.is_zero(), _witness(value))
+        report.add_zero("hopf-s2", name, value)
     return report

@@ -68,11 +68,6 @@ class LaurentPoly:
         return self.terms == {0: 1}
 
     @property
-    def degree(self) -> int:
-        """Largest exponent; undefined (raises) on zero."""
-        return max(self.terms)
-
-    @property
     def valuation(self) -> int:
         """Smallest exponent; undefined (raises) on zero."""
         return min(self.terms)
@@ -83,10 +78,6 @@ class LaurentPoly:
     def norm1(self) -> int:
         """The 1-norm: the sum of the absolute values of the coefficients."""
         return sum(map(abs, self.terms.values()))
-
-    def content(self) -> int:
-        """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self.terms.values()) if self.terms else 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -541,7 +532,6 @@ _RF_ONE = RatFn._raw(_LP_ONE, _LP_ONE)
 
 
 Q = RatFn.q(1)
-QINV = RatFn.q(-1)
 P_SIGNED = RatFn.q(-1, -1)  # p = -q^-1
 Q_MINUS_QINV = RatFn.of(LaurentPoly({1: 1, -1: -1}))
 

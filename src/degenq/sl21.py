@@ -106,10 +106,6 @@ def atypicality_type(hw: HighestWeightSL21) -> tuple[ModuleType, int]:
     return ModuleType.TYPICAL, 4 * (hw.ell + 1)
 
 
-def _label_index(labels: list[tuple[int, int, int]]) -> dict[tuple[int, int, int], int]:
-    return {lab: t for t, lab in enumerate(labels)}
-
-
 def _inverses(values: list[RatFn]) -> list[RatFn]:
     """The inverse of each value, each distinct value inverted once."""
     inverse = {v: v.inv() for v in dict.fromkeys(values)}
@@ -122,7 +118,7 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
     l1, l2 = hw.lambda1, hw.lambda2
     q = RatFn.q(1)
     labels = [(eF, e2, k) for eF in (0, 1) for e2 in (0, 1) for k in range(ell + 1)]
-    pos = _label_index(labels)
+    pos = {lab: t for t, lab in enumerate(labels)}
     dim = len(labels)
 
     # [e_1, f_1^k] applied to the highest vector: [k]_q (l1 q^{1-k} - l1^-1 q^{k-1})/(q-q^-1)
@@ -287,7 +283,6 @@ def module_report(hw: HighestWeightSL21):
         "type": kind,
         "expected_dim": expected,
         "verma_dim": vm.dim,
-        "simple_dim": simple.dim,
         "module": simple,
         "relations_ok": relation_report.all_passed,
         "identities": check_structural_identities(simple),

@@ -132,6 +132,81 @@ def test_option_value_may_start_with_a_dash(head, option, value, tail, capsys):
     assert outputs[0][0] == EXIT_OK and outputs[0][1].err == ""
 
 
+_HECKE_TEXT = """\
+ok    hecke  (Rcheck - q)(Rcheck + q^-1) = 0
+ok    hecke  P_s idempotent
+ok    hecke  P_a idempotent
+ok    hecke  P_s P_a = 0
+ok    hecke  P_s + P_a = 1
+ok    hecke  q-eigenspace dimension = 5  [rank 5]
+ok    hecke  (-q^-1)-eigenspace dimension = 4  [rank 4]
+ok    hecke  Rcheck(v1 x v1) = q v1 x v1
+ok    hecke  Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)
+9 checks (pass: 9)
+"""
+
+_SIMPLE_MODULE_TEXT = """\
+highest weight: lambda1 = 1, lambda2 = -1
+type: AtypicalA (expected dimension 1)
+induced dimension: 4; simple dimension: 1
+relation catalog: all pass
+identity ok : F f2 f1^k v = 0 for all k
+basis: F^0 f2^0 f1^0 v
+""" + "".join(
+    f"-- {name} --\n[{value}]\n"
+    for name, value in (
+        ("K1", "-1"), ("K2", "-1"), ("K3", "1"), ("Kinv1", "-1"), ("Kinv2", "-1"), ("Kinv3", "1"),
+        ("e1", "0"), ("e2", "0"), ("f1", "0"), ("f2", "0"),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["invariant", "--m", "2", "--n", "1", "--braid", "1 1 1"],
+            "braid: 1 1 1 on 2 strands\nwrithe: 3\nmarkov trace: q^3\ninvariant: 1\n"
+            "variables: a = q, z = q - q^-1\n",
+        ),
+        (["verify", "--m", "2", "--n", "1", "--suite", "hecke"], _HECKE_TEXT),
+        (
+            ["simple-module", "--ell", "0", "--lambda2=-1", "--matrices"],
+            _SIMPLE_MODULE_TEXT,
+        ),
+        (
+            ["decompose", "--m", "2", "--n", "1"],
+            "braid-form eigenvalues: q (dim 5), -q^-1 (dim 4)\n" + _HECKE_TEXT,
+        ),
+        (
+            ["eval", "--m", "2", "--n", "1", "--expr", "K1 + q*e1 - f2", "--rep", "dual"],
+            "[q^-1, 0, 0]\n[-q^2, 1, -q]\n[0, 0, 1]\n",
+        ),
+    ],
+    ids=["invariant", "verify", "simple-module", "decompose", "eval"],
+)
+def test_text_output_is_pinned(argv, out, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_OK, out, "")
+
+
+def test_json_mode_builds_no_text(monkeypatch, capsys):
+    def no_text(payload):
+        raise AssertionError("built the text under --json")
+
+    monkeypatch.setattr(cli, "_matrix_text", no_text)
+    monkeypatch.setattr(cli, "_report_text", no_text)
+    for argv in (
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor2", "--json"],
+        ["simple-module", "--ell", "1", "--lambda2", "q", "--matrices", "--json"],
+        ["verify", "--m", "2", "--n", "1", "--suite", "hecke", "--json"],
+        ["decompose", "--m", "2", "--n", "1", "--json"],
+    ):
+        assert main(argv) == EXIT_OK
+        json.loads(capsys.readouterr().out)
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -273,8 +348,9 @@ def test_verify_intertwiner_refuses_tensor_iso_above_the_cap(capsys):
         (["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"], "dimension 3^2 exceeds cap 8"),
         (["verify", "--m", "2", "--n", "1", "--suite", "relations"], "dimension 3^2 exceeds cap 8"),
         (["decompose", "--m", "2", "--n", "1", "--json"], "dimension 3^2 exceeds cap 8"),
+        (["simple-module", "--ell", "2", "--lambda2", "q"], "induced dimension 12 exceeds cap 8"),
     ],
-    ids=["ybe", "hecke", "intertwiner", "relations", "decompose"],
+    ids=["ybe", "hecke", "intertwiner", "relations", "decompose", "simple-module"],
 )
 def test_r_matrix_suites_refuse_spaces_above_the_cap(argv, err, capsys):
     code = main(["--max-dim", "8"] + argv)
@@ -465,6 +541,8 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
         (["invariant", "--m", "0", "--n", "1", "--braid", "1"], None),
         (["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensorx"], None),
         (["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor0"], None),
+        (["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor"], None),
+        (["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor+3"], None),
         (["invariant", "--m", "2", "--n", "1", "--braid", "1"], "abc"),
         (["simple-module", "--ell", "-1", "--lambda2", "q"], None),
         (["simple-module", "--ell", "0", "--lambda2", "0"], None),
@@ -474,9 +552,9 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
         (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "0"], None),
         (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "-3"], None),
     ],
-    ids=["m0", "rep-tensorx", "rep-tensor0", "env-cap-abc", "ell-negative", "lambda2-zero",
-         "max-dim-0", "max-dim-negative", "samples-negative", "tensor-depth-0",
-         "tensor-depth-negative"],
+    ids=["m0", "rep-tensorx", "rep-tensor0", "rep-tensor", "rep-tensor-plus3", "env-cap-abc",
+         "ell-negative", "lambda2-zero", "max-dim-0", "max-dim-negative", "samples-negative",
+         "tensor-depth-0", "tensor-depth-negative"],
 )
 def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     if env_cap is None:

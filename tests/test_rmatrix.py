@@ -5,8 +5,8 @@ import pytest
 from degenq import cli, linalg, rmatrix
 from degenq.errors import ResourceLimit
 from degenq.linalg import SparseMat, Subspace, Vec, kron, nullspace
-from degenq.reports import Report
-from degenq.reps import _witness, natural_rep, shared_power, submodule_closure, tensor_rep
+from degenq.reports import Report, witness
+from degenq.reps import natural_rep, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
     antisymmetric_type_dim,
     build_bundle,
@@ -279,7 +279,7 @@ def ref_perturbed_r(params: GLParams) -> SparseMat:
 
 def _ref_identity(report, suite, name, lhs, rhs):
     ok = lhs == rhs
-    report.add(suite, name, ok, "" if ok else _witness(lhs - rhs))
+    report.add(suite, name, ok, "" if ok else witness(lhs - rhs))
 
 
 def _ref_braid_sides(mat: SparseMat, d: int):
@@ -313,7 +313,7 @@ def ref_hecke(bundle) -> Report:
     ident = SparseMat.identity(d * d)
     q = RatFn.q(1)
     hecke = (rc - ident.scale(q)) * (rc + ident.scale(q.inv()))
-    report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero(), _witness(hecke))
+    report.add("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", hecke.is_zero(), witness(hecke))
     proj_s, proj_a = ref_projectors(rc)
     _ref_identity(report, "hecke", "P_s idempotent", proj_s * proj_s, proj_s)
     _ref_identity(report, "hecke", "P_a idempotent", proj_a * proj_a, proj_a)
