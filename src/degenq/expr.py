@@ -672,6 +672,11 @@ def _as_scalar(x: Expr) -> RatFn | None:
     return _fold_scalar(x, lambda g: None)
 
 
+# The deepest parenthesis nesting: a level costs the parser three stack frames
+# and the later tree walks a few, well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive descent over the module grammar; params None parses scalar text."""
 
@@ -679,6 +684,7 @@ class _ExprParser:
         self.tokens = tokens
         self.params = params
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -783,6 +789,9 @@ class _ExprParser:
             value = RatFn.integer(t[1])
             return Scalar(value if exp is None else value**exp)
         if t[0] == "op" and t[1] == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", t[2])
             inner = self.parse_expr()
             self.expect_op(")")
             v = _as_scalar(inner)
@@ -800,6 +809,7 @@ class _ExprParser:
                 if num is None or den is None:
                     raise ExprSyntaxError("division is only defined between scalars", nxt[2])
                 inner = Scalar(num / den)
+            self.depth -= 1
             exp = self.parse_optional_exponent()
             if exp is None:
                 return inner

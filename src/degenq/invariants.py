@@ -63,7 +63,6 @@ from .errors import (
     DimensionMismatch,
     EqualMNUnsupported,
     InvalidInput,
-    ResourceLimit,
     StrandMismatch,
 )
 from .expr import eval_in_rep
@@ -71,7 +70,7 @@ from .homfly_oracle import HomflyOracle
 from .linalg import SparseMat
 from .relations import k2rho_expr, k2rho_weights
 from .reports import UNSUPPORTED, VACUOUS, Report
-from .reps import DEFAULT_MAX_DIM, Representation
+from .reps import DEFAULT_MAX_DIM, Representation, check_cap
 from .rmatrix import build_bundle
 from .scalars import (
     _LP_ONE,
@@ -444,9 +443,7 @@ _evaluators = functools.lru_cache(maxsize=EVALUATOR_MEMO_SIZE)(BraidEvaluator)
 
 def _evaluator(params: GLParams, strands: int, max_dim: int) -> BraidEvaluator:
     """The memo's evaluator for (params, strands), once the space passes the cap."""
-    dim = params.size**strands
-    if dim > max_dim:
-        raise ResourceLimit(f"dimension {params.size}^{strands} = {dim} exceeds cap {max_dim}")
+    check_cap(params.size, strands, max_dim)
     return _evaluators(params, strands)
 
 

@@ -1,20 +1,20 @@
 """Exact sparse linear algebra over Q(q).
 
-Matrices and vectors store only nonzero entries.  Elimination is fraction
-free: rows are cleared of denominators, updated by cross-multiplication over
-Z[q], and stripped of integer/polynomial content after each step, so no
-spurious denominators appear.  Pivots are chosen by smallest term count to
-limit coefficient growth.
+Matrices and vectors store only nonzero entries.  There is one elimination
+routine, :meth:`Subspace.add_vector`: it reduces a vector against a reduced
+echelon basis over the field Q(q), scales its residue to a leading 1 and
+clears that column from the other rows.  A span has exactly one reduced
+echelon basis, so :func:`echelon_rows`, ``SparseMat.rank`` and
+:func:`nullspace` read it from a Subspace built row by row.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .scalars import LaurentPoly, RatFn, _lcm, _poly_divexact_dict, _poly_gcd_dict, _power
+from .scalars import RatFn, _power
 
 _ONE = RatFn.one()
 _ZERO = RatFn.zero()
-_LP_ZERO = LaurentPoly.zero()
 
 
 class SparseMat:
@@ -266,54 +266,10 @@ class Vec:
         inner = ", ".join(f"{i}: {v}" for i, v in sorted(self.entries.items()))
         return f"Vec({self.dim}, {{{inner}}})"
 
-    def leading_index(self) -> int | None:
-        return min(self.entries) if self.entries else None
-
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination
+# Elimination
 # ---------------------------------------------------------------------------
-
-
-def _clear_row(row: dict[int, RatFn]) -> dict[int, LaurentPoly]:
-    """Scale a row by the lcm of its denominators, then strip content."""
-    den = LaurentPoly.one()
-    for v in row.values():
-        den = _lcm(den, v.den)
-    scale = RatFn(den)
-    out = {j: (v * scale).num for j, v in row.items()}
-    return _strip_content(out)
-
-
-def _strip_content(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """Divide a Z[q] row by its common content (integer and polynomial) and q-shift."""
-    row = {j: p for j, p in row.items() if p}
-    if not row:
-        return row
-    shift = min(p.valuation for p in row.values())
-    if shift:
-        row = {j: p.shift(-shift) for j, p in row.items()}
-    g: dict[int, int] | None = None
-    for p in row.values():
-        g = p.terms if g is None else _poly_gcd_dict(g, p.terms)
-        if g == {0: 1}:
-            return row
-    assert g is not None
-    return {j: LaurentPoly(_poly_divexact_dict(p.terms, g)) for j, p in row.items()}
-
-
-def _ff_update(
-    r: dict[int, LaurentPoly], pv: LaurentPoly, c: LaurentPoly, pivot_row: dict[int, LaurentPoly]
-) -> dict[int, LaurentPoly]:
-    """r <- pv*r - c*pivot_row, which stays in Z[q], with its content stripped."""
-    out = {j: p * pv for j, p in r.items()}
-    for j, p in pivot_row.items():
-        s = out.get(j, _LP_ZERO) - p * c
-        if s:
-            out[j] = s
-        else:
-            out.pop(j, None)
-    return _strip_content(out)
 
 
 def _sub_scaled(row: dict[int, RatFn], c: RatFn, other: dict[int, RatFn]) -> None:
@@ -329,51 +285,15 @@ def _sub_scaled(row: dict[int, RatFn], c: RatFn, other: dict[int, RatFn]) -> Non
 def echelon_rows(
     rows: list[dict[int, RatFn]], ncols: int
 ) -> tuple[list[dict[int, RatFn]], list[int]]:
-    """Reduced row echelon form over Q(q) by fraction-free elimination.
+    """Reduced row echelon form over Q(q) of the span of rows.
 
     Returns (rows, pivot_columns); each returned row has pivot value 1 and
-    zeros above and below its pivot.  Row order follows pivot columns.
+    zeros in every other pivot column.  Row order follows pivot columns.  The
+    rows are added one at a time to a :class:`Subspace`, whose reduced basis
+    is the unique one of the span.
     """
-    work = [_clear_row(r) for r in rows if r]
-    work = [r for r in work if r]
-    done: list[dict[int, LaurentPoly]] = []
-    pivots: list[int] = []
-    while work:
-        # Pivot: smallest leading column; among candidates, fewest stored terms.
-        lead = min(min(r) for r in work)
-        candidates = [r for r in work if min(r) == lead]
-        pivot_row = min(candidates, key=lambda r: (len(r), sum(len(p.terms) for p in r.values())))
-        work.remove(pivot_row)
-        pv = pivot_row[lead]
-        new_work = []
-        for r in work:
-            c = r.get(lead)
-            if c is None:
-                new_work.append(r)
-                continue
-            out = _ff_update(r, pv, c, pivot_row)
-            if out:
-                new_work.append(out)
-        work = new_work
-        done.append(pivot_row)
-        pivots.append(lead)
-    # Back-substitution to clear entries above pivots, still fraction free.
-    for idx in range(len(done) - 1, -1, -1):
-        col = pivots[idx]
-        prow = done[idx]
-        pv = prow[col]
-        for upper in range(idx):
-            r = done[upper]
-            c = r.get(col)
-            if c is not None:
-                done[upper] = _ff_update(r, pv, c, prow)
-    # Normalize pivots to 1 over the field.
-    result = []
-    for prow, col in zip(done, pivots):
-        inv = RatFn(prow[col]).inv()
-        result.append({j: RatFn(p) * inv for j, p in prow.items()})
-    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-    return [result[t] for t in order], sorted(pivots)
+    space = Subspace(ncols, [Vec(ncols, r) for r in rows if r])
+    return space._rows, space._pivots
 
 
 def nullspace(a: SparseMat) -> list[Vec]:
@@ -397,13 +317,12 @@ class Subspace:
 
     def __init__(self, dim: int, vectors: list[Vec] | None = None):
         self.dim = dim
-        rows = []
+        self._rows: list[dict[int, RatFn]] = []
+        self._pivots: list[int] = []
         for v in vectors or []:
             if v.dim != dim:
                 raise DimensionMismatch(f"vector dim {v.dim} in space of dim {dim}")
-            if v:
-                rows.append(dict(v.entries))
-        self._rows, self._pivots = echelon_rows(rows, dim)
+            self.add_vector(v)
 
     @property
     def rank(self) -> int:
@@ -432,7 +351,7 @@ class Subspace:
         residue = self.reduce(v)
         if not residue:
             return False
-        lead = residue.leading_index()
+        lead = min(residue.entries)
         inv = residue.entries[lead].inv()
         new_row = {j: inv * x for j, x in residue.entries.items()}
         # Clear the new pivot column from existing rows.

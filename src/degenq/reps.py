@@ -163,8 +163,11 @@ def tensor_rep(r1: Representation, r2: Representation, side: str = "Delta") -> R
 
 
 def check_cap(d: int, r: int, max_dim: int) -> None:
-    """Refuse the r-th tensor power of a d-dimensional space above the cap."""
-    if d**r > max_dim:
+    """Refuse the r-th tensor power of a d-dimensional space above the cap.
+
+    For d >= 2, d^r >= 2^r exceeds the cap once r reaches the cap's bit
+    length, so a huge r is refused without forming d^r."""
+    if (d > 1 and r >= max_dim.bit_length()) or d**r > max_dim:
         raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
 
 

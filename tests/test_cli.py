@@ -16,6 +16,7 @@ from degenq.cli import (
     serialize_report,
 )
 from degenq.errors import ExprSyntaxError, ResourceLimit
+from degenq.expr import MAX_NESTING
 from degenq.relations import relation_catalog
 from degenq.reports import Report
 from degenq.reps import natural_rep, tensor_rep
@@ -230,7 +231,7 @@ def test_invariant_cap_is_checked_on_a_memo_hit(capsys):
     assert main(["--max-dim", "100"] + argv) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "resource limit: dimension 3^5 = 243 exceeds cap 100\n"
+    assert captured.err == "resource limit: dimension 3^5 exceeds cap 100\n"
 
 
 def test_repeated_main_builds_the_parser_once(monkeypatch, capsys):
@@ -356,6 +357,22 @@ def test_r_matrix_suites_refuse_spaces_above_the_cap(argv, err, capsys):
     code = main(["--max-dim", "8"] + argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", f"resource limit: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--m", "2", "--n", "1", "--braid", "1", "--strands", "100000000000"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor100000000000"],
+    ],
+    ids=["invariant", "eval"],
+)
+def test_huge_tensor_power_is_refused_without_forming_it(argv, monkeypatch, capsys):
+    monkeypatch.delenv("DEGENQ_MAX_DIM", raising=False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = "resource limit: dimension 3^100000000000 exceeds cap 20000\n"
+    assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", err)
 
 
 def test_r_matrix_suites_refuse_before_any_work(monkeypatch):
@@ -551,10 +568,12 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
         (["verify", "--m", "2", "--n", "1", "--suite", "invariant", "--samples", "-1"], None),
         (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "0"], None),
         (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "-3"], None),
+        (["eval", "--m", "2", "--n", "1", "--expr", "(" * 1000 + "e1" + ")" * 1000], None),
+        (["simple-module", "--ell", "1", "--lambda2", "(" * 400 + "q" + ")" * 400], None),
     ],
     ids=["m0", "rep-tensorx", "rep-tensor0", "rep-tensor", "rep-tensor-plus3", "env-cap-abc",
          "ell-negative", "lambda2-zero", "max-dim-0", "max-dim-negative", "samples-negative",
-         "tensor-depth-0", "tensor-depth-negative"],
+         "tensor-depth-0", "tensor-depth-negative", "expr-nested-1000", "lambda2-nested-400"],
 )
 def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     if env_cap is None:
@@ -574,6 +593,21 @@ def test_verify_samples_0_conjugation_is_vacuous(capsys):
     conj = [c for c in checks if c["name"].startswith("conjugation invariance")]
     assert [c["status"] for c in conj] == ["vacuous"]
     assert all(c["status"] == "pass" for c in checks if c not in conj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--m", "2", "--n", "1", "--rep", "tensor2",
+         "--expr", "(" * MAX_NESTING + "e1+q" + ")^1" * MAX_NESTING],
+        ["simple-module", "--ell", "1", "--lambda2", "(1+q*" * MAX_NESTING + "q" + ")" * MAX_NESTING],
+    ],
+    ids=["expr", "lambda2"],
+)
+def test_parentheses_at_the_nesting_limit_parse(argv, monkeypatch, capsys):
+    monkeypatch.delenv("DEGENQ_MAX_DIM", raising=False)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_simple_module_signed_parenthesized_lambda2(capsys):

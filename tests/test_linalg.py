@@ -1,12 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degenq import linalg
 from degenq.errors import DimensionMismatch
 from degenq.linalg import SparseMat, Subspace, Vec, kron, nullspace
-from degenq.scalars import LaurentPoly, RatFn
+from degenq.reps import highest_weight_vectors
+from degenq.rmatrix import build_bundle, verify_hecke_and_spectrum
+from degenq.scalars import GLParams, LaurentPoly, RatFn, _lcm, _poly_divexact_dict, _poly_gcd_dict
+from degenq.sl21 import HighestWeightSL21, verma_module
 
 
 def intersect(a, b):
@@ -255,3 +260,176 @@ def test_echelon_rows_does_no_field_arithmetic_for_empty_rows(monkeypatch):
         counts.append(calls[0])
     assert results[0] == results[1]
     assert counts[0] == counts[1] > 0
+
+
+# -- elimination against the fraction-free reference ---------------------------------
+#
+# Reduced row echelon form by fraction-free elimination over Z[q]: rows are
+# cleared of denominators, updated by cross-multiplication and stripped of
+# integer, polynomial and q-power content after each step, pivots chosen by
+# fewest terms, then back-substituted and normalised over the field.  The
+# reduced echelon basis of a span is unique, so Subspace.add_vector must give
+# exactly these rows and pivots.
+
+
+def _clear_row(row):
+    """Scale a row by the lcm of its denominators, then strip content."""
+    den = LaurentPoly.one()
+    for v in row.values():
+        den = _lcm(den, v.den)
+    scale = RatFn(den)
+    return _strip_content({j: (v * scale).num for j, v in row.items()})
+
+
+def _strip_content(row):
+    """Divide a Z[q] row by its common content (integer and polynomial) and q-shift."""
+    row = {j: p for j, p in row.items() if p}
+    if not row:
+        return row
+    shift = min(p.valuation for p in row.values())
+    if shift:
+        row = {j: p.shift(-shift) for j, p in row.items()}
+    g = None
+    for p in row.values():
+        g = p.terms if g is None else _poly_gcd_dict(g, p.terms)
+        if g == {0: 1}:
+            return row
+    return {j: LaurentPoly(_poly_divexact_dict(p.terms, g)) for j, p in row.items()}
+
+
+def _ff_update(r, pv, c, pivot_row):
+    """r <- pv*r - c*pivot_row, which stays in Z[q], with its content stripped."""
+    out = {j: p * pv for j, p in r.items()}
+    for j, p in pivot_row.items():
+        s = out.get(j, LaurentPoly.zero()) - p * c
+        if s:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return _strip_content(out)
+
+
+def fraction_free_echelon(rows, ncols):
+    work = [r for r in (_clear_row(r) for r in rows if r) if r]
+    done, pivots = [], []
+    while work:
+        lead = min(min(r) for r in work)
+        candidates = [r for r in work if min(r) == lead]
+        pivot_row = min(candidates, key=lambda r: (len(r), sum(len(p.terms) for p in r.values())))
+        work.remove(pivot_row)
+        pv = pivot_row[lead]
+        new_work = []
+        for r in work:
+            c = r.get(lead)
+            out = r if c is None else _ff_update(r, pv, c, pivot_row)
+            if out:
+                new_work.append(out)
+        work = new_work
+        done.append(pivot_row)
+        pivots.append(lead)
+    for idx in range(len(done) - 1, -1, -1):
+        col, prow = pivots[idx], done[idx]
+        for upper in range(idx):
+            c = done[upper].get(col)
+            if c is not None:
+                done[upper] = _ff_update(done[upper], prow[col], c, prow)
+    result = []
+    for prow, col in zip(done, pivots):
+        inv = RatFn(prow[col]).inv()
+        result.append({j: RatFn(p) * inv for j, p in prow.items()})
+    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
+    return [result[t] for t in order], sorted(pivots)
+
+
+def _echelon_inputs(run):
+    """The (rows, ncols) of every echelon_rows call that run() makes."""
+    with mock.patch.object(linalg, "echelon_rows", wraps=linalg.echelon_rows) as spy:
+        run()
+    return [call.args for call in spy.call_args_list]
+
+
+_GRID = [GLParams(m, n) for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2))]
+# Both Hecke projectors, whose ranks are the eigenspace dimensions.
+_PROJECTORS = [
+    case
+    for params in _GRID
+    for case in _echelon_inputs(lambda: verify_hecke_and_spectrum(build_bundle(params)))
+]
+# The stacked e-columns of each two-dimensional weight space of the induced
+# module, one lambda2 per simple-modules family.
+_LAMBDA2 = {
+    "typical-poly": lambda ell: RatFn.q(2),
+    "typical-rational": lambda ell: RatFn.of(LaurentPoly({2: 1, 0: 1}), LaurentPoly({1: 1, 0: -2})),
+    "atypical-A": lambda ell: RatFn.one(),
+    "atypical-B": lambda ell: RatFn.q(-ell - 1),
+}
+_STACKED_E_COLUMNS = [
+    case
+    for ell in range(5)
+    for lambda2 in _LAMBDA2.values()
+    for case in _echelon_inputs(
+        lambda: highest_weight_vectors(verma_module(HighestWeightSL21(ell, (-1) ** ell, lambda2(ell))).rep)
+    )
+]
+
+_HALF = RatFn.of(1, 2)
+_Q_PLUS_1 = LaurentPoly({1: 1, 0: 1})
+_ELIM_ENTRIES = st.sampled_from(
+    [
+        RatFn.one(),
+        -RatFn.one(),
+        rfi(2),
+        _HALF,
+        rfq(1),
+        rfq(-1, -3),
+        RatFn(_Q_PLUS_1),
+        RatFn.of(1, _Q_PLUS_1),
+        RatFn.of(LaurentPoly({1: 1, 0: -2}), _Q_PLUS_1),
+        RatFn.of(LaurentPoly({2: 1, 0: 1}), LaurentPoly({1: 2, 0: -1})),
+    ]
+)
+
+
+@st.composite
+def _row_lists(draw):
+    """Sparse rows over Q(q) plus zero rows, repeats and combinations of them."""
+    ncols = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, ncols - 1), _ELIM_ENTRIES, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for kind, i, j, c in draw(
+        st.lists(st.tuples(st.sampled_from("zrc"), st.integers(0), st.integers(0), _ELIM_ENTRIES), max_size=4)
+    ):
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        if kind == "z":
+            rows.append({})
+        elif kind == "r":
+            rows.append(dict(a))
+        else:
+            combo = {k: a.get(k, RatFn.zero()) * c + b.get(k, RatFn.zero()) for k in a.keys() | b.keys()}
+            rows.append({k: v for k, v in combo.items() if v})
+    return draw(st.permutations(rows)), ncols
+
+
+def _with_workload_examples(test):
+    for case in _PROJECTORS + _STACKED_E_COLUMNS:
+        test = example(case)(test)
+    return test
+
+
+def test_workload_examples_are_collected():
+    # Each grid point ranks both projectors; each induced module stacks the
+    # e-columns of each of its two-dimensional weight spaces.
+    assert len(_PROJECTORS) == 2 * len(_GRID)
+    assert len(_STACKED_E_COLUMNS) == 40
+    assert {ncols for _, ncols in _STACKED_E_COLUMNS} == {2}
+
+
+@settings(max_examples=150, deadline=None)
+@_with_workload_examples
+@given(_row_lists())
+def test_elimination_matches_fraction_free_reference(case):
+    rows, ncols = case
+    expected = fraction_free_echelon(rows, ncols)
+    assert linalg.echelon_rows(rows, ncols) == expected
+    space = Subspace(ncols, [Vec(ncols, r) for r in rows])
+    assert ([v.entries for v in space.basis()], space.pivot_columns()) == expected

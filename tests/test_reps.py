@@ -13,6 +13,7 @@ from degenq.relations import k2rho_expr
 from degenq.reps import (
     Representation,
     Weight,
+    check_cap,
     check_hopf_axioms,
     dual_rep,
     highest_weight_vectors,
@@ -238,6 +239,26 @@ def test_iterated_tensor_dims_and_cap():
     assert iterated_tensor(rep, 3).dim == 27
     with pytest.raises(ResourceLimit):
         iterated_tensor(rep, 3, max_dim=20)
+
+
+def test_check_cap_is_exact_and_forms_no_huge_power():
+    for d in range(1, 6):
+        for r in range(12):
+            for cap in (-5, 0, 1, 2, 7, 8, 9, 26, 27, 28, 243, 20000):
+                refused = d**r > cap
+                try:
+                    check_cap(d, r, cap)
+                except ResourceLimit:
+                    assert refused
+                else:
+                    assert not refused
+    with pytest.raises(ResourceLimit, match=r"^dimension 3\^100000000000 exceeds cap 20000$"):
+        check_cap(3, 10**11, 20000)
+    check_cap(1, 10**11, 1)
+    # A 1-dimensional module has 1-dimensional tensor powers under any cap >= 1.
+    trivial = simple_module(HighestWeightSL21(0, 1, RatFn.one())).rep
+    assert trivial.dim == 1
+    assert iterated_tensor(trivial, 12, max_dim=1).dim == 1
 
 
 def test_iterated_tensor_cube_passes_relations():
