@@ -144,7 +144,6 @@ def run_verify(
     report = Report()
     rep = natural_rep(params)
     if "relations" in suites:
-        catalog = rep.catalog()
         if params.m == 1 or params.n == 1:
             report.note(
                 "relations",
@@ -157,7 +156,7 @@ def run_verify(
             for side in ("Delta", "DeltaPrime"):
                 spaces.append((f"V^(x){r} [{side}]", shared_power(params, r, side, max_dim)))
         for label, space in spaces:
-            for c in verify_relations(space, catalog).checks:
+            for c in verify_relations(space).checks:
                 report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
     if "hopf" in suites:
         report.extend(check_hopf_axioms(rep))

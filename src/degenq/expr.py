@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterator
 
-from .errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
+from .errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator, ResourceLimit
 from .linalg import SparseMat
 from .scalars import (
     _LP_ONE,
@@ -362,172 +362,324 @@ def antipode(x: Expr) -> Expr:
 #
 # A node evaluates to a matrix N / D over Q(q): D is one ordinary polynomial
 # and N's entries lie in Z[q, q^-1].  Each entry of N is carried as one Python
-# int, the value at q = x = 2^B of the entry times q^v, where the node's shift
-# v >= 0 makes N * q^v a polynomial matrix.  Evaluation at x is a ring
+# int, the value at q = x = 2^B of the entry times q^v, where the node's lag
+# v >= 0 makes N q^v a polynomial matrix.  Evaluation at x is a ring
 # homomorphism (Kronecker substitution, see degenq.scalars), so matrix sums and
 # products of the ints are exact.
 #
-# A pre-pass over the batch, before any matrix is formed, gives every node its
-# D, its v and a bound b on the 1-norm (sum of absolute coefficients) of each
-# entry of N * q^v.  The 1-norm is subadditive and submultiplicative, and an
-# entry of a product of two dim x dim matrices is a sum of dim products:
+# Compile once, run per space.  :func:`compile_batch` turns a batch into a
+# :class:`Program` with no representation at hand: the distinct nodes in
+# post-order, one slot each, with their child slots, the step after which each
+# slot is read for the last time, and every datum no representation changes
+# (numerator, denominator, lag, 1-norm and degree of each Scalar leaf and of
+# each Prod's folded scalar factor).  :meth:`Program.run` then makes two flat
+# passes over the slots in one representation.  The numeric pass, before any
+# int is formed, gives every node its D, its v, the degree of N q^v and a bound
+# b on the row norm of N q^v: the largest sum, over one row, of its entries'
+# 1-norms (sums of absolute coefficients).  The 1-norm of a polynomial is
+# subadditive and submultiplicative, so the row norm is too, and it bounds
+# every coefficient of every entry:
 #
 # * generator: D is the lcm of the entry denominators, v the largest power of
-#   q^-1 in a numerator and b the largest numerator 1-norm;
-# * scalar n/d: D = d, v from n, b = |n|;
-# * product of k matrix factors with scalar factor n/d: the D's (and d)
-#   multiply and the v's add; b = dim^(k-1) b_1 ... b_k |n|;
-# * power k: D^k and k v; b = dim^(k-1) b^k;
-# * sum: D is the lcm of the terms' D's, taken once per node.  Term i is
-#   multiplied by its quotient Q_i = D / D_i and aligned by q^(vmax - v_i), a
-#   left shift by (vmax - v_i) B bits, so b = sum of b_i |Q_i|.
+#   q^-1 in a numerator, b the row norm of the numerators over D;
+# * scalar n/d (times the identity): D = d, v from n, b = |n|;
+# * product of matrix factors with scalar factor n/d: the D's (and d) multiply,
+#   the v's and degrees add, and b = b_1 ... b_k |n|;
+# * power k: D^k, k v, k times the degree, b^k;
+# * sum: D is the lcm of the terms' D's.  Term i is multiplied by its quotient
+#   Q_i = D / D_i and aligned by q^(vmax - v_i), a left shift by
+#   (vmax - v_i) B bits, so b = sum of b_i |Q_i|.
 #
 # B = _digit_bits(largest b) puts every coefficient of every node strictly
 # inside the balanced digit range (-2^(B-1), 2^(B-1)), where a polynomial is
 # zero exactly when its value at 2^B is.  So a node is the zero matrix exactly
 # when its int matrix is empty, and a passing check costs no decode and no
-# gcd.  A nonzero output is decoded once per entry and made canonical once, as
-# RatFn(N_ij, D).
+# gcd.  The integer pass forms each slot's int matrix and drops it after its
+# last read; an output is decoded when it is asked for, once per nonzero entry,
+# and made canonical as RatFn(N_ij, D).
 #
-# One evaluator serves a whole batch of expressions in one representation.
-# Its memo is keyed by structural equality of nodes, so a subexpression shared
-# across the batch (a root vector in many catalog entries) is evaluated once;
-# in a batch built by :func:`hash_cons` every lookup hits by identity.  The
-# pre-pass also counts how often each node will be asked for, and a value
-# leaves the memo with its last use.
+# Work budget.  An entry of a node of degree t is an int of at most B (t + 1)
+# bits.  The numeric pass refuses, with ResourceLimit, a batch where that
+# exceeds MAX_ENTRY_BITS for some node, and a power k before it forms b^k or
+# D^k: when k times the base's degree, its denominator's degree or
+# b.bit_length() - 1 exceeds the budget.  A lag costs nothing by itself; where
+# a sum aligns terms by it, the shift shows in the sum's degree.
+#
+# Caches.  Each representation keeps, in its ``encodings`` dict, one
+# :class:`_Encoding` per generator key: the matrix's numerators over its D with
+# D, v, b and degree, and its int matrix at the last B it was run at.  An
+# encoding holds while the key maps to the same matrix object (``is``):
+# replacing a matrix in ``rep.gens`` makes the next run measure it afresh, and
+# a run at another B encodes it again.  The int matrices keep their row index
+# (``SparseMat.__mul__``).  The relation catalog's Program sits next to the
+# catalog in the per-(m, n) memo of :mod:`degenq.reps`.  No cache grows with
+# the number of runs.
+
+# The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
+# above the 4 million bits of (q+1)^2000 at its own digit width.
+MAX_ENTRY_BITS = 1 << 23
+
+_GEN, _SCALAR, _SUM, _PROD, _POW = range(5)
 
 
-def eval_batch(exprs, rep) -> Iterator[SparseMat]:
-    """Evaluate each expression of exprs in rep, in order, with one evaluator.
+def _scalar_data(num: LaurentPoly, den: LaurentPoly) -> tuple:
+    """(den, lag, 1-norm, degree, num) of the scalar num/den times the identity."""
+    lag = _lag([num])
+    return den, lag, num.norm1(), max(num.terms, default=-lag) + lag, num
 
-    rep needs only a ``dim`` and a ``gens`` dict from (kind, index) to a
-    dim x dim SparseMat.  Yields one canonical SparseMat over Q(q) per
-    expression.  Values of nodes shared across the batch are computed once
-    and dropped after their last use.
+
+def _too_big(what: str) -> ResourceLimit:
+    return ResourceLimit(f"{what} needs integers of more than {MAX_ENTRY_BITS} bits")
+
+
+class _Encoding:
+    """A generator matrix over its common denominator D: the numerators with D,
+    lag v, row norm b and degree of N q^v, and the int matrix at the digit
+    width ``bits`` of the last run that read it."""
+
+    __slots__ = ("mat", "num", "den", "lag", "bound", "deg", "bits", "ints")
+
+    def __init__(self, mat: SparseMat):
+        den = _LP_ONE
+        for v in mat.entries.values():
+            if not v.den.is_one():
+                den = _lcm(den, v.den)
+        if den is _LP_ONE:
+            num = {k: v.num for k, v in mat.entries.items()}
+        else:
+            num = {k: v.num if v.den == den else v.num * _quo(den, v.den) for k, v in mat.entries.items()}
+        rows: dict[int, int] = {}
+        for (i, _), p in num.items():
+            rows[i] = rows.get(i, 0) + p.norm1()
+        self.mat, self.num, self.den = mat, num, den
+        self.lag = _lag(num.values())
+        self.bound = max(rows.values(), default=0)
+        self.deg = max((max(p.terms) for p in num.values()), default=-self.lag) + self.lag
+        self.bits = self.ints = None
+
+    def at(self, bits: int) -> SparseMat:
+        if self.bits != bits:
+            ints = {k: _encode(p, bits, self.lag) for k, p in self.num.items()}
+            self.ints = SparseMat._raw(self.mat.nrows, self.mat.ncols, ints)
+            self.bits = bits
+        return self.ints
+
+
+def encoding(rep, key) -> _Encoding:
+    """rep's encoding of the generator at key, measured afresh when the key
+    maps to another matrix object than last time."""
+    mat = rep.gens.get(key)
+    if mat is None:
+        raise MissingGenerator(f"representation lacks {key[0]}{key[1]}")
+    got = rep.encodings.get(key)
+    if got is None or got.mat is not mat:
+        got = rep.encodings[key] = _Encoding(mat)
+    return got
+
+
+class Program:
+    """A batch of expressions compiled by :func:`compile_batch`, to be run in
+    any number of representations.
+
+    Op s computes slot s: ``ops[s] = (code, kids, data)``, where kids are the
+    child slots and data is a generator's key, the (den, lag, 1-norm, degree,
+    numerator) of a scalar or of a product's folded scalar factor, or a power's
+    exponent.  ``after[s] = (outputs, dead)``: the slots to yield, in batch
+    order, once op s has run, and the slots read for the last time by then.
     """
-    exprs = list(exprs)
-    dim = rep.dim
-    # How often evaluating exprs in order asks for each node, each distinct node
-    # being computed once; and per node (D, v, bound, how), where how is what
-    # ``compute`` needs: a generator's numerators, a scalar's numerator, a
-    # product's scalar factor with its shift, or a sum's (Q_i, vmax - v_i).
-    # A denominator equal to 1 is always the object _LP_ONE, so that the
-    # pre-pass can skip the lcm, quotient and product work for it by identity.
-    uses: dict[Expr, int] = {}
-    plan: dict[Expr, tuple] = {}
 
-    def request(node: Expr) -> tuple:
-        uses[node] = uses.get(node, 0) + 1
-        got = plan.get(node)
-        if got is None:
-            got = plan[node] = shape(node)
-        return got
+    __slots__ = ("ops", "after")
 
-    def shape(node: Expr) -> tuple:
-        if isinstance(node, Gen):
-            mat = rep.gens.get((node.kind, node.index))
-            if mat is None:
-                raise MissingGenerator(f"representation lacks {node.kind}{node.index}")
-            den = _LP_ONE
-            for v in mat.entries.values():
-                if not v.den.is_one():
-                    den = _lcm(den, v.den)
-            if den is _LP_ONE:
-                num = {k: v.num for k, v in mat.entries.items()}
+    def __init__(self, ops: list[tuple], outputs: list[int]):
+        self.ops = ops
+        last = list(range(len(ops)))
+        for s, (_, kids, _) in enumerate(ops):
+            for c in kids:
+                last[c] = s
+        yields: list[list[int]] = [[] for _ in ops]
+        ready = -1
+        for slot in outputs:
+            ready = max(ready, slot)
+            yields[ready].append(slot)
+            last[slot] = max(last[slot], ready)
+        dead: list[list[int]] = [[] for _ in ops]
+        for slot, s in enumerate(last):
+            dead[s].append(slot)
+        self.after = list(zip(yields, dead))
+
+    def run(self, rep) -> Iterator[SparseMat]:
+        """Each expression of the batch evaluated in rep, in order, as a
+        canonical SparseMat over Q(q).
+
+        rep needs a ``dim``, a ``gens`` dict from (kind, index) to a dim x dim
+        SparseMat and an ``encodings`` dict, which the run fills.
+        """
+        dim = rep.dim
+        # The numeric pass: per slot (D, v, b, degree), with a denominator
+        # equal to 1 always the object _LP_ONE, so that lcm, quotient and
+        # product work for it is skipped by identity; and per slot what the
+        # integer pass needs.
+        shape: list[tuple] = []
+        how: list = []
+        for code, kids, data in self.ops:
+            if code == _GEN:
+                g = encoding(rep, data)
+                shape.append((g.den, g.lag, g.bound, g.deg))
+                how.append(g)
+            elif code == _SCALAR:
+                shape.append(data[:4])
+                how.append(data[4])
+            elif code == _PROD:
+                den, shift, bound, deg, coeff = data
+                lag = shift
+                for c in kids:
+                    d, v, b, t = shape[c]
+                    if d is not _LP_ONE:
+                        den = d if den is _LP_ONE else den * d
+                    lag, bound, deg = lag + v, bound * b, deg + t
+                shape.append((den, lag, bound, deg))
+                how.append((coeff, shift))
+            elif code == _SUM:
+                terms = [shape[c] for c in kids]
+                den = _LP_ONE
+                for d, _, _, _ in terms:
+                    if d is not _LP_ONE:
+                        den = _lcm(den, d)
+                lag = max(v for _, v, _, _ in terms)
+                bound, deg, parts = 0, 0, []
+                for d, v, b, t in terms:
+                    quo = _LP_ONE if d is den else _quo(den, d)
+                    if quo is not _LP_ONE:
+                        b, t = b * quo.norm1(), t + max(quo.terms)
+                    bound, deg = bound + b, max(deg, t + lag - v)
+                    parts.append((quo, lag - v))
+                shape.append((den, lag, bound, deg))
+                how.append(parts)
             else:
-                num = {
-                    k: v.num if v.den == den else v.num * _quo(den, v.den)
-                    for k, v in mat.entries.items()
-                }
-            bound = max(map(LaurentPoly.norm1, num.values()), default=0)
-            return den, _lag(num.values()), bound, num
-        if isinstance(node, Scalar):
-            n = node.value.num
-            return _den(node.value), _lag([n]), n.norm1(), n
-        if isinstance(node, Sum):
-            terms = [request(t) for t in node.terms]
-            den = _LP_ONE
-            for d, _, _, _ in terms:
-                if d is not _LP_ONE:
-                    den = _lcm(den, d)
-            lag = max(v for _, v, _, _ in terms)
-            quos = [_LP_ONE if d is den else _quo(den, d) for d, _, _, _ in terms]
-            bound = sum(
-                b if quo is _LP_ONE else b * quo.norm1() for (_, _, b, _), quo in zip(terms, quos)
-            )
-            return den, lag, bound, [(quo, lag - v) for quo, (_, v, _, _) in zip(quos, terms)]
-        if isinstance(node, Prod):
-            coeff, den, lag, bound, k = _LP_ONE, _LP_ONE, 0, 1, 0
+                d, v, b, t = shape[kids[0]]
+                if data * max(t, max(d.terms), b.bit_length() - 1) > MAX_ENTRY_BITS:
+                    raise _too_big(f"the power ^{data}")
+                den = _LP_ONE if d is _LP_ONE or not data else d**data
+                shape.append((den, data * v, b**data, data * t))
+                how.append(data)
+        bits = _digit_bits(max((b for _, _, b, _ in shape), default=0))
+        if bits * (max((t for _, _, _, t in shape), default=0) + 1) > MAX_ENTRY_BITS:
+            raise _too_big("evaluation")
+
+        identity = None
+        vals: list = [None] * len(self.ops)
+        for s, (code, kids, _) in enumerate(self.ops):
+            h = how[s]
+            if code == _GEN:
+                val = h.at(bits)
+            elif code == _PROD:
+                val = None
+                for c in kids:
+                    n = vals[c]
+                    val = n if val is None else val * n
+                if val is None:
+                    val = identity = _int_identity(dim) if identity is None else identity
+                c = _encode(h[0], bits, h[1])
+                if c != 1:
+                    val = val.scale(c)
+            elif code == _SUM:
+                val = SparseMat._raw(dim, dim, _int_sum([vals[c].entries for c in kids], h, bits))
+            elif code == _SCALAR:
+                c = _encode(h, bits, shape[s][1])
+                val = SparseMat(dim, dim, {(i, i): c for i in range(dim)} if c else None)
+            else:
+                identity = _int_identity(dim) if identity is None else identity
+                val = _power(vals[kids[0]], h, identity)
+            vals[s] = val
+            outputs, dead = self.after[s]
+            for slot in outputs:
+                yield _decoded(vals[slot], shape[slot], bits)
+            for slot in dead:
+                vals[slot] = None
+
+
+def _int_identity(dim: int) -> SparseMat:
+    return SparseMat._raw(dim, dim, {(i, i): 1 for i in range(dim)})
+
+
+def _int_sum(terms: list[dict], parts: list[tuple[LaurentPoly, int]], bits: int) -> dict:
+    """The entries of sum_i Q_i(2^B) 2^(shift_i B) T_i, added into one dict."""
+    out: dict = {}
+    for n, (quo, shift) in zip(terms, parts):
+        if not n:
+            continue
+        m = 1 if quo is _LP_ONE and not shift else _encode(quo, bits, shift)
+        if not out:
+            out = dict(n) if m == 1 else {k: m * v for k, v in n.items()}
+            continue
+        get = out.get
+        for k, v in n.items():
+            if m != 1:
+                v = m * v
+            s = get(k)
+            if s is not None:
+                v += s
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v
+    return out
+
+
+def _decoded(n: SparseMat, shape: tuple, bits: int) -> SparseMat:
+    """An int matrix of a node with shape (D, v, ...) read back over Q(q)."""
+    den, lag = shape[0], shape[1]
+    nums = {k: _decode(v, bits, -lag) for k, v in n.entries.items()}
+    if den.is_one():  # a Laurent polynomial over 1 is already canonical
+        return SparseMat(n.nrows, n.ncols, {k: RatFn._raw(p, _LP_ONE) for k, p in nums.items()})
+    return SparseMat(n.nrows, n.ncols, {k: RatFn(p, den) for k, p in nums.items()})
+
+
+def compile_batch(exprs) -> Program:
+    """The Program of a batch of expressions: one slot per distinct node, so
+    that a node shared across the batch (structurally equal, or one object
+    after :func:`hash_cons`) is evaluated once per run."""
+    slot_of: dict[Expr, int] = {}
+    ops: list[tuple] = []
+
+    def visit(node: Expr) -> int:
+        got = slot_of.get(node)
+        if got is not None:
+            return got
+        if isinstance(node, Gen):
+            op = (_GEN, (), (node.kind, node.index))
+        elif isinstance(node, Scalar):
+            op = (_SCALAR, (), _scalar_data(node.value.num, _den(node.value)))
+        elif isinstance(node, Sum):
+            op = (_SUM, tuple(map(visit, node.terms)), None)
+        elif isinstance(node, Prod):
+            coeff, den, kids = _LP_ONE, _LP_ONE, []
             for t in node.factors:
                 if isinstance(t, Scalar):
                     coeff = coeff * t.value.num
                     d = _den(t.value)
+                    if d is not _LP_ONE:
+                        den = d if den is _LP_ONE else den * d
                 else:
-                    d, v, b, _ = request(t)
-                    lag, bound, k = lag + v, bound * b, k + 1
-                if d is not _LP_ONE:
-                    den = d if den is _LP_ONE else den * d
-            shift = _lag([coeff])
-            return den, lag + shift, dim ** max(k - 1, 0) * bound * coeff.norm1(), (coeff, shift)
-        if isinstance(node, Pow):
+                    kids.append(visit(t))
+            op = (_PROD, tuple(kids), _scalar_data(coeff, den))
+        elif isinstance(node, Pow):
             if node.exp < 0:
                 raise ValueError("negative matrix power")
-            d, v, b, _ = request(node.base)
-            k = node.exp
-            return _LP_ONE if d is _LP_ONE else d**k, k * v, dim ** (k - 1) * b**k if k else 1, None
-        raise TypeError(f"not an expression: {node!r}")
-
-    for x in exprs:
-        request(x)
-    bits = _digit_bits(max((b for _, _, b, _ in plan.values()), default=0))
-    identity = SparseMat(dim, dim, {(i, i): 1 for i in range(dim)})
-    memo: dict[Expr, SparseMat] = {}
-
-    def value(node: Expr) -> SparseMat:
-        got = memo.pop(node, None)
-        if got is None:
-            got = compute(node)
-        uses[node] -= 1
-        if uses[node]:
-            memo[node] = got
-        return got
-
-    def compute(node: Expr) -> SparseMat:
-        _, lag, _, how = plan[node]
-        if isinstance(node, Gen):
-            return SparseMat(dim, dim, {k: _encode(p, bits, lag) for k, p in how.items()})
-        if isinstance(node, Scalar):
-            c = _encode(how, bits, lag)
-            return SparseMat(dim, dim, {(i, i): c for i in range(dim)})
-        if isinstance(node, Sum):
-            total = SparseMat(dim, dim)
-            for t, (quo, shift) in zip(node.terms, how):
-                n = value(t)
-                if n.entries:
-                    m = _encode(quo, bits, shift)
-                    total = total + (n if m == 1 else n.scale(m))
-            return total
-        if isinstance(node, Prod):
-            mat = None
-            for t in node.factors:
-                if not isinstance(t, Scalar):
-                    n = value(t)
-                    mat = n if mat is None else mat * n
-            if mat is None:
-                mat = identity
-            coeff, shift = how
-            c = _encode(coeff, bits, shift)
-            return mat if c == 1 else mat.scale(c)
-        return _power(value(node.base), node.exp, identity)
-
-    for x in exprs:
-        n = value(x)
-        den, lag, _, _ = plan[x]
-        nums = {k: _decode(v, bits, -lag) for k, v in n.entries.items()}
-        if den.is_one():  # a Laurent polynomial over 1 is already canonical
-            yield SparseMat(dim, dim, {k: RatFn._raw(p, _LP_ONE) for k, p in nums.items()})
+            op = (_POW, (visit(node.base),), node.exp)
         else:
-            yield SparseMat(dim, dim, {k: RatFn(p, den) for k, p in nums.items()})
+            raise TypeError(f"not an expression: {node!r}")
+        slot_of[node] = len(ops)
+        ops.append(op)
+        return len(ops) - 1
+
+    return Program(ops, [visit(x) for x in exprs])
+
+
+def eval_batch(exprs, rep) -> Iterator[SparseMat]:
+    """Evaluate each expression of exprs in rep, in order: the batch compiled
+    once (:func:`compile_batch`) and run in rep (:meth:`Program.run`)."""
+    return compile_batch(exprs).run(rep)
 
 
 def hash_cons(exprs) -> list[Expr]:

@@ -23,15 +23,17 @@ class SparseMat:
     Products, sums, negation and ``scale`` use only the ring operations of the
     entries, so they work as well for Python int entries with an int scale
     factor; :func:`degenq.expr.eval_batch` evaluates over the integers that way,
-    at q = 2^B.
+    at q = 2^B.  A matrix is never changed once built: a product keeps its
+    right operand's row index on that operand, for the next product.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "entries", "_rows")
 
     def __init__(self, nrows: int, ncols: int, entries: dict[tuple[int, int], RatFn] | None = None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries = {k: v for k, v in (entries or {}).items() if v}
+        self._rows = None
 
     # -- constructors -------------------------------------------------------
 
@@ -42,6 +44,7 @@ class SparseMat:
         mat.nrows = nrows
         mat.ncols = ncols
         mat.entries = entries
+        mat._rows = None
         return mat
 
     @staticmethod
@@ -123,26 +126,57 @@ class SparseMat:
             return SparseMat(self.nrows, self.ncols)
         return SparseMat._raw(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
 
+    def _row_index(self) -> tuple[dict[int, list[tuple[int, RatFn]]], bool]:
+        """{row: [(col, value), ...]} and whether the matrix is diagonal; built
+        on the first call and kept."""
+        got = self._rows
+        if got is None:
+            index: dict[int, list[tuple[int, RatFn]]] = {}
+            diagonal = True
+            for (k, j), v in self.entries.items():
+                row = index.get(k)
+                if row is None:
+                    index[k] = [(j, v)]
+                else:
+                    row.append((j, v))
+                if k != j:
+                    diagonal = False
+            got = self._rows = (index, diagonal)
+        return got
+
     def __mul__(self, other: SparseMat) -> SparseMat:
+        """The product, from the right operand's kept row index.  Where one side
+        is diagonal, each output entry is one product and nothing is summed;
+        the entries form an integral domain, so no product is zero."""
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        rows_b: dict[int, list[tuple[int, RatFn]]] = {}
-        for (k, j), v in other.entries.items():
-            rows_b.setdefault(k, []).append((j, v))
+        rows_b, right_diagonal = other._row_index()
         out: dict[tuple[int, int], RatFn] = {}
-        for (i, k), a in self.entries.items():
-            row = rows_b.get(k)
-            if row is None:
-                continue
-            for j, b in row:
-                key = (i, j)
-                s = out.get(key)
-                prod = a * b
-                s = prod if s is None else s + prod
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        if right_diagonal:
+            for (i, k), a in self.entries.items():
+                row = rows_b.get(k)
+                if row is not None:
+                    out[(i, k)] = a * row[0][1]
+        elif self._rows[1] if self._rows is not None else self.is_diagonal():
+            for (i, _), a in self.entries.items():
+                row = rows_b.get(i)
+                if row is not None:
+                    for j, b in row:
+                        out[(i, j)] = a * b
+        else:
+            for (i, k), a in self.entries.items():
+                row = rows_b.get(k)
+                if row is None:
+                    continue
+                for j, b in row:
+                    key = (i, j)
+                    s = out.get(key)
+                    prod = a * b
+                    s = prod if s is None else s + prod
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
         return SparseMat._raw(self.nrows, other.ncols, out)
 
     def __pow__(self, n: int) -> SparseMat:

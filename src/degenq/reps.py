@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DimensionMismatch,
@@ -29,9 +29,11 @@ from .expr import (
     Expr,
     Gen,
     Prod,
+    Program,
     antipode,
     cartan,
     cartan_inv,
+    compile_batch,
     counit,
     eval_batch,
 )
@@ -59,6 +61,8 @@ class Representation:
     dim: int
     gens: dict[tuple[str, int], SparseMat]
     label: str = ""
+    # Generators as integer matrices, filled by evaluation (degenq.expr).
+    encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, mat in self.gens.items():
@@ -89,7 +93,7 @@ class Representation:
 
     def catalog(self) -> tuple[RelationEntry, ...]:
         """The relation catalog of the module's (m, n), shared for the process."""
-        return _catalog(self.params)
+        return _catalog(self.params)[0]
 
 
 def _inverse_pair(k: SparseMat, kinv: SparseMat) -> bool:
@@ -191,8 +195,10 @@ MODULE_MEMO_SIZE = 32  # every (m, n, r >= 2, side) of the verify grid at tensor
 
 
 @functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
-def _catalog(params: GLParams) -> tuple[RelationEntry, ...]:
-    return tuple(relation_catalog(params))
+def _catalog(params: GLParams) -> tuple[tuple[RelationEntry, ...], Program]:
+    """The relation catalog of (m, n) and its expressions compiled once."""
+    entries = tuple(relation_catalog(params))
+    return entries, compile_batch([entry.expr for entry in entries])
 
 
 @functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
@@ -321,10 +327,14 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
 
 
 def verify_relations(rep: Representation, entries: Sequence[RelationEntry] | None = None) -> Report:
-    """Evaluate every catalog entry in rep; all must be exactly zero."""
+    """Evaluate every catalog entry in rep; all must be exactly zero.  Without
+    entries, rep's own catalog runs as the program compiled once per (m, n)."""
+    if entries is None:
+        entries, program = _catalog(rep.params)
+    else:
+        program = compile_batch([entry.expr for entry in entries])
     report = Report()
-    entries = entries if entries is not None else rep.catalog()
-    for entry, value in zip(entries, eval_batch([entry.expr for entry in entries], rep)):
+    for entry, value in zip(entries, program.run(rep)):
         report.add_zero("relations", entry.name, value)
     return report
 
@@ -345,7 +355,7 @@ def check_hopf_axioms(rep: Representation) -> Report:
     for entry in catalog:
         eps = counit(entry.expr)
         report.add("hopf-counit", entry.name, not eps, str(eps) if eps else "")
-    for c in verify_relations(dual_rep(rep), catalog).checks:
+    for c in verify_relations(dual_rep(rep)).checks:
         report.add("hopf-antipode", c.name, c.ok, c.detail)
 
     # Unflattened products, so that K2rho and its inverse are one node each.

@@ -1,10 +1,13 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from degenq import cli, reps, rmatrix
+import degenq
+from degenq import cli, expr, reps, rmatrix
 from degenq.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -373,6 +376,57 @@ def test_huge_tensor_power_is_refused_without_forming_it(argv, monkeypatch, caps
     captured = capsys.readouterr()
     err = "resource limit: dimension 3^100000000000 exceeds cap 20000\n"
     assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", err)
+
+
+@pytest.mark.parametrize("text", ["q^99999999999*e1", "K1^-99999999999"], ids=["monomial", "power"])
+def test_eval_refuses_huge_integers_before_forming_them(text):
+    # In a child limited to 2 GB of address space, so that an integer formed
+    # against the budget fails there instead of filling the machine.
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenq.cli", "eval", "--m", "2", "--n", "1", "--expr", text],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degenq.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+    assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+
+
+def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypatch, capsys):
+    # Two relations jobs at (3, 2) in one process: the catalog is compiled
+    # once, and each generator of each space is encoded at most once per digit
+    # width B; the second job encodes only its own fresh natural module.
+    compiled = []
+    compile_batch = reps.compile_batch
+
+    def counting_compile(exprs):
+        compiled.append(len(exprs))
+        return compile_batch(exprs)
+
+    encoded = []  # (matrix, B, job); the matrices stay alive, so ids stay distinct
+    at = expr._Encoding.at
+
+    def counting_at(self, bits):
+        if self.bits != bits:
+            encoded.append((self.mat, bits, len(jobs)))
+        return at(self, bits)
+
+    monkeypatch.setattr(reps, "compile_batch", counting_compile)
+    monkeypatch.setattr(expr._Encoding, "at", counting_at)
+    reps._catalog.cache_clear()
+    reps._power.cache_clear()
+    jobs = []
+    argv = ["verify", "--m", "3", "--n", "2", "--suite", "relations", "--json"]
+    for _ in range(2):
+        jobs.append(main(argv))
+    capsys.readouterr()
+    assert jobs == [EXIT_OK, EXIT_OK] and len(compiled) == 1
+    keys = [(id(mat), bits) for mat, bits, _ in encoded]
+    assert len(keys) == len(set(keys))
+    assert {mat.nrows for mat, _, job in encoded if job == 1} == {5}
 
 
 def test_r_matrix_suites_refuse_before_any_work(monkeypatch):

@@ -1,19 +1,23 @@
 import functools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenq import expr as expr_module
-from degenq.errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator
+from degenq.errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator, ResourceLimit
 from degenq.expr import (
+    MAX_ENTRY_BITS,
     Gen,
+    Pow,
     Prod,
     Scalar,
     Sum,
     antipode,
     cartan,
     cartan_inv,
+    compile_batch,
     counit,
     e,
     eval_batch,
@@ -31,8 +35,8 @@ from degenq.expr import (
 )
 from degenq.linalg import SparseMat
 from degenq.relations import gamma_monomials, root_vector
-from degenq.reps import dual_rep, natural_rep, tensor_rep
-from degenq.scalars import GLParams, LaurentPoly, RatFn
+from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep
+from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits
 from degenq.sl21 import HighestWeightSL21, simple_module
 
 P21 = GLParams(2, 1)
@@ -246,15 +250,15 @@ def _spy_digit_bits(monkeypatch):
 
 def test_eval_matches_reference_on_a_rational_dual_with_wide_digits(monkeypatch):
     # The dual of a typical module with lambda2 = (q+2)/(q-3) has Laurent
-    # entries (K^-1, q^-1 factors) and rational ones; powers up to 6 drive the
-    # bound past 2^63, so the ints are wider than a machine word.
+    # entries (K^-1, q^-1 factors) and rational ones; powers up to 7 drive the
+    # row-norm bound past 2^63, so the ints are wider than a machine word.
     rep = dual_rep(_test_reps()[3])
     assert any(not v.is_polynomial() for g in rep.gens.values() for v in g.entries.values())
     assert any(min(v.num.terms) < 0 for g in rep.gens.values() for v in g.entries.values())
     e1, e2, f1, f2 = e(1), e(2), f(1), f(2)
     coeff = RatFn.of(LaurentPoly({1: 1, -1: -1}), LaurentPoly({0: 1, 1: 1}))  # (q - q^-1)/(1 + q)
     exprs = []
-    for k in range(1, 7):
+    for k in range(1, 8):
         exprs += [
             make_pow(e1 * f1 + coeff * (f2 * e2), k),
             make_pow(e2 + f2, k) - make_pow(f2 + e2, k),  # zero, over a nontrivial denominator
@@ -269,24 +273,38 @@ def test_eval_matches_reference_on_a_rational_dual_with_wide_digits(monkeypatch)
 
 
 def test_eval_is_exact_with_coefficients_at_the_bound(monkeypatch):
-    # e1 acting by q on every entry of a 3 x 3 matrix: a product of k copies has
-    # every entry 3^(k-1) q^k, whose one coefficient equals the bound, and a sum
-    # with a scalar over 4 has quotients 4 and 1.  So each factor of the bound
-    # (the inner dimension, the quotients' 1-norms, the q^v alignment of terms)
-    # is needed for an exact result.
+    # e1 acting by 3q on a cyclic permutation of the basis has row norm 3, and
+    # every entry of a product or power of k copies is 3^k q^k: its one
+    # coefficient equals the row-norm bound.  A sum with the product over 4
+    # has quotients 4 and 1, and its entries 5 * 3^k q^k equal the sum's bound;
+    # the K3 term aligns a q^-1 lag.  Each kind of node runs in a batch of its
+    # own, so that its bound alone sets B, and dropping any factor of that
+    # bound (a factor 3, a power of 3, a quotient's 1-norm) leaves B too
+    # narrow for an exact result.  The row sums count as well: f1 = q (1 + P)
+    # has row norm 2, f2 puts 3 in column 0 of every row, and f1^k f2 gathers
+    # each row of f1^k, of 1-norm 2^k, into one entry 3 * 2^k q^k.
     rep = natural_rep(P21)
-    rep.gens[("e", 1)] = SparseMat(3, 3, {(i, j): RatFn.q(1) for i in range(3) for j in range(3)})
+    three_q = RatFn.q(1, 3)
+    cycle = [(0, 1), (1, 2), (2, 0)]
+    rep.gens[("e", 1)] = SparseMat(3, 3, {ij: three_q for ij in cycle})
+    rep.gens[("f", 1)] = SparseMat(3, 3, {ij: RatFn.q(1) for ij in cycle + [(0, 0), (1, 1), (2, 2)]})
+    rep.gens[("f", 2)] = SparseMat(3, 3, {(i, 0): RatFn.integer(3) for i in range(3)})
     quarter = RatFn.of(1, 4)
-    exprs = []
-    for k in range(1, 7):
-        power, product = make_pow(e(1), k), make_prod([e(1)] * k)
-        exprs += [power, product, power + quarter * product, product - K(3) * power]
+    powers = [make_pow(e(1), k) for k in range(1, 7)]
+    products = [make_prod([e(1)] * k) for k in range(1, 7)]
+    sums = [p + quarter * x for p, x in zip(powers, products)]
+    gathered = [make_prod([make_pow(f(1), k), f(2)]) for k in range(1, 7)]
+    aligned = [x - K(3) * p for p, x in zip(powers, products)]
     widths = _spy_digit_bits(monkeypatch)
-    got = list(eval_batch(exprs, rep))
-    assert len(widths) == 1
-    assert got == [_reference_eval(x, rep) for x in exprs]
-    top = RatFn.q(6, 3**5)  # every entry of e1^6 has this one coefficient
-    assert got[20][0, 0] == top and got[21][0, 0] == top
+    for batch in (powers, products, sums, gathered, aligned):
+        got = list(eval_batch(batch, rep))
+        assert got == [_reference_eval(x, rep) for x in batch]
+    bounds = [3**6, 3**6, 5 * 3**6, 3 * 2**6]
+    assert widths[:4] == [_digit_bits(b) for b in bounds]
+    assert eval_in_rep(gathered[5], rep)[0, 0] == RatFn.q(6, 3 * 2**6)
+    top = RatFn.q(6, 3**6)  # the entry of e1^6 in row 0
+    assert eval_in_rep(powers[5], rep)[0, 0] == top
+    assert eval_in_rep(products[5], rep)[0, 0] == top
 
 
 def test_eval_is_exact_on_sums_mixing_denominator_one_and_rational_nodes():
@@ -306,6 +324,72 @@ def test_eval_is_exact_on_sums_mixing_denominator_one_and_rational_nodes():
     ]
     for rep in _test_reps():
         assert list(eval_batch(exprs, rep)) == [_reference_eval(x, rep) for x in exprs]
+
+
+@functools.cache
+def _program_modules():
+    """V(2,1), its tensor square under both sides, its cube, and the dual of a
+    typical module with a rational lambda2 (rational and Laurent entries)."""
+    nat, typical = _test_reps()[0], _test_reps()[3]
+    return (
+        nat,
+        tensor_rep(nat, nat, "Delta"),
+        tensor_rep(nat, nat, "DeltaPrime"),
+        iterated_tensor(nat, 3),
+        dual_rep(typical),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_EXPRS, min_size=1, max_size=3))
+def test_one_compiled_batch_runs_exactly_on_every_module(xs):
+    batch = xs + [a * b for a, b in zip(xs, xs[1:])] + [xs[0]]
+    program = compile_batch(batch)
+    for rep in _program_modules():
+        assert list(program.run(rep)) == [_reference_eval(x, rep) for x in batch]
+
+
+def test_a_replaced_generator_is_read_afresh_by_the_next_run():
+    rep = natural_rep(P21)
+    batch = [e(1) * f(1) + K(1), e(1)]
+    program = compile_batch(batch)
+    first = list(program.run(rep))
+    assert first == [_reference_eval(x, rep) for x in batch]
+    rep.gens[("e", 1)] = SparseMat(3, 3, {(0, 1): RatFn.q(2, 5), (2, 1): RatFn.of(1, 3)})
+    second = list(program.run(rep))
+    assert second == [_reference_eval(x, rep) for x in batch]
+    assert second[1] == rep.gen("e", 1) != first[1]
+
+
+def test_eval_admits_q_plus_one_to_the_2000():
+    binomial = LaurentPoly({i: math.comb(2000, i) for i in range(2001)})  # (q + 1)^2000
+    got = eval_in_rep(Scalar(RatFn(binomial)) * e(1), natural_rep(P21))
+    assert got == SparseMat.unit(3, 3, 0, 1, RatFn(binomial))
+
+
+def test_eval_refuses_entries_above_the_budget():
+    # At B = 2 an entry of degree t is an int of 2 (t + 1) bits.
+    rep = natural_rep(P21)
+    top = MAX_ENTRY_BITS // 2 - 1
+    assert eval_in_rep(Scalar(RatFn.q(top)) * e(1), rep) == SparseMat.unit(3, 3, 0, 1, RatFn.q(top))
+    with pytest.raises(ResourceLimit):
+        eval_in_rep(Scalar(RatFn.q(top + 1)) * e(1), rep)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [Kinv(1), e(1) + f(1), Scalar(RatFn.of(1, LaurentPoly({1: 1, 0: 1}))) * e(1)],
+    ids=["degree", "bound", "denominator"],
+)
+def test_eval_refuses_a_huge_power_before_forming_it(base):
+    # K1^-1 has degree 1, e1 + f1 the bound 2 and (1/(q+1)) e1 a denominator of
+    # degree 1, so their 10^11-th powers exceed the budget; a nilpotent e1 and
+    # the scalar -1 have none of these and still evaluate.
+    rep = natural_rep(P21)
+    with pytest.raises(ResourceLimit):
+        eval_in_rep(Pow(base, 10**11), rep)
+    assert eval_in_rep(Pow(e(1), 10**11), rep).is_zero()
+    assert eval_in_rep(Pow(Scalar(RatFn.integer(-1)), 10**11), rep) == SparseMat.identity(3)
 
 
 # -- structural helpers ---------------------------------------------------------------
