@@ -8,73 +8,4 @@ link invariant from the associated braid-group representation via a Markov
 trace.  Everything is exact: scalars live in Q(q), never floats.
 """
 
-from .expr import eval_in_rep, expr_to_text, parse_expr
-from .invariants import (
-    BraidWord,
-    InvariantResult,
-    link_invariant,
-    markov_trace,
-    quantum_dimension,
-    quantum_trace,
-)
-from .linalg import SparseMat, Subspace, Vec, kron, nullspace
-from .relations import gamma_monomials, relation_catalog, root_vector
-from .reps import (
-    Representation,
-    check_hopf_axioms,
-    dual_rep,
-    highest_weight_vectors,
-    iterated_tensor,
-    natural_rep,
-    submodule_closure,
-    tensor_rep,
-    verify_relations,
-    weight_decomposition,
-)
-from .rmatrix import RMatrixBundle, build_bundle, tensor_iso
-from .scalars import GLParams, LaurentPoly, RatFn, parse_scalar, quantum_int
-from .sl21 import HighestWeightSL21, atypicality_type, simple_quotient, verma_module
-
-__all__ = [
-    "BraidWord",
-    "GLParams",
-    "HighestWeightSL21",
-    "InvariantResult",
-    "LaurentPoly",
-    "RMatrixBundle",
-    "RatFn",
-    "Representation",
-    "SparseMat",
-    "Subspace",
-    "Vec",
-    "atypicality_type",
-    "build_bundle",
-    "check_hopf_axioms",
-    "dual_rep",
-    "eval_in_rep",
-    "expr_to_text",
-    "gamma_monomials",
-    "highest_weight_vectors",
-    "iterated_tensor",
-    "kron",
-    "link_invariant",
-    "markov_trace",
-    "natural_rep",
-    "nullspace",
-    "parse_expr",
-    "parse_scalar",
-    "quantum_dimension",
-    "quantum_int",
-    "quantum_trace",
-    "relation_catalog",
-    "root_vector",
-    "simple_quotient",
-    "submodule_closure",
-    "tensor_iso",
-    "tensor_rep",
-    "verify_relations",
-    "verma_module",
-    "weight_decomposition",
-]
-
 __version__ = "0.1.0"

@@ -105,11 +105,6 @@ def _report_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def serialize_report(report: Report, fmt: str = "text") -> str:
-    payload = _report_payload(report)
-    return json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else _report_text(payload)
-
-
 def _matrix_payload(mat: SparseMat) -> dict:
     return {
         "nrows": mat.nrows,

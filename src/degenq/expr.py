@@ -227,7 +227,17 @@ def make_prod(factors: list[Expr]) -> Expr:
 
 
 def make_pow(base: Expr, exp: int) -> Expr:
+    """base^exp.  A scalar power is formed at once, after a ResourceLimit
+    check: its numerator's and its denominator's power p^|exp| must fit in
+    MAX_ENTRY_BITS, estimated as |exp| log2 |p|_1 bits per coefficient (the
+    1-norm bounds every coefficient) times |exp| span(p) + 1 coefficients.
+    A power of +-q^e costs nothing by this estimate."""
     if isinstance(base, Scalar):
+        k = abs(exp)
+        for p in (base.value.num, base.value.den):
+            bits = k * (p.norm1() - 1).bit_length()
+            if p and bits * (k * (max(p.terms) - min(p.terms)) + 1) > MAX_ENTRY_BITS:
+                raise _too_big(f"the power ^{exp}")
         return Scalar(base.value**exp)
     if isinstance(base, Gen) and base.kind in ("K", "Kinv") and exp < 0:
         base = Gen("Kinv" if base.kind == "K" else "K", base.index)
@@ -405,15 +415,15 @@ def antipode(x: Expr) -> Expr:
 # b.bit_length() - 1 exceeds the budget.  A lag costs nothing by itself; where
 # a sum aligns terms by it, the shift shows in the sum's degree.
 #
-# Caches.  Each representation keeps, in its ``encodings`` dict, one
-# :class:`_Encoding` per generator key: the matrix's numerators over its D with
-# D, v, b and degree, and its int matrix at the last B it was run at.  An
-# encoding holds while the key maps to the same matrix object (``is``):
-# replacing a matrix in ``rep.gens`` makes the next run measure it afresh, and
-# a run at another B encodes it again.  The int matrices keep their row index
-# (``SparseMat.__mul__``).  The relation catalog's Program sits next to the
-# catalog in the per-(m, n) memo of :mod:`degenq.reps`.  No cache grows with
-# the number of runs.
+# Caches.  A generator matrix keeps its :class:`_Encoding` in its ``_encoding``
+# slot, filled by the first run that reads it: the numerators over its D with
+# D, v, b and degree, and its int matrix at the last B it was run at.  A matrix
+# is never changed once built, so the encoding holds for the matrix's life.  A
+# matrix replaced in ``rep.gens`` is a new object, which the next run measures
+# afresh, and a run at another B encodes it again.  The int matrices keep
+# their row index (``SparseMat.__mul__``).  The relation catalog's Program
+# sits next to the catalog in the per-(m, n) memo of :mod:`degenq.reps`.  No
+# cache grows with the number of runs.
 
 # The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
 # above the 4 million bits of (q+1)^2000 at its own digit width.
@@ -435,9 +445,9 @@ def _too_big(what: str) -> ResourceLimit:
 class _Encoding:
     """A generator matrix over its common denominator D: the numerators with D,
     lag v, row norm b and degree of N q^v, and the int matrix at the digit
-    width ``bits`` of the last run that read it."""
+    width ``bits`` of the last run that read it.  Kept on the matrix."""
 
-    __slots__ = ("mat", "num", "den", "lag", "bound", "deg", "bits", "ints")
+    __slots__ = ("num", "den", "lag", "bound", "deg", "bits", "ints")
 
     def __init__(self, mat: SparseMat):
         den = _LP_ONE
@@ -451,30 +461,18 @@ class _Encoding:
         rows: dict[int, int] = {}
         for (i, _), p in num.items():
             rows[i] = rows.get(i, 0) + p.norm1()
-        self.mat, self.num, self.den = mat, num, den
+        self.num, self.den = num, den
         self.lag = _lag(num.values())
         self.bound = max(rows.values(), default=0)
         self.deg = max((max(p.terms) for p in num.values()), default=-self.lag) + self.lag
         self.bits = self.ints = None
 
-    def at(self, bits: int) -> SparseMat:
+    def at(self, bits: int, dim: int) -> SparseMat:
         if self.bits != bits:
             ints = {k: _encode(p, bits, self.lag) for k, p in self.num.items()}
-            self.ints = SparseMat._raw(self.mat.nrows, self.mat.ncols, ints)
+            self.ints = SparseMat._raw(dim, dim, ints)
             self.bits = bits
         return self.ints
-
-
-def encoding(rep, key) -> _Encoding:
-    """rep's encoding of the generator at key, measured afresh when the key
-    maps to another matrix object than last time."""
-    mat = rep.gens.get(key)
-    if mat is None:
-        raise MissingGenerator(f"representation lacks {key[0]}{key[1]}")
-    got = rep.encodings.get(key)
-    if got is None or got.mat is not mat:
-        got = rep.encodings[key] = _Encoding(mat)
-    return got
 
 
 class Program:
@@ -511,10 +509,10 @@ class Program:
         """Each expression of the batch evaluated in rep, in order, as a
         canonical SparseMat over Q(q).
 
-        rep needs a ``dim``, a ``gens`` dict from (kind, index) to a dim x dim
-        SparseMat and an ``encodings`` dict, which the run fills.
+        rep needs a ``dim`` and a ``gens`` dict from (kind, index) to a
+        dim x dim SparseMat.
         """
-        dim = rep.dim
+        dim, gens = rep.dim, rep.gens
         # The numeric pass: per slot (D, v, b, degree), with a denominator
         # equal to 1 always the object _LP_ONE, so that lcm, quotient and
         # product work for it is skipped by identity; and per slot what the
@@ -523,7 +521,12 @@ class Program:
         how: list = []
         for code, kids, data in self.ops:
             if code == _GEN:
-                g = encoding(rep, data)
+                mat = gens.get(data)
+                if mat is None:
+                    raise MissingGenerator(f"representation lacks {data[0]}{data[1]}")
+                g = mat._encoding
+                if g is None:
+                    g = mat._encoding = _Encoding(mat)
                 shape.append((g.den, g.lag, g.bound, g.deg))
                 how.append(g)
             elif code == _SCALAR:
@@ -571,7 +574,7 @@ class Program:
         for s, (code, kids, _) in enumerate(self.ops):
             h = how[s]
             if code == _GEN:
-                val = h.at(bits)
+                val = h.at(bits, dim)
             elif code == _PROD:
                 val = None
                 for c in kids:
@@ -636,9 +639,9 @@ def _decoded(n: SparseMat, shape: tuple, bits: int) -> SparseMat:
 
 
 def compile_batch(exprs) -> Program:
-    """The Program of a batch of expressions: one slot per distinct node, so
-    that a node shared across the batch (structurally equal, or one object
-    after :func:`hash_cons`) is evaluated once per run."""
+    """The Program of a batch of expressions: one slot per structurally
+    distinct node, so that a node shared across the batch is evaluated once
+    per run."""
     slot_of: dict[Expr, int] = {}
     ops: list[tuple] = []
 
@@ -680,28 +683,6 @@ def eval_batch(exprs, rep) -> Iterator[SparseMat]:
     """Evaluate each expression of exprs in rep, in order: the batch compiled
     once (:func:`compile_batch`) and run in rep (:meth:`Program.run`)."""
     return compile_batch(exprs).run(rep)
-
-
-def hash_cons(exprs) -> list[Expr]:
-    """The expressions rebuilt so that structurally equal nodes are one object."""
-    table: dict[Expr, Expr] = {}
-    done: dict[int, Expr] = {}  # by id: every input node stays alive meanwhile
-
-    def share(x: Expr) -> Expr:
-        got = done.get(id(x))
-        if got is None:
-            if isinstance(x, Sum):
-                x_new = Sum(tuple(map(share, x.terms)))
-            elif isinstance(x, Prod):
-                x_new = Prod(tuple(map(share, x.factors)))
-            elif isinstance(x, Pow):
-                x_new = Pow(share(x.base), x.exp)
-            else:
-                x_new = x
-            got = done[id(x)] = table.setdefault(x_new, x_new)
-        return got
-
-    return [share(x) for x in exprs]
 
 
 def _den(value: RatFn) -> LaurentPoly:
@@ -938,8 +919,8 @@ class _ExprParser:
             return Scalar(RatFn.q(exp if exp is not None else 1))
         if t[0] == "int":
             exp = self.parse_optional_exponent()
-            value = RatFn.integer(t[1])
-            return Scalar(value if exp is None else value**exp)
+            value = Scalar(RatFn.integer(t[1]))
+            return value if exp is None else make_pow(value, exp)
         if t[0] == "op" and t[1] == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:

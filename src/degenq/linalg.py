@@ -23,17 +23,19 @@ class SparseMat:
     Products, sums, negation and ``scale`` use only the ring operations of the
     entries, so they work as well for Python int entries with an int scale
     factor; :func:`degenq.expr.eval_batch` evaluates over the integers that way,
-    at q = 2^B.  A matrix is never changed once built: a product keeps its
-    right operand's row index on that operand, for the next product.
+    at q = 2^B.  A matrix is never changed once built, so it keeps what is
+    derived from it: a product keeps its right operand's row index on that
+    operand, for the next product, and evaluation keeps a generator's integer
+    form in ``_encoding`` (:class:`degenq.expr._Encoding`).
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_rows")
+    __slots__ = ("nrows", "ncols", "entries", "_rows", "_encoding")
 
     def __init__(self, nrows: int, ncols: int, entries: dict[tuple[int, int], RatFn] | None = None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries = {k: v for k, v in (entries or {}).items() if v}
-        self._rows = None
+        self._rows = self._encoding = None
 
     # -- constructors -------------------------------------------------------
 
@@ -44,7 +46,7 @@ class SparseMat:
         mat.nrows = nrows
         mat.ncols = ncols
         mat.entries = entries
-        mat._rows = None
+        mat._rows = mat._encoding = None
         return mat
 
     @staticmethod
@@ -376,9 +378,6 @@ class Subspace:
             if c is not None:
                 _sub_scaled(entries, c, row)
         return Vec(self.dim, entries)
-
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
 
     def add_vector(self, v: Vec) -> bool:
         """Grow the subspace by v; returns True if the rank increased."""

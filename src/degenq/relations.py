@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, hash_cons, make_pow, make_prod, one
+from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, make_pow, make_prod, one
 from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
 
 
@@ -124,18 +124,18 @@ def odd_pair_element(params: GLParams) -> Expr:
 
 def relation_catalog(params: GLParams) -> list[RelationEntry]:
     """Every relation of the algebra at (m, n), plus derived identities that
-    must vanish in all representations.  Structurally equal subexpressions
-    of the whole catalog are one object (one root vector per (i, j)), so an
-    evaluator's memo finds them by identity."""
+    must vanish in all representations.  A subexpression that recurs across
+    the catalog (a root vector, say) is one slot of the catalog's compiled
+    program (:func:`degenq.expr.compile_batch`)."""
     m, n = params.m, params.n
     size = params.size
     iset = list(params.index_set)
     iprime = list(params.iprime)
     q = RatFn.q(1)
-    entries: list[tuple[str, str, Expr]] = []
+    entries: list[RelationEntry] = []
 
     def add(family: str, label: str, expr: Expr):
-        entries.append((family, label, expr))
+        entries.append(RelationEntry(family, label, expr))
 
     # Cartan units and commutativity
     for b in iset:
@@ -304,8 +304,7 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
                 _commutator(f(m + 1), e_far) + qm1inv * (e_near * cartan(m + 1)),
             )
 
-    shared = hash_cons([x for _, _, x in entries])
-    return [RelationEntry(family, label, x) for (family, label, _), x in zip(entries, shared)]
+    return entries
 
 
 def _tuples4(size: int):

@@ -16,8 +16,7 @@ A representation stores one matrix per generator atom, including K inverses.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -61,8 +60,6 @@ class Representation:
     dim: int
     gens: dict[tuple[str, int], SparseMat]
     label: str = ""
-    # Generators as integer matrices, filled by evaluation (degenq.expr).
-    encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, mat in self.gens.items():
@@ -326,13 +323,10 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")
 
 
-def verify_relations(rep: Representation, entries: Sequence[RelationEntry] | None = None) -> Report:
-    """Evaluate every catalog entry in rep; all must be exactly zero.  Without
-    entries, rep's own catalog runs as the program compiled once per (m, n)."""
-    if entries is None:
-        entries, program = _catalog(rep.params)
-    else:
-        program = compile_batch([entry.expr for entry in entries])
+def verify_relations(rep: Representation) -> Report:
+    """Evaluate every entry of rep's catalog in rep, as the program compiled
+    once per (m, n); all must be exactly zero."""
+    entries, program = _catalog(rep.params)
     report = Report()
     for entry, value in zip(entries, program.run(rep)):
         report.add_zero("relations", entry.name, value)

@@ -33,9 +33,9 @@ evaluate their leg products the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .expr import Expr, Gen, Prod, Scalar, encoding, eval_batch, make_prod
+from .expr import Expr, Gen, Prod, Scalar, eval_batch, make_prod
 from .linalg import SparseMat, Vec
 from .reports import Report
 from .reps import DEFAULT_MAX_DIM, Representation, check_cap, shared_power
@@ -148,24 +148,19 @@ class _Space:
 
     dim: int
     gens: dict
-    encodings: dict = field(default_factory=dict)
 
 
 def _space(r: int, d: int, ops: dict[str, SparseMat], *powers: Representation) -> _Space:
     """V^(x)r with each operator of ops on every pair of legs, and the actions
-    of the given Delta and Delta' powers of V, the second one's kinds primed.
-    Each power's generators share the encodings kept on that power."""
+    of the given Delta and Delta' powers of V, the second one's kinds primed."""
     gens = {
         (name, (i, j)): leg_operator(op, i, j, r, d)
         for name, op in ops.items()
         for i, j in _halftwist_pairs(r)
     }
-    space = _Space(d**r, gens)
     for tag, power in zip(("", "'"), powers):
-        for kind, index in power.gens:
-            space.gens[(kind + tag, index)] = power.gens[(kind, index)]
-            space.encodings[(kind + tag, index)] = encoding(power, (kind, index))
-    return space
+        gens.update({(kind + tag, index): mat for (kind, index), mat in power.gens.items()})
+    return _Space(d**r, gens)
 
 
 def _differences(space: _Space, checks: list[tuple[str, Expr]]) -> dict[str, SparseMat]:

@@ -125,9 +125,16 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     def __pow__(self, n: int) -> LaurentPoly:
+        """One integer power by Kronecker substitution: (p q^v)^n at q = 2^B,
+        with B wide for |p|_1^n, which bounds every coefficient of p^n."""
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial; use RatFn")
-        return _power(self, n, _LP_ONE)
+        if n == 0:
+            return _LP_ONE
+        if len(self.terms) < 2:  # zero or a monomial
+            return LaurentPoly._raw({e * n: c**n for e, c in self.terms.items()})
+        bits, lag = _digit_bits(self.norm1() ** n), _lag([self])
+        return _decode(_encode(self, bits, lag) ** n, bits, -lag * n)
 
     def scale(self, c: int) -> LaurentPoly:
         if c == 0:
@@ -467,9 +474,9 @@ class RatFn:
         return RatFn._raw(num, den)
 
     def __pow__(self, n: int) -> RatFn:
-        if n < 0:
-            return _power(self.inv(), -n, _RF_ONE)
-        return _power(self, n, _RF_ONE)
+        """Powers of a canonical (coprime) pair are coprime, so need no gcd."""
+        base, k = (self, n) if n >= 0 else (self.inv(), -n)
+        return RatFn._raw(base.num**k, _LP_ONE if base.den.is_one() else base.den**k)
 
     # -- comparisons ---------------------------------------------------------
 

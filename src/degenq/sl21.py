@@ -234,10 +234,6 @@ def simple_quotient(vm: ModuleData) -> ModuleData:
     return ModuleData(vm.hw, rep, labels, highest)
 
 
-def simple_module(hw: HighestWeightSL21) -> ModuleData:
-    return simple_quotient(verma_module(hw))
-
-
 def operator_f_cap(rep: Representation) -> SparseMat:
     """The image of F = f_1 f_2 - q f_2 f_1."""
     f1, f2 = rep.gen("f", 1), rep.gen("f", 2)

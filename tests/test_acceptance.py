@@ -25,7 +25,6 @@ from degenq.invariants import (
     random_word,
 )
 from degenq.linalg import SparseMat
-from degenq.relations import relation_catalog
 from degenq.reps import (
     check_hopf_axioms,
     iterated_tensor,
@@ -74,13 +73,12 @@ def test_criterion_01_relation_suite_all_params():
     failures = []
     for params in PARAM_GRID:
         rep = natural_rep(params)
-        entries = relation_catalog(params)
         spaces = [rep]
         for r in (2, 3):
             for side in ("Delta", "DeltaPrime"):
                 spaces.append(iterated_tensor(rep, r, side))
         for space in spaces:
-            report = verify_relations(space, entries)
+            report = verify_relations(space)
             failures.extend(f"{params.m},{params.n}:{c.name}" for c in report.failures)
     elapsed = time.monotonic() - start
     _announce(

@@ -15,8 +15,9 @@ from degenq.cli import (
     EXIT_UNSUPPORTED,
     main,
     parse_braid,
+    _report_payload,
+    _report_text,
     run_verify,
-    serialize_report,
 )
 from degenq.errors import ExprSyntaxError, ResourceLimit
 from degenq.expr import MAX_NESTING
@@ -59,15 +60,15 @@ def test_parse_braid_empty_is_identity():
 
 
 def test_serialize_empty_report():
-    assert serialize_report(Report()) == "OK (0 checks)"
+    assert _report_text(_report_payload(Report())) == "OK (0 checks)"
 
 
 def test_serialize_json_stable():
     report = Report()
     report.add("suite", "alpha", True, "detail")
     report.add("suite", "beta", False)
-    one = serialize_report(report, "json")
-    two = serialize_report(report, "json")
+    one = json.dumps(_report_payload(report), sort_keys=True, indent=2)
+    two = json.dumps(_report_payload(report), sort_keys=True, indent=2)
     assert one == two
     payload = json.loads(one)
     assert payload["ok"] is False
@@ -378,13 +379,23 @@ def test_huge_tensor_power_is_refused_without_forming_it(argv, monkeypatch, caps
     assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", err)
 
 
-@pytest.mark.parametrize("text", ["q^99999999999*e1", "K1^-99999999999"], ids=["monomial", "power"])
-def test_eval_refuses_huge_integers_before_forming_them(text):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--m", "2", "--n", "1", "--expr", "q^99999999999*e1"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "K1^-99999999999"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "(q+1)^4000*e1"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "3^999999999*e1"],
+        ["simple-module", "--ell", "1", "--lambda2", "(" * 99 + "q+1" + ")^2" * 99],
+    ],
+    ids=["monomial", "power", "scalar-power", "integer-power", "nested-scalar-powers"],
+)
+def test_eval_refuses_huge_integers_before_forming_them(argv):
     # In a child limited to 2 GB of address space, so that an integer formed
     # against the budget fails there instead of filling the machine.
     limit = 2_000_000 * 1024
     proc = subprocess.run(
-        [sys.executable, "-m", "degenq.cli", "eval", "--m", "2", "--n", "1", "--expr", text],
+        [sys.executable, "-m", "degenq.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -406,13 +417,13 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
         compiled.append(len(exprs))
         return compile_batch(exprs)
 
-    encoded = []  # (matrix, B, job); the matrices stay alive, so ids stay distinct
+    encoded = []  # (encoding, B, dim, job); the encodings stay alive, so ids stay distinct
     at = expr._Encoding.at
 
-    def counting_at(self, bits):
+    def counting_at(self, bits, dim):
         if self.bits != bits:
-            encoded.append((self.mat, bits, len(jobs)))
-        return at(self, bits)
+            encoded.append((self, bits, dim, len(jobs)))
+        return at(self, bits, dim)
 
     monkeypatch.setattr(reps, "compile_batch", counting_compile)
     monkeypatch.setattr(expr._Encoding, "at", counting_at)
@@ -424,9 +435,54 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
         jobs.append(main(argv))
     capsys.readouterr()
     assert jobs == [EXIT_OK, EXIT_OK] and len(compiled) == 1
-    keys = [(id(mat), bits) for mat, bits, _ in encoded]
+    keys = [(id(code), bits) for code, bits, _, _ in encoded]
     assert len(keys) == len(set(keys))
-    assert {mat.nrows for mat, _, job in encoded if job == 1} == {5}
+    assert {dim for _, _, dim, job in encoded if job == 1} == {5}
+
+
+def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
+    # Three intertwiner jobs at (3, 2) in one process (the intertwiner on
+    # V^(x)2, then the tensor isomorphism on V^(x)3, whose first build reads
+    # the K's of V^(x)2 at another digit width).  Every later job measures only
+    # its own fresh leg operators, never a generator of the memoised Delta and
+    # Delta' powers, and the third forms int matrices for its leg operators
+    # alone.
+    measured = []  # (matrix, job); the matrices stay alive, so ids stay distinct
+    encoded = []  # (encoding, job)
+    legs = []  # (leg operator, job)
+    init, at, leg_operator = expr._Encoding.__init__, expr._Encoding.at, rmatrix.leg_operator
+
+    def counting_init(self, mat):
+        measured.append((mat, len(jobs)))
+        init(self, mat)
+
+    def counting_at(self, bits, dim):
+        if self.bits != bits:
+            encoded.append((self, len(jobs)))
+        return at(self, bits, dim)
+
+    def recording_leg_operator(*args):
+        legs.append((leg_operator(*args), len(jobs)))
+        return legs[-1][0]
+
+    monkeypatch.setattr(expr._Encoding, "__init__", counting_init)
+    monkeypatch.setattr(expr._Encoding, "at", counting_at)
+    monkeypatch.setattr(rmatrix, "leg_operator", recording_leg_operator)
+    reps._power.cache_clear()
+    jobs = []
+    argv = ["verify", "--m", "3", "--n", "2", "--suite", "intertwiner", "--json"]
+    for _ in range(3):
+        jobs.append(main(argv))
+    capsys.readouterr()
+    assert jobs == [EXIT_OK] * 3
+    squares = [reps.shared_power(GLParams(3, 2), 2, side).gens for side in ("Delta", "DeltaPrime")]
+    read = {id(gens[key]) for gens in squares for key in (("e", 1), ("f", 4), ("K", 5))}
+    assert read <= {id(mat) for mat, job in measured if job == 0}
+    for later in (1, 2):
+        fresh = {id(mat) for mat, job in legs if job == later}
+        assert len(fresh) == 8 and {id(mat) for mat, job in measured if job == later} == fresh
+    last = {id(mat._encoding) for mat, job in legs if job == 2}
+    assert {id(code) for code, job in encoded if job == 2} == last
 
 
 def test_r_matrix_suites_refuse_before_any_work(monkeypatch):

@@ -36,8 +36,8 @@ from degenq.expr import (
 from degenq.linalg import SparseMat
 from degenq.relations import gamma_monomials, root_vector
 from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep
-from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits
-from degenq.sl21 import HighestWeightSL21, simple_module
+from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits, parse_scalar
+from degenq.sl21 import HighestWeightSL21, simple_quotient, verma_module
 
 P21 = GLParams(2, 1)
 P32 = GLParams(3, 2)
@@ -175,7 +175,7 @@ def _test_reps():
     a rational lambda2, whose generators have nontrivial denominators."""
     nat = natural_rep(P21)
     lambda2 = RatFn.of(LaurentPoly({1: 1, 0: 2}), LaurentPoly({1: 1, 0: -3}))  # (q+2)/(q-3)
-    typical = simple_module(HighestWeightSL21(1, 1, lambda2))
+    typical = simple_quotient(verma_module(HighestWeightSL21(1, 1, lambda2)))
     return (nat, dual_rep(nat), tensor_rep(nat, nat), typical.rep)
 
 
@@ -363,8 +363,8 @@ def test_a_replaced_generator_is_read_afresh_by_the_next_run():
 
 def test_eval_admits_q_plus_one_to_the_2000():
     binomial = LaurentPoly({i: math.comb(2000, i) for i in range(2001)})  # (q + 1)^2000
-    got = eval_in_rep(Scalar(RatFn(binomial)) * e(1), natural_rep(P21))
-    assert got == SparseMat.unit(3, 3, 0, 1, RatFn(binomial))
+    for x in (Scalar(RatFn(binomial)) * e(1), parse_expr("(q+1)^2000*e1", P21)):
+        assert eval_in_rep(x, natural_rep(P21)) == SparseMat.unit(3, 3, 0, 1, RatFn(binomial))
 
 
 def test_eval_refuses_entries_above_the_budget():
@@ -390,6 +390,34 @@ def test_eval_refuses_a_huge_power_before_forming_it(base):
         eval_in_rep(Pow(base, 10**11), rep)
     assert eval_in_rep(Pow(e(1), 10**11), rep).is_zero()
     assert eval_in_rep(Pow(Scalar(RatFn.integer(-1)), 10**11), rep) == SparseMat.identity(3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(q+1)^4000", "3^999999999", "(2q^-1)^-99999999999", "((1)/(q+2))^-5000"],
+    ids=["binomial", "integer", "monomial", "denominator"],
+)
+def test_parser_refuses_a_huge_scalar_power_before_forming_it(text, monkeypatch):
+    def no_power(*args):
+        raise AssertionError("formed a scalar power")
+
+    monkeypatch.setattr(RatFn, "__pow__", no_power)
+    with pytest.raises(ResourceLimit):
+        parse_expr(f"{text}*e1", P21)
+    with pytest.raises(ResourceLimit):
+        parse_scalar(text)
+
+
+def test_scalar_powers_within_the_budget_are_formed():
+    # 2^k costs k bits, at the boundary; a power of +-q^e costs nothing.
+    two, half = Scalar(RatFn.integer(2)), Scalar(RatFn.of(1, 2))
+    top = Scalar(RatFn.integer(1 << MAX_ENTRY_BITS))
+    assert make_pow(two, MAX_ENTRY_BITS) == make_pow(half, -MAX_ENTRY_BITS) == top
+    for base in (two, half):
+        with pytest.raises(ResourceLimit):
+            make_pow(base, (MAX_ENTRY_BITS + 1) * (1 if base is two else -1))
+    assert parse_scalar("(-q^3)^99999999999") == RatFn.q(3 * 99999999999, -1)
+    assert parse_scalar("(q^-2)^-99999999999") == RatFn.q(2 * 99999999999)
 
 
 # -- structural helpers ---------------------------------------------------------------

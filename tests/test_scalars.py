@@ -11,6 +11,7 @@ from degenq.scalars import (
     _decode,
     _digit_bits,
     _encode,
+    _power,
     parse_scalar,
     poly_to_text,
     quantum_int,
@@ -175,6 +176,31 @@ def test_unit_product_matches_the_canonicalizing_constructor(k, sign, x):
     expected = RatFn(u.num * x.num, u.den * x.den)
     assert u * x == expected
     assert x * u == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(), st.integers(min_value=0, max_value=12))
+def test_poly_power_matches_repeated_products(p, n):
+    # One Kronecker power against the repeated squaring it replaces.
+    assert p**n == _power(p, n, LaurentPoly.one())
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfns(), st.integers(min_value=-8, max_value=8))
+def test_ratfn_power_matches_the_canonicalizing_products(x, n):
+    # The power of the canonical pair, with no gcd, against the product of the
+    # canonicalizing constructor.
+    if x or n >= 0:
+        base, k = (x, n) if n >= 0 else (RatFn(x.den, x.num), -n)
+        expected = _power(base, k, RatFn.one())
+        assert x**n == expected
+        assert hash(x**n) == hash(expected)
+
+
+def test_poly_power_of_wide_coefficients():
+    p = lp({-2: 3, 0: -7, 5: 11})
+    assert p**9 == _power(p, 9, LaurentPoly.one())
+    assert lp({4: -3}) ** 5 == lp({20: -243})
 
 
 @settings(max_examples=60, deadline=None)
