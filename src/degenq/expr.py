@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterator
+from operator import attrgetter
 
 from .errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator, ResourceLimit
 from .linalg import SparseMat
@@ -52,9 +53,27 @@ _RF_MINUS_ONE = RatFn.integer(-1)
 
 
 class Expr:
-    """Base class; supports +, -, * and integer ** with scalar coercion."""
+    """Base class of the nodes; supports +, -, * and integer ** with scalar
+    coercion.
 
-    __slots__ = ()
+    A node class names its fields in ``__slots__`` and reads them all with
+    ``_key``; its ``__init__`` sets them and the node's hash, once, from its
+    children's kept hashes.  Two nodes are equal when they are of one class
+    and their fields are equal, so equality is structural and costs a
+    subtree walk only where the hashes agree.
+    """
+
+    __slots__ = ("_hash",)
+    _key: Callable[[Expr], object]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._hash == other._hash and self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(repr(getattr(self, name)) for name in self.__slots__)})"
 
     def __add__(self, other) -> Expr:
         return make_sum([self, _coerce(other)])
@@ -98,90 +117,50 @@ class Gen(Expr):
     'K', 'Kinv' with an int index.  Code may name other fixed matrices of one
     space by other kinds (``degenq.rmatrix`` does); the parser builds none."""
 
-    __slots__ = ("kind", "index", "_hash")
+    __slots__ = ("kind", "index")
+    _key = attrgetter(*__slots__)
 
     def __init__(self, kind: str, index):
         self.kind = kind
         self.index = index
         self._hash = hash((kind, index))
 
-    def __eq__(self, other):
-        return isinstance(other, Gen) and self.kind == other.kind and self.index == other.index
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Gen({self.kind!r}, {self.index})"
-
 
 class Scalar(Expr):
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
+    _key = attrgetter(*__slots__)
 
     def __init__(self, value: RatFn):
         self.value = value
         self._hash = hash(("scalar", value))
 
-    def __eq__(self, other):
-        return isinstance(other, Scalar) and self.value == other.value
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Scalar({self.value})"
-
 
 class Sum(Expr):
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
+    _key = attrgetter(*__slots__)
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
         self._hash = hash(("sum", terms))
 
-    def __eq__(self, other):
-        return isinstance(other, Sum) and self.terms == other.terms
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Sum({', '.join(map(repr, self.terms))})"
-
 
 class Prod(Expr):
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors",)
+    _key = attrgetter(*__slots__)
 
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
         self._hash = hash(("prod", factors))
 
-    def __eq__(self, other):
-        return isinstance(other, Prod) and self.factors == other.factors
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Prod({', '.join(map(repr, self.factors))})"
-
 
 class Pow(Expr):
-    __slots__ = ("base", "exp", "_hash")
+    __slots__ = ("base", "exp")
+    _key = attrgetter(*__slots__)
 
     def __init__(self, base: Expr, exp: int):
         self.base = base
         self.exp = exp
         self._hash = hash(("pow", base, exp))
-
-    def __eq__(self, other):
-        return isinstance(other, Pow) and self.exp == other.exp and self.base == other.base
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Pow({self.base!r}, {self.exp})"
 
 
 # -- smart constructors ---------------------------------------------------------
@@ -202,7 +181,8 @@ def make_sum(terms: list[Expr]) -> Expr:
 
 
 def make_prod(factors: list[Expr]) -> Expr:
-    """Flatten nested products and fold scalar factors into one leading scalar."""
+    """Flatten nested products and fold scalar factors into one leading scalar,
+    each product of two scalars after the check of :func:`_check_scalar_size`."""
     flat: list[Expr] = []
     coeff = _RF_ONE
     for f in factors:
@@ -211,10 +191,14 @@ def make_prod(factors: list[Expr]) -> Expr:
         else:
             inner = (f,)
         for g in inner:
-            if isinstance(g, Scalar):
-                coeff = coeff * g.value
-            else:
+            if not isinstance(g, Scalar):
                 flat.append(g)
+            elif coeff is _RF_ONE:
+                coeff = g.value
+            else:
+                for a, b in ((coeff.num, g.value.num), (coeff.den, g.value.den)):
+                    _check_scalar_size("the scalar product", (a, 1), (b, 1))
+                coeff = coeff * g.value
     if not coeff:
         return Scalar(RatFn.zero())
     if not flat:
@@ -226,18 +210,28 @@ def make_prod(factors: list[Expr]) -> Expr:
     return Prod(tuple(flat))
 
 
+def _check_scalar_size(what: str, *powers: tuple[LaurentPoly, int]) -> None:
+    """Refuse with ResourceLimit, before it is formed, the product of p^k over
+    the given (p, k) when it may not fit in MAX_ENTRY_BITS: estimated as the
+    sum of k log2 |p|_1 bits per coefficient (the 1-norm is submultiplicative
+    and bounds every coefficient) times the sum of k span(p), plus 1,
+    coefficients.  A factor +-q^e costs nothing by this estimate."""
+    bits = span = 0
+    for p, k in powers:
+        if p:
+            bits += k * (p.norm1() - 1).bit_length()
+            span += k * (max(p.terms) - min(p.terms))
+    if bits * (span + 1) > MAX_ENTRY_BITS:
+        raise _too_big(what)
+
+
 def make_pow(base: Expr, exp: int) -> Expr:
-    """base^exp.  A scalar power is formed at once, after a ResourceLimit
-    check: its numerator's and its denominator's power p^|exp| must fit in
-    MAX_ENTRY_BITS, estimated as |exp| log2 |p|_1 bits per coefficient (the
-    1-norm bounds every coefficient) times |exp| span(p) + 1 coefficients.
-    A power of +-q^e costs nothing by this estimate."""
+    """base^exp.  A scalar power is formed at once, after the check of
+    :func:`_check_scalar_size` on its numerator's and its denominator's
+    power p^|exp|."""
     if isinstance(base, Scalar):
-        k = abs(exp)
         for p in (base.value.num, base.value.den):
-            bits = k * (p.norm1() - 1).bit_length()
-            if p and bits * (k * (max(p.terms) - min(p.terms)) + 1) > MAX_ENTRY_BITS:
-                raise _too_big(f"the power ^{exp}")
+            _check_scalar_size(f"the power ^{exp}", (p, abs(exp)))
         return Scalar(base.value**exp)
     if isinstance(base, Gen) and base.kind in ("K", "Kinv") and exp < 0:
         base = Gen("Kinv" if base.kind == "K" else "K", base.index)
@@ -293,25 +287,6 @@ def cartan_inv(a: int) -> Expr:
 
 def one() -> Expr:
     return Scalar(_RF_ONE)
-
-
-def validate_indices(x: Expr, params: GLParams) -> None:
-    """Check every atom index: e/f in I', K in I."""
-    if isinstance(x, Gen):
-        if x.kind in ("e", "f"):
-            if not 1 <= x.index <= params.size - 1:
-                raise IndexOutOfRange(f"{x.kind}{x.index}: index outside I' = 1..{params.size - 1}")
-        else:
-            if not 1 <= x.index <= params.size:
-                raise IndexOutOfRange(f"K{x.index}: index outside I = 1..{params.size}")
-    elif isinstance(x, Sum):
-        for t in x.terms:
-            validate_indices(t, params)
-    elif isinstance(x, Prod):
-        for t in x.factors:
-            validate_indices(t, params)
-    elif isinstance(x, Pow):
-        validate_indices(x.base, params)
 
 
 # -- Hopf structure on expressions -------------------------------------------------
@@ -897,23 +872,18 @@ class _ExprParser:
             if self.params is None:
                 raise ExprSyntaxError(f"generator {letter}{idx} in scalar text", t[2])
             exp = self.parse_optional_exponent()
-            base: Expr
-            if letter == "e":
-                base = Gen("e", idx)
-            elif letter == "f":
-                base = Gen("f", idx)
-            elif letter == "K":
-                base = Gen("K", idx)
-            else:  # k sugar
-                base = cartan(idx)
-                if exp is not None and exp < 0:
-                    base = cartan_inv(idx)
-                    exp = -exp
             if letter in ("e", "f") and exp is not None and exp < 0:
                 raise ExprSyntaxError(f"negative power on {letter}{idx}", t[2])
-            node = base if exp is None else make_pow(base, exp)
-            validate_indices(node, self.params)
-            return node
+            top, name = (self.params.size, "I") if letter == "K" else (self.params.size - 1, "I'")
+            if not 1 <= idx <= top:
+                raise IndexOutOfRange(f"{letter}{idx}: index outside {name} = 1..{top}")
+            if letter != "k":
+                base = Gen(letter, idx)
+            elif exp is not None and exp < 0:
+                base, exp = cartan_inv(idx), -exp
+            else:
+                base = cartan(idx)
+            return base if exp is None else make_pow(base, exp)
         if t[0] == "q":
             exp = self.parse_optional_exponent()
             return Scalar(RatFn.q(exp if exp is not None else 1))
@@ -953,7 +923,7 @@ class _ExprParser:
 
 
 def parse_expr(text: str, params: GLParams) -> Expr:
-    """Parse expression text, validating generator indices against params."""
+    """Parse expression text; each atom's index is checked against params."""
     return _parse(text, params)
 
 

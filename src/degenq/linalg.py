@@ -245,10 +245,6 @@ class SparseMat:
         return len(pivots)
 
 
-def kron(a: SparseMat, b: SparseMat) -> SparseMat:
-    return a.kron(b)
-
-
 class Vec:
     """A sparse column vector over Q(q)."""
 

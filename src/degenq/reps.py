@@ -36,7 +36,7 @@ from .expr import (
     counit,
     eval_batch,
 )
-from .linalg import SparseMat, Subspace, Vec, kron, nullspace
+from .linalg import SparseMat, Subspace, Vec, nullspace
 from .relations import RelationEntry, k2rho_expr, relation_catalog
 from .reports import Report
 from .scalars import GLParams, RatFn
@@ -151,14 +151,14 @@ def tensor_rep(r1: Representation, r2: Representation, side: str = "Delta") -> R
     gens: dict[tuple[str, int], SparseMat] = {}
     for a, k1, k2 in zip(iprime, k1s, k2s):
         if side == "Delta":
-            gens[("e", a)] = kron(r1.gen("e", a), k2) + kron(id1, r2.gen("e", a))
-            gens[("f", a)] = kron(r1.gen("f", a), id2) + kron(k1, r2.gen("f", a))
+            gens[("e", a)] = r1.gen("e", a).kron(k2) + id1.kron(r2.gen("e", a))
+            gens[("f", a)] = r1.gen("f", a).kron(id2) + k1.kron(r2.gen("f", a))
         else:
-            gens[("e", a)] = kron(r1.gen("e", a), id2) + kron(k1, r2.gen("e", a))
-            gens[("f", a)] = kron(r1.gen("f", a), k2) + kron(id1, r2.gen("f", a))
+            gens[("e", a)] = r1.gen("e", a).kron(id2) + k1.kron(r2.gen("e", a))
+            gens[("f", a)] = r1.gen("f", a).kron(k2) + id1.kron(r2.gen("f", a))
     for b in params.index_set:
-        gens[("K", b)] = kron(r1.gen("K", b), r2.gen("K", b))
-        gens[("Kinv", b)] = kron(r1.gen("Kinv", b), r2.gen("Kinv", b))
+        gens[("K", b)] = r1.gen("K", b).kron(r2.gen("K", b))
+        gens[("Kinv", b)] = r1.gen("Kinv", b).kron(r2.gen("Kinv", b))
     tag = "" if side == "Delta" else "'"
     return Representation(params, d1 * d2, gens, label=f"{r1.label}(x){tag}{r2.label}")
 

@@ -51,7 +51,6 @@ class RMatrixBundle:
     Rinv: SparseMat
     Rcheck: SparseMat
     Rcheckinv: SparseMat
-    P: SparseMat
     T: SparseMat
 
 
@@ -77,7 +76,7 @@ def _flipped(i: int, d: int) -> int:
 
 
 def build_bundle(params: GLParams) -> RMatrixBundle:
-    """All six operators; inverses are exact closed forms, flips permute
+    """All five operators; inverses are exact closed forms, flips permute
     rows or columns."""
     d = params.size
     R = _braid_matrix(params, params.q_sub)
@@ -88,7 +87,6 @@ def build_bundle(params: GLParams) -> RMatrixBundle:
         Rinv=Rinv,
         Rcheck=SparseMat(d * d, d * d, {(_flipped(i, d), j): v for (i, j), v in R.entries.items()}),
         Rcheckinv=SparseMat(d * d, d * d, {(i, _flipped(j, d)): v for (i, j), v in Rinv.entries.items()}),
-        P=SparseMat(d * d, d * d, {(i, _flipped(i, d)): _ONE for i in range(d * d)}),
         T=_braid_matrix(params, lambda a: RatFn.q(1)),
     )
 
@@ -277,8 +275,6 @@ def tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Spar
     For r = 2 this is R itself.  (The one-block product R_{1r}...R_{r-1,r}
     alone is only the inductive factor and does not intertwine.)
     """
-    if r < 2:
-        raise ValueError("tensor_iso needs r >= 2")
     return _leg_product(params, r, max_dim, "R")
 
 
@@ -287,8 +283,10 @@ def tensor_iso_inverse(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM)
 
 
 def _leg_product(params: GLParams, r: int, max_dim: int, which: str) -> SparseMat:
-    """The isomorphism (which = "R") or its inverse ("Rinv") on V^(x)r;
-    refuses a space above the dimension cap."""
+    """The isomorphism (which = "R") or its inverse ("Rinv") on V^(x)r, for
+    r >= 2; refuses a space above the dimension cap."""
+    if r < 2:
+        raise ValueError("tensor_iso needs r >= 2")
     d = params.size
     check_cap(d, r, max_dim)
     space = _space(r, d, {which: getattr(build_bundle(params), which)})

@@ -40,7 +40,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidInput
+from .expr import eval_in_rep
 from .linalg import SparseMat, Vec
+from .relations import odd_pair_element
 from .reps import (
     Representation,
     highest_weight_vectors,
@@ -207,37 +209,19 @@ def simple_quotient(vm: ModuleData) -> ModuleData:
     """The unique simple quotient: strip singular vectors until none remain."""
     rep = vm.rep
     labels = list(vm.basis_labels)
-    highest = vm.highest_index
+    top = vm.highest_index
+    top_weight = tuple(rep.gen("K", b)[top, top] for b in rep.params.index_set)
     while True:
-        top_weight = tuple(
-            rep.gen("K", b)[highest, highest] for b in rep.params.index_set
-        )
-        singular = [
-            v
-            for w, v in highest_weight_vectors(rep)
-            if w.values != top_weight
-        ]
+        singular = [v for w, v in highest_weight_vectors(rep) if w.values != top_weight]
         if not singular:
             break
         sub = submodule_closure(rep, singular)
-        if sub.rank == 0:
-            break
         pivots = set(sub.pivot_columns())
-        keep = [j for j in range(rep.dim) if j not in pivots]
-        new_rep = quotient_rep(rep, sub, label=f"L({vm.hw.ell},{vm.hw.sign1:+d})")
-        labels = [labels[j] for j in keep]
-        # The highest vector never lies in a proper submodule, so its
-        # coordinate survives the quotient; track its new position.
-        old_highest = vm.basis_labels[vm.highest_index]
-        highest = labels.index(old_highest)
-        rep = new_rep
-    return ModuleData(vm.hw, rep, labels, highest)
-
-
-def operator_f_cap(rep: Representation) -> SparseMat:
-    """The image of F = f_1 f_2 - q f_2 f_1."""
-    f1, f2 = rep.gen("f", 1), rep.gen("f", 2)
-    return f1 * f2 - (f2 * f1).scale(RatFn.q(1))
+        labels = [lab for j, lab in enumerate(labels) if j not in pivots]
+        rep = quotient_rep(rep, sub, label=f"L({vm.hw.ell},{vm.hw.sign1:+d})")
+    # The highest vector never lies in a proper submodule, so its coordinate
+    # survives every quotient.
+    return ModuleData(vm.hw, rep, labels, labels.index(vm.basis_labels[top]))
 
 
 def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
@@ -247,7 +231,7 @@ def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
     if kind is ModuleType.TYPICAL:
         return []
     rep = mod.rep
-    F = operator_f_cap(rep)
+    F = eval_in_rep(odd_pair_element(P21), rep)
     f1, f2 = rep.gen("f", 1), rep.gen("f", 2)
     f1_powers = [Vec.unit(rep.dim, mod.highest_index)]  # f_1^k v for k = 0..ell
     for _ in range(hw.ell):

@@ -387,8 +387,11 @@ def test_huge_tensor_power_is_refused_without_forming_it(argv, monkeypatch, caps
         ["eval", "--m", "2", "--n", "1", "--expr", "(q+1)^4000*e1"],
         ["eval", "--m", "2", "--n", "1", "--expr", "3^999999999*e1"],
         ["simple-module", "--ell", "1", "--lambda2", "(" * 99 + "q+1" + ")^2" * 99],
+        ["eval", "--m", "2", "--n", "1", "--expr", "(q+1)^2000*(q+1)^2000*e1"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "(q+1)^1000*" * 4 + "e1"],
     ],
-    ids=["monomial", "power", "scalar-power", "integer-power", "nested-scalar-powers"],
+    ids=["monomial", "power", "scalar-power", "integer-power", "nested-scalar-powers", "scalar-product",
+         "scalar-product-of-four"],
 )
 def test_eval_refuses_huge_integers_before_forming_them(argv):
     # In a child limited to 2 GB of address space, so that an integer formed
@@ -662,6 +665,10 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
     assert code == EXIT_OK
 
 
+# At (2, 1): e, f and k take I' = 1..2, K takes I = 1..3.
+_ATOMS_OUT_OF_RANGE = ("e0", "f3", "K0", "K4", "k0", "k3")
+
+
 @pytest.mark.parametrize(
     "argv, env_cap",
     [
@@ -680,10 +687,12 @@ def test_env_var_caps_dimension(monkeypatch, capsys):
         (["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "-3"], None),
         (["eval", "--m", "2", "--n", "1", "--expr", "(" * 1000 + "e1" + ")" * 1000], None),
         (["simple-module", "--ell", "1", "--lambda2", "(" * 400 + "q" + ")" * 400], None),
+        *((["eval", "--m", "2", "--n", "1", "--expr", atom], None) for atom in _ATOMS_OUT_OF_RANGE),
     ],
     ids=["m0", "rep-tensorx", "rep-tensor0", "rep-tensor", "rep-tensor-plus3", "env-cap-abc",
          "ell-negative", "lambda2-zero", "max-dim-0", "max-dim-negative", "samples-negative",
-         "tensor-depth-0", "tensor-depth-negative", "expr-nested-1000", "lambda2-nested-400"],
+         "tensor-depth-0", "tensor-depth-negative", "expr-nested-1000", "lambda2-nested-400",
+         *_ATOMS_OUT_OF_RANGE],
 )
 def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     if env_cap is None:
@@ -694,6 +703,16 @@ def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "atom, err",
+    [("k3", "k3: index outside I' = 1..2"), ("k0^-1", "k0: index outside I' = 1..2"),
+     ("K4", "K4: index outside I = 1..3"), ("f3^2", "f3: index outside I' = 1..2")],
+)
+def test_an_atom_out_of_range_is_named_with_its_range(atom, err, capsys):
+    assert main(["eval", "--m", "2", "--n", "1", "--expr", f"e1 + {atom}"]) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_verify_samples_0_conjugation_is_vacuous(capsys):

@@ -82,7 +82,7 @@ def test_parse_errors_carry_position():
     with pytest.raises(IndexOutOfRange):
         parse_expr("K4", P21)
     with pytest.raises(IndexOutOfRange):
-        parse_expr("k3", P21)  # k3 expands to K3*K4^-1, out of range
+        parse_expr("k3", P21)  # k-index must be in I'
 
 
 @pytest.mark.parametrize("text", ["R12", "Rcheck", "e1'", "top0"])
@@ -408,6 +408,35 @@ def test_parser_refuses_a_huge_scalar_power_before_forming_it(text, monkeypatch)
         parse_scalar(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(q+1)^2000*(q+1)^2000", "(q+1)^1000*(q+1)^1000*(q+1)^1000*(q+1)^1000", "((1)/(q+2))^1500*((1)/(q+2))^1500"],
+    ids=["two-factors", "four-factors", "denominators"],
+)
+def test_parser_refuses_a_huge_scalar_product_before_forming_it(text, monkeypatch):
+    # Each factor passes the power estimate, and (q+1)^1000 squared the
+    # product estimate; the next product does not, and is never formed.
+    multiply = RatFn.__mul__
+
+    def small_only(a, b):
+        if sum(len(p.terms) for x in (a, b) for p in (x.num, x.den)) > 3000:
+            raise AssertionError("formed a huge scalar product")
+        return multiply(a, b)
+
+    monkeypatch.setattr(RatFn, "__mul__", small_only)
+    with pytest.raises(ResourceLimit, match="the scalar product"):
+        parse_expr(f"{text}*e1", P21)
+    with pytest.raises(ResourceLimit, match="the scalar product"):
+        parse_scalar(text)
+
+
+def test_scalar_products_within_the_budget_are_formed():
+    # (q+1)^1000 squared is estimated at 2000 bits times 2001 coefficients.
+    binomial = LaurentPoly({i: math.comb(2000, i) for i in range(2001)})
+    assert parse_scalar("(q+1)^1000*(q+1)^1000") == RatFn(binomial)
+    assert parse_expr("(q+1)^1000*(q+1)^1000*e1", P21) == Scalar(RatFn(binomial)) * e(1)
+
+
 def test_scalar_powers_within_the_budget_are_formed():
     # 2^k costs k bits, at the boundary; a power of +-q^e costs nothing.
     two, half = Scalar(RatFn.integer(2)), Scalar(RatFn.of(1, 2))
@@ -421,6 +450,31 @@ def test_scalar_powers_within_the_budget_are_formed():
 
 
 # -- structural helpers ---------------------------------------------------------------
+
+
+def test_equal_trees_built_apart_are_equal_with_equal_hashes():
+    def build():
+        return Sum((Prod((Scalar(RatFn.q(2)), e(1), Pow(f(2), 3))), Gen("K", 1)))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert parse_expr(expr_to_text(a), P21) == a
+
+
+def test_nodes_of_other_classes_or_fields_differ():
+    a, b = e(1), f(1)
+    assert Sum((a, b)) != Prod((a, b))
+    assert Sum((a, b)) != Sum((b, a))
+    assert Pow(a, 2) != Pow(a, 3) and Pow(a, 2) == Pow(e(1), 2)
+    assert Gen("K", 1) != Gen("Kinv", 1) and Gen("e", 1) != Gen("e", 2)
+    assert Scalar(RatFn.q(1)) != Scalar(RatFn.q(-1))
+    assert e(1) != "e1" and Scalar(RatFn.one()) != RatFn.one()
+
+
+def test_node_repr_names_the_class_and_fields():
+    assert repr(Gen("e", 1)) == "Gen('e', 1)"
+    assert repr(Pow(Gen("K", 2), 3)) == "Pow(Gen('K', 2), 3)"
+    assert repr(Sum((e(1), f(1)))) == "Sum((Gen('e', 1), Gen('f', 1)))"
 
 
 def test_make_prod_folds_scalars():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from degenq import linalg
 from degenq.errors import DimensionMismatch
-from degenq.linalg import SparseMat, Subspace, Vec, kron, nullspace
+from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.reps import highest_weight_vectors
 from degenq.rmatrix import build_bundle, verify_hecke_and_spectrum
 from degenq.scalars import GLParams, LaurentPoly, RatFn, _lcm, _poly_divexact_dict, _poly_gcd_dict
@@ -83,13 +83,13 @@ def test_dimension_mismatch():
 
 
 def test_kron_identity():
-    assert kron(SparseMat.identity(2), SparseMat.identity(3)) == SparseMat.identity(6)
+    assert SparseMat.identity(2).kron(SparseMat.identity(3)) == SparseMat.identity(6)
 
 
 def test_kron_dims_multiply():
     a = SparseMat.zero(2, 3)
     b = SparseMat.zero(3, 2)
-    k = kron(a, b)
+    k = a.kron(b)
     assert (k.nrows, k.ncols) == (6, 6)
 
 
@@ -97,14 +97,14 @@ def test_kron_mixed_product_law():
     rng = random.Random(11)
     for _ in range(5):
         a, b, c, d = (random_mat(rng, 2, 2) for _ in range(4))
-        assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+        assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
 
 
 def test_kron_index_convention_left_most_significant():
     # (a (x) b)(v_i (x) v_j) = (a v_i) (x) (b v_j) with index i*dim + j
     a = SparseMat.unit(2, 2, 0, 1)  # v_1 -> v_0
     b = SparseMat.identity(2)
-    k = kron(a, b)
+    k = a.kron(b)
     v = Vec.unit(4, 1 * 2 + 0)  # v_1 (x) v_0
     assert k.apply(v) == Vec.unit(4, 0 * 2 + 0)
 
@@ -140,7 +140,7 @@ def test_kron_matches_entrywise_products(a, b):
         for (i, j), x in a.entries.items()
         for (k, l), y in b.entries.items()
     }
-    got = kron(a, b)
+    got = a.kron(b)
     assert (got.nrows, got.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
     assert got.entries == reference
     for (i, j), x in a.entries.items():

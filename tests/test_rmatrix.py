@@ -4,7 +4,7 @@ import pytest
 
 from degenq import cli, linalg, rmatrix
 from degenq.errors import ResourceLimit
-from degenq.linalg import SparseMat, Subspace, Vec, kron, nullspace
+from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.reports import Report, witness
 from degenq.reps import natural_rep, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
@@ -148,6 +148,13 @@ def test_tensor_iso_inverse_round_trip():
     assert iso * inv == SparseMat.identity(27)
 
 
+@pytest.mark.parametrize("r", [1, 0, -1])
+@pytest.mark.parametrize("build", [tensor_iso, tensor_iso_inverse])
+def test_tensor_iso_pair_refuses_r_below_2(build, r):
+    with pytest.raises(ValueError, match="r >= 2"):
+        build(P21, r)
+
+
 def test_tensor_iso_resource_cap():
     with pytest.raises(ResourceLimit):
         tensor_iso(P21, 4, max_dim=30)
@@ -166,7 +173,7 @@ def leg_operator_by_conjugation(op: SparseMat, i: int, j: int, r: int, d: int) -
     """Same operator via permutation conjugation of op (x) id^(r-2); cross-check path."""
     full = op
     for _ in range(r - 2):
-        full = kron(full, SparseMat.identity(d))
+        full = full.kron(SparseMat.identity(d))
     # Build the permutation sending slot 1 -> i, slot 2 -> j, rest in order.
     target = [i - 1, j - 1] + [t for t in range(r) if t not in (i - 1, j - 1)]
     perm_entries = {}
@@ -269,7 +276,7 @@ def ref_bundle(params: GLParams) -> rmatrix.RMatrixBundle:
     R = _ref_zero_part(params, params.q_sub) * _ref_theta(params, +1)
     Rinv = _ref_theta(params, -1) * r0inv
     T = _ref_zero_part(params, lambda a: RatFn.q(1)) * _ref_theta(params, +1)
-    return rmatrix.RMatrixBundle(params, R, Rinv, P * R, Rinv * P, P, T)
+    return rmatrix.RMatrixBundle(params, R, Rinv, P * R, Rinv * P, T)
 
 
 def ref_perturbed_r(params: GLParams) -> SparseMat:

@@ -1,14 +1,16 @@
 import pytest
 
+from degenq.expr import eval_in_rep
 from degenq.linalg import Vec
+from degenq.relations import odd_pair_element
 from degenq.reps import verify_relations
 from degenq.scalars import RatFn
 from degenq.sl21 import (
+    P21,
     HighestWeightSL21,
     ModuleType,
     atypicality_type,
     check_structural_identities,
-    operator_f_cap,
     simple_quotient,
     verma_module,
 )
@@ -92,7 +94,7 @@ def test_verma_highest_vector_annihilated():
 def test_f_cap_squares_to_zero_and_twists():
     vm = verma_module(hw(3))
     rep = vm.rep
-    F = operator_f_cap(rep)
+    F = eval_in_rep(odd_pair_element(P21), rep)
     assert (F * F).is_zero()
     f1, f2 = rep.gen("f", 1), rep.gen("f", 2)
     assert f1 * F == F.scale(rfq(-1)) * f1
@@ -124,7 +126,7 @@ def test_atypical_b_quotient_ell0():
     f2v = rep.gen("f", 2).apply(v)
     ff2v = rep.gen("f", 1).apply(f2v)
     assert f2v and ff2v
-    assert operator_f_cap(rep).apply(v) == ff2v  # F v = f1 f2 v since f2 f1 v = 0
+    assert eval_in_rep(odd_pair_element(P21), rep).apply(v) == ff2v  # F v = f1 f2 v since f2 f1 v = 0
 
 
 @pytest.mark.parametrize("sign1", [1, -1])
