@@ -16,13 +16,14 @@ One grammar serves expression text (:func:`parse_expr`) and scalar text
     int    := sign digits
     sign   := ('+'|'-')*
 
-The '*' may be omitted between an integer and a following q (``2q^3``).  A
-parenthesized subtree containing no generators collapses to a scalar leaf,
-and '/' divides two such leaves.  Negative exponents are allowed on K/k atoms
-and on scalars only.  Scalar text is the generator-free subset of this
-grammar: any atom is a syntax error there, and the parsed tree folds to one
-element of Q(q).  So scalar text may also carry a sign before '(' (as in
-``-(q+1)/(q-2)``) and integer powers such as ``2^3``.
+The '*' may be omitted between an integer and a following q (``2q^3``).  The
+smart constructors fold scalars as a tree is built, so every generator-free
+subtree is one scalar leaf, and '/' divides two such leaves.  Negative
+exponents are allowed on K/k atoms and on scalars only.  Scalar text is the
+generator-free subset of this grammar: any atom is a syntax error there, and
+the parsed tree is one leaf, an element of Q(q).  So scalar text may also
+carry a sign before '(' (as in ``-(q+1)/(q-2)``) and integer powers such as
+``2^3``.
 """
 
 from __future__ import annotations
@@ -167,12 +168,26 @@ class Pow(Expr):
 
 
 def make_sum(terms: list[Expr]) -> Expr:
+    """Flatten nested sums and fold scalar terms into one scalar, placed where
+    the first of them stood and dropped when it is zero.  Two scalars over
+    different denominators are added after the check of
+    :func:`_check_scalar_size` on each cross product."""
     flat: list[Expr] = []
+    coeff, at = None, 0
     for t in terms:
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
+        for g in t.terms if isinstance(t, Sum) else (t,):
+            if not isinstance(g, Scalar):
+                flat.append(g)
+            elif coeff is None:
+                coeff, at = g.value, len(flat)
+            else:
+                a, b = coeff, g.value
+                if a.den != b.den:
+                    for x, y in ((a.num, b.den), (b.num, a.den), (a.den, b.den)):
+                        _check_scalar_size("the scalar sum", (x, 1), (y, 1))
+                coeff = a + b
+    if coeff:
+        flat.insert(at, Scalar(coeff))
     if not flat:
         return Scalar(RatFn.zero())
     if len(flat) == 1:
@@ -186,11 +201,7 @@ def make_prod(factors: list[Expr]) -> Expr:
     flat: list[Expr] = []
     coeff = _RF_ONE
     for f in factors:
-        if isinstance(f, Prod):
-            inner = f.factors
-        else:
-            inner = (f,)
-        for g in inner:
+        for g in f.factors if isinstance(f, Prod) else (f,):
             if not isinstance(g, Scalar):
                 flat.append(g)
             elif coeff is _RF_ONE:
@@ -292,35 +303,6 @@ def one() -> Expr:
 # -- Hopf structure on expressions -------------------------------------------------
 
 
-def _fold_scalar(x: Expr, gen_value: Callable[[Gen], RatFn | None]) -> RatFn | None:
-    """x read as a scalar, each generator g as gen_value(g); None as soon as
-    one generator reads None."""
-    if isinstance(x, Scalar):
-        return x.value
-    if isinstance(x, Gen):
-        return gen_value(x)
-    if isinstance(x, Pow):
-        v = _fold_scalar(x.base, gen_value)
-        return None if v is None else v**x.exp
-    if isinstance(x, Sum):
-        total, parts, combine = RatFn.zero(), x.terms, RatFn.__add__
-    elif isinstance(x, Prod):
-        total, parts, combine = _RF_ONE, x.factors, RatFn.__mul__
-    else:
-        raise TypeError(f"not an expression: {x!r}")
-    for t in parts:
-        v = _fold_scalar(t, gen_value)
-        if v is None:
-            return None
-        total = combine(total, v)
-    return total
-
-
-def counit(x: Expr) -> RatFn:
-    """The counit: kills e and f, sends K to 1; an algebra homomorphism."""
-    return _fold_scalar(x, lambda g: RatFn.zero() if g.kind in ("e", "f") else _RF_ONE)
-
-
 def antipode(x: Expr) -> Expr:
     """The antipode: S(e_a) = -e_a k_a^-1, S(f_a) = -k_a f_a, S(K_b) = K_b^-1.
 
@@ -353,11 +335,11 @@ def antipode(x: Expr) -> Expr:
 # products of the ints are exact.
 #
 # Compile once, run per space.  :func:`compile_batch` turns a batch into a
-# :class:`Program` with no representation at hand: the distinct nodes in
+# :class:`Program` with no representation at hand: the distinct ops in
 # post-order, one slot each, with their child slots, the step after which each
 # slot is read for the last time, and every datum no representation changes
 # (numerator, denominator, lag, 1-norm and degree of each Scalar leaf and of
-# each Prod's folded scalar factor).  :meth:`Program.run` then makes two flat
+# each Prod's leading scalar factor).  :meth:`Program.run` then makes two flat
 # passes over the slots in one representation.  The numeric pass, before any
 # int is formed, gives every node its D, its v, the degree of N q^v and a bound
 # b on the row norm of N q^v: the largest sum, over one row, of its entries'
@@ -407,9 +389,11 @@ MAX_ENTRY_BITS = 1 << 23
 _GEN, _SCALAR, _SUM, _PROD, _POW = range(5)
 
 
-def _scalar_data(num: LaurentPoly, den: LaurentPoly) -> tuple:
-    """(den, lag, 1-norm, degree, num) of the scalar num/den times the identity."""
-    lag = _lag([num])
+def _scalar_data(value: RatFn) -> tuple:
+    """(den, lag, 1-norm, degree, num) of a scalar times the identity, with a
+    denominator of 1 as the object _LP_ONE."""
+    num, lag = value.num, _lag([value.num])
+    den = _LP_ONE if value.den.is_one() else value.den
     return den, lag, num.norm1(), max(num.terms, default=-lag) + lag, num
 
 
@@ -456,7 +440,7 @@ class Program:
 
     Op s computes slot s: ``ops[s] = (code, kids, data)``, where kids are the
     child slots and data is a generator's key, the (den, lag, 1-norm, degree,
-    numerator) of a scalar or of a product's folded scalar factor, or a power's
+    numerator) of a scalar or of a product's leading scalar factor, or a power's
     exponent.  ``after[s] = (outputs, dead)``: the slots to yield, in batch
     order, once op s has run, and the slots read for the last time by then.
     """
@@ -614,55 +598,50 @@ def _decoded(n: SparseMat, shape: tuple, bits: int) -> SparseMat:
 
 
 def compile_batch(exprs) -> Program:
-    """The Program of a batch of expressions: one slot per structurally
-    distinct node, so that a node shared across the batch is evaluated once
-    per run."""
-    slot_of: dict[Expr, int] = {}
+    """The Program of a batch of expressions: one slot per distinct op, so
+    that a node shared across the batch, or built twice alike, is evaluated
+    once per run.  Each node object is visited once, by its id, and its slot
+    is found by its op (code, child slots, data), so no two trees are
+    compared."""
+    roots = list(exprs)  # keeps every node alive, and so its id unique
+    slot_of_node: dict[int, int] = {}
+    slot_of_op: dict[tuple, int] = {}
     ops: list[tuple] = []
 
     def visit(node: Expr) -> int:
-        got = slot_of.get(node)
+        got = slot_of_node.get(id(node))
         if got is not None:
             return got
         if isinstance(node, Gen):
             op = (_GEN, (), (node.kind, node.index))
         elif isinstance(node, Scalar):
-            op = (_SCALAR, (), _scalar_data(node.value.num, _den(node.value)))
+            op = (_SCALAR, (), _scalar_data(node.value))
         elif isinstance(node, Sum):
             op = (_SUM, tuple(map(visit, node.terms)), None)
         elif isinstance(node, Prod):
-            coeff, den, kids = _LP_ONE, _LP_ONE, []
-            for t in node.factors:
-                if isinstance(t, Scalar):
-                    coeff = coeff * t.value.num
-                    d = _den(t.value)
-                    if d is not _LP_ONE:
-                        den = d if den is _LP_ONE else den * d
-                else:
-                    kids.append(visit(t))
-            op = (_PROD, tuple(kids), _scalar_data(coeff, den))
+            # make_prod leaves one scalar at most, in front; any other is a factor.
+            factors, coeff = node.factors, _RF_ONE
+            if isinstance(factors[0], Scalar):
+                factors, coeff = factors[1:], factors[0].value
+            op = (_PROD, tuple(map(visit, factors)), _scalar_data(coeff))
         elif isinstance(node, Pow):
             if node.exp < 0:
                 raise ValueError("negative matrix power")
             op = (_POW, (visit(node.base),), node.exp)
         else:
             raise TypeError(f"not an expression: {node!r}")
-        slot_of[node] = len(ops)
-        ops.append(op)
-        return len(ops) - 1
+        slot = slot_of_node[id(node)] = slot_of_op.setdefault(op, len(ops))
+        if slot == len(ops):
+            ops.append(op)
+        return slot
 
-    return Program(ops, [visit(x) for x in exprs])
+    return Program(ops, [visit(x) for x in roots])
 
 
 def eval_batch(exprs, rep) -> Iterator[SparseMat]:
     """Evaluate each expression of exprs in rep, in order: the batch compiled
     once (:func:`compile_batch`) and run in rep (:meth:`Program.run`)."""
     return compile_batch(exprs).run(rep)
-
-
-def _den(value: RatFn) -> LaurentPoly:
-    """The denominator of a scalar, as the object _LP_ONE when it is 1."""
-    return _LP_ONE if value.den.is_one() else value.den
 
 
 def eval_in_rep(x: Expr, rep) -> SparseMat:
@@ -773,11 +752,6 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     return tokens
-
-
-def _as_scalar(x: Expr) -> RatFn | None:
-    """The value of a generator-free expression, else None."""
-    return _fold_scalar(x, lambda g: None)
 
 
 # The deepest parenthesis nesting: a level costs the parser three stack frames
@@ -897,21 +871,16 @@ class _ExprParser:
                 raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", t[2])
             inner = self.parse_expr()
             self.expect_op(")")
-            v = _as_scalar(inner)
-            if v is not None:
-                inner = Scalar(v)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 # Scalar division: (num)/(den) with both sides generator-free.
                 self.next()
                 self.expect_op("(")
-                den_expr = self.parse_expr()
+                den = self.parse_expr()
                 self.expect_op(")")
-                den = _as_scalar(den_expr)
-                num = _as_scalar(inner)
-                if num is None or den is None:
+                if not (isinstance(inner, Scalar) and isinstance(den, Scalar)):
                     raise ExprSyntaxError("division is only defined between scalars", nxt[2])
-                inner = Scalar(num / den)
+                inner = Scalar(inner.value / den.value)
             self.depth -= 1
             exp = self.parse_optional_exponent()
             if exp is None:

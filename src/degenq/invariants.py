@@ -65,12 +65,11 @@ from .errors import (
     InvalidInput,
     StrandMismatch,
 )
-from .expr import eval_in_rep
 from .homfly_oracle import HomflyOracle
 from .linalg import SparseMat
-from .relations import k2rho_expr, k2rho_weights
+from .relations import k2rho_weights
 from .reports import UNSUPPORTED, VACUOUS, Report
-from .reps import DEFAULT_MAX_DIM, Representation, check_cap
+from .reps import DEFAULT_MAX_DIM, check_cap
 from .rmatrix import build_bundle
 from .scalars import (
     _LP_ONE,
@@ -126,23 +125,6 @@ class InvariantResult:
     markov_trace: RatFn
     invariant: RatFn
     writhe: int
-
-
-def k2rho_matrix(rep: Representation) -> SparseMat:
-    """The image of the trace element; conjugation by it squares the antipode."""
-    return eval_in_rep(k2rho_expr(rep.params), rep)
-
-
-def quantum_trace(mat: SparseMat, rep: Representation) -> RatFn:
-    """tr(nu(K_2rho) A), linear in A."""
-    if mat.nrows != rep.dim or mat.ncols != rep.dim:
-        raise DimensionMismatch(f"operator is not {rep.dim}x{rep.dim}")
-    kd = k2rho_matrix(rep)
-    total = RatFn.zero()
-    for (i, j), v in mat.entries.items():
-        if i == j:
-            total = total + kd[i, i] * v
-    return total
 
 
 def quantum_dimension(params: GLParams) -> RatFn:

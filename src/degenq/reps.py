@@ -33,7 +33,6 @@ from .expr import (
     cartan,
     cartan_inv,
     compile_batch,
-    counit,
     eval_batch,
 )
 from .linalg import SparseMat, Subspace, Vec, nullspace
@@ -88,10 +87,6 @@ class Representation:
         out += [Gen("K", b) for b in self.params.index_set]
         return out
 
-    def catalog(self) -> tuple[RelationEntry, ...]:
-        """The relation catalog of the module's (m, n), shared for the process."""
-        return _catalog(self.params)[0]
-
 
 def _inverse_pair(k: SparseMat, kinv: SparseMat) -> bool:
     """Whether k kinv = 1.  Two diagonals with every diagonal entry nonzero are
@@ -120,6 +115,14 @@ def natural_rep(params: GLParams) -> Representation:
         gens[("K", b)] = SparseMat.diagonal(diag)
         gens[("Kinv", b)] = SparseMat.diagonal([v.inv() for v in diag])
     return Representation(params, d, gens, label=f"V({params.m},{params.n})")
+
+
+def trivial_rep(params: GLParams) -> Representation:
+    """The one-dimensional module of the counit: e_a, f_a act by 0, K_b^+-1 by 1."""
+    zero, one = SparseMat.zero(1, 1), SparseMat.identity(1)
+    gens = {(kind, a): zero for a in params.iprime for kind in ("e", "f")}
+    gens.update({(kind, b): one for b in params.index_set for kind in ("K", "Kinv")})
+    return Representation(params, 1, gens, label="trivial")
 
 
 def dual_rep(rep: Representation) -> Representation:
@@ -337,20 +340,18 @@ def check_hopf_axioms(rep: Representation) -> Report:
     """The counit and the antipode against every defining relation, and the
     inner form of the antipode squared.
 
-    * hopf-counit: eps(rel) = 0 per catalog entry, ``expr.counit`` against the
-      catalog alone: it reads no matrix of the module;
+    * hopf-counit: eps(rel) = 0 per catalog entry: the trivial module, where
+      the counit acts, satisfies the catalog.  eps is a property of the
+      algebra, so this check reads no matrix of the module under test;
     * hopf-antipode: rho(S(rel)) = 0: the dual module satisfies the catalog;
     * hopf-s2: S^2 = Ad(K_2rho) on the generators, as matrix identities.
 
     The coproduct is checked by the relation suite on tensor powers.
     """
     report = Report()
-    catalog = rep.catalog()
-    for entry in catalog:
-        eps = counit(entry.expr)
-        report.add("hopf-counit", entry.name, not eps, str(eps) if eps else "")
-    for c in verify_relations(dual_rep(rep)).checks:
-        report.add("hopf-antipode", c.name, c.ok, c.detail)
+    for suite, module in (("hopf-counit", trivial_rep(rep.params)), ("hopf-antipode", dual_rep(rep))):
+        for c in verify_relations(module).checks:
+            report.add(suite, c.name, c.ok, c.detail)
 
     # Unflattened products, so that K2rho and its inverse are one node each.
     k2rho = k2rho_expr(rep.params)

@@ -615,6 +615,6 @@ def scalar_to_text(x: RatFn) -> str:
 def parse_scalar(text: str) -> RatFn:
     """Parse scalar text: the generator-free subset of the expression grammar
     of :mod:`degenq.expr`, e.g. ``q^2 - 2*q + 3*q^-1`` or ``(num)/(den)``."""
-    from .expr import _as_scalar, _parse  # expr imports this module, so not at the top
+    from .expr import _parse  # expr imports this module, so not at the top
 
-    return _as_scalar(_parse(text, None))
+    return _parse(text, None).value

@@ -21,7 +21,6 @@ from degenq.invariants import (
     markov_trace,
     partial_qtrace,
     quantum_dimension,
-    quantum_trace,
     random_word,
 )
 from degenq.linalg import SparseMat
@@ -48,6 +47,7 @@ from degenq.sl21 import (
     simple_quotient,
     verma_module,
 )
+from test_invariants import quantum_trace
 
 PARAM_GRID = [
     GLParams(1, 1),

@@ -9,6 +9,7 @@ from degenq import expr as expr_module
 from degenq.errors import ExprSyntaxError, IndexOutOfRange, MissingGenerator, ResourceLimit
 from degenq.expr import (
     MAX_ENTRY_BITS,
+    Expr,
     Gen,
     Pow,
     Prod,
@@ -18,7 +19,6 @@ from degenq.expr import (
     cartan,
     cartan_inv,
     compile_batch,
-    counit,
     e,
     eval_batch,
     eval_in_rep,
@@ -34,8 +34,8 @@ from degenq.expr import (
     parse_expr,
 )
 from degenq.linalg import SparseMat
-from degenq.relations import gamma_monomials, root_vector
-from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep
+from degenq.relations import gamma_monomials, relation_catalog, root_vector
+from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep, trivial_rep
 from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits, parse_scalar
 from degenq.sl21 import HighestWeightSL21, simple_quotient, verma_module
 
@@ -98,6 +98,16 @@ def test_parse_scalar_folding():
     assert x == Scalar(RatFn.q(1) + RatFn.q(-1))
     y = parse_expr("(2)*(3)", P21)
     assert y == Scalar(RatFn.integer(6))
+
+
+def test_sums_fold_their_scalars_where_the_first_stood():
+    assert parse_expr("q + 1 + e1", P21) == Sum((Scalar(RatFn.q(1) + RatFn.one()), e(1)))
+    assert parse_expr("1 - 1 + e1", P21) == e(1)
+    assert parse_expr("e1 + q - q + 1", P21) == Sum((e(1), Scalar(RatFn.one())))
+    x = make_sum([e(1), Scalar(RatFn.q(1)), f(1) + 2, -Scalar(RatFn.q(1))])
+    assert x == Sum((e(1), Scalar(RatFn.integer(2)), f(1)))
+    # Over two denominators: 1/(q+2) + 1/(q+3) = (2q+5)/((q+2)(q+3)).
+    assert parse_scalar("(1)/(q+2) + (1)/(q+3)") == RatFn(LaurentPoly({1: 2, 0: 5}), LaurentPoly({2: 1, 1: 5, 0: 6}))
 
 
 def test_parse_implicit_coefficient():
@@ -349,6 +359,44 @@ def test_one_compiled_batch_runs_exactly_on_every_module(xs):
         assert list(program.run(rep)) == [_reference_eval(x, rep) for x in batch]
 
 
+def test_compiling_the_catalog_compares_and_hashes_no_tree(monkeypatch):
+    # Equal subtrees built apart would cost a structural walk per lookup in a
+    # dict keyed by nodes; compile visits each node object once, by its id.
+    entries = relation_catalog(GLParams(6, 6))
+    calls = {"eq": 0, "hash": 0}
+    eq, hash_ = Expr.__eq__, Expr.__hash__
+
+    def counting_eq(a, b):
+        calls["eq"] += 1
+        return eq(a, b)
+
+    def counting_hash(a):
+        calls["hash"] += 1
+        return hash_(a)
+
+    monkeypatch.setattr(Expr, "__eq__", counting_eq)
+    monkeypatch.setattr(Expr, "__hash__", counting_hash)
+    program = compile_batch([entry.expr for entry in entries])
+    assert calls == {"eq": 0, "hash": 0}
+    assert len(program.ops) == 8530
+
+
+@pytest.mark.parametrize(
+    "mn, slots",
+    [((1, 1), 44), ((2, 1), 159), ((1, 2), 122), ((2, 2), 310), ((3, 1), 297), ((3, 2), 527)],
+)
+def test_the_catalog_programs_keep_one_slot_per_distinct_node(mn, slots):
+    entries = relation_catalog(GLParams(*mn))
+    assert len(compile_batch([entry.expr for entry in entries]).ops) == slots
+
+
+def test_a_scalar_inside_a_hand_built_product_is_an_ordinary_factor():
+    rep = natural_rep(P21)
+    x = Prod((Scalar(RatFn.integer(2)), e(1), Scalar(RatFn.q(1)), f(1)))
+    assert eval_in_rep(x, rep) == eval_in_rep(RatFn.q(1, 2) * e(1) * f(1), rep)
+    assert [code for code, _, _ in compile_batch([x]).ops].count(expr_module._SCALAR) == 1
+
+
 def test_a_replaced_generator_is_read_afresh_by_the_next_run():
     rep = natural_rep(P21)
     batch = [e(1) * f(1) + K(1), e(1)]
@@ -430,6 +478,25 @@ def test_parser_refuses_a_huge_scalar_product_before_forming_it(text, monkeypatc
         parse_scalar(text)
 
 
+def test_parser_refuses_a_huge_scalar_sum_before_forming_it(monkeypatch):
+    # Each quotient passes the power estimate, and so do the numerators' cross
+    # products; the common denominator (q+2)^1500 (q+3)^1500 does not, and no
+    # cross product of two large polynomials is formed.
+    text = "(1)/((q+2)^1500) + (1)/((q+3)^1500)"
+    multiply = LaurentPoly.__mul__
+
+    def small_only(a, b):
+        if min(len(a.terms), len(b.terms)) > 1000:
+            raise AssertionError("formed a huge cross product")
+        return multiply(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", small_only)
+    with pytest.raises(ResourceLimit, match="the scalar sum"):
+        parse_expr(f"{text} + e1", P21)
+    with pytest.raises(ResourceLimit, match="the scalar sum"):
+        parse_scalar(text)
+
+
 def test_scalar_products_within_the_budget_are_formed():
     # (q+1)^1000 squared is estimated at 2000 bits times 2001 coefficients.
     binomial = LaurentPoly({i: math.comb(2000, i) for i in range(2001)})
@@ -483,10 +550,13 @@ def test_make_prod_folds_scalars():
 
 
 def test_counit_values():
-    assert counit(e(1)) == RatFn.zero()
-    assert counit(K(2)) == RatFn.one()
-    assert counit(cartan(1) - cartan_inv(1)) == RatFn.zero()
-    assert counit(parse_expr("(q+q^-1)*K1*K2", P21)) == RatFn.q(1) + RatFn.q(-1)
+    # The counit is the action on the trivial module.
+    trivial = trivial_rep(P21)
+    assert eval_in_rep(e(1), trivial) == SparseMat.zero(1, 1)
+    assert eval_in_rep(K(2), trivial) == SparseMat.identity(1)
+    assert eval_in_rep(cartan(1) - cartan_inv(1), trivial) == SparseMat.zero(1, 1)
+    value = eval_in_rep(parse_expr("(q+q^-1)*K1*K2", P21), trivial)
+    assert value == SparseMat.diagonal([RatFn.q(1) + RatFn.q(-1)])
 
 
 def test_antipode_on_generators():

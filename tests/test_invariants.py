@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from degenq import invariants, scalars
 from degenq.errors import (
     DegenqError,
+    DimensionMismatch,
     EqualMNUnsupported,
     InvalidInput,
     ResourceLimit,
@@ -18,26 +19,42 @@ from degenq.invariants import (
     BraidWord,
     _weight_class,
     braid_rep,
-    k2rho_matrix,
     link_invariant,
     markov_trace,
     oracle_invariant,
     partial_qtrace,
     quantum_dimension,
-    quantum_trace,
     random_word,
     verify_markov,
     verify_skein,
 )
+from degenq.expr import eval_in_rep
 from degenq.linalg import SparseMat
-from degenq.relations import k2rho_weights
-from degenq.reps import iterated_tensor, natural_rep, tensor_rep
+from degenq.relations import k2rho_expr, k2rho_weights
+from degenq.reps import Representation, iterated_tensor, natural_rep, tensor_rep
 from degenq.rmatrix import build_bundle, leg_operator
 from degenq.scalars import GLParams, LaurentPoly, RatFn, quantum_int
 
 P21 = GLParams(2, 1)
 P31 = GLParams(3, 1)
 rfq = RatFn.q
+
+
+def k2rho_matrix(rep: Representation) -> SparseMat:
+    """The image of the trace element; conjugation by it squares the antipode."""
+    return eval_in_rep(k2rho_expr(rep.params), rep)
+
+
+def quantum_trace(mat: SparseMat, rep: Representation) -> RatFn:
+    """tr(nu(K_2rho) A), linear in A."""
+    if mat.nrows != rep.dim or mat.ncols != rep.dim:
+        raise DimensionMismatch(f"operator is not {rep.dim}x{rep.dim}")
+    kd = k2rho_matrix(rep)
+    total = RatFn.zero()
+    for (i, j), v in mat.entries.items():
+        if i == j:
+            total = total + kd[i, i] * v
+    return total
 
 
 # -- braid words ---------------------------------------------------------------------

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from degenq import reps, scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
-from degenq.expr import Expr, Gen, cartan, cartan_inv, eval_in_rep, parse_expr
+from degenq.expr import Expr, Gen, Program, cartan, cartan_inv, eval_in_rep, parse_expr
 from degenq.expr import one as one_expr
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.relations import k2rho_expr
 from degenq.reps import (
     Representation,
     Weight,
+    _catalog,
     check_cap,
     check_hopf_axioms,
     dual_rep,
@@ -22,6 +23,7 @@ from degenq.reps import (
     quotient_rep,
     submodule_closure,
     tensor_rep,
+    trivial_rep,
     verify_relations,
     weight_decomposition,
 )
@@ -146,7 +148,7 @@ def test_verify_relations_does_no_field_arithmetic_on_a_passing_module(monkeypat
     # product and no canonical form (gcd), even on a module with a rational weight.
     module = simple_quotient(verma_module(HighestWeightSL21(2, 1, parse_scalar("(q+2)/(q-3)"))))
     assert any(not v.is_polynomial() for v in module.rep.gen("e", 2).entries.values())
-    module.rep.catalog()  # building the expressions is not evaluation
+    _catalog(module.rep.params)  # building the expressions is not evaluation
     calls = {"mul": 0, "canonical": 0}
     mul, canonical = RatFn.__mul__, scalars._canonical_pair
 
@@ -161,7 +163,7 @@ def test_verify_relations_does_no_field_arithmetic_on_a_passing_module(monkeypat
     monkeypatch.setattr(RatFn, "__mul__", counting_mul)
     monkeypatch.setattr(scalars, "_canonical_pair", counting_canonical)
     report = verify_relations(module.rep)
-    assert report.all_passed and len(report.checks) == len(module.rep.catalog())
+    assert report.all_passed and len(report.checks) == len(_catalog(module.rep.params)[0])
     assert calls == {"mul": 0, "canonical": 0}
 
 
@@ -543,15 +545,38 @@ def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch):
 
 
 def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch):
-    from degenq.expr import _fold_scalar, counit
+    def k_to_q(params):
+        rep = trivial_rep(params)
+        rep.gens[("K", 1)] = SparseMat.diagonal([rfq(1)])
+        rep.gens[("Kinv", 1)] = SparseMat.diagonal([rfq(-1)])
+        return rep
 
-    def k_to_q(x):
-        return _fold_scalar(x, lambda g: rfq(1) if g.kind == "K" else counit(g))
-
-    monkeypatch.setattr("degenq.reps.counit", k_to_q)
+    monkeypatch.setattr("degenq.reps.trivial_rep", k_to_q)
     report = check_hopf_axioms(natural_rep(P21))
-    assert {c.suite for c in report.failures} == {"hopf-counit"}
-    assert report.failures[0].detail == str(rfq(1) - one)
+    assert [(c.suite, c.name, c.detail) for c in report.failures] == [
+        (
+            "hopf-counit",
+            "ef-commutator: (q - q^-1)*[e1, f1] - (k1 - k1^-1)",
+            "1 nonzero entries; entry (0, 0) = -q + q^-1",
+        )
+    ]
+
+
+def test_hopf_counit_is_one_run_of_the_catalog_on_the_trivial_module(monkeypatch):
+    runs = []
+    run = Program.run
+
+    def recording_run(self, rep):
+        runs.append((self, rep.dim))
+        return run(self, rep)
+
+    monkeypatch.setattr(Program, "run", recording_run)
+    report = check_hopf_axioms(natural_rep(P21))
+    entries, program = _catalog(P21)
+    assert [p for p, dim in runs if dim == 1] == [program]
+    counit = [c for c in report.checks if c.suite == "hopf-counit"]
+    assert [c.name for c in counit] == [entry.name for entry in entries]
+    assert all(c.ok and c.detail == "" for c in counit)
 
 
 def test_hopf_failure_detail_pins_witness_entry():

@@ -1,12 +1,15 @@
-"""Replay every round-0 benchmark job and print one digest of what it printed.
+"""Replay every round-0 benchmark job, and a fixed list of parser jobs, and
+print one digest of what each set printed.
 
     python3 tools/replay.py
 
 Runs each round-0 job of ``perfbench/jobs.py`` (the three workloads at seeds
 1 and 7), once as drawn and once without ``--json``, as ``degenq.cli.main``
 calls in this process, and prints the number of argvs and one sha256 over
-every (argv, exit code, stdout, stderr).  Two checkouts that print the same
-digest answered every job byte for byte alike: run it in both to check that
+every (argv, exit code, stdout, stderr).  It then does the same for
+``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
+text, which no benchmark job exercises.  Two checkouts that print the same
+digests answered every job byte for byte alike: run it in both to check that
 a change keeps the program's output.  It imports ``degenq`` from ``src/`` and
 the job lists from ``perfbench/`` of the checkout it sits in, and writes
 nothing there.  Drawing the ladder's words needs numpy.
@@ -24,6 +27,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
+
+# Expression and scalar text: folded scalar sums, rational and signed
+# coefficients, quotients, nested powers, the dual and tensor modules, and
+# inputs refused with exit 1 (bad syntax or index) and exit 3 (too large).
+PARSER_ARGVS = [
+    ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "1 - 1 + e1"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "e1^0 + q - f2*e2"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(3)/(4)*e1 - (2)/(3)*f1 + (5)/(6)"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "-2q^3*e1 + +-f2 - -K3^-2"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "2q^-1 - 3 + (q^2)/(q) + e2*f2"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "((q+1)^2 - q^2)^3*K1 - (((q-1)^2)^2)^2*e2"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "((q-1)/(q+2))^-2*e1*f1 + (q+1)/(q-1)"],
+    ["eval", "--m", "1", "--n", "1", "--expr", "((q+1)/(q-1) + (q-1)/(q+1))*e1 - (1)/(q^2-1)"],
+    ["eval", "--m", "3", "--n", "1", "--expr", "K1^-2*K2 + 2^3 - (2)^3 + (e1 + f3)^2"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(e1 - e1)*f1 + (q - q)*e2"],
+    ["eval", "--m", "2", "--n", "1", "--rep", "dual", "--expr", "(q - q^-1)*(e1*f1 - f1*e1) - (k1 - k1^-1)"],
+    ["eval", "--m", "2", "--n", "2", "--rep", "dual", "--expr", "(1 + q)*(1 - q)*f3 + (q)/(q+1)*e1*e2"],
+    ["eval", "--m", "1", "--n", "2", "--rep", "tensor2", "--expr", "(e1 + f1)^3 + q + 1 - q"],
+    ["eval", "--m", "2", "--n", "1", "--rep", "tensor3", "--expr", "(e1 + f2)^2 + (q+1)/(q-1)*k1"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(e1)/(q)"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(q)/(q - q)*e1"],
+    ["eval", "--m", "2", "--n", "2", "--expr", "e0 + 1"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "e1 +"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "q^99999999999*e1"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(q+1)^4000*e1"],
+    ["simple-module", "--ell", "1", "--lambda2", "q + 2 - q + (1)/(q)"],
+    ["simple-module", "--ell", "2", "--sign1", "-1", "--lambda2", "-(q+1)/(q-2) + 1"],
+    ["decompose", "--m", "2", "--n", "1"],
+    ["decompose", "--m", "1", "--n", "1"],
+]
 
 
 def argvs() -> list[list[str]]:
@@ -57,11 +92,12 @@ def main() -> int:
     sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     os.environ.pop("DEGENQ_MAX_DIM", None)  # every job runs at the default cap
-    todo = argvs()
-    digest = hashlib.sha256()
-    for argv in todo:
-        digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
-    print(f"{len(todo)} argvs {digest.hexdigest()}")
+    parser_todo = [argv + extra for argv in PARSER_ARGVS for extra in (["--json"], [])]
+    for label, todo in (("argvs", argvs()), ("parser argvs", parser_todo)):
+        digest = hashlib.sha256()
+        for argv in todo:
+            digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
+        print(f"{len(todo)} {label} {digest.hexdigest()}")
     return 0
 
 
