@@ -16,19 +16,21 @@ Conventions:
 * Leg placement on V^(x)r keeps the package-wide convention: left factor most
   significant.
 
-Checking.  Every identity of the ybe, hecke, intertwiner and tensor-iso
-suites is one expression lhs - rhs, and a suite evaluates its expressions
-in one batch per space with :func:`degenq.expr.eval_batch`, over the
-integers at q = 2^B, like the relation catalog.  The atoms are fixed
+Checking.  Every matrix identity of the ybe, hecke, intertwiner and
+tensor-iso suites is one expression lhs - rhs, and a suite evaluates its
+expressions in one batch per space with :func:`degenq.expr.eval_batch`, over
+the integers at q = 2^B, like the relation catalog.  The atoms are fixed
 matrices of one space: ``Gen(name, (i, j))`` is the bundle operator ``name``
 (R, Rinv, Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j of
 V^(x)r, and the Delta- and Delta'-actions of a tensor power are the kinds e,
-f, K, Kinv and the same kinds primed; the Hecke suite's eigenvectors are
-one-column atoms.  The parser builds no such atom.  A passing check
-costs no decode; a failing one's witness is read from the decoded
-difference, canonical over Q(q).  The projectors are scalar multiples of
-Rcheck + q^-1 and Rcheck - q.  ``tensor_iso`` and ``tensor_iso_inverse``
-evaluate their leg products the same way.
+f, K, Kinv and the same kinds primed.  The parser builds no such atom.  A
+passing check costs no decode; a failing one's witness is read from the
+decoded difference, canonical over Q(q).  The Hecke suite's one identity is
+its quadratic: the projectors onto the two eigenspaces are nonzero multiples
+of Rcheck + q^-1 and Rcheck - q, so it reads the eigenspace dimensions as
+their ranks, and it applies Rcheck to one eigenvector of each.
+``tensor_iso`` and ``tensor_iso_inverse`` evaluate their leg products like
+the suites.
 """
 
 from __future__ import annotations
@@ -103,26 +105,19 @@ def perturbed_r(params: GLParams) -> SparseMat:
 
 def leg_operator(op: SparseMat, i: int, j: int, r: int, d: int) -> SparseMat:
     """Place a two-site operator on legs (i, j) of a d^r-dimensional space, 1-based i < j."""
-    assert 1 <= i < j <= r
-    assert op.nrows == d * d and op.ncols == d * d
-    # Index helper: positions other than i, j run over d^(r-2) assignments.
-    others = [t for t in range(r) if t not in (i - 1, j - 1)]
-    weights = [d ** (r - 1 - t) for t in range(r)]
-    entries: dict[tuple[int, int], RatFn] = {}
-    base_count = d ** len(others)
-    for ((ai, aj), (bi, bj)), val in (
-        (((x // d, x % d), (y // d, y % d)), v) for (x, y), v in op.entries.items()
-    ):
-        for rest in range(base_count):
-            row = ai * weights[i - 1] + aj * weights[j - 1]
-            col = bi * weights[i - 1] + bj * weights[j - 1]
-            rem = rest
-            for t in reversed(others):
-                digit = rem % d
-                rem //= d
-                row += digit * weights[t]
-                col += digit * weights[t]
-            entries[(row, col)] = val
+    if not 1 <= i < j <= r:
+        raise ValueError(f"legs ({i}, {j}) are not 1 <= i < j <= {r}")
+    if op.nrows != d * d or op.ncols != d * d:
+        raise ValueError(f"{op.nrows}x{op.ncols} is not a two-site operator on dimension {d}")
+    # Entry (x, y) acts on the digits at legs i and j, place values wi and wj,
+    # of every index: a base index with zero digits there, plus row or col.
+    wi, wj = d ** (r - i), d ** (r - j)
+    bases = [t for t in range(d**r) if t // wi % d == 0 == t // wj % d]
+    entries = {}
+    for (x, y), val in op.entries.items():
+        row, col = x // d * wi + x % d * wj, y // d * wi + y % d * wj
+        for base in bases:
+            entries[(base + row, base + col)] = val
     return SparseMat(d**r, d**r, entries)
 
 
@@ -191,45 +186,29 @@ def verify_ybe(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
 
 
 def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
-    """(Rcheck - q)(Rcheck + q^-1) = 0 plus the full spectral decomposition;
-    refuses V^(x)2 above the dimension cap."""
+    """(Rcheck - q)(Rcheck + q^-1) = 0, the dimension of each eigenspace and
+    one eigenvector in each; refuses V^(x)2 above the dimension cap."""
     params = bundle.params
     d = params.size
     check_cap(d, 2, max_dim)
     report = Report()
     q = RatFn.q(1)
-    # The eigenvector checks read v1 x v1 and v1 x v2 - q^-1 v2 x v1 as the
-    # first column of a matrix atom.
-    space = _space(2, d, {"Rcheck": bundle.Rcheck})
-    space.gens[("top", 0)] = SparseMat.unit(d * d, d * d, 0, 0)
-    space.gens[("mixed", 0)] = SparseMat(d * d, d * d, {(1, 0): _ONE, (d, 0): -q.inv()})
     rc = Gen("Rcheck", (1, 2))
-    plus, minus = rc + Scalar(q.inv()), rc - Scalar(q)
-    denom = (q + q.inv()).inv()
-    # The projectors onto the q- and (-q^-1)-eigenspaces.
-    proj_s, proj_a = Scalar(denom) * plus, Scalar(-denom) * minus
-    identities = [
-        ("(Rcheck - q)(Rcheck + q^-1) = 0", Prod((minus, plus))),
-        ("P_s idempotent", Prod((proj_s, proj_s)) - proj_s),
-        ("P_a idempotent", Prod((proj_a, proj_a)) - proj_a),
-        ("P_s P_a = 0", Prod((proj_s, proj_a))),
-        ("P_s + P_a = 1", proj_s + proj_a - 1),
-    ]
-    vectors = [
-        ("Rcheck(v1 x v1) = q v1 x v1", Gen("top", 0), q),
-        ("Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)", Gen("mixed", 0), -q.inv()),
-    ]
-    eigen = [(name, rc * w - Scalar(c) * w) for name, w, c in vectors]
-    values = _differences(space, identities + [("P_s", proj_s), ("P_a", proj_a)] + eigen)
-    for name, _ in identities:
-        report.add_zero("hecke", name, values[name])
+    quadratic = Prod((rc - Scalar(q), rc + Scalar(q.inv())))
+    value = next(eval_batch([quadratic], _space(2, d, {"Rcheck": bundle.Rcheck})))
+    report.add_zero("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", value)
+    ident = SparseMat.identity(d * d)
+    rank_s = (bundle.Rcheck + ident.scale(q.inv())).rank()
+    rank_a = (bundle.Rcheck - ident.scale(q)).rank()
     dim_s, dim_a = symmetric_type_dim(params), antisymmetric_type_dim(params)
-    rank_s, rank_a = values["P_s"].rank(), values["P_a"].rank()
     report.add("hecke", f"q-eigenspace dimension = {dim_s}", rank_s == dim_s, f"rank {rank_s}")
     report.add("hecke", f"(-q^-1)-eigenspace dimension = {dim_a}", rank_a == dim_a, f"rank {rank_a}")
-    for name, _ in eigen:
-        column = {i: v for (i, _), v in values[name].entries.items()}
-        report.add_zero("hecke", name, Vec(d * d, column))
+    vectors = [
+        ("Rcheck(v1 x v1) = q v1 x v1", Vec.unit(d * d, 0), q),
+        ("Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)", Vec(d * d, {1: _ONE, d: -q.inv()}), -q.inv()),
+    ]
+    for name, w, c in vectors:
+        report.add_zero("hecke", name, bundle.Rcheck.apply(w) - w.scale(c))
     return report
 
 

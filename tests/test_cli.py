@@ -139,15 +139,11 @@ def test_option_value_may_start_with_a_dash(head, option, value, tail, capsys):
 
 _HECKE_TEXT = """\
 ok    hecke  (Rcheck - q)(Rcheck + q^-1) = 0
-ok    hecke  P_s idempotent
-ok    hecke  P_a idempotent
-ok    hecke  P_s P_a = 0
-ok    hecke  P_s + P_a = 1
 ok    hecke  q-eigenspace dimension = 5  [rank 5]
 ok    hecke  (-q^-1)-eigenspace dimension = 4  [rank 4]
 ok    hecke  Rcheck(v1 x v1) = q v1 x v1
 ok    hecke  Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)
-9 checks (pass: 9)
+5 checks (pass: 5)
 """
 
 _SIMPLE_MODULE_TEXT = """\
@@ -633,6 +629,17 @@ def test_run_verify_report_object():
     report = run_verify(GLParams(1, 1), tensor_depth=2, suites=("relations", "hopf"), samples=2)
     assert report.all_passed
     assert any(c.status == "vacuous" for c in report.checks)
+
+
+def test_verify_names_no_check_twice():
+    # Each skein site is named by its word and position, a site drawn twice
+    # (as 40 samples draw one) is checked once, and the skein control runs
+    # once, so no (suite, name) pair repeats.
+    runs = [run_verify(GLParams(m, n)) for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]]
+    runs.append(run_verify(GLParams(2, 1), suites=("invariant",), samples=40))
+    for report in runs:
+        names = [(c.suite, c.name) for c in report.checks]
+        assert len(set(names)) == len(names), [x for x in names if names.count(x) > 1]
 
 
 # -- one subprocess test for the installed entry point ------------------------------------------

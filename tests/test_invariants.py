@@ -10,6 +10,7 @@ from degenq.errors import (
     DegenqError,
     DimensionMismatch,
     EqualMNUnsupported,
+    IndexOutOfRange,
     InvalidInput,
     ResourceLimit,
     StrandMismatch,
@@ -647,7 +648,7 @@ def test_invariant_suites_build_one_evaluator_per_strand_count(monkeypatch):
     monkeypatch.setattr(BraidEvaluator, "__init__", counting_init)
     invariants._evaluators.cache_clear()
     assert verify_markov(P21, samples=4, max_strands=3).all_passed
-    assert verify_skein(P21, BraidWord(3, (1, -2, 1)), 1).all_passed
+    assert verify_skein(P21, [(BraidWord(3, (1, -2, 1)), 1)]).all_passed
     # The skein suite reuses both of the Markov suite's evaluators.
     assert sorted(strands) == [2, 3]
 
@@ -710,13 +711,13 @@ def test_invariant_checks_print_both_values_when_they_fail(monkeypatch):
         (RatFn.zero(), "", "q^(n-m) I(1 1 1) - q^(m-n) I(-1 1 1) = 0; (q - q^-1) I(1 1) = 0"),
     ):
         monkeypatch.setattr(invariants, "_normalize", lambda phi, word, params: value)
-        report = verify_skein(P31, trefoil, 0)
+        report = verify_skein(P31, [(trefoil, 0)])
         assert [c.detail for c in report.checks] == [skein, control]
 
 
 def test_passing_invariant_checks_have_no_value_detail():
     report = verify_markov(P21, samples=2)
-    report.extend(verify_skein(P31, BraidWord(3, (1, -2, 1)), 1))
+    report.extend(verify_skein(P31, [(BraidWord(3, (1, -2, 1)), 1)]))
     assert report.all_passed
     assert all(c.detail == "" or c.detail.endswith(" exact") for c in report.checks)
 
@@ -727,15 +728,20 @@ def test_verify_markov_equal_mn_unsupported():
 
 
 def test_verify_skein_on_fixed_and_random_words():
-    report = verify_skein(P21, BraidWord(2, (1, 1, 1)), 0)
-    assert report.all_passed, [c.name for c in report.failures]
+    sites = [(BraidWord(2, (1, 1, 1)), 0)]
     rng = random.Random(31)
     for _ in range(4):
         word = random_word(rng, 3, 2, 4)
-        pos = rng.randrange(len(word.letters))
-        for params in (P21, P31):
-            report = verify_skein(params, word, pos)
-            assert report.all_passed, (params, word, pos)
+        sites.append((word, rng.randrange(len(word.letters))))
+    for params in (P21, P31):
+        report = verify_skein(params, sites)
+        assert report.all_passed, (params, [c.name for c in report.failures])
+        # One check per site, named by its position and letters, then the
+        # negative control once.
+        assert len(report.checks) == len(sites) + 1
+        assert report.checks[0].name == "skein at position 0 of 1 1 1"
+    with pytest.raises(IndexOutOfRange, match="position 3 outside the word 1 1 1"):
+        verify_skein(P21, [(BraidWord(2, (1, 1, 1)), 3)])
 
 
 def test_partial_trace_equivariance_includes_projectors():

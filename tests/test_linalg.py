@@ -349,7 +349,8 @@ def _echelon_inputs(run):
 
 
 _GRID = [GLParams(m, n) for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2))]
-# Both Hecke projectors, whose ranks are the eigenspace dimensions.
+# Rcheck + q^-1 and Rcheck - q, multiples of the Hecke projectors, whose ranks
+# are the eigenspace dimensions.
 _PROJECTORS = [
     case
     for params in _GRID
@@ -417,8 +418,8 @@ def _with_workload_examples(test):
 
 
 def test_workload_examples_are_collected():
-    # Each grid point ranks both projectors; each induced module stacks the
-    # e-columns of each of its two-dimensional weight spaces.
+    # Each grid point ranks Rcheck + q^-1 and Rcheck - q; each induced module
+    # stacks the e-columns of each of its two-dimensional weight spaces.
     assert len(_PROJECTORS) == 2 * len(_GRID)
     assert len(_STACKED_E_COLUMNS) == 40
     assert {ncols for _, ncols in _STACKED_E_COLUMNS} == {2}

@@ -504,8 +504,8 @@ def test_hopf_s2_fails_where_k1_acts_as_k2():
     rep.gens[("K", 1)] = rep.gen("K", 2)
     rep.gens[("Kinv", 1)] = rep.gen("Kinv", 2)
     report = check_hopf_axioms(rep)
-    # 49 catalog entries for the counit, 49 for the antipode, 8 for S^2.
-    assert len(report.checks) == 106
+    # 49 catalog entries for the counit, 49 for the antipode, 7 for S^2.
+    assert len(report.checks) == 105
     assert any(c.suite == "hopf-antipode" for c in report.failures)
     s2_failures = [c.name for c in report.failures if c.suite == "hopf-s2"]
     assert s2_failures == ["S^2 = Ad(K2rho) on e2", "S^2 = Ad(K2rho) on f2"]

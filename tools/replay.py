@@ -10,9 +10,12 @@ every (argv, exit code, stdout, stderr).  It then does the same for
 ``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
 text, which no benchmark job exercises.  Two checkouts that print the same
 digests answered every job byte for byte alike: run it in both to check that
-a change keeps the program's output.  It imports ``degenq`` from ``src/`` and
-the job lists from ``perfbench/`` of the checkout it sits in, and writes
-nothing there.  Drawing the ladder's words needs numpy.
+a change keeps the program's output.  Before the two digest lines it prints
+one line per argv, its exit code, the first 16 hex digits of a sha256 over its
+stdout and stderr, and the argv, so that two checkouts' outputs can be diffed
+job by job.  It imports ``degenq`` from ``src/`` and the job lists from
+``perfbench/`` of the checkout it sits in, and writes nothing there.  Drawing
+the ladder's words needs numpy.
 """
 
 from __future__ import annotations
@@ -93,11 +96,16 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     os.environ.pop("DEGENQ_MAX_DIM", None)  # every job runs at the default cap
     parser_todo = [argv + extra for argv in PARSER_ARGVS for extra in (["--json"], [])]
+    summary = []
     for label, todo in (("argvs", argvs()), ("parser argvs", parser_todo)):
         digest = hashlib.sha256()
         for argv in todo:
-            digest.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
-        print(f"{len(todo)} {label} {digest.hexdigest()}")
+            rc, out, err = run(argv)
+            digest.update(json.dumps([argv, rc, out, err]).encode() + b"\n")
+            job = hashlib.sha256(json.dumps([out, err]).encode()).hexdigest()[:16]
+            print(f"{rc} {job} {json.dumps(argv)}")
+        summary.append(f"{len(todo)} {label} {digest.hexdigest()}")
+    print("\n".join(summary))
     return 0
 
 
