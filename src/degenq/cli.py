@@ -37,6 +37,7 @@ from .linalg import SparseMat
 from .reports import FAIL, PASS, Report, UNSUPPORTED, VACUOUS
 from .reps import (
     DEFAULT_MAX_DIM,
+    check_cap,
     check_hopf_axioms,
     dual_rep,
     iterated_tensor,
@@ -137,6 +138,7 @@ def run_verify(
     if samples < 0:
         raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
     report = Report()
+    check_cap(params.size, 1, max_dim)
     rep = natural_rep(params)
     if "relations" in suites:
         if params.m == 1 or params.n == 1:
@@ -356,6 +358,7 @@ def _cmd_decompose(args):
 
 
 def _build_rep(name: str, params: GLParams, max_dim: int):
+    check_cap(params.size, 1, max_dim)
     rep = natural_rep(params)
     if name == "natural":
         return rep

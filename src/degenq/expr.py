@@ -46,7 +46,6 @@ from .scalars import (
     _lcm,
     _power,
     _quo,
-    scalar_to_text,
 )
 
 _RF_ONE = RatFn.one()
@@ -349,9 +348,9 @@ def antipode(x: Expr) -> Expr:
 #
 # * generator: D is the lcm of the entry denominators, v the largest power of
 #   q^-1 in a numerator, b the row norm of the numerators over D;
-# * scalar n/d (times the identity): D = d, v from n, b = |n|;
-# * product of matrix factors with scalar factor n/d: the D's (and d) multiply,
-#   the v's and degrees add, and b = b_1 ... b_k |n|;
+# * product of k >= 0 matrix factors with scalar factor n/d: the D's (and d)
+#   multiply, the v's and degrees add, and b = b_1 ... b_k |n|.  A Scalar leaf
+#   n/d is the product of no factors, n/d times the identity: D = d, b = |n|;
 # * power k: D^k, k v, k times the degree, b^k;
 # * sum: D is the lcm of the terms' D's.  Term i is multiplied by its quotient
 #   Q_i = D / D_i and aligned by q^(vmax - v_i), a left shift by
@@ -386,7 +385,7 @@ def antipode(x: Expr) -> Expr:
 # above the 4 million bits of (q+1)^2000 at its own digit width.
 MAX_ENTRY_BITS = 1 << 23
 
-_GEN, _SCALAR, _SUM, _PROD, _POW = range(5)
+_GEN, _SUM, _PROD, _POW = range(4)
 
 
 def _scalar_data(value: RatFn) -> tuple:
@@ -440,9 +439,10 @@ class Program:
 
     Op s computes slot s: ``ops[s] = (code, kids, data)``, where kids are the
     child slots and data is a generator's key, the (den, lag, 1-norm, degree,
-    numerator) of a scalar or of a product's leading scalar factor, or a power's
-    exponent.  ``after[s] = (outputs, dead)``: the slots to yield, in batch
-    order, once op s has run, and the slots read for the last time by then.
+    numerator) of a product's scalar factor (a Scalar leaf is a product with
+    no matrix factors), or a power's exponent.  ``after[s] = (outputs,
+    dead)``: the slots to yield, in batch order, once op s has run, and the
+    slots read for the last time by then.
     """
 
     __slots__ = ("ops", "after")
@@ -488,9 +488,6 @@ class Program:
                     g = mat._encoding = _Encoding(mat)
                 shape.append((g.den, g.lag, g.bound, g.deg))
                 how.append(g)
-            elif code == _SCALAR:
-                shape.append(data[:4])
-                how.append(data[4])
             elif code == _PROD:
                 den, shift, bound, deg, coeff = data
                 lag = shift
@@ -546,9 +543,6 @@ class Program:
                     val = val.scale(c)
             elif code == _SUM:
                 val = SparseMat._raw(dim, dim, _int_sum([vals[c].entries for c in kids], h, bits))
-            elif code == _SCALAR:
-                c = _encode(h, bits, shape[s][1])
-                val = SparseMat(dim, dim, {(i, i): c for i in range(dim)} if c else None)
             else:
                 identity = _int_identity(dim) if identity is None else identity
                 val = _power(vals[kids[0]], h, identity)
@@ -615,7 +609,8 @@ def compile_batch(exprs) -> Program:
         if isinstance(node, Gen):
             op = (_GEN, (), (node.kind, node.index))
         elif isinstance(node, Scalar):
-            op = (_SCALAR, (), _scalar_data(node.value))
+            # A product with no matrix factors: its coefficient times the identity.
+            op = (_PROD, (), _scalar_data(node.value))
         elif isinstance(node, Sum):
             op = (_SUM, tuple(map(visit, node.terms)), None)
         elif isinstance(node, Prod):
@@ -654,76 +649,6 @@ def eval_in_rep(x: Expr, rep) -> SparseMat:
     many expressions in one representation).
     """
     return next(eval_batch([x], rep))
-
-
-# -- printer ------------------------------------------------------------------------
-
-
-def _scalar_factor_text(v: RatFn) -> str:
-    """Scalar as a product factor, parenthesized unless an unambiguous monomial."""
-    text = scalar_to_text(v)
-    if v.is_polynomial() and len(v.num.terms) == 1:
-        coeff = v.num.leading_coeff()
-        if coeff > 0:
-            return text
-    return f"({text})"
-
-
-def _factor_text(x: Expr) -> str:
-    if isinstance(x, Gen):
-        if x.kind == "Kinv":
-            return f"K{x.index}^-1"
-        return f"{x.kind}{x.index}"
-    if isinstance(x, Scalar):
-        return _scalar_factor_text(x.value)
-    if isinstance(x, Pow):
-        if isinstance(x.base, Gen):
-            if x.base.kind == "Kinv":
-                return f"K{x.base.index}^-{x.exp}"
-            return f"{_factor_text(x.base)}^{x.exp}"
-        return f"({expr_to_text(x.base)})^{x.exp}"
-    return f"({expr_to_text(x)})"
-
-
-def _term_text(x: Expr) -> tuple[str, str]:
-    """Return (sign, body) where sign is '+' or '-' and body omits the sign."""
-    if isinstance(x, Scalar):
-        if x.value.num and x.value.num.leading_coeff() < 0:
-            return "-", _term_scalar_body(-x.value)
-        return "+", _term_scalar_body(x.value)
-    if isinstance(x, Prod) and isinstance(x.factors[0], Scalar):
-        v = x.factors[0].value
-        rest = x.factors[1:]
-        sign = "+"
-        if v.num and v.num.leading_coeff() < 0:
-            sign = "-"
-            v = -v
-        parts = [] if v.is_one() else [_scalar_factor_text(v)]
-        parts.extend(_factor_text(t) for t in rest)
-        return sign, "*".join(parts)
-    if isinstance(x, Prod):
-        return "+", "*".join(_factor_text(t) for t in x.factors)
-    return "+", _factor_text(x)
-
-
-def _term_scalar_body(v: RatFn) -> str:
-    # Multi-term polynomials need parentheses so the term re-parses as one leaf;
-    # a rational function already prints in parseable (num)/(den) form.
-    if v.is_polynomial() and len(v.num.terms) > 1:
-        return f"({scalar_to_text(v)})"
-    return scalar_to_text(v)
-
-
-def expr_to_text(x: Expr) -> str:
-    if isinstance(x, Sum):
-        sign, body = _term_text(x.terms[0])
-        out = body if sign == "+" else f"-{body}"
-        for t in x.terms[1:]:
-            sign, body = _term_text(t)
-            out += f" {sign} {body}"
-        return out
-    sign, body = _term_text(x)
-    return body if sign == "+" else f"-{body}"
 
 
 # -- parser -------------------------------------------------------------------------

@@ -55,24 +55,6 @@ def root_vector(i: int, j: int, params: GLParams) -> Expr:
     return first * lower - params.q_sub(i - 1) * (lower * first)
 
 
-def gamma_monomials(params: GLParams) -> list[Expr]:
-    """The 2^(m*n) ordered monomials in the lowering root vectors E_{m+j, i}.
-
-    For each i the block runs E_{m+n,i}, E_{m+n-1,i}, ..., E_{m+1,i} with
-    exponents in {0, 1}; blocks are concatenated for i = 1..m.
-    """
-    m, n = params.m, params.n
-    factors_by_slot: list[Expr] = []
-    for i in range(1, m + 1):
-        for j in range(n, 0, -1):
-            factors_by_slot.append(root_vector(m + j, i, params))
-    monomials = []
-    for mask in range(1 << (m * n)):
-        chosen = [factors_by_slot[t] for t in range(m * n) if (mask >> (m * n - 1 - t)) & 1]
-        monomials.append(make_prod(chosen) if chosen else one())
-    return monomials
-
-
 def _k2rho_exponents(params: GLParams) -> dict[int, int]:
     """The exponent of K_a in K_2rho, for each index a.
 

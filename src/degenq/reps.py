@@ -233,14 +233,6 @@ def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
     return [(Weight(key), indices) for key, indices in buckets.items()]
 
 
-def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[Vec]]]:
-    """Simultaneous K eigenspaces; requires diagonal K matrices in the working basis."""
-    return [
-        (weight, [Vec.unit(rep.dim, i) for i in indices])
-        for weight, indices in _weight_spaces(rep)
-    ]
-
-
 def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, Vec]]:
     """A weight basis of the joint kernel of all raising generators, found one
     K-weight space at a time; requires diagonal K matrices.

@@ -28,9 +28,9 @@ passing check costs no decode; a failing one's witness is read from the
 decoded difference, canonical over Q(q).  The Hecke suite's one identity is
 its quadratic: the projectors onto the two eigenspaces are nonzero multiples
 of Rcheck + q^-1 and Rcheck - q, so it reads the eigenspace dimensions as
-their ranks, and it applies Rcheck to one eigenvector of each.
-``tensor_iso`` and ``tensor_iso_inverse`` evaluate their leg products like
-the suites.
+their ranks, and it applies Rcheck to one eigenvector of each.  The
+tensor-iso suite checks that the half-twist product of R legs intertwines;
+that it is invertible is ybe's "R invertible".
 """
 
 from __future__ import annotations
@@ -238,61 +238,39 @@ def _halftwist_pairs(r: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(2, r + 1) for i in range(1, j)]
 
 
-def _iso_exprs(r: int) -> tuple[Expr, Expr]:
-    """The half-twist product of the R legs on V^(x)r and the reversed
-    product of the Rinv legs."""
-    pairs = _halftwist_pairs(r)
-    return make_prod([Gen("R", p) for p in pairs]), make_prod([Gen("Rinv", p) for p in reversed(pairs)])
-
-
-def tensor_iso(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
-    """An isomorphism from the Delta-power module structure on V^(x)r to the
+def _iso_expr(r: int) -> Expr:
+    """The isomorphism from the Delta-power module structure on V^(x)r to the
     Delta'-power structure: the half-twist ordered product of leg-placed R's,
 
         prod_{j=2..r} ( R_{1j} R_{2j} ... R_{j-1,j} ).
 
     For r = 2 this is R itself.  (The one-block product R_{1r}...R_{r-1,r}
-    alone is only the inductive factor and does not intertwine.)
+    alone is only the inductive factor and does not intertwine.)  It is
+    invertible because R is.
     """
-    return _leg_product(params, r, max_dim, "R")
-
-
-def tensor_iso_inverse(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
-    return _leg_product(params, r, max_dim, "Rinv")
-
-
-def _leg_product(params: GLParams, r: int, max_dim: int, which: str) -> SparseMat:
-    """The isomorphism (which = "R") or its inverse ("Rinv") on V^(x)r, for
-    r >= 2; refuses a space above the dimension cap."""
-    if r < 2:
-        raise ValueError("tensor_iso needs r >= 2")
-    d = params.size
-    check_cap(d, r, max_dim)
-    space = _space(r, d, {which: getattr(build_bundle(params), which)})
-    return next(eval_batch([_iso_exprs(r)[which == "Rinv"]], space))
+    return make_prod([Gen("R", p) for p in _halftwist_pairs(r)])
 
 
 def verify_tensor_iso(
     params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM, bundle: RMatrixBundle | None = None
 ) -> Report:
-    """The tensor-iso pair is mutually inverse and intertwines the Delta- and
-    Delta'-actions on V^(x)r; ``bundle`` defaults to ``build_bundle(params)``."""
+    """The half-twist product of R legs intertwines the Delta- and
+    Delta'-actions on V^(x)r, r >= 2; ``bundle`` defaults to
+    ``build_bundle(params)``."""
     if r < 2:
-        raise ValueError("tensor_iso needs r >= 2")
+        raise ValueError("the tensor isomorphism needs r >= 2")
     report = Report()
     power_delta = shared_power(params, r, "Delta", max_dim)  # refuses above the cap
     power_prime = shared_power(params, r, "DeltaPrime", max_dim)
     if bundle is None:
         bundle = build_bundle(params)
-    ops = {"R": bundle.R, "Rinv": bundle.Rinv}
-    space = _space(r, params.size, ops, power_delta, power_prime)
-    iso, iso_inv = _iso_exprs(r)
-    checks = [(f"r={r}: invertible", Prod((iso, iso_inv)) - 1)]
-    for g in power_delta.generator_atoms():
-        name = f"{g.kind}{g.index}"
-        # Unflattened products, so that the isomorphism is one node.
-        lhs, rhs = Prod((iso, g)), Prod((Gen(g.kind + "'", g.index), iso))
-        checks.append((f"r={r}: intertwines {name}", lhs - rhs))
+    space = _space(r, params.size, {"R": bundle.R}, power_delta, power_prime)
+    iso = _iso_expr(r)
+    # Unflattened products, so that the isomorphism is one node.
+    checks = [
+        (f"r={r}: intertwines {g.kind}{g.index}", Prod((iso, g)) - Prod((Gen(g.kind + "'", g.index), iso)))
+        for g in power_delta.generator_atoms()
+    ]
     for name, value in _differences(space, checks).items():
         report.add_zero("tensor-iso", name, value)
     return report

@@ -19,7 +19,6 @@ from degenq.invariants import (
     BraidWord,
     link_invariant,
     markov_trace,
-    partial_qtrace,
     quantum_dimension,
     random_word,
 )
@@ -47,7 +46,7 @@ from degenq.sl21 import (
     simple_quotient,
     verma_module,
 )
-from test_invariants import quantum_trace
+from test_invariants import partial_qtrace, quantum_trace
 
 PARAM_GRID = [
     GLParams(1, 1),

@@ -362,6 +362,25 @@ def test_r_matrix_suites_refuse_spaces_above_the_cap(argv, err, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "dual"],
+        ["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor1"],
+        ["verify", "--m", "2", "--n", "1", "--suite", "hopf"],
+    ],
+    ids=["natural", "dual", "tensor1", "hopf"],
+)
+def test_the_cap_covers_the_natural_and_dual_modules(argv, capsys):
+    # V itself, 3 dims at (2, 1), is refused under a cap of 2, as V^(x)1 is.
+    code = main(["--max-dim", "2"] + argv)
+    captured = capsys.readouterr()
+    err = "resource limit: dimension 3^1 exceeds cap 2\n"
+    assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", err)
+    assert main(["--max-dim", "3"] + argv) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["invariant", "--m", "2", "--n", "1", "--braid", "1", "--strands", "100000000000"],
         ["eval", "--m", "2", "--n", "1", "--expr", "e1", "--rep", "tensor100000000000"],
     ],
@@ -479,7 +498,7 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
     assert read <= {id(mat) for mat, job in measured if job == 0}
     for later in (1, 2):
         fresh = {id(mat) for mat, job in legs if job == later}
-        assert len(fresh) == 8 and {id(mat) for mat, job in measured if job == later} == fresh
+        assert len(fresh) == 5 and {id(mat) for mat, job in measured if job == later} == fresh
     last = {id(mat._encoding) for mat, job in legs if job == 2}
     assert {id(code) for code, job in encoded if job == 2} == last
 

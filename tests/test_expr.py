@@ -22,7 +22,6 @@ from degenq.expr import (
     e,
     eval_batch,
     eval_in_rep,
-    expr_to_text,
     f,
     K,
     Kinv,
@@ -34,13 +33,83 @@ from degenq.expr import (
     parse_expr,
 )
 from degenq.linalg import SparseMat
-from degenq.relations import gamma_monomials, relation_catalog, root_vector
+from degenq.relations import relation_catalog, root_vector
 from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep, trivial_rep
-from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits, parse_scalar
+from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits, parse_scalar, scalar_to_text
 from degenq.sl21 import HighestWeightSL21, simple_quotient, verma_module
 
 P21 = GLParams(2, 1)
 P32 = GLParams(3, 2)
+
+
+# -- printer and lowering monomials, for the tests ---------------------------------
+
+
+def _signed(v: RatFn) -> tuple[str, RatFn]:
+    return ("-", -v) if v.num and v.num.leading_coeff() < 0 else ("+", v)
+
+
+def _scalar_factor_text(v: RatFn) -> str:
+    """A scalar as a product factor, parenthesized unless a positive monomial."""
+    text = scalar_to_text(v)
+    monomial = v.is_polynomial() and len(v.num.terms) == 1 and v.num.leading_coeff() > 0
+    return text if monomial else f"({text})"
+
+
+def _factor_text(x: Expr) -> str:
+    if isinstance(x, Scalar):
+        return _scalar_factor_text(x.value)
+    if isinstance(x, Pow) and isinstance(x.base, Gen) and x.base.kind == "Kinv":
+        return f"K{x.base.index}^-{x.exp}"
+    if isinstance(x, Pow):
+        base = x.base
+        return (_factor_text(base) if isinstance(base, Gen) else f"({expr_to_text(base)})") + f"^{x.exp}"
+    if isinstance(x, Gen):
+        return f"K{x.index}^-1" if x.kind == "Kinv" else f"{x.kind}{x.index}"
+    return f"({expr_to_text(x)})"
+
+
+def _term_text(x: Expr) -> tuple[str, str]:
+    """(sign, body): the sign '+' or '-' and the term's text without it."""
+    if isinstance(x, Scalar):
+        sign, v = _signed(x.value)
+        # A multi-term polynomial is parenthesized to re-parse as one leaf; a
+        # rational function already prints in parseable (num)/(den) form.
+        multi = v.is_polynomial() and len(v.num.terms) > 1
+        return sign, f"({scalar_to_text(v)})" if multi else scalar_to_text(v)
+    factors = x.factors if isinstance(x, Prod) else (x,)
+    sign, parts = "+", [_factor_text(t) for t in factors]
+    if isinstance(factors[0], Scalar):
+        sign, v = _signed(factors[0].value)
+        parts[:1] = [] if v.is_one() else [_scalar_factor_text(v)]
+    return sign, "*".join(parts)
+
+
+def expr_to_text(x: Expr) -> str:
+    """Expression text that parse_expr reads back as x."""
+    out = ""
+    for t in x.terms if isinstance(x, Sum) else (x,):
+        sign, body = _term_text(t)
+        if out:
+            out += f" {sign} {body}"
+        else:
+            out = body if sign == "+" else f"-{body}"
+    return out
+
+
+def gamma_monomials(params: GLParams) -> list[Expr]:
+    """The 2^(m*n) ordered monomials in the lowering root vectors E_{m+j, i}.
+
+    For each i the block runs E_{m+n,i}, E_{m+n-1,i}, ..., E_{m+1,i} with
+    exponents in {0, 1}; blocks are concatenated for i = 1..m.
+    """
+    m, n = params.m, params.n
+    slots = [root_vector(m + j, i, params) for i in range(1, m + 1) for j in range(n, 0, -1)]
+    monomials = []
+    for mask in range(1 << (m * n)):
+        chosen = [slots[t] for t in range(m * n) if (mask >> (m * n - 1 - t)) & 1]
+        monomials.append(make_prod(chosen) if chosen else one())
+    return monomials
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -394,7 +463,7 @@ def test_a_scalar_inside_a_hand_built_product_is_an_ordinary_factor():
     rep = natural_rep(P21)
     x = Prod((Scalar(RatFn.integer(2)), e(1), Scalar(RatFn.q(1)), f(1)))
     assert eval_in_rep(x, rep) == eval_in_rep(RatFn.q(1, 2) * e(1) * f(1), rep)
-    assert [code for code, _, _ in compile_batch([x]).ops].count(expr_module._SCALAR) == 1
+    assert [(code, kids) for code, kids, _ in compile_batch([x]).ops].count((expr_module._PROD, ())) == 1
 
 
 def test_a_replaced_generator_is_read_afresh_by_the_next_run():

@@ -23,7 +23,6 @@ from degenq.invariants import (
     link_invariant,
     markov_trace,
     oracle_invariant,
-    partial_qtrace,
     quantum_dimension,
     random_word,
     verify_markov,
@@ -56,6 +55,29 @@ def quantum_trace(mat: SparseMat, rep: Representation) -> RatFn:
         if i == j:
             total = total + kd[i, i] * v
     return total
+
+
+def partial_qtrace(gamma: SparseMat, params: GLParams) -> SparseMat:
+    """(id (x) qtrace) of an operator on V (x) V, landing in operators on V."""
+    d = params.size
+    if gamma.nrows != d * d or gamma.ncols != d * d:
+        raise DimensionMismatch(f"operator is not {d * d}x{d * d}")
+    kd = [RatFn.q(e, sign) for sign, e in k2rho_weights(params)]
+    out: dict[tuple[int, int], RatFn] = {}
+    for (row, col), v in gamma.entries.items():
+        i, s = divmod(row, d)
+        j, t = divmod(col, d)
+        if s != t:
+            continue
+        key = (i, j)
+        add = kd[s] * v
+        acc = out.get(key)
+        acc = add if acc is None else acc + add
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+    return SparseMat(d, d, out)
 
 
 # -- braid words ---------------------------------------------------------------------
@@ -614,20 +636,13 @@ def test_braid_evaluator_rejects_rational_entries(monkeypatch):
 
 
 def test_verify_markov_21():
-    report = verify_markov(P21, samples=8, max_strands=3)
+    report = verify_markov(P21, samples=8)
     assert report.all_passed, [c.name for c in report.failures]
 
 
 def test_verify_markov_31():
-    report = verify_markov(P31, samples=6, max_strands=3)
+    report = verify_markov(P31, samples=6)
     assert report.all_passed, [c.name for c in report.failures]
-
-
-def test_verify_markov_on_two_strands_has_no_stabilization_to_check():
-    # Stabilization goes from r to r + 1 strands with r >= 2, so B_2 gives no pairs.
-    checks = {c.name: c for c in verify_markov(P21, samples=3, max_strands=2).checks}
-    stab = checks["stabilization invariance of the normalized invariant"]
-    assert (stab.status, stab.detail) == ("vacuous", "max_strands 2 leaves no words to stabilize")
 
 
 def test_verify_markov_rejects_a_negative_sample_count():
@@ -647,7 +662,7 @@ def test_invariant_suites_build_one_evaluator_per_strand_count(monkeypatch):
 
     monkeypatch.setattr(BraidEvaluator, "__init__", counting_init)
     invariants._evaluators.cache_clear()
-    assert verify_markov(P21, samples=4, max_strands=3).all_passed
+    assert verify_markov(P21, samples=4).all_passed
     assert verify_skein(P21, [(BraidWord(3, (1, -2, 1)), 1)]).all_passed
     # The skein suite reuses both of the Markov suite's evaluators.
     assert sorted(strands) == [2, 3]

@@ -1,8 +1,7 @@
 import pytest
 
-from degenq.expr import expr_to_text, parse_expr
+from degenq.expr import parse_expr
 from degenq.relations import (
-    gamma_monomials,
     k2rho_expr,
     odd_pair_element,
     quartic_elements,
@@ -11,6 +10,7 @@ from degenq.relations import (
 )
 from degenq.reps import iterated_tensor, natural_rep, tensor_rep, verify_relations
 from degenq.scalars import GLParams
+from test_expr import expr_to_text, gamma_monomials
 
 P11 = GLParams(1, 1)
 P21 = GLParams(2, 1)

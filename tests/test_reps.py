@@ -14,6 +14,7 @@ from degenq.reps import (
     Representation,
     Weight,
     _catalog,
+    _weight_spaces,
     check_cap,
     check_hopf_axioms,
     dual_rep,
@@ -25,7 +26,6 @@ from degenq.reps import (
     tensor_rep,
     trivial_rep,
     verify_relations,
-    weight_decomposition,
 )
 from degenq.scalars import GLParams, RatFn, parse_scalar
 from degenq.sl21 import HighestWeightSL21, simple_quotient, verma_module
@@ -35,6 +35,11 @@ P11 = GLParams(1, 1)
 
 rfq = RatFn.q
 one = RatFn.one()
+
+
+def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[Vec]]]:
+    """Simultaneous K eigenspaces; requires diagonal K matrices in the working basis."""
+    return [(weight, [Vec.unit(rep.dim, i) for i in indices]) for weight, indices in _weight_spaces(rep)]
 
 
 def vec(dim, coords):

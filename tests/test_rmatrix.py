@@ -4,6 +4,7 @@ import pytest
 
 from degenq import cli, linalg, rmatrix
 from degenq.errors import ResourceLimit
+from degenq.expr import eval_batch
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.reports import Report, witness
 from degenq.reps import natural_rep, shared_power, submodule_closure, tensor_rep
@@ -13,8 +14,6 @@ from degenq.rmatrix import (
     leg_operator,
     perturbed_r,
     symmetric_type_dim,
-    tensor_iso,
-    tensor_iso_inverse,
     verify_hecke_and_spectrum,
     verify_intertwiner,
     verify_tensor_iso,
@@ -130,11 +129,6 @@ def test_intertwiner_suite(params):
     assert report.all_passed, [c.name for c in report.failures]
 
 
-def test_tensor_iso_r2_is_r():
-    bundle = build_bundle(P21)
-    assert tensor_iso(P21, 2) == bundle.R
-
-
 @pytest.mark.parametrize("r", [2, 3])
 def test_tensor_iso_intertwines(r):
     report = verify_tensor_iso(P21, r)
@@ -146,22 +140,28 @@ def test_tensor_iso_11_r3():
     assert report.all_passed
 
 
-def test_tensor_iso_inverse_round_trip():
-    iso = tensor_iso(P21, 3)
-    inv = tensor_iso_inverse(P21, 3)
-    assert iso * inv == SparseMat.identity(27)
-
-
 @pytest.mark.parametrize("r", [1, 0, -1])
-@pytest.mark.parametrize("build", [tensor_iso, tensor_iso_inverse])
-def test_tensor_iso_pair_refuses_r_below_2(build, r):
+@pytest.mark.parametrize("legs", ["R", "Rinv"], ids=["tensor_iso", "tensor_iso_inverse"])
+def test_tensor_iso_pair_refuses_r_below_2(legs, r):
+    # The suite refuses r < 2 before it reads a leg: with R's legs, and with
+    # the inverse's R^-1 legs put in R's place.
+    bundle = build_bundle(P21)
+    bundle = dataclasses.replace(bundle, R=getattr(bundle, legs))
     with pytest.raises(ValueError, match="r >= 2"):
-        build(P21, r)
+        verify_tensor_iso(P21, r, bundle=bundle)
 
 
 def test_tensor_iso_resource_cap():
     with pytest.raises(ResourceLimit):
-        tensor_iso(P21, 4, max_dim=30)
+        verify_tensor_iso(P21, 4, max_dim=30)
+
+
+def test_tensor_iso_leaves_invertibility_to_ybe():
+    # R's invertibility is one fact, checked once: a spoiled Rinv fails ybe's
+    # "R invertible" and nothing in the tensor-iso suite.
+    spoiled = _spoiled(P21)["Rinv entry"]
+    assert verify_tensor_iso(P21, 3, bundle=spoiled).all_passed
+    assert [c.name for c in verify_ybe(spoiled).failures] == ["R invertible"]
 
 
 def test_projector_images_match_closures():
@@ -355,20 +355,18 @@ def ref_intertwiner(bundle) -> Report:
     return report
 
 
-def ref_leg_product(bundle, r: int, which: str) -> SparseMat:
+def ref_leg_product(bundle, r: int) -> SparseMat:
     d = bundle.params.size
-    pairs = rmatrix._halftwist_pairs(r)
     out = SparseMat.identity(d**r)
-    for i, j in pairs if which == "R" else reversed(pairs):
-        out = out * leg_operator(getattr(bundle, which), i, j, r, d)
+    for i, j in rmatrix._halftwist_pairs(r):
+        out = out * leg_operator(bundle.R, i, j, r, d)
     return out
 
 
 def ref_tensor_iso(bundle, r: int) -> Report:
     report = Report()
     params = bundle.params
-    iso, iso_inv = ref_leg_product(bundle, r, "R"), ref_leg_product(bundle, r, "Rinv")
-    _ref_identity(report, "tensor-iso", f"r={r}: invertible", iso * iso_inv, SparseMat.identity(iso.nrows))
+    iso = ref_leg_product(bundle, r)
     power_delta = shared_power(params, r, "Delta")
     power_prime = shared_power(params, r, "DeltaPrime")
     for g in power_delta.generator_atoms():
@@ -438,9 +436,10 @@ def test_suites_match_the_product_reference(params):
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
 @pytest.mark.parametrize("r", [2, 3])
 def test_tensor_iso_matches_the_product_reference(params, r):
+    # The suite's isomorphism, the half-twist product of R legs, as a matrix.
     bundle = build_bundle(params)
-    assert tensor_iso(params, r) == ref_leg_product(bundle, r, "R")
-    assert tensor_iso_inverse(params, r) == ref_leg_product(bundle, r, "Rinv")
+    space = rmatrix._space(r, params.size, {"R": bundle.R})
+    assert next(eval_batch([rmatrix._iso_expr(r)], space)) == ref_leg_product(bundle, r)
 
 
 def test_suites_form_no_rational_matrix_product(monkeypatch):
@@ -487,5 +486,5 @@ def test_intertwiner_suite_builds_one_bundle(monkeypatch, capsys):
     monkeypatch.setattr(rmatrix, "build_bundle", counting)
     monkeypatch.setattr(cli, "build_bundle", counting)
     assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"]) == cli.EXIT_OK
-    assert "r=3: invertible" in capsys.readouterr().out
+    assert "r=3: intertwines e1" in capsys.readouterr().out
     assert calls == [P21]

@@ -33,7 +33,8 @@ SEEDS = (1, 7)
 
 # Expression and scalar text: folded scalar sums, rational and signed
 # coefficients, quotients, nested powers, the dual and tensor modules, and
-# inputs refused with exit 1 (bad syntax or index) and exit 3 (too large).
+# inputs refused with exit 1 (bad syntax or index) and exit 3 (too large, or a
+# module above the dimension cap).
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -57,6 +58,8 @@ PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 +"],
     ["eval", "--m", "2", "--n", "1", "--expr", "q^99999999999*e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "(q+1)^4000*e1"],
+    ["--max-dim", "2", "eval", "--m", "2", "--n", "1", "--expr", "e1"],
+    ["--max-dim", "2", "eval", "--m", "2", "--n", "1", "--rep", "dual", "--expr", "e1"],
     ["simple-module", "--ell", "1", "--lambda2", "q + 2 - q + (1)/(q)"],
     ["simple-module", "--ell", "2", "--sign1", "-1", "--lambda2", "-(q+1)/(q-2) + 1"],
     ["decompose", "--m", "2", "--n", "1"],
