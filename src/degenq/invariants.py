@@ -234,7 +234,16 @@ class BraidEvaluator:
     ``braid_rep`` and the Markov and skein suites share one evaluator per
     (params, strands) for the process's life: an ``lru_cache`` of fixed size,
     with no option.  They check the dimension cap on every call, before the
-    lookup; the class checks none.  A one-shot CLI process gains nothing.
+    lookup; the class checks none.  The evaluator keeps one ``_layout`` per
+    class, built with it, and each letter table of a layout once a trace has
+    built it.  Tables hold coefficient indices, not values, so words of every
+    length (every B) share them, and ``trace`` does only the word's work: the
+    scale, the two half-words, the contraction, one decode and one division.
+    What this keeps is at most one flat quadruple per column of a class
+    representative's block for each letter.  ``matrix`` builds its blocks'
+    layouts and tables afresh, so no more than the class blocks are kept.  A
+    one-shot CLI process gains nothing; ``verify --suite invariant`` shares
+    the tables across its traces.
     """
 
     def __init__(self, params: GLParams, strands: int):
@@ -274,9 +283,13 @@ class BraidEvaluator:
             e = sum(f * k for (_, f), k in zip(kd, counts))
             weight = terms.setdefault(_weight_class(counts, params.m), {})
             weight[e] = weight.get(e, 0) + math.prod(sign**k for (sign, _), k in zip(kd, counts))
-        self._class_weights = {rep: LaurentPoly(weight) for rep, weight in terms.items()}
+        # Per class: its representative's ``_layout``, whose letter tables fill
+        # in as traces ask for them, and the class's K_2rho weight.
+        self._classes = [(self._layout(rep), LaurentPoly(weight)) for rep, weight in terms.items()]
         # Encoded times q^k, so that no weight has a negative exponent.
-        self._k = _lag(self._class_weights.values())
+        self._k = _lag(weight for _, weight in self._classes)
+        # dim_q(V)^r, the trace's divisor; 0 when m = n, where only ``matrix`` runs.
+        self._dimq_r = _laurent(quantum_dimension(params), "dim_q(V)") ** strands
 
     def _scale(self, word: BraidWord) -> tuple[int, list[int]]:
         """(B, mults) for the word: ints are values at q = 2^B, and mults[i]
@@ -289,7 +302,8 @@ class BraidEvaluator:
     def _layout(self, counts: tuple[int, ...]) -> tuple[list[int], dict[int, int], dict]:
         """(members, positions, tables) of the block counts: the indices whose
         digits (leg 1 the most significant) take each value a exactly counts[a]
-        times, ascending, the position of each, and a dict for letter tables."""
+        times, ascending, the position of each, and an empty dict in which
+        ``_block`` keeps each letter's ``_table`` for as long as the layout."""
         d = self.params.size
         level = [(0, counts)]
         for _ in range(self.strands):
@@ -302,9 +316,11 @@ class BraidEvaluator:
         members = [c for c, _ in level]
         return members, {c: j for j, c in enumerate(members)}, {}
 
-    def _table(self, letter: int, members: list[int], pos: dict[int, int]) -> list[tuple]:
-        """The letter's leg-placed generator on one block: per column, the source
-        position and coefficient of its first entry, then of its second (or -1)."""
+    def _table(self, letter: int, members: list[int], pos: dict[int, int]) -> list[int]:
+        """The letter's leg-placed generator on one block, one flat list of
+        quadruples (s, a, t, b), one per column: the source position and
+        coefficient index of its first entry, then of its second (t = -1 if
+        none).  It does not depend on B."""
         # Legs i and i+1 are adjacent, so their digits (a, b) form one
         # base-d^2 digit x = a*d + b at place value d^(r-1-i) of the index.
         d = self.params.size
@@ -315,11 +331,11 @@ class BraidEvaluator:
             for x, col in enumerate(self._pairs[1 if letter > 0 else -1]):
                 (y, a), (z, b) = col + [(None, 0)] * (2 - len(col))
                 moves.append(((y - x) * place, a, None if z is None else (z - x) * place, b))
-        return [
-            (pos[c + dy], a, -1 if dz is None else pos[c + dz], b)
-            for c in members
-            for dy, a, dz, b in (moves[c // place % (d * d)],)
-        ]
+        table = []
+        for c in members:
+            dy, a, dz, b = moves[c // place % (d * d)]
+            table += (pos[c + dy], a, -1 if dz is None else pos[c + dz], b)
+        return table
 
     def _block(
         self, letters: tuple[int, ...], layout: tuple, scale: tuple[int, list[int]]
@@ -336,7 +352,8 @@ class BraidEvaluator:
             if table is None:
                 table = tables[letter] = self._table(letter, members, pos)
             new = []
-            for s, a, t, b in table:
+            it = iter(table)
+            for s, a, t, b in zip(it, it, it, it):
                 src = cols[s]
                 if a:
                     m = mults[a]
@@ -379,21 +396,18 @@ class BraidEvaluator:
         """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: per class, the plain
         trace of PQ on the representative's block times the class's K_2rho
         weight (times q^k, so no exponent is negative), summed, decoded, divided."""
-        params = self.params
-        if params.m == params.n:
+        if self.params.m == self.params.n:
             raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
         bits, _ = scale = self._scale(word)
         half = len(word.letters) // 2
         total = 0
-        for rep, weight in self._class_weights.items():
-            layout = self._layout(rep)
+        for layout, weight in self._classes:
             _, p = self._block(word.letters[:half], layout, scale)
             _, q = self._block(word.letters[half:], layout, scale)
             plain = sum(v * q[i].get(j, 0) for j, col in enumerate(p) for i, v in col.items())
             total += plain * _encode(weight, bits, self._k)
-        dimq = _laurent(quantum_dimension(params), "dim_q(V)")
         value = _decode(total, bits, -len(word.letters) * self._lag - self._k)
-        return RatFn(value, dimq**self.strands)
+        return RatFn(value, self._dimq_r)
 
 
 EVALUATOR_MEMO_SIZE = 32  # every (m, n, strands) of the benchmark ladder and verify grid

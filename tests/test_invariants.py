@@ -341,10 +341,10 @@ def test_random_words_match_oracle():
 
 
 @st.composite
-def braid_words(draw, min_strands, max_strands, max_len):
+def braid_words(draw, min_strands, max_strands, max_len, min_len=0):
     strands = draw(st.integers(min_strands, max_strands))
     letter = st.integers(1, max(1, strands - 1)).flatmap(lambda i: st.sampled_from((i, -i)))
-    letters = draw(st.lists(letter, max_size=max_len)) if strands > 1 else []
+    letters = draw(st.lists(letter, min_size=min_len, max_size=max_len)) if strands > 1 else []
     return BraidWord(strands, tuple(letters))
 
 
@@ -621,6 +621,63 @@ def test_trace_propagates_one_block_per_class_and_matrix_every_block(monkeypatch
     braid_rep(word, params)
     # All 126 blocks, one at a time; the largest, (1,1,1,1,1), has 5! columns.
     assert (len(sizes), sum(sizes), max(sizes)) == (126, 3125, 120)
+
+
+# -- the evaluator's kept layouts and letter tables -----------------------------------------------
+
+
+@st.composite
+def warm_cases(draw):
+    """(params, warm-up words, word) on one strand count: warm-up words of
+    0-2, 6-10 and 14-20 letters, so that B changes from one trace to the next."""
+    params = draw(st.sampled_from((P21, GLParams(1, 2), P31, GLParams(3, 2))))
+    strands = draw(st.integers(1, 5))
+    warm = tuple(draw(braid_words(strands, strands, hi, lo)) for lo, hi in ((6, 10), (0, 2), (14, 20)))
+    return params, warm, draw(braid_words(strands, strands, 8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(warm_cases())
+@example((P31, (BraidWord(3, (1, -2) * 15), BraidWord(3, (2,))), BraidWord(3, ())))
+@example((GLParams(3, 2), (BraidWord(4, (1, -2, 3) * 5), BraidWord(4, ())), BraidWord(4, (-3,))))
+@example((P31, (BraidWord(3, (2, 1)), BraidWord(3, (-1,) * 9)), BraidWord(3, (1, -2) * 15)))
+def test_warm_evaluator_trace_equals_fresh_and_reference(case):
+    # The warm-up words leave tables built at other digit widths on the
+    # memo's evaluator; the word's trace must not depend on them.
+    params, warm, word = case
+    for w in warm:
+        markov_trace(w, params)
+    got = markov_trace(word, params)
+    assert got == BraidEvaluator(params, word.strands).trace(word)
+    assert got == _reference_trace(word, params)
+    if len(word.letters) <= 6:
+        assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+def test_warm_trace_builds_no_layout_or_table(monkeypatch):
+    built = {"_layout": 0, "_table": 0}
+
+    def counting(name):
+        method = getattr(BraidEvaluator, name)
+
+        def wrapper(self, *args):
+            built[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(BraidEvaluator, name, counting(name))
+    evaluator = BraidEvaluator(GLParams(3, 2), 5)
+    evaluator.trace(BraidWord(5, (1, 2, 3, 4, -1, -2, -3, -4)))
+    # One layout per class of weight blocks on (3, 2, 5), and at most one
+    # table per class for each of the 8 letters.
+    assert built["_layout"] == len(evaluator._classes) == 25
+    assert sum(len(tables) for (_, _, tables), _ in evaluator._classes) <= 25 * 8
+    for word in (BraidWord(5, ()), BraidWord(5, (-4,)), random_word(random.Random(5), 5, 30, 30)):
+        built.update(_layout=0, _table=0)
+        evaluator.trace(word)
+        assert built == {"_layout": 0, "_table": 0}
 
 
 def test_braid_evaluator_rejects_rational_entries(monkeypatch):

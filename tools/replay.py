@@ -8,7 +8,8 @@ Runs each round-0 job of ``perfbench/jobs.py`` (the three workloads at seeds
 calls in this process, and prints the number of argvs and one sha256 over
 every (argv, exit code, stdout, stderr).  It then does the same for
 ``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
-text, which no benchmark job exercises.  Two checkouts that print the same
+text, which no benchmark job exercises, and invariants of words of very
+different lengths on one evaluator.  Two checkouts that print the same
 digests answered every job byte for byte alike: run it in both to check that
 a change keeps the program's output.  Before the two digest lines it prints
 one line per argv, its exit code, the first 16 hex digits of a sha256 over its
@@ -34,7 +35,8 @@ SEEDS = (1, 7)
 # Expression and scalar text: folded scalar sums, rational and signed
 # coefficients, quotients, nested powers, the dual and tensor modules, and
 # inputs refused with exit 1 (bad syntax or index) and exit 3 (too large, or a
-# module above the dimension cap).
+# module above the dimension cap).  Then invariants whose words, of very
+# different lengths, share one memoised evaluator and its letter tables.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -64,6 +66,11 @@ PARSER_ARGVS = [
     ["simple-module", "--ell", "2", "--sign1", "-1", "--lambda2", "-(q+1)/(q-2) + 1"],
     ["decompose", "--m", "2", "--n", "1"],
     ["decompose", "--m", "1", "--n", "1"],
+    ["invariant", "--m", "3", "--n", "1", "--strands", "3", "--braid", ""],
+    ["invariant", "--m", "3", "--n", "1", "--strands", "3", "--braid", "1"],
+    ["invariant", "--m", "3", "--n", "1", "--strands", "3", "--braid", " ".join(["1 -2"] * 15)],
+    ["invariant", "--m", "2", "--n", "1", "--strands", "6", "--braid",
+     "-4 5 -2 -2 -2 5 -3 -1 -1 -2 4 -5 -1 2 -3 -5 4 5 -2 -2 -1 2 4 -1 4 1 -4 1 5 5 4 2 -3 -2 -5 -4 3 5 -1 -2"],
 ]
 
 
