@@ -375,11 +375,21 @@ class Subspace:
                 _sub_scaled(entries, c, row)
         return Vec(self.dim, entries)
 
-    def add_vector(self, v: Vec) -> bool:
-        """Grow the subspace by v; returns True if the rank increased."""
+    def add_vector(self, v: Vec) -> Vec | None:
+        """Grow the subspace by v.  Returns a copy of the row added, the
+        residue of v scaled to a leading 1, or None when v is a member; a
+        full space returns None before reducing anything.
+
+        The row is a multiple of v minus a combination of earlier rows, so
+        the rows returned so far span what v and the vectors added before it
+        span: a caller may go on with the row in place of v.  The row is one
+        of the span's reduced echelon basis at that moment, so its entries
+        depend on that span alone, not on how v was found."""
+        if len(self._pivots) == self.dim:
+            return None
         residue = self.reduce(v)
         if not residue:
-            return False
+            return None
         lead = min(residue.entries)
         inv = residue.entries[lead].inv()
         new_row = {j: inv * x for j, x in residue.entries.items()}
@@ -393,7 +403,7 @@ class Subspace:
             at += 1
         self._rows.insert(at, new_row)
         self._pivots.insert(at, lead)
-        return True
+        return Vec(self.dim, new_row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace) or self.dim != other.dim:

@@ -89,15 +89,12 @@ class Representation:
 
 def _inverse_pair(k: SparseMat, kinv: SparseMat) -> bool:
     """Whether k kinv = 1.  Two diagonals with every diagonal entry nonzero are
-    compared entrywise, x y = 1 as num(x) num(y) = den(x) den(y), with no
-    matrix product and no gcd; any other pair by the product."""
+    compared entrywise, y = x^-1 as y == x.inv(): canonical forms are unique
+    and ``inv`` needs no gcd, so this costs no product; any other pair is
+    compared by the product."""
     dim = k.nrows
     if len(k.entries) == len(kinv.entries) == dim and k.is_diagonal() and kinv.is_diagonal():
-        for i in range(dim):
-            x, y = k.entries[(i, i)], kinv.entries[(i, i)]
-            if x.num * y.num != x.den * y.den:
-                return False
-        return True
+        return all(kinv.entries[(i, i)] == k.entries[(i, i)].inv() for i in range(dim))
     return k * kinv == SparseMat.identity(dim)
 
 
@@ -269,6 +266,15 @@ def submodule_closure(rep: Representation, seeds: list[Vec]) -> Subspace:
     The K_b^{+-1} scale a weight vector, so a span of weight vectors needs
     closing under e_a and f_a only.  The result is the reduced echelon basis
     of the span, which depends on the span alone.
+
+    The generators are applied to the rows that :meth:`Subspace.add_vector`
+    returns, not to the vectors added: each returned row lies in the span
+    and, with the rows before it, spans what the vectors added so far span,
+    so closing the rows closes the span.  A row of the reduced echelon basis
+    of a span of weight vectors is a weight vector (the basis splits by
+    weight space and is unique), so the search stays on weight vectors, and
+    a row's entries do not compound in degree from step to step as the raw
+    images' do.
     """
     for s in seeds:
         if s.dim != rep.dim:
@@ -281,17 +287,17 @@ def submodule_closure(rep: Representation, seeds: list[Vec]) -> Subspace:
         for i, x in s.entries.items():
             parts.setdefault(space_of[i], {})[i] = x
         for part in parts.values():
-            v = Vec(rep.dim, part)
-            if space.add_vector(v):
-                frontier.append(v)
+            row = space.add_vector(Vec(rep.dim, part))
+            if row is not None:
+                frontier.append(row)
     mats = [rep.gen(kind, a) for a in rep.params.iprime for kind in ("e", "f")]
     while frontier:
         next_frontier = []
         for v in frontier:
             for mat in mats:
                 w = mat.apply(v)
-                if w and space.add_vector(w):
-                    next_frontier.append(w)
+                if w and (row := space.add_vector(w)) is not None:
+                    next_frontier.append(row)
         frontier = next_frontier
     return space
 

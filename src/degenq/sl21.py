@@ -15,6 +15,14 @@ assembled from the closed commutation rules
     f_1^k f_2 = [k]_q F f_1^{k-1} + q^k f_2 f_1^k,
     [e_1, f_1^k] = [k]_q f_1^{k-1} (k_1 q^{1-k} - k_1^-1 q^{k-1})/(q - q^-1).
 
+The raising coefficients take one division in all.  On v, k_1 acts by
+lambda_1 = sign1 q^ell, so the last quotient is sign1 [ell+1-k]_q, and
+[e_1, f_1^k] v = sign1 [k]_q [ell+1-k]_q f_1^{k-1} v, a Laurent polynomial.
+With [mu] = (mu - mu^-1)/(q - q^-1), e_2 f_2 f_1^k v = [lambda_2 q^k] f_1^k v.
+The identity [mu] + mu q = q [mu q] gives each [lambda_2 q^{k+1}] from the one
+before it, with no division, and gives e_2 on F f_2 f_1^k v the coefficient
+q [lambda_2 q^{k+1}] on F f_1^k v instead of a sum of two fractions.
+
 The module is realized as a full gl(2,1) representation: K_3 acts by 1 on the
 highest vector and the K_b weights follow the generator bookkeeping, which
 makes the whole relation-verification stack directly applicable.  Every basis
@@ -39,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidInput
-from .expr import eval_in_rep
+from .errors import InvalidInput, ResourceLimit
+from .expr import MAX_ENTRY_BITS, eval_in_rep
 from .linalg import SparseMat, Vec
 from .relations import odd_pair_element
 from .reps import (
@@ -50,7 +58,7 @@ from .reps import (
     submodule_closure,
     verify_relations,
 )
-from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
+from .scalars import GLParams, LaurentPoly, Q_MINUS_QINV, RatFn, _is_unit, quantum_int
 
 P21 = GLParams(2, 1)
 
@@ -123,15 +131,18 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
     pos = {lab: t for t, lab in enumerate(labels)}
     dim = len(labels)
 
-    # [e_1, f_1^k] applied to the highest vector: [k]_q (l1 q^{1-k} - l1^-1 q^{k-1})/(q-q^-1)
-    c_raise = [RatFn.zero()] + [
-        RatFn(quantum_int(k)) * (l1 * RatFn.q(1 - k) - l1.inv() * RatFn.q(k - 1)) / Q_MINUS_QINV
-        for k in range(1, ell + 1)
+    # [e_1, f_1^k] applied to the highest vector: sign1 [k]_q [ell+1-k]_q, a
+    # polynomial, so canonical over 1
+    c_raise = [
+        RatFn._raw(quantum_int(k) * quantum_int(ell + 1 - k).scale(hw.sign1), LaurentPoly.one())
+        for k in range(ell + 1)
     ]
-    # (k_2 - k_2^-1)/(q - q^-1) on f_1^k v, where k_2 acts there by mu = l2 q^k
-    d_weight = [
-        (mu - mu.inv()) / Q_MINUS_QINV for mu in (l2 * RatFn.q(k) for k in range(ell + 1))
-    ]
+    # [mu] = (k_2 - k_2^-1)/(q - q^-1) on f_1^k v, where k_2 acts there by
+    # mu = l2 q^k, for k = 0..ell+1; after the first, each from the last by
+    # [mu q] = q^-1 [mu] + mu, which needs no division
+    d_weight = [(l2 - l2.inv()) / Q_MINUS_QINV]
+    for k in range(ell + 1):
+        d_weight.append(q.inv() * d_weight[k] + l2 * RatFn.q(k))
 
     f1 = {}
     f2 = {}
@@ -172,7 +183,7 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
             if k < ell:
                 e2[(pos[(0, 0, k + 1)], col)] = -l2 * RatFn.q(k + 1)
         elif eF == 1 and ee2 == 1:
-            e2[(pos[(1, 0, k)], col)] = d_weight[k] + l2 * RatFn.q(k + 1)
+            e2[(pos[(1, 0, k)], col)] = q * d_weight[k + 1]
             if k < ell:
                 e2[(pos[(0, 1, k + 1)], col)] = l2 * RatFn.q(k + 2)
 
@@ -254,7 +265,17 @@ def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
 
 
 def module_report(hw: HighestWeightSL21):
-    """Build the simple module and bundle type, dimensions, and relation check."""
+    """Build the simple module and bundle type, dimensions, and relation check.
+
+    lambda_2 = +-q^E is refused, before the induced module divides by
+    (q - q^-1) at degree about 2|E|, when 2(|E| + 1) > MAX_ENTRY_BITS: the
+    relation check would refuse the module anyway, since K_2 or K_2^-1 holds
+    q^(+-E) on the top vector and evaluation's digit width is at least 2."""
+    l2 = hw.lambda2
+    if l2.is_polynomial() and _is_unit(l2.num):
+        (e,) = l2.num.terms
+        if 2 * (abs(e) + 1) > MAX_ENTRY_BITS:
+            raise ResourceLimit(f"lambda2 = {l2} needs integers of more than {MAX_ENTRY_BITS} bits")
     kind, expected = atypicality_type(hw)
     vm = verma_module(hw)
     simple = simple_quotient(vm)

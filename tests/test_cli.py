@@ -424,6 +424,35 @@ def test_eval_refuses_huge_integers_before_forming_them(argv):
     assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("lambda2", ["q^99999999999", "-q^-99999999999"])
+def test_simple_module_refuses_a_huge_monomial_lambda2_before_building(lambda2):
+    # Timed inside a child, so that a regression hangs only the child.
+    timed_main = (
+        "import sys, time; from degenq.cli import main; t = time.perf_counter(); "
+        "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"
+    )
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-c", timed_main, "simple-module", "--ell", "1", f"--lambda2={lambda2}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degenq.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    assert float(proc.stdout) < 1.0
+    assert proc.stderr == f"resource limit: lambda2 = {lambda2} needs integers of more than 8388608 bits\n"
+
+
+def test_simple_module_refuses_a_large_monomial_lambda2_in_evaluation(capsys):
+    # Below the refusal before building, the relation check refuses it.
+    code = main(["simple-module", "--ell", "1", "--lambda2", "q^200000"])
+    captured = capsys.readouterr()
+    err = "resource limit: evaluation needs integers of more than 8388608 bits\n"
+    assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", err)
+
+
 def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypatch, capsys):
     # Two relations jobs at (3, 2) in one process: the catalog is compiled
     # once, and each generator of each space is encoded at most once per digit

@@ -232,6 +232,37 @@ def test_add_vector_grows_rank():
     assert s.rank == 2
 
 
+def test_add_vector_returns_a_copy_of_the_row_it_adds():
+    s = Subspace(3, [])
+    first = s.add_vector(Vec(3, {0: rfq(2), 1: rfi(4)}))
+    assert first == Vec(3, {0: rfi(1), 1: rfq(-2, 4)})
+    assert s.add_vector(Vec(3, {0: rfq(5), 1: rfq(3, 4)})) is None
+    # The next row clears column 1 from the first; the returned copy keeps it.
+    second = s.add_vector(Vec(3, {1: rfq(1), 2: rfi(-1)}))
+    assert second == Vec(3, {1: rfi(1), 2: rfq(-1, -1)})
+    assert first == Vec(3, {0: rfi(1), 1: rfq(-2, 4)})
+    assert s.basis()[0] == Vec(3, {0: rfi(1), 2: rfq(-3, 4)})
+    second.entries.clear()
+    assert s.basis()[1] == Vec(3, {1: rfi(1), 2: rfq(-1, -1)})
+
+
+def test_add_vector_to_a_full_space_reduces_nothing(monkeypatch):
+    s = Subspace(3, [Vec(3, {0: rfi(1), 2: rfq(1)}), Vec(3, {1: rfq(2)}), Vec(3, {2: rfi(3)})])
+    assert s.rank == 3
+    calls = [0]
+    reduce = Subspace.reduce
+
+    def counting_reduce(self, v):
+        calls[0] += 1
+        return reduce(self, v)
+
+    monkeypatch.setattr(Subspace, "reduce", counting_reduce)
+    assert s.add_vector(Vec(3, {0: RatFn.of(1, 2), 1: rfq(-3)})) is None
+    assert calls[0] == 0
+    assert Subspace(3, []).add_vector(Vec(3, {1: rfi(1)})) is not None
+    assert calls[0] == 1
+
+
 def test_elimination_handles_denominators():
     half = RatFn.of(1, 2)
     a = SparseMat(2, 3, {(0, 0): half, (0, 1): rfq(-2), (1, 0): rfq(1), (1, 2): rfi(3)})

@@ -441,7 +441,8 @@ def _induced_weights(ell):
             yield HighestWeightSL21(ell, sign1, lam2)
 
 
-@pytest.mark.parametrize("ell", range(6))
+# ell 11 and 16 are atypical-B weights among the slowest simple-module jobs.
+@pytest.mark.parametrize("ell", [*range(6), 11, 16])
 def test_per_weight_paths_match_reference_on_induced_modules(ell):
     for weight in _induced_weights(ell):
         rep = verma_module(weight).rep

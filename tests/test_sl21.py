@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenq.expr import eval_in_rep
 from degenq.linalg import Vec
 from degenq.relations import odd_pair_element
 from degenq.reps import verify_relations
-from degenq.scalars import RatFn
+from degenq.scalars import Q_MINUS_QINV, RatFn, parse_scalar, quantum_int
 from degenq.sl21 import (
     P21,
     HighestWeightSL21,
@@ -82,6 +84,78 @@ def test_verma_k2_eigenvalue_on_f2_layer():
         col = vm.basis_labels.index((0, 1, k))
         v = Vec.unit(vm.dim, col)
         assert k2.apply(v) == v.scale(-rfq(k) * lam2)
+
+
+def _verma_reference(weight):
+    """{generator: entries} of the induced module with the raising
+    coefficients written as divisions, as the commutation rules state them:
+    [e_1, f_1^k] v = [k] (k_1 q^(1-k) - k_1^-1 q^(k-1))/(q - q^-1) f_1^(k-1) v,
+    and e_2 on F f_2 f_1^k v has the diagonal coefficient [mu] + lambda2 q^(k+1),
+    with [mu] = (mu - mu^-1)/(q - q^-1) at mu = lambda2 q^k."""
+    ell, l1, l2 = weight.ell, weight.lambda1, weight.lambda2
+    one, q = RatFn.one(), rfq(1)
+    raise_e1 = [
+        RatFn(quantum_int(k)) * (l1 * rfq(1 - k) - l1.inv() * rfq(k - 1)) / Q_MINUS_QINV
+        for k in range(ell + 1)
+    ]
+    d = [(mu - mu.inv()) / Q_MINUS_QINV for mu in (l2 * rfq(k) for k in range(ell + 1))]
+    # (generator, source (eF, e2), target (eF, e2), shift of k, coefficient at k)
+    rules = [
+        ("f1", (0, 0), (0, 0), 1, lambda k: one),
+        ("f1", (0, 1), (1, 0), 0, lambda k: one),
+        ("f1", (0, 1), (0, 1), 1, lambda k: q),
+        ("f1", (1, 0), (1, 0), 1, lambda k: q.inv()),
+        ("f1", (1, 1), (1, 1), 1, lambda k: one),
+        ("f2", (0, 0), (0, 1), 0, lambda k: one),
+        ("f2", (1, 0), (1, 1), 0, lambda k: -q.inv()),
+        ("e2", (0, 1), (0, 0), 0, lambda k: d[k]),
+        ("e2", (1, 0), (0, 0), 1, lambda k: -l2 * rfq(k + 1)),
+        ("e2", (1, 1), (1, 0), 0, lambda k: d[k] + l2 * rfq(k + 1)),
+        ("e2", (1, 1), (0, 1), 1, lambda k: l2 * rfq(k + 2)),
+        ("e1", (1, 0), (0, 1), 0, lambda k: l1.inv() * rfq(2 * k)),
+    ]
+    rules += [("e1", part, part, -1, lambda k: raise_e1[k]) for part in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    labels = [(eF, e2, k) for eF in (0, 1) for e2 in (0, 1) for k in range(ell + 1)]
+    pos = {label: t for t, label in enumerate(labels)}
+    mats = {name: {} for name in ("e1", "e2", "f1", "f2", "K1", "K2", "K3", "Kinv1", "Kinv2", "Kinv3")}
+    for (eF, e2, k), col in pos.items():
+        for name, source, target, shift, coeff in rules:
+            row = pos.get((*target, k + shift))
+            if source == (eF, e2) and row is not None and coeff(k):
+                mats[name][(row, col)] = mats[name].get((row, col), RatFn.zero()) + coeff(k)
+        n1, n2 = k + eF, e2 + eF  # the f_1 and the f_2 letters
+        for b, value in enumerate((l1 * l2 * rfq(-n1), l2 * rfq(n1 - n2), rfq(-1, -1) ** n2), 1):
+            mats[f"K{b}"][(col, col)] = value
+            mats[f"Kinv{b}"][(col, col)] = one / value
+    return mats
+
+
+_SIGNS = st.sampled_from((1, -1))
+
+
+@st.composite
+def _highest_weights(draw):
+    ell, sign1 = draw(st.integers(0, 10)), draw(_SIGNS)
+    lambda1 = rfq(ell, sign1)
+    lambda2 = draw(
+        st.one_of(
+            st.builds(rfq, st.integers(-12, 12), _SIGNS),
+            st.just(parse_scalar("(q+2)/(q-3)")),
+            st.builds(RatFn.integer, _SIGNS),
+            st.builds(lambda s: rfq(-1, s) * lambda1.inv(), _SIGNS),
+        )
+    )
+    return HighestWeightSL21(ell, sign1, lambda2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_highest_weights())
+def test_verma_matrices_match_the_division_formulas(weight):
+    vm = verma_module(weight)
+    reference = _verma_reference(weight)
+    got = {f"{kind}{index}": mat.entries for (kind, index), mat in vm.rep.gens.items()}
+    assert got == reference
+    assert vm.basis_labels[vm.highest_index] == (0, 0, 0)
 
 
 def test_verma_highest_vector_annihilated():

@@ -8,8 +8,8 @@ Runs each round-0 job of ``perfbench/jobs.py`` (the three workloads at seeds
 calls in this process, and prints the number of argvs and one sha256 over
 every (argv, exit code, stdout, stderr).  It then does the same for
 ``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
-text, which no benchmark job exercises, and invariants of words of very
-different lengths on one evaluator.  Two checkouts that print the same
+text, which no benchmark job exercises, simple modules with their action
+matrices, and invariants of words of very different lengths on one evaluator.  Two checkouts that print the same
 digests answered every job byte for byte alike: run it in both to check that
 a change keeps the program's output.  Before the two digest lines it prints
 one line per argv, its exit code, the first 16 hex digits of a sha256 over its
@@ -35,8 +35,10 @@ SEEDS = (1, 7)
 # Expression and scalar text: folded scalar sums, rational and signed
 # coefficients, quotients, nested powers, the dual and tensor modules, and
 # inputs refused with exit 1 (bad syntax or index) and exit 3 (too large, or a
-# module above the dimension cap).  Then invariants whose words, of very
-# different lengths, share one memoised evaluator and its letter tables.
+# module above the dimension cap).  Simple modules with their action matrices
+# (atypical A and B at ell 5, a rational lambda2 at ell 3), which the jobs
+# print only as dimensions and pass/fail.  Then invariants whose words, of
+# very different lengths, share one memoised evaluator and its letter tables.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -64,6 +66,9 @@ PARSER_ARGVS = [
     ["--max-dim", "2", "eval", "--m", "2", "--n", "1", "--rep", "dual", "--expr", "e1"],
     ["simple-module", "--ell", "1", "--lambda2", "q + 2 - q + (1)/(q)"],
     ["simple-module", "--ell", "2", "--sign1", "-1", "--lambda2", "-(q+1)/(q-2) + 1"],
+    ["simple-module", "--ell", "5", "--lambda2", "-1", "--matrices"],
+    ["simple-module", "--ell", "5", "--sign1", "-1", "--lambda2", "q^-6", "--matrices"],
+    ["simple-module", "--ell", "3", "--lambda2", "(q+2)/(q-3)", "--matrices"],
     ["decompose", "--m", "2", "--n", "1"],
     ["decompose", "--m", "1", "--n", "1"],
     ["invariant", "--m", "3", "--n", "1", "--strands", "3", "--braid", ""],
