@@ -10,9 +10,10 @@ Subcommands:
 
 Machine-readable mode (``--json``) emits deterministic JSON: keys sorted, no
 timestamps, scalars in canonical text form.  Exit codes: 0 success, 1 check
-failure or bad input, 2 unsupported request (m = n for invariants), 3 resource
-limit.  The dimension cap defaults to 20000 and can be set by ``--max-dim`` or
-the ``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
+failure, bad input or a stdout closed before the output was written, 2
+unsupported request (m = n for invariants), 3 resource limit.  The dimension
+cap defaults to 20000 and can be set by ``--max-dim`` or the
+``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import SparseMat
 from .reports import FAIL, PASS, Report, UNSUPPORTED, VACUOUS
 from .reps import (
     DEFAULT_MAX_DIM,
+    MODULE_MEMO_SIZE,
     check_cap,
     check_hopf_axioms,
     dual_rep,
@@ -46,6 +48,7 @@ from .reps import (
     verify_relations,
 )
 from .rmatrix import (
+    RMatrixBundle,
     antisymmetric_type_dim,
     build_bundle,
     symmetric_type_dim,
@@ -126,6 +129,13 @@ def _matrix_text(payload: dict) -> str:
     )
 
 
+@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
+def _bundle(params: GLParams) -> RMatrixBundle:
+    """The R-matrix bundle of (m, n) for verify, kept for the process with the
+    suites' set-up it collects (see :mod:`degenq.rmatrix`)."""
+    return build_bundle(params)
+
+
 def run_verify(
     params: GLParams,
     tensor_depth: int = 3,
@@ -157,7 +167,7 @@ def run_verify(
                 report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
     if "hopf" in suites:
         report.extend(check_hopf_axioms(rep))
-    bundle = build_bundle(params) if {"ybe", "hecke", "intertwiner"} & set(suites) else None
+    bundle = _bundle(params) if {"ybe", "hecke", "intertwiner"} & set(suites) else None
     if "ybe" in suites:
         report.extend(verify_ybe(bundle, max_dim))
     if "hecke" in suites:
@@ -428,7 +438,13 @@ def main(argv: list[str] | None = None) -> int:
     except DegenqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text())
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text(), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at /dev/null, so that
+        # the flush at exit does not fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     return code
 
 

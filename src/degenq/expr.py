@@ -373,13 +373,16 @@ def antipode(x: Expr) -> Expr:
 #
 # Caches.  A generator matrix keeps its :class:`_Encoding` in its ``_encoding``
 # slot, filled by the first run that reads it: the numerators over its D with
-# D, v, b and degree, and its int matrix at the last B it was run at.  A matrix
-# is never changed once built, so the encoding holds for the matrix's life.  A
-# matrix replaced in ``rep.gens`` is a new object, which the next run measures
-# afresh, and a run at another B encodes it again.  The int matrices keep
-# their row index (``SparseMat.__mul__``).  The relation catalog's Program
-# sits next to the catalog in the per-(m, n) memo of :mod:`degenq.reps`.  No
-# cache grows with the number of runs.
+# D, v, b and degree, and its int matrices at the last two B it was run at, so
+# a matrix read by two batches at two widths (a memoised tensor power, by the
+# relation catalog and by an R-matrix suite) is encoded once for each.  A
+# matrix is never changed once built, so the encoding holds for the matrix's
+# life.  A matrix replaced in ``rep.gens`` is a new object, which the next run
+# measures afresh, and a run at a third B encodes it again.  The int matrices
+# keep their row index (``SparseMat.__mul__``).  The relation catalog's Program
+# sits next to the catalog in the per-(m, n) memo of :mod:`degenq.reps`, and
+# each R-matrix suite's Programs on its bundle (:mod:`degenq.rmatrix`).  These
+# hold set-up only, never a result, and no cache grows with the number of runs.
 
 # The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
 # above the 4 million bits of (q+1)^2000 at its own digit width.
@@ -402,8 +405,9 @@ def _too_big(what: str) -> ResourceLimit:
 
 class _Encoding:
     """A generator matrix over its common denominator D: the numerators with D,
-    lag v, row norm b and degree of N q^v, and the int matrix at the digit
-    width ``bits`` of the last run that read it.  Kept on the matrix."""
+    lag v, row norm b and degree of N q^v, and its int matrices by digit
+    width, for the width ``bits`` of the last run that read it and the width
+    before it.  Kept on the matrix."""
 
     __slots__ = ("num", "den", "lag", "bound", "deg", "bits", "ints")
 
@@ -423,14 +427,17 @@ class _Encoding:
         self.lag = _lag(num.values())
         self.bound = max(rows.values(), default=0)
         self.deg = max((max(p.terms) for p in num.values()), default=-self.lag) + self.lag
-        self.bits = self.ints = None
+        self.bits = None
+        self.ints: dict[int, SparseMat] = {}
 
     def at(self, bits: int, dim: int) -> SparseMat:
-        if self.bits != bits:
-            ints = {k: _encode(p, bits, self.lag) for k, p in self.num.items()}
-            self.ints = SparseMat._raw(dim, dim, ints)
-            self.bits = bits
-        return self.ints
+        ints = self.ints.get(bits)
+        if ints is None:
+            ints = SparseMat._raw(dim, dim, {k: _encode(p, bits, self.lag) for k, p in self.num.items()})
+            last = {} if self.bits is None else {self.bits: self.ints[self.bits]}
+            self.ints = {**last, bits: ints}
+        self.bits = bits
+        return ints
 
 
 class Program:

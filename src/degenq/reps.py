@@ -185,8 +185,11 @@ def iterated_tensor(
 
 
 # Set-up that ``degenq verify`` repeats for every job, kept for the process's
-# life: an ``lru_cache`` of fixed size per kind, with no option.  A one-shot CLI
-# process gains only the sharing inside one ``verify --suite all``.
+# life: an ``lru_cache`` of fixed size per kind, with no option.  The kinds are
+# the tensor powers and the relation catalog with its Program, here, and the
+# R-matrix bundle with its suites' spaces and Programs, in :mod:`degenq.cli`.
+# They keep set-up only, no result: every job still runs every check.  A
+# one-shot CLI process gains only the sharing inside one ``verify --suite all``.
 MODULE_MEMO_SIZE = 32  # every (m, n, r >= 2, side) of the verify grid at tensor depth 3
 
 

@@ -18,12 +18,20 @@ Conventions:
 
 Checking.  Every matrix identity of the ybe, hecke, intertwiner and
 tensor-iso suites is one expression lhs - rhs, and a suite evaluates its
-expressions in one batch per space with :func:`degenq.expr.eval_batch`, over
-the integers at q = 2^B, like the relation catalog.  The atoms are fixed
+expressions as one compiled Program per space (:func:`degenq.expr.compile_batch`),
+over the integers at q = 2^B, like the relation catalog.  The atoms are fixed
 matrices of one space: ``Gen(name, (i, j))`` is the bundle operator ``name``
 (R, Rinv, Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j of
 V^(x)r, and the Delta- and Delta'-actions of a tensor power are the kinds e,
 f, K, Kinv and the same kinds primed.  The parser builds no such atom.  A
+suite's spaces and Programs are its fixed set-up: built from the bundle on
+the suite's first run and kept on the bundle, with each leg operator's
+integer form (see ``RMatrixBundle``).  No result is kept: every run checks
+the dimension cap first, then runs every Program and reads every check.
+``degenq verify`` reads one bundle per (m, n) from a per-process memo, so a
+process that runs many verify jobs builds each set-up once.  A one-shot CLI
+process runs each suite once and gains nothing from it; only the tensor
+powers of :mod:`degenq.reps` are shared within one ``verify --suite all``.  A
 passing check costs no decode; a failing one's witness is read from the
 decoded difference, canonical over Q(q).  The Hecke suite's one identity is
 its quadratic: the projectors onto the two eigenspaces are nonzero multiples
@@ -35,9 +43,9 @@ that it is invertible is ybe's "R invertible".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .expr import Expr, Gen, Prod, Scalar, eval_batch, make_prod
+from .expr import Expr, Gen, Prod, Scalar, compile_batch, make_prod
 from .linalg import SparseMat, Vec
 from .reports import Report
 from .reps import DEFAULT_MAX_DIM, Representation, check_cap, shared_power
@@ -54,6 +62,10 @@ class RMatrixBundle:
     Rcheck: SparseMat
     Rcheckinv: SparseMat
     T: SparseMat
+    # Each suite's fixed set-up, derived from the operators above on the
+    # suite's first run and kept with them, as a matrix keeps its ``_rows``:
+    # a ``dataclasses.replace`` copy starts empty, and equality ignores it.
+    _setups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _braid_matrix(params: GLParams, diag_values, sign: int = 1) -> SparseMat:
@@ -136,7 +148,7 @@ def antisymmetric_type_dim(params: GLParams) -> int:
 
 @dataclass
 class _Space:
-    """Fixed matrices on one space, read by eval_batch as a representation's
+    """Fixed matrices on one space, read by a Program as a representation's
     generators: the atom Gen(kind, index) is gens[(kind, index)]."""
 
     dim: int
@@ -156,9 +168,21 @@ def _space(r: int, d: int, ops: dict[str, SparseMat], *powers: Representation) -
     return _Space(d**r, gens)
 
 
-def _differences(space: _Space, checks: list[tuple[str, Expr]]) -> dict[str, SparseMat]:
-    """Each check's expression evaluated in space, by name, in one batch."""
-    return dict(zip((name for name, _ in checks), eval_batch([x for _, x in checks], space)))
+def _differences(bundle: RMatrixBundle, key, build, *args) -> dict[str, SparseMat]:
+    """Each check of a suite evaluated, lhs - rhs by name.  ``build(bundle,
+    *args)`` gives the suite's set-up, a list of (space, named checks); it is
+    called on the key's first use, and its spaces with their checks compiled
+    are kept on the bundle.  Every program runs on every call."""
+    setup = bundle._setups.get(key)
+    if setup is None:
+        setup = bundle._setups[key] = [
+            (space, compile_batch([x for _, x in checks]), [name for name, _ in checks])
+            for space, checks in build(bundle, *args)
+        ]
+    out: dict[str, SparseMat] = {}
+    for space, program, names in setup:
+        out.update(zip(names, program.run(space)))
+    return out
 
 
 def _braid_difference(name: str) -> Expr:
@@ -167,22 +191,35 @@ def _braid_difference(name: str) -> Expr:
     return make_prod([r12, r13, r23]) - make_prod([r23, r13, r12])
 
 
+def _ybe_setup(bundle: RMatrixBundle) -> list[tuple[_Space, list]]:
+    d = bundle.params.size
+    ops = {"R": bundle.R, "T": bundle.T, "Rbad": perturbed_r(bundle.params)}
+    inverse = Gen("R", (1, 2)) * Gen("Rinv", (1, 2)) - 1
+    return [
+        (_space(3, d, ops), [(name, _braid_difference(name)) for name in ops]),
+        (_space(2, d, {"R": bundle.R, "Rinv": bundle.Rinv}), [("R invertible", inverse)]),
+    ]
+
+
 def verify_ybe(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """The braid relation on V^(x)3 for R and the reference T, plus the failing
     negative control; refuses V^(x)3 above the dimension cap."""
-    params = bundle.params
-    d = params.size
-    check_cap(d, 3, max_dim)
+    check_cap(bundle.params.size, 3, max_dim)
+    diffs = _differences(bundle, "ybe", _ybe_setup)
     report = Report()
-    ops = {"R": bundle.R, "T": bundle.T, "Rbad": perturbed_r(params)}
-    cube = _differences(_space(3, d, ops), [(name, _braid_difference(name)) for name in ops])
-    square = _space(2, d, {"R": bundle.R, "Rinv": bundle.Rinv})
     for name in ("R", "T"):
-        report.add_zero("ybe", f"{name} braids exactly", cube[name])
-    inverse = Gen("R", (1, 2)) * Gen("Rinv", (1, 2)) - 1
-    report.add_zero("ybe", "R invertible", next(eval_batch([inverse], square)))
-    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", not cube["Rbad"].is_zero())
+        report.add_zero("ybe", f"{name} braids exactly", diffs[name])
+    report.add_zero("ybe", "R invertible", diffs["R invertible"])
+    report.add("ybe", "negative control (degenerate diagonal spoiled) fails", not diffs["Rbad"].is_zero())
     return report
+
+
+def _hecke_setup(bundle: RMatrixBundle) -> list[tuple[_Space, list]]:
+    q = RatFn.q(1)
+    rc = Gen("Rcheck", (1, 2))
+    quadratic = Prod((rc - Scalar(q), rc + Scalar(q.inv())))
+    checks = [("(Rcheck - q)(Rcheck + q^-1) = 0", quadratic)]
+    return [(_space(2, bundle.params.size, {"Rcheck": bundle.Rcheck}), checks)]
 
 
 def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
@@ -193,10 +230,8 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_
     check_cap(d, 2, max_dim)
     report = Report()
     q = RatFn.q(1)
-    rc = Gen("Rcheck", (1, 2))
-    quadratic = Prod((rc - Scalar(q), rc + Scalar(q.inv())))
-    value = next(eval_batch([quadratic], _space(2, d, {"Rcheck": bundle.Rcheck})))
-    report.add_zero("hecke", "(Rcheck - q)(Rcheck + q^-1) = 0", value)
+    for name, value in _differences(bundle, "hecke", _hecke_setup).items():
+        report.add_zero("hecke", name, value)
     ident = SparseMat.identity(d * d)
     rank_s = (bundle.Rcheck + ident.scale(q.inv())).rank()
     rank_a = (bundle.Rcheck - ident.scale(q)).rank()
@@ -212,13 +247,9 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_
     return report
 
 
-def verify_intertwiner(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
-    """R (nu x nu)Delta(x) = (nu x nu)Delta'(x) R on every generator, and
-    Rcheck commutes with the Delta-action, for nu the natural module; refuses
-    V^(x)2 above the dimension cap."""
+def _intertwiner_setup(bundle: RMatrixBundle, max_dim: int) -> list[tuple[_Space, list]]:
     params = bundle.params
-    report = Report()
-    vv_delta = shared_power(params, 2, "Delta", max_dim)  # refuses above the cap
+    vv_delta = shared_power(params, 2, "Delta", max_dim)
     ops = {"R": bundle.R, "Rcheck": bundle.Rcheck}
     space = _space(2, params.size, ops, vv_delta, shared_power(params, 2, "DeltaPrime", max_dim))
     R, rc = Gen("R", (1, 2)), Gen("Rcheck", (1, 2))
@@ -228,7 +259,16 @@ def verify_intertwiner(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) ->
         prime = Gen(g.kind + "'", g.index)
         checks.append((f"R Delta({name}) = Delta'({name}) R", R * g - prime * R))
         checks.append((f"[Rcheck, Delta({name})] = 0", rc * g - g * rc))
-    for name, value in _differences(space, checks).items():
+    return [(space, checks)]
+
+
+def verify_intertwiner(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
+    """R (nu x nu)Delta(x) = (nu x nu)Delta'(x) R on every generator, and
+    Rcheck commutes with the Delta-action, for nu the natural module; refuses
+    V^(x)2 above the dimension cap."""
+    check_cap(bundle.params.size, 2, max_dim)
+    report = Report()
+    for name, value in _differences(bundle, "intertwiner", _intertwiner_setup, max_dim).items():
         report.add_zero("intertwiner", name, value)
     return report
 
@@ -251,6 +291,20 @@ def _iso_expr(r: int) -> Expr:
     return make_prod([Gen("R", p) for p in _halftwist_pairs(r)])
 
 
+def _tensor_iso_setup(bundle: RMatrixBundle, r: int, max_dim: int) -> list[tuple[_Space, list]]:
+    params = bundle.params
+    power_delta = shared_power(params, r, "Delta", max_dim)
+    power_prime = shared_power(params, r, "DeltaPrime", max_dim)
+    space = _space(r, params.size, {"R": bundle.R}, power_delta, power_prime)
+    iso = _iso_expr(r)
+    # Unflattened products, so that the isomorphism is one node.
+    checks = [
+        (f"r={r}: intertwines {g.kind}{g.index}", Prod((iso, g)) - Prod((Gen(g.kind + "'", g.index), iso)))
+        for g in power_delta.generator_atoms()
+    ]
+    return [(space, checks)]
+
+
 def verify_tensor_iso(
     params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM, bundle: RMatrixBundle | None = None
 ) -> Report:
@@ -259,18 +313,10 @@ def verify_tensor_iso(
     ``build_bundle(params)``."""
     if r < 2:
         raise ValueError("the tensor isomorphism needs r >= 2")
-    report = Report()
-    power_delta = shared_power(params, r, "Delta", max_dim)  # refuses above the cap
-    power_prime = shared_power(params, r, "DeltaPrime", max_dim)
+    check_cap(params.size, r, max_dim)
     if bundle is None:
         bundle = build_bundle(params)
-    space = _space(r, params.size, {"R": bundle.R}, power_delta, power_prime)
-    iso = _iso_expr(r)
-    # Unflattened products, so that the isomorphism is one node.
-    checks = [
-        (f"r={r}: intertwines {g.kind}{g.index}", Prod((iso, g)) - Prod((Gen(g.kind + "'", g.index), iso)))
-        for g in power_delta.generator_atoms()
-    ]
-    for name, value in _differences(space, checks).items():
+    report = Report()
+    for name, value in _differences(bundle, ("tensor-iso", r), _tensor_iso_setup, r, max_dim).items():
         report.add_zero("tensor-iso", name, value)
     return report

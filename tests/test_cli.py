@@ -453,6 +453,24 @@ def test_simple_module_refuses_a_large_monomial_lambda2_in_evaluation(capsys):
     assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", err)
 
 
+def test_a_stdout_closed_early_exits_1_with_nothing_on_stderr():
+    # The reader takes one line and closes the pipe.  The rest of the output,
+    # about 120 kB, is more than a pipe holds, so the child's print meets the
+    # closed pipe whatever the timing.
+    argv = ["verify", "--m", "3", "--n", "2", "--suite", "relations", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "degenq.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degenq.__file__))},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_FAIL
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypatch, capsys):
     # Two relations jobs at (3, 2) in one process: the catalog is compiled
     # once, and each generator of each space is encoded at most once per digit
@@ -490,12 +508,13 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
 def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
     # Three intertwiner jobs at (3, 2) in one process (the intertwiner on
     # V^(x)2, then the tensor isomorphism on V^(x)3, whose first build reads
-    # the K's of V^(x)2 at another digit width).  Every later job measures only
-    # its own fresh leg operators, never a generator of the memoised Delta and
-    # Delta' powers, and the third forms int matrices for its leg operators
-    # alone.
+    # the K's of V^(x)2 at another digit width).  The first job builds the
+    # bundle's set-up: five leg operators, and the encodings of them and of
+    # the memoised Delta and Delta' powers.  The later jobs place no leg
+    # operator, measure no matrix and encode nothing: each matrix keeps its
+    # int form at both widths it is read at.
     measured = []  # (matrix, job); the matrices stay alive, so ids stay distinct
-    encoded = []  # (encoding, job)
+    encoded = []  # (encoding, B, job)
     legs = []  # (leg operator, job)
     init, at, leg_operator = expr._Encoding.__init__, expr._Encoding.at, rmatrix.leg_operator
 
@@ -504,8 +523,8 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
         init(self, mat)
 
     def counting_at(self, bits, dim):
-        if self.bits != bits:
-            encoded.append((self, len(jobs)))
+        if bits not in self.ints:
+            encoded.append((self, bits, len(jobs)))
         return at(self, bits, dim)
 
     def recording_leg_operator(*args):
@@ -516,6 +535,7 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
     monkeypatch.setattr(expr._Encoding, "at", counting_at)
     monkeypatch.setattr(rmatrix, "leg_operator", recording_leg_operator)
     reps._power.cache_clear()
+    cli._bundle.cache_clear()
     jobs = []
     argv = ["verify", "--m", "3", "--n", "2", "--suite", "intertwiner", "--json"]
     for _ in range(3):
@@ -525,11 +545,11 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
     squares = [reps.shared_power(GLParams(3, 2), 2, side).gens for side in ("Delta", "DeltaPrime")]
     read = {id(gens[key]) for gens in squares for key in (("e", 1), ("f", 4), ("K", 5))}
     assert read <= {id(mat) for mat, job in measured if job == 0}
-    for later in (1, 2):
-        fresh = {id(mat) for mat, job in legs if job == later}
-        assert len(fresh) == 5 and {id(mat) for mat, job in measured if job == later} == fresh
-    last = {id(mat._encoding) for mat, job in legs if job == 2}
-    assert {id(code) for code, job in encoded if job == 2} == last
+    assert [job for _, job in legs] == [0] * 5
+    assert [job for _, job in measured if job] == [] and [job for _, _, job in encoded if job] == []
+    # The K's of V^(x)2 are read at two widths, and each is encoded once.
+    k5 = squares[0][("K", 5)]._encoding
+    assert len([bits for code, bits, _ in encoded if code is k5]) == len(k5.ints) == 2
 
 
 def test_r_matrix_suites_refuse_before_any_work(monkeypatch):
@@ -581,6 +601,16 @@ def test_warm_memo_still_refuses_a_power_above_the_cap(capsys):
     reps._power.cache_clear()
     cold = _verify_output(["--max-dim", "26"] + argv, capsys)
     assert _verify_output(argv, capsys)[0] == EXIT_OK  # V^(x)3 is now in the memo
+    warm = _verify_output(["--max-dim", "26"] + argv, capsys)
+    assert cold == warm == (EXIT_RESOURCE, "", "resource limit: dimension 3^3 exceeds cap 26\n")
+
+
+def test_warm_bundle_still_refuses_a_cube_above_the_cap(capsys):
+    argv = ["verify", "--m", "2", "--n", "1", "--suite", "ybe", "--json"]
+    cli._bundle.cache_clear()
+    cold = _verify_output(["--max-dim", "26"] + argv, capsys)
+    assert _verify_output(argv, capsys)[0] == EXIT_OK  # the ybe set-up is now on the memo's bundle
+    assert cli._bundle(GLParams(2, 1))._setups
     warm = _verify_output(["--max-dim", "26"] + argv, capsys)
     assert cold == warm == (EXIT_RESOURCE, "", "resource limit: dimension 3^3 exceeds cap 26\n")
 

@@ -27,6 +27,7 @@ rfq = RatFn.q
 one = RatFn.one()
 
 ALL_PARAMS = [P11, P21, GLParams(1, 2), GLParams(2, 2), GLParams(3, 1), GLParams(3, 2)]
+R_SUITES = ("ybe", "hecke", "intertwiner")
 
 
 def test_r_piecewise_action_21():
@@ -70,26 +71,43 @@ def test_ybe_suite(params):
     assert report.all_passed, [c.name for c in report.failures]
 
 
-def test_failed_identities_print_a_witness():
-    # R with its degenerate diagonal spoiled: each failed identity names the
-    # nnz of lhs - rhs and its first nonzero entry; passing checks stay bare.
-    bundle = build_bundle(P21)
+SPOILED_R_WITNESSES = {
+    "R braids exactly": "2 nonzero entries; entry (8, 24) = 2*q - 4*q^-1 + 2*q^-3",
+    "R invertible": "1 nonzero entries; entry (8, 8) = -2",
+    "R Delta(e2) = Delta'(e2) R": "2 nonzero entries; entry (5, 8) = -2*q^-1",
+    "R Delta(f2) = Delta'(f2) R": "2 nonzero entries; entry (8, 5) = 2*q^-1",
+}
+
+
+def _assert_spoiled_copies_fail_with_witnesses(bundle):
     spoiled = dataclasses.replace(bundle, R=perturbed_r(P21))
     report = verify_ybe(spoiled)
     report.extend(verify_intertwiner(spoiled))
     failed = {c.name: c.detail for c in report.failures}
-    assert failed == {
-        "R braids exactly": "2 nonzero entries; entry (8, 24) = 2*q - 4*q^-1 + 2*q^-3",
-        "R invertible": "1 nonzero entries; entry (8, 8) = -2",
-        "R Delta(e2) = Delta'(e2) R": "2 nonzero entries; entry (5, 8) = -2*q^-1",
-        "R Delta(f2) = Delta'(f2) R": "2 nonzero entries; entry (8, 5) = 2*q^-1",
-    }
+    assert failed == SPOILED_R_WITNESSES
     assert all(c.detail == "" for c in report.checks if c.ok)
     hecke = verify_hecke_and_spectrum(dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(rfq(1))))
     failed = {c.name: c.detail for c in hecke.failures}
     assert failed["(Rcheck - q)(Rcheck + q^-1) = 0"] == "15 nonzero entries; entry (0, 0) = q^4 - q^3 + q - 1"
     # q Rcheck has eigenvalues q^2 and -1, so neither rank drops.
     assert failed["q-eigenspace dimension = 5"] == failed["(-q^-1)-eigenspace dimension = 4"] == "rank 9"
+
+
+def test_failed_identities_print_a_witness():
+    # R with its degenerate diagonal spoiled: each failed identity names the
+    # nnz of lhs - rhs and its first nonzero entry; passing checks stay bare.
+    _assert_spoiled_copies_fail_with_witnesses(build_bundle(P21))
+
+
+def test_spoiled_copies_of_the_warm_verify_bundle_fail_alike():
+    # A dataclasses.replace copy of verify's memoised bundle, whose suites'
+    # set-up is built, starts with none and builds its own from its operators.
+    assert cli.run_verify(P21, suites=R_SUITES).all_passed
+    warm = cli._bundle(P21)
+    assert set(warm._setups) == {"ybe", "hecke", "intertwiner", ("tensor-iso", 3)}
+    assert dataclasses.replace(warm, R=perturbed_r(P21))._setups == {}
+    _assert_spoiled_copies_fail_with_witnesses(warm)
+    assert cli.run_verify(P21, suites=R_SUITES).all_passed
 
 
 def test_failed_eigenvector_checks_print_a_witness():
@@ -476,6 +494,7 @@ def test_hecke_ranks_each_projector_once(monkeypatch):
 
 
 def test_intertwiner_suite_builds_one_bundle(monkeypatch, capsys):
+    # One bundle for both intertwiner suites, kept for the next job.
     calls = []
     build = rmatrix.build_bundle
 
@@ -485,6 +504,34 @@ def test_intertwiner_suite_builds_one_bundle(monkeypatch, capsys):
 
     monkeypatch.setattr(rmatrix, "build_bundle", counting)
     monkeypatch.setattr(cli, "build_bundle", counting)
-    assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"]) == cli.EXIT_OK
-    assert "r=3: intertwines e1" in capsys.readouterr().out
+    cli._bundle.cache_clear()
+    for _ in range(2):
+        assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"]) == cli.EXIT_OK
+        assert "r=3: intertwines e1" in capsys.readouterr().out
     assert calls == [P21]
+
+
+def _fresh_suite(params: GLParams, suite: str) -> Report:
+    """What run_verify reports for one R-matrix suite, from a fresh bundle."""
+    bundle = build_bundle(params)
+    if suite == "ybe":
+        return verify_ybe(bundle)
+    if suite == "hecke":
+        return verify_hecke_and_spectrum(bundle)
+    report = verify_intertwiner(bundle)
+    report.extend(verify_tensor_iso(params, 3, bundle=bundle))
+    return report
+
+
+@pytest.mark.parametrize("suite", R_SUITES)
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
+def test_kept_setup_reports_what_a_fresh_bundle_reports(params, suite):
+    # verify's suites from a cold memo, from the warm memo (set-up kept on the
+    # bundle), and from a caller's fresh bundle: the same checks, statuses and
+    # details, in the same order.
+    cli._bundle.cache_clear()
+    cold = _rows(cli.run_verify(params, suites=(suite,)))
+    assert cli._bundle(params)._setups
+    warm = _rows(cli.run_verify(params, suites=(suite,)))
+    assert cold == warm == _rows(_fresh_suite(params, suite))
+    assert cold and all(status == "pass" for _, _, status, _ in cold)
