@@ -44,6 +44,7 @@ from .reps import (
     dual_rep,
     iterated_tensor,
     natural_rep,
+    shared_natural,
     shared_power,
     verify_relations,
 )
@@ -90,6 +91,26 @@ def _report_payload(report: Report) -> dict:
         "summary": report.counts(),
         "ok": report.all_passed,
     }
+
+
+def _report_json(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` of a ``_report_payload``
+    result, byte for byte, written in one pass.  json.dumps runs its
+    pure-Python encoder whenever it indents, and a verify report holds
+    hundreds of checks; here only the strings go through json's C escaper."""
+    s = json.encoder.encode_basestring_ascii
+    checks = ",\n".join(
+        f'    {{\n      "detail": {s(c["detail"])},\n      "name": {s(c["name"])},\n'
+        f'      "status": {s(c["status"])},\n      "suite": {s(c["suite"])}\n    }}'
+        for c in payload["checks"]
+    )
+    summary = ",\n".join(f"    {s(k)}: {v}" for k, v in sorted(payload["summary"].items()))
+    return (
+        '{\n  "checks": ' + (f"[\n{checks}\n  ]" if checks else "[]")
+        + ',\n  "ok": ' + ("true" if payload["ok"] else "false")
+        + ',\n  "summary": ' + (f"{{\n{summary}\n  }}" if summary else "{}")
+        + "\n}"
+    )
 
 
 def _report_text(payload: dict) -> str:
@@ -148,8 +169,7 @@ def run_verify(
     if samples < 0:
         raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
     report = Report()
-    check_cap(params.size, 1, max_dim)
-    rep = natural_rep(params)
+    rep = shared_natural(params, max_dim)
     if "relations" in suites:
         if params.m == 1 or params.n == 1:
             report.note(
@@ -260,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Each command returns (payload, text, exit code): main prints the payload as
-# JSON under --json and calls text, which reads the payload's strings, otherwise.
+# JSON under --json (verify's report through _report_json, every other payload
+# through json.dumps) and calls text, which reads the payload's strings,
+# otherwise.
 
 
 def _cmd_invariant(args):
@@ -439,7 +461,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     try:
-        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text(), flush=True)
+        if not args.json:
+            out = text()
+        elif args.command == "verify":
+            out = _report_json(payload)
+        else:
+            out = json.dumps(payload, sort_keys=True, indent=2)
+        print(out, flush=True)
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at /dev/null, so that
         # the flush at exit does not fail again and print a traceback.

@@ -186,10 +186,14 @@ def iterated_tensor(
 
 # Set-up that ``degenq verify`` repeats for every job, kept for the process's
 # life: an ``lru_cache`` of fixed size per kind, with no option.  The kinds are
-# the tensor powers and the relation catalog with its Program, here, and the
-# R-matrix bundle with its suites' spaces and Programs, in :mod:`degenq.cli`.
-# They keep set-up only, no result: every job still runs every check.  A
-# one-shot CLI process gains only the sharing inside one ``verify --suite all``.
+# the natural module V, the Hopf suite's set-up (the trivial module, V* and the
+# S^2 program), the tensor powers and the relation catalog with its Program,
+# here, and the R-matrix bundle with its suites' spaces and Programs, in
+# :mod:`degenq.cli`.  Each module keeps its generators' int forms on its
+# matrices (:mod:`degenq.expr`), so a warm job measures, encodes and compiles
+# nothing.  They keep set-up only, no result: every job still runs every
+# check.  A one-shot CLI process gains only the sharing inside one
+# ``verify --suite all``.
 MODULE_MEMO_SIZE = 32  # every (m, n, r >= 2, side) of the verify grid at tensor depth 3
 
 
@@ -201,8 +205,20 @@ def _catalog(params: GLParams) -> tuple[tuple[RelationEntry, ...], Program]:
 
 
 @functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
+def _natural(params: GLParams) -> Representation:
+    return natural_rep(params)
+
+
+def shared_natural(params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> Representation:
+    """The natural module from the per-process memo.  Callers must not mutate
+    it.  The cap is checked before the lookup."""
+    check_cap(params.size, 1, max_dim)
+    return _natural(params)
+
+
+@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
 def _power(params: GLParams, r: int, side: str) -> Representation:
-    rep = natural_rep(params)
+    rep = _natural(params)
     return tensor_rep(rep if r == 2 else _power(params, r - 1, side), rep, side)
 
 
@@ -336,6 +352,20 @@ def verify_relations(rep: Representation) -> Report:
     return report
 
 
+@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
+def _hopf_setup(params: GLParams) -> tuple:
+    """(V, V*, the trivial module, the S^2 checks' Program, their names) of
+    (m, n); the S^2 checks are compiled once."""
+    natural = _natural(params)
+    # Unflattened products, so that K2rho and its inverse are one node each.
+    k2rho = k2rho_expr(params)
+    k2rho_inv = antipode(k2rho)
+    atoms = natural.generator_atoms()
+    diffs = [antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv)) for g in atoms]
+    names = [f"S^2 = Ad(K2rho) on {g.kind}{g.index}" for g in atoms]
+    return natural, dual_rep(natural), trivial_rep(params), compile_batch(diffs), names
+
+
 def check_hopf_axioms(rep: Representation) -> Report:
     """The counit and the antipode against every defining relation, and the
     inner form of the antipode squared.
@@ -347,19 +377,20 @@ def check_hopf_axioms(rep: Representation) -> Report:
     * hopf-s2: S^2 = Ad(K_2rho) on the generators, as matrix identities.
 
     The coproduct is checked by the relation suite on tensor powers.
+
+    The trivial module and the S^2 program depend on (m, n) only, and come
+    from the per-process memo with the natural module's dual, which serves
+    the memo's natural module only; any other module, such as a test's,
+    gets its dual built afresh.
     """
+    natural, natural_dual, trivial, s2, names = _hopf_setup(rep.params)
+    dual = natural_dual if rep is natural else dual_rep(rep)
     report = Report()
-    for suite, module in (("hopf-counit", trivial_rep(rep.params)), ("hopf-antipode", dual_rep(rep))):
+    for suite, module in (("hopf-counit", trivial), ("hopf-antipode", dual)):
         for c in verify_relations(module).checks:
             report.add(suite, c.name, c.ok, c.detail)
-
-    # Unflattened products, so that K2rho and its inverse are one node each.
-    k2rho = k2rho_expr(rep.params)
-    k2rho_inv = antipode(k2rho)
-    # k2rho k2rho_inv telescopes to the K_b K_b^-1, and dual_rep above refused
-    # rep unless each is 1.
-    atoms = rep.generator_atoms()
-    diffs = [antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv)) for g in atoms]
-    for g, value in zip(atoms, eval_batch(diffs, rep)):
-        report.add_zero("hopf-s2", f"S^2 = Ad(K2rho) on {g.kind}{g.index}", value)
+    # k2rho k2rho_inv telescopes to the K_b K_b^-1, and building the dual of
+    # rep, here or in the memo, refused rep unless each is 1.
+    for name, value in zip(names, s2.run(rep)):
+        report.add_zero("hopf-s2", name, value)
     return report

@@ -464,8 +464,14 @@ class RatFn:
 
     def inv(self) -> RatFn:
         """den/num, with no gcd: a canonical pair is coprime, so only the
-        shift of num and the sign of its leading coefficient move."""
-        if not self.num:
+        shift of num and the sign of its leading coefficient move.  A unit
+        +-q^k over 1, such as a diagonal entry of a K, is +-q^-k over 1."""
+        terms = self.num.terms
+        if len(terms) == 1 and self.den.is_one():
+            ((e, c),) = terms.items()
+            if c == 1 or c == -1:
+                return RatFn._raw(LaurentPoly._raw({-e: c}), _LP_ONE)
+        if not terms:
             raise DivisionByZero("inverse of the zero rational function")
         vn = self.num.valuation
         num, den = self.den.shift(-vn), self.num.shift(-vn)

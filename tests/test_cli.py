@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import resource
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degenq
 from degenq import cli, expr, reps, rmatrix
@@ -15,6 +18,7 @@ from degenq.cli import (
     EXIT_UNSUPPORTED,
     main,
     parse_braid,
+    _report_json,
     _report_payload,
     _report_text,
     run_verify,
@@ -22,10 +26,13 @@ from degenq.cli import (
 from degenq.errors import ExprSyntaxError, ResourceLimit
 from degenq.expr import MAX_NESTING
 from degenq.relations import relation_catalog
-from degenq.reports import Report
+from degenq.linalg import SparseMat
+from degenq.reports import FAIL, PASS, Report, UNSUPPORTED, VACUOUS
 from degenq.reps import natural_rep, tensor_rep
 from degenq.rmatrix import build_bundle
-from degenq.scalars import GLParams
+from degenq.scalars import GLParams, RatFn
+
+GRID = [GLParams(m, n) for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]]
 
 
 # -- braid parsing ------------------------------------------------------------------
@@ -73,6 +80,56 @@ def test_serialize_json_stable():
     payload = json.loads(one)
     assert payload["ok"] is False
     assert payload["summary"] == {"pass": 1, "fail": 1}
+
+
+def _assert_written_as_json_dumps(report: Report):
+    payload = _report_payload(report)
+    assert _report_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("params", GRID, ids=lambda p: f"{p.m}{p.n}")
+def test_report_writer_matches_json_dumps_on_the_grid(params):
+    # Every payload verify prints on the grid, suite by suite, among them the
+    # vacuous quartic at m = 1 or n = 1 and the unsupported invariant at m = n.
+    for suite in cli.SUITES:
+        _assert_written_as_json_dumps(run_verify(params, suites=(suite,)))
+
+
+def test_report_writer_matches_json_dumps_on_edge_reports():
+    _assert_written_as_json_dumps(Report())
+    report = Report()
+    for status in (PASS, FAIL, VACUOUS, UNSUPPORTED):
+        report.note("suite", f"a {status} check", status, "" if status == PASS else "why")
+    _assert_written_as_json_dumps(report)
+    # The failing witnesses of spoiled R-matrix bundles: a perturbed R, and
+    # Rcheck with one entry plus 1.
+    bundle = build_bundle(GLParams(2, 1))
+    rcheck = dict(bundle.Rcheck.entries)
+    rcheck[(4, 1)] = rcheck.get((4, 1), RatFn.zero()) + RatFn.one()
+    for spoiled in (
+        dataclasses.replace(bundle, R=rmatrix.perturbed_r(GLParams(2, 1))),
+        dataclasses.replace(bundle, Rcheck=SparseMat(9, 9, rcheck)),
+    ):
+        report = rmatrix.verify_ybe(spoiled)
+        report.extend(rmatrix.verify_hecke_and_spectrum(spoiled))
+        report.extend(rmatrix.verify_intertwiner(spoiled))
+        assert report.failures and all(c.detail for c in report.failures)
+        _assert_written_as_json_dumps(report)
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII and astral text.
+_odd_char = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+_odd_text = st.text(st.one_of(_odd_char, st.characters()))
+_status = st.sampled_from([PASS, FAIL, VACUOUS, UNSUPPORTED])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_odd_text, _odd_text, _status, _odd_text)))
+def test_report_writer_matches_json_dumps_on_any_text(rows):
+    report = Report()
+    for suite, name, status, detail in rows:
+        report.note(suite, name, status, detail)
+    _assert_written_as_json_dumps(report)
 
 
 # -- commands (in-process) ------------------------------------------------------------------
@@ -474,7 +531,8 @@ def test_a_stdout_closed_early_exits_1_with_nothing_on_stderr():
 def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypatch, capsys):
     # Two relations jobs at (3, 2) in one process: the catalog is compiled
     # once, and each generator of each space is encoded at most once per digit
-    # width B; the second job encodes only its own fresh natural module.
+    # width B; the second job reads the memo's natural module and encodes
+    # nothing.
     compiled = []
     compile_batch = reps.compile_batch
 
@@ -493,6 +551,7 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
     monkeypatch.setattr(reps, "compile_batch", counting_compile)
     monkeypatch.setattr(expr._Encoding, "at", counting_at)
     reps._catalog.cache_clear()
+    reps._natural.cache_clear()
     reps._power.cache_clear()
     jobs = []
     argv = ["verify", "--m", "3", "--n", "2", "--suite", "relations", "--json"]
@@ -502,7 +561,66 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
     assert jobs == [EXIT_OK, EXIT_OK] and len(compiled) == 1
     keys = [(id(code), bits) for code, bits, _, _ in encoded]
     assert len(keys) == len(set(keys))
-    assert {dim for _, _, dim, job in encoded if job == 1} == {5}
+    assert {dim for _, _, dim, job in encoded if job == 0} >= {5, 25, 125}
+    assert {dim for _, _, dim, job in encoded if job == 1} == set()
+
+
+def _clear_module_memo():
+    for memo in (reps._catalog, reps._natural, reps._hopf_setup, reps._power):
+        memo.cache_clear()
+
+
+def test_warm_hopf_jobs_compile_nothing_and_measure_nothing(monkeypatch, capsys):
+    # The trivial module, V* and the S^2 program come from the memo, and each
+    # module keeps its int forms, so a second hopf job at (3, 2) compiles no
+    # batch and creates no _Encoding; it still prints every check.
+    compiled, measured = [], []
+    jobs = []
+    init = expr._Encoding.__init__
+
+    def counting_init(self, mat):
+        measured.append(len(jobs))
+        init(self, mat)
+
+    for module in (expr, reps):
+        compile_batch = module.compile_batch
+
+        def counting_compile(exprs, compile_batch=compile_batch):
+            compiled.append(len(jobs))
+            return compile_batch(exprs)
+
+        monkeypatch.setattr(module, "compile_batch", counting_compile)
+    monkeypatch.setattr(expr._Encoding, "__init__", counting_init)
+    _clear_module_memo()
+    argv = ["verify", "--m", "3", "--n", "2", "--suite", "hopf", "--json"]
+    outputs = []
+    for _ in range(2):
+        jobs.append(main(argv))
+        outputs.append(capsys.readouterr().out)
+    assert jobs == [EXIT_OK, EXIT_OK] and outputs[0] == outputs[1]
+    assert 0 in compiled and 0 in measured
+    assert 1 not in compiled and 1 not in measured
+    assert len(json.loads(outputs[1])["checks"]) == 327
+
+
+def _snapshot(rep):
+    return rep.gens, {key: SparseMat(m.nrows, m.ncols, dict(m.entries)) for key, m in rep.gens.items()}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_verify_jobs_leave_the_memo_modules_unmutated(suite, capsys):
+    # V, V* and the trivial module in the memo keep the same gens dict and
+    # equal matrices through a job of each suite.
+    params = GLParams(3, 2)
+    natural, dual, trivial, _, _ = reps._hopf_setup(params)
+    assert natural is reps._natural(params)
+    before = [_snapshot(rep) for rep in (natural, dual, trivial)]
+    argv = ["verify", "--m", "3", "--n", "2", "--suite", suite, "--samples", "2", "--json"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert all(a is b for a, b in zip(reps._hopf_setup(params), (natural, dual, trivial)))
+    for rep, (gens, mats) in zip((natural, dual, trivial), before):
+        assert rep.gens is gens and rep.gens == mats
 
 
 def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
@@ -586,8 +704,7 @@ def test_mutated_public_results_leave_verify_unchanged(capsys):
     assert expected[0] == EXIT_OK
     for clear in (True, False):
         if clear:
-            reps._power.cache_clear()
-            reps._catalog.cache_clear()
+            _clear_module_memo()
         rep = natural_rep(params)
         rep.gens[("e", 1)] = rep.gen("e", 2)
         square = tensor_rep(rep, natural_rep(params), "DeltaPrime")

@@ -538,7 +538,16 @@ def test_hopf_fails_on_random_signed_monomial_module():
     assert failed == {"hopf-antipode", "hopf-s2"}
 
 
-def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch):
+@pytest.fixture
+def fresh_hopf_memo():
+    """The Hopf suite's memoised set-up built afresh, under the test's patches,
+    and dropped after the test, so that no patched module outlives it."""
+    reps._hopf_setup.cache_clear()
+    yield
+    reps._hopf_setup.cache_clear()
+
+
+def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch, fresh_hopf_memo):
     from degenq.expr import antipode
 
     def flipped(x):
@@ -550,7 +559,7 @@ def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch):
     assert any(c.suite == "hopf-antipode" for c in report.failures)
 
 
-def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch):
+def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch, fresh_hopf_memo):
     def k_to_q(params):
         rep = trivial_rep(params)
         rep.gens[("K", 1)] = SparseMat.diagonal([rfq(1)])

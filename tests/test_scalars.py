@@ -168,6 +168,32 @@ def test_inv_matches_the_canonicalizing_constructor(x):
         assert x.inv().inv() == x
 
 
+def _inv_by_shift(x):
+    """RatFn.inv's general path: the canonical pair swapped, shifted and signed."""
+    vn = x.num.valuation
+    num, den = x.den.shift(-vn), x.num.shift(-vn)
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return RatFn._raw(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from([1, -1, 2, -3]),
+    st.one_of(st.just(LaurentPoly.one()), laurent_polys(nonzero=True)),
+)
+def test_inv_of_a_unit_matches_the_general_path(k, c, den):
+    # The unit fast path (+-q^k over 1) against the general path and the
+    # canonicalizing constructor, on monomials with unit and non-unit
+    # coefficients, over 1 and over other denominators, and on non-monomials.
+    for x in (RatFn(LaurentPoly.q(k, c), den), RatFn(LaurentPoly({k: c, k + 2: 1}), den)):
+        inv = x.inv()
+        assert inv == _inv_by_shift(x) == RatFn(x.den, x.num)
+        assert hash(inv) == hash(RatFn(x.den, x.num))
+        assert inv.inv() == x and x * inv == RatFn.one()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=-6, max_value=6), st.sampled_from([1, -1]), ratfns())
 def test_unit_product_matches_the_canonicalizing_constructor(k, sign, x):
