@@ -36,15 +36,25 @@ The braid image keeps every K-weight space of V^(x)r invariant, so it is
 propagated one weight block at a time.  A block is a q-permutation module of
 the Hecke algebra, and rearranging its composition gives an isomorphic module
 (Dipper and James, Proc. LMS 1986; Mitsuhashi, Algebr. Represent. Theory 2006,
-for the super case), so a block's plain trace depends only on its class: the
-sorted multiplicities of its even indices and of its odd ones.  nu(K_2rho) is
-a scalar on each block, so the Markov trace takes one block per class and
-weights its plain trace by the sum of those scalars over the class: it
+for the super case).  A letter reads an index's parity only where legs i and
+i+1 hold that index twice, which an index of multiplicity 1 never does.  So a
+block's plain trace depends only on its class: the sorted multiplicities of
+at least 2 of its even indices and of its odd ones, and the number of its
+indices of multiplicity 1.  nu(K_2rho) is a scalar on each block, so the
+Markov trace takes one block per class and weights its plain trace by the
+sum of those scalars over the class: it
 propagates the block through each half of the word, P then Q, and contracts
 tr(PQ) = sum of P[j, i] Q[i, j]; columns fill in with every letter, so two
 half-words cost less than one word.  The halves' offsets add up to q^(L*v), so
 the contracted integer is the diagonal's.  The one rational step is the
-division by dim_q(V)^r.  The substitution helpers live in
+division by dim_q(V)^r.
+
+The representation is a group homomorphism, so the trace first cancels each
+letter against an earlier inverse letter when every letter between them is
+at least 2 strands away (``reduce_letters``): sigma_i sigma_i^-1 = 1, and
+letters that far apart commute.  The word is not rotated and no Markov move
+is made, since those are what the Markov suite checks; the writhe is read
+from the word as given.  The substitution helpers live in
 :mod:`degenq.scalars`: the offset v that makes a Laurent polynomial a
 polynomial (``_lag``), the value at 2^B (``_encode``), the balanced-digit
 decode (``_decode``) and the width rule (``_digit_bits``).
@@ -147,10 +157,36 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return [(k,) + rest for k in range(total + 1) for rest in _compositions(total - k, parts - 1)]
 
 
-def _weight_class(counts: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The representative of a weight block's class: the multiplicities of the
-    even indices 1..m in decreasing order, then those of the odd ones."""
-    return tuple(sorted(counts[:m], reverse=True)) + tuple(sorted(counts[m:], reverse=True))
+def _weight_class(counts: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The key of a weight block's class: the multiplicities of at least 2 of
+    the even indices 1..m in decreasing order, then those of the odd ones,
+    then the number of indices of multiplicity 1."""
+    even = tuple(sorted((k for k in counts[:m] if k > 1), reverse=True))
+    return even, tuple(sorted((k for k in counts[m:] if k > 1), reverse=True)), counts.count(1)
+
+
+def reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The word with every letter x cancelled against an earlier -x when each
+    letter left between them is at least 2 strands away from x.
+
+    Such a letter commutes with x, so x moves next to -x, and sigma_i
+    sigma_i^-1 = 1: the reduced word is the same braid.  Reading left to
+    right, each letter x looks back past the far letters of the reduced
+    prefix, stops at the first letter y within one strand of it, and cancels
+    y if y = -x.  A y at which a letter stopped is never removed later: the
+    -y that would remove it must first pass that letter, which is within one
+    strand of y.  So no cancellable pair is left.  The word is not rotated
+    and no Markov move is made."""
+    out: list[int] = []
+    for x in letters:
+        i, j = abs(x), len(out) - 1
+        while j >= 0 and abs(abs(out[j]) - i) > 1:
+            j -= 1
+        if j >= 0 and out[j] == -x:
+            del out[j]
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 class BraidEvaluator:
@@ -167,18 +203,36 @@ class BraidEvaluator:
     Classes.  A weight block is a q-permutation module of the Hecke algebra,
     and rearranging the composition gives an isomorphic module (Dipper and
     James, Proc. LMS 1986; for the super case Mitsuhashi, Algebr. Represent.
-    Theory 2006), as long as even and odd indices keep their parity.  So the
-    plain trace of a word on a block depends only on the sorted
-    multiplicities of the even indices and of the odd ones: its class
-    (``_weight_class``).  nu(K_2rho)^(x)r is the scalar prod_a w_a^counts[a]
-    on a block, w_a = q_a^(ex_a) the signed monomial of index a
-    (``k2rho_weights``), so
+    Theory 2006), as long as even and odd indices keep their parity.  The
+    parity of an index of multiplicity 1 does not matter either.  For a != b,
+    Rcheck sends v_a (x) v_b to v_b (x) v_a, plus (q - q^-1) v_a (x) v_b when
+    a > b; it reads the parity of a only in q_a, on v_a (x) v_a, and so does
+    Rcheckinv.  A leg-placed letter applied to a basis vector of a block
+    meets v_a (x) v_a only if index a fills two legs, so the tables of a
+    block never read the parity of an index of multiplicity 1: blocks whose
+    compositions differ only there have equal tables.  Together with the
+    rearrangement, the plain trace of a word on a block depends only on its
+    class (``_weight_class``): the sorted multiplicities of at least 2 of the
+    even indices and of the odd ones, and the number of indices of
+    multiplicity 1.  The first member of each class is its representative.
+    nu(K_2rho)^(x)r is the scalar prod_a w_a^counts[a] on a block,
+    w_a = q_a^(ex_a) the signed monomial of index a (``k2rho_weights``), so
 
         tr(nu(K_2rho)^(x)r M) = sum over classes of (plain trace of M on the
         representative's block) * (sum of the K_2rho scalars of the members).
 
     ``trace`` takes one block per class; ``matrix`` propagates every block,
     one at a time.
+
+    Cancelling.  ``trace`` runs the word as ``reduce_letters`` leaves it,
+    and B comes from that length.  Two identities make it the same braid
+    image: letters at least 2 strands apart act on disjoint pairs of legs,
+    so they commute; and sigma_i sigma_i^-1 = 1 because the two letter
+    tables are mutual inverses on V (x) V, which the set-up checks once,
+    raising ``DegenqError`` if not.  The word is not rotated, cancelled
+    cyclically or changed by a Markov move: conjugation and stabilization
+    invariance are what ``verify_markov`` checks, so the trace must not
+    assume them.  ``matrix`` propagates the word as given.
 
     Half-words.  ``trace`` propagates a block's identity through P, the first
     h = L // 2 letters, and through Q, the rest (M = PQ), sharing the block's
@@ -272,31 +326,36 @@ class BraidEvaluator:
             for col in pair_cols
         )
         self._lag = _lag(self._coeffs)
+        # ``trace`` cancels sigma_i sigma_i^-1, which needs the two tables to be
+        # mutual inverses on V (x) V.
+        ident = SparseMat.identity(d * d)
+        if bundle.Rcheck * bundle.Rcheckinv != ident or bundle.Rcheckinv * bundle.Rcheck != ident:
+            raise DegenqError("Rcheck and Rcheckinv are not mutual inverses on V (x) V")
         # Per letter and two-site column x, (dy, a, dz, b): the index offsets to
         # the sources of the two entries and their coefficients (dz None if one).
         self._moves: dict[int, list[tuple]] = {}
-        # Per class representative, the sum over the class's weight blocks of
-        # the K_2rho scalar on the block.
+        # Per class key, a representative (its first member) and the sum over
+        # the class's weight blocks of the K_2rho scalar on the block.
         kd = k2rho_weights(params)
-        terms: dict[tuple[int, ...], dict[int, int]] = {}
+        terms: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
         for counts in _compositions(strands, d):
             e = sum(f * k for (_, f), k in zip(kd, counts))
-            weight = terms.setdefault(_weight_class(counts, params.m), {})
+            _, weight = terms.setdefault(_weight_class(counts, params.m), (counts, {}))
             weight[e] = weight.get(e, 0) + math.prod(sign**k for (sign, _), k in zip(kd, counts))
         # Per class: its representative's ``_layout``, whose letter tables fill
         # in as traces ask for them, and the class's K_2rho weight.
-        self._classes = [(self._layout(rep), LaurentPoly(weight)) for rep, weight in terms.items()]
+        self._classes = [(self._layout(rep), LaurentPoly(weight)) for rep, weight in terms.values()]
         # Encoded times q^k, so that no weight has a negative exponent.
         self._k = _lag(weight for _, weight in self._classes)
         # dim_q(V)^r, the trace's divisor; 0 when m = n, where only ``matrix`` runs.
         self._dimq_r = _laurent(quantum_dimension(params), "dim_q(V)") ** strands
 
-    def _scale(self, word: BraidWord) -> tuple[int, list[int]]:
-        """(B, mults) for the word: ints are values at q = 2^B, and mults[i]
-        encodes coefficient i times q^v."""
+    def _scale(self, word: BraidWord, length: int) -> tuple[int, list[int]]:
+        """(B, mults) for length letters on the word's strands: ints are values
+        at q = 2^B, and mults[i] encodes coefficient i times q^v."""
         if word.strands != self.strands:
             raise StrandMismatch(f"word has {word.strands} strands, evaluator {self.strands}")
-        bits = _digit_bits(self.dim * self._growth ** len(word.letters))
+        bits = _digit_bits(self.dim * self._growth**length)
         return bits, [_encode(p, bits, self._lag) for p in self._coeffs]
 
     def _layout(self, counts: tuple[int, ...]) -> tuple[list[int], dict[int, int], dict]:
@@ -381,7 +440,7 @@ class BraidEvaluator:
 
     def matrix(self, word: BraidWord) -> SparseMat:
         """The braid image as a SparseMat over Q(q), assembled block by block."""
-        bits, _ = scale = self._scale(word)
+        bits, _ = scale = self._scale(word, len(word.letters))
         offset = len(word.letters) * self._lag
         entries = {}
         for counts in _compositions(self.strands, self.params.size):
@@ -393,20 +452,22 @@ class BraidEvaluator:
         return SparseMat(self.dim, self.dim, entries)
 
     def trace(self, word: BraidWord) -> RatFn:
-        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: per class, the plain
-        trace of PQ on the representative's block times the class's K_2rho
-        weight (times q^k, so no exponent is negative), summed, decoded, divided."""
+        """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: the word reduced by
+        ``reduce_letters``, then per class the plain trace of PQ on the
+        representative's block times the class's K_2rho weight (times q^k, so
+        no exponent is negative), summed, decoded, divided."""
         if self.params.m == self.params.n:
             raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
-        bits, _ = scale = self._scale(word)
-        half = len(word.letters) // 2
+        letters = reduce_letters(word.letters)
+        bits, _ = scale = self._scale(word, len(letters))
+        half = len(letters) // 2
         total = 0
         for layout, weight in self._classes:
-            _, p = self._block(word.letters[:half], layout, scale)
-            _, q = self._block(word.letters[half:], layout, scale)
+            _, p = self._block(letters[:half], layout, scale)
+            _, q = self._block(letters[half:], layout, scale)
             plain = sum(v * q[i].get(j, 0) for j, col in enumerate(p) for i, v in col.items())
             total += plain * _encode(weight, bits, self._k)
-        value = _decode(total, bits, -len(word.letters) * self._lag - self._k)
+        value = _decode(total, bits, -len(letters) * self._lag - self._k)
         return RatFn(value, self._dimq_r)
 
 
@@ -478,7 +539,8 @@ def verify_markov(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> Report:
     """Conjugation invariance of the trace on random pairs of 3-strand words
-    and stabilization invariance of the normalized invariant on random
+    (b c against c b, redrawn until the two reduce to different words) and
+    stabilization invariance of the normalized invariant on random
     2-strand words, plus a failing negative control."""
     if samples < 0:
         raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
@@ -492,8 +554,11 @@ def verify_markov(
 
     conj_ok = 0
     for _ in range(samples):
-        b = random_word(rng, 3)
-        c = random_word(rng, 3)
+        # A pair whose b c and c b reduce to one word would compare a trace
+        # with itself, so it is redrawn.
+        b, c = random_word(rng, 3), random_word(rng, 3)
+        while reduce_letters((b * c).letters) == reduce_letters((c * b).letters):
+            b, c = random_word(rng, 3), random_word(rng, 3)
         if phi(b * c) == phi(c * b):
             conj_ok += 1
     conj_name = f"conjugation invariance on {samples} random pairs in B_3"

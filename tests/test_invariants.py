@@ -25,6 +25,7 @@ from degenq.invariants import (
     oracle_invariant,
     quantum_dimension,
     random_word,
+    reduce_letters,
     verify_markov,
     verify_skein,
 )
@@ -501,13 +502,23 @@ def _block_traces(word, params):
 
 
 # The class lemma on its own: rearranging a weight block's composition within
-# the even and within the odd indices keeps its plain trace.  sigma_1 on
-# 2 strands separates the classes (2,0,0) and (0,0,2) at (2, 1), with traces
-# q and -q^-1, so a key that merges even and odd multiplicities fails here.
+# the even and within the odd indices keeps its plain trace, and so does
+# changing the parity of an index of multiplicity 1, whose q_a no letter reads.
+# sigma_1 on 2 strands separates the classes (2,0,0) and (0,0,2) at (2, 1),
+# with traces q and -q^-1, so a key that forgets a repeated index's parity
+# fails here; the same word puts (1,1,0), (1,0,1) and (0,1,1) in one class.
+def test_weight_class_key_merges_singletons_of_either_parity():
+    assert _weight_class((2, 0, 0), 2) != _weight_class((0, 0, 2), 2)
+    assert len({_weight_class(c, 2) for c in ((1, 1, 0), (1, 0, 1), (0, 1, 1))}) == 1
+    assert _weight_class((0, 2, 1, 0, 1), 3) == _weight_class((1, 0, 2, 1, 0), 3) == ((2,), (), 2)
+    assert _weight_class((0, 2, 1, 0, 1), 3) != _weight_class((1, 1, 0, 2, 0), 3)
+
+
 @settings(max_examples=30, deadline=None)
 @given(params_and_words((P21, GLParams(1, 2), P31, GLParams(3, 2), GLParams(2, 3), _P41), 1, 5, 6))
 @example((P21, BraidWord(2, (1,))))
 @example((GLParams(3, 2), BraidWord(4, (1, -2, 3, 2))))
+@example((GLParams(2, 3), BraidWord(3, (1, 2, -1, 2))))
 def test_block_traces_are_equal_within_a_weight_class(case):
     params, word = case
     by_class = {}
@@ -545,6 +556,72 @@ def test_long_words_match_oracle_and_reference(name):
         assert link_invariant(word, params).invariant == oracle_invariant(word, params)
         assert markov_trace(word, params) == _reference_trace(word, params)
         assert braid_rep(word, params) == _reference_matrix(word, params)
+
+
+# -- cancelling inverse letters -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "letters, reduced",
+    [
+        ((1, 2, -1), (1, 2, -1)),  # sigma_2 is adjacent to sigma_1: kept
+        ((1, 3, -1), (3,)),  # sigma_3 commutes with sigma_1
+        ((2, 4, -4, -2), ()),
+        ((1, 3, -1, -3, 2, 4, -4, -2), ()),
+        ((1, 1, -1), (1,)),
+        ((-2, 1, 2), (-2, 1, 2)),
+        ((2, -1, 1, -2), ()),
+        ((1, 4, 3, -1), (4, 3)),
+        ((1, 3, 2, -3, -1), (1, 3, 2, -3, -1)),
+        ((), ()),
+        # sigma1^+-40 and (sigma1 sigma2^-1)^15 have nothing to cancel.
+        *((word.letters, word.letters) for word in _LONG_WORDS.values()),
+    ],
+)
+def test_reduce_letters_cancels_across_far_letters_only(letters, reduced):
+    assert reduce_letters(letters) == reduced
+
+
+@st.composite
+def words_with_inverse_pairs(draw):
+    """(params, word): a random word with 1-3 pairs x ... -x inserted, each
+    with up to two letters at least 2 strands from x between them."""
+    params = draw(st.sampled_from(_ALL_PARAMS))
+    strands = draw(st.integers(2, 5))
+    letters = list(draw(braid_words(strands, strands, 4)).letters)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, strands - 1))
+        far = [s * j for j in range(1, strands) if abs(j - i) > 1 for s in (1, -1)]
+        between = draw(st.lists(st.sampled_from(far), max_size=2)) if far else []
+        x = draw(st.sampled_from((i, -i)))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [x, *between, -x]
+    return params, BraidWord(strands, tuple(letters))
+
+
+@settings(max_examples=30, deadline=None)
+@given(words_with_inverse_pairs())
+@example((GLParams(3, 2), BraidWord(5, (1, 3, -1, -3, 2, 4, -4, -2))))
+@example((P31, BraidWord(4, (2, -1, 3, 1, -3, -2))))
+@example((GLParams(1, 2), BraidWord(3, (1, 2, -2, -1, 2))))
+def test_trace_of_a_word_with_inverse_pairs_equals_the_unreduced_reference(case):
+    # The trace runs the reduced word; the reference and the oracle run the
+    # word as drawn.
+    params, word = case
+    assert len(reduce_letters(word.letters)) < len(word.letters)
+    assert markov_trace(word, params) == _reference_trace(word, params)
+    if len(word.letters) <= 6:
+        assert link_invariant(word, params).invariant == oracle_invariant(word, params)
+
+
+@pytest.mark.parametrize("spoil", ["Rcheck", "negated"])
+def test_braid_evaluator_rejects_tables_that_are_not_mutual_inverses(monkeypatch, spoil):
+    bundle = build_bundle(P21)
+    inv = bundle.Rcheck if spoil == "Rcheck" else bundle.Rcheckinv.scale(-RatFn.one())
+    bad = dataclasses.replace(bundle, Rcheckinv=inv)
+    monkeypatch.setattr(invariants, "build_bundle", lambda params: bad)
+    with pytest.raises(DegenqError, match="not mutual inverses"):
+        BraidEvaluator(P21, 2)
 
 
 # -- properties over the (m, n) grid --------------------------------------------------------------
@@ -614,9 +691,9 @@ def test_trace_propagates_one_block_per_class_and_matrix_every_block(monkeypatch
     params = GLParams(3, 2)
     word = BraidWord(5, (1, -2, 3, -4, 2))
     assert markov_trace(word, params) == _reference_trace(word, params)
-    # 25 classes of weight blocks on (3, 2, 5), 672 of the 3,125 columns,
+    # 16 classes of weight blocks on (3, 2, 5), 422 of the 3,125 columns,
     # each propagated twice: through the first half of the word and the second.
-    assert (len(sizes), sum(sizes)) == (50, 1344)
+    assert (len(sizes), sum(sizes)) == (32, 844)
     sizes.clear()
     braid_rep(word, params)
     # All 126 blocks, one at a time; the largest, (1,1,1,1,1), has 5! columns.
@@ -672,8 +749,8 @@ def test_warm_trace_builds_no_layout_or_table(monkeypatch):
     evaluator.trace(BraidWord(5, (1, 2, 3, 4, -1, -2, -3, -4)))
     # One layout per class of weight blocks on (3, 2, 5), and at most one
     # table per class for each of the 8 letters.
-    assert built["_layout"] == len(evaluator._classes) == 25
-    assert sum(len(tables) for (_, _, tables), _ in evaluator._classes) <= 25 * 8
+    assert built["_layout"] == len(evaluator._classes) == 16
+    assert sum(len(tables) for (_, _, tables), _ in evaluator._classes) <= 16 * 8
     for word in (BraidWord(5, ()), BraidWord(5, (-4,)), random_word(random.Random(5), 5, 30, 30)):
         built.update(_layout=0, _table=0)
         evaluator.trace(word)
@@ -700,6 +777,25 @@ def test_verify_markov_21():
 def test_verify_markov_31():
     report = verify_markov(P31, samples=6)
     assert report.all_passed, [c.name for c in report.failures]
+
+
+@pytest.mark.parametrize("samples", [10, 20])
+def test_conjugation_pairs_reduce_to_distinct_words(monkeypatch, samples):
+    # With the suite's seed, 1 of the first 10 drawn pairs and 3 of the first
+    # 20 have b c and c b that reduce to one word; those are redrawn.
+    words = []
+    trace = invariants.markov_trace
+
+    def recording(word, params, max_dim):
+        words.append(word)
+        return trace(word, params, max_dim)
+
+    monkeypatch.setattr(invariants, "markov_trace", recording)
+    assert verify_markov(P21, samples=samples).all_passed
+    pairs = words[: 2 * samples]
+    assert {w.strands for w in pairs} == {3}
+    for bc, cb in zip(pairs[::2], pairs[1::2]):
+        assert reduce_letters(bc.letters) != reduce_letters(cb.letters), (bc, cb)
 
 
 def test_verify_markov_rejects_a_negative_sample_count():

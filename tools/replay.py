@@ -9,7 +9,8 @@ calls in this process, and prints the number of argvs and one sha256 over
 every (argv, exit code, stdout, stderr).  It then does the same for
 ``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
 text, which no benchmark job exercises, simple modules with their action
-matrices, and invariants of words of very different lengths on one evaluator.  Two checkouts that print the same
+matrices, invariants of words of very different lengths on one evaluator, and
+words with inverse letters to cancel.  Two checkouts that print the same
 digests answered every job byte for byte alike: run it in both to check that
 a change keeps the program's output.  Before the two digest lines it prints
 one line per argv, its exit code, the first 16 hex digits of a sha256 over its
@@ -38,7 +39,10 @@ SEEDS = (1, 7)
 # module above the dimension cap).  Simple modules with their action matrices
 # (atypical A and B at ell 5, a rational lambda2 at ell 3), which the jobs
 # print only as dimensions and pass/fail.  Then invariants whose words, of
-# very different lengths, share one memoised evaluator and its letter tables.
+# very different lengths, share one memoised evaluator and its letter tables,
+# and three whose inverse letters the trace cancels or must keep: a word that
+# reduces to the empty word, 1 2 -1 (nothing cancels across an adjacent
+# letter), and a word that cancels across far letters.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -76,6 +80,9 @@ PARSER_ARGVS = [
     ["invariant", "--m", "3", "--n", "1", "--strands", "3", "--braid", " ".join(["1 -2"] * 15)],
     ["invariant", "--m", "2", "--n", "1", "--strands", "6", "--braid",
      "-4 5 -2 -2 -2 5 -3 -1 -1 -2 4 -5 -1 2 -3 -5 4 5 -2 -2 -1 2 4 -1 4 1 -4 1 5 5 4 2 -3 -2 -5 -4 3 5 -1 -2"],
+    ["invariant", "--m", "3", "--n", "2", "--strands", "5", "--braid", "1 3 -1 -3 2 4 -4 -2"],
+    ["invariant", "--m", "2", "--n", "1", "--strands", "3", "--braid", "1 2 -1"],
+    ["invariant", "--m", "3", "--n", "1", "--strands", "5", "--braid", "1 3 4 -1 2 -4 -3 1"],
 ]
 
 
