@@ -38,18 +38,16 @@ from .linalg import SparseMat
 from .reports import FAIL, PASS, Report, UNSUPPORTED, VACUOUS
 from .reps import (
     DEFAULT_MAX_DIM,
-    MODULE_MEMO_SIZE,
     check_cap,
     check_hopf_axioms,
     dual_rep,
     iterated_tensor,
     natural_rep,
-    shared_natural,
+    setup,
     shared_power,
     verify_relations,
 )
 from .rmatrix import (
-    RMatrixBundle,
     antisymmetric_type_dim,
     build_bundle,
     symmetric_type_dim,
@@ -150,13 +148,6 @@ def _matrix_text(payload: dict) -> str:
     )
 
 
-@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
-def _bundle(params: GLParams) -> RMatrixBundle:
-    """The R-matrix bundle of (m, n) for verify, kept for the process with the
-    suites' set-up it collects (see :mod:`degenq.rmatrix`)."""
-    return build_bundle(params)
-
-
 def run_verify(
     params: GLParams,
     tensor_depth: int = 3,
@@ -169,7 +160,7 @@ def run_verify(
     if samples < 0:
         raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
     report = Report()
-    rep = shared_natural(params, max_dim)
+    rep = shared_power(params, 1, max_dim=max_dim)
     if "relations" in suites:
         if params.m == 1 or params.n == 1:
             report.note(
@@ -187,7 +178,8 @@ def run_verify(
                 report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
     if "hopf" in suites:
         report.extend(check_hopf_axioms(rep))
-    bundle = _bundle(params) if {"ybe", "hecke", "intertwiner"} & set(suites) else None
+    if {"ybe", "hecke", "intertwiner"} & set(suites):
+        bundle = setup(params).get("bundle", build_bundle, params)
     if "ybe" in suites:
         report.extend(verify_ybe(bundle, max_dim))
     if "hecke" in suites:
@@ -373,7 +365,10 @@ def _cmd_simple_module(args):
 
 def _cmd_decompose(args):
     params = GLParams(args.m, args.n)
-    full = _report_payload(verify_hecke_and_spectrum(build_bundle(params), _max_dim_from(args)))
+    cap = _max_dim_from(args)
+    check_cap(params.size, 2, cap)
+    bundle = setup(params).get("bundle", build_bundle, params)
+    full = _report_payload(verify_hecke_and_spectrum(bundle, cap))
     payload = {
         "m": params.m,
         "n": params.n,

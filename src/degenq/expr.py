@@ -380,7 +380,7 @@ def antipode(x: Expr) -> Expr:
 # life.  A matrix replaced in ``rep.gens`` is a new object, which the next run
 # measures afresh, and a run at a third B encodes it again.  The int matrices
 # keep their row index (``SparseMat.__mul__``).  The relation catalog's Program
-# sits next to the catalog in the per-(m, n) memo of :mod:`degenq.reps`, with
+# sits next to the catalog in the set-up store of :mod:`degenq.reps`, with
 # the natural module, its dual, the trivial module and the Hopf suite's S^2
 # Program, so that the encodings on those modules' matrices outlive a verify
 # job; each R-matrix suite's Programs sit on its bundle (:mod:`degenq.rmatrix`).

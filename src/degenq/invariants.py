@@ -79,8 +79,8 @@ from .homfly_oracle import HomflyOracle
 from .linalg import SparseMat
 from .relations import k2rho_weights
 from .reports import UNSUPPORTED, VACUOUS, Report
-from .reps import DEFAULT_MAX_DIM, check_cap
-from .rmatrix import build_bundle
+from .reps import DEFAULT_MAX_DIM, check_cap, setup
+from .rmatrix import RMatrixBundle, build_bundle
 from .scalars import (
     _LP_ONE,
     GLParams,
@@ -284,27 +284,17 @@ class BraidEvaluator:
     ``trace`` reads only the plain trace of each class's block; ``matrix``
     decodes every entry into a SparseMat.
 
-    Memo.  The set-up depends only on (params, strands), so ``markov_trace``,
-    ``braid_rep`` and the Markov and skein suites share one evaluator per
-    (params, strands) for the process's life: an ``lru_cache`` of fixed size,
-    with no option.  They check the dimension cap on every call, before the
-    lookup; the class checks none.  The evaluator keeps one ``_layout`` per
-    class, built with it, and each letter table of a layout once a trace has
-    built it.  Tables hold coefficient indices, not values, so words of every
-    length (every B) share them, and ``trace`` does only the word's work: the
-    scale, the two half-words, the contraction, one decode and one division.
-    What this keeps is at most one flat quadruple per column of a class
-    representative's block for each letter.  ``matrix`` builds its blocks'
-    layouts and tables afresh, so no more than the class blocks are kept.  A
-    one-shot CLI process gains nothing; ``verify --suite invariant`` shares
-    the tables across its traces.
+    Set-up.  The evaluator keeps one ``_layout`` per class and each letter
+    table a trace builds, at most one flat quadruple per column of a class
+    block per letter; tables hold coefficient indices, so words of every B
+    share them.  ``matrix`` builds its own afresh.  The set-up store
+    (:class:`degenq.reps.Setup`) keeps one evaluator per (params, strands).
     """
 
-    def __init__(self, params: GLParams, strands: int):
-        self.params = params
+    def __init__(self, bundle: RMatrixBundle, strands: int):
+        self.params = params = bundle.params
         self.strands = strands
         self.dim = params.size**strands
-        bundle = build_bundle(params)
         d = params.size
         # A coefficient is stored as its index into self._coeffs; index 0 is 1.
         codes = {_LP_ONE: 0}
@@ -471,14 +461,13 @@ class BraidEvaluator:
         return RatFn(value, self._dimq_r)
 
 
-EVALUATOR_MEMO_SIZE = 32  # every (m, n, strands) of the benchmark ladder and verify grid
-_evaluators = functools.lru_cache(maxsize=EVALUATOR_MEMO_SIZE)(BraidEvaluator)
-
-
 def _evaluator(params: GLParams, strands: int, max_dim: int) -> BraidEvaluator:
-    """The memo's evaluator for (params, strands), once the space passes the cap."""
+    """The set-up store's evaluator for (params, strands), once the space
+    passes the cap."""
     check_cap(params.size, strands, max_dim)
-    return _evaluators(params, strands)
+    store = setup(params)
+    bundle = store.get("bundle", build_bundle, params)
+    return store.get(("evaluator", strands), BraidEvaluator, bundle, strands)
 
 
 def braid_rep(word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:
@@ -489,8 +478,7 @@ def braid_rep(word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM)
 def markov_trace(
     word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM
 ) -> RatFn:
-    """The normalized quantum trace of the braid image; needs m != n.  The
-    evaluator comes from the per-process memo, which has no option."""
+    """The normalized quantum trace of the braid image; needs m != n."""
     if params.m == params.n:
         raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
     return _evaluator(params, word.strands, max_dim).trace(word)

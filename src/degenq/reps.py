@@ -184,54 +184,71 @@ def iterated_tensor(
     return out
 
 
-# Set-up that ``degenq verify`` repeats for every job, kept for the process's
-# life: an ``lru_cache`` of fixed size per kind, with no option.  The kinds are
-# the natural module V, the Hopf suite's set-up (the trivial module, V* and the
-# S^2 program), the tensor powers and the relation catalog with its Program,
-# here, and the R-matrix bundle with its suites' spaces and Programs, in
-# :mod:`degenq.cli`.  Each module keeps its generators' int forms on its
-# matrices (:mod:`degenq.expr`), so a warm job measures, encodes and compiles
-# nothing.  They keep set-up only, no result: every job still runs every
-# check.  A one-shot CLI process gains only the sharing inside one
-# ``verify --suite all``.
-MODULE_MEMO_SIZE = 32  # every (m, n, r >= 2, side) of the verify grid at tensor depth 3
+MODULE_MEMO_SIZE = 8  # (m, n) points: the verify grid's six, which hold the invariant ladder's four
+
+
+class Setup:
+    """What ``degenq verify``, ``invariant`` and ``decompose`` build more than
+    once for one (m, n), kept for the process's life by :func:`setup`, the
+    program's one set-up memo: fixed size, no option, one clear
+    (``clear_setups``).  Each layer keeps its kinds under its own keys, so
+    no lower module imports a higher one: V ("V"), its left-nested tensor
+    powers (("power", r, side)), the relation catalog with its Program
+    ("catalog") and the Hopf set-up ("hopf": V*, the trivial module, the S^2
+    Program) here; the R-matrix bundle ("bundle", from
+    ``rmatrix.build_bundle``), which keeps each suite's spaces and Programs;
+    one braid evaluator per strand count (("evaluator", strands)) from
+    :mod:`degenq.invariants`.  Modules keep
+    their int forms (:mod:`degenq.expr`), so a warm job measures, encodes
+    and compiles nothing.  Callers check the dimension cap before each
+    lookup and mutate nothing they read.  Set-up only, no result: every job
+    runs every check, and a one-shot CLI process gains only the sharing
+    inside one job.
+
+    Memory.  The lru bounds the (m, n) points at ``MODULE_MEMO_SIZE``.  In one
+    point d = m + n >= 2 and every power and evaluator passed the cap, so r
+    and strands are at most log2 of the largest cap used.
+    """
+
+    def __init__(self):
+        self._kinds: dict = {}
+
+    def get(self, key, build, *args):
+        """The kind under key, built as build(*args) on the key's first use."""
+        if key not in self._kinds:
+            self._kinds[key] = build(*args)
+        return self._kinds[key]
 
 
 @functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
-def _catalog(params: GLParams) -> tuple[tuple[RelationEntry, ...], Program]:
-    """The relation catalog of (m, n) and its expressions compiled once."""
-    entries = tuple(relation_catalog(params))
-    return entries, compile_batch([entry.expr for entry in entries])
+def setup(params: GLParams) -> Setup:
+    """The set-up store of (m, n); see :class:`Setup`."""
+    return Setup()
 
 
-@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
-def _natural(params: GLParams) -> Representation:
-    return natural_rep(params)
-
-
-def shared_natural(params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> Representation:
-    """The natural module from the per-process memo.  Callers must not mutate
-    it.  The cap is checked before the lookup."""
-    check_cap(params.size, 1, max_dim)
-    return _natural(params)
-
-
-@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
-def _power(params: GLParams, r: int, side: str) -> Representation:
-    rep = _natural(params)
-    return tensor_rep(rep if r == 2 else _power(params, r - 1, side), rep, side)
+clear_setups = setup.cache_clear
 
 
 def shared_power(
     params: GLParams, r: int, side: str = "Delta", max_dim: int = DEFAULT_MAX_DIM
 ) -> Representation:
-    """The natural module's left-nested r-th tensor power, r >= 2, from the
-    per-process memo; each power extends the memo's (r-1)-th by one factor.
-    Callers must not mutate it.  The cap is checked before the lookup."""
-    if r < 2:
-        raise ValueError("a shared tensor power needs r >= 2")
+    """V's left-nested r-th tensor power (V for r = 1) from the set-up store,
+    each extending the (r-1)-th by one factor.  Callers must not mutate it.
+    The cap is checked before the lookup."""
+    if r < 1:
+        raise ValueError("tensor power needs r >= 1")
     check_cap(params.size, r, max_dim)
-    return _power(params, r, side)
+    store = setup(params)
+    rep = power = store.get("V", natural_rep, params)
+    for k in range(2, r + 1):
+        power = store.get(("power", k, side), tensor_rep, power, rep, side)
+    return power
+
+
+def _catalog(params: GLParams) -> tuple[tuple[RelationEntry, ...], Program]:
+    """The relation catalog of (m, n) and its expressions compiled once."""
+    entries = tuple(relation_catalog(params))
+    return entries, compile_batch([entry.expr for entry in entries])
 
 
 def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
@@ -345,25 +362,24 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
 def verify_relations(rep: Representation) -> Report:
     """Evaluate every entry of rep's catalog in rep, as the program compiled
     once per (m, n); all must be exactly zero."""
-    entries, program = _catalog(rep.params)
+    entries, program = setup(rep.params).get("catalog", _catalog, rep.params)
     report = Report()
     for entry, value in zip(entries, program.run(rep)):
         report.add_zero("relations", entry.name, value)
     return report
 
 
-@functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
-def _hopf_setup(params: GLParams) -> tuple:
-    """(V, V*, the trivial module, the S^2 checks' Program, their names) of
-    (m, n); the S^2 checks are compiled once."""
-    natural = _natural(params)
+def _hopf_setup(natural: Representation) -> tuple:
+    """(V*, the trivial module, the S^2 checks' Program, their names) for the
+    natural module V; the S^2 checks are compiled once."""
+    params = natural.params
     # Unflattened products, so that K2rho and its inverse are one node each.
     k2rho = k2rho_expr(params)
     k2rho_inv = antipode(k2rho)
     atoms = natural.generator_atoms()
     diffs = [antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv)) for g in atoms]
     names = [f"S^2 = Ad(K2rho) on {g.kind}{g.index}" for g in atoms]
-    return natural, dual_rep(natural), trivial_rep(params), compile_batch(diffs), names
+    return dual_rep(natural), trivial_rep(params), compile_batch(diffs), names
 
 
 def check_hopf_axioms(rep: Representation) -> Report:
@@ -379,18 +395,20 @@ def check_hopf_axioms(rep: Representation) -> Report:
     The coproduct is checked by the relation suite on tensor powers.
 
     The trivial module and the S^2 program depend on (m, n) only, and come
-    from the per-process memo with the natural module's dual, which serves
-    the memo's natural module only; any other module, such as a test's,
-    gets its dual built afresh.
+    from the set-up store (:class:`Setup`) with V's dual, which serves the
+    store's V only; any other module, such as a test's, gets its dual built
+    afresh.
     """
-    natural, natural_dual, trivial, s2, names = _hopf_setup(rep.params)
+    store = setup(rep.params)
+    natural = store.get("V", natural_rep, rep.params)
+    natural_dual, trivial, s2, names = store.get("hopf", _hopf_setup, natural)
     dual = natural_dual if rep is natural else dual_rep(rep)
     report = Report()
     for suite, module in (("hopf-counit", trivial), ("hopf-antipode", dual)):
         for c in verify_relations(module).checks:
             report.add(suite, c.name, c.ok, c.detail)
     # k2rho k2rho_inv telescopes to the K_b K_b^-1, and building the dual of
-    # rep, here or in the memo, refused rep unless each is 1.
+    # rep, here or in the store, refused rep unless each is 1.
     for name, value in zip(names, s2.run(rep)):
         report.add_zero("hopf-s2", name, value)
     return report

@@ -28,16 +28,13 @@ suite's spaces and Programs are its fixed set-up: built from the bundle on
 the suite's first run and kept on the bundle, with each leg operator's
 integer form (see ``RMatrixBundle``).  No result is kept: every run checks
 the dimension cap first, then runs every Program and reads every check.
-``degenq verify`` reads one bundle per (m, n) from a per-process memo, so a
-process that runs many verify jobs builds each set-up once.  A one-shot CLI
-process runs each suite once and gains nothing from it; only the tensor
-powers of :mod:`degenq.reps` are shared within one ``verify --suite all``.  A
-passing check costs no decode; a failing one's witness is read from the
-decoded difference, canonical over Q(q).  The Hecke suite's one identity is
-its quadratic: the projectors onto the two eigenspaces are nonzero multiples
-of Rcheck + q^-1 and Rcheck - q, so it reads the eigenspace dimensions as
-their ranks, and it applies Rcheck to one eigenvector of each.  The
-tensor-iso suite checks that the half-twist product of R legs intertwines;
+The CLI and the braid evaluator read one bundle per (m, n) from the set-up
+store (:class:`degenq.reps.Setup`).  A passing check costs no decode; a
+failing one's witness is read from the decoded difference, canonical over
+Q(q).  The Hecke suite's one identity is its quadratic: the projectors onto
+the two eigenspaces are nonzero multiples of Rcheck + q^-1 and Rcheck - q,
+so it reads the eigenspace dimensions as their ranks, and it applies Rcheck
+to one eigenvector of each.  The tensor-iso suite checks that the half-twist product of R legs intertwines;
 that it is invertible is ybe's "R invertible".
 """
 
@@ -48,7 +45,7 @@ from dataclasses import dataclass, field
 from .expr import Expr, Gen, Prod, Scalar, compile_batch, make_prod
 from .linalg import SparseMat, Vec
 from .reports import Report
-from .reps import DEFAULT_MAX_DIM, Representation, check_cap, shared_power
+from .reps import DEFAULT_MAX_DIM, Representation, check_cap, setup, shared_power
 from .scalars import GLParams, Q_MINUS_QINV, RatFn
 
 _ONE = RatFn.one()
@@ -173,14 +170,14 @@ def _differences(bundle: RMatrixBundle, key, build, *args) -> dict[str, SparseMa
     *args)`` gives the suite's set-up, a list of (space, named checks); it is
     called on the key's first use, and its spaces with their checks compiled
     are kept on the bundle.  Every program runs on every call."""
-    setup = bundle._setups.get(key)
-    if setup is None:
-        setup = bundle._setups[key] = [
+    compiled = bundle._setups.get(key)
+    if compiled is None:
+        compiled = bundle._setups[key] = [
             (space, compile_batch([x for _, x in checks]), [name for name, _ in checks])
             for space, checks in build(bundle, *args)
         ]
     out: dict[str, SparseMat] = {}
-    for space, program, names in setup:
+    for space, program, names in compiled:
         out.update(zip(names, program.run(space)))
     return out
 
@@ -309,13 +306,13 @@ def verify_tensor_iso(
     params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM, bundle: RMatrixBundle | None = None
 ) -> Report:
     """The half-twist product of R legs intertwines the Delta- and
-    Delta'-actions on V^(x)r, r >= 2; ``bundle`` defaults to
-    ``build_bundle(params)``."""
+    Delta'-actions on V^(x)r, r >= 2; ``bundle`` defaults to the set-up
+    store's."""
     if r < 2:
         raise ValueError("the tensor isomorphism needs r >= 2")
     check_cap(params.size, r, max_dim)
     if bundle is None:
-        bundle = build_bundle(params)
+        bundle = setup(params).get("bundle", build_bundle, params)
     report = Report()
     for name, value in _differences(bundle, ("tensor-iso", r), _tensor_iso_setup, r, max_dim).items():
         report.add_zero("tensor-iso", name, value)

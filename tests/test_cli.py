@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degenq
-from degenq import cli, expr, reps, rmatrix
+from degenq import cli, expr, invariants, reps, rmatrix
 from degenq.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -550,9 +550,6 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
 
     monkeypatch.setattr(reps, "compile_batch", counting_compile)
     monkeypatch.setattr(expr._Encoding, "at", counting_at)
-    reps._catalog.cache_clear()
-    reps._natural.cache_clear()
-    reps._power.cache_clear()
     jobs = []
     argv = ["verify", "--m", "3", "--n", "2", "--suite", "relations", "--json"]
     for _ in range(2):
@@ -563,11 +560,6 @@ def test_relations_compile_the_catalog_once_and_encode_each_space_once(monkeypat
     assert len(keys) == len(set(keys))
     assert {dim for _, _, dim, job in encoded if job == 0} >= {5, 25, 125}
     assert {dim for _, _, dim, job in encoded if job == 1} == set()
-
-
-def _clear_module_memo():
-    for memo in (reps._catalog, reps._natural, reps._hopf_setup, reps._power):
-        memo.cache_clear()
 
 
 def test_warm_hopf_jobs_compile_nothing_and_measure_nothing(monkeypatch, capsys):
@@ -591,7 +583,6 @@ def test_warm_hopf_jobs_compile_nothing_and_measure_nothing(monkeypatch, capsys)
 
         monkeypatch.setattr(module, "compile_batch", counting_compile)
     monkeypatch.setattr(expr._Encoding, "__init__", counting_init)
-    _clear_module_memo()
     argv = ["verify", "--m", "3", "--n", "2", "--suite", "hopf", "--json"]
     outputs = []
     for _ in range(2):
@@ -609,16 +600,18 @@ def _snapshot(rep):
 
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_verify_jobs_leave_the_memo_modules_unmutated(suite, capsys):
-    # V, V* and the trivial module in the memo keep the same gens dict and
+    # V, V* and the trivial module in the store keep the same gens dict and
     # equal matrices through a job of each suite.
     params = GLParams(3, 2)
-    natural, dual, trivial, _, _ = reps._hopf_setup(params)
-    assert natural is reps._natural(params)
+    natural = reps.shared_power(params, 1)
+    store = reps.setup(params)
+    dual, trivial, _, _ = store.get("hopf", reps._hopf_setup, natural)
     before = [_snapshot(rep) for rep in (natural, dual, trivial)]
     argv = ["verify", "--m", "3", "--n", "2", "--suite", suite, "--samples", "2", "--json"]
     assert main(argv) == EXIT_OK
     capsys.readouterr()
-    assert all(a is b for a, b in zip(reps._hopf_setup(params), (natural, dual, trivial)))
+    assert store.get("V", None) is natural
+    assert all(a is b for a, b in zip(store.get("hopf", None), (dual, trivial)))
     for rep, (gens, mats) in zip((natural, dual, trivial), before):
         assert rep.gens is gens and rep.gens == mats
 
@@ -652,8 +645,6 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
     monkeypatch.setattr(expr._Encoding, "__init__", counting_init)
     monkeypatch.setattr(expr._Encoding, "at", counting_at)
     monkeypatch.setattr(rmatrix, "leg_operator", recording_leg_operator)
-    reps._power.cache_clear()
-    cli._bundle.cache_clear()
     jobs = []
     argv = ["verify", "--m", "3", "--n", "2", "--suite", "intertwiner", "--json"]
     for _ in range(3):
@@ -685,7 +676,7 @@ def test_r_matrix_suites_refuse_before_any_work(monkeypatch):
             check(bundle, max_dim=cap)
 
 
-# -- the per-process module memo -----------------------------------------------------
+# -- the set-up store --------------------------------------------------------------
 
 
 def _verify_output(argv, capsys):
@@ -704,7 +695,7 @@ def test_mutated_public_results_leave_verify_unchanged(capsys):
     assert expected[0] == EXIT_OK
     for clear in (True, False):
         if clear:
-            _clear_module_memo()
+            reps.clear_setups()
         rep = natural_rep(params)
         rep.gens[("e", 1)] = rep.gen("e", 2)
         square = tensor_rep(rep, natural_rep(params), "DeltaPrime")
@@ -713,9 +704,85 @@ def test_mutated_public_results_leave_verify_unchanged(capsys):
         assert _verify_output(argv, capsys) == expected
 
 
+def test_one_clear_drops_every_kind(monkeypatch, capsys):
+    # verify of every suite and an invariant at (2, 1), a clear, then both
+    # twice more: after the clear every kind's builder runs again, and the
+    # warm round builds nothing.  A kind the store does not hold, or that the
+    # clear misses, fails here.
+    jobs = (
+        ["verify", "--m", "2", "--n", "1", "--suite", "all", "--samples", "2"],
+        ["invariant", "--m", "2", "--n", "1", "--braid", "1 1 1"],
+    )
+    builders = (
+        reps.natural_rep,
+        reps.relation_catalog,
+        reps.trivial_rep,
+        reps.dual_rep,
+        reps.tensor_rep,
+        build_bundle,
+    )
+    calls = dict.fromkeys([fn.__name__ for fn in builders] + ["BraidEvaluator.__init__"], 0)
+    for fn in builders:
+
+        def counting(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        # Every degenq module that imported the builder by name.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("degenq") and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    init = invariants.BraidEvaluator.__init__
+
+    def counting_init(self, *args):
+        calls["BraidEvaluator.__init__"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(invariants.BraidEvaluator, "__init__", counting_init)
+    rounds = []
+    for clear in (False, True, False):
+        if clear:
+            reps.clear_setups()
+        calls.update(dict.fromkeys(calls, 0))
+        assert [main(argv) for argv in jobs] == [EXIT_OK, EXIT_OK]
+        rounds.append(dict(calls))
+    capsys.readouterr()
+    assert all(count >= 1 for count in rounds[1].values()), rounds[1]
+    assert all(count == 0 for count in rounds[2].values()), rounds[2]
+    # verify's R-matrix suites kept their set-up on the store's one bundle,
+    # which the invariant's evaluators read too.
+    assert reps.setup(GLParams(2, 1)).get("bundle", None)._setups
+
+
+def test_a_builder_patched_before_a_clear_does_not_outlive_the_next_clear(capsys):
+    # The trivial module with K_1 acting by q, built into the store under the
+    # patch, keeps failing the counit after the patch is undone, until the
+    # one clear drops it.  No fixture undoes anything here.
+    argv = ["verify", "--m", "2", "--n", "1", "--suite", "hopf", "--json"]
+    trivial_rep = reps.trivial_rep
+
+    def k_to_q(params):
+        rep = trivial_rep(params)
+        rep.gens[("K", 1)] = SparseMat.diagonal([RatFn.q(1)])
+        rep.gens[("Kinv", 1)] = SparseMat.diagonal([RatFn.q(-1)])
+        return rep
+
+    def failed_suites():
+        code = main(argv)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return code, {c["suite"] for c in checks if c["status"] == FAIL}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reps, "trivial_rep", k_to_q)
+        reps.clear_setups()
+        assert failed_suites() == (EXIT_FAIL, {"hopf-counit"})
+    assert failed_suites() == (EXIT_FAIL, {"hopf-counit"})
+    reps.clear_setups()
+    assert failed_suites() == (EXIT_OK, set())
+
+
 def test_warm_memo_still_refuses_a_power_above_the_cap(capsys):
     argv = ["verify", "--m", "2", "--n", "1", "--suite", "relations", "--json"]
-    reps._power.cache_clear()
     cold = _verify_output(["--max-dim", "26"] + argv, capsys)
     assert _verify_output(argv, capsys)[0] == EXIT_OK  # V^(x)3 is now in the memo
     warm = _verify_output(["--max-dim", "26"] + argv, capsys)
@@ -724,10 +791,9 @@ def test_warm_memo_still_refuses_a_power_above_the_cap(capsys):
 
 def test_warm_bundle_still_refuses_a_cube_above_the_cap(capsys):
     argv = ["verify", "--m", "2", "--n", "1", "--suite", "ybe", "--json"]
-    cli._bundle.cache_clear()
     cold = _verify_output(["--max-dim", "26"] + argv, capsys)
-    assert _verify_output(argv, capsys)[0] == EXIT_OK  # the ybe set-up is now on the memo's bundle
-    assert cli._bundle(GLParams(2, 1))._setups
+    assert _verify_output(argv, capsys)[0] == EXIT_OK  # the ybe set-up is now on the store's bundle
+    assert reps.setup(GLParams(2, 1)).get("bundle", None)._setups
     warm = _verify_output(["--max-dim", "26"] + argv, capsys)
     assert cold == warm == (EXIT_RESOURCE, "", "resource limit: dimension 3^3 exceeds cap 26\n")
 
@@ -740,7 +806,6 @@ def test_verify_all_builds_each_tensor_power_once(monkeypatch, capsys):
         return tensor_rep(r1, r2, side)
 
     monkeypatch.setattr(reps, "tensor_rep", counting_tensor_rep)
-    reps._power.cache_clear()
     assert main(["verify", "--m", "2", "--n", "1", "--samples", "2", "--json"]) == EXIT_OK
     assert sorted(builds) == [(9, "Delta"), (9, "DeltaPrime"), (27, "Delta"), (27, "DeltaPrime")]
 

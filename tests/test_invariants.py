@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenq import invariants, scalars
+from degenq import invariants, reps, scalars
 from degenq.errors import (
     DegenqError,
     DimensionMismatch,
@@ -615,13 +615,11 @@ def test_trace_of_a_word_with_inverse_pairs_equals_the_unreduced_reference(case)
 
 
 @pytest.mark.parametrize("spoil", ["Rcheck", "negated"])
-def test_braid_evaluator_rejects_tables_that_are_not_mutual_inverses(monkeypatch, spoil):
+def test_braid_evaluator_rejects_tables_that_are_not_mutual_inverses(spoil):
     bundle = build_bundle(P21)
     inv = bundle.Rcheck if spoil == "Rcheck" else bundle.Rcheckinv.scale(-RatFn.one())
-    bad = dataclasses.replace(bundle, Rcheckinv=inv)
-    monkeypatch.setattr(invariants, "build_bundle", lambda params: bad)
     with pytest.raises(DegenqError, match="not mutual inverses"):
-        BraidEvaluator(P21, 2)
+        BraidEvaluator(dataclasses.replace(bundle, Rcheckinv=inv), 2)
 
 
 # -- properties over the (m, n) grid --------------------------------------------------------------
@@ -669,8 +667,8 @@ def test_markov_trace_does_no_full_size_products(monkeypatch):
     long = BraidWord(4, (1, -2, 3, 2, -1, -3, 2, 1, 3, -2, -1, 3))
     counts = []
     for word in (short, long):
-        # Both traces pay the evaluator set-up, as neither finds it in the memo.
-        invariants._evaluators.cache_clear()
+        # Both traces pay the evaluator set-up, as neither finds it in the store.
+        reps.clear_setups()
         canonical_calls[0] = 0
         markov_trace(word, P31)
         counts.append(canonical_calls[0])
@@ -725,7 +723,7 @@ def test_warm_evaluator_trace_equals_fresh_and_reference(case):
     for w in warm:
         markov_trace(w, params)
     got = markov_trace(word, params)
-    assert got == BraidEvaluator(params, word.strands).trace(word)
+    assert got == BraidEvaluator(build_bundle(params), word.strands).trace(word)
     assert got == _reference_trace(word, params)
     if len(word.letters) <= 6:
         assert link_invariant(word, params).invariant == oracle_invariant(word, params)
@@ -745,7 +743,7 @@ def test_warm_trace_builds_no_layout_or_table(monkeypatch):
 
     for name in built:
         monkeypatch.setattr(BraidEvaluator, name, counting(name))
-    evaluator = BraidEvaluator(GLParams(3, 2), 5)
+    evaluator = BraidEvaluator(build_bundle(GLParams(3, 2)), 5)
     evaluator.trace(BraidWord(5, (1, 2, 3, 4, -1, -2, -3, -4)))
     # One layout per class of weight blocks on (3, 2, 5), and at most one
     # table per class for each of the 8 letters.
@@ -757,13 +755,11 @@ def test_warm_trace_builds_no_layout_or_table(monkeypatch):
         assert built == {"_layout": 0, "_table": 0}
 
 
-def test_braid_evaluator_rejects_rational_entries(monkeypatch):
+def test_braid_evaluator_rejects_rational_entries():
     bundle = build_bundle(P21)
     half = RatFn.one() / RatFn.integer(2)
-    bad = dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(half))
-    monkeypatch.setattr(invariants, "build_bundle", lambda params: bad)
     with pytest.raises(DegenqError, match="not a Laurent polynomial"):
-        BraidEvaluator(P21, 2)
+        BraidEvaluator(dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(half)), 2)
 
 
 # -- verification suites ----------------------------------------------------------------------
@@ -809,25 +805,30 @@ def test_invariant_suites_build_one_evaluator_per_strand_count(monkeypatch):
     strands = []
     init = BraidEvaluator.__init__
 
-    def counting_init(self, params, r):
+    def counting_init(self, bundle, r):
         strands.append(r)
-        init(self, params, r)
+        init(self, bundle, r)
 
     monkeypatch.setattr(BraidEvaluator, "__init__", counting_init)
-    invariants._evaluators.cache_clear()
     assert verify_markov(P21, samples=4).all_passed
     assert verify_skein(P21, [(BraidWord(3, (1, -2, 1)), 1)]).all_passed
     # The skein suite reuses both of the Markov suite's evaluators.
     assert sorted(strands) == [2, 3]
 
 
-def test_evaluator_memo_is_keyed_on_params_and_strands():
-    invariants._evaluators.cache_clear()
+def test_evaluator_memo_is_keyed_on_params_and_strands(monkeypatch):
+    built = []
+    init = BraidEvaluator.__init__
+
+    def counting_init(self, bundle, r):
+        built.append((bundle.params, r))
+        init(self, bundle, r)
+
+    monkeypatch.setattr(BraidEvaluator, "__init__", counting_init)
     for params in (P21, GLParams(1, 2), P31):
         for r in (2, 3, 2):
-            assert invariants._evaluator(params, r, 20000) is invariants._evaluators(params, r)
-    info = invariants._evaluators.cache_info()
-    assert (info.misses, info.currsize) == (6, 6)
+            assert invariants._evaluator(params, r, 20000) is reps.setup(params).get(("evaluator", r), None)
+    assert len(built) == len(set(built)) == 6
 
 
 def test_memo_hit_still_checks_the_dimension_cap():
@@ -846,7 +847,7 @@ def test_suite_invariant_matches_link_invariant():
     for params in (P21, GLParams(1, 2), P31):
         for r in (2, 3):
             word = random_word(rng, r)
-            fresh = BraidEvaluator(params, r).trace(word)
+            fresh = BraidEvaluator(build_bundle(params), r).trace(word)
             assert markov_trace(word, params) == fresh
             expected = invariants._normalize(fresh, word, params)
             assert link_invariant(word, params).invariant == expected

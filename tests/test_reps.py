@@ -153,7 +153,8 @@ def test_verify_relations_does_no_field_arithmetic_on_a_passing_module(monkeypat
     # product and no canonical form (gcd), even on a module with a rational weight.
     module = simple_quotient(verma_module(HighestWeightSL21(2, 1, parse_scalar("(q+2)/(q-3)"))))
     assert any(not v.is_polynomial() for v in module.rep.gen("e", 2).entries.values())
-    _catalog(module.rep.params)  # building the expressions is not evaluation
+    params = module.rep.params
+    entries, _ = reps.setup(params).get("catalog", _catalog, params)  # building is not evaluation
     calls = {"mul": 0, "canonical": 0}
     mul, canonical = RatFn.__mul__, scalars._canonical_pair
 
@@ -168,7 +169,7 @@ def test_verify_relations_does_no_field_arithmetic_on_a_passing_module(monkeypat
     monkeypatch.setattr(RatFn, "__mul__", counting_mul)
     monkeypatch.setattr(scalars, "_canonical_pair", counting_canonical)
     report = verify_relations(module.rep)
-    assert report.all_passed and len(report.checks) == len(_catalog(module.rep.params)[0])
+    assert report.all_passed and len(report.checks) == len(entries)
     assert calls == {"mul": 0, "canonical": 0}
 
 
@@ -538,16 +539,7 @@ def test_hopf_fails_on_random_signed_monomial_module():
     assert failed == {"hopf-antipode", "hopf-s2"}
 
 
-@pytest.fixture
-def fresh_hopf_memo():
-    """The Hopf suite's memoised set-up built afresh, under the test's patches,
-    and dropped after the test, so that no patched module outlives it."""
-    reps._hopf_setup.cache_clear()
-    yield
-    reps._hopf_setup.cache_clear()
-
-
-def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch, fresh_hopf_memo):
+def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch):
     from degenq.expr import antipode
 
     def flipped(x):
@@ -559,7 +551,7 @@ def test_hopf_antipode_fails_with_flipped_sign_of_s_e(monkeypatch, fresh_hopf_me
     assert any(c.suite == "hopf-antipode" for c in report.failures)
 
 
-def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch, fresh_hopf_memo):
+def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch):
     def k_to_q(params):
         rep = trivial_rep(params)
         rep.gens[("K", 1)] = SparseMat.diagonal([rfq(1)])
@@ -587,7 +579,7 @@ def test_hopf_counit_is_one_run_of_the_catalog_on_the_trivial_module(monkeypatch
 
     monkeypatch.setattr(Program, "run", recording_run)
     report = check_hopf_axioms(natural_rep(P21))
-    entries, program = _catalog(P21)
+    entries, program = reps.setup(P21).get("catalog", None)
     assert [p for p, dim in runs if dim == 1] == [program]
     counit = [c for c in report.checks if c.suite == "hopf-counit"]
     assert [c.name for c in counit] == [entry.name for entry in entries]

@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from degenq import cli, linalg, rmatrix
+from degenq import cli, invariants, linalg, rmatrix
 from degenq.errors import ResourceLimit
 from degenq.expr import eval_batch
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
 from degenq.reports import Report, witness
-from degenq.reps import natural_rep, shared_power, submodule_closure, tensor_rep
+from degenq.reps import natural_rep, setup, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
     antisymmetric_type_dim,
     build_bundle,
@@ -100,10 +100,10 @@ def test_failed_identities_print_a_witness():
 
 
 def test_spoiled_copies_of_the_warm_verify_bundle_fail_alike():
-    # A dataclasses.replace copy of verify's memoised bundle, whose suites'
+    # A dataclasses.replace copy of verify's stored bundle, whose suites'
     # set-up is built, starts with none and builds its own from its operators.
     assert cli.run_verify(P21, suites=R_SUITES).all_passed
-    warm = cli._bundle(P21)
+    warm = setup(P21).get("bundle", None)
     assert set(warm._setups) == {"ybe", "hecke", "intertwiner", ("tensor-iso", 3)}
     assert dataclasses.replace(warm, R=perturbed_r(P21))._setups == {}
     _assert_spoiled_copies_fail_with_witnesses(warm)
@@ -493,8 +493,10 @@ def test_hecke_ranks_each_projector_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_intertwiner_suite_builds_one_bundle(monkeypatch, capsys):
-    # One bundle for both intertwiner suites, kept for the next job.
+def test_every_bundle_reader_shares_one_bundle_per_params(monkeypatch, capsys):
+    # verify's suites, the invariant's evaluators, decompose and the tensor
+    # isomorphism's default all read the store's one bundle of (2, 1): one
+    # build per process, kept for the next job.
     calls = []
     build = rmatrix.build_bundle
 
@@ -502,12 +504,19 @@ def test_intertwiner_suite_builds_one_bundle(monkeypatch, capsys):
         calls.append(params)
         return build(params)
 
-    monkeypatch.setattr(rmatrix, "build_bundle", counting)
-    monkeypatch.setattr(cli, "build_bundle", counting)
-    cli._bundle.cache_clear()
+    for module in (rmatrix, cli, invariants):
+        monkeypatch.setattr(module, "build_bundle", counting)
     for _ in range(2):
         assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"]) == cli.EXIT_OK
         assert "r=3: intertwines e1" in capsys.readouterr().out
+    for argv in (
+        ["verify", "--m", "2", "--n", "1", "--suite", "all", "--samples", "2"],
+        ["invariant", "--m", "2", "--n", "1", "--braid", "1 1 1"],
+        ["decompose", "--m", "2", "--n", "1"],
+    ):
+        assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert verify_tensor_iso(P21, 3).all_passed
     assert calls == [P21]
 
 
@@ -526,12 +535,11 @@ def _fresh_suite(params: GLParams, suite: str) -> Report:
 @pytest.mark.parametrize("suite", R_SUITES)
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
 def test_kept_setup_reports_what_a_fresh_bundle_reports(params, suite):
-    # verify's suites from a cold memo, from the warm memo (set-up kept on the
-    # bundle), and from a caller's fresh bundle: the same checks, statuses and
-    # details, in the same order.
-    cli._bundle.cache_clear()
+    # verify's suites from a cold store, from the warm store (set-up kept on
+    # the bundle), and from a caller's fresh bundle: the same checks, statuses
+    # and details, in the same order.
     cold = _rows(cli.run_verify(params, suites=(suite,)))
-    assert cli._bundle(params)._setups
+    assert setup(params).get("bundle", None)._setups
     warm = _rows(cli.run_verify(params, suites=(suite,)))
     assert cold == warm == _rows(_fresh_suite(params, suite))
     assert cold and all(status == "pass" for _, _, status, _ in cold)
