@@ -14,6 +14,8 @@ failure, bad input or a stdout closed before the output was written, 2
 unsupported request (m = n for invariants), 3 resource limit.  The dimension
 cap defaults to 20000 and can be set by ``--max-dim`` or the
 ``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
+``invariant`` needs V (x) V, where the R-matrix lives, within it, even on
+one strand.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ from .reps import (
     dual_rep,
     iterated_tensor,
     natural_rep,
-    setup,
     shared_power,
     verify_relations,
 )
 from .rmatrix import (
     antisymmetric_type_dim,
-    build_bundle,
+    shared_bundle,
     symmetric_type_dim,
     verify_hecke_and_spectrum,
     verify_intertwiner,
@@ -159,8 +160,8 @@ def run_verify(
         raise InvalidInput(f"the tensor depth must be at least 1, got {tensor_depth}")
     if samples < 0:
         raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
+    check_cap(params.size, 1, max_dim)  # V first, whatever the suites read
     report = Report()
-    rep = shared_power(params, 1, max_dim=max_dim)
     if "relations" in suites:
         if params.m == 1 or params.n == 1:
             report.note(
@@ -169,7 +170,7 @@ def run_verify(
                 VACUOUS,
                 "both quartic relations are vacuous when m = 1 or n = 1",
             )
-        spaces = [("V", rep)]
+        spaces = [("V", shared_power(params, 1, max_dim=max_dim))]
         for r in range(2, tensor_depth + 1):
             for side in ("Delta", "DeltaPrime"):
                 spaces.append((f"V^(x){r} [{side}]", shared_power(params, r, side, max_dim)))
@@ -177,9 +178,11 @@ def run_verify(
             for c in verify_relations(space).checks:
                 report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
     if "hopf" in suites:
-        report.extend(check_hopf_axioms(rep))
+        report.extend(check_hopf_axioms(shared_power(params, 1, max_dim=max_dim)))
     if {"ybe", "hecke", "intertwiner"} & set(suites):
-        bundle = setup(params).get("bundle", build_bundle, params)
+        # The first R-matrix suite's space, so that a refusal builds nothing.
+        check_cap(params.size, 3 if "ybe" in suites else 2, max_dim)
+        bundle = shared_bundle(params, max_dim)
     if "ybe" in suites:
         report.extend(verify_ybe(bundle, max_dim))
     if "hecke" in suites:
@@ -366,9 +369,7 @@ def _cmd_simple_module(args):
 def _cmd_decompose(args):
     params = GLParams(args.m, args.n)
     cap = _max_dim_from(args)
-    check_cap(params.size, 2, cap)
-    bundle = setup(params).get("bundle", build_bundle, params)
-    full = _report_payload(verify_hecke_and_spectrum(bundle, cap))
+    full = _report_payload(verify_hecke_and_spectrum(shared_bundle(params, cap), cap))
     payload = {
         "m": params.m,
         "n": params.n,

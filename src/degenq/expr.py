@@ -379,13 +379,10 @@ def antipode(x: Expr) -> Expr:
 # matrix is never changed once built, so the encoding holds for the matrix's
 # life.  A matrix replaced in ``rep.gens`` is a new object, which the next run
 # measures afresh, and a run at a third B encodes it again.  The int matrices
-# keep their row index (``SparseMat.__mul__``).  The relation catalog's Program
-# sits next to the catalog in the set-up store of :mod:`degenq.reps`, with
-# the natural module, its dual, the trivial module and the Hopf suite's S^2
-# Program, so that the encodings on those modules' matrices outlive a verify
-# job; each R-matrix suite's Programs sit on its bundle (:mod:`degenq.rmatrix`).
-# These hold set-up only, never a result, and no cache grows with the number
-# of runs.
+# keep their row index (``SparseMat.__mul__``).  Every Program and module that
+# outlives a job lives in the set-up store (:class:`degenq.reps.Setup`), so
+# the encodings on those modules' matrices outlive it too.  The store holds
+# set-up only, never a result, and no cache grows with the number of runs.
 
 # The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
 # above the 4 million bits of (q+1)^2000 at its own digit width.

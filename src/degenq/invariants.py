@@ -80,7 +80,7 @@ from .linalg import SparseMat
 from .relations import k2rho_weights
 from .reports import UNSUPPORTED, VACUOUS, Report
 from .reps import DEFAULT_MAX_DIM, check_cap, setup
-from .rmatrix import RMatrixBundle, build_bundle
+from .rmatrix import RMatrixBundle, shared_bundle
 from .scalars import (
     _LP_ONE,
     GLParams,
@@ -462,12 +462,11 @@ class BraidEvaluator:
 
 
 def _evaluator(params: GLParams, strands: int, max_dim: int) -> BraidEvaluator:
-    """The set-up store's evaluator for (params, strands), once the space
-    passes the cap."""
+    """The set-up store's evaluator for (params, strands), once V^(x)strands,
+    then the bundle's V (x) V, pass the cap."""
     check_cap(params.size, strands, max_dim)
-    store = setup(params)
-    bundle = store.get("bundle", build_bundle, params)
-    return store.get(("evaluator", strands), BraidEvaluator, bundle, strands)
+    bundle = shared_bundle(params, max_dim)
+    return setup(params).get(("evaluator", strands), BraidEvaluator, bundle, strands)
 
 
 def braid_rep(word: BraidWord, params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> SparseMat:

@@ -191,14 +191,6 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
         add("serre-quartic", "Q+", qp)
         add("serre-quartic", "Q-", qm)
 
-    # Serre elements named separately in the rank-(2,1) presentation
-    if (m, n) == (2, 1):
-        coeff = q + q.inv()
-        add("serre-element", "S12+", e(1) ** 2 * e(2) - coeff * (e(1) * e(2) * e(1)) + e(2) * e(1) ** 2)
-        add("serre-element", "S12-", f(1) ** 2 * f(2) - coeff * (f(1) * f(2) * f(1)) + f(2) * f(1) ** 2)
-        add("serre-element", "S2+", e(2) ** 2)
-        add("serre-element", "S2-", f(2) ** 2)
-
     # Identities among lowering root vectors
     E = {}
     for i in range(1, size + 1):

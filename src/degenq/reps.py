@@ -191,19 +191,25 @@ class Setup:
     """What ``degenq verify``, ``invariant`` and ``decompose`` build more than
     once for one (m, n), kept for the process's life by :func:`setup`, the
     program's one set-up memo: fixed size, no option, one clear
-    (``clear_setups``).  Each layer keeps its kinds under its own keys, so
-    no lower module imports a higher one: V ("V"), its left-nested tensor
-    powers (("power", r, side)), the relation catalog with its Program
-    ("catalog") and the Hopf set-up ("hopf": V*, the trivial module, the S^2
-    Program) here; the R-matrix bundle ("bundle", from
-    ``rmatrix.build_bundle``), which keeps each suite's spaces and Programs;
-    one braid evaluator per strand count (("evaluator", strands)) from
-    :mod:`degenq.invariants`.  Modules keep
-    their int forms (:mod:`degenq.expr`), so a warm job measures, encodes
-    and compiles nothing.  Callers check the dimension cap before each
-    lookup and mutate nothing they read.  Set-up only, no result: every job
-    runs every check, and a one-shot CLI process gains only the sharing
-    inside one job.
+    (``clear_setups``).  Each layer keeps its kinds under its own keys, so no
+    lower module imports a higher one: here V ("V"), V* ("V*"), V's
+    left-nested tensor powers (("power", r, side)), the relation catalog with
+    its Program ("catalog"), the trivial module with the S^2 Program ("hopf");
+    in :mod:`degenq.rmatrix` the R-matrix bundle ("bundle") and each suite's
+    spaces and Programs (the suite's name); in :mod:`degenq.invariants` one
+    braid evaluator per strand count (("evaluator", strands)).  Modules keep
+    their int forms (:mod:`degenq.expr`), so a warm job measures, encodes and
+    compiles nothing.  Set-up only, no result: every job runs every check, and
+    a one-shot CLI process gains only the sharing inside one job.  Callers
+    mutate nothing they read, and two rules hold for every kind:
+
+    * A kind derived from a kept object (V* from V, a suite's set-up from the
+      bundle) is kept only for that very object (:meth:`derived`); any other
+      object, such as a test's module or a ``dataclasses.replace`` copy of the
+      bundle, has it built on each call.
+    * The getter of a kept object checks the dimension cap of the object's
+      space before the lookup (``shared_power``, ``rmatrix.shared_bundle``,
+      ``invariants._evaluator``), so a refusal builds nothing.
 
     Memory.  The lru bounds the (m, n) points at ``MODULE_MEMO_SIZE``.  In one
     point d = m + n >= 2 and every power and evaluator passed the cap, so r
@@ -219,6 +225,13 @@ class Setup:
             self._kinds[key] = build(*args)
         return self._kinds[key]
 
+    def derived(self, key, source_key, source, build):
+        """build(source), kept under key when source is the object kept under
+        source_key, and built on each call for any other object."""
+        if source is not self._kinds.get(source_key):
+            return build(source)
+        return self.get(key, build, source)
+
 
 @functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
 def setup(params: GLParams) -> Setup:
@@ -233,8 +246,7 @@ def shared_power(
     params: GLParams, r: int, side: str = "Delta", max_dim: int = DEFAULT_MAX_DIM
 ) -> Representation:
     """V's left-nested r-th tensor power (V for r = 1) from the set-up store,
-    each extending the (r-1)-th by one factor.  Callers must not mutate it.
-    The cap is checked before the lookup."""
+    each extending the (r-1)-th by one factor, once d^r passes the cap."""
     if r < 1:
         raise ValueError("tensor power needs r >= 1")
     check_cap(params.size, r, max_dim)
@@ -369,17 +381,17 @@ def verify_relations(rep: Representation) -> Report:
     return report
 
 
-def _hopf_setup(natural: Representation) -> tuple:
-    """(V*, the trivial module, the S^2 checks' Program, their names) for the
-    natural module V; the S^2 checks are compiled once."""
-    params = natural.params
+def _hopf_setup(params: GLParams) -> tuple:
+    """(the trivial module, the S^2 checks' Program, their names) of (m, n);
+    the S^2 checks are compiled once."""
+    trivial = trivial_rep(params)
     # Unflattened products, so that K2rho and its inverse are one node each.
     k2rho = k2rho_expr(params)
     k2rho_inv = antipode(k2rho)
-    atoms = natural.generator_atoms()
+    atoms = trivial.generator_atoms()
     diffs = [antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv)) for g in atoms]
     names = [f"S^2 = Ad(K2rho) on {g.kind}{g.index}" for g in atoms]
-    return dual_rep(natural), trivial_rep(params), compile_batch(diffs), names
+    return trivial, compile_batch(diffs), names
 
 
 def check_hopf_axioms(rep: Representation) -> Report:
@@ -392,17 +404,13 @@ def check_hopf_axioms(rep: Representation) -> Report:
     * hopf-antipode: rho(S(rel)) = 0: the dual module satisfies the catalog;
     * hopf-s2: S^2 = Ad(K_2rho) on the generators, as matrix identities.
 
-    The coproduct is checked by the relation suite on tensor powers.
-
-    The trivial module and the S^2 program depend on (m, n) only, and come
-    from the set-up store (:class:`Setup`) with V's dual, which serves the
-    store's V only; any other module, such as a test's, gets its dual built
-    afresh.
+    The coproduct is checked by the relation suite on tensor powers.  The
+    trivial module and the S^2 Program depend on (m, n) only; rep's dual is
+    derived from rep.  Both come from the set-up store (:class:`Setup`).
     """
     store = setup(rep.params)
-    natural = store.get("V", natural_rep, rep.params)
-    natural_dual, trivial, s2, names = store.get("hopf", _hopf_setup, natural)
-    dual = natural_dual if rep is natural else dual_rep(rep)
+    trivial, s2, names = store.get("hopf", _hopf_setup, rep.params)
+    dual = store.derived("V*", "V", rep, dual_rep)
     report = Report()
     for suite, module in (("hopf-counit", trivial), ("hopf-antipode", dual)):
         for c in verify_relations(module).checks:

@@ -24,23 +24,22 @@ matrices of one space: ``Gen(name, (i, j))`` is the bundle operator ``name``
 (R, Rinv, Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j of
 V^(x)r, and the Delta- and Delta'-actions of a tensor power are the kinds e,
 f, K, Kinv and the same kinds primed.  The parser builds no such atom.  A
-suite's spaces and Programs are its fixed set-up: built from the bundle on
-the suite's first run and kept on the bundle, with each leg operator's
-integer form (see ``RMatrixBundle``).  No result is kept: every run checks
-the dimension cap first, then runs every Program and reads every check.
-The CLI and the braid evaluator read one bundle per (m, n) from the set-up
-store (:class:`degenq.reps.Setup`).  A passing check costs no decode; a
-failing one's witness is read from the decoded difference, canonical over
-Q(q).  The Hecke suite's one identity is its quadratic: the projectors onto
-the two eigenspaces are nonzero multiples of Rcheck + q^-1 and Rcheck - q,
-so it reads the eigenspace dimensions as their ranks, and it applies Rcheck
-to one eigenvector of each.  The tensor-iso suite checks that the half-twist product of R legs intertwines;
-that it is invertible is ybe's "R invertible".
+suite's spaces and Programs are its fixed set-up, derived from the bundle;
+the set-up store (:class:`degenq.reps.Setup`) keeps it for the store's
+bundle, which ``shared_bundle`` hands out, and for no other.  No result is
+kept: every run checks the dimension cap first, then runs every Program and
+reads every check.  A passing check costs no decode; a failing one's witness
+is read from the decoded difference, canonical over Q(q).  The Hecke suite's
+one identity is its quadratic: the projectors onto the two eigenspaces are
+nonzero multiples of Rcheck + q^-1 and Rcheck - q, so it reads the eigenspace
+dimensions as their ranks, and it applies Rcheck to one eigenvector of each.
+The tensor-iso suite checks that the half-twist product of R legs
+intertwines; that it is invertible is ybe's "R invertible".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import Expr, Gen, Prod, Scalar, compile_batch, make_prod
 from .linalg import SparseMat, Vec
@@ -51,7 +50,7 @@ from .scalars import GLParams, Q_MINUS_QINV, RatFn
 _ONE = RatFn.one()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RMatrixBundle:
     params: GLParams
     R: SparseMat
@@ -59,10 +58,6 @@ class RMatrixBundle:
     Rcheck: SparseMat
     Rcheckinv: SparseMat
     T: SparseMat
-    # Each suite's fixed set-up, derived from the operators above on the
-    # suite's first run and kept with them, as a matrix keeps its ``_rows``:
-    # a ``dataclasses.replace`` copy starts empty, and equality ignores it.
-    _setups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _braid_matrix(params: GLParams, diag_values, sign: int = 1) -> SparseMat:
@@ -100,6 +95,12 @@ def build_bundle(params: GLParams) -> RMatrixBundle:
         Rcheckinv=SparseMat(d * d, d * d, {(i, _flipped(j, d)): v for (i, j), v in Rinv.entries.items()}),
         T=_braid_matrix(params, lambda a: RatFn.q(1)),
     )
+
+
+def shared_bundle(params: GLParams, max_dim: int = DEFAULT_MAX_DIM) -> RMatrixBundle:
+    """The set-up store's bundle of (m, n), once V (x) V passes the cap."""
+    check_cap(params.size, 2, max_dim)
+    return setup(params).get("bundle", build_bundle, params)
 
 
 def perturbed_r(params: GLParams) -> SparseMat:
@@ -167,17 +168,18 @@ def _space(r: int, d: int, ops: dict[str, SparseMat], *powers: Representation) -
 
 def _differences(bundle: RMatrixBundle, key, build, *args) -> dict[str, SparseMat]:
     """Each check of a suite evaluated, lhs - rhs by name.  ``build(bundle,
-    *args)`` gives the suite's set-up, a list of (space, named checks); it is
-    called on the key's first use, and its spaces with their checks compiled
-    are kept on the bundle.  Every program runs on every call."""
-    compiled = bundle._setups.get(key)
-    if compiled is None:
-        compiled = bundle._setups[key] = [
+    *args)`` gives the suite's set-up, a list of (space, named checks); its
+    spaces with their checks compiled are derived from the bundle under key
+    (:meth:`degenq.reps.Setup.derived`).  Every program runs on every call."""
+
+    def compiled(bundle):
+        return [
             (space, compile_batch([x for _, x in checks]), [name for name, _ in checks])
             for space, checks in build(bundle, *args)
         ]
+
     out: dict[str, SparseMat] = {}
-    for space, program, names in compiled:
+    for space, program, names in setup(bundle.params).derived(key, "bundle", bundle, compiled):
         out.update(zip(names, program.run(space)))
     return out
 
@@ -312,7 +314,7 @@ def verify_tensor_iso(
         raise ValueError("the tensor isomorphism needs r >= 2")
     check_cap(params.size, r, max_dim)
     if bundle is None:
-        bundle = setup(params).get("bundle", build_bundle, params)
+        bundle = shared_bundle(params, max_dim)
     report = Report()
     for name, value in _differences(bundle, ("tensor-iso", r), _tensor_iso_setup, r, max_dim).items():
         report.add_zero("tensor-iso", name, value)

@@ -397,23 +397,51 @@ def test_verify_intertwiner_refuses_tensor_iso_above_the_cap(capsys):
 
 # Under a cap of 8 at (2, 1) every R-matrix suite is refused before any work:
 # ybe needs V^(x)3 (27 dims), hecke, the r = 2 intertwiner checks and
-# decompose need V^(x)2 (9 dims).  The hopf suite works on V alone and passes.
+# decompose need V^(x)2 (9 dims), and so does a 1-strand invariant, whose
+# R-matrix lives on V (x) V.  None of them builds V or the bundle; the
+# relation suite reads V before it refuses V^(x)2.  The hopf suite works on V
+# alone and passes.  At m = n the invariant suite is unsupported and reads
+# nothing.  Above the cap, V itself is refused first, whatever the suite.
+_NOT_BUILT = {"natural_rep": 0, "build_bundle": 0}
+_VERIFY_21 = ["verify", "--m", "2", "--n", "1", "--suite"]
+_SQUARE = "dimension 3^2 exceeds cap 8"
+
+
 @pytest.mark.parametrize(
-    "argv, err",
+    "argv, code, err, builds",
     [
-        (["verify", "--m", "2", "--n", "1", "--suite", "ybe"], "dimension 3^3 exceeds cap 8"),
-        (["verify", "--m", "2", "--n", "1", "--suite", "hecke"], "dimension 3^2 exceeds cap 8"),
-        (["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"], "dimension 3^2 exceeds cap 8"),
-        (["verify", "--m", "2", "--n", "1", "--suite", "relations"], "dimension 3^2 exceeds cap 8"),
-        (["decompose", "--m", "2", "--n", "1", "--json"], "dimension 3^2 exceeds cap 8"),
-        (["simple-module", "--ell", "2", "--lambda2", "q"], "induced dimension 12 exceeds cap 8"),
+        (_VERIFY_21 + ["ybe"], EXIT_RESOURCE, "dimension 3^3 exceeds cap 8", _NOT_BUILT),
+        (_VERIFY_21 + ["hecke"], EXIT_RESOURCE, _SQUARE, _NOT_BUILT),
+        (_VERIFY_21 + ["intertwiner"], EXIT_RESOURCE, _SQUARE, _NOT_BUILT),
+        (_VERIFY_21 + ["relations"], EXIT_RESOURCE, _SQUARE, None),
+        (["decompose", "--m", "2", "--n", "1", "--json"], EXIT_RESOURCE, _SQUARE, _NOT_BUILT),
+        (["simple-module", "--ell", "2", "--lambda2", "q"], EXIT_RESOURCE, "induced dimension 12 exceeds cap 8",
+         None),
+        (["invariant", "--m", "2", "--n", "1", "--braid", ""], EXIT_RESOURCE, _SQUARE, _NOT_BUILT),
+        (["verify", "--m", "2", "--n", "2", "--suite", "invariant"], EXIT_UNSUPPORTED, None, _NOT_BUILT),
+        (["verify", "--m", "5", "--n", "4", "--suite", "ybe"], EXIT_RESOURCE, "dimension 9^1 exceeds cap 8", _NOT_BUILT),
     ],
-    ids=["ybe", "hecke", "intertwiner", "relations", "decompose", "simple-module"],
+    ids=[
+        "ybe", "hecke", "intertwiner", "relations", "decompose", "simple-module", "1-strand", "invariant-m=n",
+        "ybe-above-V",
+    ],
 )
-def test_r_matrix_suites_refuse_spaces_above_the_cap(argv, err, capsys):
-    code = main(["--max-dim", "8"] + argv)
+def test_r_matrix_suites_refuse_spaces_above_the_cap(argv, code, err, builds, monkeypatch, capsys):
+    calls = dict.fromkeys(_NOT_BUILT, 0)
+    for module, name in ((reps, "natural_rep"), (rmatrix, "build_bundle")):
+
+        def counting(*args, name=name, build=getattr(module, name)):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    got = main(["--max-dim", "8"] + argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", f"resource limit: {err}\n")
+    if err is None:
+        assert (got, captured.err) == (code, "") and "n/a" in captured.out
+    else:
+        assert (got, captured.out, captured.err) == (code, "", f"resource limit: {err}\n")
+    assert builds is None or calls == builds
 
 
 @pytest.mark.parametrize(
@@ -605,13 +633,14 @@ def test_verify_jobs_leave_the_memo_modules_unmutated(suite, capsys):
     params = GLParams(3, 2)
     natural = reps.shared_power(params, 1)
     store = reps.setup(params)
-    dual, trivial, _, _ = store.get("hopf", reps._hopf_setup, natural)
+    dual = store.derived("V*", "V", natural, reps.dual_rep)
+    trivial, _, _ = store.get("hopf", reps._hopf_setup, params)
     before = [_snapshot(rep) for rep in (natural, dual, trivial)]
     argv = ["verify", "--m", "3", "--n", "2", "--suite", suite, "--samples", "2", "--json"]
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert store.get("V", None) is natural
-    assert all(a is b for a, b in zip(store.get("hopf", None), (dual, trivial)))
+    assert store.get("V*", None) is dual and store.get("hopf", None)[0] is trivial
     for rep, (gens, mats) in zip((natural, dual, trivial), before):
         assert rep.gens is gens and rep.gens == mats
 
@@ -749,9 +778,10 @@ def test_one_clear_drops_every_kind(monkeypatch, capsys):
     capsys.readouterr()
     assert all(count >= 1 for count in rounds[1].values()), rounds[1]
     assert all(count == 0 for count in rounds[2].values()), rounds[2]
-    # verify's R-matrix suites kept their set-up on the store's one bundle,
-    # which the invariant's evaluators read too.
-    assert reps.setup(GLParams(2, 1)).get("bundle", None)._setups
+    # verify's R-matrix suites kept their set-up in the store, derived from
+    # its one bundle, which the invariant's evaluators read too.
+    store = reps.setup(GLParams(2, 1))
+    assert all(store.get(key, None) for key in ("ybe", "hecke", "intertwiner", ("tensor-iso", 3)))
 
 
 def test_a_builder_patched_before_a_clear_does_not_outlive_the_next_clear(capsys):
@@ -792,8 +822,8 @@ def test_warm_memo_still_refuses_a_power_above_the_cap(capsys):
 def test_warm_bundle_still_refuses_a_cube_above_the_cap(capsys):
     argv = ["verify", "--m", "2", "--n", "1", "--suite", "ybe", "--json"]
     cold = _verify_output(["--max-dim", "26"] + argv, capsys)
-    assert _verify_output(argv, capsys)[0] == EXIT_OK  # the ybe set-up is now on the store's bundle
-    assert reps.setup(GLParams(2, 1)).get("bundle", None)._setups
+    assert _verify_output(argv, capsys)[0] == EXIT_OK  # the bundle and its ybe set-up are now in the store
+    assert reps.setup(GLParams(2, 1)).get("ybe", None)
     warm = _verify_output(["--max-dim", "26"] + argv, capsys)
     assert cold == warm == (EXIT_RESOURCE, "", "resource limit: dimension 3^3 exceeds cap 26\n")
 

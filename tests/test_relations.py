@@ -1,6 +1,6 @@
 import pytest
 
-from degenq.expr import parse_expr
+from degenq.expr import e, f, parse_expr
 from degenq.relations import (
     k2rho_expr,
     odd_pair_element,
@@ -9,7 +9,7 @@ from degenq.relations import (
     root_vector,
 )
 from degenq.reps import iterated_tensor, natural_rep, tensor_rep, verify_relations
-from degenq.scalars import GLParams
+from degenq.scalars import GLParams, RatFn
 from test_expr import expr_to_text, gamma_monomials
 
 P11 = GLParams(1, 1)
@@ -43,10 +43,28 @@ def test_quartic_entries_only_when_both_ranks_at_least_two():
     assert {e.label for e in entries_by_family(P32)["serre-quartic"]} == {"Q+", "Q-"}
 
 
-def test_serre_elements_only_at_21():
-    assert "serre-element" in entries_by_family(P21)
-    assert "serre-element" not in entries_by_family(P22)
-    assert len(entries_by_family(P21)["serre-element"]) == 4
+def test_the_21_serre_elements_are_general_entries():
+    # The rank-(2,1) presentation's S12+-, S2+- are the cubic Serre entries at
+    # a = 1 and the degenerate node's squares, as the same expressions, so the
+    # catalog states each once and has no rank-specific family.
+    q = RatFn.q(1)
+    coeff = q + q.inv()
+    elements = [
+        e(1) ** 2 * e(2) - coeff * (e(1) * e(2) * e(1)) + e(2) * e(1) ** 2,
+        f(1) ** 2 * f(2) - coeff * (f(1) * f(2) * f(1)) + f(2) * f(1) ** 2,
+        e(2) ** 2,
+        f(2) ** 2,
+    ]
+    catalog = relation_catalog(P21)
+    family = {entry.expr: entry.family for entry in catalog}
+    assert len(family) == len(catalog) == 45
+    assert [family[x] for x in elements] == [
+        "serre-cubic-e",
+        "serre-cubic-f",
+        "nilpotent-degenerate",
+        "nilpotent-degenerate",
+    ]
+    assert all("serre-element" not in entries_by_family(p) for p in (P11, P21, P12, P22, P32))
 
 
 def test_cross_commutator_counts():

@@ -1,8 +1,9 @@
 import dataclasses
+import sys
 
 import pytest
 
-from degenq import cli, invariants, linalg, rmatrix
+from degenq import cli, linalg, rmatrix
 from degenq.errors import ResourceLimit
 from degenq.expr import eval_batch
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
@@ -101,12 +102,14 @@ def test_failed_identities_print_a_witness():
 
 def test_spoiled_copies_of_the_warm_verify_bundle_fail_alike():
     # A dataclasses.replace copy of verify's stored bundle, whose suites'
-    # set-up is built, starts with none and builds its own from its operators.
+    # set-up is in the store, builds its own set-up from its operators and
+    # leaves the store's as it was.
     assert cli.run_verify(P21, suites=R_SUITES).all_passed
-    warm = setup(P21).get("bundle", None)
-    assert set(warm._setups) == {"ybe", "hecke", "intertwiner", ("tensor-iso", 3)}
-    assert dataclasses.replace(warm, R=perturbed_r(P21))._setups == {}
-    _assert_spoiled_copies_fail_with_witnesses(warm)
+    store = setup(P21)
+    keys = ("ybe", "hecke", "intertwiner", ("tensor-iso", 3))
+    kept = [store.get(key, None) for key in keys]
+    _assert_spoiled_copies_fail_with_witnesses(rmatrix.shared_bundle(P21))
+    assert [store.get(key, None) for key in keys] == kept
     assert cli.run_verify(P21, suites=R_SUITES).all_passed
 
 
@@ -504,8 +507,10 @@ def test_every_bundle_reader_shares_one_bundle_per_params(monkeypatch, capsys):
         calls.append(params)
         return build(params)
 
-    for module in (rmatrix, cli, invariants):
-        monkeypatch.setattr(module, "build_bundle", counting)
+    # Every degenq module that imported the builder by name.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degenq") and vars(module).get("build_bundle") is build:
+            monkeypatch.setattr(module, "build_bundle", counting)
     for _ in range(2):
         assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "intertwiner"]) == cli.EXIT_OK
         assert "r=3: intertwines e1" in capsys.readouterr().out
@@ -535,11 +540,11 @@ def _fresh_suite(params: GLParams, suite: str) -> Report:
 @pytest.mark.parametrize("suite", R_SUITES)
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.m}{p.n}")
 def test_kept_setup_reports_what_a_fresh_bundle_reports(params, suite):
-    # verify's suites from a cold store, from the warm store (set-up kept on
-    # the bundle), and from a caller's fresh bundle: the same checks, statuses
-    # and details, in the same order.
+    # verify's suites from a cold store, from the warm store (the suite's
+    # set-up kept), and from a caller's fresh bundle: the same checks,
+    # statuses and details, in the same order.
     cold = _rows(cli.run_verify(params, suites=(suite,)))
-    assert setup(params).get("bundle", None)._setups
+    assert setup(params).get(suite, None)
     warm = _rows(cli.run_verify(params, suites=(suite,)))
     assert cold == warm == _rows(_fresh_suite(params, suite))
     assert cold and all(status == "pass" for _, _, status, _ in cold)

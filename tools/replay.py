@@ -9,10 +9,11 @@ calls in this process, and prints the number of argvs and one sha256 over
 every (argv, exit code, stdout, stderr).  It then does the same for
 ``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
 text, which no benchmark job exercises, simple modules with their action
-matrices, invariants of words of very different lengths on one evaluator, and
-words with inverse letters to cancel.  Two checkouts that print the same
-digests answered every job byte for byte alike: run it in both to check that
-a change keeps the program's output.  Before the two digest lines it prints
+matrices, invariants of words of very different lengths on one evaluator,
+words with inverse letters to cancel, and R-matrix requests refused by the
+dimension cap.  Two checkouts that print the same digests answered every job
+byte for byte alike: run it in both to check that a change keeps the
+program's output.  Before the two digest lines it prints
 one line per argv, its exit code, the first 16 hex digits of a sha256 over its
 stdout and stderr, and the argv, so that two checkouts' outputs can be diffed
 job by job.  It imports ``degenq`` from ``src/`` and the job lists from
@@ -42,7 +43,10 @@ SEEDS = (1, 7)
 # very different lengths, share one memoised evaluator and its letter tables,
 # and three whose inverse letters the trace cancels or must keep: a word that
 # reduces to the empty word, 1 2 -1 (nothing cancels across an adjacent
-# letter), and a word that cancels across far letters.
+# letter), and a word that cancels across far letters.  Last, R-matrix
+# requests whose space is far above the cap, refused with exit 3 before any
+# set-up is built: ybe on V^(x)3 and hecke on V^(x)2 at (150, 150), and a
+# 1-strand invariant, whose R-matrix lives on V (x) V, at (101, 100).
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -83,6 +87,9 @@ PARSER_ARGVS = [
     ["invariant", "--m", "3", "--n", "2", "--strands", "5", "--braid", "1 3 -1 -3 2 4 -4 -2"],
     ["invariant", "--m", "2", "--n", "1", "--strands", "3", "--braid", "1 2 -1"],
     ["invariant", "--m", "3", "--n", "1", "--strands", "5", "--braid", "1 3 4 -1 2 -4 -3 1"],
+    ["verify", "--m", "150", "--n", "150", "--suite", "ybe"],
+    ["verify", "--m", "150", "--n", "150", "--suite", "hecke"],
+    ["invariant", "--m", "101", "--n", "100", "--braid", ""],
 ]
 
 
