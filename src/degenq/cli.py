@@ -16,6 +16,13 @@ cap defaults to 20000 and can be set by ``--max-dim`` or the
 ``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
 ``invariant`` needs V (x) V, where the R-matrix lives, within it, even on
 one strand.
+
+Importing this module loads only the layers every command uses (scalars,
+linalg, expr, relations, reports, reps).  A command imports its own layers
+when it runs: ``invariant`` and verify's invariant suite load
+:mod:`degenq.invariants` (with :mod:`degenq.rmatrix`), verify's ybe, hecke and
+intertwiner suites and ``decompose`` load :mod:`degenq.rmatrix`, and
+``simple-module`` loads :mod:`degenq.sl21`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 
 from .errors import (
@@ -35,7 +41,6 @@ from .errors import (
     ResourceLimit,
 )
 from .expr import eval_in_rep, parse_expr
-from .invariants import BraidWord, link_invariant, random_word, verify_markov, verify_skein
 from .linalg import SparseMat
 from .reports import FAIL, PASS, Report, UNSUPPORTED, VACUOUS
 from .reps import (
@@ -48,17 +53,7 @@ from .reps import (
     shared_power,
     verify_relations,
 )
-from .rmatrix import (
-    antisymmetric_type_dim,
-    shared_bundle,
-    symmetric_type_dim,
-    verify_hecke_and_spectrum,
-    verify_intertwiner,
-    verify_tensor_iso,
-    verify_ybe,
-)
 from .scalars import GLParams, RatFn, parse_scalar, scalar_to_text
-from .sl21 import HighestWeightSL21, module_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,8 +63,11 @@ EXIT_RESOURCE = 3
 SUITES = ("relations", "hopf", "ybe", "hecke", "intertwiner", "invariant")
 
 
-def parse_braid(text: str, strands: int | None = None) -> BraidWord:
-    """Whitespace-separated nonzero integers; strands default to max|i| + 1."""
+def parse_braid(text: str, strands: int | None = None):
+    """A ``BraidWord`` from whitespace-separated nonzero integers; strands
+    default to max|i| + 1."""
+    from .invariants import BraidWord
+
     try:
         letters = tuple(int(t) for t in text.split())
     except ValueError as exc:
@@ -180,18 +178,24 @@ def run_verify(
     if "hopf" in suites:
         report.extend(check_hopf_axioms(shared_power(params, 1, max_dim=max_dim)))
     if {"ybe", "hecke", "intertwiner"} & set(suites):
+        from . import rmatrix
+
         # The first R-matrix suite's space, so that a refusal builds nothing.
         check_cap(params.size, 3 if "ybe" in suites else 2, max_dim)
-        bundle = shared_bundle(params, max_dim)
-    if "ybe" in suites:
-        report.extend(verify_ybe(bundle, max_dim))
-    if "hecke" in suites:
-        report.extend(verify_hecke_and_spectrum(bundle, max_dim))
-    if "intertwiner" in suites:
-        report.extend(verify_intertwiner(bundle, max_dim))
-        # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
-        report.extend(verify_tensor_iso(params, 3, max_dim, bundle))
+        bundle = rmatrix.shared_bundle(params, max_dim)
+        if "ybe" in suites:
+            report.extend(rmatrix.verify_ybe(bundle, max_dim))
+        if "hecke" in suites:
+            report.extend(rmatrix.verify_hecke_and_spectrum(bundle, max_dim))
+        if "intertwiner" in suites:
+            report.extend(rmatrix.verify_intertwiner(bundle, max_dim))
+            # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
+            report.extend(rmatrix.verify_tensor_iso(params, 3, max_dim, bundle))
     if "invariant" in suites:
+        import random
+
+        from .invariants import random_word, verify_markov, verify_skein
+
         # At m = n verify_markov reports the suite unsupported; no skein site is drawn.
         report.extend(verify_markov(params, samples=samples, max_dim=max_dim))
         if params.m != params.n:
@@ -281,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_invariant(args):
+    from .invariants import link_invariant
+
     params = GLParams(args.m, args.n)
     word = parse_braid(args.braid, args.strands)
     result = link_invariant(word, params, _max_dim_from(args))
@@ -320,6 +326,8 @@ def _cmd_verify(args):
 
 
 def _cmd_simple_module(args):
+    from .sl21 import HighestWeightSL21, module_report
+
     sign1 = 1 if args.sign1 in ("+1", "1") else -1
     lambda2 = parse_scalar(args.lambda2)
     hw = HighestWeightSL21(args.ell, sign1, lambda2)
@@ -367,14 +375,16 @@ def _cmd_simple_module(args):
 
 
 def _cmd_decompose(args):
+    from . import rmatrix
+
     params = GLParams(args.m, args.n)
     cap = _max_dim_from(args)
-    full = _report_payload(verify_hecke_and_spectrum(shared_bundle(params, cap), cap))
+    full = _report_payload(rmatrix.verify_hecke_and_spectrum(rmatrix.shared_bundle(params, cap), cap))
     payload = {
         "m": params.m,
         "n": params.n,
-        "q_eigenspace_dim": symmetric_type_dim(params),
-        "neg_qinv_eigenspace_dim": antisymmetric_type_dim(params),
+        "q_eigenspace_dim": rmatrix.symmetric_type_dim(params),
+        "neg_qinv_eigenspace_dim": rmatrix.antisymmetric_type_dim(params),
         # The report's checks without their detail, and no summary.
         "checks": [{key: c[key] for key in ("suite", "name", "status")} for c in full["checks"]],
         "ok": full["ok"],

@@ -66,7 +66,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DegenqError,
@@ -75,7 +75,6 @@ from .errors import (
     InvalidInput,
     StrandMismatch,
 )
-from .homfly_oracle import HomflyOracle
 from .linalg import SparseMat
 from .relations import k2rho_weights
 from .reports import UNSUPPORTED, VACUOUS, Report
@@ -94,21 +93,22 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "strands letters")):
     """A braid group element: strand count and signed generator letters."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __new__(cls, strands: int, letters: tuple[int, ...]):
+        if strands < 1:
             raise StrandMismatch("a braid needs at least one strand")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) >= self.strands:
-                raise StrandMismatch(
-                    f"letter {letter} invalid on {self.strands} strands"
-                )
+        for letter in letters:
+            if letter == 0 or abs(letter) >= strands:
+                raise StrandMismatch(f"letter {letter} invalid on {strands} strands")
+        return super().__new__(cls, strands, letters)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # validates a _replace copy, as GLParams does
 
     @property
     def writhe(self) -> int:
@@ -128,13 +128,11 @@ class BraidWord:
         return BraidWord(self.strands + 1, self.letters + (extra,))
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    params: GLParams
-    braid: BraidWord
-    markov_trace: RatFn
-    invariant: RatFn
-    writhe: int
+class InvariantResult(namedtuple("InvariantResult", "params braid markov_trace invariant writhe")):
+    """A closure's ``link_invariant``: the ``GLParams``, the ``BraidWord``, the
+    Markov trace and the invariant (``RatFn``), and the writhe."""
+
+    __slots__ = ()
 
 
 def quantum_dimension(params: GLParams) -> RatFn:
@@ -503,6 +501,8 @@ def oracle_invariant(word: BraidWord, params: GLParams) -> RatFn:
     """The independent skein-recursion value at a = q^(m-n), z = q - q^-1."""
     if params.m == params.n:
         raise EqualMNUnsupported("the HOMFLY specialization needs m != n")
+    from .homfly_oracle import HomflyOracle  # its only caller, so not at the top
+
     a = RatFn.q(params.m - params.n)
     z = RatFn.q(1) - RatFn.q(-1)
     return HomflyOracle(a, z).evaluate(list(word.letters), word.strands)

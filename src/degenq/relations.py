@@ -15,20 +15,17 @@ with base cases E[a][a+1] = e_a and E[a+1][a] = f_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IndexOutOfRange
 from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, make_pow, make_prod, one
 from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
 
 
-@dataclass(frozen=True)
-class RelationEntry:
+class RelationEntry(namedtuple("RelationEntry", "family label expr")):
     """One identity: family tag, a readable label, and the expression to test."""
 
-    family: str
-    label: str
-    expr: Expr
+    __slots__ = ()
 
     @property
     def name(self) -> str:

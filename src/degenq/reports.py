@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
@@ -20,21 +18,31 @@ def witness(diff) -> str:
     return f"{len(diff.entries)} nonzero entries; entry {key} = {diff.entries[key]}"
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    status: str
-    detail: str = ""
+    """One check: its suite, its name, its status (PASS, FAIL, VACUOUS or
+    UNSUPPORTED) and a detail line."""
+
+    __slots__ = ("suite", "name", "status", "detail")
+
+    def __init__(self, suite: str, name: str, status: str, detail: str = ""):
+        self.suite = suite
+        self.name = name
+        self.status = status
+        self.detail = detail
+
+    def __repr__(self) -> str:
+        return f"CheckResult({self.suite!r}, {self.name!r}, {self.status!r}, {self.detail!r})"
 
     @property
     def ok(self) -> bool:
         return self.status != FAIL
 
 
-@dataclass
 class Report:
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
         return self.note(suite, name, PASS if passed else FAIL, detail)

@@ -16,7 +16,7 @@ A representation stores one matrix per generator atom, including K inverses.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -42,31 +42,35 @@ from .scalars import GLParams, RatFn
 DEFAULT_MAX_DIM = 20000
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Eigenvalues of K_1..K_{m+n} on a simultaneous eigenvector."""
+class Weight(namedtuple("Weight", "values")):
+    """Eigenvalues of K_1..K_{m+n} on a simultaneous eigenvector, as a tuple
+    of ``RatFn``."""
 
-    values: tuple[RatFn, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-@dataclass
 class Representation:
-    params: GLParams
-    dim: int
-    gens: dict[tuple[str, int], SparseMat]
-    label: str = ""
+    """A module of dimension dim: one matrix per generator atom (kind, index)."""
 
-    def __post_init__(self):
-        for key, mat in self.gens.items():
-            if mat.nrows != self.dim or mat.ncols != self.dim:
-                raise DimensionMismatch(f"generator {key} is not {self.dim}x{self.dim}")
+    __slots__ = ("params", "dim", "gens", "label")
+
+    def __init__(
+        self, params: GLParams, dim: int, gens: dict[tuple[str, int], SparseMat], label: str = ""
+    ):
+        for key, mat in gens.items():
+            if mat.nrows != dim or mat.ncols != dim:
+                raise DimensionMismatch(f"generator {key} is not {dim}x{dim}")
         # Cheap sanity on the Cartan part: K Kinv = 1.
-        for b in self.params.index_set:
-            if not _inverse_pair(self.gens[("K", b)], self.gens[("Kinv", b)]):
-                raise ValueError(f"K{b} * K{b}^-1 is not the identity in {self.label!r}")
+        for b in params.index_set:
+            if not _inverse_pair(gens[("K", b)], gens[("Kinv", b)]):
+                raise ValueError(f"K{b} * K{b}^-1 is not the identity in {label!r}")
+        self.params = params
+        self.dim = dim
+        self.gens = gens
+        self.label = label
 
     def gen(self, kind: str, index: int) -> SparseMat:
         return self.gens[(kind, index)]
@@ -205,8 +209,8 @@ class Setup:
 
     * A kind derived from a kept object (V* from V, a suite's set-up from the
       bundle) is kept only for that very object (:meth:`derived`); any other
-      object, such as a test's module or a ``dataclasses.replace`` copy of the
-      bundle, has it built on each call.
+      object, such as a test's module or a ``_replace`` copy of the bundle,
+      has it built on each call.
     * The getter of a kept object checks the dimension cap of the object's
       space before the lookup (``shared_power``, ``rmatrix.shared_bundle``,
       ``invariants._evaluator``), so a refusal builds nothing.

@@ -39,7 +39,7 @@ intertwines; that it is invertible is ybe's "R invertible".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expr import Expr, Gen, Prod, Scalar, compile_batch, make_prod
 from .linalg import SparseMat, Vec
@@ -50,14 +50,11 @@ from .scalars import GLParams, Q_MINUS_QINV, RatFn
 _ONE = RatFn.one()
 
 
-@dataclass(frozen=True)
-class RMatrixBundle:
-    params: GLParams
-    R: SparseMat
-    Rinv: SparseMat
-    Rcheck: SparseMat
-    Rcheckinv: SparseMat
-    T: SparseMat
+class RMatrixBundle(namedtuple("RMatrixBundle", "params R Rinv Rcheck Rcheckinv T")):
+    """The ``GLParams`` and the ``SparseMat`` forms R, R^-1, Rcheck,
+    Rcheck^-1 and T on V (x) V; ``_replace`` gives a copy with some swapped."""
+
+    __slots__ = ()
 
 
 def _braid_matrix(params: GLParams, diag_values, sign: int = 1) -> SparseMat:
@@ -144,13 +141,15 @@ def antisymmetric_type_dim(params: GLParams) -> int:
 # -- the checks as expressions over fixed matrices --------------------------------
 
 
-@dataclass
 class _Space:
     """Fixed matrices on one space, read by a Program as a representation's
     generators: the atom Gen(kind, index) is gens[(kind, index)]."""
 
-    dim: int
-    gens: dict
+    __slots__ = ("dim", "gens")
+
+    def __init__(self, dim: int, gens: dict):
+        self.dim = dim
+        self.gens = gens
 
 
 def _space(r: int, d: int, ops: dict[str, SparseMat], *powers: Representation) -> _Space:

@@ -22,7 +22,7 @@ coefficient and q, and any sum, product or power of such scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DivisionByZero, IndexOutOfRange, InvalidInput
 
@@ -554,16 +554,20 @@ Q_MINUS_QINV = RatFn.of(LaurentPoly({1: 1, -1: -1}))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GLParams:
+class GLParams(namedtuple("GLParams", "m n")):
     """The pair (m, n) with its index sets I = {1..m+n} and I' = I \\ {m+n}."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidInput(f"m and n must be positive integers, got m={self.m}, n={self.n}")
+    def __new__(cls, m: int, n: int):
+        if m < 1 or n < 1:
+            raise InvalidInput(f"m and n must be positive integers, got m={m}, n={n}")
+        return super().__new__(cls, m, n)
+
+    @classmethod
+    def _make(cls, fields):
+        """Through ``__new__``, so that a ``_replace`` copy is validated too."""
+        return cls(*fields)
 
     @property
     def size(self) -> int:

@@ -44,7 +44,7 @@ trichotomy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInput, ResourceLimit
@@ -69,35 +69,45 @@ class ModuleType(Enum):
     ATYPICAL_B = "AtypicalB"
 
 
-@dataclass(frozen=True)
-class HighestWeightSL21:
+class HighestWeightSL21(namedtuple("HighestWeightSL21", "ell sign1 lambda2")):
     """lambda_1 = sign1 * q^ell with ell >= 0; lambda_2 an arbitrary nonzero scalar."""
 
-    ell: int
-    sign1: int
-    lambda2: RatFn
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ell < 0:
-            raise InvalidInput(f"ell must be a nonnegative integer, got {self.ell}")
-        if self.sign1 not in (1, -1):
-            raise InvalidInput(f"sign1 must be +1 or -1, got {self.sign1}")
-        if not self.lambda2:
+    def __new__(cls, ell: int, sign1: int, lambda2: RatFn):
+        if ell < 0:
+            raise InvalidInput(f"ell must be a nonnegative integer, got {ell}")
+        if sign1 not in (1, -1):
+            raise InvalidInput(f"sign1 must be +1 or -1, got {sign1}")
+        if not lambda2:
             raise InvalidInput("lambda2 must be nonzero")
+        return super().__new__(cls, ell, sign1, lambda2)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # validates a _replace copy, as GLParams does
 
     @property
     def lambda1(self) -> RatFn:
         return RatFn.q(self.ell, self.sign1)
 
 
-@dataclass
 class ModuleData:
     """A concrete module: basis labels (eF, e2, k) and a gl(2,1) representation."""
 
-    hw: HighestWeightSL21
-    rep: Representation
-    basis_labels: list[tuple[int, int, int]]
-    highest_index: int
+    __slots__ = ("hw", "rep", "basis_labels", "highest_index")
+
+    def __init__(
+        self,
+        hw: HighestWeightSL21,
+        rep: Representation,
+        basis_labels: list[tuple[int, int, int]],
+        highest_index: int,
+    ):
+        self.hw = hw
+        self.rep = rep
+        self.basis_labels = basis_labels
+        self.highest_index = highest_index
 
     @property
     def dim(self) -> int:

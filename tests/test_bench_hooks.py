@@ -5,7 +5,7 @@ import importlib.util
 import types
 from pathlib import Path
 
-from degenq import scalars
+from degenq import cli, scalars
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +40,27 @@ def test_scalar_profile_targets_exist():
         assert callable(getattr(scalars, name, None)), name
     for cls, meth in run.SCALAR_FUNCS.values():
         assert meth in vars(getattr(scalars, cls)), f"{cls}.{meth}"
+
+
+def test_the_tracer_sees_each_commands_calls(capsys):
+    # A handler that imports its layer's functions when it runs must still
+    # call the wrappers the tracer installed in the defining modules.
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(argv)
+            for argv in (
+                ["invariant", "--m", "2", "--n", "1", "--braid", "1 1 1"],
+                ["simple-module", "--ell", "1", "--lambda2", "q^2"],
+                ["verify", "--m", "2", "--n", "1", "--suite", "ybe"],
+            )
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls, _, _ = spans.span_times(tracer.spans)
+    assert codes == [0, 0, 0]
+    names = ("invariants.link_invariant", "sl21.module_report", "rmatrix.ybe")
+    assert [calls[name] for name in names] == [1, 1, 1]

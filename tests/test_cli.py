@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import resource
@@ -107,8 +106,8 @@ def test_report_writer_matches_json_dumps_on_edge_reports():
     rcheck = dict(bundle.Rcheck.entries)
     rcheck[(4, 1)] = rcheck.get((4, 1), RatFn.zero()) + RatFn.one()
     for spoiled in (
-        dataclasses.replace(bundle, R=rmatrix.perturbed_r(GLParams(2, 1))),
-        dataclasses.replace(bundle, Rcheck=SparseMat(9, 9, rcheck)),
+        bundle._replace(R=rmatrix.perturbed_r(GLParams(2, 1))),
+        bundle._replace(Rcheck=SparseMat(9, 9, rcheck)),
     ):
         report = rmatrix.verify_ybe(spoiled)
         report.extend(rmatrix.verify_hecke_and_spectrum(spoiled))
@@ -951,6 +950,44 @@ def test_console_script_byte_identical():
     one = subprocess.run(argv, capture_output=True).stdout
     two = subprocess.run(argv, capture_output=True).stdout
     assert one == two and one
+
+
+# Modules a command that does not use them must not load: the standard
+# library's dataclass machinery and the command-specific layers.
+_WATCHED = (
+    "dataclasses", "inspect", "typing", "degenq.homfly_oracle", "degenq.invariants", "degenq.rmatrix", "degenq.sl21"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["simple-module", "--ell", "1", "--lambda2", "q^2"], ["degenq.sl21"]),
+        (["invariant", "--m", "2", "--n", "1", "--braid", "1 1 1"], ["degenq.invariants", "degenq.rmatrix"]),
+        (["verify", "--m", "2", "--n", "1", "--suite", "relations"], []),
+    ],
+    ids=["import", "simple-module", "invariant", "verify-relations"],
+)
+def test_a_one_shot_process_loads_only_its_commands_layers(argv, loaded):
+    # -S: no site module, so no .pth file preloads a watched module.
+    child = (
+        "import sys\nfrom degenq import cli\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        f"print(sorted(set({_WATCHED!r}) & set(sys.modules)), code, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(degenq.__file__)),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.stderr == f"{loaded!r} 0\n"
 
 
 def test_env_var_caps_dimension(monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -95,6 +94,10 @@ def test_braid_word_basics():
 
 
 def test_braid_word_validation():
+    with pytest.raises(StrandMismatch):
+        BraidWord(1, (1,))
+    with pytest.raises(StrandMismatch):
+        BraidWord(strands=0, letters=())
     with pytest.raises(StrandMismatch):
         BraidWord(2, (0,))
     with pytest.raises(StrandMismatch):
@@ -619,7 +622,7 @@ def test_braid_evaluator_rejects_tables_that_are_not_mutual_inverses(spoil):
     bundle = build_bundle(P21)
     inv = bundle.Rcheck if spoil == "Rcheck" else bundle.Rcheckinv.scale(-RatFn.one())
     with pytest.raises(DegenqError, match="not mutual inverses"):
-        BraidEvaluator(dataclasses.replace(bundle, Rcheckinv=inv), 2)
+        BraidEvaluator(bundle._replace(Rcheckinv=inv), 2)
 
 
 # -- properties over the (m, n) grid --------------------------------------------------------------
@@ -759,7 +762,7 @@ def test_braid_evaluator_rejects_rational_entries():
     bundle = build_bundle(P21)
     half = RatFn.one() / RatFn.integer(2)
     with pytest.raises(DegenqError, match="not a Laurent polynomial"):
-        BraidEvaluator(dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(half)), 2)
+        BraidEvaluator(bundle._replace(Rcheck=bundle.Rcheck.scale(half)), 2)
 
 
 # -- verification suites ----------------------------------------------------------------------

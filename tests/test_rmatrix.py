@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -81,13 +80,13 @@ SPOILED_R_WITNESSES = {
 
 
 def _assert_spoiled_copies_fail_with_witnesses(bundle):
-    spoiled = dataclasses.replace(bundle, R=perturbed_r(P21))
+    spoiled = bundle._replace(R=perturbed_r(P21))
     report = verify_ybe(spoiled)
     report.extend(verify_intertwiner(spoiled))
     failed = {c.name: c.detail for c in report.failures}
     assert failed == SPOILED_R_WITNESSES
     assert all(c.detail == "" for c in report.checks if c.ok)
-    hecke = verify_hecke_and_spectrum(dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(rfq(1))))
+    hecke = verify_hecke_and_spectrum(bundle._replace(Rcheck=bundle.Rcheck.scale(rfq(1))))
     failed = {c.name: c.detail for c in hecke.failures}
     assert failed["(Rcheck - q)(Rcheck + q^-1) = 0"] == "15 nonzero entries; entry (0, 0) = q^4 - q^3 + q - 1"
     # q Rcheck has eigenvalues q^2 and -1, so neither rank drops.
@@ -101,7 +100,7 @@ def test_failed_identities_print_a_witness():
 
 
 def test_spoiled_copies_of_the_warm_verify_bundle_fail_alike():
-    # A dataclasses.replace copy of verify's stored bundle, whose suites'
+    # A ``_replace`` copy of verify's stored bundle, whose suites'
     # set-up is in the store, builds its own set-up from its operators and
     # leaves the store's as it was.
     assert cli.run_verify(P21, suites=R_SUITES).all_passed
@@ -124,7 +123,7 @@ def test_failed_eigenvector_checks_print_a_witness():
         entries = dict(bundle.Rcheck.entries)
         entries[(i, j)] = entries.get((i, j), RatFn.zero()) + one
         rc = SparseMat(9, 9, entries)
-        report = verify_hecke_and_spectrum(dataclasses.replace(bundle, Rcheck=rc))
+        report = verify_hecke_and_spectrum(bundle._replace(Rcheck=rc))
         failed = {c.name: c.detail for c in report.failures if c.name in (top, mixed)}
         assert failed == want
     passed = verify_hecke_and_spectrum(bundle)
@@ -167,7 +166,7 @@ def test_tensor_iso_pair_refuses_r_below_2(legs, r):
     # The suite refuses r < 2 before it reads a leg: with R's legs, and with
     # the inverse's R^-1 legs put in R's place.
     bundle = build_bundle(P21)
-    bundle = dataclasses.replace(bundle, R=getattr(bundle, legs))
+    bundle = bundle._replace(R=getattr(bundle, legs))
     with pytest.raises(ValueError, match="r >= 2"):
         verify_tensor_iso(P21, r, bundle=bundle)
 
@@ -415,12 +414,12 @@ def _spoiled(params: GLParams) -> dict[str, rmatrix.RMatrixBundle]:
     square = SparseMat(d * d, d * d, {**bundle.Rcheck.entries, (1, 1): rfq(2)})
     return {
         "exact": bundle,
-        "perturbed R": dataclasses.replace(bundle, R=perturbed_r(params)),
-        "Rcheck scaled by q": dataclasses.replace(bundle, Rcheck=bundle.Rcheck.scale(rfq(1))),
-        "Rcheck entry": dataclasses.replace(bundle, Rcheck=_mutated(bundle.Rcheck, (d, 1))),
-        "Rcheck entry (0, 0) plus 1": dataclasses.replace(bundle, Rcheck=_mutated(bundle.Rcheck, (0, 0))),
-        "Rcheck entry (1, 1) set to q^2": dataclasses.replace(bundle, Rcheck=square),
-        "Rinv entry": dataclasses.replace(bundle, Rinv=_mutated(bundle.Rinv, (d * d - 1, 0))),
+        "perturbed R": bundle._replace(R=perturbed_r(params)),
+        "Rcheck scaled by q": bundle._replace(Rcheck=bundle.Rcheck.scale(rfq(1))),
+        "Rcheck entry": bundle._replace(Rcheck=_mutated(bundle.Rcheck, (d, 1))),
+        "Rcheck entry (0, 0) plus 1": bundle._replace(Rcheck=_mutated(bundle.Rcheck, (0, 0))),
+        "Rcheck entry (1, 1) set to q^2": bundle._replace(Rcheck=square),
+        "Rinv entry": bundle._replace(Rinv=_mutated(bundle.Rinv, (d * d - 1, 0))),
     }
 
 

@@ -263,6 +263,8 @@ def test_q_sub_difference_identity():
 def test_params_validation():
     with pytest.raises(ValueError):
         GLParams(0, 1)
+    with pytest.raises(ValueError):
+        GLParams(m=1, n=0)
     assert list(GLParams(2, 1).iprime) == [1, 2]
     assert list(GLParams(1, 1).index_set) == [1, 2]
 

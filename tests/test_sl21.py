@@ -53,6 +53,8 @@ def test_invalid_weights_rejected():
     with pytest.raises(ValueError):
         HighestWeightSL21(-1, 1, rfq(1))
     with pytest.raises(ValueError):
+        HighestWeightSL21(ell=-1, sign1=1, lambda2=RatFn.one())
+    with pytest.raises(ValueError):
         HighestWeightSL21(0, 2, rfq(1))
     with pytest.raises(ValueError):
         HighestWeightSL21(0, 1, RatFn.zero())
