@@ -53,7 +53,7 @@ from .reps import (
     shared_power,
     verify_relations,
 )
-from .scalars import GLParams, RatFn, parse_scalar, scalar_to_text
+from .scalars import GLParams, parse_scalar, scalar_to_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -285,11 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_invariant(args):
-    from .invariants import link_invariant
+    from .invariants import homfly_variables, link_invariant
 
     params = GLParams(args.m, args.n)
     word = parse_braid(args.braid, args.strands)
     result = link_invariant(word, params, _max_dim_from(args))
+    a, z = homfly_variables(params)
     payload = {
         "m": params.m,
         "n": params.n,
@@ -297,8 +298,8 @@ def _cmd_invariant(args):
         "writhe": result.writhe,
         "markov_trace": scalar_to_text(result.markov_trace),
         "invariant": scalar_to_text(result.invariant),
-        "a": scalar_to_text(RatFn.q(params.m - params.n)),
-        "z": scalar_to_text(RatFn.q(1) - RatFn.q(-1)),
+        "a": scalar_to_text(a),
+        "z": scalar_to_text(z),
     }
     return payload, lambda: "\n".join([
         f"braid: {' '.join(map(str, word.letters)) or '(empty)'} on {payload['strands']} strands",

@@ -73,6 +73,7 @@ from .errors import (
     EqualMNUnsupported,
     IndexOutOfRange,
     InvalidInput,
+    ResourceLimit,
     StrandMismatch,
 )
 from .linalg import SparseMat
@@ -84,6 +85,7 @@ from .scalars import (
     _LP_ONE,
     GLParams,
     LaurentPoly,
+    Q_MINUS_QINV,
     RatFn,
     _decode,
     _digit_bits,
@@ -497,15 +499,18 @@ def _normalize(phi: RatFn, word: BraidWord, params: GLParams) -> RatFn:
     return RatFn.q(-mn * word.writhe) * RatFn(quantum_int(mn)) ** (word.strands - 1) * phi
 
 
+def homfly_variables(params: GLParams) -> tuple[RatFn, RatFn]:
+    """The HOMFLY variables (a, z) = (q^(m-n), q - q^-1) that I(b) specializes to."""
+    return RatFn.q(params.m - params.n), Q_MINUS_QINV
+
+
 def oracle_invariant(word: BraidWord, params: GLParams) -> RatFn:
     """The independent skein-recursion value at a = q^(m-n), z = q - q^-1."""
     if params.m == params.n:
         raise EqualMNUnsupported("the HOMFLY specialization needs m != n")
     from .homfly_oracle import HomflyOracle  # its only caller, so not at the top
 
-    a = RatFn.q(params.m - params.n)
-    z = RatFn.q(1) - RatFn.q(-1)
-    return HomflyOracle(a, z).evaluate(list(word.letters), word.strands)
+    return HomflyOracle(*homfly_variables(params)).evaluate(list(word.letters), word.strands)
 
 
 def random_word(rng: random.Random, strands: int, min_len: int = 2, max_len: int = 5) -> BraidWord:
@@ -516,8 +521,10 @@ def random_word(rng: random.Random, strands: int, min_len: int = 2, max_len: int
     return BraidWord(strands, letters)
 
 
-# The seed of the Markov suite's random words.
+# The seed of the Markov suite's random words, and the most pairs it draws:
+# its work, and that of the skein sites drawn after it, is linear in the count.
 MARKOV_SEED = 20210
+MAX_SAMPLES = 10_000
 
 
 def verify_markov(
@@ -531,6 +538,8 @@ def verify_markov(
     2-strand words, plus a failing negative control."""
     if samples < 0:
         raise InvalidInput(f"the sample count must be nonnegative, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ResourceLimit(f"the sample count {samples} exceeds the limit {MAX_SAMPLES}")
     report = Report()
     if params.m == params.n:
         report.note("markov", "all", UNSUPPORTED, "m = n has vanishing quantum dimension")
@@ -601,9 +610,7 @@ def verify_skein(
     if params.m == params.n:
         report.note("skein", "all", UNSUPPORTED, "m = n has vanishing quantum dimension")
         return report
-    mn = params.m - params.n
-    a = RatFn.q(mn)
-    z = RatFn.q(1) - RatFn.q(-1)
+    a, z = homfly_variables(params)
 
     def link(strands: int, letters) -> RatFn:
         return link_invariant(BraidWord(strands, tuple(letters)), params, max_dim).invariant

@@ -15,6 +15,7 @@ with base cases E[a][a+1] = e_a and E[a+1][a] = f_a.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .errors import IndexOutOfRange
@@ -103,14 +104,17 @@ def odd_pair_element(params: GLParams) -> Expr:
 
 def relation_catalog(params: GLParams) -> list[RelationEntry]:
     """Every relation of the algebra at (m, n), plus derived identities that
-    must vanish in all representations.  A subexpression that recurs across
-    the catalog (a root vector, say) is one slot of the catalog's compiled
-    program (:func:`degenq.expr.compile_batch`)."""
+    must vanish in all representations.  A family stated for the e's and
+    mirrored for the f's is generated once, over both letters.  A
+    subexpression that recurs across the catalog (a root vector, say) is one
+    slot of the catalog's compiled program (:func:`degenq.expr.compile_batch`)."""
     m, n = params.m, params.n
     size = params.size
     iset = list(params.index_set)
     iprime = list(params.iprime)
     q = RatFn.q(1)
+    # a mirrored family's letter, generator and sign of its K-conjugation exponent
+    mirror = (("e", e, 1), ("f", f, -1))
     entries: list[RelationEntry] = []
 
     def add(family: str, label: str, expr: Expr):
@@ -121,26 +125,20 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
         add("cartan-unit", f"K{b}*K{b}^-1 - 1", K(b) * Kinv(b) - one())
         add("cartan-unit", f"K{b}^-1*K{b} - 1", Kinv(b) * K(b) - one())
     for a in iset:
-        for b in iset:
-            if a < b:
-                add("cartan-commute", f"[K{a}, K{b}]", _commutator(K(a), K(b)))
-                add("cartan-commute", f"[K{a}, K{b}^-1]", _commutator(K(a), Kinv(b)))
+        for b in range(a + 1, size + 1):
+            add("cartan-commute", f"[K{a}, K{b}]", _commutator(K(a), K(b)))
+            add("cartan-commute", f"[K{a}, K{b}^-1]", _commutator(K(a), Kinv(b)))
 
     # Conjugation of e/f by K
     for a in iset:
         for b in iprime:
             exp = (1 if a == b else 0) - (1 if a == b + 1 else 0)
-            qa_pow = params.q_sub(a) ** exp
-            add(
-                "cartan-conj-e",
-                f"K{a}*e{b} - q_{a}^{exp}*e{b}*K{a}",
-                K(a) * e(b) - qa_pow * (e(b) * K(a)),
-            )
-            add(
-                "cartan-conj-f",
-                f"K{a}*f{b} - q_{a}^{-exp}*f{b}*K{a}",
-                K(a) * f(b) - params.q_sub(a) ** (-exp) * (f(b) * K(a)),
-            )
+            for x, gen, sign in mirror:
+                add(
+                    f"cartan-conj-{x}",
+                    f"K{a}*{x}{b} - q_{a}^{sign * exp}*{x}{b}*K{a}",
+                    K(a) * gen(b) - params.q_sub(a) ** (sign * exp) * (gen(b) * K(a)),
+                )
 
     # e-f commutators (scaled through by q - q^-1)
     for a in iprime:
@@ -154,10 +152,9 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
 
     # Distant commutativity
     for a in iprime:
-        for b in iprime:
-            if b - a > 1:
-                add("distant-commute", f"[e{a}, e{b}]", _commutator(e(a), e(b)))
-                add("distant-commute", f"[f{a}, f{b}]", _commutator(f(a), f(b)))
+        for b in range(a + 2, size):
+            for x, gen, _ in mirror:
+                add("distant-commute", f"[{x}{a}, {x}{b}]", _commutator(gen(a), gen(b)))
 
     # Cubic Serre relations away from the degenerate node
     for a in iprime:
@@ -167,50 +164,36 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
         coeff = qa + qa.inv()
         for b in (a - 1, a + 1):
             if b in iprime:
-                add(
-                    "serre-cubic-e",
-                    f"e{a}^2*e{b} - (q_{a}+q_{a}^-1)*e{a}*e{b}*e{a} + e{b}*e{a}^2",
-                    e(a) ** 2 * e(b) - coeff * (e(a) * e(b) * e(a)) + e(b) * e(a) ** 2,
-                )
-                add(
-                    "serre-cubic-f",
-                    f"f{a}^2*f{b} - (q_{a}+q_{a}^-1)*f{a}*f{b}*f{a} + f{b}*f{a}^2",
-                    f(a) ** 2 * f(b) - coeff * (f(a) * f(b) * f(a)) + f(b) * f(a) ** 2,
-                )
+                for x, gen, _ in mirror:
+                    ga, gb = gen(a), gen(b)
+                    add(
+                        f"serre-cubic-{x}",
+                        f"{x}{a}^2*{x}{b} - (q_{a}+q_{a}^-1)*{x}{a}*{x}{b}*{x}{a} + {x}{b}*{x}{a}^2",
+                        ga**2 * gb - coeff * (ga * gb * ga) + gb * ga**2,
+                    )
 
     # Degenerate node is nilpotent
-    add("nilpotent-degenerate", f"e{m}^2", e(m) ** 2)
-    add("nilpotent-degenerate", f"f{m}^2", f(m) ** 2)
+    for x, gen, _ in mirror:
+        add("nilpotent-degenerate", f"{x}{m}^2", gen(m) ** 2)
 
     # Quartic Serre relations (vacuous unless m >= 2 and n >= 2)
     if m >= 2 and n >= 2:
-        qp, qm = quartic_elements(params)
-        add("serre-quartic", "Q+", qp)
-        add("serre-quartic", "Q-", qm)
+        for label, element in zip(("Q+", "Q-"), quartic_elements(params)):
+            add("serre-quartic", label, element)
 
     # Identities among lowering root vectors
-    E = {}
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            if i > j:
-                E[(i, j)] = root_vector(i, j, params)
+    E = {(i, j): root_vector(i, j, params) for i in range(1, size + 1) for j in range(1, i)}
     for i in range(1, m + 1):
         for k in range(m + 1, size + 1):
             add("root-nilpotent", f"E[{k}{i}]^2", make_prod([E[(k, i)], E[(k, i)]]))
-    for tup in _tuples4(size):
-        i, j, k, l = tup
-        add("root-commute", f"[E[{j}{i}], E[{l}{k}]] (i<j<k<l)", _commutator(E[(j, i)], E[(l, k)]))
-        k2, i2, j2, l2 = tup
-        add(
-            "root-commute",
-            f"[E[{j2}{i2}], E[{l2}{k2}]] (k<i<j<l)",
-            _commutator(E[(j2, i2)], E[(l2, k2)]),
-        )
-        i3, k3, j3, l3 = tup
+    for t1, t2, t3, t4 in itertools.combinations(range(1, size + 1), 4):
+        for i, j, k, l, order in ((t1, t2, t3, t4, "i<j<k<l"), (t2, t3, t1, t4, "k<i<j<l")):
+            add("root-commute", f"[E[{j}{i}], E[{l}{k}]] ({order})", _commutator(E[(j, i)], E[(l, k)]))
+        i, k, j, l = t1, t2, t3, t4
         add(
             "root-straighten",
-            f"[E[{j3}{i3}], E[{l3}{k3}]] - (q-q^-1)*E[{l3}{i3}]*E[{j3}{k3}]",
-            _commutator(E[(j3, i3)], E[(l3, k3)]) - Q_MINUS_QINV * (E[(l3, i3)] * E[(j3, k3)]),
+            f"[E[{j}{i}], E[{l}{k}]] - (q-q^-1)*E[{l}{i}]*E[{j}{k}]",
+            _commutator(E[(j, i)], E[(l, k)]) - Q_MINUS_QINV * (E[(l, i)] * E[(j, k)]),
         )
     for k in range(1, size + 1):
         for i in range(1, k + 1):
@@ -276,11 +259,3 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
             )
 
     return entries
-
-
-def _tuples4(size: int):
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            for k in range(j + 1, size + 1):
-                for l in range(k + 1, size + 1):
-                    yield (i, j, k, l)

@@ -22,6 +22,8 @@ With [mu] = (mu - mu^-1)/(q - q^-1), e_2 f_2 f_1^k v = [lambda_2 q^k] f_1^k v.
 The identity [mu] + mu q = q [mu q] gives each [lambda_2 q^{k+1}] from the one
 before it, with no division, and gives e_2 on F f_2 f_1^k v the coefficient
 q [lambda_2 q^{k+1}] on F f_1^k v instead of a sum of two fractions.
+:func:`verma_module` fills e_1, e_2, f_1 and f_2 from one table with one row
+per matrix-entry rule, read from the commutation rules above.
 
 The module is realized as a full gl(2,1) representation: K_3 acts by 1 on the
 highest vector and the K_b weights follow the generator bookkeeping, which
@@ -58,7 +60,7 @@ from .reps import (
     submodule_closure,
     verify_relations,
 )
-from .scalars import GLParams, LaurentPoly, Q_MINUS_QINV, RatFn, _is_unit, quantum_int
+from .scalars import GLParams, LaurentPoly, P_SIGNED, Q_MINUS_QINV, RatFn, _is_unit, quantum_int
 
 P21 = GLParams(2, 1)
 
@@ -136,7 +138,7 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
     """The induced module on the basis F^eF f_2^e2 f_1^k v, dimension 4(ell+1)."""
     ell = hw.ell
     l1, l2 = hw.lambda1, hw.lambda2
-    q = RatFn.q(1)
+    one, q, q_inv = RatFn.one(), RatFn.q(1), RatFn.q(-1)
     labels = [(eF, e2, k) for eF in (0, 1) for e2 in (0, 1) for k in range(ell + 1)]
     pos = {lab: t for t, lab in enumerate(labels)}
     dim = len(labels)
@@ -152,67 +154,46 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
     # [mu q] = q^-1 [mu] + mu, which needs no division
     d_weight = [(l2 - l2.inv()) / Q_MINUS_QINV]
     for k in range(ell + 1):
-        d_weight.append(q.inv() * d_weight[k] + l2 * RatFn.q(k))
+        d_weight.append(q_inv * d_weight[k] + l2 * RatFn.q(k))
 
-    f1 = {}
-    f2 = {}
-    e1 = {}
-    e2 = {}
+    # One row per matrix-entry rule: the generator, the (eF, e2) part of the
+    # source label, the target part, the step in k, and the coefficient at k
+    rules = (
+        (("f", 1), (0, 0), (0, 0), 1, lambda k: one),
+        (("f", 1), (0, 1), (1, 0), 0, lambda k: one),
+        (("f", 1), (0, 1), (0, 1), 1, lambda k: q),
+        (("f", 1), (1, 0), (1, 0), 1, lambda k: q_inv),
+        (("f", 1), (1, 1), (1, 1), 1, lambda k: one),
+        (("f", 2), (0, 0), (0, 1), 0, lambda k: one),
+        (("f", 2), (1, 0), (1, 1), 0, lambda k: -q_inv),
+        *((("e", 1), part, part, -1, c_raise.__getitem__) for part in ((0, 0), (0, 1), (1, 0), (1, 1))),
+        (("e", 1), (1, 0), (0, 1), 0, lambda k: l1.inv() * RatFn.q(2 * k)),
+        (("e", 2), (0, 1), (0, 0), 0, d_weight.__getitem__),
+        (("e", 2), (1, 0), (0, 0), 1, lambda k: -l2 * RatFn.q(k + 1)),
+        (("e", 2), (1, 1), (1, 0), 0, lambda k: q * d_weight[k + 1]),
+        (("e", 2), (1, 1), (0, 1), 1, lambda k: l2 * RatFn.q(k + 2)),
+    )
+    action = {gen: {} for gen in (("e", 1), ("e", 2), ("f", 1), ("f", 2))}
     for (eF, ee2, k), col in pos.items():
-        # f_1
-        if eF == 0 and ee2 == 0:
-            if k < ell:
-                f1[(pos[(0, 0, k + 1)], col)] = RatFn.one()
-        elif eF == 0 and ee2 == 1:
-            f1[(pos[(1, 0, k)], col)] = RatFn.one()
-            if k < ell:
-                f1[(pos[(0, 1, k + 1)], col)] = q
-        elif eF == 1 and ee2 == 0:
-            if k < ell:
-                f1[(pos[(1, 0, k + 1)], col)] = q.inv()
-        else:
-            if k < ell:
-                f1[(pos[(1, 1, k + 1)], col)] = RatFn.one()
-        # f_2
-        if ee2 == 0 and eF == 0:
-            f2[(pos[(0, 1, k)], col)] = RatFn.one()
-        elif ee2 == 0 and eF == 1:
-            f2[(pos[(1, 1, k)], col)] = -q.inv()
-        # e_1
-        ck = c_raise[k]
-        if ck:
-            e1[(pos[(eF, ee2, k - 1)], col)] = ck
-        if eF == 1 and ee2 == 0:
-            e1[(pos[(0, 1, k)], col)] = (e1.get((pos[(0, 1, k)], col), RatFn.zero())) + (
-                l1.inv() * RatFn.q(2 * k)
-            )
-        # e_2
-        if eF == 0 and ee2 == 1:
-            e2[(pos[(0, 0, k)], col)] = d_weight[k]
-        elif eF == 1 and ee2 == 0:
-            if k < ell:
-                e2[(pos[(0, 0, k + 1)], col)] = -l2 * RatFn.q(k + 1)
-        elif eF == 1 and ee2 == 1:
-            e2[(pos[(1, 0, k)], col)] = q * d_weight[k + 1]
-            if k < ell:
-                e2[(pos[(0, 1, k + 1)], col)] = l2 * RatFn.q(k + 2)
+        part = (eF, ee2)
+        for gen, source, target, step, coeff in rules:
+            if source == part:
+                row = pos.get((*target, k + step))
+                if row is not None:
+                    action[gen][(row, col)] = coeff(k)
 
     # Cartan weights: each f_1 scales K_1 by q^-1 and K_2 by q; each f_2 scales
     # K_2 by q^-1 and K_3 by p.  Top values (l1 l2, l2, 1) realize k_1, k_2.
-    p_signed = RatFn.q(-1, -1)
     k1d, k2d, k3d = [], [], []
     for eF, ee2, k in labels:
         n1 = k + eF  # number of f_1 letters
         n2 = ee2 + eF  # number of f_2 letters
         k1d.append(l1 * l2 * RatFn.q(-n1))
         k2d.append(l2 * RatFn.q(n1 - n2))
-        k3d.append(p_signed**n2)
+        k3d.append(P_SIGNED**n2)
 
     gens = {
-        ("e", 1): SparseMat(dim, dim, e1),
-        ("e", 2): SparseMat(dim, dim, e2),
-        ("f", 1): SparseMat(dim, dim, f1),
-        ("f", 2): SparseMat(dim, dim, f2),
+        **{gen: SparseMat(dim, dim, entries) for gen, entries in action.items()},
         ("K", 1): SparseMat.diagonal(k1d),
         ("K", 2): SparseMat.diagonal(k2d),
         ("K", 3): SparseMat.diagonal(k3d),

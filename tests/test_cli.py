@@ -508,25 +508,39 @@ def test_eval_refuses_huge_integers_before_forming_them(argv):
     assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("lambda2", ["q^99999999999", "-q^-99999999999"])
-def test_simple_module_refuses_a_huge_monomial_lambda2_before_building(lambda2):
-    # Timed inside a child, so that a regression hangs only the child.
+def _run_timed(argv):
+    """Run main(argv) in a child limited to 2 GB of address space, so that a
+    regression hangs or fills only the child; its stdout is main's time in
+    seconds."""
     timed_main = (
         "import sys, time; from degenq.cli import main; t = time.perf_counter(); "
         "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"
     )
     limit = 2_000_000 * 1024
-    proc = subprocess.run(
-        [sys.executable, "-c", timed_main, "simple-module", "--ell", "1", f"--lambda2={lambda2}"],
+    return subprocess.run(
+        [sys.executable, "-c", timed_main, *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degenq.__file__))},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+@pytest.mark.parametrize("lambda2", ["q^99999999999", "-q^-99999999999"])
+def test_simple_module_refuses_a_huge_monomial_lambda2_before_building(lambda2):
+    proc = _run_timed(["simple-module", "--ell", "1", f"--lambda2={lambda2}"])
     assert proc.returncode == EXIT_RESOURCE
     assert float(proc.stdout) < 1.0
     assert proc.stderr == f"resource limit: lambda2 = {lambda2} needs integers of more than 8388608 bits\n"
+
+
+@pytest.mark.parametrize("samples", ["10001", "100000000000"])
+def test_verify_refuses_a_sample_count_above_the_limit_at_once(samples):
+    proc = _run_timed(["verify", "--m", "2", "--n", "1", "--suite", "invariant", "--samples", samples])
+    assert proc.returncode == EXIT_RESOURCE
+    assert float(proc.stdout) < 1.0
+    assert proc.stderr == f"resource limit: the sample count {samples} exceeds the limit 10000\n"
 
 
 def test_simple_module_refuses_a_large_monomial_lambda2_in_evaluation(capsys):

@@ -15,10 +15,12 @@ from degenq.errors import (
     StrandMismatch,
 )
 from degenq.invariants import (
+    MAX_SAMPLES,
     BraidEvaluator,
     BraidWord,
     _weight_class,
     braid_rep,
+    homfly_variables,
     link_invariant,
     markov_trace,
     oracle_invariant,
@@ -802,6 +804,22 @@ def test_verify_markov_rejects_a_negative_sample_count():
     for params in (P21, GLParams(2, 2)):
         with pytest.raises(InvalidInput, match="nonnegative"):
             verify_markov(params, samples=-1)
+
+
+def test_verify_markov_refuses_a_sample_count_above_the_limit_before_any_trace(monkeypatch):
+    def no_trace(self, word):
+        raise AssertionError("a trace was computed")
+
+    monkeypatch.setattr(BraidEvaluator, "trace", no_trace)
+    for params in (P21, GLParams(2, 2)):
+        with pytest.raises(ResourceLimit, match=f"exceeds the limit {MAX_SAMPLES}"):
+            verify_markov(params, samples=MAX_SAMPLES + 1)
+
+
+def test_homfly_variables_are_a_power_of_q_and_q_minus_q_inverse():
+    z = RatFn.q(1) - RatFn.q(-1)
+    assert homfly_variables(P21) == (RatFn.q(1), z)
+    assert homfly_variables(GLParams(1, 3)) == (RatFn.q(-2), z)
 
 
 def test_invariant_suites_build_one_evaluator_per_strand_count(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from degenq.expr import e, f, parse_expr
@@ -144,3 +146,26 @@ def test_odd_pair_element_is_root_vector_cousin():
     # F uses the opposite q-twist from the lowering root vector E_{m+1, m-1}.
     F = odd_pair_element(P21)
     assert expr_to_text(F) == "f1*f2 - q*f2*f1"
+
+
+# One sha256 per point over every entry's (family, label, repr(expr)), in
+# catalog order, recorded from the catalog as written family by family.  repr
+# is structural and the same in every process, so any change to an entry's
+# name, position or tree changes the digest.
+_CATALOG_DIGESTS = {
+    (1, 1): "c8690a3eb2454c68ae9a827f01da63b96f375c094215694438fb982a8965ef3c",
+    (2, 1): "6eb3a7c73c6dbb0292cf4561894954a7ccfe317d7486edd382bc429a062b0251",
+    (1, 2): "16ac2d5fceba90efa0506de98c30ad3ce337b19bbeb3aca5050e5836b8fb4bcd",
+    (2, 2): "bc47da4d257232549c954440c7e436f99848fbbdd0819ca49a815fd981c8aef4",
+    (3, 1): "95cc45ac31ee8bc8dd9b2a5ae327420754ff7894addd27821277876b6c920a8b",
+    (3, 2): "2db7ec3f3d070ed7e0cc774ae46fa6b2a80c1e45ad3b439ab997e12e561a1075",
+    (4, 3): "ee93344cd627f1477625bb2c0aa7f3d75e894153666b4600876f6c771281f9e9",
+}
+
+
+@pytest.mark.parametrize("mn", list(_CATALOG_DIGESTS), ids=lambda mn: f"{mn[0]}{mn[1]}")
+def test_catalog_entries_are_pinned(mn):
+    digest = hashlib.sha256()
+    for entry in relation_catalog(GLParams(*mn)):
+        digest.update(f"{entry.family}\x00{entry.label}\x00{entry.expr!r}\n".encode())
+    assert digest.hexdigest() == _CATALOG_DIGESTS[mn]
