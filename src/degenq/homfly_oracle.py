@@ -1,79 +1,36 @@
-"""Independent HOMFLY evaluator for braid closures, by skein recursion.
+"""Independent HOMFLY evaluator for braid closures, by the Ocneanu trace.
 
 This is the reference oracle for the Markov-trace engine and deliberately
-shares nothing with it beyond the scalar field: no R-matrices, no traces.
+shares nothing with it beyond the scalar field: no R-matrices, no
+representations.
 
 The polynomial P of an oriented link satisfies
 
-    a P(L+) - a^-1 P(L-) = z P(L0),        P(unknot) = 1,
+    a P(L+) - a^-1 P(L-) = z P(L0),        P(unknot) = 1.
 
-so a k-component unlink evaluates to delta^(k-1) with delta = (a - a^-1)/z.
-A positive letter i in a braid word is the L+ crossing of the strands at
-positions i, i+1.
+A braid word on r strands maps into the Hecke algebra H_r, with basis T_w for
+w in S_r: the letter i goes to T_i and -i to T_i^-1 = T_i - z, so the skein
+relation is T_i - T_i^-1 = z.  The Ocneanu trace is the linear map with
+tr(1) = 1, tr(xy) = tr(yx) and tr(x T_(r-1)) = tau tr(x) for x in H_(r-1).
+With delta = (a - a^-1)/z and tau = a/delta, a word b of writhe e closes to
 
-Strategy: label the strands of a braid by their top positions and order them
-along the traversal of the closure (components by minimal label, each cycle
-from its minimal label).  A diagram in which the earlier strand passes over
-at every crossing is descending, hence an unlink.  Otherwise the first bad
-crossing (in traversal-encounter order) is switched and smoothed via the
-skein relation.  Switching never changes the underlying permutation, so the
-encounter order is stable and the first-bad index strictly increases:
-recursion terminates.  Memoized on (strands, word).
+    P = a^-e delta^(r-1) tr(b) = a^-e sum_j C_j a^j delta^(r-1-j),
+
+where tr(b) = sum_j C_j tau^j with j < r.  The sum never divides by delta, so
+a = +-1 (delta = 0) needs no special case.
+
+The image of b is a dict {w: coefficient of T_w}, w a tuple of the values
+0..r-1.  Right multiplication by T_i sends T_w to T_(w s_i), plus z T_w when
+w(i) > w(i+1); each letter touches each of at most r! terms once, so a word of
+L letters costs at most r! L term updates.  tr(T_w) is memoised by w: with p
+the position of the largest value, w = x s_(r-1) ... s_p for x in S_(r-1), and
+tr(T_w) = tau tr(T_x T_(r-2) ... T_p), expanded and traced in H_(r-1).
 """
 
 from __future__ import annotations
 
 from .errors import StrandMismatch
 from .scalars import RatFn
-
-
-def _strand_data(word: tuple[int, ...], strands: int):
-    """Traversal order of strands and the crossing list [(pos, over, under)]."""
-    conf = list(range(strands))
-    crossings = []
-    for t, letter in enumerate(word):
-        i = abs(letter) - 1
-        u, v = conf[i], conf[i + 1]
-        over, under = (u, v) if letter > 0 else (v, u)
-        crossings.append((t, over, under))
-        conf[i], conf[i + 1] = conf[i + 1], conf[i]
-    # Closure: the strand ending at bottom position p continues as strand p.
-    successor = {conf[p]: p for p in range(strands)}
-    order: dict[int, int] = {}
-    count = 0
-    for start in range(strands):
-        if start in order:
-            continue
-        s = start
-        while s not in order:
-            order[s] = count
-            count += 1
-            s = successor[s]
-    seen: set[int] = set()
-    components = 0
-    for start in range(strands):
-        if start in seen:
-            continue
-        components += 1
-        s = start
-        while s not in seen:
-            seen.add(s)
-            s = successor[s]
-    return order, crossings, components
-
-
-def _first_bad_crossing(word: tuple[int, ...], strands: int):
-    """(word position, components) of the first non-descending crossing, or None."""
-    order, crossings, components = _strand_data(word, strands)
-    # Encounter order: by the traversal position of the earlier strand, then
-    # top-to-bottom along the word.
-    ranked = sorted(
-        crossings, key=lambda c: (min(order[c[1]], order[c[2]]), c[0])
-    )
-    for t, over, under in ranked:
-        if order[over] > order[under]:
-            return t, components
-    return None, components
 
 
 class HomflyOracle:
@@ -83,36 +40,57 @@ class HomflyOracle:
         self.a = a
         self.z = z
         self.delta = (a - a.inv()) / z
-        self._memo: dict[tuple[int, tuple[int, ...]], RatFn] = {}
+        self._traces: dict[tuple[int, ...], tuple[RatFn, ...]] = {(): (RatFn.one(),)}
 
     def evaluate(self, letters, strands: int) -> RatFn:
         word = tuple(letters)
+        if strands < 1:
+            raise StrandMismatch("a braid needs at least one strand")
         for letter in word:
             if letter == 0 or abs(letter) >= strands:
                 raise StrandMismatch(f"letter {letter} invalid on {strands} strands")
-        return self._eval(word, strands)
+        element = {tuple(range(strands)): RatFn.one()}
+        for letter in word:
+            element = self._times(element, letter)
+        total = RatFn.zero()
+        for j, c in enumerate(self._trace(element)):
+            total = total + c * self.a**j * self.delta ** (strands - 1 - j)
+        writhe = sum(1 if letter > 0 else -1 for letter in word)
+        return self.a**-writhe * total
 
-    def _eval(self, word: tuple[int, ...], strands: int) -> RatFn:
-        key = (strands, word)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        bad, components = _first_bad_crossing(word, strands)
-        if bad is None:
-            result = self.delta ** (components - 1)
-        else:
-            letter = word[bad]
-            switched = word[:bad] + (-letter,) + word[bad + 1 :]
-            smoothed = word[:bad] + word[bad + 1 :]
-            if letter > 0:
-                # a P(+) - a^-1 P(-) = z P(0)  =>  P(+) = a^-1 z P(0) + a^-2 P(-)
-                result = self.a.inv() * self.z * self._eval(smoothed, strands) + (
-                    self.a.inv() ** 2
-                ) * self._eval(switched, strands)
-            else:
-                # P(-) = a^2 P(+) - a z P(0)
-                result = (self.a**2) * self._eval(switched, strands) - (
-                    self.a * self.z
-                ) * self._eval(smoothed, strands)
-        self._memo[key] = result
-        return result
+    def _times(self, element: dict, letter: int) -> dict:
+        """element * T_i for letter i > 0, element * T_i^-1 for letter -i."""
+        i = abs(letter)
+        # T_w T_i = T_(w s_i) + z T_w when w(i) > w(i+1), and
+        # T_w T_i^-1 = T_(w s_i) - z T_w when w(i) < w(i+1).
+        zc = self.z if letter > 0 else -self.z
+        product: dict[tuple[int, ...], RatFn] = {}
+        for w, c in element.items():
+            ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+            product[ws] = product.get(ws, RatFn.zero()) + c
+            if (w[i - 1] > w[i]) == (letter > 0):
+                product[w] = product.get(w, RatFn.zero()) + zc * c
+        return product
+
+    def _trace(self, element: dict) -> tuple[RatFn, ...]:
+        """tr of sum_w c_w T_w, as its coefficients of tau^j."""
+        powers: list[RatFn] = []
+        for w, c in element.items():
+            for j, t in enumerate(self._trace_basis(w)):
+                if j == len(powers):
+                    powers.append(RatFn.zero())
+                powers[j] = powers[j] + c * t
+        return tuple(powers)
+
+    def _trace_basis(self, w: tuple[int, ...]) -> tuple[RatFn, ...]:
+        """tr(T_w), as its coefficients of tau^j."""
+        while w and w[-1] == len(w) - 1:  # tr on H_r restricts to tr on H_(r-1)
+            w = w[:-1]
+        cached = self._traces.get(w)
+        if cached is None:
+            p = w.index(len(w) - 1)
+            element = {w[:p] + w[p + 1 :]: RatFn.one()}
+            for i in range(len(w) - 2, p, -1):
+                element = self._times(element, i)
+            cached = self._traces[w] = (RatFn.zero(), *self._trace(element))
+        return cached

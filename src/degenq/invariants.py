@@ -505,7 +505,7 @@ def homfly_variables(params: GLParams) -> tuple[RatFn, RatFn]:
 
 
 def oracle_invariant(word: BraidWord, params: GLParams) -> RatFn:
-    """The independent skein-recursion value at a = q^(m-n), z = q - q^-1."""
+    """The independent Ocneanu-trace value at a = q^(m-n), z = q - q^-1."""
     if params.m == params.n:
         raise EqualMNUnsupported("the HOMFLY specialization needs m != n")
     from .homfly_oracle import HomflyOracle  # its only caller, so not at the top

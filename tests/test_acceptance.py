@@ -303,7 +303,7 @@ def test_criterion_11_homfly_agreement():
     nontrivial = link_invariant(words["trefoil"], GLParams(3, 1)).invariant != RatFn.one()
     _announce(
         11,
-        "trefoil/figure-eight/Hopf match the independent skein oracle at "
+        "trefoil/figure-eight/Hopf match the independent Ocneanu-trace oracle at "
         "a = q^(m-n), z = q - q^-1; (2,1) = (3,2)",
         not bad and nontrivial,
         f"failures: {bad[:3]}" if bad else "",
