@@ -190,7 +190,7 @@ def run_verify(
         if "intertwiner" in suites:
             report.extend(rmatrix.verify_intertwiner(bundle, max_dim))
             # At r = 2 the isomorphism is R itself, which verify_intertwiner covers.
-            report.extend(rmatrix.verify_tensor_iso(params, 3, max_dim, bundle))
+            report.extend(rmatrix.verify_tensor_iso(bundle, 3, max_dim))
     if "invariant" in suites:
         import random
 

@@ -527,11 +527,7 @@ MARKOV_SEED = 20210
 MAX_SAMPLES = 10_000
 
 
-def verify_markov(
-    params: GLParams,
-    samples: int = 20,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> Report:
+def verify_markov(params: GLParams, samples: int, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """Conjugation invariance of the trace on random pairs of 3-strand words
     (b c against c b, redrawn until the two reduce to different words) and
     stabilization invariance of the normalized invariant on random

@@ -10,7 +10,8 @@ Root vectors: for indices i < j,
     E[i][j] = E[i][j-1] E[j-1][j] - q_{j-1}^-1 E[j-1][j] E[i][j-1]   (raising)
     E[j][i] = E[j][j-1] E[j-1][i] - q_{j-1}   E[j-1][i] E[j][j-1]   (lowering)
 
-with base cases E[a][a+1] = e_a and E[a+1][a] = f_a.
+with base cases E[a][a+1] = e_a and E[a+1][a] = f_a.  A catalog builds them
+once, as one table (:func:`root_vectors`), and holds each expression tree once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .errors import IndexOutOfRange
 from .expr import Expr, K, Kinv, cartan, cartan_inv, e, f, make_pow, make_prod, one
 from .scalars import GLParams, Q_MINUS_QINV, RatFn, quantum_int
 
@@ -33,24 +33,22 @@ class RelationEntry(namedtuple("RelationEntry", "family label expr")):
         return f"{self.family}: {self.label}"
 
 
-def root_vector(i: int, j: int, params: GLParams) -> Expr:
-    """The iterated q-bracket root vector E_{ij}; raising for i < j, lowering for i > j."""
+def root_vectors(params: GLParams) -> dict[tuple[int, int], Expr]:
+    """Every root vector E_ij, i != j, keyed (i, j).  They are filled in
+    order of |i - j|, so each is one q-bracket of the entry one step shorter
+    with a simple generator, as in the module docstring."""
     size = params.size
-    if not (1 <= i <= size and 1 <= j <= size):
-        raise IndexOutOfRange(f"root vector indices ({i}, {j}) outside 1..{size}")
-    if i == j:
-        raise IndexOutOfRange("root vector needs two distinct indices")
-    if i < j:
-        if j == i + 1:
-            return e(i)
-        upper = root_vector(i, j - 1, params)
-        last = e(j - 1)
-        return upper * last - params.q_sub(j - 1).inv() * (last * upper)
-    if i == j + 1:
-        return f(j)
-    lower = root_vector(i - 1, j, params)
-    first = f(i - 1)
-    return first * lower - params.q_sub(i - 1) * (lower * first)
+    E = {}
+    for a in range(1, size):
+        E[(a, a + 1)], E[(a + 1, a)] = e(a), f(a)
+    for span in range(2, size):
+        for i in range(1, size - span + 1):
+            j = i + span
+            upper, last = E[(i, j - 1)], e(j - 1)
+            E[(i, j)] = upper * last - params.q_sub(j - 1).inv() * (last * upper)
+            lower, first = E[(j - 1, i)], f(j - 1)
+            E[(j, i)] = first * lower - params.q_sub(j - 1) * (lower * first)
+    return E
 
 
 def _k2rho_exponents(params: GLParams) -> dict[int, int]:
@@ -88,12 +86,13 @@ def _commutator(x: Expr, y: Expr) -> Expr:
     return x * y - y * x
 
 
+def _quartic(E: dict[tuple[int, int], Expr], m: int) -> tuple[Expr, Expr]:
+    return _commutator(e(m), E[(m - 1, m + 2)]), _commutator(f(m), E[(m + 2, m - 1)])
+
+
 def quartic_elements(params: GLParams) -> tuple[Expr, Expr]:
     """The two quartic Serre elements built on the degenerate node (needs m, n >= 2)."""
-    m = params.m
-    e_mid = root_vector(m - 1, m + 2, params)
-    f_mid = root_vector(m + 2, m - 1, params)
-    return _commutator(e(m), e_mid), _commutator(f(m), f_mid)
+    return _quartic(root_vectors(params), params.m)
 
 
 def odd_pair_element(params: GLParams) -> Expr:
@@ -105,7 +104,9 @@ def odd_pair_element(params: GLParams) -> Expr:
 def relation_catalog(params: GLParams) -> list[RelationEntry]:
     """Every relation of the algebra at (m, n), plus derived identities that
     must vanish in all representations.  A family stated for the e's and
-    mirrored for the f's is generated once, over both letters.  A
+    mirrored for the f's is generated once, over both letters.  Each entry is
+    a distinct tree: where two families state one tree, the first entry is
+    kept.  The root vectors come from one table built per catalog; a
     subexpression that recurs across the catalog (a root vector, say) is one
     slot of the catalog's compiled program (:func:`degenq.expr.compile_batch`)."""
     m, n = params.m, params.n
@@ -115,10 +116,11 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
     q = RatFn.q(1)
     # a mirrored family's letter, generator and sign of its K-conjugation exponent
     mirror = (("e", e, 1), ("f", f, -1))
-    entries: list[RelationEntry] = []
+    E = root_vectors(params)
+    entries: dict[Expr, RelationEntry] = {}
 
     def add(family: str, label: str, expr: Expr):
-        entries.append(RelationEntry(family, label, expr))
+        entries.setdefault(expr, RelationEntry(family, label, expr))
 
     # Cartan units and commutativity
     for b in iset:
@@ -178,11 +180,10 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
 
     # Quartic Serre relations (vacuous unless m >= 2 and n >= 2)
     if m >= 2 and n >= 2:
-        for label, element in zip(("Q+", "Q-"), quartic_elements(params)):
+        for label, element in zip(("Q+", "Q-"), _quartic(E, m)):
             add("serre-quartic", label, element)
 
     # Identities among lowering root vectors
-    E = {(i, j): root_vector(i, j, params) for i in range(1, size + 1) for j in range(1, i)}
     for i in range(1, m + 1):
         for k in range(m + 1, size + 1):
             add("root-nilpotent", f"E[{k}{i}]^2", make_prod([E[(k, i)], E[(k, i)]]))
@@ -231,7 +232,7 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
 
     # Cross commutators between lowerings and raising root vectors
     if m >= 2:
-        e_near = root_vector(m - 1, m + 1, params)
+        e_near = E[(m - 1, m + 1)]
         add(
             "cross-commutator",
             f"[f{m}, E[{m - 1}{m + 1}]] + e{m - 1}*k{m}*q^-1",
@@ -243,13 +244,12 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
             _commutator(f(m - 1), e_near) - e(m) * cartan_inv(m - 1),
         )
         if n >= 2:
-            e_far = root_vector(m - 1, m + 2, params)
-            e_step = root_vector(m, m + 2, params)
+            e_far = E[(m - 1, m + 2)]
             add("cross-commutator", f"[f{m}, E[{m - 1}{m + 2}]]", _commutator(f(m), e_far))
             add(
                 "cross-commutator",
                 f"[f{m - 1}, E[{m - 1}{m + 2}]] - E[{m}{m + 2}]*k{m - 1}^-1",
-                _commutator(f(m - 1), e_far) - e_step * cartan_inv(m - 1),
+                _commutator(f(m - 1), e_far) - E[(m, m + 2)] * cartan_inv(m - 1),
             )
             qm1inv = params.q_sub(m + 1).inv()
             add(
@@ -258,4 +258,4 @@ def relation_catalog(params: GLParams) -> list[RelationEntry]:
                 _commutator(f(m + 1), e_far) + qm1inv * (e_near * cartan(m + 1)),
             )
 
-    return entries
+    return list(entries.values())

@@ -303,17 +303,12 @@ def _tensor_iso_setup(bundle: RMatrixBundle, r: int, max_dim: int) -> list[tuple
     return [(space, checks)]
 
 
-def verify_tensor_iso(
-    params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM, bundle: RMatrixBundle | None = None
-) -> Report:
+def verify_tensor_iso(bundle: RMatrixBundle, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """The half-twist product of R legs intertwines the Delta- and
-    Delta'-actions on V^(x)r, r >= 2; ``bundle`` defaults to the set-up
-    store's."""
+    Delta'-actions on V^(x)r, r >= 2; refuses V^(x)r above the dimension cap."""
     if r < 2:
         raise ValueError("the tensor isomorphism needs r >= 2")
-    check_cap(params.size, r, max_dim)
-    if bundle is None:
-        bundle = shared_bundle(params, max_dim)
+    check_cap(bundle.params.size, r, max_dim)
     report = Report()
     for name, value in _differences(bundle, ("tensor-iso", r), _tensor_iso_setup, r, max_dim).items():
         report.add_zero("tensor-iso", name, value)

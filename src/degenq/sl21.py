@@ -60,7 +60,7 @@ from .reps import (
     submodule_closure,
     verify_relations,
 )
-from .scalars import GLParams, LaurentPoly, P_SIGNED, Q_MINUS_QINV, RatFn, _is_unit, quantum_int
+from .scalars import GLParams, LaurentPoly, P_SIGNED, Q_MINUS_QINV, RatFn, _digit_bits, _is_unit, quantum_int
 
 P21 = GLParams(2, 1)
 
@@ -255,17 +255,24 @@ def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
     return checks
 
 
+def _monomial_lambda2_bits(e: int) -> int:
+    """B(|e|)(2|e| - 1): a floor on evaluation's B (deg + 1) for e2 when
+    lambda_2 = +-q^e, since e2 maps f2 v to +-[e]_q v, an entry of 1-norm |e|
+    and q-span 2|e| - 2, and B(b) = bit_length(b) + 1 is the digit width."""
+    return _digit_bits(abs(e)) * (2 * abs(e) - 1)
+
+
 def module_report(hw: HighestWeightSL21):
     """Build the simple module and bundle type, dimensions, and relation check.
 
-    lambda_2 = +-q^E is refused, before the induced module divides by
-    (q - q^-1) at degree about 2|E|, when 2(|E| + 1) > MAX_ENTRY_BITS: the
-    relation check would refuse the module anyway, since K_2 or K_2^-1 holds
-    q^(+-E) on the top vector and evaluation's digit width is at least 2."""
+    lambda_2 = +-q^E is refused before any module is built when
+    B(|E|)(2|E| - 1) > MAX_ENTRY_BITS, from |E| = 220,754 on.  Every lambda_2
+    this refuses, the relation check would refuse too, since that product is
+    at most evaluation's B (deg + 1) for e2."""
     l2 = hw.lambda2
     if l2.is_polynomial() and _is_unit(l2.num):
         (e,) = l2.num.terms
-        if 2 * (abs(e) + 1) > MAX_ENTRY_BITS:
+        if _monomial_lambda2_bits(e) > MAX_ENTRY_BITS:
             raise ResourceLimit(f"lambda2 = {l2} needs integers of more than {MAX_ENTRY_BITS} bits")
     kind, expected = atypicality_type(hw)
     vm = verma_module(hw)

@@ -6,6 +6,7 @@ runtime-target criteria are also wall-clock checked.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+import degenq
 from degenq.expr import eval_in_rep
 from degenq.homfly_oracle import HomflyOracle
 from degenq.invariants import (
@@ -135,7 +137,7 @@ def test_criterion_05_intertwiners():
         report = verify_intertwiner(build_bundle(params))
         failures.extend(f"{params.m},{params.n}:{c.name}" for c in report.failures)
         for r in (2, 3):
-            report = verify_tensor_iso(params, r)
+            report = verify_tensor_iso(build_bundle(params), r)
             failures.extend(f"{params.m},{params.n}:r{r}:{c.name}" for c in report.failures)
     _announce(
         5,
@@ -319,15 +321,16 @@ def test_criterion_12_cli_determinism():
         sys.executable, "-m", "degenq.cli",
         "verify", "--m", "1", "--n", "2", "--suite", "hecke", "--json",
     ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(degenq.__file__))}
     ok = True
     for argv in (argv_inv, argv_ver):
-        runs = [subprocess.run(argv, capture_output=True) for _ in range(2)]
+        runs = [subprocess.run(argv, capture_output=True, env=env) for _ in range(2)]
         if not all(r.returncode == 0 for r in runs):
             ok = False
         if runs[0].stdout != runs[1].stdout or not runs[0].stdout:
             ok = False
     payload = json.loads(
-        subprocess.run(argv_inv, capture_output=True, text=True).stdout
+        subprocess.run(argv_inv, capture_output=True, text=True, env=env).stdout
     )
     ok = ok and payload["writhe"] == 0 and payload["strands"] == 3
     _announce(12, "repeated CLI runs produce byte-identical JSON", ok)

@@ -33,7 +33,7 @@ from degenq.expr import (
     parse_expr,
 )
 from degenq.linalg import SparseMat
-from degenq.relations import relation_catalog, root_vector
+from degenq.relations import relation_catalog, root_vectors
 from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep, trivial_rep
 from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits, parse_scalar, scalar_to_text
 from degenq.sl21 import HighestWeightSL21, simple_quotient, verma_module
@@ -104,7 +104,8 @@ def gamma_monomials(params: GLParams) -> list[Expr]:
     exponents in {0, 1}; blocks are concatenated for i = 1..m.
     """
     m, n = params.m, params.n
-    slots = [root_vector(m + j, i, params) for i in range(1, m + 1) for j in range(n, 0, -1)]
+    E = root_vectors(params)
+    slots = [E[(m + j, i)] for i in range(1, m + 1) for j in range(n, 0, -1)]
     monomials = []
     for mask in range(1 << (m * n)):
         chosen = [slots[t] for t in range(m * n) if (mask >> (m * n - 1 - t)) & 1]
@@ -672,26 +673,21 @@ def test_eval_missing_generator():
 
 
 def test_root_vector_base_cases():
-    assert root_vector(2, 1, P21) == f(1)
-    assert root_vector(1, 2, P21) == e(1)
+    E = root_vectors(P21)
+    assert E[(2, 1)] == f(1)
+    assert E[(1, 2)] == e(1)
 
 
 def test_root_vector_depth_two():
-    assert root_vector(1, 3, P21) == e(1) * e(2) - RatFn.q(-1) * (e(2) * e(1))
-    assert root_vector(3, 1, P21) == f(2) * f(1) - RatFn.q(1) * (f(1) * f(2))
+    E = root_vectors(P21)
+    assert E[(1, 3)] == e(1) * e(2) - RatFn.q(-1) * (e(2) * e(1))
+    assert E[(3, 1)] == f(2) * f(1) - RatFn.q(1) * (f(1) * f(2))
 
 
 def test_root_vector_signed_parameter():
     # For (1, 2), index 2 carries p = -q^-1: E_13 uses -(-q) = +q coefficient.
-    x = root_vector(1, 3, GLParams(1, 2))
+    x = root_vectors(GLParams(1, 2))[(1, 3)]
     assert x == e(1) * e(2) - RatFn.q(1, -1) * (e(2) * e(1))
-
-
-def test_root_vector_bad_indices():
-    with pytest.raises(IndexOutOfRange):
-        root_vector(1, 1, P21)
-    with pytest.raises(IndexOutOfRange):
-        root_vector(0, 2, P21)
 
 
 def test_gamma_monomial_counts():
@@ -702,8 +698,8 @@ def test_gamma_monomial_counts():
 
 def test_gamma_monomials_21_contents():
     mons = gamma_monomials(P21)
-    e31 = root_vector(3, 1, P21)
-    e32 = root_vector(3, 2, P21)
+    E = root_vectors(P21)
+    e31, e32 = E[(3, 1)], E[(3, 2)]
     assert one() in mons
     assert e31 in mons
     assert e32 in mons

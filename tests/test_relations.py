@@ -1,14 +1,16 @@
 import hashlib
+import math
+import sys
 
 import pytest
 
-from degenq.expr import e, f, parse_expr
+from degenq.expr import Pow, Prod, Sum, e, f, parse_expr
 from degenq.relations import (
     k2rho_expr,
     odd_pair_element,
     quartic_elements,
     relation_catalog,
-    root_vector,
+    root_vectors,
 )
 from degenq.reps import iterated_tensor, natural_rep, tensor_rep, verify_relations
 from degenq.scalars import GLParams, RatFn
@@ -86,8 +88,8 @@ def test_odd_pair_entries_need_m_at_least_two():
 def test_quartic_elements_shape_32():
     qp, qm = quartic_elements(P32)
     # Q+ commutes e_m with the raising root vector to position m+2 = 5 from m-1 = 2.
-    e_far = root_vector(2, 5, P32)
-    f_far = root_vector(5, 2, P32)
+    E = root_vectors(P32)
+    e_far, f_far = E[(2, 5)], E[(5, 2)]
     from degenq.expr import e as gen_e, f as gen_f
 
     assert qp == gen_e(3) * e_far - e_far * gen_e(3)
@@ -122,9 +124,10 @@ def test_root_nilpotency_in_tensor_square():
         vv = tensor_rep(rep, rep)
         from degenq.expr import eval_in_rep, make_prod
 
+        E = root_vectors(params)
         for i in range(1, params.m + 1):
             for k in range(params.m + 1, params.size + 1):
-                sq = make_prod([root_vector(k, i, params)] * 2)
+                sq = make_prod([E[(k, i)]] * 2)
                 assert eval_in_rep(sq, rep).is_zero()
                 assert eval_in_rep(sq, vv).is_zero()
 
@@ -149,17 +152,18 @@ def test_odd_pair_element_is_root_vector_cousin():
 
 
 # One sha256 per point over every entry's (family, label, repr(expr)), in
-# catalog order, recorded from the catalog as written family by family.  repr
-# is structural and the same in every process, so any change to an entry's
-# name, position or tree changes the digest.
+# catalog order, recorded from the catalog as written family by family, with
+# each tree kept at its first entry.  repr is structural and the same in every
+# process, so any change to an entry's name, position or tree changes the
+# digest.
 _CATALOG_DIGESTS = {
     (1, 1): "c8690a3eb2454c68ae9a827f01da63b96f375c094215694438fb982a8965ef3c",
     (2, 1): "6eb3a7c73c6dbb0292cf4561894954a7ccfe317d7486edd382bc429a062b0251",
     (1, 2): "16ac2d5fceba90efa0506de98c30ad3ce337b19bbeb3aca5050e5836b8fb4bcd",
-    (2, 2): "bc47da4d257232549c954440c7e436f99848fbbdd0819ca49a815fd981c8aef4",
-    (3, 1): "95cc45ac31ee8bc8dd9b2a5ae327420754ff7894addd27821277876b6c920a8b",
-    (3, 2): "2db7ec3f3d070ed7e0cc774ae46fa6b2a80c1e45ad3b439ab997e12e561a1075",
-    (4, 3): "ee93344cd627f1477625bb2c0aa7f3d75e894153666b4600876f6c771281f9e9",
+    (2, 2): "8c40d2e6b803c5a95365b3398203612871dbc680baa361b6d07b6eb87d6cc198",
+    (3, 1): "6ad6031e95e026f3bc4a37fb6a248e69397aa51bc0c36777ca3123cb713b240f",
+    (3, 2): "dfbf5b433722990dc017f657a30596bbbe7a9d14d8f12c21e0617629dafea52e",
+    (4, 3): "3c1d7071ab06572b8f77d37b90c2ea3c2bd469ec061fbee636ccb66f6a0d2f08",
 }
 
 
@@ -169,3 +173,65 @@ def test_catalog_entries_are_pinned(mn):
     for entry in relation_catalog(GLParams(*mn)):
         digest.update(f"{entry.family}\x00{entry.label}\x00{entry.expr!r}\n".encode())
     assert digest.hexdigest() == _CATALOG_DIGESTS[mn]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_no_two_entries_share_a_tree(m, n):
+    catalog = relation_catalog(GLParams(m, n))
+    assert len({entry.expr for entry in catalog}) == len(catalog)
+
+
+# The restatements the catalog drops, each the tree of an earlier entry: a
+# distant-commute [f_a, f_b] or serre-quartic Q-.
+_DROPPED = {
+    (2, 2): ["[E[21], E[43]] (i<j<k<l)", "[E[32], E[41]] (k<i<j<l)"],
+    (3, 1): ["[E[21], E[43]] (i<j<k<l)"],
+    (3, 2): ["[E[21], E[43]] (i<j<k<l)", "[E[21], E[54]] (i<j<k<l)", "[E[32], E[54]] (i<j<k<l)",
+             "[E[43], E[52]] (k<i<j<l)"],
+}
+
+
+@pytest.mark.parametrize("mn", list(_DROPPED), ids=lambda mn: f"{mn[0]}{mn[1]}")
+def test_root_commute_drops_exactly_the_restated_trees(mn):
+    params = GLParams(*mn)
+    labels = [entry.label for entry in relation_catalog(params) if entry.family == "root-commute"]
+    assert not set(labels) & set(_DROPPED[mn])
+    assert len(labels) == 2 * math.comb(params.size, 4) - len(_DROPPED[mn])
+
+
+def _reachable_nodes(roots) -> int:
+    seen, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            if isinstance(x, Sum):
+                stack.extend(x.terms)
+            elif isinstance(x, Prod):
+                stack.extend(x.factors)
+            elif isinstance(x, Pow):
+                stack.append(x.base)
+    return len(seen)
+
+
+@pytest.mark.parametrize("mn", [(12, 12), (20, 20)], ids=lambda mn: f"{mn[0]}{mn[1]}")
+def test_root_vectors_share_their_shorter_entries(mn):
+    # Each E_ij holds the entry one step shorter, not a copy of it: O(d^2)
+    # distinct nodes for d = m + n, not O(d^3).
+    d = sum(mn)
+    assert _reachable_nodes(root_vectors(GLParams(*mn)).values()) <= 5 * d**2
+
+
+def test_root_vectors_build_without_recursion():
+    # E_(80,1) is 79 brackets deep; the table builds it in a loop.
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        table = root_vectors(GLParams(40, 40))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(table) == 80 * 79

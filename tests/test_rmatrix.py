@@ -151,12 +151,12 @@ def test_intertwiner_suite(params):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_tensor_iso_intertwines(r):
-    report = verify_tensor_iso(P21, r)
+    report = verify_tensor_iso(build_bundle(P21), r)
     assert report.all_passed, [c.name for c in report.failures]
 
 
 def test_tensor_iso_11_r3():
-    report = verify_tensor_iso(P11, 3)
+    report = verify_tensor_iso(build_bundle(P11), 3)
     assert report.all_passed
 
 
@@ -168,19 +168,19 @@ def test_tensor_iso_pair_refuses_r_below_2(legs, r):
     bundle = build_bundle(P21)
     bundle = bundle._replace(R=getattr(bundle, legs))
     with pytest.raises(ValueError, match="r >= 2"):
-        verify_tensor_iso(P21, r, bundle=bundle)
+        verify_tensor_iso(bundle, r)
 
 
 def test_tensor_iso_resource_cap():
     with pytest.raises(ResourceLimit):
-        verify_tensor_iso(P21, 4, max_dim=30)
+        verify_tensor_iso(build_bundle(P21), 4, max_dim=30)
 
 
 def test_tensor_iso_leaves_invertibility_to_ybe():
     # R's invertibility is one fact, checked once: a spoiled Rinv fails ybe's
     # "R invertible" and nothing in the tensor-iso suite.
     spoiled = _spoiled(P21)["Rinv entry"]
-    assert verify_tensor_iso(P21, 3, bundle=spoiled).all_passed
+    assert verify_tensor_iso(spoiled, 3).all_passed
     assert [c.name for c in verify_ybe(spoiled).failures] == ["R invertible"]
 
 
@@ -446,7 +446,7 @@ def test_suites_match_the_product_reference(params):
             (verify_ybe(bundle), ref_ybe(bundle)),
             (verify_hecke_and_spectrum(bundle), ref_hecke(bundle)),
             (verify_intertwiner(bundle), ref_intertwiner(bundle)),
-            (verify_tensor_iso(params, 3, bundle=bundle), ref_tensor_iso(bundle, 3)),
+            (verify_tensor_iso(bundle, 3), ref_tensor_iso(bundle, 3)),
         ]
         for got, want in pairs:
             assert _rows(got) == _rows(want), label
@@ -477,7 +477,7 @@ def test_suites_form_no_rational_matrix_product(monkeypatch):
         verify_ybe(bundle)
         verify_hecke_and_spectrum(bundle)
         verify_intertwiner(bundle)
-        verify_tensor_iso(bundle.params, 3, bundle=bundle)
+        verify_tensor_iso(bundle, 3)
     assert rational == []
 
 
@@ -496,9 +496,9 @@ def test_hecke_ranks_each_projector_once(monkeypatch):
 
 
 def test_every_bundle_reader_shares_one_bundle_per_params(monkeypatch, capsys):
-    # verify's suites, the invariant's evaluators, decompose and the tensor
-    # isomorphism's default all read the store's one bundle of (2, 1): one
-    # build per process, kept for the next job.
+    # verify's suites, the invariant's evaluators, decompose and
+    # shared_bundle all read the store's one bundle of (2, 1): one build per
+    # process, kept for the next job.
     calls = []
     build = rmatrix.build_bundle
 
@@ -520,7 +520,7 @@ def test_every_bundle_reader_shares_one_bundle_per_params(monkeypatch, capsys):
     ):
         assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert verify_tensor_iso(P21, 3).all_passed
+    assert verify_tensor_iso(rmatrix.shared_bundle(P21), 3).all_passed
     assert calls == [P21]
 
 
@@ -532,7 +532,7 @@ def _fresh_suite(params: GLParams, suite: str) -> Report:
     if suite == "hecke":
         return verify_hecke_and_spectrum(bundle)
     report = verify_intertwiner(bundle)
-    report.extend(verify_tensor_iso(params, 3, bundle=bundle))
+    report.extend(verify_tensor_iso(bundle, 3))
     return report
 
 

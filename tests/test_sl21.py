@@ -2,15 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenq import expr
 from degenq.expr import eval_in_rep
 from degenq.linalg import Vec
 from degenq.relations import odd_pair_element
 from degenq.reps import verify_relations
-from degenq.scalars import Q_MINUS_QINV, RatFn, parse_scalar, quantum_int
+from degenq.scalars import Q_MINUS_QINV, RatFn, _digit_bits, parse_scalar, quantum_int
 from degenq.sl21 import (
     P21,
     HighestWeightSL21,
     ModuleType,
+    _monomial_lambda2_bits,
     atypicality_type,
     check_structural_identities,
     simple_quotient,
@@ -158,6 +160,18 @@ def test_verma_matrices_match_the_division_formulas(weight):
     got = {f"{kind}{index}": mat.entries for (kind, index), mat in vm.rep.gens.items()}
     assert got == reference
     assert vm.basis_labels[vm.highest_index] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 3])
+def test_the_monomial_lambda2_refusal_is_within_evaluations(ell):
+    # module_report refuses lambda2 = +-q^E by this product; evaluation refuses
+    # by B (deg + 1) over e2's entries, which is never smaller.
+    for size in (2, 7, 100, 1000, 5000):
+        for exp in (size, -size):
+            for sign in (1, -1):
+                e2 = verma_module(hw(ell, 1, rfq(exp, sign))).rep.gens[("e", 2)]
+                enc = expr._Encoding(e2)
+                assert _monomial_lambda2_bits(exp) <= _digit_bits(enc.bound) * (enc.deg + 1), (exp, sign)
 
 
 def test_verma_highest_vector_annihilated():
