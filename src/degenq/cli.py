@@ -11,9 +11,11 @@ Subcommands:
 Machine-readable mode (``--json``) emits deterministic JSON: keys sorted, no
 timestamps, scalars in canonical text form.  Exit codes: 0 success, 1 check
 failure, bad input or a stdout closed before the output was written, 2
-unsupported request (m = n for invariants), 3 resource limit.  The dimension
-cap defaults to 20000 and can be set by ``--max-dim`` or the
-``DEGENQ_MAX_DIM`` environment variable (flag wins); it must be positive.
+unsupported request (m = n for invariants), 3 resource limit, which includes
+an output coefficient past Python's int-text limit (4300 decimal digits by
+default; degenq does not lift it).  The dimension cap defaults to 20000 and
+can be set by ``--max-dim`` or the ``DEGENQ_MAX_DIM`` environment variable
+(flag wins); it must be positive.
 ``invariant`` needs V (x) V, where the R-matrix lives, within it, even on
 one strand.
 
@@ -168,13 +170,12 @@ def run_verify(
                 VACUOUS,
                 "both quartic relations are vacuous when m = 1 or n = 1",
             )
-        spaces = [("V", shared_power(params, 1, max_dim=max_dim))]
+        spaces, labels = [shared_power(params, 1, max_dim=max_dim)], [("relations", "V: ")]
         for r in range(2, tensor_depth + 1):
             for side in ("Delta", "DeltaPrime"):
-                spaces.append((f"V^(x){r} [{side}]", shared_power(params, r, side, max_dim)))
-        for label, space in spaces:
-            for c in verify_relations(space).checks:
-                report.add("relations", f"{label}: {c.name}", c.ok, c.detail)
+                spaces.append(shared_power(params, r, side, max_dim))
+                labels.append(("relations", f"V^(x){r} [{side}]: "))
+        report.extend(verify_relations(*spaces, labels=labels))
     if "hopf" in suites:
         report.extend(check_hopf_axioms(shared_power(params, 1, max_dim=max_dim)))
     if {"ybe", "hecke", "intertwiner"} & set(suites):

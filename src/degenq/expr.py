@@ -29,6 +29,7 @@ carry a sign before '(' (as in ``-(q+1)/(q-2)``) and integer powers such as
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable, Iterator
 from operator import attrgetter
 
@@ -333,21 +334,24 @@ def antipode(x: Expr) -> Expr:
 # homomorphism (Kronecker substitution, see degenq.scalars), so matrix sums and
 # products of the ints are exact.
 #
-# Compile once, run per space.  :func:`compile_batch` turns a batch into a
-# :class:`Program` with no representation at hand: the distinct ops in
-# post-order, one slot each, with their child slots, the step after which each
-# slot is read for the last time, and every datum no representation changes
-# (numerator, denominator, lag, 1-norm and degree of each Scalar leaf and of
-# each Prod's leading scalar factor).  :meth:`Program.run` then makes two flat
-# passes over the slots in one representation.  The numeric pass, before any
-# int is formed, gives every node its D, its v, the degree of N q^v and a bound
-# b on the row norm of N q^v: the largest sum, over one row, of its entries'
-# 1-norms (sums of absolute coefficients).  The 1-norm of a polynomial is
-# subadditive and submultiplicative, so the row norm is too, and it bounds
-# every coefficient of every entry:
+# Compile once, plan once per list of spaces, run per space.
+# :func:`compile_batch` turns a batch into a :class:`Program` with no
+# representation at hand: the distinct ops in post-order, one slot each, with
+# their child slots, the step after which each slot is read for the last time,
+# and every datum no representation changes (numerator, denominator, lag,
+# 1-norm and degree of each Scalar leaf and of each Prod's leading scalar
+# factor).  :meth:`Program.run_each` then makes one numeric pass over the
+# slots for all its modules, the plan, and one integer pass per module.  The
+# numeric pass, before any int is formed, gives every node its D, its v, the
+# degree of N q^v and a bound b on the row norm of N q^v: the largest sum, over
+# one row, of its entries' 1-norms (sums of absolute coefficients).  The
+# 1-norm of a polynomial is subadditive and submultiplicative, so the row norm
+# is too, and it bounds every coefficient of every entry:
 #
 # * generator: D is the lcm of the entry denominators, v the largest power of
-#   q^-1 in a numerator, b the row norm of the numerators over D;
+#   q^-1 in a numerator, b the row norm of the numerators over D, in each
+#   module.  Over several modules these are aligned as a sum's terms are (see
+#   below), and b and the degree are the largest of the aligned matrices';
 # * product of k >= 0 matrix factors with scalar factor n/d: the D's (and d)
 #   multiply, the v's and degrees add, and b = b_1 ... b_k |n|.  A Scalar leaf
 #   n/d is the product of no factors, n/d times the identity: D = d, b = |n|;
@@ -358,31 +362,38 @@ def antipode(x: Expr) -> Expr:
 #
 # B = _digit_bits(largest b) puts every coefficient of every node strictly
 # inside the balanced digit range (-2^(B-1), 2^(B-1)), where a polynomial is
-# zero exactly when its value at 2^B is.  So a node is the zero matrix exactly
-# when its int matrix is empty, and a passing check costs no decode and no
-# gcd.  The integer pass forms each slot's int matrix and drops it after its
-# last read; an output is decoded when it is asked for, once per nonzero entry,
-# and made canonical as RatFn(N_ij, D).
+# zero exactly when its value at 2^B is, in every module of the plan.  So a
+# node is the zero matrix exactly when its int matrix is empty, and a passing
+# check costs no decode and no gcd.  The plan encodes every product's scalar
+# factor and every sum's multipliers Q_i(2^B) 2^((vmax - v_i) B) once, at B.
+# A module's integer pass brings each generator's int matrix to the plan's D
+# and v by its own such multiplier, forms each slot's int matrix and drops it
+# after its last read; an output is decoded when it is asked for, once per
+# nonzero entry, and made canonical as RatFn(N_ij, D).
 #
 # Work budget.  An entry of a node of degree t is an int of at most B (t + 1)
 # bits.  The numeric pass refuses, with ResourceLimit, a batch where that
 # exceeds MAX_ENTRY_BITS for some node, and a power k before it forms b^k or
 # D^k: when k times the base's degree, its denominator's degree or
 # b.bit_length() - 1 exceeds the budget.  A lag costs nothing by itself; where
-# a sum aligns terms by it, the shift shows in the sum's degree.
+# a sum aligns terms by it, or a plan a generator's modules, the shift shows
+# in the node's degree.
 #
 # Caches.  A generator matrix keeps its :class:`_Encoding` in its ``_encoding``
-# slot, filled by the first run that reads it: the numerators over its D with
+# slot, filled by the first plan that reads it: the numerators over its D with
 # D, v, b and degree, and its int matrices at the last two B it was run at, so
-# a matrix read by two batches at two widths (a memoised tensor power, by the
-# relation catalog and by an R-matrix suite) is encoded once for each.  A
-# matrix is never changed once built, so the encoding holds for the matrix's
-# life.  A matrix replaced in ``rep.gens`` is a new object, which the next run
-# measures afresh, and a run at a third B encodes it again.  The int matrices
-# keep their row index (``SparseMat.__mul__``).  Every Program and module that
-# outlives a job lives in the set-up store (:class:`degenq.reps.Setup`), so
-# the encodings on those modules' matrices outlive it too.  The store holds
-# set-up only, never a result, and no cache grows with the number of runs.
+# a matrix read by two batches at two widths (a memoised tensor power, at the
+# relation suite's shared width and by an R-matrix suite) is encoded once for
+# each.  A matrix is never changed once built, so the encoding holds for the
+# matrix's life.  A matrix replaced in ``rep.gens`` is a new object, which the
+# next plan measures afresh, and a run at a third B encodes it again.  The int
+# matrices keep their row index (``SparseMat.__mul__``); a generator brought
+# to a plan's D and v is a scaled copy, made and dropped within its run.  A
+# plan lives for one call of :meth:`Program.run_each`, and nothing of it is
+# kept.  Every Program and module that outlives a job lives in the set-up
+# store (:class:`degenq.reps.Setup`), so the encodings on those modules'
+# matrices outlive it too.  The store holds set-up only, never a result, and
+# no cache grows with the number of runs.
 
 # The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
 # above the 4 million bits of (q+1)^2000 at its own digit width.
@@ -449,17 +460,30 @@ class Program:
     numerator) of a product's scalar factor (a Scalar leaf is a product with
     no matrix factors), or a power's exponent.  ``after[s] = (outputs,
     dead)``: the slots to yield, in batch order, once op s has run, and the
-    slots read for the last time by then.
+    slots read for the last time by then.  ``lifted[s]`` holds for a product
+    read by sums only and yielded by none: its scalar factor is applied
+    within those sums' multipliers, so no matrix is scaled for it.
+
+    :meth:`run_each` evaluates the batch in a list of modules from one plan,
+    the numeric pass over them all (:meth:`_plan`); :meth:`run` is its
+    one-module case.
     """
 
-    __slots__ = ("ops", "after")
+    __slots__ = ("ops", "after", "lifted")
 
     def __init__(self, ops: list[tuple], outputs: list[int]):
         self.ops = ops
         last = list(range(len(ops)))
-        for s, (_, kids, _) in enumerate(ops):
+        readers: list[set] = [set() for _ in ops]
+        for s, (code, kids, _) in enumerate(ops):
             for c in kids:
                 last[c] = s
+                readers[c].add(code)
+        yielded = set(outputs)
+        self.lifted = [
+            code == _PROD and readers[s] == {_SUM} and s not in yielded
+            for s, (code, _, _) in enumerate(ops)
+        ]
         yields: list[list[int]] = [[] for _ in ops]
         ready = -1
         for slot in outputs:
@@ -473,28 +497,59 @@ class Program:
 
     def run(self, rep) -> Iterator[SparseMat]:
         """Each expression of the batch evaluated in rep, in order, as a
-        canonical SparseMat over Q(q).
+        canonical SparseMat over Q(q): :meth:`run_each` of the one module.
 
         rep needs a ``dim`` and a ``gens`` dict from (kind, index) to a
         dim x dim SparseMat.
         """
-        dim, gens = rep.dim, rep.gens
-        # The numeric pass: per slot (D, v, b, degree), with a denominator
-        # equal to 1 always the object _LP_ONE, so that lcm, quotient and
-        # product work for it is skipped by identity; and per slot what the
-        # integer pass needs.
+        return self.run_each([rep])[0]
+
+    def run_each(self, reps) -> list[Iterator[SparseMat]]:
+        """Per module of reps, an iterator over each expression of the batch
+        evaluated in it, in order, as a canonical SparseMat over Q(q).
+
+        One plan serves them all: the numeric pass, the digit width and the
+        encoded constants are made once, here (:meth:`_plan`), and a module's
+        integer pass runs as its iterator is read, so that one module's
+        intermediates are alive at a time when the iterators are read in
+        turn.
+        """
+        shape, how, bits = self._plan(reps)
+        return [self._ints(shape, how, bits, k, rep.dim) for k, rep in enumerate(reps)]
+
+    def _plan(self, reps) -> tuple[list[tuple], list, int]:
+        """The numeric pass over the modules reps: per slot a shape (D, v, b,
+        degree) that bounds the slot's node in each of them; the digit width
+        B of those shapes; and per op what an integer pass needs, its
+        constants encoded at B.
+
+        A generator op's shape is its modules' shapes aligned as a sum aligns
+        its terms, over the lcm D of their denominators and their largest lag
+        v (:func:`_aligned`), with the largest row norm and degree of the
+        aligned matrices; each module's int matrix is brought to D and v by
+        its multiplier Q_i(2^B) 2^((v - v_i) B) when the integer pass reads
+        it.  For one module every multiplier is 1.
+        """
+        gens = [rep.gens for rep in reps]
+        # Per slot (D, v, b, degree), with a denominator equal to 1 always
+        # the object _LP_ONE, so that lcm, quotient and product work for it
+        # is skipped by identity.
         shape: list[tuple] = []
         how: list = []
         for code, kids, data in self.ops:
             if code == _GEN:
-                mat = gens.get(data)
-                if mat is None:
-                    raise MissingGenerator(f"representation lacks {data[0]}{data[1]}")
-                g = mat._encoding
-                if g is None:
-                    g = mat._encoding = _Encoding(mat)
-                shape.append((g.den, g.lag, g.bound, g.deg))
-                how.append(g)
+                codes = []
+                for g in gens:
+                    mat = g.get(data)
+                    if mat is None:
+                        raise MissingGenerator(f"representation lacks {data[0]}{data[1]}")
+                    enc = mat._encoding
+                    if enc is None:
+                        enc = mat._encoding = _Encoding(mat)
+                    codes.append(enc)
+                den, lag, parts, sizes = _aligned([(c.den, c.lag, c.bound, c.deg) for c in codes])
+                shape.append((den, lag, max(b for b, _ in sizes), max(t for _, t in sizes)))
+                how.append(list(zip(codes, parts)))
             elif code == _PROD:
                 den, shift, bound, deg, coeff = data
                 lag = shift
@@ -506,20 +561,8 @@ class Program:
                 shape.append((den, lag, bound, deg))
                 how.append((coeff, shift))
             elif code == _SUM:
-                terms = [shape[c] for c in kids]
-                den = _LP_ONE
-                for d, _, _, _ in terms:
-                    if d is not _LP_ONE:
-                        den = _lcm(den, d)
-                lag = max(v for _, v, _, _ in terms)
-                bound, deg, parts = 0, 0, []
-                for d, v, b, t in terms:
-                    quo = _LP_ONE if d is den else _quo(den, d)
-                    if quo is not _LP_ONE:
-                        b, t = b * quo.norm1(), t + max(quo.terms)
-                    bound, deg = bound + b, max(deg, t + lag - v)
-                    parts.append((quo, lag - v))
-                shape.append((den, lag, bound, deg))
+                den, lag, parts, sizes = _aligned([shape[c] for c in kids])
+                shape.append((den, lag, sum(b for b, _ in sizes), max(t for _, t in sizes)))
                 how.append(parts)
             else:
                 d, v, b, t = shape[kids[0]]
@@ -531,13 +574,32 @@ class Program:
         bits = _digit_bits(max((b for _, _, b, _ in shape), default=0))
         if bits * (max((t for _, _, _, t in shape), default=0) + 1) > MAX_ENTRY_BITS:
             raise _too_big("evaluation")
+        factors: dict[int, int] = {}  # a lifted product's slot: its scalar factor
+        for s, (code, kids, _) in enumerate(self.ops):
+            h = how[s]
+            if code == _GEN:
+                how[s] = [(enc, _multiplier(part, bits)) for enc, part in h]
+            elif code == _PROD:
+                how[s] = _encode(h[0], bits, h[1])
+                if self.lifted[s]:
+                    factors[s], how[s] = how[s], 1
+            elif code == _SUM:
+                how[s] = [_multiplier(part, bits) * factors.get(c, 1) for c, part in zip(kids, h)]
+        return shape, how, bits
 
+    def _ints(self, shape: list[tuple], how: list, bits: int, k: int, dim: int) -> Iterator[SparseMat]:
+        """The integer pass of the plan (shape, how, bits) in its k-th
+        module, of dimension dim: each slot's int matrix, dropped after its
+        last read, and each output decoded as it is reached."""
         identity = None
         vals: list = [None] * len(self.ops)
         for s, (code, kids, _) in enumerate(self.ops):
             h = how[s]
             if code == _GEN:
-                val = h.at(bits, dim)
+                enc, m = h[k]
+                val = enc.at(bits, dim)
+                if m != 1:
+                    val = val.scale(m)
             elif code == _PROD:
                 val = None
                 for c in kids:
@@ -545,11 +607,10 @@ class Program:
                     val = n if val is None else val * n
                 if val is None:
                     val = identity = _int_identity(dim) if identity is None else identity
-                c = _encode(h[0], bits, h[1])
-                if c != 1:
-                    val = val.scale(c)
+                if h != 1:
+                    val = val.scale(h)
             elif code == _SUM:
-                val = SparseMat._raw(dim, dim, _int_sum([vals[c].entries for c in kids], h, bits))
+                val = SparseMat._raw(dim, dim, _int_sum([vals[c].entries for c in kids], h))
             else:
                 identity = _int_identity(dim) if identity is None else identity
                 val = _power(vals[kids[0]], h, identity)
@@ -561,17 +622,43 @@ class Program:
                 vals[slot] = None
 
 
+def _aligned(shapes: list[tuple]) -> tuple:
+    """Shapes (D_i, v_i, b_i, t_i) brought over the lcm D of the D_i and the
+    largest lag v: (D, v, [(Q_i, v - v_i)], [(b_i |Q_i|_1, t_i + deg Q_i +
+    v - v_i)]), where Q_i = D / D_i.  Matrix i times Q_i q^(v - v_i) is
+    then over D and at lag v, with the row norm and degree given."""
+    den = _LP_ONE
+    for d, _, _, _ in shapes:
+        if d is not _LP_ONE:
+            den = _lcm(den, d)
+    lag = max(v for _, v, _, _ in shapes)
+    parts, sizes = [], []
+    for d, v, b, t in shapes:
+        quo = _LP_ONE if d is den else _quo(den, d)
+        if quo is not _LP_ONE:
+            b, t = b * quo.norm1(), t + max(quo.terms)
+        parts.append((quo, lag - v))
+        sizes.append((b, t + lag - v))
+    return den, lag, parts, sizes
+
+
+def _multiplier(part: tuple[LaurentPoly, int], bits: int) -> int:
+    """Q(2^B) 2^(shift B) of an aligned part (Q, shift), 1 when there is
+    nothing to align."""
+    quo, shift = part
+    return 1 if quo is _LP_ONE and not shift else _encode(quo, bits, shift)
+
+
 def _int_identity(dim: int) -> SparseMat:
     return SparseMat._raw(dim, dim, {(i, i): 1 for i in range(dim)})
 
 
-def _int_sum(terms: list[dict], parts: list[tuple[LaurentPoly, int]], bits: int) -> dict:
-    """The entries of sum_i Q_i(2^B) 2^(shift_i B) T_i, added into one dict."""
+def _int_sum(terms: list[dict], multipliers: list[int]) -> dict:
+    """The entries of sum_i m_i T_i, added into one dict."""
     out: dict = {}
-    for n, (quo, shift) in zip(terms, parts):
+    for n, m in zip(terms, multipliers):
         if not n:
             continue
-        m = 1 if quo is _LP_ONE and not shift else _encode(quo, bits, shift)
         if not out:
             out = dict(n) if m == 1 else {k: m * v for k, v in n.items()}
             continue
@@ -590,7 +677,10 @@ def _int_sum(terms: list[dict], parts: list[tuple[LaurentPoly, int]], bits: int)
 
 
 def _decoded(n: SparseMat, shape: tuple, bits: int) -> SparseMat:
-    """An int matrix of a node with shape (D, v, ...) read back over Q(q)."""
+    """An int matrix of a node with shape (D, v, ...) read back over Q(q); a
+    zero matrix costs no decode."""
+    if not n.entries:
+        return SparseMat._raw(n.nrows, n.ncols, {})
     den, lag = shape[0], shape[1]
     nums = {k: _decode(v, bits, -lag) for k, v in n.entries.items()}
     if den.is_one():  # a Laurent polynomial over 1 is already canonical
@@ -675,15 +765,27 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
                 break
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.group("atom"):
-            tokens.append(("atom", (m.group("atom"), int(m.group("idx"))), m.start("atom")))
+            tokens.append(("atom", (m.group("atom"), _int_literal(m, "idx")), m.start("atom")))
         elif m.group("q"):
             tokens.append(("q", "q", m.start("q")))
         elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            tokens.append(("int", _int_literal(m, "int"), m.start("int")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     return tokens
+
+
+def _int_literal(m: re.Match, group: str) -> int:
+    """The digits of a token's group as an int; more digits than Python's
+    int-from-text limit (sys.get_int_max_str_digits, 4300 by default) are
+    a syntax error at the literal's position."""
+    digits = m.group(group)
+    try:
+        return int(digits)
+    except ValueError:
+        what = f"an integer of {len(digits)} digits exceeds the limit of {sys.get_int_max_str_digits()}"
+        raise ExprSyntaxError(what, m.start(group)) from None
 
 
 # The deepest parenthesis nesting: a level costs the parser three stack frames

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -375,13 +376,23 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")
 
 
-def verify_relations(rep: Representation) -> Report:
-    """Evaluate every entry of rep's catalog in rep, as the program compiled
-    once per (m, n); all must be exactly zero."""
-    entries, program = setup(rep.params).get("catalog", _catalog, rep.params)
+def verify_relations(*reps: Representation, labels: Sequence[tuple[str, str]] = ()) -> Report:
+    """Evaluate every entry of the relation catalog in each of reps, modules
+    over one (m, n), as the program compiled once per (m, n), run in them all
+    from one plan (:meth:`Program.run_each`); every value must be exactly
+    zero.  Module i's checks go under the suite labels[i][0], each named
+    labels[i][1] followed by its entry's name; with no labels, under
+    "relations" by the entry's name alone."""
+    params = reps[0].params
+    for rep in reps:
+        if rep.params != params:
+            raise ParamsMismatch(f"{rep.label} over {rep.params} vs {reps[0].label} over {params}")
+    entries, program = setup(params).get("catalog", _catalog, params)
+    labels = labels or [("relations", "")] * len(reps)
     report = Report()
-    for entry, value in zip(entries, program.run(rep)):
-        report.add_zero("relations", entry.name, value)
+    for (suite, prefix), values in zip(labels, program.run_each(reps), strict=True):
+        for entry, value in zip(entries, values):
+            report.add_zero(suite, prefix + entry.name, value)
     return report
 
 
@@ -408,17 +419,16 @@ def check_hopf_axioms(rep: Representation) -> Report:
     * hopf-antipode: rho(S(rel)) = 0: the dual module satisfies the catalog;
     * hopf-s2: S^2 = Ad(K_2rho) on the generators, as matrix identities.
 
-    The coproduct is checked by the relation suite on tensor powers.  The
-    trivial module and the S^2 Program depend on (m, n) only; rep's dual is
-    derived from rep.  Both come from the set-up store (:class:`Setup`).
+    The counit and antipode checks are one :func:`verify_relations` over
+    the trivial module and the dual, so the catalog is planned once for
+    both.  The coproduct is checked by the relation suite on tensor powers.
+    The trivial module and the S^2 Program depend on (m, n) only; rep's dual
+    is derived from rep.  Both come from the set-up store (:class:`Setup`).
     """
     store = setup(rep.params)
     trivial, s2, names = store.get("hopf", _hopf_setup, rep.params)
     dual = store.derived("V*", "V", rep, dual_rep)
-    report = Report()
-    for suite, module in (("hopf-counit", trivial), ("hopf-antipode", dual)):
-        for c in verify_relations(module).checks:
-            report.add(suite, c.name, c.ok, c.detail)
+    report = verify_relations(trivial, dual, labels=[("hopf-counit", ""), ("hopf-antipode", "")])
     # k2rho k2rho_inv telescopes to the K_b K_b^-1, and building the dual of
     # rep, here or in the store, refused rep unless each is 1.
     for name, value in zip(names, s2.run(rep)):

@@ -22,9 +22,10 @@ coefficient and q, and any sum, product or power of such scalars.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .errors import DivisionByZero, IndexOutOfRange, InvalidInput
+from .errors import DivisionByZero, IndexOutOfRange, InvalidInput, ResourceLimit
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
@@ -595,6 +596,17 @@ class GLParams(namedtuple("GLParams", "m n")):
 # ---------------------------------------------------------------------------
 
 
+def _decimal(c: int) -> str:
+    """str(c), refused with ResourceLimit above Python's int-to-text limit
+    (sys.get_int_max_str_digits, 4300 digits by default): a larger int would
+    take quadratic time to convert."""
+    try:
+        return str(c)
+    except ValueError:
+        what = f"a coefficient has more than {sys.get_int_max_str_digits()} decimal digits, too many to print"
+        raise ResourceLimit(what) from None
+
+
 def poly_to_text(p: LaurentPoly) -> str:
     if not p.terms:
         return "0"
@@ -604,11 +616,11 @@ def poly_to_text(p: LaurentPoly) -> str:
         sign = "-" if c < 0 else "+"
         c = abs(c)
         if e == 0:
-            body = str(c)
+            body = _decimal(c)
         elif e == 1:
-            body = "q" if c == 1 else f"{c}*q"
+            body = "q" if c == 1 else f"{_decimal(c)}*q"
         else:
-            body = f"q^{e}" if c == 1 else f"{c}*q^{e}"
+            body = f"q^{e}" if c == 1 else f"{_decimal(c)}*q^{e}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:

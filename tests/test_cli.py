@@ -635,6 +635,32 @@ def test_warm_hopf_jobs_compile_nothing_and_measure_nothing(monkeypatch, capsys)
     assert len(json.loads(outputs[1])["checks"]) == 319
 
 
+def test_relations_and_hopf_jobs_plan_the_catalog_once(monkeypatch, capsys):
+    # A relations job makes one numeric pass of the catalog over its five
+    # spaces, and a hopf job one over the trivial module and V*; a warm
+    # relations job makes no other, and a warm hopf job one more, for S^2 on V.
+    params = GLParams(3, 2)
+    plans = []  # (program, module dims, job)
+    plan = expr.Program._plan
+
+    def recording_plan(self, modules):
+        plans.append((self, [rep.dim for rep in modules], len(jobs)))
+        return plan(self, modules)
+
+    monkeypatch.setattr(expr.Program, "_plan", recording_plan)
+    jobs = []
+    for suite in ("relations", "relations", "hopf", "hopf"):
+        jobs.append(main(["verify", "--m", "3", "--n", "2", "--suite", suite, "--json"]))
+    capsys.readouterr()
+    assert jobs == [EXIT_OK] * 4
+    _, catalog = reps.setup(params).get("catalog", None)
+    catalog_plans = [(dims, job) for program, dims, job in plans if program is catalog]
+    assert catalog_plans == [([5, 25, 25, 125, 125], 0), ([5, 25, 25, 125, 125], 1), ([1, 5], 2), ([1, 5], 3)]
+    assert [dims for _, dims, job in plans if job == 1] == [[5, 25, 25, 125, 125]]
+    _, s2, _ = reps.setup(params).get("hopf", None)
+    assert [(program, dims) for program, dims, job in plans if job == 3] == [(catalog, [1, 5]), (s2, [5])]
+
+
 def _snapshot(rep):
     return rep.gens, {key: SparseMat(m.nrows, m.ncols, dict(m.entries)) for key, m in rep.gens.items()}
 
@@ -1038,11 +1064,15 @@ _ATOMS_OUT_OF_RANGE = ("e0", "f3", "K0", "K4", "k0", "k3")
         (["eval", "--m", "2", "--n", "1", "--expr", "(" * 1000 + "e1" + ")" * 1000], None),
         (["simple-module", "--ell", "1", "--lambda2", "(" * 400 + "q" + ")" * 400], None),
         *((["eval", "--m", "2", "--n", "1", "--expr", atom], None) for atom in _ATOMS_OUT_OF_RANGE),
+        (["eval", "--m", "1", "--n", "1", "--expr", "7" * 5000 + "*e1"], None),
+        (["eval", "--m", "1", "--n", "1", "--expr", "e" + "1" * 5000], None),
+        (["simple-module", "--ell", "1", "--lambda2", "q + " + "7" * 5000], None),
     ],
     ids=["m0", "rep-tensorx", "rep-tensor0", "rep-tensor", "rep-tensor-plus3", "env-cap-abc",
          "ell-negative", "lambda2-zero", "max-dim-0", "max-dim-negative", "samples-negative",
          "tensor-depth-0", "tensor-depth-negative", "expr-nested-1000", "lambda2-nested-400",
-         *_ATOMS_OUT_OF_RANGE],
+         *_ATOMS_OUT_OF_RANGE, "expr-literal-5000-digits", "atom-index-5000-digits",
+         "lambda2-literal-5000-digits"],
 )
 def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     if env_cap is None:
@@ -1053,6 +1083,37 @@ def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_a_literal_above_the_int_text_limit_is_named_at_its_position(capsys):
+    # Python converts at most 4300 digits of text to an int by default; a
+    # longer literal is a syntax error at its first digit, in --expr and in
+    # --lambda2, and 4300 digits still parse.
+    err = "error: an integer of 5000 digits exceeds the limit of 4300 (at position 5)\n"
+    assert main(["eval", "--m", "1", "--n", "1", "--expr", "e1 + " + "7" * 5000]) == EXIT_FAIL
+    assert capsys.readouterr() == ("", err)
+    assert main(["simple-module", "--ell", "1", "--lambda2", "q + " + "7" * 5000]) == EXIT_FAIL
+    assert capsys.readouterr() == ("", err.replace("position 5", "position 4"))
+    assert main(["eval", "--m", "1", "--n", "1", "--expr", "1" * 4300 + "*e1"]) == EXIT_OK
+    assert capsys.readouterr().out == "[0, " + "1" * 4300 + "]\n[0, 0]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--m", "1", "--n", "1", "--expr", "10^5000"],
+     ["simple-module", "--ell", "1", "--lambda2", "2^15000"]],
+    ids=["eval-10^5000", "simple-module-2^15000"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_coefficient_above_the_int_text_limit_is_a_resource_limit(argv, json_flag, capsys):
+    # The parser admits both inputs (their estimate is far below 2^23 bits),
+    # but an output coefficient of more than 4300 decimal digits cannot be
+    # printed without lifting Python's int-to-text limit: exit 3 with one
+    # line, and nothing on stdout.
+    assert main(argv + json_flag) == EXIT_RESOURCE
+    assert capsys.readouterr() == (
+        "", "resource limit: a coefficient has more than 4300 decimal digits, too many to print\n"
+    )
 
 
 @pytest.mark.parametrize(

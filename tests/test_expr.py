@@ -429,6 +429,48 @@ def test_one_compiled_batch_runs_exactly_on_every_module(xs):
         assert list(program.run(rep)) == [_reference_eval(x, rep) for x in batch]
 
 
+@functools.cache
+def _plan_modules():
+    """Modules over (2, 1) whose generators differ in denominator and lag:
+    V(2,1), its square and cube, its dual, typical modules with a rational
+    and a polynomial lambda2, and the dual of the rational one."""
+    nat, typical = _test_reps()[0], _test_reps()[3]
+    other = simple_quotient(verma_module(HighestWeightSL21(2, -1, parse_scalar("(q-2)/(q+1)")))).rep
+    monomial = simple_quotient(verma_module(HighestWeightSL21(1, 1, RatFn.q(3)))).rep
+    return (nat, tensor_rep(nat, nat), iterated_tensor(nat, 3, "DeltaPrime"), dual_rep(nat), typical, other,
+            monomial, dual_rep(typical))
+
+
+def test_the_plan_modules_differ_in_denominator_and_lag():
+    for kind, index in (("e", 1), ("f", 2), ("K", 1), ("Kinv", 3)):
+        codes = [expr_module._Encoding(rep.gen(kind, index)) for rep in _plan_modules()]
+        assert len({c.lag for c in codes}) > 1
+    assert len({expr_module._Encoding(rep.gen("e", 2)).den for rep in _plan_modules()}) > 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_EXPRS, min_size=1, max_size=3), st.lists(st.integers(0, 7), min_size=2, max_size=4))
+def test_one_plan_runs_exactly_on_each_of_its_modules(xs, picks):
+    # One numeric pass over a list of modules, then each module's integer
+    # pass: every module's outputs equal the RatFn fold in that module.
+    batch = xs + [a * b for a, b in zip(xs, xs[1:])] + [xs[0]]
+    modules = [_plan_modules()[i] for i in picks]
+    runs = compile_batch(batch).run_each(modules)
+    assert len(runs) == len(modules)
+    for rep, values in zip(modules, runs):
+        assert list(values) == [_reference_eval(x, rep) for x in batch]
+
+
+def test_one_plan_runs_the_catalog_on_modules_of_other_lags():
+    # Cartan atoms differ in lag across these modules; an integer pass that
+    # did not bring a module's generators to the plan's lag would decode the
+    # Cartan relations wrongly.
+    modules = _plan_modules()
+    program = compile_batch([entry.expr for entry in relation_catalog(P21)])
+    for rep, values in zip(modules, program.run_each(modules)):
+        assert all(value.is_zero() for value in values), rep.label
+
+
 def test_compiling_the_catalog_compares_and_hashes_no_tree(monkeypatch):
     # Equal subtrees built apart would cost a structural walk per lookup in a
     # dict keyed by nodes; compile visits each node object once, by its id.

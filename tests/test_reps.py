@@ -571,18 +571,59 @@ def test_hopf_counit_fails_when_k_goes_to_q(monkeypatch):
     ]
 
 
+def test_a_spoiled_space_fails_only_under_its_own_label():
+    # One plan over V, a spoiled V (K1 acting as K2) and V (x) V: only the
+    # spoiled space's checks fail, each with the witness it gets alone.
+    nat = natural_rep(P21)
+    spoiled = natural_rep(P21)
+    spoiled.gens[("K", 1)], spoiled.gens[("Kinv", 1)] = spoiled.gen("K", 2), spoiled.gen("Kinv", 2)
+    spaces = [nat, spoiled, tensor_rep(nat, nat)]
+    labels = [("relations", f"{name}: ") for name in ("V", "spoiled", "V^(x)2")]
+    report = verify_relations(*spaces, labels=labels)
+    alone = verify_relations(spoiled)
+    assert alone.failures
+    assert [(c.name, c.detail) for c in report.failures] == [
+        (f"spoiled: {c.name}", c.detail) for c in alone.failures
+    ]
+    per_space = len(report.checks) // 3
+    assert len(report.checks) == 3 * per_space == 3 * len(alone.checks)
+    names = [c.name for c in report.checks[per_space : 2 * per_space]]
+    assert names == [f"spoiled: {c.name}" for c in alone.checks]
+
+
+def test_verify_relations_refuses_modules_of_two_parameter_sets():
+    with pytest.raises(ParamsMismatch):
+        verify_relations(natural_rep(P21), natural_rep(GLParams(1, 2)))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 3), (6, 6)])
+def test_the_relation_suites_shared_width_is_its_largest_spaces_own(m, n):
+    # The relations suite's five spaces share one plan, at the width of
+    # V^(x)3 alone, and the hopf suite's trivial module and V* at the width
+    # of V* alone: a refusal by MAX_ENTRY_BITS falls where it fell when each
+    # space had a plan of its own.
+    params = GLParams(m, n)
+    spaces = [reps.shared_power(params, 1)]
+    spaces += [reps.shared_power(params, r, side) for r in (2, 3) for side in ("Delta", "DeltaPrime")]
+    _, program = reps.setup(params).get("catalog", _catalog, params)
+    own = [program._plan([space])[2] for space in spaces]
+    assert program._plan(spaces)[2] == own[3] == own[4] == max(own)
+    dual = dual_rep(spaces[0])
+    assert program._plan([trivial_rep(params), dual])[2] == program._plan([dual])[2]
+
+
 def test_hopf_counit_is_one_run_of_the_catalog_on_the_trivial_module(monkeypatch):
     runs = []
-    run = Program.run
+    run_each = Program.run_each
 
-    def recording_run(self, rep):
-        runs.append((self, rep.dim))
-        return run(self, rep)
+    def recording_run_each(self, modules):
+        runs.append((self, [rep.dim for rep in modules]))
+        return run_each(self, modules)
 
-    monkeypatch.setattr(Program, "run", recording_run)
+    monkeypatch.setattr(Program, "run_each", recording_run_each)
     report = check_hopf_axioms(natural_rep(P21))
     entries, program = reps.setup(P21).get("catalog", None)
-    assert [p for p, dim in runs if dim == 1] == [program]
+    assert [p for p, dims in runs if 1 in dims] == [program]
     counit = [c for c in report.checks if c.suite == "hopf-counit"]
     assert [c.name for c in counit] == [entry.name for entry in entries]
     assert all(c.ok and c.detail == "" for c in counit)

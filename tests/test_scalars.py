@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenq.errors import DivisionByZero, ExprSyntaxError, IndexOutOfRange
+from degenq.errors import DivisionByZero, ExprSyntaxError, IndexOutOfRange, ResourceLimit
 from degenq.scalars import (
     GLParams,
     LaurentPoly,
@@ -284,6 +284,14 @@ def test_poly_text_examples():
     assert poly_to_text(lp({2: 1, 0: -2, -1: 3})) == "q^2 - 2 + 3*q^-1"
     assert poly_to_text(LaurentPoly.zero()) == "0"
     assert poly_to_text(lp({1: -1})) == "-q"
+
+
+def test_poly_text_refuses_a_coefficient_above_the_int_text_limit():
+    # Python's int-to-text conversion stops at 4300 digits by default.
+    assert poly_to_text(lp({0: 10**4299, 2: -(10**4299)})) == f"-{10**4299}*q^2 + {10**4299}"
+    for terms in ({0: 10**4300}, {1: -(10**4300)}, {3: 2, -1: 10**5000}):
+        with pytest.raises(ResourceLimit, match="more than 4300 decimal digits"):
+            poly_to_text(lp(terms))
 
 
 def test_scalar_text_rational():

@@ -10,8 +10,9 @@ every (argv, exit code, stdout, stderr).  It then does the same for
 ``PARSER_ARGVS``, each run with and without ``--json``: expression and scalar
 text, which no benchmark job exercises, simple modules with their action
 matrices, invariants of words of very different lengths on one evaluator,
-words with inverse letters to cancel, and R-matrix requests refused by the
-dimension cap.  Two checkouts that print the same digests answered every job
+words with inverse letters to cancel, R-matrix requests refused by the
+dimension cap, relation and Hopf jobs over lists of spaces of other lengths,
+and integers past Python's int-text limit.  Two checkouts that print the same digests answered every job
 byte for byte alike: run it in both to check that a change keeps the
 program's output.  Before the two digest lines it prints
 one line per argv, its exit code, the first 16 hex digits of a sha256 over its
@@ -46,7 +47,11 @@ SEEDS = (1, 7)
 # letter), and a word that cancels across far letters.  Last, R-matrix
 # requests whose space is far above the cap, refused with exit 3 before any
 # set-up is built: ybe on V^(x)3 and hecke on V^(x)2 at (150, 150), and a
-# 1-strand invariant, whose R-matrix lives on V (x) V, at (101, 100).
+# 1-strand invariant, whose R-matrix lives on V (x) V, at (101, 100).  Then
+# relation and Hopf jobs whose lists of spaces, one, seven and two long, share
+# one evaluation plan.  Last, integers past Python's 4300-digit text limit: a
+# literal and an atom index in --expr, refused with exit 1, and output
+# coefficients of --expr and --lambda2 too long to print, refused with exit 3.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -90,6 +95,13 @@ PARSER_ARGVS = [
     ["verify", "--m", "150", "--n", "150", "--suite", "ybe"],
     ["verify", "--m", "150", "--n", "150", "--suite", "hecke"],
     ["invariant", "--m", "101", "--n", "100", "--braid", ""],
+    ["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "1"],
+    ["verify", "--m", "2", "--n", "1", "--suite", "relations", "--tensor-depth", "4"],
+    ["verify", "--m", "4", "--n", "3", "--suite", "hopf"],
+    ["eval", "--m", "1", "--n", "1", "--expr", "7" * 5000 + "*e1"],
+    ["eval", "--m", "1", "--n", "1", "--expr", "e" + "1" * 5000],
+    ["eval", "--m", "1", "--n", "1", "--expr", "10^5000"],
+    ["simple-module", "--ell", "1", "--lambda2", "2^15000"],
 ]
 
 
