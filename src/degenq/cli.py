@@ -42,7 +42,7 @@ from .errors import (
     InvalidInput,
     ResourceLimit,
 )
-from .expr import eval_in_rep, parse_expr
+from .expr import _int_literal, eval_in_rep, parse_expr
 from .linalg import SparseMat
 from .reports import FAIL, PASS, Report, UNSUPPORTED, VACUOUS
 from .reps import (
@@ -70,15 +70,22 @@ def parse_braid(text: str, strands: int | None = None):
     default to max|i| + 1."""
     from .invariants import BraidWord
 
-    try:
-        letters = tuple(int(t) for t in text.split())
-    except ValueError as exc:
-        raise ExprSyntaxError(f"braid letters must be integers: {exc}") from exc
+    letters = tuple(_braid_letter(t) for t in text.split())
     if any(letter == 0 for letter in letters):
         raise ExprSyntaxError("braid letters must be nonzero")
     if strands is None:
         strands = max((abs(letter) for letter in letters), default=0) + 1
     return BraidWord(strands, letters)
+
+
+def _braid_letter(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        digits = token[1:] if token[0] in "+-" else token
+        if digits.isdecimal():  # int() refused it for its length alone
+            _int_literal(digits)
+        raise ExprSyntaxError(f"braid letters must be integers: {exc}") from exc
 
 
 def _report_payload(report: Report) -> dict:

@@ -232,7 +232,7 @@ def _check_scalar_size(what: str, *powers: tuple[LaurentPoly, int]) -> None:
         if p:
             bits += k * (p.norm1() - 1).bit_length()
             span += k * (max(p.terms) - min(p.terms))
-    if bits * (span + 1) > MAX_ENTRY_BITS:
+    if _entry_bits(bits, span) > MAX_ENTRY_BITS:
         raise _too_big(what)
 
 
@@ -398,6 +398,12 @@ def antipode(x: Expr) -> Expr:
 # The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
 # above the 4 million bits of (q+1)^2000 at its own digit width.
 MAX_ENTRY_BITS = 1 << 23
+
+
+def _entry_bits(bits: int, degree: int) -> int:
+    """B (t + 1), the bits of an entry of degree t at digit width B."""
+    return bits * (degree + 1)
+
 
 _GEN, _SUM, _PROD, _POW = range(4)
 
@@ -572,7 +578,7 @@ class Program:
                 shape.append((den, data * v, b**data, data * t))
                 how.append(data)
         bits = _digit_bits(max((b for _, _, b, _ in shape), default=0))
-        if bits * (max((t for _, _, _, t in shape), default=0) + 1) > MAX_ENTRY_BITS:
+        if _entry_bits(bits, max((t for _, _, _, t in shape), default=0)) > MAX_ENTRY_BITS:
             raise _too_big("evaluation")
         factors: dict[int, int] = {}  # a lifted product's slot: its scalar factor
         for s, (code, kids, _) in enumerate(self.ops):
@@ -755,8 +761,9 @@ _EXPR_TOKEN_RE = re.compile(
 )
 
 
-def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
+def _tokenize_expr(text: str) -> list[tuple[str, object, int, str]]:
+    """(kind, value, position, the token as typed) for each token of text."""
+    tokens: list[tuple[str, object, int, str]] = []
     pos = 0
     while pos < len(text):
         m = _EXPR_TOKEN_RE.match(text, pos)
@@ -765,27 +772,27 @@ def _tokenize_expr(text: str) -> list[tuple[str, object, int]]:
                 break
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.group("atom"):
-            tokens.append(("atom", (m.group("atom"), _int_literal(m, "idx")), m.start("atom")))
+            kind, value = "atom", (m.group("atom"), _int_literal(m.group("idx"), m.start("idx")))
         elif m.group("q"):
-            tokens.append(("q", "q", m.start("q")))
+            kind, value = "q", "q"
         elif m.group("int"):
-            tokens.append(("int", _int_literal(m, "int"), m.start("int")))
+            kind, value = "int", _int_literal(m.group("int"), m.start("int"))
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+            kind, value = "op", m.group("op")
+        tokens.append((kind, value, m.start(kind), m.group(0).lstrip()))
         pos = m.end()
     return tokens
 
 
-def _int_literal(m: re.Match, group: str) -> int:
-    """The digits of a token's group as an int; more digits than Python's
-    int-from-text limit (sys.get_int_max_str_digits, 4300 by default) are
-    a syntax error at the literal's position."""
-    digits = m.group(group)
+def _int_literal(digits: str, pos: int = -1) -> int:
+    """Decimal digits as an int; more digits than Python's int-from-text
+    limit (sys.get_int_max_str_digits, 4300 by default) are a syntax error
+    at pos."""
     try:
         return int(digits)
     except ValueError:
         what = f"an integer of {len(digits)} digits exceeds the limit of {sys.get_int_max_str_digits()}"
-        raise ExprSyntaxError(what, m.start(group)) from None
+        raise ExprSyntaxError(what, pos) from None
 
 
 # The deepest parenthesis nesting: a level costs the parser three stack frames
@@ -815,7 +822,7 @@ class _ExprParser:
     def expect_op(self, op: str):
         t = self.next()
         if t[0] != "op" or t[1] != op:
-            raise ExprSyntaxError(f"expected {op!r}, got {t[1]!r}", t[2])
+            raise ExprSyntaxError(f"expected {op!r}, got {t[3]!r}", t[2])
 
     def parse_expr(self) -> Expr:
         terms = [self.parse_term()]
@@ -922,7 +929,7 @@ class _ExprParser:
             if exp < 0 and not isinstance(inner, Scalar):
                 raise ExprSyntaxError("negative power on a parenthesized expression", t[2])
             return make_pow(inner, exp)
-        raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
+        raise ExprSyntaxError(f"unexpected token {t[3]!r}", t[2])
 
 
 def parse_expr(text: str, params: GLParams) -> Expr:
@@ -936,5 +943,5 @@ def _parse(text: str, params: GLParams | None) -> Expr:
     x = parser.parse_expr()
     t = parser.peek()
     if t is not None:
-        raise ExprSyntaxError(f"trailing input {t[1]!r}", t[2])
+        raise ExprSyntaxError(f"trailing input {t[3]!r}", t[2])
     return x

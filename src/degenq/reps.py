@@ -85,11 +85,14 @@ class Representation:
         return keys
 
     def generator_atoms(self) -> list[Gen]:
-        """e_a, f_a, K_b as expression atoms (the API surface for Hopf checks)."""
-        out = [Gen("e", a) for a in self.params.iprime]
-        out += [Gen("f", a) for a in self.params.iprime]
-        out += [Gen("K", b) for b in self.params.index_set]
-        return out
+        """e_a, f_a, K_b as expression atoms (:func:`generator_atoms`)."""
+        return generator_atoms(self.params)
+
+
+def generator_atoms(params: GLParams) -> list[Gen]:
+    """e_a, f_a, K_b as expression atoms, which depend on (m, n) alone."""
+    atoms = [Gen(kind, a) for kind in ("e", "f") for a in params.iprime]
+    return atoms + [Gen("K", b) for b in params.index_set]
 
 
 def _inverse_pair(k: SparseMat, kinv: SparseMat) -> bool:
@@ -200,15 +203,18 @@ class Setup:
     lower module imports a higher one: here V ("V"), V* ("V*"), V's
     left-nested tensor powers (("power", r, side)), the relation catalog with
     its Program ("catalog"), the trivial module with the S^2 Program ("hopf");
-    in :mod:`degenq.rmatrix` the R-matrix bundle ("bundle") and each suite's
-    spaces and Programs (the suite's name); in :mod:`degenq.invariants` one
-    braid evaluator per strand count (("evaluator", strands)).  Modules keep
-    their int forms (:mod:`degenq.expr`), so a warm job measures, encodes and
-    compiles nothing.  Set-up only, no result: every job runs every check, and
-    a one-shot CLI process gains only the sharing inside one job.  Callers
-    mutate nothing they read, and two rules hold for every kind:
+    in :mod:`degenq.rmatrix` the R-matrix bundle ("bundle"), each suite's
+    Program (its name, ("ybe", 2) and ("tensor-iso", r) besides) and the space
+    it runs in ((key, "space")); in :mod:`degenq.invariants` one braid
+    evaluator per strand count (("evaluator", strands)).  Every verify Program
+    depends on (m, n) alone and is kept per (m, n); only modules and spaces
+    are derived.  Modules keep their int forms (:mod:`degenq.expr`), so a
+    warm job measures, encodes and compiles nothing.  Set-up only, no result:
+    every job runs every check, and a one-shot CLI process gains only the
+    sharing inside one job.  Callers mutate nothing they read, and two rules
+    hold for every kind:
 
-    * A kind derived from a kept object (V* from V, a suite's set-up from the
+    * A kind derived from a kept object (V* from V, a suite's space from the
       bundle) is kept only for that very object (:meth:`derived`); any other
       object, such as a test's module or a ``_replace`` copy of the bundle,
       has it built on each call.
@@ -403,7 +409,7 @@ def _hopf_setup(params: GLParams) -> tuple:
     # Unflattened products, so that K2rho and its inverse are one node each.
     k2rho = k2rho_expr(params)
     k2rho_inv = antipode(k2rho)
-    atoms = trivial.generator_atoms()
+    atoms = generator_atoms(params)
     diffs = [antipode(antipode(g)) - Prod((k2rho, g, k2rho_inv)) for g in atoms]
     names = [f"S^2 = Ad(K2rho) on {g.kind}{g.index}" for g in atoms]
     return trivial, compile_batch(diffs), names

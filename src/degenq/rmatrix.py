@@ -17,34 +17,35 @@ Conventions:
   significant.
 
 Checking.  Every matrix identity of the ybe, hecke, intertwiner and
-tensor-iso suites is one expression lhs - rhs, and a suite evaluates its
-expressions as one compiled Program per space (:func:`degenq.expr.compile_batch`),
-over the integers at q = 2^B, like the relation catalog.  The atoms are fixed
-matrices of one space: ``Gen(name, (i, j))`` is the bundle operator ``name``
-(R, Rinv, Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j of
-V^(x)r, and the Delta- and Delta'-actions of a tensor power are the kinds e,
-f, K, Kinv and the same kinds primed.  The parser builds no such atom.  A
-suite's spaces and Programs are its fixed set-up, derived from the bundle;
-the set-up store (:class:`degenq.reps.Setup`) keeps it for the store's
-bundle, which ``shared_bundle`` hands out, and for no other.  No result is
-kept: every run checks the dimension cap first, then runs every Program and
-reads every check.  A passing check costs no decode; a failing one's witness
-is read from the decoded difference, canonical over Q(q).  The Hecke suite's
-one identity is its quadratic: the projectors onto the two eigenspaces are
-nonzero multiples of Rcheck + q^-1 and Rcheck - q, so it reads the eigenspace
-dimensions as their ranks, and it applies Rcheck to one eigenvector of each.
-The tensor-iso suite checks that the half-twist product of R legs
-intertwines; that it is invertible is ybe's "R invertible".
+tensor-iso suites is one expression lhs - rhs over fixed matrices of a space
+V^(x)r: ``Gen(name, (i, j))`` is the bundle operator ``name`` (R, Rinv,
+Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j, and the kinds e, f,
+K, Kinv and the same kinds primed are the Delta- and Delta'-actions of V^(x)r.
+The parser builds no such atom.  One runner serves every suite: it checks the
+dimension cap of V^(x)r first, then runs the suite's Program in its space.
+The expressions depend on (m, n) alone, so the set-up store
+(:class:`degenq.reps.Setup`) keeps each suite's Program, compiled once per
+(m, n) by :func:`degenq.expr.compile_batch` and evaluated over the integers at
+q = 2^B like the relation catalog; the space is derived from the bundle and
+kept only for the store's bundle, which ``shared_bundle`` hands out.  No
+result is kept: every run runs every Program and reads every check.  A
+passing check costs no decode; a failing one's witness is read from the
+decoded difference, canonical over Q(q).  The Hecke suite's one identity is
+its quadratic: the projectors onto the two eigenspaces are nonzero multiples
+of Rcheck + q^-1 and Rcheck - q, so it reads the eigenspace dimensions as
+their ranks, and it applies Rcheck to one eigenvector of each.  The
+tensor-iso suite checks that the half-twist product of R legs intertwines;
+that it is invertible is ybe's "R invertible".
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .expr import Expr, Gen, Prod, Scalar, compile_batch, make_prod
+from .expr import Expr, Gen, Prod, Program, Scalar, compile_batch, make_prod
 from .linalg import SparseMat, Vec
 from .reports import Report
-from .reps import DEFAULT_MAX_DIM, Representation, check_cap, setup, shared_power
+from .reps import DEFAULT_MAX_DIM, check_cap, generator_atoms, setup, shared_power
 from .scalars import GLParams, Q_MINUS_QINV, RatFn
 
 _ONE = RatFn.one()
@@ -141,69 +142,65 @@ def antisymmetric_type_dim(params: GLParams) -> int:
 # -- the checks as expressions over fixed matrices --------------------------------
 
 
-class _Space:
+class _Space(namedtuple("_Space", "dim gens")):
     """Fixed matrices on one space, read by a Program as a representation's
     generators: the atom Gen(kind, index) is gens[(kind, index)]."""
 
-    __slots__ = ("dim", "gens")
-
-    def __init__(self, dim: int, gens: dict):
-        self.dim = dim
-        self.gens = gens
+    __slots__ = ()
 
 
-def _space(r: int, d: int, ops: dict[str, SparseMat], *powers: Representation) -> _Space:
-    """V^(x)r with each operator of ops on every pair of legs, and the actions
-    of the given Delta and Delta' powers of V, the second one's kinds primed."""
-    gens = {
-        (name, (i, j)): leg_operator(op, i, j, r, d)
-        for name, op in ops.items()
-        for i, j in _halftwist_pairs(r)
-    }
-    for tag, power in zip(("", "'"), powers):
-        gens.update({(kind + tag, index): mat for (kind, index), mat in power.gens.items()})
-    return _Space(d**r, gens)
+def _halftwist_pairs(r: int) -> list[tuple[int, int]]:
+    # (1,2), (1,3), (2,3), (1,4), (2,4), (3,4), ...: block j collects R_{ij}, i < j.
+    return [(i, j) for j in range(2, r + 1) for i in range(1, j)]
 
 
-def _differences(bundle: RMatrixBundle, key, build, *args) -> dict[str, SparseMat]:
-    """Each check of a suite evaluated, lhs - rhs by name.  ``build(bundle,
-    *args)`` gives the suite's set-up, a list of (space, named checks); its
-    spaces with their checks compiled are derived from the bundle under key
-    (:meth:`degenq.reps.Setup.derived`).  Every program runs on every call."""
-
-    def compiled(bundle):
-        return [
-            (space, compile_batch([x for _, x in checks]), [name for name, _ in checks])
-            for space, checks in build(bundle, *args)
-        ]
-
-    out: dict[str, SparseMat] = {}
-    for space, program, names in setup(bundle.params).derived(key, "bundle", bundle, compiled):
-        out.update(zip(names, program.run(space)))
-    return out
+def _compiled(checks, params: GLParams, r: int) -> tuple[list[str], Program]:
+    pairs = checks(params, r)
+    return [name for name, _ in pairs], compile_batch([x for _, x in pairs])
 
 
-def _braid_difference(name: str) -> Expr:
-    """R_12 R_13 R_23 - R_23 R_13 R_12 for R the operator ``name``."""
-    r12, r13, r23 = (Gen(name, pair) for pair in ((1, 2), (1, 3), (2, 3)))
-    return make_prod([r12, r13, r23]) - make_prod([r23, r13, r12])
+def _suite_differences(
+    bundle: RMatrixBundle, key, r: int, ops: tuple[str, ...], actions: bool, checks, max_dim: int
+) -> dict[str, SparseMat]:
+    """Each check of a suite on V^(x)r, lhs - rhs by name, once d^r passes
+    the cap.  ``checks(params, r)`` lists the suite's (name, expression)
+    pairs, which depend on (m, n) and key alone, so they are compiled once,
+    kept under key.  The space holds each bundle operator named in ops (``Rbad`` is
+    :func:`perturbed_r`) on every pair of legs and, with actions, the Delta-
+    and Delta'-actions of V^(x)r, the second's kinds primed; it is derived
+    from the bundle under (key, "space") (:meth:`degenq.reps.Setup.derived`)."""
+    params = bundle.params
+    d = params.size
+    check_cap(d, r, max_dim)
+    store = setup(params)
+    names, program = store.get(key, _compiled, checks, params, r)
+
+    def space(source: RMatrixBundle) -> _Space:
+        mats = {name: perturbed_r(params) if name == "Rbad" else getattr(source, name) for name in ops}
+        gens = {(x, p): leg_operator(op, *p, r, d) for x, op in mats.items() for p in _halftwist_pairs(r)}
+        for tag, side in (("", "Delta"), ("'", "DeltaPrime"))[: 2 * actions]:
+            power = shared_power(params, r, side, max_dim)
+            gens.update({(kind + tag, i): mat for (kind, i), mat in power.gens.items()})
+        return _Space(d**r, gens)
+
+    return dict(zip(names, program.run(store.derived((key, "space"), "bundle", bundle, space))))
 
 
-def _ybe_setup(bundle: RMatrixBundle) -> list[tuple[_Space, list]]:
-    d = bundle.params.size
-    ops = {"R": bundle.R, "T": bundle.T, "Rbad": perturbed_r(bundle.params)}
-    inverse = Gen("R", (1, 2)) * Gen("Rinv", (1, 2)) - 1
-    return [
-        (_space(3, d, ops), [(name, _braid_difference(name)) for name in ops]),
-        (_space(2, d, {"R": bundle.R, "Rinv": bundle.Rinv}), [("R invertible", inverse)]),
-    ]
+_BRAIDED = ("R", "T", "Rbad")
+
+
+def _braid_checks(params: GLParams, r: int) -> list[tuple[str, Expr]]:
+    """R_12 R_13 R_23 - R_23 R_13 R_12, named R, for each operator R of _BRAIDED."""
+    legs = {name: [Gen(name, pair) for pair in ((1, 2), (1, 3), (2, 3))] for name in _BRAIDED}
+    return [(name, make_prod(x) - make_prod(x[::-1])) for name, x in legs.items()]
 
 
 def verify_ybe(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """The braid relation on V^(x)3 for R and the reference T, plus the failing
     negative control; refuses V^(x)3 above the dimension cap."""
-    check_cap(bundle.params.size, 3, max_dim)
-    diffs = _differences(bundle, "ybe", _ybe_setup)
+    diffs = _suite_differences(bundle, "ybe", 3, _BRAIDED, False, _braid_checks, max_dim)
+    inverse = [("R invertible", Gen("R", (1, 2)) * Gen("Rinv", (1, 2)) - 1)]
+    diffs.update(_suite_differences(bundle, ("ybe", 2), 2, ("R", "Rinv"), False, lambda *_: inverse, max_dim))
     report = Report()
     for name in ("R", "T"):
         report.add_zero("ybe", f"{name} braids exactly", diffs[name])
@@ -212,12 +209,9 @@ def verify_ybe(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     return report
 
 
-def _hecke_setup(bundle: RMatrixBundle) -> list[tuple[_Space, list]]:
-    q = RatFn.q(1)
-    rc = Gen("Rcheck", (1, 2))
-    quadratic = Prod((rc - Scalar(q), rc + Scalar(q.inv())))
-    checks = [("(Rcheck - q)(Rcheck + q^-1) = 0", quadratic)]
-    return [(_space(2, bundle.params.size, {"Rcheck": bundle.Rcheck}), checks)]
+def _hecke_checks(params: GLParams, r: int) -> list[tuple[str, Expr]]:
+    q, rc = RatFn.q(1), Gen("Rcheck", (1, 2))
+    return [("(Rcheck - q)(Rcheck + q^-1) = 0", Prod((rc - Scalar(q), rc + Scalar(q.inv()))))]
 
 
 def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
@@ -225,10 +219,10 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_
     one eigenvector in each; refuses V^(x)2 above the dimension cap."""
     params = bundle.params
     d = params.size
-    check_cap(d, 2, max_dim)
     report = Report()
     q = RatFn.q(1)
-    for name, value in _differences(bundle, "hecke", _hecke_setup).items():
+    diffs = _suite_differences(bundle, "hecke", 2, ("Rcheck",), False, _hecke_checks, max_dim)
+    for name, value in diffs.items():
         report.add_zero("hecke", name, value)
     ident = SparseMat.identity(d * d)
     rank_s = (bundle.Rcheck + ident.scale(q.inv())).rank()
@@ -245,35 +239,25 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_
     return report
 
 
-def _intertwiner_setup(bundle: RMatrixBundle, max_dim: int) -> list[tuple[_Space, list]]:
-    params = bundle.params
-    vv_delta = shared_power(params, 2, "Delta", max_dim)
-    ops = {"R": bundle.R, "Rcheck": bundle.Rcheck}
-    space = _space(2, params.size, ops, vv_delta, shared_power(params, 2, "DeltaPrime", max_dim))
+def _intertwiner_checks(params: GLParams, r: int) -> list[tuple[str, Expr]]:
     R, rc = Gen("R", (1, 2)), Gen("Rcheck", (1, 2))
     checks = []
-    for g in vv_delta.generator_atoms():
+    for g in generator_atoms(params):
         name = f"{g.kind}{g.index}"
-        prime = Gen(g.kind + "'", g.index)
-        checks.append((f"R Delta({name}) = Delta'({name}) R", R * g - prime * R))
+        checks.append((f"R Delta({name}) = Delta'({name}) R", R * g - Gen(g.kind + "'", g.index) * R))
         checks.append((f"[Rcheck, Delta({name})] = 0", rc * g - g * rc))
-    return [(space, checks)]
+    return checks
 
 
 def verify_intertwiner(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_DIM) -> Report:
     """R (nu x nu)Delta(x) = (nu x nu)Delta'(x) R on every generator, and
     Rcheck commutes with the Delta-action, for nu the natural module; refuses
     V^(x)2 above the dimension cap."""
-    check_cap(bundle.params.size, 2, max_dim)
     report = Report()
-    for name, value in _differences(bundle, "intertwiner", _intertwiner_setup, max_dim).items():
+    diffs = _suite_differences(bundle, "intertwiner", 2, ("R", "Rcheck"), True, _intertwiner_checks, max_dim)
+    for name, value in diffs.items():
         report.add_zero("intertwiner", name, value)
     return report
-
-
-def _halftwist_pairs(r: int) -> list[tuple[int, int]]:
-    # (1,2), (1,3), (2,3), (1,4), (2,4), (3,4), ...: block j collects R_{ij}, i < j.
-    return [(i, j) for j in range(2, r + 1) for i in range(1, j)]
 
 
 def _iso_expr(r: int) -> Expr:
@@ -289,18 +273,13 @@ def _iso_expr(r: int) -> Expr:
     return make_prod([Gen("R", p) for p in _halftwist_pairs(r)])
 
 
-def _tensor_iso_setup(bundle: RMatrixBundle, r: int, max_dim: int) -> list[tuple[_Space, list]]:
-    params = bundle.params
-    power_delta = shared_power(params, r, "Delta", max_dim)
-    power_prime = shared_power(params, r, "DeltaPrime", max_dim)
-    space = _space(r, params.size, {"R": bundle.R}, power_delta, power_prime)
+def _tensor_iso_checks(params: GLParams, r: int) -> list[tuple[str, Expr]]:
     iso = _iso_expr(r)
     # Unflattened products, so that the isomorphism is one node.
-    checks = [
+    return [
         (f"r={r}: intertwines {g.kind}{g.index}", Prod((iso, g)) - Prod((Gen(g.kind + "'", g.index), iso)))
-        for g in power_delta.generator_atoms()
+        for g in generator_atoms(params)
     ]
-    return [(space, checks)]
 
 
 def verify_tensor_iso(bundle: RMatrixBundle, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Report:
@@ -308,8 +287,8 @@ def verify_tensor_iso(bundle: RMatrixBundle, r: int, max_dim: int = DEFAULT_MAX_
     Delta'-actions on V^(x)r, r >= 2; refuses V^(x)r above the dimension cap."""
     if r < 2:
         raise ValueError("the tensor isomorphism needs r >= 2")
-    check_cap(bundle.params.size, r, max_dim)
     report = Report()
-    for name, value in _differences(bundle, ("tensor-iso", r), _tensor_iso_setup, r, max_dim).items():
+    diffs = _suite_differences(bundle, ("tensor-iso", r), r, ("R",), True, _tensor_iso_checks, max_dim)
+    for name, value in diffs.items():
         report.add_zero("tensor-iso", name, value)
     return report

@@ -50,7 +50,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInput, ResourceLimit
-from .expr import MAX_ENTRY_BITS, eval_in_rep
+from .expr import MAX_ENTRY_BITS, _entry_bits, eval_in_rep
 from .linalg import SparseMat, Vec
 from .relations import odd_pair_element
 from .reps import (
@@ -259,7 +259,7 @@ def _monomial_lambda2_bits(e: int) -> int:
     """B(|e|)(2|e| - 1): a floor on evaluation's B (deg + 1) for e2 when
     lambda_2 = +-q^e, since e2 maps f2 v to +-[e]_q v, an entry of 1-norm |e|
     and q-span 2|e| - 2, and B(b) = bit_length(b) + 1 is the digit width."""
-    return _digit_bits(abs(e)) * (2 * abs(e) - 1)
+    return _entry_bits(_digit_bits(abs(e)), 2 * abs(e) - 2)
 
 
 def module_report(hw: HighestWeightSL21):

@@ -733,7 +733,7 @@ def test_r_matrix_suites_refuse_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("built a space above the cap")
 
-    monkeypatch.setattr(rmatrix, "_space", no_work)
+    monkeypatch.setattr(rmatrix, "leg_operator", no_work)
     bundle = build_bundle(GLParams(2, 1))
     for check, cap in (
         (rmatrix.verify_ybe, 26),
@@ -1083,6 +1083,31 @@ def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["eval", "--m", "2", "--n", "1", "--expr", "e1 e2"], "trailing input 'e2' (at position 3)"),
+        (["eval", "--m", "2", "--n", "1", "--expr", "(2 3)"], "expected ')', got '3' (at position 3)"),
+        (["eval", "--m", "2", "--n", "1", "--expr", "(2)/e1"], "expected '(', got 'e1' (at position 4)"),
+        (["eval", "--m", "2", "--n", "1", "--expr", "(2 007)"], "expected ')', got '007' (at position 3)"),
+        (["eval", "--m", "2", "--n", "1", "--expr", "e1 + *"], "unexpected token '*' (at position 5)"),
+        (["simple-module", "--ell", "1", "--lambda2", "2 e1"], "trailing input 'e1' (at position 2)"),
+        (["invariant", "--m", "2", "--n", "1", "--braid", "1 " + "7" * 5000],
+         "an integer of 5000 digits exceeds the limit of 4300"),
+        (["invariant", "--m", "2", "--n", "1", "--braid", "-" + "7" * 5000],
+         "an integer of 5000 digits exceeds the limit of 4300"),
+    ],
+    ids=["trailing", "expected-close", "expected-open", "leading-zeros", "unexpected", "lambda2-trailing",
+         "braid-letter-5000-digits", "negative-braid-letter-5000-digits"],
+)
+def test_an_error_line_names_the_input_as_typed(argv, err, capsys):
+    # A syntax error quotes the token as the user typed it, not the parser's
+    # internal form, and an over-long braid letter is refused as --expr
+    # refuses an over-long literal, with no Python-internal advice.
+    assert main(argv) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_a_literal_above_the_int_text_limit_is_named_at_its_position(capsys):

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from degenq import cli, linalg, rmatrix
+from degenq import cli, expr, linalg, reps, rmatrix
 from degenq.errors import ResourceLimit
 from degenq.expr import eval_batch
 from degenq.linalg import SparseMat, Subspace, Vec, nullspace
@@ -110,6 +110,58 @@ def test_spoiled_copies_of_the_warm_verify_bundle_fail_alike():
     _assert_spoiled_copies_fail_with_witnesses(rmatrix.shared_bundle(P21))
     assert [store.get(key, None) for key in keys] == kept
     assert cli.run_verify(P21, suites=R_SUITES).all_passed
+
+
+SUITE_CHECKS = {
+    "ybe": verify_ybe,
+    "hecke": verify_hecke_and_spectrum,
+    "intertwiner": verify_intertwiner,
+    "tensor-iso": lambda bundle: verify_tensor_iso(bundle, 3),
+}
+
+
+def test_spoiled_copies_of_the_warm_bundle_compile_nothing(monkeypatch, capsys):
+    # The suites' identities depend on (m, n) alone, so after a warm verify a
+    # ``_replace`` copy of the stored bundle builds its own spaces but no
+    # Program, and still fails with the witnesses of a fresh bundle.
+    assert cli.main(["verify", "--m", "2", "--n", "1", "--suite", "all"]) == 0
+    capsys.readouterr()
+    compiled = []
+    for module in (expr, reps, rmatrix):
+        compile_batch = module.compile_batch
+
+        def counting_compile(exprs, compile_batch=compile_batch):
+            compiled.append(len(exprs))
+            return compile_batch(exprs)
+
+        monkeypatch.setattr(module, "compile_batch", counting_compile)
+    bundle = rmatrix.shared_bundle(P21)
+    _assert_spoiled_copies_fail_with_witnesses(bundle)
+    spoiled = verify_tensor_iso(bundle._replace(R=perturbed_r(P21)), 3)
+    assert spoiled.failures
+    assert [c.name for c in spoiled.checks] == [c.name for c in verify_tensor_iso(bundle, 3).checks]
+    assert compiled == []
+
+
+@pytest.mark.parametrize("suite", SUITE_CHECKS)
+def test_the_stored_and_a_fresh_bundle_read_one_program(suite, monkeypatch):
+    # A suite's Program is kept per (m, n), not per bundle: the store's
+    # bundle and a freshly built one run the very same compiled objects.
+    programs = []
+    run = expr.Program.run
+
+    def recording_run(self, rep):
+        if isinstance(rep, rmatrix._Space):  # not the Programs that build tensor powers
+            programs.append(self)
+        return run(self, rep)
+
+    monkeypatch.setattr(expr.Program, "run", recording_run)
+    runs = []
+    for bundle in (rmatrix.shared_bundle(P21), build_bundle(P21)):
+        assert SUITE_CHECKS[suite](bundle).all_passed
+        runs.append(programs[:])
+        programs.clear()
+    assert runs[0] and [id(p) for p in runs[0]] == [id(p) for p in runs[1]]
 
 
 def test_failed_eigenvector_checks_print_a_witness():
@@ -457,8 +509,8 @@ def test_suites_match_the_product_reference(params):
 @pytest.mark.parametrize("r", [2, 3])
 def test_tensor_iso_matches_the_product_reference(params, r):
     # The suite's isomorphism, the half-twist product of R legs, as a matrix.
-    bundle = build_bundle(params)
-    space = rmatrix._space(r, params.size, {"R": bundle.R})
+    bundle, d = build_bundle(params), params.size
+    space = rmatrix._Space(d**r, {("R", p): leg_operator(bundle.R, *p, r, d) for p in rmatrix._halftwist_pairs(r)})
     assert next(eval_batch([rmatrix._iso_expr(r)], space)) == ref_leg_product(bundle, r)
 
 

@@ -12,7 +12,8 @@ text, which no benchmark job exercises, simple modules with their action
 matrices, invariants of words of very different lengths on one evaluator,
 words with inverse letters to cancel, R-matrix requests refused by the
 dimension cap, relation and Hopf jobs over lists of spaces of other lengths,
-and integers past Python's int-text limit.  Two checkouts that print the same digests answered every job
+integers past Python's int-text limit, R-matrix suites off the verify grid,
+and syntax errors that quote the input.  Two checkouts that print the same digests answered every job
 byte for byte alike: run it in both to check that a change keeps the
 program's output.  Before the two digest lines it prints
 one line per argv, its exit code, the first 16 hex digits of a sha256 over its
@@ -49,9 +50,13 @@ SEEDS = (1, 7)
 # set-up is built: ybe on V^(x)3 and hecke on V^(x)2 at (150, 150), and a
 # 1-strand invariant, whose R-matrix lives on V (x) V, at (101, 100).  Then
 # relation and Hopf jobs whose lists of spaces, one, seven and two long, share
-# one evaluation plan.  Last, integers past Python's 4300-digit text limit: a
+# one evaluation plan.  Next, integers past Python's 4300-digit text limit: a
 # literal and an atom index in --expr, refused with exit 1, and output
 # coefficients of --expr and --lambda2 too long to print, refused with exit 3.
+# Then the R-matrix suites at (4, 3), whose spaces (d = 7) are off the verify
+# grid, and error lines that quote what was typed: a trailing atom (in --expr
+# and --lambda2), a wrong token where a parenthesis belongs, and a braid letter
+# past the 4300-digit limit.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -102,6 +107,14 @@ PARSER_ARGVS = [
     ["eval", "--m", "1", "--n", "1", "--expr", "e" + "1" * 5000],
     ["eval", "--m", "1", "--n", "1", "--expr", "10^5000"],
     ["simple-module", "--ell", "1", "--lambda2", "2^15000"],
+    ["verify", "--m", "4", "--n", "3", "--suite", "ybe"],
+    ["verify", "--m", "4", "--n", "3", "--suite", "hecke"],
+    ["verify", "--m", "4", "--n", "3", "--suite", "intertwiner"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "e1 e2"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(2 3)"],
+    ["eval", "--m", "2", "--n", "1", "--expr", "(2)/e1"],
+    ["simple-module", "--ell", "1", "--lambda2", "2 e1"],
+    ["invariant", "--m", "2", "--n", "1", "--braid", "7" * 5000],
 ]
 
 
