@@ -85,7 +85,7 @@ def _braid_letter(token: str) -> int:
         digits = token[1:] if token[0] in "+-" else token
         if digits.isdecimal():  # int() refused it for its length alone
             _int_literal(digits)
-        raise ExprSyntaxError(f"braid letters must be integers: {exc}") from exc
+        raise ExprSyntaxError(f"braid letters must be integers, got {token!r}") from exc
 
 
 def _report_payload(report: Report) -> dict:

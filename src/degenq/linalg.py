@@ -1,6 +1,7 @@
 """Exact sparse linear algebra over Q(q).
 
-Matrices and vectors store only nonzero entries.  There is one elimination
+Matrices store only nonzero entries.  A vector is a dim x 1 ``SparseMat``,
+its entries keyed (i, 0) (:meth:`SparseMat.column`).  There is one elimination
 routine, :meth:`Subspace.add_vector`: it reduces a vector against a reduced
 echelon basis over the field Q(q), scales its residue to a leading 1 and
 clears that column from the other rows.  A span has exactly one reduced
@@ -61,6 +62,11 @@ class SparseMat:
     def unit(nrows: int, ncols: int, i: int, j: int, value: RatFn = _ONE) -> SparseMat:
         """The matrix with a single entry at (i, j) (a scaled matrix unit)."""
         return SparseMat(nrows, ncols, {(i, j): value})
+
+    @staticmethod
+    def column(dim: int, entries: dict[int, RatFn]) -> SparseMat:
+        """The dim x 1 column vector with entry x at (i, 0) for each nonzero i: x."""
+        return SparseMat._raw(dim, 1, {(i, 0): x for i, x in entries.items() if x})
 
     @staticmethod
     def diagonal(values: list[RatFn]) -> SparseMat:
@@ -210,12 +216,13 @@ class SparseMat:
                     out[(r0 + k, c0 + l)] = a if b_one else a * b
         return SparseMat._raw(self.nrows * nr, self.ncols * nc, out)
 
-    def apply(self, v: Vec) -> Vec:
-        if self.ncols != v.dim:
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} applied to dim {v.dim}")
+    def apply(self, v: SparseMat) -> SparseMat:
+        """The column self * v, without building v's row index."""
+        _check_column(v, self.ncols)
+        xs = {j: x for (j, _), x in v.entries.items()}
         out: dict[int, RatFn] = {}
         for (i, j), a in self.entries.items():
-            x = v.entries.get(j)
+            x = xs.get(j)
             if x is None:
                 continue
             s = out.get(i)
@@ -225,7 +232,7 @@ class SparseMat:
                 out[i] = s
             else:
                 del out[i]
-        return Vec(self.nrows, out)
+        return SparseMat.column(self.nrows, out)
 
     def rows(self) -> list[dict[int, RatFn]]:
         out: list[dict[int, RatFn]] = [dict() for _ in range(self.nrows)]
@@ -245,58 +252,9 @@ class SparseMat:
         return len(pivots)
 
 
-class Vec:
-    """A sparse column vector over Q(q)."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: dict[int, RatFn] | None = None):
-        self.dim = dim
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
-
-    @staticmethod
-    def unit(dim: int, i: int) -> Vec:
-        return Vec(dim, {i: _ONE})
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __getitem__(self, i: int) -> RatFn:
-        return self.entries.get(i, RatFn.zero())
-
-    def __add__(self, other: Vec) -> Vec:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Vec(self.dim, out)
-
-    def __neg__(self) -> Vec:
-        return Vec(self.dim, {k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other: Vec) -> Vec:
-        return self + (-other)
-
-    def scale(self, c: RatFn) -> Vec:
-        if not c:
-            return Vec(self.dim)
-        return Vec(self.dim, {k: c * v for k, v in self.entries.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vec) and self.dim == other.dim and self.entries == other.entries
-
-    def __hash__(self):
-        raise TypeError("Vec is not hashable")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{i}: {v}" for i, v in sorted(self.entries.items()))
-        return f"Vec({self.dim}, {{{inner}}})"
+def _check_column(v: SparseMat, dim: int) -> None:
+    if v.nrows != dim or v.ncols != 1:
+        raise DimensionMismatch(f"{v.nrows}x{v.ncols} where a column of dim {dim} is expected")
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +282,12 @@ def echelon_rows(
     rows are added one at a time to a :class:`Subspace`, whose reduced basis
     is the unique one of the span.
     """
-    space = Subspace(ncols, [Vec(ncols, r) for r in rows if r])
+    space = Subspace(ncols, [SparseMat.column(ncols, r) for r in rows if r])
     return space._rows, space._pivots
 
 
-def nullspace(a: SparseMat) -> list[Vec]:
-    """A basis of the right kernel {v : a v = 0}."""
+def nullspace(a: SparseMat) -> list[SparseMat]:
+    """A basis of the right kernel {v : a v = 0}, as columns."""
     ech, pivots = echelon_rows(a.rows(), a.ncols)
     pivot_set = set(pivots)
     free_cols = [j for j in range(a.ncols) if j not in pivot_set]
@@ -340,42 +298,42 @@ def nullspace(a: SparseMat) -> list[Vec]:
             c = row.get(f)
             if c is not None:
                 entries[p] = -c
-        basis.append(Vec(a.ncols, entries))
+        basis.append(SparseMat.column(a.ncols, entries))
     return basis
 
 
 class Subspace:
-    """A subspace of Q(q)^dim held as a reduced echelon basis of row vectors."""
+    """A subspace of Q(q)^dim held as a reduced echelon basis of row vectors,
+    {col: value} each; vectors enter and leave it as dim x 1 columns."""
 
-    def __init__(self, dim: int, vectors: list[Vec] | None = None):
+    def __init__(self, dim: int, vectors: list[SparseMat] | None = None):
         self.dim = dim
         self._rows: list[dict[int, RatFn]] = []
         self._pivots: list[int] = []
         for v in vectors or []:
-            if v.dim != dim:
-                raise DimensionMismatch(f"vector dim {v.dim} in space of dim {dim}")
             self.add_vector(v)
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def basis(self) -> list[Vec]:
-        return [Vec(self.dim, dict(r)) for r in self._rows]
+    def basis(self) -> list[SparseMat]:
+        return [SparseMat.column(self.dim, r) for r in self._rows]
 
     def pivot_columns(self) -> list[int]:
         return list(self._pivots)
 
-    def reduce(self, v: Vec) -> Vec:
+    def reduce(self, v: SparseMat) -> SparseMat:
         """Residue of v after eliminating all pivot coordinates (0 iff v is a member)."""
-        entries = dict(v.entries)
+        _check_column(v, self.dim)
+        entries = {i: x for (i, _), x in v.entries.items()}
         for row, p in zip(self._rows, self._pivots):
             c = entries.get(p)
             if c is not None:
                 _sub_scaled(entries, c, row)
-        return Vec(self.dim, entries)
+        return SparseMat.column(self.dim, entries)
 
-    def add_vector(self, v: Vec) -> Vec | None:
+    def add_vector(self, v: SparseMat) -> SparseMat | None:
         """Grow the subspace by v.  Returns a copy of the row added, the
         residue of v scaled to a leading 1, or None when v is a member; a
         full space returns None before reducing anything.
@@ -385,14 +343,15 @@ class Subspace:
         span: a caller may go on with the row in place of v.  The row is one
         of the span's reduced echelon basis at that moment, so its entries
         depend on that span alone, not on how v was found."""
+        _check_column(v, self.dim)
         if len(self._pivots) == self.dim:
             return None
-        residue = self.reduce(v)
+        residue = self.reduce(v).entries
         if not residue:
             return None
-        lead = min(residue.entries)
-        inv = residue.entries[lead].inv()
-        new_row = {j: inv * x for j, x in residue.entries.items()}
+        lead = min(residue)[0]
+        inv = residue[(lead, 0)].inv()
+        new_row = {j: inv * x for (j, _), x in residue.items()}
         # Clear the new pivot column from existing rows.
         for row in self._rows:
             c = row.get(lead)
@@ -403,7 +362,7 @@ class Subspace:
             at += 1
         self._rows.insert(at, new_row)
         self._pivots.insert(at, lead)
-        return Vec(self.dim, new_row)
+        return SparseMat.column(self.dim, new_row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace) or self.dim != other.dim:

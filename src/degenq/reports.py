@@ -9,9 +9,9 @@ UNSUPPORTED = "unsupported"
 
 
 def witness(diff) -> str:
-    """The detail of a matrix or vector identity whose two sides differ by diff
-    (a ``SparseMat`` or a ``Vec``): its nnz and its first nonzero entry; empty
-    when diff is zero."""
+    """The detail of a matrix or vector identity whose two sides differ by the
+    ``SparseMat`` diff: its nnz and its first nonzero entry; empty when diff is
+    zero.  A vector is a column, so its witness names the entry (i, 0)."""
     if not diff.entries:
         return ""
     key = min(diff.entries)

@@ -35,7 +35,7 @@ from .expr import (
     compile_batch,
     eval_batch,
 )
-from .linalg import SparseMat, Subspace, Vec, nullspace
+from .linalg import SparseMat, Subspace, nullspace
 from .relations import RelationEntry, k2rho_expr, relation_catalog
 from .reports import Report
 from .scalars import GLParams, RatFn
@@ -48,9 +48,6 @@ class Weight(namedtuple("Weight", "values")):
     of ``RatFn``."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
 class Representation:
@@ -289,7 +286,7 @@ def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
     return [(Weight(key), indices) for key, indices in buckets.items()]
 
 
-def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, Vec]]:
+def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, SparseMat]]:
     """A weight basis of the joint kernel of all raising generators, found one
     K-weight space at a time; requires diagonal K matrices.
 
@@ -298,11 +295,11 @@ def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, Vec]]:
     are empty; a larger one contributes the null space of its stacked columns.
     """
     raising = [rep.gen("e", a).columns() for a in rep.params.iprime]
-    found: list[tuple[Weight, Vec]] = []
+    found: list[tuple[Weight, SparseMat]] = []
     for weight, indices in _weight_spaces(rep):
         if len(indices) == 1:
             if not any(cols[indices[0]] for cols in raising):
-                found.append((weight, Vec.unit(rep.dim, indices[0])))
+                found.append((weight, SparseMat.column(rep.dim, {indices[0]: RatFn.one()})))
             continue
         entries: dict[tuple[int, int], RatFn] = {}
         for block, cols in enumerate(raising):
@@ -311,12 +308,12 @@ def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, Vec]]:
                     entries[(block * rep.dim + i, t)] = val
         stacked = SparseMat(len(raising) * rep.dim, len(indices), entries)
         for combo in nullspace(stacked):
-            v = Vec(rep.dim, {indices[t]: c for t, c in combo.entries.items()})
+            v = SparseMat.column(rep.dim, {indices[t]: c for (t, _), c in combo.entries.items()})
             found.append((weight, v))
     return found
 
 
-def submodule_closure(rep: Representation, seeds: list[Vec]) -> Subspace:
+def submodule_closure(rep: Representation, seeds: list[SparseMat]) -> Subspace:
     """Smallest subspace containing the seeds and closed under every generator;
     requires diagonal K matrices.
 
@@ -336,17 +333,17 @@ def submodule_closure(rep: Representation, seeds: list[Vec]) -> Subspace:
     images' do.
     """
     for s in seeds:
-        if s.dim != rep.dim:
-            raise DimensionMismatch(f"seed dim {s.dim} in module of dim {rep.dim}")
+        if s.nrows != rep.dim or s.ncols != 1:
+            raise DimensionMismatch(f"seed {s.nrows}x{s.ncols} in module of dim {rep.dim}")
     space_of = {i: t for t, (_, indices) in enumerate(_weight_spaces(rep)) for i in indices}
     space = Subspace(rep.dim, [])
     frontier = []
     for s in seeds:
         parts: dict[int, dict[int, RatFn]] = {}
-        for i, x in s.entries.items():
+        for (i, _), x in s.entries.items():
             parts.setdefault(space_of[i], {})[i] = x
         for part in parts.values():
-            row = space.add_vector(Vec(rep.dim, part))
+            row = space.add_vector(SparseMat.column(rep.dim, part))
             if row is not None:
                 frontier.append(row)
     mats = [rep.gen(kind, a) for a in rep.params.iprime for kind in ("e", "f")]
@@ -355,7 +352,7 @@ def submodule_closure(rep: Representation, seeds: list[Vec]) -> Subspace:
         for v in frontier:
             for mat in mats:
                 w = mat.apply(v)
-                if w and (row := space.add_vector(w)) is not None:
+                if not w.is_zero() and (row := space.add_vector(w)) is not None:
                     next_frontier.append(row)
         frontier = next_frontier
     return space
@@ -375,8 +372,8 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
         cols = mat.columns()
         entries: dict[tuple[int, int], RatFn] = {}
         for t, j in enumerate(keep):
-            image = sub.reduce(Vec(rep.dim, cols[j]))
-            for i, val in image.entries.items():
+            image = sub.reduce(SparseMat.column(rep.dim, cols[j]))
+            for (i, _), val in image.entries.items():
                 entries[(pos[i], t)] = val
         gens[key] = SparseMat(len(keep), len(keep), entries)
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .expr import Expr, Gen, Prod, Program, Scalar, compile_batch, make_prod
-from .linalg import SparseMat, Vec
+from .linalg import SparseMat
 from .reports import Report
 from .reps import DEFAULT_MAX_DIM, check_cap, generator_atoms, setup, shared_power
 from .scalars import GLParams, Q_MINUS_QINV, RatFn
@@ -231,10 +231,11 @@ def verify_hecke_and_spectrum(bundle: RMatrixBundle, max_dim: int = DEFAULT_MAX_
     report.add("hecke", f"q-eigenspace dimension = {dim_s}", rank_s == dim_s, f"rank {rank_s}")
     report.add("hecke", f"(-q^-1)-eigenspace dimension = {dim_a}", rank_a == dim_a, f"rank {rank_a}")
     vectors = [
-        ("Rcheck(v1 x v1) = q v1 x v1", Vec.unit(d * d, 0), q),
-        ("Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)", Vec(d * d, {1: _ONE, d: -q.inv()}), -q.inv()),
+        ("Rcheck(v1 x v1) = q v1 x v1", {0: _ONE}, q),
+        ("Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)", {1: _ONE, d: -q.inv()}, -q.inv()),
     ]
-    for name, w, c in vectors:
+    for name, coords, c in vectors:
+        w = SparseMat.column(d * d, coords)
         report.add_zero("hecke", name, bundle.Rcheck.apply(w) - w.scale(c))
     return report
 

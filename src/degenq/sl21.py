@@ -51,7 +51,7 @@ from enum import Enum
 
 from .errors import InvalidInput, ResourceLimit
 from .expr import MAX_ENTRY_BITS, _entry_bits, eval_in_rep
-from .linalg import SparseMat, Vec
+from .linalg import SparseMat
 from .relations import odd_pair_element
 from .reps import (
     Representation,
@@ -235,7 +235,7 @@ def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
     rep = mod.rep
     F = eval_in_rep(odd_pair_element(P21), rep)
     f1, f2 = rep.gen("f", 1), rep.gen("f", 2)
-    f1_powers = [Vec.unit(rep.dim, mod.highest_index)]  # f_1^k v for k = 0..ell
+    f1_powers = [SparseMat.column(rep.dim, {mod.highest_index: RatFn.one()})]  # f_1^k v for k = 0..ell
     for _ in range(hw.ell):
         f1_powers.append(f1.apply(f1_powers[-1]))
     checks: list[tuple[str, bool]] = []
@@ -251,7 +251,7 @@ def check_structural_identities(mod: ModuleData) -> list[tuple[str, bool]]:
             rhs = f2.apply(f1_powers[k + 1]).scale(RatFn.q(k - hw.ell))
             checks.append((f"[{hw.ell - k}]q F f1^{k} v = q^{k - hw.ell} f2 f1^{k + 1} v", lhs == rhs))
     ff = F * f2
-    checks.append(("F f2 f1^k v = 0 for all k", all(not ff.apply(w) for w in f1_powers)))
+    checks.append(("F f2 f1^k v = 0 for all k", all(ff.apply(w).is_zero() for w in f1_powers)))
     return checks
 
 

@@ -1098,9 +1098,11 @@ def test_bad_input_is_a_clean_error(argv, env_cap, monkeypatch, capsys):
          "an integer of 5000 digits exceeds the limit of 4300"),
         (["invariant", "--m", "2", "--n", "1", "--braid", "-" + "7" * 5000],
          "an integer of 5000 digits exceeds the limit of 4300"),
+        (["invariant", "--m", "2", "--n", "1", "--braid", "1 a"], "braid letters must be integers, got 'a'"),
+        (["invariant", "--m", "2", "--n", "1", "--braid", "1 +x"], "braid letters must be integers, got '+x'"),
     ],
     ids=["trailing", "expected-close", "expected-open", "leading-zeros", "unexpected", "lambda2-trailing",
-         "braid-letter-5000-digits", "negative-braid-letter-5000-digits"],
+         "braid-letter-5000-digits", "negative-braid-letter-5000-digits", "braid-letter-a", "braid-letter-+x"],
 )
 def test_an_error_line_names_the_input_as_typed(argv, err, capsys):
     # A syntax error quotes the token as the user typed it, not the parser's

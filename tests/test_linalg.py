@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from degenq import linalg
 from degenq.errors import DimensionMismatch
-from degenq.linalg import SparseMat, Subspace, Vec, nullspace
-from degenq.reps import highest_weight_vectors
+from degenq.linalg import SparseMat, Subspace, nullspace
+from degenq.reps import highest_weight_vectors, natural_rep, submodule_closure
 from degenq.rmatrix import build_bundle, verify_hecke_and_spectrum
 from degenq.scalars import GLParams, LaurentPoly, RatFn, _lcm, _poly_divexact_dict, _poly_gcd_dict
 from degenq.sl21 import HighestWeightSL21, verma_module
@@ -21,15 +21,22 @@ def intersect(a, b):
     if not basis_a or not basis_b:
         return Subspace(a.dim)
     cols = basis_a + [v.scale(-RatFn.one()) for v in basis_b]
-    entries = {(i, t): x for t, v in enumerate(cols) for i, x in v.entries.items()}
+    entries = {(i, t): x for t, v in enumerate(cols) for (i, _), x in v.entries.items()}
     vectors = []
     for combo in nullspace(SparseMat(a.dim, len(cols), entries)):
-        v = Vec(a.dim)
+        v = SparseMat(a.dim, 1)
         for t, u in enumerate(basis_a):
-            if combo[t]:
-                v = v + u.scale(combo[t])
+            if combo[t, 0]:
+                v = v + u.scale(combo[t, 0])
         vectors.append(v)
     return Subspace(a.dim, vectors)
+
+
+col = SparseMat.column
+
+
+def unit(dim, i):
+    return col(dim, {i: RatFn.one()})
 
 
 def rfq(e=1, c=1):
@@ -105,8 +112,8 @@ def test_kron_index_convention_left_most_significant():
     a = SparseMat.unit(2, 2, 0, 1)  # v_1 -> v_0
     b = SparseMat.identity(2)
     k = a.kron(b)
-    v = Vec.unit(4, 1 * 2 + 0)  # v_1 (x) v_0
-    assert k.apply(v) == Vec.unit(4, 0 * 2 + 0)
+    v = unit(4, 1 * 2 + 0)  # v_1 (x) v_0
+    assert k.apply(v) == unit(4, 0 * 2 + 0)
 
 
 # Entries of kron's factors: the one singleton, a second object equal to 1,
@@ -149,6 +156,69 @@ def test_kron_matches_entrywise_products(a, b):
                 assert got.entries[(i * b.nrows + k, j * b.ncols + l)] is y
 
 
+# -- vectors ----------------------------------------------------------------------
+
+# Entries of apply's operands: signed units and monomials, whose products can
+# cancel in a sum, and a rational function.
+_APPLY_ENTRIES = st.sampled_from(
+    [
+        RatFn.one(),
+        rfi(-1),
+        rfq(1),
+        rfq(1, -1),
+        rfi(3),
+        RatFn.of(LaurentPoly({1: 1, 0: 2}), LaurentPoly({1: 1, 0: -3})),
+    ]
+)
+
+
+@st.composite
+def _matrix_and_column(draw):
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):  # diagonal
+        ncols = nrows
+        keys = {(i, i) for i in draw(st.sets(st.integers(0, nrows - 1)))}
+    else:
+        keys = draw(st.sets(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))))
+    mat = SparseMat(nrows, ncols, {key: draw(_APPLY_ENTRIES) for key in sorted(keys)})
+    coords = draw(st.sets(st.integers(0, ncols - 1)))
+    return mat, col(ncols, {i: draw(_APPLY_ENTRIES) for i in sorted(coords)})
+
+
+@settings(max_examples=150, deadline=None)
+@example((SparseMat.identity(3), SparseMat(3, 1)))
+@example((SparseMat.diagonal([rfq(1), rfi(-1), rfi(3)]), col(3, {0: rfq(1, -1), 2: rfi(1)})))
+# Row 0's two products cancel.
+@example((SparseMat(2, 2, {(0, 0): rfi(1), (0, 1): rfq(1), (1, 1): rfi(3)}), col(2, {0: rfq(1), 1: rfi(-1)})))
+# A column whose one entry is at (0, 0) is diagonal to _row_index, so the
+# product takes its right-diagonal branch.
+@example((SparseMat(2, 3, {(0, 0): rfq(1), (1, 0): rfi(3), (1, 2): rfi(1)}), col(3, {0: rfq(1, -1)})))
+@given(_matrix_and_column())
+def test_apply_matches_the_product(case):
+    mat, v = case
+    assert mat.apply(v) == mat * v
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [col(4, {0: rfi(1)}), SparseMat(3, 2, {(0, 1): rfi(1)}), SparseMat(1, 3, {(0, 0): rfi(1)})],
+    ids=["longer-column", "two-columns", "row"],
+)
+def test_only_a_column_of_the_right_dim_is_a_vector(bad):
+    full = Subspace(3, [unit(3, i) for i in range(3)])
+    refusals = [
+        lambda: SparseMat.identity(3).apply(bad),
+        lambda: Subspace(3, [bad]),
+        lambda: Subspace(3, []).reduce(bad),
+        lambda: Subspace(3, []).add_vector(bad),
+        lambda: full.add_vector(bad),  # a full space reduces nothing, but still checks
+        lambda: submodule_closure(natural_rep(GLParams(2, 1)), [bad]),
+    ]
+    for refuse in refusals:
+        with pytest.raises(DimensionMismatch):
+            refuse()
+
+
 # -- nullspace --------------------------------------------------------------------
 
 
@@ -168,9 +238,9 @@ def test_nullspace_rank_one_example():
     basis = nullspace(a)
     assert len(basis) == 1
     v = basis[0]
-    assert not a.apply(v)
+    assert a.apply(v).is_zero()
     # proportional to (1, -q)
-    witness = Vec(2, {0: rfi(1), 1: rfq(1, -1)})
+    witness = col(2, {0: rfi(1), 1: rfq(1, -1)})
     assert Subspace(2, [v]) == Subspace(2, [witness])
 
 
@@ -180,7 +250,7 @@ def test_nullspace_random_verifies_and_counts():
         a = random_mat(rng, 4, 6, density=0.5)
         basis = nullspace(a)
         for v in basis:
-            assert not a.apply(v)
+            assert a.apply(v).is_zero()
         assert a.rank() + len(basis) == a.ncols
 
 
@@ -194,60 +264,60 @@ def test_rank_plus_nullity_square():
 
 
 def test_span_collinear_rank_one():
-    v = Vec(3, {0: rfq(2), 2: rfi(1)})
+    v = col(3, {0: rfq(2), 2: rfi(1)})
     s = Subspace(3, [v, v.scale(rfi(2))])
     assert s.rank == 1
-    assert not s.reduce(v.scale(rfq(-1, 7)))
+    assert s.reduce(v.scale(rfq(-1, 7))).is_zero()
 
 
 def test_complementary_coordinate_subspaces_intersect_trivially():
-    a = Subspace(4, [Vec.unit(4, 0), Vec.unit(4, 1)])
-    b = Subspace(4, [Vec.unit(4, 2), Vec.unit(4, 3)])
+    a = Subspace(4, [unit(4, 0), unit(4, 1)])
+    b = Subspace(4, [unit(4, 2), unit(4, 3)])
     assert intersect(a, b).rank == 0
     assert Subspace(4, a.basis() + b.basis()).rank == 4
 
 
 def test_sum_of_independent_rank_one_spans():
-    a = Subspace(3, [Vec(3, {0: rfi(1), 1: rfq(1)})])
-    b = Subspace(3, [Vec(3, {1: rfi(1), 2: rfq(-1)})])
+    a = Subspace(3, [col(3, {0: rfi(1), 1: rfq(1)})])
+    b = Subspace(3, [col(3, {1: rfi(1), 2: rfq(-1)})])
     u = Subspace(3, a.basis() + b.basis())
     assert u.rank == 2
-    assert not u.reduce(Vec(3, {0: rfi(1), 1: rfq(1)}))
+    assert u.reduce(col(3, {0: rfi(1), 1: rfq(1)})).is_zero()
 
 
 def test_intersection_nontrivial():
-    common = Vec(3, {0: rfi(1), 1: rfq(1), 2: rfq(2)})
-    a = Subspace(3, [common, Vec.unit(3, 0)])
-    b = Subspace(3, [common, Vec.unit(3, 1)])
+    common = col(3, {0: rfi(1), 1: rfq(1), 2: rfq(2)})
+    a = Subspace(3, [common, unit(3, 0)])
+    b = Subspace(3, [common, unit(3, 1)])
     inter = intersect(a, b)
     assert inter.rank == 1
-    assert not inter.reduce(common)
+    assert inter.reduce(common).is_zero()
 
 
 def test_add_vector_grows_rank():
     s = Subspace(3, [])
-    assert s.add_vector(Vec(3, {0: rfi(1)}))
-    assert not s.add_vector(Vec(3, {0: rfq(3)}))
-    assert s.add_vector(Vec(3, {1: rfi(1), 2: rfi(1)}))
+    assert s.add_vector(col(3, {0: rfi(1)})) is not None
+    assert s.add_vector(col(3, {0: rfq(3)})) is None
+    assert s.add_vector(col(3, {1: rfi(1), 2: rfi(1)})) is not None
     assert s.rank == 2
 
 
 def test_add_vector_returns_a_copy_of_the_row_it_adds():
     s = Subspace(3, [])
-    first = s.add_vector(Vec(3, {0: rfq(2), 1: rfi(4)}))
-    assert first == Vec(3, {0: rfi(1), 1: rfq(-2, 4)})
-    assert s.add_vector(Vec(3, {0: rfq(5), 1: rfq(3, 4)})) is None
+    first = s.add_vector(col(3, {0: rfq(2), 1: rfi(4)}))
+    assert first == col(3, {0: rfi(1), 1: rfq(-2, 4)})
+    assert s.add_vector(col(3, {0: rfq(5), 1: rfq(3, 4)})) is None
     # The next row clears column 1 from the first; the returned copy keeps it.
-    second = s.add_vector(Vec(3, {1: rfq(1), 2: rfi(-1)}))
-    assert second == Vec(3, {1: rfi(1), 2: rfq(-1, -1)})
-    assert first == Vec(3, {0: rfi(1), 1: rfq(-2, 4)})
-    assert s.basis()[0] == Vec(3, {0: rfi(1), 2: rfq(-3, 4)})
+    second = s.add_vector(col(3, {1: rfq(1), 2: rfi(-1)}))
+    assert second == col(3, {1: rfi(1), 2: rfq(-1, -1)})
+    assert first == col(3, {0: rfi(1), 1: rfq(-2, 4)})
+    assert s.basis()[0] == col(3, {0: rfi(1), 2: rfq(-3, 4)})
     second.entries.clear()
-    assert s.basis()[1] == Vec(3, {1: rfi(1), 2: rfq(-1, -1)})
+    assert s.basis()[1] == col(3, {1: rfi(1), 2: rfq(-1, -1)})
 
 
 def test_add_vector_to_a_full_space_reduces_nothing(monkeypatch):
-    s = Subspace(3, [Vec(3, {0: rfi(1), 2: rfq(1)}), Vec(3, {1: rfq(2)}), Vec(3, {2: rfi(3)})])
+    s = Subspace(3, [col(3, {0: rfi(1), 2: rfq(1)}), col(3, {1: rfq(2)}), col(3, {2: rfi(3)})])
     assert s.rank == 3
     calls = [0]
     reduce = Subspace.reduce
@@ -257,9 +327,9 @@ def test_add_vector_to_a_full_space_reduces_nothing(monkeypatch):
         return reduce(self, v)
 
     monkeypatch.setattr(Subspace, "reduce", counting_reduce)
-    assert s.add_vector(Vec(3, {0: RatFn.of(1, 2), 1: rfq(-3)})) is None
+    assert s.add_vector(col(3, {0: RatFn.of(1, 2), 1: rfq(-3)})) is None
     assert calls[0] == 0
-    assert Subspace(3, []).add_vector(Vec(3, {1: rfi(1)})) is not None
+    assert Subspace(3, []).add_vector(col(3, {1: rfi(1)})) is not None
     assert calls[0] == 1
 
 
@@ -268,7 +338,7 @@ def test_elimination_handles_denominators():
     a = SparseMat(2, 3, {(0, 0): half, (0, 1): rfq(-2), (1, 0): rfq(1), (1, 2): rfi(3)})
     basis = nullspace(a)
     assert len(basis) == 1
-    assert not a.apply(basis[0])
+    assert a.apply(basis[0]).is_zero()
 
 
 def test_echelon_rows_does_no_field_arithmetic_for_empty_rows(monkeypatch):
@@ -463,5 +533,6 @@ def test_elimination_matches_fraction_free_reference(case):
     rows, ncols = case
     expected = fraction_free_echelon(rows, ncols)
     assert linalg.echelon_rows(rows, ncols) == expected
-    space = Subspace(ncols, [Vec(ncols, r) for r in rows])
-    assert ([v.entries for v in space.basis()], space.pivot_columns()) == expected
+    space = Subspace(ncols, [col(ncols, r) for r in rows])
+    basis = [{i: x for (i, _), x in v.entries.items()} for v in space.basis()]
+    assert (basis, space.pivot_columns()) == expected

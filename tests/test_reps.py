@@ -8,7 +8,7 @@ from degenq import reps, scalars
 from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
 from degenq.expr import Expr, Gen, Program, cartan, cartan_inv, eval_in_rep, parse_expr
 from degenq.expr import one as one_expr
-from degenq.linalg import SparseMat, Subspace, Vec, nullspace
+from degenq.linalg import SparseMat, Subspace, nullspace
 from degenq.relations import k2rho_expr
 from degenq.reps import (
     Representation,
@@ -37,13 +37,13 @@ rfq = RatFn.q
 one = RatFn.one()
 
 
-def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[Vec]]]:
+def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[SparseMat]]]:
     """Simultaneous K eigenspaces; requires diagonal K matrices in the working basis."""
-    return [(weight, [Vec.unit(rep.dim, i) for i in indices]) for weight, indices in _weight_spaces(rep)]
+    return [(weight, [unit(rep.dim, i) for i in indices]) for weight, indices in _weight_spaces(rep)]
 
 
-def vec(dim, coords):
-    return Vec(dim, {i: c for i, c in coords.items() if c})
+def unit(dim, i):
+    return SparseMat.column(dim, {i: one})
 
 
 # -- natural representation ---------------------------------------------------------
@@ -198,7 +198,7 @@ def test_dual_highest_weight_vector():
     hw = highest_weight_vectors(dual)
     assert len(hw) == 1
     weight, v = hw[0]
-    assert v == Vec.unit(3, 2)  # vbar_{m+n}
+    assert v == unit(3, 2)  # vbar_{m+n}
     assert weight == Weight((one, one, rfq(1, -1)))  # (1, ..., 1, p^-1) with p^-1 = -q
 
 
@@ -213,10 +213,10 @@ def test_dual_of_dual_same_dimension():
 def test_tensor_action_on_v2v2():
     rep = natural_rep(P21)
     vv = tensor_rep(rep, rep, "Delta")
-    v22 = Vec.unit(9, 1 * 3 + 1)
+    v22 = unit(9, 1 * 3 + 1)
     image = vv.gen("e", 1).apply(v22)
     # Delta(e_1)(v_2 (x) v_2) = q^-1 v_1 (x) v_2 + v_2 (x) v_1
-    assert image == vec(9, {0 * 3 + 1: rfq(-1), 1 * 3 + 0: one})
+    assert image == SparseMat.column(9, {0 * 3 + 1: rfq(-1), 1 * 3 + 0: one})
 
 
 def test_tensor_cartan_eigenvalue():
@@ -227,7 +227,7 @@ def test_tensor_cartan_eigenvalue():
         for a in P21.index_set:
             idx = (a - 1) * 3 + (a - 1)
             expected = qb ** (2 if a == b else 0)
-            assert vv.gen("K", b).apply(Vec.unit(9, idx)) == Vec(9, {idx: expected})
+            assert vv.gen("K", b).apply(unit(9, idx)) == SparseMat.column(9, {idx: expected})
 
 
 def test_tensor_rep_passes_relations_both_sides():
@@ -294,7 +294,7 @@ def test_weight_of_v1v1():
     rep = natural_rep(P21)
     vv = tensor_rep(rep, rep)
     for w, basis in weight_decomposition(vv):
-        if Vec.unit(9, 0) in basis:
+        if unit(9, 0) in basis:
             assert w == Weight((rfq(2), one, one))
             break
     else:
@@ -314,7 +314,7 @@ def test_highest_weight_vectors_natural():
     hw = highest_weight_vectors(rep)
     assert len(hw) == 1
     weight, v = hw[0]
-    assert v == Vec.unit(3, 0)
+    assert v == unit(3, 0)
     assert weight == Weight((rfq(1), one, one))
 
 
@@ -324,9 +324,9 @@ def test_highest_weight_vectors_tensor_square():
     hw = highest_weight_vectors(vv)
     assert len(hw) == 2
     span = Subspace(9, [v for _, v in hw])
-    w_sym = Vec.unit(9, 0)  # v1 (x) v1
-    w_asym = vec(9, {0 * 3 + 1: one, 1 * 3 + 0: rfq(-1, -1)})  # v1 (x) v2 - q^-1 v2 (x) v1
-    assert not span.reduce(w_sym) and not span.reduce(w_asym)
+    w_sym = unit(9, 0)  # v1 (x) v1
+    w_asym = SparseMat.column(9, {0 * 3 + 1: one, 1 * 3 + 0: rfq(-1, -1)})  # v1 (x) v2 - q^-1 v2 (x) v1
+    assert span.reduce(w_sym).is_zero() and span.reduce(w_asym).is_zero()
     p = rfq(-1, -1)
     assert all(w.values != (one, one, p * p) for w, _ in hw)
 
@@ -344,10 +344,10 @@ def _ls_basis_vectors_21(opposite: bool):
     mix = rfq(-1) if opposite else rfq(1)
     mixed = -p if opposite else -p.inv()
     idx = lambda a, b: (a - 1) * 3 + (b - 1)
-    vs = [Vec.unit(9, idx(1, 1)), Vec.unit(9, idx(2, 2))]
-    vs.append(vec(9, {idx(1, 2): one, idx(2, 1): mix}))
+    vs = [unit(9, idx(1, 1)), unit(9, idx(2, 2))]
+    vs.append(SparseMat.column(9, {idx(1, 2): one, idx(2, 1): mix}))
     for i in (1, 2):
-        vs.append(vec(9, {idx(i, 3): one, idx(3, i): mixed}))
+        vs.append(SparseMat.column(9, {idx(i, 3): one, idx(3, i): mixed}))
     return vs
 
 
@@ -355,7 +355,7 @@ def test_closure_of_v1v1_matches_explicit_basis():
     rep = natural_rep(P21)
     for side, opposite in (("DeltaPrime", True), ("Delta", False)):
         vv = tensor_rep(rep, rep, side)
-        closure = submodule_closure(vv, [Vec.unit(9, 0)])
+        closure = submodule_closure(vv, [unit(9, 0)])
         explicit = Subspace(9, _ls_basis_vectors_21(opposite))
         assert closure.rank == 5 and explicit.rank == 5
         assert closure == explicit, side
@@ -364,8 +364,8 @@ def test_closure_of_v1v1_matches_explicit_basis():
 def test_closure_trivial_cases():
     rep = natural_rep(P21)
     assert submodule_closure(rep, []).rank == 0
-    assert submodule_closure(rep, [Vec(3)]).rank == 0
-    full = submodule_closure(rep, [Vec.unit(3, i) for i in range(3)])
+    assert submodule_closure(rep, [SparseMat(3, 1)]).rank == 0
+    full = submodule_closure(rep, [unit(3, i) for i in range(3)])
     assert full.rank == 3
 
 
@@ -374,7 +374,7 @@ def test_closure_requires_diagonal():
     bad = tensor_rep(rep, rep)
     bad.gens[("K", 1)] = bad.gen("K", 1) + SparseMat.unit(9, 9, 0, 1)
     with pytest.raises(NotSimultaneouslyDiagonal):
-        submodule_closure(bad, [Vec.unit(9, 0)])
+        submodule_closure(bad, [unit(9, 0)])
 
 
 # -- the per-weight paths against the global paths they replace -----------------------------
@@ -383,14 +383,14 @@ def test_closure_requires_diagonal():
 def _closure_reference(rep, seeds):
     """The closure under every atom, K's included, over one global Subspace."""
     space = Subspace(rep.dim, [])
-    frontier = [s for s in seeds if space.add_vector(s)]
+    frontier = [s for s in seeds if space.add_vector(s) is not None]
     mats = [rep.gens[key] for key in rep.atoms()]
     while frontier:
         next_frontier = []
         for v in frontier:
             for mat in mats:
                 w = mat.apply(v)
-                if w and space.add_vector(w):
+                if not w.is_zero() and space.add_vector(w) is not None:
                     next_frontier.append(w)
         frontier = next_frontier
     return space
@@ -404,12 +404,12 @@ def _singular_reference(rep):
         entries = {}
         for block, mat in enumerate(raising):
             for t, v in enumerate(basis):
-                for i, val in mat.apply(v).entries.items():
+                for (i, _), val in mat.apply(v).entries.items():
                     entries[(block * rep.dim + i, t)] = val
         stacked = SparseMat(len(raising) * rep.dim, len(basis), entries)
         for combo in nullspace(stacked):
-            v = Vec(rep.dim)
-            for t, c in combo.entries.items():
+            v = SparseMat(rep.dim, 1)
+            for (t, _), c in combo.entries.items():
                 v = v + basis[t].scale(c)
             found.append((weight, v))
     return found
@@ -418,7 +418,7 @@ def _singular_reference(rep):
 def _mixed_vector(dim):
     """A vector with components in two weight spaces (the global reference
     path grows fast with more)."""
-    return Vec(dim, {1: one, dim - 1: RatFn.integer(2)})
+    return SparseMat.column(dim, {1: one, dim - 1: RatFn.integer(2)})
 
 
 def _assert_closures_agree(rep, seeds):
@@ -465,7 +465,7 @@ def test_per_weight_paths_match_reference_on_tensor_squares(params):
     vv = tensor_rep(rep, rep)
     assert highest_weight_vectors(vv) == _singular_reference(vv)
     for j in range(vv.dim):
-        _assert_closures_agree(vv, [Vec.unit(vv.dim, j)])
+        _assert_closures_agree(vv, [unit(vv.dim, j)])
     _assert_closures_agree(vv, [_mixed_vector(vv.dim)])
     _assert_closures_agree(vv, [v for _, v in highest_weight_vectors(vv)])
 
@@ -486,7 +486,7 @@ def _twisted_double(rep, c):
 def test_closure_splits_seeds_that_only_the_ks_separate():
     double = _twisted_double(natural_rep(P21), rfq(2))
     assert verify_relations(double).all_passed
-    seed = Vec(6, {0: one, 3: one})
+    seed = SparseMat.column(6, {0: one, 3: one})
     closure = _assert_closures_agree(double, [seed])
     assert closure.rank == 6
 

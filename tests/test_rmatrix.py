@@ -5,7 +5,7 @@ import pytest
 from degenq import cli, expr, linalg, reps, rmatrix
 from degenq.errors import ResourceLimit
 from degenq.expr import eval_batch
-from degenq.linalg import SparseMat, Subspace, Vec, nullspace
+from degenq.linalg import SparseMat, Subspace, nullspace
 from degenq.reports import Report, witness
 from degenq.reps import natural_rep, setup, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
@@ -30,18 +30,22 @@ ALL_PARAMS = [P11, P21, GLParams(1, 2), GLParams(2, 2), GLParams(3, 1), GLParams
 R_SUITES = ("ybe", "hecke", "intertwiner")
 
 
+def unit(dim, i):
+    return SparseMat.column(dim, {i: one})
+
+
 def test_r_piecewise_action_21():
     bundle = build_bundle(P21)
     d = 3
     idx = lambda a, b: (a - 1) * d + (b - 1)
     # a < b fixed
-    assert bundle.R.apply(Vec.unit(9, idx(1, 2))) == Vec.unit(9, idx(1, 2))
+    assert bundle.R.apply(unit(9, idx(1, 2))) == unit(9, idx(1, 2))
     # diagonal scaled by q_a
-    assert bundle.R.apply(Vec.unit(9, idx(1, 1))) == Vec.unit(9, idx(1, 1)).scale(rfq(1))
-    assert bundle.R.apply(Vec.unit(9, idx(3, 3))) == Vec.unit(9, idx(3, 3)).scale(rfq(-1, -1))
+    assert bundle.R.apply(unit(9, idx(1, 1))) == unit(9, idx(1, 1)).scale(rfq(1))
+    assert bundle.R.apply(unit(9, idx(3, 3))) == unit(9, idx(3, 3)).scale(rfq(-1, -1))
     # a > b picks up the braiding tail
-    image = bundle.R.apply(Vec.unit(9, idx(2, 1)))
-    assert image == Vec(9, {idx(2, 1): one, idx(1, 2): rfq(1) - rfq(-1)})
+    image = bundle.R.apply(unit(9, idx(2, 1)))
+    assert image == SparseMat.column(9, {idx(2, 1): one, idx(1, 2): rfq(1) - rfq(-1)})
 
 
 def test_r_agrees_with_t_off_diagonal():
@@ -170,8 +174,8 @@ def test_failed_eigenvector_checks_print_a_witness():
     bundle = build_bundle(P21)
     top = "Rcheck(v1 x v1) = q v1 x v1"
     mixed = "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)"
-    for (i, j), want in (((0, 0), {top: "1 nonzero entries; entry 0 = 1"}),
-                         ((4, 1), {mixed: "1 nonzero entries; entry 4 = 1"})):
+    for (i, j), want in (((0, 0), {top: "1 nonzero entries; entry (0, 0) = 1"}),
+                         ((4, 1), {mixed: "1 nonzero entries; entry (4, 0) = 1"})):
         entries = dict(bundle.Rcheck.entries)
         entries[(i, j)] = entries.get((i, j), RatFn.zero()) + one
         rc = SparseMat(9, 9, entries)
@@ -278,13 +282,13 @@ def intersect(a, b):
     if not basis_a or not basis_b:
         return Subspace(a.dim)
     cols = basis_a + [v.scale(-RatFn.one()) for v in basis_b]
-    entries = {(i, t): x for t, v in enumerate(cols) for i, x in v.entries.items()}
+    entries = {(i, t): x for t, v in enumerate(cols) for (i, _), x in v.entries.items()}
     vectors = []
     for combo in nullspace(SparseMat(a.dim, len(cols), entries)):
-        v = Vec(a.dim)
+        v = SparseMat(a.dim, 1)
         for t, u in enumerate(basis_a):
-            if combo[t]:
-                v = v + u.scale(combo[t])
+            if combo[t, 0]:
+                v = v + u.scale(combo[t, 0])
         vectors.append(v)
     return Subspace(a.dim, vectors)
 
@@ -299,12 +303,12 @@ def eigenspace_closures_match(params: GLParams) -> Report:
     q = RatFn.q(1)
     proj_s, proj_a = ref_projectors(bundle.Rcheck)
 
-    sym_closure = submodule_closure(vv, [Vec.unit(d * d, 0)])
-    w = Vec(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
+    sym_closure = submodule_closure(vv, [unit(d * d, 0)])
+    w = SparseMat.column(d * d, {0 * d + 1: RatFn.one(), 1 * d + 0: -q.inv()})
     asym_closure = submodule_closure(vv, [w])
 
-    image_s = Subspace(d * d, [Vec(d * d, col) for col in proj_s.columns()])
-    image_a = Subspace(d * d, [Vec(d * d, col) for col in proj_a.columns()])
+    image_s = Subspace(d * d, [SparseMat.column(d * d, col) for col in proj_s.columns()])
+    image_a = Subspace(d * d, [SparseMat.column(d * d, col) for col in proj_a.columns()])
     report.add("spectrum", "P_s image = closure(v1 x v1)", image_s == sym_closure)
     report.add("spectrum", "P_a image = closure(v1 x v2 - q^-1 v2 x v1)", image_a == asym_closure)
     report.add(
@@ -403,10 +407,10 @@ def ref_hecke(bundle) -> Report:
     report.add(
         "hecke", f"(-q^-1)-eigenspace dimension = {dim_a}", proj_a.rank() == dim_a, f"rank {proj_a.rank()}"
     )
-    v11 = Vec.unit(d * d, 0)
+    v11 = unit(d * d, 0)
     _ref_identity(report, "hecke", "Rcheck(v1 x v1) = q v1 x v1", rc.apply(v11), v11.scale(q))
     if d >= 2:
-        w = Vec(d * d, {1: RatFn.one(), d: -q.inv()})
+        w = SparseMat.column(d * d, {1: RatFn.one(), d: -q.inv()})
         name = "Rcheck(v1 x v2 - q^-1 v2 x v1) = -q^-1 (...)"
         _ref_identity(report, "hecke", name, rc.apply(w), w.scale(-q.inv()))
     return report

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from degenq import expr
 from degenq.expr import eval_in_rep
-from degenq.linalg import Vec
+from degenq.linalg import SparseMat
 from degenq.relations import odd_pair_element
 from degenq.reps import verify_relations
 from degenq.scalars import Q_MINUS_QINV, RatFn, _digit_bits, parse_scalar, quantum_int
@@ -86,7 +86,7 @@ def test_verma_k2_eigenvalue_on_f2_layer():
     k2 = vm.rep.gen("K", 2) * vm.rep.gen("Kinv", 3)
     for k in range(3):
         col = vm.basis_labels.index((0, 1, k))
-        v = Vec.unit(vm.dim, col)
+        v = SparseMat.column(vm.dim, {col: RatFn.one()})
         assert k2.apply(v) == v.scale(-rfq(k) * lam2)
 
 
@@ -176,9 +176,9 @@ def test_the_monomial_lambda2_refusal_is_within_evaluations(ell):
 
 def test_verma_highest_vector_annihilated():
     vm = verma_module(hw(2))
-    v = Vec.unit(vm.dim, vm.highest_index)
-    assert not vm.rep.gen("e", 1).apply(v)
-    assert not vm.rep.gen("e", 2).apply(v)
+    v = SparseMat.column(vm.dim, {vm.highest_index: RatFn.one()})
+    assert vm.rep.gen("e", 1).apply(v).is_zero()
+    assert vm.rep.gen("e", 2).apply(v).is_zero()
 
 
 def test_f_cap_squares_to_zero_and_twists():
@@ -212,10 +212,10 @@ def test_atypical_b_quotient_ell0():
     simple = simple_quotient(verma_module(hw(0, 1, rfq(-1))))
     assert simple.dim == 3
     rep = simple.rep
-    v = Vec.unit(3, simple.highest_index)
+    v = SparseMat.column(3, {simple.highest_index: RatFn.one()})
     f2v = rep.gen("f", 2).apply(v)
     ff2v = rep.gen("f", 1).apply(f2v)
-    assert f2v and ff2v
+    assert not f2v.is_zero() and not ff2v.is_zero()
     assert eval_in_rep(odd_pair_element(P21), rep).apply(v) == ff2v  # F v = f1 f2 v since f2 f1 v = 0
 
 

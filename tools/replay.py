@@ -55,8 +55,8 @@ SEEDS = (1, 7)
 # coefficients of --expr and --lambda2 too long to print, refused with exit 3.
 # Then the R-matrix suites at (4, 3), whose spaces (d = 7) are off the verify
 # grid, and error lines that quote what was typed: a trailing atom (in --expr
-# and --lambda2), a wrong token where a parenthesis belongs, and a braid letter
-# past the 4300-digit limit.
+# and --lambda2), a wrong token where a parenthesis belongs, a braid letter
+# past the 4300-digit limit, and braid letters that are not integers.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -115,6 +115,8 @@ PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "(2)/e1"],
     ["simple-module", "--ell", "1", "--lambda2", "2 e1"],
     ["invariant", "--m", "2", "--n", "1", "--braid", "7" * 5000],
+    ["invariant", "--m", "2", "--n", "1", "--braid", "1 a"],
+    ["invariant", "--m", "2", "--n", "1", "--braid", "1 +x"],
 ]
 
 
