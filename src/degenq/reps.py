@@ -10,17 +10,19 @@ Index conventions, fixed once for the whole package:
   associative, so both nestings give the same generator images
   (``test_coassociativity_matches_explicit_expansion`` pins one of them).
 
-A representation stores one matrix per generator atom, including K inverses.
+A representation is given e_a, f_a and K_b, each K_b diagonal with no zero on
+its diagonal, and derives each K_b^-1 from K_b.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import (
     DimensionMismatch,
+    InvalidInput,
+    MissingGenerator,
     NotSimultaneouslyDiagonal,
     ParamsMismatch,
     ResourceLimit,
@@ -43,15 +45,12 @@ from .scalars import GLParams, RatFn
 DEFAULT_MAX_DIM = 20000
 
 
-class Weight(namedtuple("Weight", "values")):
-    """Eigenvalues of K_1..K_{m+n} on a simultaneous eigenvector, as a tuple
-    of ``RatFn``."""
-
-    __slots__ = ()
-
-
 class Representation:
-    """A module of dimension dim: one matrix per generator atom (kind, index)."""
+    """A module of dimension dim: one matrix per generator atom (kind, index).
+
+    The caller gives e_a, f_a and K_b, each K_b diagonal with no zero on its
+    diagonal.  ``gens`` is a copy that adds each K_b^-1, the entrywise
+    inverse of K_b, with each distinct entry inverted once and shared."""
 
     __slots__ = ("params", "dim", "gens", "label")
 
@@ -61,10 +60,19 @@ class Representation:
         for key, mat in gens.items():
             if mat.nrows != dim or mat.ncols != dim:
                 raise DimensionMismatch(f"generator {key} is not {dim}x{dim}")
-        # Cheap sanity on the Cartan part: K Kinv = 1.
+        for kind, b in gens:
+            if kind == "Kinv":
+                raise InvalidInput(f"K{b}^-1 is derived from K{b}, not given, in {label!r}")
+        gens = dict(gens)
+        inverse: dict[RatFn, RatFn] = {}
         for b in params.index_set:
-            if not _inverse_pair(gens[("K", b)], gens[("Kinv", b)]):
-                raise ValueError(f"K{b} * K{b}^-1 is not the identity in {label!r}")
+            k = gens.get(("K", b))
+            if k is None:
+                raise MissingGenerator(f"K{b} is missing from {label!r}")
+            if len(k.entries) != dim or not k.is_diagonal():
+                raise InvalidInput(f"K{b} is not diagonal with a nonzero diagonal in {label!r}")
+            entries = {ij: inverse.get(x) or inverse.setdefault(x, x.inv()) for ij, x in k.entries.items()}
+            gens[("Kinv", b)] = SparseMat._raw(dim, dim, entries)
         self.params = params
         self.dim = dim
         self.gens = gens
@@ -73,34 +81,11 @@ class Representation:
     def gen(self, kind: str, index: int) -> SparseMat:
         return self.gens[(kind, index)]
 
-    def atoms(self) -> list[tuple[str, int]]:
-        keys = []
-        for a in self.params.iprime:
-            keys.extend([("e", a), ("f", a)])
-        for b in self.params.index_set:
-            keys.extend([("K", b), ("Kinv", b)])
-        return keys
-
-    def generator_atoms(self) -> list[Gen]:
-        """e_a, f_a, K_b as expression atoms (:func:`generator_atoms`)."""
-        return generator_atoms(self.params)
-
 
 def generator_atoms(params: GLParams) -> list[Gen]:
     """e_a, f_a, K_b as expression atoms, which depend on (m, n) alone."""
     atoms = [Gen(kind, a) for kind in ("e", "f") for a in params.iprime]
     return atoms + [Gen("K", b) for b in params.index_set]
-
-
-def _inverse_pair(k: SparseMat, kinv: SparseMat) -> bool:
-    """Whether k kinv = 1.  Two diagonals with every diagonal entry nonzero are
-    compared entrywise, y = x^-1 as y == x.inv(): canonical forms are unique
-    and ``inv`` needs no gcd, so this costs no product; any other pair is
-    compared by the product."""
-    dim = k.nrows
-    if len(k.entries) == len(kinv.entries) == dim and k.is_diagonal() and kinv.is_diagonal():
-        return all(kinv.entries[(i, i)] == k.entries[(i, i)].inv() for i in range(dim))
-    return k * kinv == SparseMat.identity(dim)
 
 
 def natural_rep(params: GLParams) -> Representation:
@@ -114,23 +99,22 @@ def natural_rep(params: GLParams) -> Representation:
         qb = params.q_sub(b)
         diag = [qb if i == b - 1 else RatFn.one() for i in range(d)]
         gens[("K", b)] = SparseMat.diagonal(diag)
-        gens[("Kinv", b)] = SparseMat.diagonal([v.inv() for v in diag])
     return Representation(params, d, gens, label=f"V({params.m},{params.n})")
 
 
 def trivial_rep(params: GLParams) -> Representation:
-    """The one-dimensional module of the counit: e_a, f_a act by 0, K_b^+-1 by 1."""
+    """The one-dimensional module of the counit: e_a, f_a act by 0, K_b by 1."""
     zero, one = SparseMat.zero(1, 1), SparseMat.identity(1)
     gens = {(kind, a): zero for a in params.iprime for kind in ("e", "f")}
-    gens.update({(kind, b): one for b in params.index_set for kind in ("K", "Kinv")})
+    gens.update({("K", b): one for b in params.index_set})
     return Representation(params, 1, gens, label="trivial")
 
 
 def dual_rep(rep: Representation) -> Representation:
     """The dual module: x acts by the transpose of the antipode image."""
-    atoms = rep.atoms()
-    images = eval_batch([antipode(Gen(kind, index)) for kind, index in atoms], rep)
-    gens = {atom: mat.transpose() for atom, mat in zip(atoms, images)}
+    atoms = generator_atoms(rep.params)
+    images = eval_batch([antipode(g) for g in atoms], rep)
+    gens = {(g.kind, g.index): mat.transpose() for g, mat in zip(atoms, images)}
     return Representation(rep.params, rep.dim, gens, label=f"({rep.label})*")
 
 
@@ -162,7 +146,6 @@ def tensor_rep(r1: Representation, r2: Representation, side: str = "Delta") -> R
             gens[("f", a)] = r1.gen("f", a).kron(k2) + id1.kron(r2.gen("f", a))
     for b in params.index_set:
         gens[("K", b)] = r1.gen("K", b).kron(r2.gen("K", b))
-        gens[("Kinv", b)] = r1.gen("Kinv", b).kron(r2.gen("Kinv", b))
     tag = "" if side == "Delta" else "'"
     return Representation(params, d1 * d2, gens, label=f"{r1.label}(x){tag}{r2.label}")
 
@@ -271,9 +254,10 @@ def _catalog(params: GLParams) -> tuple[tuple[RelationEntry, ...], Program]:
     return entries, compile_batch([entry.expr for entry in entries])
 
 
-def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
-    """The coordinates spanning each simultaneous K eigenspace, in order of their
-    first coordinate; requires diagonal K matrices in the working basis."""
+def _weight_spaces(rep: Representation) -> list[tuple[tuple[RatFn, ...], list[int]]]:
+    """The coordinates spanning each simultaneous K eigenspace, keyed by its
+    weight (the eigenvalues of K_1..K_{m+n}), in order of their first
+    coordinate; requires diagonal K matrices in the working basis."""
     diags = []
     for b in rep.params.index_set:
         mat = rep.gen("K", b)
@@ -283,10 +267,10 @@ def _weight_spaces(rep: Representation) -> list[tuple[Weight, list[int]]]:
     buckets: dict[tuple[RatFn, ...], list[int]] = {}
     for i in range(rep.dim):
         buckets.setdefault(tuple(d[i] for d in diags), []).append(i)
-    return [(Weight(key), indices) for key, indices in buckets.items()]
+    return list(buckets.items())
 
 
-def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, SparseMat]]:
+def highest_weight_vectors(rep: Representation) -> list[tuple[tuple[RatFn, ...], SparseMat]]:
     """A weight basis of the joint kernel of all raising generators, found one
     K-weight space at a time; requires diagonal K matrices.
 
@@ -295,7 +279,7 @@ def highest_weight_vectors(rep: Representation) -> list[tuple[Weight, SparseMat]
     are empty; a larger one contributes the null space of its stacked columns.
     """
     raising = [rep.gen("e", a).columns() for a in rep.params.iprime]
-    found: list[tuple[Weight, SparseMat]] = []
+    found: list[tuple[tuple[RatFn, ...], SparseMat]] = []
     for weight, indices in _weight_spaces(rep):
         if len(indices) == 1:
             if not any(cols[indices[0]] for cols in raising):
@@ -368,14 +352,14 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     keep = [j for j in range(rep.dim) if j not in pivots]
     pos = {j: t for t, j in enumerate(keep)}
     gens: dict[tuple[str, int], SparseMat] = {}
-    for key, mat in rep.gens.items():
-        cols = mat.columns()
+    for g in generator_atoms(rep.params):
+        cols = rep.gen(g.kind, g.index).columns()
         entries: dict[tuple[int, int], RatFn] = {}
         for t, j in enumerate(keep):
             image = sub.reduce(SparseMat.column(rep.dim, cols[j]))
             for (i, _), val in image.entries.items():
                 entries[(pos[i], t)] = val
-        gens[key] = SparseMat(len(keep), len(keep), entries)
+        gens[(g.kind, g.index)] = SparseMat(len(keep), len(keep), entries)
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")
 
 
@@ -432,8 +416,8 @@ def check_hopf_axioms(rep: Representation) -> Report:
     trivial, s2, names = store.get("hopf", _hopf_setup, rep.params)
     dual = store.derived("V*", "V", rep, dual_rep)
     report = verify_relations(trivial, dual, labels=[("hopf-counit", ""), ("hopf-antipode", "")])
-    # k2rho k2rho_inv telescopes to the K_b K_b^-1, and building the dual of
-    # rep, here or in the store, refused rep unless each is 1.
+    # k2rho k2rho_inv telescopes to the K_b K_b^-1, each 1 because
+    # Representation derives K_b^-1 from K_b.
     for name, value in zip(names, s2.run(rep)):
         report.add_zero("hopf-s2", name, value)
     return report

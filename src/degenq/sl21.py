@@ -128,12 +128,6 @@ def atypicality_type(hw: HighestWeightSL21) -> tuple[ModuleType, int]:
     return ModuleType.TYPICAL, 4 * (hw.ell + 1)
 
 
-def _inverses(values: list[RatFn]) -> list[RatFn]:
-    """The inverse of each value, each distinct value inverted once."""
-    inverse = {v: v.inv() for v in dict.fromkeys(values)}
-    return [inverse[v] for v in values]
-
-
 def verma_module(hw: HighestWeightSL21) -> ModuleData:
     """The induced module on the basis F^eF f_2^e2 f_1^k v, dimension 4(ell+1)."""
     ell = hw.ell
@@ -197,9 +191,6 @@ def verma_module(hw: HighestWeightSL21) -> ModuleData:
         ("K", 1): SparseMat.diagonal(k1d),
         ("K", 2): SparseMat.diagonal(k2d),
         ("K", 3): SparseMat.diagonal(k3d),
-        ("Kinv", 1): SparseMat.diagonal(_inverses(k1d)),
-        ("Kinv", 2): SparseMat.diagonal(_inverses(k2d)),
-        ("Kinv", 3): SparseMat.diagonal(_inverses(k3d)),
     }
     rep = Representation(
         P21, dim, gens, label=f"V(ell={hw.ell}, sign={hw.sign1:+d}, l2={hw.lambda2})"
@@ -214,7 +205,7 @@ def simple_quotient(vm: ModuleData) -> ModuleData:
     top = vm.highest_index
     top_weight = tuple(rep.gen("K", b)[top, top] for b in rep.params.index_set)
     while True:
-        singular = [v for w, v in highest_weight_vectors(rep) if w.values != top_weight]
+        singular = [v for w, v in highest_weight_vectors(rep) if w != top_weight]
         if not singular:
             break
         sub = submodule_closure(rep, singular)

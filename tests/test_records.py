@@ -11,7 +11,6 @@ from degenq.expr import e
 from degenq.invariants import BraidWord, InvariantResult
 from degenq.relations import RelationEntry
 from degenq.reports import Report
-from degenq.reps import Weight
 from degenq.rmatrix import RMatrixBundle, build_bundle
 from degenq.scalars import GLParams, RatFn
 from degenq.sl21 import HighestWeightSL21
@@ -34,7 +33,6 @@ def _frozen():
             "invariant",
         ),
         (RelationEntry("fam", "label", e(1)), RelationEntry(family="fam", label="label", expr=e(1)), "expr"),
-        (Weight((ONE, q2)), Weight(values=(ONE, q2)), "values"),
         (bundle, RMatrixBundle(params=params, **mats), "R"),
         (HighestWeightSL21(0, 1, q2), HighestWeightSL21(ell=0, sign1=1, lambda2=q2), "lambda2"),
     ]

@@ -1,23 +1,21 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from degenq import reps, scalars
-from degenq.errors import NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
+from degenq.errors import InvalidInput, MissingGenerator, NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
 from degenq.expr import Expr, Gen, Program, cartan, cartan_inv, eval_in_rep, parse_expr
 from degenq.expr import one as one_expr
 from degenq.linalg import SparseMat, Subspace, nullspace
 from degenq.relations import k2rho_expr
 from degenq.reps import (
     Representation,
-    Weight,
     _catalog,
     _weight_spaces,
     check_cap,
     check_hopf_axioms,
     dual_rep,
+    generator_atoms,
     highest_weight_vectors,
     iterated_tensor,
     natural_rep,
@@ -37,7 +35,7 @@ rfq = RatFn.q
 one = RatFn.one()
 
 
-def weight_decomposition(rep: Representation) -> list[tuple[Weight, list[SparseMat]]]:
+def weight_decomposition(rep: Representation) -> list[tuple[tuple[RatFn, ...], list[SparseMat]]]:
     """Simultaneous K eigenspaces; requires diagonal K matrices in the working basis."""
     return [(weight, [unit(rep.dim, i) for i in indices]) for weight, indices in _weight_spaces(rep)]
 
@@ -76,49 +74,91 @@ def test_natural_rep_passes_all_relations():
         assert report.all_passed, [c.name for c in report.failures]
 
 
-_K_ENTRIES = st.sampled_from(
-    [
-        one,
-        RatFn.integer(2),
-        RatFn.of(1, 2),
-        rfq(1),
-        rfq(-1, -1),
-        rfq(3, 2),
-        parse_scalar("(q+2)/(q-3)"),
-    ]
-)
+def _given_gens(params):
+    """e_a, f_a and K_b of V, the atoms a module is built from."""
+    rep = natural_rep(params)
+    return {(g.kind, g.index): rep.gen(g.kind, g.index) for g in generator_atoms(params)}
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(_K_ENTRIES, min_size=1, max_size=4), st.data())
-def test_entrywise_cartan_check_matches_the_product(diag, data):
-    # Kinv is the inverse diagonal with, at random, one entry replaced by a
-    # drawn one (which may be the right inverse again).
-    inverse = [x.inv() for x in diag]
-    if data.draw(st.booleans()):
-        inverse[data.draw(st.integers(0, len(diag) - 1))] = data.draw(_K_ENTRIES)
-    k, kinv = SparseMat.diagonal(diag), SparseMat.diagonal(inverse)
-    assert reps._inverse_pair(k, kinv) == (k * kinv == SparseMat.identity(len(diag)))
-
-
-def _with_cartan(k1, k1inv):
-    gens = dict(natural_rep(P21).gens)
-    gens[("K", 1)], gens[("Kinv", 1)] = k1, k1inv
+def _with_cartan(k1):
+    gens = _given_gens(P21)
+    gens[("K", 1)] = k1
     return Representation(P21, 3, gens, label="test")
 
 
 def test_representation_rejects_a_wrong_cartan_inverse():
-    q, qinv = rfq(1), rfq(-1)
-    with pytest.raises(ValueError, match="K1"):  # wrong diagonal inverse
-        _with_cartan(SparseMat.diagonal([q, one, one]), SparseMat.diagonal([q, one, one]))
-    with pytest.raises(ValueError, match="K1"):  # a zero on K's diagonal
-        _with_cartan(SparseMat.diagonal([q, RatFn.zero(), one]), SparseMat.diagonal([qinv, one, one]))
-    # A non-diagonal K is checked by the product: its inverse passes, a wrong one does not.
-    k = SparseMat(3, 3, {(0, 0): one, (0, 1): q, (1, 1): one, (2, 2): one})
-    k_inv = SparseMat(3, 3, {(0, 0): one, (0, 1): -q, (1, 1): one, (2, 2): one})
-    assert _with_cartan(k, k_inv).dim == 3
-    with pytest.raises(ValueError, match="K1"):
-        _with_cartan(k, SparseMat.identity(3))
+    # K_b^-1 is derived, never given, so the constructor refuses any K_b it
+    # cannot invert entrywise, a K_b^-1 passed in, and a missing K_b.
+    q = rfq(1)
+    with pytest.raises(InvalidInput, match="K1"):  # a zero on K1's diagonal
+        _with_cartan(SparseMat.diagonal([q, RatFn.zero(), one]))
+    with pytest.raises(InvalidInput, match="K1"):  # invertible, but not diagonal
+        _with_cartan(SparseMat(3, 3, {(0, 0): one, (0, 1): q, (1, 1): one, (2, 2): one}))
+    gens = _given_gens(P21)
+    gens[("Kinv", 1)] = SparseMat.diagonal([q.inv(), one, one])
+    with pytest.raises(InvalidInput, match="K1"):
+        Representation(P21, 3, gens)
+    gens = _given_gens(P21)
+    del gens[("K", 3)]
+    with pytest.raises(MissingGenerator, match="K3"):
+        Representation(P21, 3, gens)
+
+
+def _assert_inverses(rep, expected):
+    """Each K_b^-1 of rep inverts K_b on both sides by the full product and
+    equals expected[b]."""
+    ident = SparseMat.identity(rep.dim)
+    for b in rep.params.index_set:
+        k, kinv = rep.gen("K", b), rep.gen("Kinv", b)
+        assert k * kinv == ident and kinv * k == ident, (rep.label, b)
+        assert kinv == expected[b], (rep.label, b)
+
+
+def _inverted_diagonals(rep):
+    """{b: diag(v.inv()) over the diagonal v of K_b}."""
+    index_set = rep.params.index_set
+    return {b: SparseMat.diagonal([v.inv() for v in rep.gen("K", b).diagonal_values()]) for b in index_set}
+
+
+_GRID = [GLParams(m, n) for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2))]
+
+
+@pytest.mark.parametrize("params", _GRID, ids=lambda p: f"{p.m}{p.n}")
+def test_derived_cartan_inverses_match_their_closed_forms(params):
+    # Each derived K_b^-1 against the closed form its module's builder once
+    # stated: diag(v.inv()) on V, 1 on the trivial module, the transpose of
+    # K_b on the dual, and the kron of the factors' inverses on a tensor power.
+    rep = natural_rep(params)
+    _assert_inverses(rep, _inverted_diagonals(rep))
+    _assert_inverses(trivial_rep(params), {b: SparseMat.identity(1) for b in params.index_set})
+    _assert_inverses(dual_rep(rep), {b: rep.gen("K", b).transpose() for b in params.index_set})
+    for side in ("Delta", "DeltaPrime"):
+        power = rep
+        for _ in (2, 3):
+            left, power = power, tensor_rep(power, rep, side)
+            _assert_inverses(
+                power, {b: left.gen("Kinv", b).kron(rep.gen("Kinv", b)) for b in params.index_set}
+            )
+        # Equal entries of the cube's K_b^-1, over every b, are one object.
+        first = {}
+        for b in params.index_set:
+            assert all(first.setdefault(x, x) is x for x in power.gen("Kinv", b).entries.values())
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 5])
+def test_derived_cartan_inverses_on_induced_modules_and_simple_quotients(ell):
+    # An induced module's K_b^-1 is diag(v.inv()); its simple quotient's is
+    # the induced module's restricted to the basis labels that survive.
+    for weight in _induced_weights(ell):
+        verma = verma_module(weight)
+        _assert_inverses(verma.rep, _inverted_diagonals(verma.rep))
+        simple = simple_quotient(verma)
+        pos = {label: t for t, label in enumerate(verma.basis_labels)}
+        restricted = {
+            b: SparseMat.diagonal([verma.rep.gen("Kinv", b)[pos[lab], pos[lab]] for lab in simple.basis_labels])
+            for b in P21.index_set
+        }
+        _assert_inverses(simple.rep, restricted)
 
 
 def test_corrupted_rep_fails_conjugation_relation():
@@ -199,7 +239,7 @@ def test_dual_highest_weight_vector():
     assert len(hw) == 1
     weight, v = hw[0]
     assert v == unit(3, 2)  # vbar_{m+n}
-    assert weight == Weight((one, one, rfq(1, -1)))  # (1, ..., 1, p^-1) with p^-1 = -q
+    assert weight == (one, one, rfq(1, -1))  # (1, ..., 1, p^-1) with p^-1 = -q
 
 
 def test_dual_of_dual_same_dimension():
@@ -280,7 +320,7 @@ def test_iterated_tensor_cube_passes_relations():
 def test_weight_decomposition_natural_21():
     rep = natural_rep(P21)
     decomp = weight_decomposition(rep)
-    weights = {w.values for w, _ in decomp}
+    weights = {w for w, _ in decomp}
     p = rfq(-1, -1)
     assert weights == {
         (rfq(1), one, one),
@@ -295,7 +335,7 @@ def test_weight_of_v1v1():
     vv = tensor_rep(rep, rep)
     for w, basis in weight_decomposition(vv):
         if unit(9, 0) in basis:
-            assert w == Weight((rfq(2), one, one))
+            assert w == (rfq(2), one, one)
             break
     else:
         pytest.fail("v1 (x) v1 not found in any weight space")
@@ -315,7 +355,7 @@ def test_highest_weight_vectors_natural():
     assert len(hw) == 1
     weight, v = hw[0]
     assert v == unit(3, 0)
-    assert weight == Weight((rfq(1), one, one))
+    assert weight == (rfq(1), one, one)
 
 
 def test_highest_weight_vectors_tensor_square():
@@ -328,7 +368,7 @@ def test_highest_weight_vectors_tensor_square():
     w_asym = SparseMat.column(9, {0 * 3 + 1: one, 1 * 3 + 0: rfq(-1, -1)})  # v1 (x) v2 - q^-1 v2 (x) v1
     assert span.reduce(w_sym).is_zero() and span.reduce(w_asym).is_zero()
     p = rfq(-1, -1)
-    assert all(w.values != (one, one, p * p) for w, _ in hw)
+    assert all(w != (one, one, p * p) for w, _ in hw)
 
 
 # -- submodule closure ---------------------------------------------------------------------
@@ -384,7 +424,7 @@ def _closure_reference(rep, seeds):
     """The closure under every atom, K's included, over one global Subspace."""
     space = Subspace(rep.dim, [])
     frontier = [s for s in seeds if space.add_vector(s) is not None]
-    mats = [rep.gens[key] for key in rep.atoms()]
+    mats = list(rep.gens.values())
     while frontier:
         next_frontier = []
         for v in frontier:
@@ -453,7 +493,7 @@ def test_per_weight_paths_match_reference_on_induced_modules(ell):
         while True:
             found = highest_weight_vectors(rep)
             assert found == _singular_reference(rep)
-            seeds = [v for w, v in found if w.values != top]
+            seeds = [v for w, v in found if w != top]
             if not seeds:
                 break
             rep = quotient_rep(rep, _assert_closures_agree(rep, seeds))
@@ -475,11 +515,12 @@ def _twisted_double(rep, c):
     act alike on both copies, so only the K's tell their weights apart."""
     d = rep.dim
     gens = {}
-    for (kind, index), mat in rep.gens.items():
-        scale = {"K": c, "Kinv": c.inv()}.get(kind, one)
+    for g in generator_atoms(rep.params):
+        mat = rep.gen(g.kind, g.index)
+        scale = c if g.kind == "K" else one
         entries = dict(mat.entries)
         entries.update({(i + d, j + d): scale * v for (i, j), v in mat.entries.items()})
-        gens[(kind, index)] = SparseMat(2 * d, 2 * d, entries)
+        gens[(g.kind, g.index)] = SparseMat(2 * d, 2 * d, entries)
     return Representation(rep.params, 2 * d, gens)
 
 
@@ -696,7 +737,7 @@ def test_tensor_rep_matches_coproduct_terms(params):
     d = rep.dim
     for side in ("Delta", "DeltaPrime"):
         vv = tensor_rep(rep, rep, side)
-        for kind, index in rep.atoms():
+        for kind, index in rep.gens:
             expect = SparseMat.zero(d * d, d * d)
             for lhs, rhs in coproduct_terms(Gen(kind, index), side):
                 expect = expect + eval_in_rep(lhs, rep).kron(eval_in_rep(rhs, rep))

@@ -7,7 +7,7 @@ from degenq.errors import ResourceLimit
 from degenq.expr import eval_batch
 from degenq.linalg import SparseMat, Subspace, nullspace
 from degenq.reports import Report, witness
-from degenq.reps import natural_rep, setup, shared_power, submodule_closure, tensor_rep
+from degenq.reps import generator_atoms, natural_rep, setup, shared_power, submodule_closure, tensor_rep
 from degenq.rmatrix import (
     antisymmetric_type_dim,
     build_bundle,
@@ -420,7 +420,7 @@ def ref_intertwiner(bundle) -> Report:
     report = Report()
     rep = natural_rep(bundle.params)
     vv_delta, vv_prime = tensor_rep(rep, rep, "Delta"), tensor_rep(rep, rep, "DeltaPrime")
-    for g in vv_delta.generator_atoms():
+    for g in generator_atoms(bundle.params):
         name = f"{g.kind}{g.index}"
         delta_mat = vv_delta.gen(g.kind, g.index)
         prime_mat = vv_prime.gen(g.kind, g.index)
@@ -445,7 +445,7 @@ def ref_tensor_iso(bundle, r: int) -> Report:
     iso = ref_leg_product(bundle, r)
     power_delta = shared_power(params, r, "Delta")
     power_prime = shared_power(params, r, "DeltaPrime")
-    for g in power_delta.generator_atoms():
+    for g in generator_atoms(params):
         name = f"{g.kind}{g.index}"
         lhs = iso * power_delta.gen(g.kind, g.index)
         rhs = power_prime.gen(g.kind, g.index) * iso

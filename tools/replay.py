@@ -56,7 +56,9 @@ SEEDS = (1, 7)
 # Then the R-matrix suites at (4, 3), whose spaces (d = 7) are off the verify
 # grid, and error lines that quote what was typed: a trailing atom (in --expr
 # and --lambda2), a wrong token where a parenthesis belongs, a braid letter
-# past the 4300-digit limit, and braid letters that are not integers.
+# past the 4300-digit limit, and braid letters that are not integers.  Then
+# the K inverses that a module derives from its K's, on a dual and on a cube
+# with two odd indices.
 PARSER_ARGVS = [
     ["eval", "--m", "2", "--n", "1", "--expr", "q + 1 + e1"],
     ["eval", "--m", "2", "--n", "1", "--expr", "e1 + q - q + 1"],
@@ -117,6 +119,8 @@ PARSER_ARGVS = [
     ["invariant", "--m", "2", "--n", "1", "--braid", "7" * 5000],
     ["invariant", "--m", "2", "--n", "1", "--braid", "1 a"],
     ["invariant", "--m", "2", "--n", "1", "--braid", "1 +x"],
+    ["eval", "--m", "3", "--n", "2", "--rep", "dual", "--expr", "K4^-1*K5^-2 + k3^-1"],
+    ["eval", "--m", "1", "--n", "2", "--rep", "tensor3", "--expr", "K1^-1*K3 - K2^-1"],
 ]
 
 
