@@ -177,12 +177,13 @@ def run_verify(
                 VACUOUS,
                 "both quartic relations are vacuous when m = 1 or n = 1",
             )
-        spaces, labels = [shared_power(params, 1, max_dim=max_dim)], [("relations", "V: ")]
+        spaces, labels, opposite = [shared_power(params, 1, max_dim=max_dim)], [("relations", "V: ")], {}
         for r in range(2, tensor_depth + 1):
             for side in ("Delta", "DeltaPrime"):
                 spaces.append(shared_power(params, r, side, max_dim))
                 labels.append(("relations", f"V^(x){r} [{side}]: "))
-        report.extend(verify_relations(*spaces, labels=labels))
+            opposite[len(spaces) - 1] = len(spaces) - 2
+        report.extend(verify_relations(*spaces, labels=labels, opposite=opposite))
     if "hopf" in suites:
         report.extend(check_hopf_axioms(shared_power(params, 1, max_dim=max_dim)))
     if {"ybe", "hecke", "intertwiner"} & set(suites):

@@ -363,22 +363,49 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")
 
 
-def verify_relations(*reps: Representation, labels: Sequence[tuple[str, str]] = ()) -> Report:
+def _reversed(mat: SparseMat, rev: list[int]) -> SparseMat:
+    """P mat P, P the basis permutation rev (an involution)."""
+    return SparseMat._raw(mat.nrows, mat.ncols, {(rev[i], rev[j]): x for (i, j), x in mat.entries.items()})
+
+
+def verify_relations(*reps: Representation, labels: Sequence[tuple[str, str]] = (), opposite=None) -> Report:
     """Evaluate every entry of the relation catalog in each of reps, modules
     over one (m, n), as the program compiled once per (m, n), run in them all
     from one plan (:meth:`Program.run_each`); every value must be exactly
     zero.  Module i's checks go under the suite labels[i][0], each named
     labels[i][1] followed by its entry's name; with no labels, under
-    "relations" by the entry's name alone."""
+    "relations" by the entry's name alone.
+
+    ``opposite`` maps the position of a space V^(x)r [Delta'] to the earlier
+    one of its twin V^(x)r [Delta].  Delta' is the opposite coproduct, so the
+    permutation P reversing the tensor order takes each Delta generator, and
+    so each catalog value, to its Delta' twin.  Where every generator matches
+    so, entry by entry, the Delta' lines are the twin's values with P applied,
+    with a full run's status and witness; else a check naming the generators
+    that differ fails, and the space runs in full."""
     params = reps[0].params
     for rep in reps:
         if rep.params != params:
             raise ParamsMismatch(f"{rep.label} over {rep.params} vs {reps[0].label} over {params}")
     entries, program = setup(params).get("catalog", _catalog, params)
     labels = labels or [("relations", "")] * len(reps)
+    opposite, revs, differ, kept = opposite or {}, {}, {}, {}
+    for k, t in opposite.items():
+        rev = [0]  # rev[i]: basis vector i with its tensor factors reversed
+        while len(rev) < reps[t].dim:
+            rev = [j * len(rev) + p for p in rev for j in range(params.size)]
+        mine, revs[k] = reps[k].gens, rev
+        differ[k] = ["%s%d" % key for key, mat in reps[t].gens.items() if mine.get(key) != _reversed(mat, rev)]
+    # A space runs unless it is a Delta' space whose generators all match.
+    values = iter(program.run_each([rep for k, rep in enumerate(reps) if differ.get(k, True)]))
     report = Report()
-    for (suite, prefix), values in zip(labels, program.run_each(reps), strict=True):
-        for entry, value in zip(entries, values):
+    for k, ((suite, prefix), _) in enumerate(zip(labels, reps, strict=True)):
+        if differ.get(k):
+            report.add(suite, prefix + "Delta twin reversed", False, "differs on " + ", ".join(differ[k]))
+        diffs = next(values) if differ.get(k, True) else [_reversed(v, revs[k]) for v in kept[opposite[k]]]
+        if k in opposite.values():
+            diffs = kept[k] = list(diffs)
+        for entry, value in zip(entries, diffs):
             report.add_zero(suite, prefix + entry.name, value)
     return report
 

@@ -636,8 +636,9 @@ def test_warm_hopf_jobs_compile_nothing_and_measure_nothing(monkeypatch, capsys)
 
 
 def test_relations_and_hopf_jobs_plan_the_catalog_once(monkeypatch, capsys):
-    # A relations job makes one numeric pass of the catalog over its five
-    # spaces, and a hopf job one over the trivial module and V*; a warm
+    # A relations job makes one numeric pass of the catalog over V and its
+    # Delta powers, whose lines its Delta' lines are read off, and a hopf job
+    # one over the trivial module and V*; a warm
     # relations job makes no other, and a warm hopf job one more, for S^2 on V.
     params = GLParams(3, 2)
     plans = []  # (program, module dims, job)
@@ -655,8 +656,8 @@ def test_relations_and_hopf_jobs_plan_the_catalog_once(monkeypatch, capsys):
     assert jobs == [EXIT_OK] * 4
     _, catalog = reps.setup(params).get("catalog", None)
     catalog_plans = [(dims, job) for program, dims, job in plans if program is catalog]
-    assert catalog_plans == [([5, 25, 25, 125, 125], 0), ([5, 25, 25, 125, 125], 1), ([1, 5], 2), ([1, 5], 3)]
-    assert [dims for _, dims, job in plans if job == 1] == [[5, 25, 25, 125, 125]]
+    assert catalog_plans == [([5, 25, 125], 0), ([5, 25, 125], 1), ([1, 5], 2), ([1, 5], 3)]
+    assert [dims for _, dims, job in plans if job == 1] == [[5, 25, 125]]
     _, s2, _ = reps.setup(params).get("hopf", None)
     assert [(program, dims) for program, dims, job in plans if job == 3] == [(catalog, [1, 5]), (s2, [5])]
 

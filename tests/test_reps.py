@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from degenq import reps, scalars
+from degenq.cli import run_verify
 from degenq.errors import InvalidInput, MissingGenerator, NotSimultaneouslyDiagonal, ParamsMismatch, ResourceLimit
 from degenq.expr import Expr, Gen, Program, cartan, cartan_inv, eval_in_rep, parse_expr
 from degenq.expr import one as one_expr
@@ -20,6 +22,7 @@ from degenq.reps import (
     iterated_tensor,
     natural_rep,
     quotient_rep,
+    shared_power,
     submodule_closure,
     tensor_rep,
     trivial_rep,
@@ -635,6 +638,79 @@ def test_a_spoiled_space_fails_only_under_its_own_label():
 def test_verify_relations_refuses_modules_of_two_parameter_sets():
     with pytest.raises(ParamsMismatch):
         verify_relations(natural_rep(P21), natural_rep(GLParams(1, 2)))
+
+
+# -- Delta' is the opposite coproduct: the relations suite reads its lines off Delta --
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 3)])
+def test_each_delta_prime_generator_is_its_delta_twin_with_the_tensor_order_reversed(m, n):
+    params = GLParams(m, n)
+    nat = natural_rep(params)
+    for r in (2, 3, 4):
+        # The basis of V^(x)r as itertools.product orders it, and rev[i]: the
+        # index of basis vector i with its tensor factors reversed.
+        basis = list(itertools.product(range(params.size), repeat=r))
+        index = {b: i for i, b in enumerate(basis)}
+        rev = [index[b[::-1]] for b in basis]
+        delta, prime = iterated_tensor(nat, r, "Delta"), iterated_tensor(nat, r, "DeltaPrime")
+        assert delta.gens.keys() == prime.gens.keys()
+        for key, mat in delta.gens.items():  # K_b^-1 included
+            conjugate = SparseMat(mat.nrows, mat.ncols, {(rev[i], rev[j]): x for (i, j), x in mat.entries.items()})
+            assert prime.gens[key] == conjugate, (r, key)
+
+
+def relations_lines(report, prefix):
+    return [(c.name, c.status, c.detail) for c in report.checks if c.name.startswith(prefix)]
+
+
+def test_a_spoiled_delta_prime_generator_fails_the_comparison_and_its_space_runs_in_full():
+    # Delta'(e1) = e1 (x) 1 + k1 (x) e1, spoiled to e1 (x) 1 + k1^-1 (x) e1 on
+    # the stored V^(x)2 [Delta'].
+    nat, prime = shared_power(P21, 1), shared_power(P21, 2, "DeltaPrime")
+    e1 = nat.gen("e", 1)
+    prime.gens[("e", 1)] = e1.kron(SparseMat.identity(3)) + eval_in_rep(cartan_inv(1), nat).kron(e1)
+    report = run_verify(P21, tensor_depth=2, suites=("relations",))
+    alone = verify_relations(prime)
+    assert alone.failures
+    prefix = "V^(x)2 [DeltaPrime]: "
+    assert relations_lines(report, prefix) == [
+        (prefix + "Delta twin reversed", "fail", "differs on e1"),
+        *[(prefix + c.name, c.status, c.detail) for c in alone.checks],
+    ]
+    assert not [c for c in report.failures if not c.name.startswith(prefix)]
+
+
+def test_a_spoiled_v_fails_on_both_sides_with_the_witnesses_of_a_full_run():
+    # e2 doubled in the V of a fresh store: both powers are built from it, so
+    # the comparison holds and the Delta' lines are read off the Delta lines.
+    nat = natural_rep(P21)
+    gens = {key: mat for key, mat in nat.gens.items() if key[0] != "Kinv"}
+    gens[("e", 2)] = nat.gen("e", 2) + nat.gen("e", 2)
+    spoiled = Representation(P21, nat.dim, gens, nat.label)
+    assert reps.setup(P21).get("V", lambda params: spoiled, P21) is spoiled
+    report = run_verify(P21, suites=("relations",))
+    assert not [c for c in report.checks if c.name.endswith("Delta twin reversed")]
+    for r in (2, 3):
+        for side in ("Delta", "DeltaPrime"):
+            alone = verify_relations(shared_power(P21, r, side))
+            assert alone.failures
+            prefix = f"V^(x){r} [{side}]: "
+            assert relations_lines(report, prefix) == [(prefix + c.name, c.status, c.detail) for c in alone.checks]
+        delta, prime = (relations_lines(report, f"V^(x){r} [{side}]: ") for side in ("Delta", "DeltaPrime"))
+        # The Delta' witnesses are the permuted ones: some first entries differ.
+        assert [line[1:] for line in delta] != [line[1:] for line in prime]
+
+
+def test_a_warm_relations_job_keeps_no_result_for_the_next():
+    params = GLParams(3, 2)
+    assert run_verify(params, suites=("relations",)).all_passed
+    prime = shared_power(params, 3, "DeltaPrime")
+    prime.gens[("f", 2)] = shared_power(params, 3, "Delta").gen("f", 2)
+    report = run_verify(params, suites=("relations",))
+    assert ("V^(x)3 [DeltaPrime]: Delta twin reversed", "fail", "differs on f2") in relations_lines(report, "")
+    prefix = "V^(x)3 [DeltaPrime]: "
+    assert relations_lines(report, prefix)[1:] == [(prefix + c.name, c.status, c.detail) for c in verify_relations(prime).checks]
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 3), (6, 6)])
