@@ -177,12 +177,10 @@ def run_verify(
                 VACUOUS,
                 "both quartic relations are vacuous when m = 1 or n = 1",
             )
-        spaces, labels, opposite = [shared_power(params, 1, max_dim=max_dim)], [("relations", "V: ")], {}
-        for r in range(2, tensor_depth + 1):
-            for side in ("Delta", "DeltaPrime"):
-                spaces.append(shared_power(params, r, side, max_dim))
-                labels.append(("relations", f"V^(x){r} [{side}]: "))
-            opposite[len(spaces) - 1] = len(spaces) - 2
+        spaces = [shared_power(params, r, max_dim) for r in range(1, tensor_depth + 1)]
+        powers = range(2, tensor_depth + 1)
+        labels = [("relations", "V: ")] + [("relations", f"V^(x){r} [Delta]: ") for r in powers]
+        opposite = {r - 1: ("relations", f"V^(x){r} [DeltaPrime]: ") for r in powers}
         report.extend(verify_relations(*spaces, labels=labels, opposite=opposite))
     if "hopf" in suites:
         report.extend(check_hopf_axioms(shared_power(params, 1, max_dim=max_dim)))
@@ -414,7 +412,7 @@ def _build_rep(name: str, params: GLParams, max_dim: int):
         return dual_rep(rep)
     digits = name.removeprefix("tensor")
     if digits != name and digits.isascii() and digits.isdigit() and int(digits) >= 1:
-        return iterated_tensor(rep, int(digits), "Delta", max_dim)
+        return iterated_tensor(rep, int(digits), max_dim)
     raise InvalidInput(f"unknown representation {name!r}; use natural, dual or tensor<k> with k >= 1")
 
 

@@ -283,7 +283,8 @@ def echelon_rows(
     is the unique one of the span.
     """
     space = Subspace(ncols, [SparseMat.column(ncols, r) for r in rows if r])
-    return space._rows, space._pivots
+    pivots = space.pivot_columns()
+    return [space._rows[p] for p in pivots], pivots
 
 
 def nullspace(a: SparseMat) -> list[SparseMat]:
@@ -303,34 +304,33 @@ def nullspace(a: SparseMat) -> list[SparseMat]:
 
 
 class Subspace:
-    """A subspace of Q(q)^dim held as a reduced echelon basis of row vectors,
-    {col: value} each; vectors enter and leave it as dim x 1 columns."""
+    """A subspace of Q(q)^dim held as a reduced echelon basis of rows
+    {col: value}, keyed by pivot; vectors enter and leave as dim x 1 columns."""
 
     def __init__(self, dim: int, vectors: list[SparseMat] | None = None):
         self.dim = dim
-        self._rows: list[dict[int, RatFn]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, dict[int, RatFn]] = {}
         for v in vectors or []:
             self.add_vector(v)
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._rows)
 
     def basis(self) -> list[SparseMat]:
-        return [SparseMat.column(self.dim, r) for r in self._rows]
+        return [SparseMat.column(self.dim, self._rows[p]) for p in self.pivot_columns()]
 
     def pivot_columns(self) -> list[int]:
-        return list(self._pivots)
+        return sorted(self._rows)
 
     def reduce(self, v: SparseMat) -> SparseMat:
-        """Residue of v after eliminating all pivot coordinates (0 iff v is a member)."""
+        """Residue of v after eliminating all pivot coordinates (0 iff v is a
+        member).  A row is zero at every other pivot, so only the rows of the
+        pivots in v's support are subtracted, in ascending pivot order."""
         _check_column(v, self.dim)
         entries = {i: x for (i, _), x in v.entries.items()}
-        for row, p in zip(self._rows, self._pivots):
-            c = entries.get(p)
-            if c is not None:
-                _sub_scaled(entries, c, row)
+        for p in sorted(p for p in entries if p in self._rows):
+            _sub_scaled(entries, entries[p], self._rows[p])
         return SparseMat.column(self.dim, entries)
 
     def add_vector(self, v: SparseMat) -> SparseMat | None:
@@ -344,7 +344,7 @@ class Subspace:
         of the span's reduced echelon basis at that moment, so its entries
         depend on that span alone, not on how v was found."""
         _check_column(v, self.dim)
-        if len(self._pivots) == self.dim:
+        if len(self._rows) == self.dim:
             return None
         residue = self.reduce(v).entries
         if not residue:
@@ -353,21 +353,17 @@ class Subspace:
         inv = residue[(lead, 0)].inv()
         new_row = {j: inv * x for (j, _), x in residue.items()}
         # Clear the new pivot column from existing rows.
-        for row in self._rows:
+        for row in self._rows.values():
             c = row.get(lead)
             if c is not None:
                 _sub_scaled(row, c, new_row)
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < lead:
-            at += 1
-        self._rows.insert(at, new_row)
-        self._pivots.insert(at, lead)
+        self._rows[lead] = new_row
         return SparseMat.column(self.dim, new_row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace) or self.dim != other.dim:
             return False
-        return self._pivots == other._pivots and self._rows == other._rows
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, rank={self.rank})"

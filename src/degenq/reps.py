@@ -9,6 +9,8 @@ Index conventions, fixed once for the whole package:
   The nesting order does not matter: every K is group-like and kron is
   associative, so both nestings give the same generator images
   (``test_coassociativity_matches_explicit_expansion`` pins one of them).
+* Delta is the one coproduct built.  The paper's Delta' is tau Delta: on
+  V^(x)r, Delta conjugated by the reversal of the tensor order (:func:`reversal`).
 
 A representation is given e_a, f_a and K_b, each K_b diagonal with no zero on
 its diagonal, and derives each K_b^-1 from K_b.
@@ -118,36 +120,39 @@ def dual_rep(rep: Representation) -> Representation:
     return Representation(rep.params, rep.dim, gens, label=f"({rep.label})*")
 
 
-def tensor_rep(r1: Representation, r2: Representation, side: str = "Delta") -> Representation:
-    """Tensor product module under the chosen comultiplication."""
+def tensor_rep(r1: Representation, r2: Representation) -> Representation:
+    """Tensor product module under Delta: e_a -> e_a (x) k_a + 1 (x) e_a,
+    f_a -> f_a (x) 1 + k_a^-1 (x) f_a and K_b -> K_b (x) K_b."""
     if r1.params != r2.params:
         raise ParamsMismatch(f"{r1.label} over {r1.params} vs {r2.label} over {r2.params}")
     params = r1.params
     d1, d2 = r1.dim, r2.dim
     id1, id2 = SparseMat.identity(d1), SparseMat.identity(d2)
-    # The Cartan legs of the coproduct: k_a^-1 on r1 and k_a on r2 for Delta,
-    # k_a on r1 and k_a^-1 on r2 for DeltaPrime.
-    if side == "Delta":
-        left, right = cartan_inv, cartan
-    elif side == "DeltaPrime":
-        left, right = cartan, cartan_inv
-    else:
-        raise ValueError(f"unknown side {side!r}")
     iprime = list(params.iprime)
-    k1s = eval_batch([left(a) for a in iprime], r1)
-    k2s = eval_batch([right(a) for a in iprime], r2)
+    k1s = eval_batch([cartan_inv(a) for a in iprime], r1)
+    k2s = eval_batch([cartan(a) for a in iprime], r2)
     gens: dict[tuple[str, int], SparseMat] = {}
     for a, k1, k2 in zip(iprime, k1s, k2s):
-        if side == "Delta":
-            gens[("e", a)] = r1.gen("e", a).kron(k2) + id1.kron(r2.gen("e", a))
-            gens[("f", a)] = r1.gen("f", a).kron(id2) + k1.kron(r2.gen("f", a))
-        else:
-            gens[("e", a)] = r1.gen("e", a).kron(id2) + k1.kron(r2.gen("e", a))
-            gens[("f", a)] = r1.gen("f", a).kron(k2) + id1.kron(r2.gen("f", a))
+        gens[("e", a)] = r1.gen("e", a).kron(k2) + id1.kron(r2.gen("e", a))
+        gens[("f", a)] = r1.gen("f", a).kron(id2) + k1.kron(r2.gen("f", a))
     for b in params.index_set:
         gens[("K", b)] = r1.gen("K", b).kron(r2.gen("K", b))
-    tag = "" if side == "Delta" else "'"
-    return Representation(params, d1 * d2, gens, label=f"{r1.label}(x){tag}{r2.label}")
+    return Representation(params, d1 * d2, gens, label=f"{r1.label}(x){r2.label}")
+
+
+def reversal(d: int, dim: int) -> list[int]:
+    """The permutation of the basis of V^(x)r, dim = d^r, that reverses the
+    tensor order: entry i is the index of basis vector i with its r factors
+    reversed (an involution)."""
+    rev = [0]
+    while len(rev) < dim:
+        rev = [j * len(rev) + p for p in rev for j in range(d)]
+    return rev
+
+
+def conjugated(mat: SparseMat, perm: list[int]) -> SparseMat:
+    """P mat P^-1, P the basis permutation e_j -> e_perm[j]."""
+    return SparseMat._raw(mat.nrows, mat.ncols, {(perm[i], perm[j]): x for (i, j), x in mat.entries.items()})
 
 
 def check_cap(d: int, r: int, max_dim: int) -> None:
@@ -159,16 +164,14 @@ def check_cap(d: int, r: int, max_dim: int) -> None:
         raise ResourceLimit(f"dimension {d}^{r} exceeds cap {max_dim}")
 
 
-def iterated_tensor(
-    rep: Representation, r: int, side: str = "Delta", max_dim: int = DEFAULT_MAX_DIM
-) -> Representation:
-    """Left-nested r-th tensor power of rep."""
+def iterated_tensor(rep: Representation, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Representation:
+    """Left-nested r-th tensor power of rep under Delta."""
     if r < 1:
         raise ValueError("tensor power needs r >= 1")
     check_cap(rep.dim, r, max_dim)
     out = rep
     for _ in range(r - 1):
-        out = tensor_rep(out, rep, side)
+        out = tensor_rep(out, rep)
     return out
 
 
@@ -181,7 +184,7 @@ class Setup:
     program's one set-up memo: fixed size, no option, one clear
     (``clear_setups``).  Each layer keeps its kinds under its own keys, so no
     lower module imports a higher one: here V ("V"), V* ("V*"), V's
-    left-nested tensor powers (("power", r, side)), the relation catalog with
+    left-nested tensor powers (("power", r)), the relation catalog with
     its Program ("catalog"), the trivial module with the S^2 Program ("hopf");
     in :mod:`degenq.rmatrix` the R-matrix bundle ("bundle"), each suite's
     Program (its name, ("ybe", 2) and ("tensor-iso", r) besides) and the space
@@ -233,9 +236,7 @@ def setup(params: GLParams) -> Setup:
 clear_setups = setup.cache_clear
 
 
-def shared_power(
-    params: GLParams, r: int, side: str = "Delta", max_dim: int = DEFAULT_MAX_DIM
-) -> Representation:
+def shared_power(params: GLParams, r: int, max_dim: int = DEFAULT_MAX_DIM) -> Representation:
     """V's left-nested r-th tensor power (V for r = 1) from the set-up store,
     each extending the (r-1)-th by one factor, once d^r passes the cap."""
     if r < 1:
@@ -244,7 +245,7 @@ def shared_power(
     store = setup(params)
     rep = power = store.get("V", natural_rep, params)
     for k in range(2, r + 1):
-        power = store.get(("power", k, side), tensor_rep, power, rep, side)
+        power = store.get(("power", k), tensor_rep, power, rep)
     return power
 
 
@@ -363,11 +364,6 @@ def quotient_rep(rep: Representation, sub: Subspace, label: str = "") -> Represe
     return Representation(rep.params, len(keep), gens, label=label or f"{rep.label}/sub")
 
 
-def _reversed(mat: SparseMat, rev: list[int]) -> SparseMat:
-    """P mat P, P the basis permutation rev (an involution)."""
-    return SparseMat._raw(mat.nrows, mat.ncols, {(rev[i], rev[j]): x for (i, j), x in mat.entries.items()})
-
-
 def verify_relations(*reps: Representation, labels: Sequence[tuple[str, str]] = (), opposite=None) -> Report:
     """Evaluate every entry of the relation catalog in each of reps, modules
     over one (m, n), as the program compiled once per (m, n), run in them all
@@ -376,37 +372,28 @@ def verify_relations(*reps: Representation, labels: Sequence[tuple[str, str]] = 
     labels[i][1] followed by its entry's name; with no labels, under
     "relations" by the entry's name alone.
 
-    ``opposite`` maps the position of a space V^(x)r [Delta'] to the earlier
-    one of its twin V^(x)r [Delta].  Delta' is the opposite coproduct, so the
-    permutation P reversing the tensor order takes each Delta generator, and
-    so each catalog value, to its Delta' twin.  Where every generator matches
-    so, entry by entry, the Delta' lines are the twin's values with P applied,
-    with a full run's status and witness; else a check naming the generators
-    that differ fails, and the space runs in full."""
+    ``opposite`` maps the position k of a tensor power V^(x)r of V to a
+    (suite, prefix) label for its Delta' lines, reported right after its own.
+    Delta' is tau Delta, so each Delta' generator on V^(x)r is its Delta
+    twin conjugated by the permutation P reversing the tensor order
+    (:func:`reversal`), and so is each catalog value: a Delta' line is space
+    k's own difference with P applied, the exact Delta' difference, with the
+    status and witness of a run on V^(x)r under Delta'."""
     params = reps[0].params
     for rep in reps:
         if rep.params != params:
             raise ParamsMismatch(f"{rep.label} over {rep.params} vs {reps[0].label} over {params}")
     entries, program = setup(params).get("catalog", _catalog, params)
     labels = labels or [("relations", "")] * len(reps)
-    opposite, revs, differ, kept = opposite or {}, {}, {}, {}
-    for k, t in opposite.items():
-        rev = [0]  # rev[i]: basis vector i with its tensor factors reversed
-        while len(rev) < reps[t].dim:
-            rev = [j * len(rev) + p for p in rev for j in range(params.size)]
-        mine, revs[k] = reps[k].gens, rev
-        differ[k] = ["%s%d" % key for key, mat in reps[t].gens.items() if mine.get(key) != _reversed(mat, rev)]
-    # A space runs unless it is a Delta' space whose generators all match.
-    values = iter(program.run_each([rep for k, rep in enumerate(reps) if differ.get(k, True)]))
     report = Report()
-    for k, ((suite, prefix), _) in enumerate(zip(labels, reps, strict=True)):
-        if differ.get(k):
-            report.add(suite, prefix + "Delta twin reversed", False, "differs on " + ", ".join(differ[k]))
-        diffs = next(values) if differ.get(k, True) else [_reversed(v, revs[k]) for v in kept[opposite[k]]]
-        if k in opposite.values():
-            diffs = kept[k] = list(diffs)
+    for k, ((suite, prefix), diffs) in enumerate(zip(labels, program.run_each(reps), strict=True)):
+        diffs = list(diffs)
         for entry, value in zip(entries, diffs):
             report.add_zero(suite, prefix + entry.name, value)
+        if opposite and k in opposite:
+            (suite, prefix), rev = opposite[k], reversal(params.size, reps[k].dim)
+            for entry, value in zip(entries, diffs):
+                report.add_zero(suite, prefix + entry.name, conjugated(value, rev))
     return report
 
 

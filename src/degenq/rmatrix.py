@@ -21,8 +21,13 @@ tensor-iso suites is one expression lhs - rhs over fixed matrices of a space
 V^(x)r: ``Gen(name, (i, j))`` is the bundle operator ``name`` (R, Rinv,
 Rcheck, T, or the spoiled R ``Rbad``) placed on legs i, j, and the kinds e, f,
 K, Kinv and the same kinds primed are the Delta- and Delta'-actions of V^(x)r.
-The parser builds no such atom.  One runner serves every suite: it checks the
-dimension cap of V^(x)r first, then runs the suite's Program in its space.
+Delta' is tau Delta, so each primed kind is its Delta twin conjugated by the
+permutation that reverses the tensor order.  At r = 2 that permutation is the
+flip P, and Rcheck = P R, so the intertwiner suite's "R Delta(x) = Delta'(x) R"
+and "[Rcheck, Delta(x)] = 0" are one identity; both lines are kept, so that
+the report reads as before.  The parser builds no such atom.  One runner
+serves every suite: it checks the dimension cap of V^(x)r first, then runs
+the suite's Program in its space.
 The expressions depend on (m, n) alone, so the set-up store
 (:class:`degenq.reps.Setup`) keeps each suite's Program, compiled once per
 (m, n) by :func:`degenq.expr.compile_batch` and evaluated over the integers at
@@ -45,7 +50,7 @@ from collections import namedtuple
 from .expr import Expr, Gen, Prod, Program, Scalar, compile_batch, make_prod
 from .linalg import SparseMat
 from .reports import Report
-from .reps import DEFAULT_MAX_DIM, check_cap, generator_atoms, setup, shared_power
+from .reps import DEFAULT_MAX_DIM, check_cap, conjugated, generator_atoms, reversal, setup, shared_power
 from .scalars import GLParams, Q_MINUS_QINV, RatFn
 
 _ONE = RatFn.one()
@@ -167,8 +172,9 @@ def _suite_differences(
     pairs, which depend on (m, n) and key alone, so they are compiled once,
     kept under key.  The space holds each bundle operator named in ops (``Rbad`` is
     :func:`perturbed_r`) on every pair of legs and, with actions, the Delta-
-    and Delta'-actions of V^(x)r, the second's kinds primed; it is derived
-    from the bundle under (key, "space") (:meth:`degenq.reps.Setup.derived`)."""
+    and Delta'-actions of V^(x)r, the second's kinds primed and each the
+    reversal conjugate of its Delta twin; it is derived from the bundle under
+    (key, "space") (:meth:`degenq.reps.Setup.derived`)."""
     params = bundle.params
     d = params.size
     check_cap(d, r, max_dim)
@@ -178,9 +184,10 @@ def _suite_differences(
     def space(source: RMatrixBundle) -> _Space:
         mats = {name: perturbed_r(params) if name == "Rbad" else getattr(source, name) for name in ops}
         gens = {(x, p): leg_operator(op, *p, r, d) for x, op in mats.items() for p in _halftwist_pairs(r)}
-        for tag, side in (("", "Delta"), ("'", "DeltaPrime"))[: 2 * actions]:
-            power = shared_power(params, r, side, max_dim)
-            gens.update({(kind + tag, i): mat for (kind, i), mat in power.gens.items()})
+        if actions:
+            power, rev = shared_power(params, r, max_dim), reversal(d, d**r)
+            gens.update(power.gens)
+            gens.update({(kind + "'", i): conjugated(mat, rev) for (kind, i), mat in power.gens.items()})
         return _Space(d**r, gens)
 
     return dict(zip(names, program.run(store.derived((key, "space"), "bundle", bundle, space))))

@@ -49,6 +49,7 @@ from degenq.sl21 import (
     verma_module,
 )
 from test_invariants import partial_qtrace, quantum_trace
+from test_reps import opposite_power
 
 PARAM_GRID = [
     GLParams(1, 1),
@@ -76,8 +77,7 @@ def test_criterion_01_relation_suite_all_params():
         rep = natural_rep(params)
         spaces = [rep]
         for r in (2, 3):
-            for side in ("Delta", "DeltaPrime"):
-                spaces.append(iterated_tensor(rep, r, side))
+            spaces += [iterated_tensor(rep, r), opposite_power(rep, r)]
         for space in spaces:
             report = verify_relations(space)
             failures.extend(f"{params.m},{params.n}:{c.name}" for c in report.failures)

@@ -689,10 +689,10 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
     # Three intertwiner jobs at (3, 2) in one process (the intertwiner on
     # V^(x)2, then the tensor isomorphism on V^(x)3, whose first build reads
     # the K's of V^(x)2 at another digit width).  The first job builds the
-    # bundle's set-up: five leg operators, and the encodings of them and of
-    # the memoised Delta and Delta' powers.  The later jobs place no leg
-    # operator, measure no matrix and encode nothing: each matrix keeps its
-    # int form at both widths it is read at.
+    # bundle's set-up: five leg operators, and the encodings of them, of the
+    # memoised Delta power and of its Delta' conjugate.  The later jobs place
+    # no leg operator, measure no matrix and encode nothing: each matrix keeps
+    # its int form at both widths it is read at.
     measured = []  # (matrix, job); the matrices stay alive, so ids stay distinct
     encoded = []  # (encoding, B, job)
     legs = []  # (leg operator, job)
@@ -720,13 +720,15 @@ def test_intertwiner_jobs_encode_the_memoised_powers_once(monkeypatch, capsys):
         jobs.append(main(argv))
     capsys.readouterr()
     assert jobs == [EXIT_OK] * 3
-    squares = [reps.shared_power(GLParams(3, 2), 2, side).gens for side in ("Delta", "DeltaPrime")]
-    read = {id(gens[key]) for gens in squares for key in (("e", 1), ("f", 4), ("K", 5))}
+    square = reps.shared_power(GLParams(3, 2), 2).gens
+    space = reps.setup(GLParams(3, 2)).get(("intertwiner", "space"), None).gens
+    assert all(space[key] is mat for key, mat in square.items())
+    read = {id(space[(kind + tag, i)]) for kind, i in (("e", 1), ("f", 4), ("K", 5)) for tag in ("", "'")}
     assert read <= {id(mat) for mat, job in measured if job == 0}
     assert [job for _, job in legs] == [0] * 5
     assert [job for _, job in measured if job] == [] and [job for _, _, job in encoded if job] == []
     # The K's of V^(x)2 are read at two widths, and each is encoded once.
-    k5 = squares[0][("K", 5)]._encoding
+    k5 = square[("K", 5)]._encoding
     assert len([bits for code, bits, _ in encoded if code is k5]) == len(k5.ints) == 2
 
 
@@ -767,7 +769,7 @@ def test_mutated_public_results_leave_verify_unchanged(capsys):
             reps.clear_setups()
         rep = natural_rep(params)
         rep.gens[("e", 1)] = rep.gen("e", 2)
-        square = tensor_rep(rep, natural_rep(params), "DeltaPrime")
+        square = tensor_rep(rep, natural_rep(params))
         square.gens[("f", 2)] = square.gen("f", 1)
         relation_catalog(params).clear()
         assert _verify_output(argv, capsys) == expected
@@ -869,15 +871,20 @@ def test_warm_bundle_still_refuses_a_cube_above_the_cap(capsys):
 
 
 def test_verify_all_builds_each_tensor_power_once(monkeypatch, capsys):
+    # Delta' is read off Delta: every suite builds only the Delta powers, and
+    # the store keeps no Delta' power.
     builds = []
 
-    def counting_tensor_rep(r1, r2, side="Delta"):
-        builds.append((r1.dim * r2.dim, side))
-        return tensor_rep(r1, r2, side)
+    def counting_tensor_rep(r1, r2):
+        builds.append(r1.dim * r2.dim)
+        return tensor_rep(r1, r2)
 
     monkeypatch.setattr(reps, "tensor_rep", counting_tensor_rep)
-    assert main(["verify", "--m", "2", "--n", "1", "--samples", "2", "--json"]) == EXIT_OK
-    assert sorted(builds) == [(9, "Delta"), (9, "DeltaPrime"), (27, "Delta"), (27, "DeltaPrime")]
+    assert main(["verify", "--m", "2", "--n", "1", "--suite", "all", "--samples", "2", "--json"]) == EXIT_OK
+    assert sorted(builds) == [9, 27]
+    kinds = reps.setup(GLParams(2, 1))._kinds
+    assert [key for key in kinds if key[0] == "power"] == [("power", 2), ("power", 3)]
+    assert "Prime" not in repr(list(kinds))
 
 
 def test_simple_module_json(capsys):

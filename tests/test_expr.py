@@ -35,6 +35,7 @@ from degenq.expr import (
 from degenq.linalg import SparseMat
 from degenq.relations import relation_catalog, root_vectors
 from degenq.reps import dual_rep, iterated_tensor, natural_rep, tensor_rep, trivial_rep
+from test_reps import opposite_power, opposite_tensor
 from degenq.scalars import GLParams, LaurentPoly, RatFn, _digit_bits, parse_scalar, scalar_to_text
 from degenq.sl21 import HighestWeightSL21, simple_quotient, verma_module
 
@@ -413,8 +414,8 @@ def _program_modules():
     nat, typical = _test_reps()[0], _test_reps()[3]
     return (
         nat,
-        tensor_rep(nat, nat, "Delta"),
-        tensor_rep(nat, nat, "DeltaPrime"),
+        tensor_rep(nat, nat),
+        opposite_tensor(nat, nat),
         iterated_tensor(nat, 3),
         dual_rep(typical),
     )
@@ -437,7 +438,7 @@ def _plan_modules():
     nat, typical = _test_reps()[0], _test_reps()[3]
     other = simple_quotient(verma_module(HighestWeightSL21(2, -1, parse_scalar("(q-2)/(q+1)")))).rep
     monomial = simple_quotient(verma_module(HighestWeightSL21(1, 1, RatFn.q(3)))).rep
-    return (nat, tensor_rep(nat, nat), iterated_tensor(nat, 3, "DeltaPrime"), dual_rep(nat), typical, other,
+    return (nat, tensor_rep(nat, nat), opposite_power(nat, 3), dual_rep(nat), typical, other,
             monomial, dual_rep(typical))
 
 

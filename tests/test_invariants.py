@@ -386,7 +386,7 @@ def test_braid_rep_equals_generator_product(case):
 @given(params_and_words(_SMALL_PARAMS + (GLParams(3, 2),), 2, 3, 8))
 def test_markov_trace_equals_quantum_trace_of_generator_product(case):
     params, word = case
-    tensor = iterated_tensor(natural_rep(params), word.strands, "Delta")
+    tensor = iterated_tensor(natural_rep(params), word.strands)
     expected = quantum_trace(_generator_product(word, params), tensor) / (
         quantum_dimension(params) ** word.strands
     )

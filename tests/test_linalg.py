@@ -536,3 +536,39 @@ def test_elimination_matches_fraction_free_reference(case):
     space = Subspace(ncols, [col(ncols, r) for r in rows])
     basis = [{i: x for (i, _), x in v.entries.items()} for v in space.basis()]
     assert (basis, space.pivot_columns()) == expected
+
+
+def _reduce_walking_every_row(space, v):
+    """Subspace.reduce as a walk over every basis row in pivot order,
+    subtracting a row wherever v's residue has its pivot, and the (pivot,
+    coefficient) of each subtraction made."""
+    entries = {i: x for (i, _), x in v.entries.items()}
+    steps = []
+    for row, p in zip(space.basis(), space.pivot_columns()):
+        c = entries.get(p)
+        if c is not None:
+            steps.append((p, c))
+            for (j, _), x in row.entries.items():
+                s = entries.get(j, RatFn.zero()) - c * x
+                if s:
+                    entries[j] = s
+                else:
+                    entries.pop(j, None)
+    return col(space.dim, entries), steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists(), st.data())
+def test_reduce_makes_the_subtractions_of_the_walk_over_every_row(case, data):
+    # Only the rows of the pivots in v's support are subtracted, but they are
+    # the walk's rows, in its order and with its coefficients, so the result
+    # and the arithmetic are the walk's.
+    rows, ncols = case
+    space = Subspace(ncols, [col(ncols, r) for r in rows])
+    row = st.dictionaries(st.integers(0, ncols - 1), _ELIM_ENTRIES, max_size=ncols)
+    pivot_of = {id(r): p for p, r in space._rows.items()}
+    for v in [col(ncols, r) for r in rows + data.draw(st.lists(row, max_size=3))]:
+        expected, steps = _reduce_walking_every_row(space, v)
+        with mock.patch.object(linalg, "_sub_scaled", wraps=linalg._sub_scaled) as spy:
+            assert space.reduce(v) == expected
+        assert [(pivot_of[id(call.args[2])], call.args[1]) for call in spy.call_args_list] == steps

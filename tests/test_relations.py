@@ -15,6 +15,7 @@ from degenq.relations import (
 from degenq.reps import iterated_tensor, natural_rep, tensor_rep, verify_relations
 from degenq.scalars import GLParams, RatFn
 from test_expr import expr_to_text, gamma_monomials
+from test_reps import opposite_tensor
 
 P11 = GLParams(1, 1)
 P21 = GLParams(2, 1)
@@ -107,12 +108,12 @@ def test_families_stable_list():
 def test_catalog_vanishes_in_natural_and_tensor_square(params):
     rep = natural_rep(params)
     assert verify_relations(rep).all_passed
-    for side in ("Delta", "DeltaPrime"):
-        assert verify_relations(tensor_rep(rep, rep, side)).all_passed
+    for tensor in (tensor_rep, opposite_tensor):
+        assert verify_relations(tensor(rep, rep)).all_passed
 
 
 def test_catalog_vanishes_on_cube_22():
-    cube = iterated_tensor(natural_rep(P22), 3, "Delta")
+    cube = iterated_tensor(natural_rep(P22), 3)
     report = verify_relations(cube)
     assert report.all_passed, [c.name for c in report.failures]
 

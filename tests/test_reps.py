@@ -135,10 +135,10 @@ def test_derived_cartan_inverses_match_their_closed_forms(params):
     _assert_inverses(rep, _inverted_diagonals(rep))
     _assert_inverses(trivial_rep(params), {b: SparseMat.identity(1) for b in params.index_set})
     _assert_inverses(dual_rep(rep), {b: rep.gen("K", b).transpose() for b in params.index_set})
-    for side in ("Delta", "DeltaPrime"):
+    for tensor in (tensor_rep, opposite_tensor):
         power = rep
         for _ in (2, 3):
-            left, power = power, tensor_rep(power, rep, side)
+            left, power = power, tensor(power, rep)
             _assert_inverses(
                 power, {b: left.gen("Kinv", b).kron(rep.gen("Kinv", b)) for b in params.index_set}
             )
@@ -255,7 +255,7 @@ def test_dual_of_dual_same_dimension():
 
 def test_tensor_action_on_v2v2():
     rep = natural_rep(P21)
-    vv = tensor_rep(rep, rep, "Delta")
+    vv = tensor_rep(rep, rep)
     v22 = unit(9, 1 * 3 + 1)
     image = vv.gen("e", 1).apply(v22)
     # Delta(e_1)(v_2 (x) v_2) = q^-1 v_1 (x) v_2 + v_2 (x) v_1
@@ -264,7 +264,7 @@ def test_tensor_action_on_v2v2():
 
 def test_tensor_cartan_eigenvalue():
     rep = natural_rep(P21)
-    vv = tensor_rep(rep, rep, "Delta")
+    vv = tensor_rep(rep, rep)
     for b in P21.index_set:
         qb = P21.q_sub(b)
         for a in P21.index_set:
@@ -275,8 +275,8 @@ def test_tensor_cartan_eigenvalue():
 
 def test_tensor_rep_passes_relations_both_sides():
     rep = natural_rep(P21)
-    for side in ("Delta", "DeltaPrime"):
-        assert verify_relations(tensor_rep(rep, rep, side)).all_passed
+    for tensor in (tensor_rep, opposite_tensor):
+        assert verify_relations(tensor(rep, rep)).all_passed
 
 
 def test_tensor_params_mismatch():
@@ -314,7 +314,7 @@ def test_check_cap_is_exact_and_forms_no_huge_power():
 
 def test_iterated_tensor_cube_passes_relations():
     rep = natural_rep(P21)
-    assert verify_relations(iterated_tensor(rep, 3, "Delta")).all_passed
+    assert verify_relations(iterated_tensor(rep, 3)).all_passed
 
 
 # -- weights and highest weight vectors --------------------------------------------------
@@ -396,12 +396,12 @@ def _ls_basis_vectors_21(opposite: bool):
 
 def test_closure_of_v1v1_matches_explicit_basis():
     rep = natural_rep(P21)
-    for side, opposite in (("DeltaPrime", True), ("Delta", False)):
-        vv = tensor_rep(rep, rep, side)
+    for tensor, opposite in ((opposite_tensor, True), (tensor_rep, False)):
+        vv = tensor(rep, rep)
         closure = submodule_closure(vv, [unit(9, 0)])
         explicit = Subspace(9, _ls_basis_vectors_21(opposite))
         assert closure.rank == 5 and explicit.rank == 5
-        assert closure == explicit, side
+        assert closure == explicit, tensor.__name__
 
 
 def test_closure_trivial_cases():
@@ -640,60 +640,59 @@ def test_verify_relations_refuses_modules_of_two_parameter_sets():
         verify_relations(natural_rep(P21), natural_rep(GLParams(1, 2)))
 
 
-# -- Delta' is the opposite coproduct: the relations suite reads its lines off Delta --
+# -- Delta' is tau Delta: the relations suite reads its lines off Delta --------------
+
+
+def reversal_by_product(d: int, r: int) -> list[int]:
+    """Over the basis of V^(x)r as itertools.product orders it, entry i: the
+    index of basis vector i with its tensor factors reversed."""
+    basis = list(itertools.product(range(d), repeat=r))
+    index = {b: i for i, b in enumerate(basis)}
+    return [index[b[::-1]] for b in basis]
+
+
+def reversed_module(rep: Representation, r: int) -> Representation:
+    """rep, a tensor power V^(x)r, with each of its e, f and K conjugated by
+    the reversal of the tensor order."""
+    rev = reversal_by_product(rep.params.size, r)
+    gens = {
+        key: SparseMat(mat.nrows, mat.ncols, {(rev[i], rev[j]): x for (i, j), x in mat.entries.items()})
+        for key, mat in rep.gens.items()
+        if key[0] != "Kinv"
+    }
+    return Representation(rep.params, rep.dim, gens, rep.label + " reversed")
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 3)])
 def test_each_delta_prime_generator_is_its_delta_twin_with_the_tensor_order_reversed(m, n):
+    # The paper's Delta', built term by term, against Delta conjugated by a
+    # permutation of the test's own, K_b^-1 included; and the program's
+    # permutation against the test's.
     params = GLParams(m, n)
     nat = natural_rep(params)
     for r in (2, 3, 4):
-        # The basis of V^(x)r as itertools.product orders it, and rev[i]: the
-        # index of basis vector i with its tensor factors reversed.
-        basis = list(itertools.product(range(params.size), repeat=r))
-        index = {b: i for i, b in enumerate(basis)}
-        rev = [index[b[::-1]] for b in basis]
-        delta, prime = iterated_tensor(nat, r, "Delta"), iterated_tensor(nat, r, "DeltaPrime")
-        assert delta.gens.keys() == prime.gens.keys()
-        for key, mat in delta.gens.items():  # K_b^-1 included
-            conjugate = SparseMat(mat.nrows, mat.ncols, {(rev[i], rev[j]): x for (i, j), x in mat.entries.items()})
-            assert prime.gens[key] == conjugate, (r, key)
+        prime, conjugate = opposite_power(nat, r), reversed_module(iterated_tensor(nat, r), r)
+        assert prime.gens == conjugate.gens, r
+        assert reps.reversal(params.size, params.size**r) == reversal_by_product(params.size, r)
 
 
 def relations_lines(report, prefix):
     return [(c.name, c.status, c.detail) for c in report.checks if c.name.startswith(prefix)]
 
 
-def test_a_spoiled_delta_prime_generator_fails_the_comparison_and_its_space_runs_in_full():
-    # Delta'(e1) = e1 (x) 1 + k1 (x) e1, spoiled to e1 (x) 1 + k1^-1 (x) e1 on
-    # the stored V^(x)2 [Delta'].
-    nat, prime = shared_power(P21, 1), shared_power(P21, 2, "DeltaPrime")
-    e1 = nat.gen("e", 1)
-    prime.gens[("e", 1)] = e1.kron(SparseMat.identity(3)) + eval_in_rep(cartan_inv(1), nat).kron(e1)
-    report = run_verify(P21, tensor_depth=2, suites=("relations",))
-    alone = verify_relations(prime)
-    assert alone.failures
-    prefix = "V^(x)2 [DeltaPrime]: "
-    assert relations_lines(report, prefix) == [
-        (prefix + "Delta twin reversed", "fail", "differs on e1"),
-        *[(prefix + c.name, c.status, c.detail) for c in alone.checks],
-    ]
-    assert not [c for c in report.failures if not c.name.startswith(prefix)]
-
-
 def test_a_spoiled_v_fails_on_both_sides_with_the_witnesses_of_a_full_run():
-    # e2 doubled in the V of a fresh store: both powers are built from it, so
-    # the comparison holds and the Delta' lines are read off the Delta lines.
+    # e2 doubled in the V of a fresh store: every power is built from it, and
+    # each Delta' line read off Delta equals, in status and witness, a direct
+    # run on the reference Delta' power of that V.
     nat = natural_rep(P21)
     gens = {key: mat for key, mat in nat.gens.items() if key[0] != "Kinv"}
     gens[("e", 2)] = nat.gen("e", 2) + nat.gen("e", 2)
     spoiled = Representation(P21, nat.dim, gens, nat.label)
     assert reps.setup(P21).get("V", lambda params: spoiled, P21) is spoiled
     report = run_verify(P21, suites=("relations",))
-    assert not [c for c in report.checks if c.name.endswith("Delta twin reversed")]
     for r in (2, 3):
-        for side in ("Delta", "DeltaPrime"):
-            alone = verify_relations(shared_power(P21, r, side))
+        for side, space in (("Delta", shared_power(P21, r)), ("DeltaPrime", opposite_power(spoiled, r))):
+            alone = verify_relations(space)
             assert alone.failures
             prefix = f"V^(x){r} [{side}]: "
             assert relations_lines(report, prefix) == [(prefix + c.name, c.status, c.detail) for c in alone.checks]
@@ -703,28 +702,33 @@ def test_a_spoiled_v_fails_on_both_sides_with_the_witnesses_of_a_full_run():
 
 
 def test_a_warm_relations_job_keeps_no_result_for_the_next():
+    # After a passing job, f2 of the stored V^(x)3 is doubled: the next
+    # identical job fails both its Delta and its Delta' lines, each as a direct
+    # run fails on the spoiled cube and on its reversal conjugate.
     params = GLParams(3, 2)
     assert run_verify(params, suites=("relations",)).all_passed
-    prime = shared_power(params, 3, "DeltaPrime")
-    prime.gens[("f", 2)] = shared_power(params, 3, "Delta").gen("f", 2)
+    cube = shared_power(params, 3)
+    cube.gens[("f", 2)] = cube.gen("f", 2) + cube.gen("f", 2)
     report = run_verify(params, suites=("relations",))
-    assert ("V^(x)3 [DeltaPrime]: Delta twin reversed", "fail", "differs on f2") in relations_lines(report, "")
-    prefix = "V^(x)3 [DeltaPrime]: "
-    assert relations_lines(report, prefix)[1:] == [(prefix + c.name, c.status, c.detail) for c in verify_relations(prime).checks]
+    for side, space in (("Delta", cube), ("DeltaPrime", reversed_module(cube, 3))):
+        alone = verify_relations(space)
+        assert alone.failures
+        prefix = f"V^(x)3 [{side}]: "
+        assert relations_lines(report, prefix) == [(prefix + c.name, c.status, c.detail) for c in alone.checks]
+    assert not [c for c in report.failures if not c.name.startswith("V^(x)3 ")]
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 3), (6, 6)])
 def test_the_relation_suites_shared_width_is_its_largest_spaces_own(m, n):
-    # The relations suite's five spaces share one plan, at the width of
+    # The relations suite's three spaces share one plan, at the width of
     # V^(x)3 alone, and the hopf suite's trivial module and V* at the width
     # of V* alone: a refusal by MAX_ENTRY_BITS falls where it fell when each
     # space had a plan of its own.
     params = GLParams(m, n)
-    spaces = [reps.shared_power(params, 1)]
-    spaces += [reps.shared_power(params, r, side) for r in (2, 3) for side in ("Delta", "DeltaPrime")]
+    spaces = [reps.shared_power(params, r) for r in (1, 2, 3)]
     _, program = reps.setup(params).get("catalog", _catalog, params)
     own = [program._plan([space])[2] for space in spaces]
-    assert program._plan(spaces)[2] == own[3] == own[4] == max(own)
+    assert program._plan(spaces)[2] == own[2] == max(own)
     dual = dual_rep(spaces[0])
     assert program._plan([trivial_rep(params), dual])[2] == program._plan([dual])[2]
 
@@ -805,19 +809,41 @@ def coproduct_terms(g: Gen, side: str = "Delta") -> list[tuple[Expr, Expr]]:
     raise ValueError(f"unknown coproduct side {side!r}")
 
 
+def coproduct_image(g: Gen, side: str, r1: Representation, r2: Representation) -> SparseMat:
+    """The image of g on r1 (x) r2 under the coproduct side, term by term."""
+    d = r1.dim * r2.dim
+    image = SparseMat.zero(d, d)
+    for lhs, rhs in coproduct_terms(g, side):
+        image = image + eval_in_rep(lhs, r1).kron(eval_in_rep(rhs, r2))
+    return image
+
+
+def opposite_tensor(r1: Representation, r2: Representation) -> Representation:
+    """The paper's Delta' on r1 (x) r2, from its formula: the tests' reference,
+    as the program reads Delta' off Delta and builds no Delta' module."""
+    gens = {(g.kind, g.index): coproduct_image(g, "DeltaPrime", r1, r2) for g in generator_atoms(r1.params)}
+    return Representation(r1.params, r1.dim * r2.dim, gens, label=f"{r1.label}(x)'{r2.label}")
+
+
+def opposite_power(rep: Representation, r: int) -> Representation:
+    """rep's left-nested r-th tensor power under the reference Delta'."""
+    power = rep
+    for _ in range(r - 1):
+        power = opposite_tensor(power, rep)
+    return power
+
+
 @pytest.mark.parametrize("params", [P21, GLParams(1, 2), GLParams(2, 2)], ids=lambda p: f"{p.m}{p.n}")
 def test_tensor_rep_matches_coproduct_terms(params):
     # The hand-written legs of tensor_rep agree with the expression-level
-    # Delta and Delta' on every atom.
+    # Delta on every atom, and their reversal conjugates with Delta'.
     rep = natural_rep(params)
     d = rep.dim
-    for side in ("Delta", "DeltaPrime"):
-        vv = tensor_rep(rep, rep, side)
-        for kind, index in rep.gens:
-            expect = SparseMat.zero(d * d, d * d)
-            for lhs, rhs in coproduct_terms(Gen(kind, index), side):
-                expect = expect + eval_in_rep(lhs, rep).kron(eval_in_rep(rhs, rep))
-            assert vv.gen(kind, index) == expect, (side, kind, index)
+    vv, rev = tensor_rep(rep, rep), reps.reversal(d, d * d)
+    for kind, index in rep.gens:
+        g = Gen(kind, index)
+        assert vv.gen(kind, index) == coproduct_image(g, "Delta", rep, rep), (kind, index)
+        assert reps.conjugated(vv.gen(kind, index), rev) == coproduct_image(g, "DeltaPrime", rep, rep), (kind, index)
 
 
 def test_k2rho_images():
@@ -850,8 +876,8 @@ def test_s2_conjugation_on_degenerate_node():
 
 def test_tensor_sides_equal_dims_and_k_spectra():
     rep = natural_rep(P21)
-    a = tensor_rep(rep, rep, "Delta")
-    b = tensor_rep(rep, rep, "DeltaPrime")
+    a = tensor_rep(rep, rep)
+    b = opposite_tensor(rep, rep)
     assert a.dim == b.dim
     for k in P21.index_set:
         assert a.gen("K", k) == b.gen("K", k)

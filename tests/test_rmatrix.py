@@ -20,6 +20,7 @@ from degenq.rmatrix import (
     verify_ybe,
 )
 from degenq.scalars import GLParams, Q_MINUS_QINV, RatFn
+from test_reps import opposite_power, opposite_tensor
 
 P21 = GLParams(2, 1)
 P11 = GLParams(1, 1)
@@ -298,7 +299,7 @@ def eigenspace_closures_match(params: GLParams) -> Report:
     report = Report()
     bundle = build_bundle(params)
     rep = natural_rep(params)
-    vv = tensor_rep(rep, rep, "Delta")
+    vv = tensor_rep(rep, rep)
     d = params.size
     q = RatFn.q(1)
     proj_s, proj_a = ref_projectors(bundle.Rcheck)
@@ -419,7 +420,7 @@ def ref_hecke(bundle) -> Report:
 def ref_intertwiner(bundle) -> Report:
     report = Report()
     rep = natural_rep(bundle.params)
-    vv_delta, vv_prime = tensor_rep(rep, rep, "Delta"), tensor_rep(rep, rep, "DeltaPrime")
+    vv_delta, vv_prime = tensor_rep(rep, rep), opposite_tensor(rep, rep)
     for g in generator_atoms(bundle.params):
         name = f"{g.kind}{g.index}"
         delta_mat = vv_delta.gen(g.kind, g.index)
@@ -443,8 +444,8 @@ def ref_tensor_iso(bundle, r: int) -> Report:
     report = Report()
     params = bundle.params
     iso = ref_leg_product(bundle, r)
-    power_delta = shared_power(params, r, "Delta")
-    power_prime = shared_power(params, r, "DeltaPrime")
+    power_delta = shared_power(params, r)
+    power_prime = opposite_power(natural_rep(params), r)
     for g in generator_atoms(params):
         name = f"{g.kind}{g.index}"
         lhs = iso * power_delta.gen(g.kind, g.index)
