@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from operator import attrgetter
 
@@ -388,12 +389,14 @@ def antipode(x: Expr) -> Expr:
 # matrix's life.  A matrix replaced in ``rep.gens`` is a new object, which the
 # next plan measures afresh, and a run at a third B encodes it again.  The int
 # matrices keep their row index (``SparseMat.__mul__``); a generator brought
-# to a plan's D and v is a scaled copy, made and dropped within its run.  A
-# plan lives for one call of :meth:`Program.run_each`, and nothing of it is
-# kept.  Every Program and module that outlives a job lives in the set-up
-# store (:class:`degenq.reps.Setup`), so the encodings on those modules'
-# matrices outlive it too.  The store holds set-up only, never a result, and
-# no cache grows with the number of runs.
+# to a plan's D and v is a scaled copy, made and dropped within its run.
+# Every Program and module that outlives a job lives in the set-up store
+# (:class:`degenq.reps.Setup`), with the encodings on its matrices and each
+# :class:`Plan` of a store Program over store modules, which
+# :meth:`degenq.reps.Setup.run_each` uses while every matrix it read is still
+# that generator of its module; any other Program or module is planned on
+# each call.  The store holds set-up only, never a result, and no cache
+# grows with the number of runs.
 
 # The largest int entry, in bits, that evaluation may form: 2^23 bits is 1 MB,
 # above the 4 million bits of (q+1)^2000 at its own digit width.
@@ -457,6 +460,13 @@ class _Encoding:
         return ints
 
 
+# What the integer passes of one :meth:`Program._plan` read: per op its
+# constants at the digit width B (a generator's, per module, its _Encoding and
+# multiplier), per output its (D, v), and B; and per generator op its key and
+# the matrix read in each module.
+Plan = namedtuple("Plan", "how outs bits read")
+
+
 class Program:
     """A batch of expressions compiled by :func:`compile_batch`, to be run in
     any number of representations.
@@ -510,24 +520,25 @@ class Program:
         """
         return self.run_each([rep])[0]
 
-    def run_each(self, reps) -> list[Iterator[SparseMat]]:
+    def run_each(self, reps, plan: Plan | None = None) -> list[Iterator[SparseMat]]:
         """Per module of reps, an iterator over each expression of the batch
         evaluated in it, in order, as a canonical SparseMat over Q(q).
 
         One plan serves them all: the numeric pass, the digit width and the
-        encoded constants are made once, here (:meth:`_plan`), and a module's
-        integer pass runs as its iterator is read, so that one module's
-        intermediates are alive at a time when the iterators are read in
-        turn.
+        encoded constants are made once (:meth:`_plan`), here unless given as
+        plan, this Program's plan over reps as they are now (see Caches
+        above).  A module's integer pass runs as its iterator is read, so
+        that one module's intermediates are alive at a time when the
+        iterators are read in turn.
         """
-        shape, how, bits = self._plan(reps)
-        return [self._ints(shape, how, bits, k, rep.dim) for k, rep in enumerate(reps)]
+        plan = plan or self._plan(reps)
+        return [self._ints(plan, k, rep.dim) for k, rep in enumerate(reps)]
 
-    def _plan(self, reps) -> tuple[list[tuple], list, int]:
+    def _plan(self, reps) -> Plan:
         """The numeric pass over the modules reps: per slot a shape (D, v, b,
-        degree) that bounds the slot's node in each of them; the digit width
-        B of those shapes; and per op what an integer pass needs, its
-        constants encoded at B.
+        degree) that bounds the slot's node in each of them, and from the
+        shapes the :class:`Plan`: the digit width B, per op its constants
+        encoded at B and per output its (D, v).
 
         A generator op's shape is its modules' shapes aligned as a sum aligns
         its terms, over the lcm D of their denominators and their largest lag
@@ -542,11 +553,12 @@ class Program:
         # is skipped by identity.
         shape: list[tuple] = []
         how: list = []
+        read: list[tuple] = []  # per generator op, its key and its matrix in each module
         for code, kids, data in self.ops:
             if code == _GEN:
-                codes = []
-                for g in gens:
-                    mat = g.get(data)
+                codes, mats = [], tuple(g.get(data) for g in gens)
+                read.append((data, mats))
+                for mat in mats:
                     if mat is None:
                         raise MissingGenerator(f"representation lacks {data[0]}{data[1]}")
                     enc = mat._encoding
@@ -591,12 +603,14 @@ class Program:
                     factors[s], how[s] = how[s], 1
             elif code == _SUM:
                 how[s] = [_multiplier(part, bits) * factors.get(c, 1) for c, part in zip(kids, h)]
-        return shape, how, bits
+        outs = {slot: shape[slot][:2] for outputs, _ in self.after for slot in outputs}
+        return Plan(how, outs, bits, read)
 
-    def _ints(self, shape: list[tuple], how: list, bits: int, k: int, dim: int) -> Iterator[SparseMat]:
-        """The integer pass of the plan (shape, how, bits) in its k-th
-        module, of dimension dim: each slot's int matrix, dropped after its
-        last read, and each output decoded as it is reached."""
+    def _ints(self, plan: Plan, k: int, dim: int) -> Iterator[SparseMat]:
+        """The integer pass of plan in its k-th module, of dimension dim:
+        each slot's int matrix, dropped after its last read, and each output
+        decoded as it is reached."""
+        how, outs, bits = plan.how, plan.outs, plan.bits
         identity = None
         vals: list = [None] * len(self.ops)
         for s, (code, kids, _) in enumerate(self.ops):
@@ -623,7 +637,7 @@ class Program:
             vals[s] = val
             outputs, dead = self.after[s]
             for slot in outputs:
-                yield _decoded(vals[slot], shape[slot], bits)
+                yield _decoded(vals[slot], outs[slot], bits)
             for slot in dead:
                 vals[slot] = None
 
@@ -682,12 +696,12 @@ def _int_sum(terms: list[dict], multipliers: list[int]) -> dict:
     return out
 
 
-def _decoded(n: SparseMat, shape: tuple, bits: int) -> SparseMat:
-    """An int matrix of a node with shape (D, v, ...) read back over Q(q); a
-    zero matrix costs no decode."""
+def _decoded(n: SparseMat, shape: tuple[LaurentPoly, int], bits: int) -> SparseMat:
+    """An int matrix of a node with shape (D, v) read back over Q(q); a zero
+    matrix costs no decode."""
     if not n.entries:
         return SparseMat._raw(n.nrows, n.ncols, {})
-    den, lag = shape[0], shape[1]
+    den, lag = shape
     nums = {k: _decode(v, bits, -lag) for k, v in n.entries.items()}
     if den.is_one():  # a Laurent polynomial over 1 is already canonical
         return SparseMat(n.nrows, n.ncols, {k: RatFn._raw(p, _LP_ONE) for k, p in nums.items()})

@@ -239,6 +239,8 @@ class BraidEvaluator:
     ``_layout``, and contracts tr(M) = sum over j, and i in column j of P, of
     P[i, j] Q[j, i]: one dict lookup per nonzero of P.  Both halves start from
     unit columns, which fill in letter by letter, so they stay sparse longer.
+    A class's contracted int times c goes into the bucket of e for each term
+    c q^e of its K_2rho weight, and each bucket is shifted into place once.
 
     Columns.  Each column of a leg-placed generator has at most two entries.
     The table of a letter on a block holds, per column c, one flat record
@@ -445,18 +447,20 @@ class BraidEvaluator:
         """phi_r(word) = tr(nu(K_2rho)^(x)r M) / dim_q(V)^r: the word reduced by
         ``reduce_letters``, then per class the plain trace of PQ on the
         representative's block times the class's K_2rho weight (times q^k, so
-        no exponent is negative), summed, decoded, divided."""
+        no exponent is negative), summed per exponent, decoded, divided."""
         if self.params.m == self.params.n:
             raise EqualMNUnsupported("the Markov trace needs m != n (dim_q(V) nonzero)")
         letters = reduce_letters(word.letters)
         bits, _ = scale = self._scale(word, len(letters))
         half = len(letters) // 2
-        total = 0
+        buckets: dict[int, int] = {}  # per weight exponent e: the sum of c * plain over the terms c q^e
         for layout, weight in self._classes:
             _, p = self._block(letters[:half], layout, scale)
             _, q = self._block(letters[half:], layout, scale)
             plain = sum(v * q[i].get(j, 0) for j, col in enumerate(p) for i, v in col.items())
-            total += plain * _encode(weight, bits, self._k)
+            for e, c in weight.terms.items():
+                buckets[e] = buckets.get(e, 0) + c * plain
+        total = sum(v << (e + self._k) * bits for e, v in buckets.items())
         value = _decode(total, bits, -len(letters) * self._lag - self._k)
         return RatFn(value, self._dimq_r)
 

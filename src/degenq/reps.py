@@ -184,39 +184,42 @@ class Setup:
     program's one set-up memo: fixed size, no option, one clear
     (``clear_setups``).  Each layer keeps its kinds under its own keys, so no
     lower module imports a higher one: here V ("V"), V* ("V*"), V's
-    left-nested tensor powers (("power", r)), the relation catalog with
-    its Program ("catalog"), the trivial module with the S^2 Program ("hopf");
-    in :mod:`degenq.rmatrix` the R-matrix bundle ("bundle"), each suite's
-    Program (its name, ("ybe", 2) and ("tensor-iso", r) besides) and the space
-    it runs in ((key, "space")); in :mod:`degenq.invariants` one braid
-    evaluator per strand count (("evaluator", strands)).  Every verify Program
-    depends on (m, n) alone and is kept per (m, n); only modules and spaces
-    are derived.  Modules keep their int forms (:mod:`degenq.expr`), so a
-    warm job measures, encodes and compiles nothing.  Set-up only, no result:
-    every job runs every check, and a one-shot CLI process gains only the
-    sharing inside one job.  Callers mutate nothing they read, and two rules
-    hold for every kind:
+    left-nested tensor powers (("power", r)), the relation catalog with its
+    Program ("catalog"), the trivial module with the S^2 Program ("hopf"),
+    and each plan of a kept Program over kept modules (("plan", their keys),
+    :meth:`run_each`); in :mod:`degenq.rmatrix` the R-matrix bundle
+    ("bundle"), each suite's Program (its name, ("ybe", 2) and ("tensor-iso",
+    r) besides) and its space ((key, "space")); in :mod:`degenq.invariants`
+    one braid evaluator per strand count (("evaluator", strands)).  Every
+    Program depends on (m, n) alone.  Modules keep their int forms
+    (:mod:`degenq.expr`), so a warm job measures, encodes, compiles and plans
+    nothing.  Set-up only, no result: every job runs every check, and a
+    one-shot CLI process gains only the sharing inside one job.  Callers
+    mutate nothing they read, and two rules hold for every kind:
 
-    * A kind derived from a kept object (V* from V, a suite's space from the
-      bundle) is kept only for that very object (:meth:`derived`); any other
-      object, such as a test's module or a ``_replace`` copy of the bundle,
-      has it built on each call.
+    * A kind derived from kept objects (V* from V, a space from the bundle, a
+      plan from its Program and modules) is kept only for those very objects
+      (:meth:`derived`, :meth:`run_each`); any other, such as a test's module
+      or a ``_replace`` copy of the bundle, has it built on each call.
     * The getter of a kept object checks the dimension cap of the object's
       space before the lookup (``shared_power``, ``rmatrix.shared_bundle``,
       ``invariants._evaluator``), so a refusal builds nothing.
 
     Memory.  The lru bounds the (m, n) points at ``MODULE_MEMO_SIZE``.  In one
     point d = m + n >= 2 and every power and evaluator passed the cap, so r
-    and strands are at most log2 of the largest cap used.
+    and strands are at most log2 of the largest cap used; the CLI runs one
+    list of kept modules per Program and tensor depth, so as many plans.
     """
 
     def __init__(self):
         self._kinds: dict = {}
+        self._keys: dict[int, object] = {}  # id of each kind, or item of a tuple kind: its key
 
     def get(self, key, build, *args):
         """The kind under key, built as build(*args) on the key's first use."""
         if key not in self._kinds:
-            self._kinds[key] = build(*args)
+            kind = self._kinds[key] = build(*args)
+            self._keys.update(dict.fromkeys(map(id, kind if type(kind) is tuple else (kind,)), key))
         return self._kinds[key]
 
     def derived(self, key, source_key, source, build):
@@ -225,6 +228,20 @@ class Setup:
         if source is not self._kinds.get(source_key):
             return build(source)
         return self.get(key, build, source)
+
+    def run_each(self, program: Program, reps) -> list:
+        """``program.run_each(reps)`` from a plan kept under ("plan", the keys
+        of program and of each of reps) when the store keeps each of them,
+        and made on each call otherwise.  A kept plan is made again, and kept
+        in its place, once a matrix it read is not that generator of its
+        module any more."""
+        key = ("plan", *(self._keys.get(id(obj)) for obj in (program, *reps)))
+        if None in key:
+            return program.run_each(reps)
+        plan = self._kinds.get(key)
+        if plan is None or any(r.gens.get(g) is not m for g, ms in plan.read for r, m in zip(reps, ms)):
+            plan = self._kinds[key] = program._plan(reps)
+        return program.run_each(reps, plan)
 
 
 @functools.lru_cache(maxsize=MODULE_MEMO_SIZE)
@@ -383,10 +400,11 @@ def verify_relations(*reps: Representation, labels: Sequence[tuple[str, str]] = 
     for rep in reps:
         if rep.params != params:
             raise ParamsMismatch(f"{rep.label} over {rep.params} vs {reps[0].label} over {params}")
-    entries, program = setup(params).get("catalog", _catalog, params)
+    store = setup(params)
+    entries, program = store.get("catalog", _catalog, params)
     labels = labels or [("relations", "")] * len(reps)
     report = Report()
-    for k, ((suite, prefix), diffs) in enumerate(zip(labels, program.run_each(reps), strict=True)):
+    for k, ((suite, prefix), diffs) in enumerate(zip(labels, store.run_each(program, reps), strict=True)):
         diffs = list(diffs)
         for entry, value in zip(entries, diffs):
             report.add_zero(suite, prefix + entry.name, value)
@@ -432,6 +450,6 @@ def check_hopf_axioms(rep: Representation) -> Report:
     report = verify_relations(trivial, dual, labels=[("hopf-counit", ""), ("hopf-antipode", "")])
     # k2rho k2rho_inv telescopes to the K_b K_b^-1, each 1 because
     # Representation derives K_b^-1 from K_b.
-    for name, value in zip(names, s2.run(rep)):
+    for name, value in zip(names, store.run_each(s2, [rep])[0]):
         report.add_zero("hopf-s2", name, value)
     return report

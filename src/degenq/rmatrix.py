@@ -31,9 +31,9 @@ the suite's Program in its space.
 The expressions depend on (m, n) alone, so the set-up store
 (:class:`degenq.reps.Setup`) keeps each suite's Program, compiled once per
 (m, n) by :func:`degenq.expr.compile_batch` and evaluated over the integers at
-q = 2^B like the relation catalog; the space is derived from the bundle and
-kept only for the store's bundle, which ``shared_bundle`` hands out.  No
-result is kept: every run runs every Program and reads every check.  A
+q = 2^B like the relation catalog; the space, and the Program's plan over
+it, are kept only for the store's bundle, which ``shared_bundle`` hands out.
+No result is kept: every run runs every Program and reads every check.  A
 passing check costs no decode; a failing one's witness is read from the
 decoded difference, canonical over Q(q).  The Hecke suite's one identity is
 its quadratic: the projectors onto the two eigenspaces are nonzero multiples
@@ -190,7 +190,8 @@ def _suite_differences(
             gens.update({(kind + "'", i): conjugated(mat, rev) for (kind, i), mat in power.gens.items()})
         return _Space(d**r, gens)
 
-    return dict(zip(names, program.run(store.derived((key, "space"), "bundle", bundle, space))))
+    spaces = [store.derived((key, "space"), "bundle", bundle, space)]
+    return dict(zip(names, store.run_each(program, spaces)[0]))
 
 
 _BRAIDED = ("R", "T", "Rbad")

@@ -314,6 +314,8 @@ def _poly_gcd_dict(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     if not g:
         return _dict_primitive(dict(f))
     c = math.gcd(_dict_content(f), _dict_content(g))
+    if max(f) == 0 or max(g) == 0:  # a constant side: the gcd of the contents
+        return {0: c}
     a, b = _dict_primitive(f), _dict_primitive(g)
     while b:
         a, b = b, _dict_primitive(_pseudo_rem(a, b))
@@ -532,9 +534,10 @@ def _canonical_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
     vn = num.valuation
     num_d = num.shift(-vn).terms
     g = _poly_gcd_dict(num_d, den_d)
-    if g != {0: 1} and g != {0: -1}:
-        num_d = _poly_divexact_dict(num_d, g)
-        den_d = _poly_divexact_dict(den_d, g)
+    if max(g):
+        num_d, den_d = _poly_divexact_dict(num_d, g), _poly_divexact_dict(den_d, g)
+    elif g[0] != 1:  # an integer gcd: divide every coefficient by it
+        num_d, den_d = ({e: c // g[0] for e, c in d.items()} for d in (num_d, den_d))
     if den_d[max(den_d)] < 0:
         num_d = {e: -c for e, c in num_d.items()}
         den_d = {e: -c for e, c in den_d.items()}

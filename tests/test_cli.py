@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -638,8 +639,10 @@ def test_warm_hopf_jobs_compile_nothing_and_measure_nothing(monkeypatch, capsys)
 def test_relations_and_hopf_jobs_plan_the_catalog_once(monkeypatch, capsys):
     # A relations job makes one numeric pass of the catalog over V and its
     # Delta powers, whose lines its Delta' lines are read off, and a hopf job
-    # one over the trivial module and V*; a warm
-    # relations job makes no other, and a warm hopf job one more, for S^2 on V.
+    # one over the trivial module and V* and one for S^2 on V (and one for
+    # the antipode images of V, when it first builds V*).  The store
+    # keeps each plan beside the Program and modules it is made from, so a
+    # warm relations or hopf job makes none.
     params = GLParams(3, 2)
     plans = []  # (program, module dims, job)
     plan = expr.Program._plan
@@ -656,10 +659,35 @@ def test_relations_and_hopf_jobs_plan_the_catalog_once(monkeypatch, capsys):
     assert jobs == [EXIT_OK] * 4
     _, catalog = reps.setup(params).get("catalog", None)
     catalog_plans = [(dims, job) for program, dims, job in plans if program is catalog]
-    assert catalog_plans == [([5, 25, 125], 0), ([5, 25, 125], 1), ([1, 5], 2), ([1, 5], 3)]
-    assert [dims for _, dims, job in plans if job == 1] == [[5, 25, 125]]
+    assert catalog_plans == [([5, 25, 125], 0), ([1, 5], 2)]
     _, s2, _ = reps.setup(params).get("hopf", None)
-    assert [(program, dims) for program, dims, job in plans if job == 3] == [(catalog, [1, 5]), (s2, [5])]
+    assert [dims for program, dims, job in plans if program is s2] == [[5]]
+    assert [job for _, _, job in plans if job in (1, 3)] == []
+
+
+def test_verify_prints_the_same_cold_warm_and_in_a_shuffled_order(capsys):
+    # Every suite at the six grid points, each argv run cold (from an empty
+    # store), then all warm in order, warm again, and in a seeded shuffle:
+    # kept plans answer byte for byte as fresh ones do.
+    argvs = [
+        ("verify", "--m", str(p.m), "--n", str(p.n), "--suite", suite, "--samples", "3", "--json")
+        for p in GRID
+        for suite in cli.SUITES
+    ]
+
+    def run(argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    cold = {}
+    for argv in argvs:
+        reps.clear_setups()
+        cold[argv] = run(argv)
+    shuffled = argvs[:]
+    random.Random(40).shuffle(shuffled)
+    for order in (argvs, argvs, shuffled):
+        assert {argv: run(argv) for argv in order} == cold
+    assert any(key[0] == "plan" for key in reps.setup(GLParams(3, 2))._kinds if type(key) is tuple)
 
 
 def _snapshot(rep):

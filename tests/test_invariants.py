@@ -713,6 +713,35 @@ def test_trace_propagates_one_block_per_class_and_matrix_every_block(monkeypatch
     assert (len(sizes), sum(sizes), max(sizes)) == (126, 3125, 120)
 
 
+def _per_class_trace(evaluator, word):
+    """The trace with each class's plain trace times its K_2rho weight encoded
+    at B, class by class: the formula that the weight buckets replace."""
+    letters = reduce_letters(word.letters)
+    bits, _ = scale = evaluator._scale(word, len(letters))
+    half = len(letters) // 2
+    total = 0
+    for layout, weight in evaluator._classes:
+        _, p = evaluator._block(letters[:half], layout, scale)
+        _, q = evaluator._block(letters[half:], layout, scale)
+        plain = sum(v * q[i].get(j, 0) for j, col in enumerate(p) for i, v in col.items())
+        total += plain * scalars._encode(weight, bits, evaluator._k)
+    value = scalars._decode(total, bits, -len(letters) * evaluator._lag - evaluator._k)
+    return RatFn(value, evaluator._dimq_r)
+
+
+@pytest.mark.parametrize("params", [P21, GLParams(1, 2), P31, GLParams(3, 2)], ids=str)
+def test_trace_by_weight_buckets_equals_the_per_class_formula(params):
+    # Seeded words on 2-5 strands, with inverse letters, at the grid points
+    # with m != n: the bucketed sum is the per-class sum, exactly.
+    rng = random.Random(4000 + 10 * params.m + params.n)
+    for strands in (2, 3, 4, 5):
+        evaluator = invariants._evaluator(params, strands, reps.DEFAULT_MAX_DIM)
+        assert len({e for _, weight in evaluator._classes for e in weight.terms}) > 1
+        for _ in range(4):
+            word = random_word(rng, strands, 1, 3 * strands)
+            assert evaluator.trace(word) == _per_class_trace(evaluator, word)
+
+
 # -- the evaluator's kept layouts and letter tables -----------------------------------------------
 
 

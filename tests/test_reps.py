@@ -718,6 +718,68 @@ def test_a_warm_relations_job_keeps_no_result_for_the_next():
     assert not [c for c in report.failures if not c.name.startswith("V^(x)3 ")]
 
 
+def _kept_plans(params):
+    return [key for key in reps.setup(params)._kinds if type(key) is tuple and key[0] == "plan"]
+
+
+def test_only_the_stores_own_modules_keep_plans():
+    # Modules built by a test, and modules derived from them, are planned on
+    # each call and leave no plan in the store; V, its powers, V* and the
+    # trivial module of the store each keep one per list of them.
+    params = GLParams(3, 2)
+    built = natural_rep(params)
+    for _ in range(2):
+        assert verify_relations(built, iterated_tensor(built, 2)).all_passed
+        assert check_hopf_axioms(built).all_passed
+    assert _kept_plans(params) == []
+    stored = shared_power(params, 1)
+    assert verify_relations(stored, shared_power(params, 2)).all_passed
+    assert verify_relations(stored, built).all_passed
+    assert check_hopf_axioms(stored).all_passed
+    assert _kept_plans(params) == [
+        ("plan", "catalog", "V", ("power", 2)),
+        ("plan", "catalog", "hopf", "V*"),
+        ("plan", "hopf", "V"),
+    ]
+
+
+def test_simple_module_jobs_keep_no_plan(capsys):
+    from degenq.cli import main
+
+    for argv in (["--ell", "3", "--lambda2", "q^2"], ["--ell", "2", "--lambda2", "(q+2)/(q-3)", "--matrices"]):
+        assert main(["simple-module", *argv, "--json"]) == 0
+    capsys.readouterr()
+    assert _kept_plans(P21) == []
+
+
+def test_a_kept_plan_is_made_again_once_a_generator_it_read_is_replaced(monkeypatch):
+    # A warm job plans nothing.  After f2 of the stored V^(x)3 is replaced,
+    # the next job plans the catalog once more and keeps that plan in place of
+    # the old one, which read the replaced matrix; the job after plans nothing.
+    params = GLParams(3, 2)
+    planned = []
+    plan = Program._plan
+
+    def recording_plan(self, modules):
+        planned.append((self, [rep.dim for rep in modules]))
+        return plan(self, modules)
+
+    monkeypatch.setattr(Program, "_plan", recording_plan)
+    runs = []
+    for spoil in (False, False, True, False):
+        if spoil:
+            cube = shared_power(params, 3)
+            old = cube.gen("f", 2)
+            cube.gens[("f", 2)] = old + old
+        planned.clear()
+        passed = run_verify(params, suites=("relations",)).all_passed
+        _, catalog = reps.setup(params).get("catalog", None)
+        runs.append((passed, [dims for program, dims in planned if program is catalog]))
+    assert runs == [(True, [[5, 25, 125]]), (True, []), (False, [[5, 25, 125]]), (False, [])]
+    (key,) = _kept_plans(params)
+    assert [mats[2] is cube.gen("f", 2) for g, mats in reps.setup(params)._kinds[key].read if g == ("f", 2)] == [True]
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (4, 3), (6, 6)])
 def test_the_relation_suites_shared_width_is_its_largest_spaces_own(m, n):
     # The relations suite's three spaces share one plan, at the width of

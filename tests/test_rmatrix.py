@@ -125,6 +125,31 @@ SUITE_CHECKS = {
 }
 
 
+@pytest.mark.parametrize("suite", SUITE_CHECKS)
+def test_a_replaced_bundles_suite_is_planned_on_each_call(suite, monkeypatch):
+    # The store's bundle has its suite planned once and the plan kept; a
+    # _replace copy, even of the very same matrices, has it planned on every
+    # call and keeps nothing.
+    planned = []
+    plan = expr.Program._plan
+
+    def recording_plan(self, modules):
+        if isinstance(modules[0], rmatrix._Space):
+            planned.append(self)
+        return plan(self, modules)
+
+    monkeypatch.setattr(expr.Program, "_plan", recording_plan)
+    stored = rmatrix.shared_bundle(P21)
+    counts = []
+    for bundle in (stored, stored, stored._replace(R=stored.R), stored._replace(R=stored.R)):
+        assert SUITE_CHECKS[suite](bundle).all_passed
+        counts.append(len(planned))
+        planned.clear()
+    assert counts[0] > 0 and counts == [counts[0], 0, counts[0], counts[0]]
+    kept = [key for key in setup(P21)._kinds if type(key) is tuple and key[0] == "plan"]
+    assert len(kept) == counts[0]
+
+
 def test_spoiled_copies_of_the_warm_bundle_compile_nothing(monkeypatch, capsys):
     # The suites' identities depend on (m, n) alone, so after a warm verify a
     # ``_replace`` copy of the stored bundle builds its own spaces but no
@@ -153,14 +178,14 @@ def test_the_stored_and_a_fresh_bundle_read_one_program(suite, monkeypatch):
     # A suite's Program is kept per (m, n), not per bundle: the store's
     # bundle and a freshly built one run the very same compiled objects.
     programs = []
-    run = expr.Program.run
+    run_each = expr.Program.run_each
 
-    def recording_run(self, rep):
-        if isinstance(rep, rmatrix._Space):  # not the Programs that build tensor powers
+    def recording_run_each(self, reps, *plan):
+        if isinstance(reps[0], rmatrix._Space):  # not the Programs that build tensor powers
             programs.append(self)
-        return run(self, rep)
+        return run_each(self, reps, *plan)
 
-    monkeypatch.setattr(expr.Program, "run", recording_run)
+    monkeypatch.setattr(expr.Program, "run_each", recording_run_each)
     runs = []
     for bundle in (rmatrix.shared_bundle(P21), build_bundle(P21)):
         assert SUITE_CHECKS[suite](bundle).all_passed

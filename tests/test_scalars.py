@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from degenq.scalars import (
     _decode,
     _digit_bits,
     _encode,
+    _poly_gcd_dict,
     _power,
     parse_scalar,
     poly_to_text,
@@ -382,3 +385,46 @@ def test_digit_bits_is_the_least_width_that_holds_the_bound(bound):
     bits = _digit_bits(bound)
     assert bound < 2 ** (bits - 1)
     assert bound == 0 if bits == 1 else bound >= 2 ** (bits - 2)
+
+
+# -- canonical form over a constant side ---------------------------------------
+
+
+def _euclid_canonical(num, den):
+    """(num, den) made canonical by the primitive-part Euclid loop alone, the
+    path that a constant side skips: the reference for the shortcut."""
+    from degenq.scalars import _dict_content, _dict_primitive, _poly_divexact_dict, _pseudo_rem
+
+    if not num:
+        return LaurentPoly.zero(), LaurentPoly.one()
+    den_d = den.shift(-den.valuation).terms
+    num = num.shift(-den.valuation)
+    num_d = num.shift(-num.valuation).terms
+    a, b = _dict_primitive(num_d), _dict_primitive(den_d)
+    while b:
+        a, b = b, _dict_primitive(_pseudo_rem(a, b))
+    g = {e: math.gcd(_dict_content(num_d), _dict_content(den_d)) * v for e, v in a.items()}
+    num_d, den_d = _poly_divexact_dict(num_d, g), _poly_divexact_dict(den_d, g)
+    sign = -1 if den_d[max(den_d)] < 0 else 1
+    return lp({e: sign * c for e, c in num_d.items()}).shift(num.valuation), lp({e: sign * c for e, c in den_d.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(-8, 40), st.integers(-50, 50), max_size=40),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([1, -1]),
+    st.integers(-6, 6),
+)
+def test_canonical_form_over_a_constant_side_matches_the_euclid_path(terms, content, c, sign, k):
+    # A numerator with a shared content over +-c q^k, and +-c q^k over it:
+    # the gcd of the contents, taken at once, gives the Euclid path's form.
+    p = lp({e: content * v for e, v in terms.items()})
+    mono = LaurentPoly.q(k, sign * c)
+    for num, den in ((p, mono), (mono, p)):
+        if den:
+            x = RatFn(num, den)
+            assert (x.num, x.den) == _euclid_canonical(num, den)
+    if p:
+        assert _poly_gcd_dict(p.shift(-p.valuation).terms, {0: c}) == {0: math.gcd(c, *p.terms.values())}
